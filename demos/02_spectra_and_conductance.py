@@ -39,7 +39,8 @@ rebuilt = reconstruct_power(summary, chain.pi, 5)
 print("5-step reconstruction error:", np.abs(P5 - rebuilt).max())
 
 # Conductance: the worst normalised stationary flow across a cut, found by
-# brute force. The spectral gap is sandwiched between Phi^2/8 and Phi.
+# exact enumeration of every cut. The spectral gap is sandwiched between
+# Phi^2/8 and Phi.
 metro = random_reversible(8, seed=5)
 phi_value, phi_asym, cut = conductance(metro)
 lam1, _ = lambda_constants(metro)

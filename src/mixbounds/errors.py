@@ -35,7 +35,12 @@ class StationaryMismatch(MixboundsError):
 
 
 class TooLarge(MixboundsError):
-    """State space exceeds the exact brute-force limit."""
+    """State space exceeds the limit of an exact enumeration."""
+
+
+class IllConditioned(MixboundsError):
+    """The input is too badly conditioned for an exact answer, e.g. stationary
+    cut flows out of and into some cut differ by more than 1e-9 of the flow."""
 
 
 class NoConvergence(MixboundsError):

@@ -21,10 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Chain, classify, reversibilize
-from .errors import DimensionMismatch, NotErgodic, NotReversible, TooLarge
+from .errors import DimensionMismatch, IllConditioned, NotErgodic, NotReversible, TooLarge
 
-#: brute-force conductance limit
+#: exact conductance limit (the enumeration visits 2^(N-1) - 1 cuts)
 MAX_CONDUCTANCE_STATES = 24
+#: conductance enumerates the cuts in blocks over states 0 .. _LOW_BITS
+_LOW_BITS = 12
+#: relative tolerance of the cut-flow balance and symmetric-value checks
+_BALANCE_TOL = 1e-9
+#: cut values within this relative distance of the minimum tie
+_TIE_TOL = 1e-12
 
 
 def _check_phi(chain: Chain, phi) -> np.ndarray:
@@ -143,58 +149,110 @@ def reconstruct_power(summary: SpectralSummary, pi, n: int) -> np.ndarray:
     return pi[None, :] + (root[None, :] / root[:, None]) * term
 
 
+def _membership(m: int, lead: int) -> np.ndarray:
+    """0/1 matrix of 2^m rows: ``lead`` columns of ones, then the binary digits
+    of the row index, lowest first."""
+    M = np.ones((1 << m, lead + m))
+    M[:, lead:] = (np.arange(1 << m, dtype=np.uint16)[:, None] >> np.arange(m, dtype=np.uint16)) & 1
+    return M
+
+
+def _cut_flows(members: np.ndarray, outside: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Per row of a 0/1 membership matrix: the sum of Q[i, j] over i in, j out."""
+    flows = members @ Q
+    flows *= outside
+    return flows.sum(axis=1)
+
+
 def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
-    """Exact conductance by brute force over cuts (N <= 24).
+    """Exact conductance by blocked enumeration of every cut (N <= 24).
 
     For a cut S the conductance is the stationary flow from S to its
-    complement divided by pi(S) pi(S-bar); under stationarity the flow is the
-    same in both directions, which is asserted here to 1e-12.  Returns the
-    minimum over cuts, the asymmetric variant (the same ratio additionally
-    multiplied by pi(S-bar), minimised over cuts with pi(S) <= 1/2), and the
-    minimising cut for the symmetric version (smallest bitmask on ties).
+    complement divided by pi(S) pi(S-bar).  Returns the minimum over cuts, the
+    asymmetric variant (the same ratio additionally multiplied by pi(S-bar),
+    minimised over cuts with pi(S) <= 1/2), and the minimising cut for the
+    symmetric version.  Among cuts within a relative 1e-12 of the minimum the
+    one with the smallest bitmask is returned, so rounding noise never picks
+    the winner.
+
+    Every one of the 2^(N-1) - 1 cuts containing state 0 is visited, in
+    ascending bitmask order.  The states split into a low part {0 .. L},
+    L = min(N-1, 12), and a high part; each subset H of the high part is one
+    numpy block of the 2^L cuts S = S_low + H.  Every cut flow and every
+    pi(S), pi(S-bar) is a sum of nonnegative terms, so no digits are lost when
+    a flow or a mass is tiny, and a block needs O(2^L N) memory.
+
+    Under stationarity the flows out of and into S are equal.  They are
+    checked per cut to a relative 1e-9, and a larger imbalance, which only an
+    inaccurate stationary distribution can cause, raises IllConditioned.
     """
     n = chain.n
     if n > MAX_CONDUCTANCE_STATES:
-        raise TooLarge(f"conductance brute force is limited to {MAX_CONDUCTANCE_STATES} states")
+        raise TooLarge(f"exact conductance enumerates every cut and is limited to "
+                       f"{MAX_CONDUCTANCE_STATES} states")
     cls = classify(chain)
     if not cls.irreducible:
         raise NotErgodic("conductance requires an irreducible chain")
 
     Q = chain.pi[:, None] * chain.P
     pi = chain.pi
-    best = np.inf
-    best_asym = np.inf
-    best_set: tuple[int, ...] = ()
-    all_states = np.arange(n)
-    # every unordered cut exactly once: enumerate subsets containing state 0
-    for mask in range(0, (1 << (n - 1)) - 1):
-        members = np.zeros(n, dtype=bool)
-        members[0] = True
-        m = mask
-        while m:
-            b = m & -m
-            members[b.bit_length()] = True
-            m ^= b
-        idx = all_states[members]
-        cidx = all_states[~members]
-        cross = Q[np.ix_(idx, cidx)].sum()
-        cross_back = Q[np.ix_(cidx, idx)].sum()
-        if abs(cross - cross_back) > 1e-12:
-            raise AssertionError(
-                f"stationary cut flows disagree by {abs(cross - cross_back):.3e}"
+    low_bits = min(n - 1, _LOW_BITS)
+    lo, hi = slice(0, low_bits + 1), slice(low_bits + 1, n)
+    # row r: state 0, plus state j (1 <= j <= L) when bit j-1 of r is set, so
+    # row r of block h is the bitmask h * 2^L + r over states 1 .. N-1
+    M = _membership(low_bits, lead=1)
+    C = 1.0 - M
+    H = _membership(n - 1 - low_bits, lead=0)
+    Hc = 1.0 - H
+    Qll, Qlh, Qhl, Qhh = Q[lo, lo], Q[lo, hi], Q[hi, lo], Q[hi, hi]
+    # flows within the low part, per row r; within the high part, per block h
+    out_low, in_low = _cut_flows(M, C, Qll), _cut_flows(M, C, Qll.T)
+    out_high, in_high = _cut_flows(H, Hc, Qhh), _cut_flows(H, Hc, Qhh.T)
+    # per block h and low state i: flow from i into H-bar, and from H into i;
+    # and the reverse directions
+    low_to_hc, h_to_low = Hc @ Qlh.T, H @ Qhl
+    hc_to_low, low_to_h = Hc @ Qhl, H @ Qlh.T
+    pi_low_s, pi_low_c = M @ pi[lo], C @ pi[lo]
+    pi_h, pi_hc = H @ pi[hi], Hc @ pi[hi]
+    last = H.shape[0] - 1
+
+    def block(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cut values, pi(S) and pi(S-bar) of block h, the full set left out."""
+        cross = out_low + M @ low_to_hc[h] + C @ h_to_low[h] + out_high[h]
+        back = in_low + M @ hc_to_low[h] + C @ low_to_h[h] + in_high[h]
+        pi_s = pi_low_s + pi_h[h]
+        pi_c = pi_low_c + pi_hc[h]
+        if h == last:
+            cross, back, pi_s, pi_c = cross[:-1], back[:-1], pi_s[:-1], pi_c[:-1]
+        imbalance = np.abs(cross - back)
+        if np.any(imbalance > _BALANCE_TOL * cross):
+            worst = float(np.max(imbalance / cross))
+            raise IllConditioned(
+                f"stationary cut flows out of and into a cut differ by {worst:.3e} of the "
+                f"flow (tolerance {_BALANCE_TOL:g}): the stationary distribution is too "
+                "inaccurate for an exact conductance"
             )
-        pi_s = pi[idx].sum()
-        pi_c = 1.0 - pi_s
         denom = pi_s * pi_c
-        symmetric = (cross + cross_back) / (2.0 * denom)
         single = cross / denom
-        if abs(symmetric - single) > 1e-12:
+        symmetric = (cross + back) / (2.0 * denom)
+        if np.any(np.abs(symmetric - single) > _BALANCE_TOL * single):
             raise AssertionError("symmetric and single-sum cut values disagree")
-        if single < best:
-            best = single
-            best_set = tuple(int(i) for i in idx)
-        if pi_s <= 0.5 + 1e-12:
-            best_asym = min(best_asym, single * pi_c)
-        if pi_c <= 0.5 + 1e-12:
-            best_asym = min(best_asym, single * pi_s)
-    return float(best), float(best_asym), best_set
+        return single, pi_s, pi_c
+
+    block_min = np.empty(last + 1)
+    best_asym = np.inf
+    for h in range(last + 1):
+        single, pi_s, pi_c = block(h)
+        block_min[h] = single.min()
+        best_asym = min(best_asym,
+                        np.min(single * pi_c, where=pi_s <= 0.5 + 1e-12, initial=np.inf),
+                        np.min(single * pi_s, where=pi_c <= 0.5 + 1e-12, initial=np.inf))
+    # smallest bitmask within the tie tolerance: its block is the first whose
+    # minimum qualifies, and it is the first qualifying row of that block
+    best = float(block_min.min())
+    cutoff = best * (1.0 + _TIE_TOL)
+    h = int(np.argmax(block_min <= cutoff))
+    r = int(np.argmax(block(h)[0] <= cutoff))
+    mask = (h << low_bits) | r
+    best_set = (0,) + tuple(j + 1 for j in range(n - 1) if (mask >> j) & 1)
+    return best, float(best_asym), best_set

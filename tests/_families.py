@@ -31,6 +31,17 @@ def doubly_stochastic(n: int, seed: int, self_loop: float = 0.2):
     raise AssertionError(f"no non-reversible doubly stochastic chain for n={n}, seed={seed}")
 
 
+def tiny_mass_chain(e: float = 1e-13):
+    """Three states; the last has stationary mass of order e.
+
+    Its few edges are far from balanced once pi is rounded: the stationary
+    flows out of and into the cut {c} differ by about 2e-4 of the flow at
+    e = 1e-13, so an exact conductance is out of reach.
+    """
+    P = [[0.5, 0.5 - e, e], [0.5 - e, 0.5, e], [0.1, 0.9, 0.0]]
+    return build_chain(["a", "b", "c"], P, name=f"tiny_mass_chain(e={e})")
+
+
 def reversible_pair(n: int, seed: int):
     """A random reversible chain together with its lazy version (same pi)."""
     base = random_reversible(n, seed)

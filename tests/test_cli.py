@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from mixbounds import load_chain
+from mixbounds import load_chain, save_chain
 from mixbounds.cli import run_cli
+
+from _families import tiny_mass_chain
 
 
 def test_gen_and_mix(tmp_path, capsys):
@@ -126,6 +128,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
     # unreadable chain file
     assert run_cli(["analyze", str(tmp_path / "missing.json")]) == 2
+
+
+def test_analyze_ill_conditioned_exits_two(tmp_path, capsys):
+    chain_path = tmp_path / "tiny.json"
+    save_chain(tiny_mass_chain(), chain_path)
+    assert run_cli(["analyze", str(chain_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_selftest_passes(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mixbounds import (
+    Chain,
     classify,
     conductance,
     dhn,
@@ -11,6 +12,7 @@ from mixbounds import (
     directed_cycle,
     eigendecompose,
     f_form,
+    full_report,
     lambda_constants,
     lazy,
     multiply,
@@ -22,9 +24,9 @@ from mixbounds import (
     uniform_walk,
     variance,
 )
-from mixbounds.errors import DimensionMismatch, NotErgodic, NotReversible, TooLarge
+from mixbounds.errors import DimensionMismatch, IllConditioned, NotErgodic, NotReversible, TooLarge
 
-from _families import doubly_stochastic, quadratic_forms, rayleigh_minimum
+from _families import doubly_stochastic, quadratic_forms, rayleigh_minimum, tiny_mass_chain
 
 
 # ---------------------------------------------------------------- forms
@@ -190,6 +192,11 @@ def test_conductance_uniform_walk():
     assert argmin == (0,)
     phi_ts, _, _ = conductance(two_state(0.5))
     assert abs(phi - phi_ts) <= 1e-15
+    # every cut has conductance 1, so the tie goes to the smallest bitmask
+    for n in (6, 14, 15):
+        phi, _, argmin = conductance(uniform_walk(n))
+        assert abs(phi - 1.0) <= 1e-12
+        assert argmin == (0,)
 
 
 def test_conductance_matches_indicator_quotient():
@@ -212,6 +219,11 @@ def test_conductance_gates():
     c3 = directed_cycle(3)
     with pytest.raises(NotErgodic):
         conductance(multiply(time_reversal(c3), c3))
+    # cut flows out of and into {c} differ by about 2e-4 of the flow
+    with pytest.raises(IllConditioned):
+        conductance(tiny_mass_chain())
+    with pytest.raises(IllConditioned):
+        full_report(tiny_mass_chain(), x=2)
 
 
 def test_gap_sandwich_on_battery():
@@ -230,3 +242,74 @@ def test_gap_sandwich_on_battery():
         phi, _, _ = conductance(chain)
         assert lam1 <= phi + 1e-12
         assert lam1 >= phi * phi / 8 - 1e-12
+
+
+def _conductance_by_cut_loop(chain):
+    """Reference: one cut at a time, in ascending bitmask order, first minimum kept."""
+    n = chain.n
+    Q = chain.pi[:, None] * chain.P
+    pi = chain.pi
+    best = np.inf
+    best_asym = np.inf
+    best_set = ()
+    all_states = np.arange(n)
+    for mask in range(0, (1 << (n - 1)) - 1):
+        members = np.zeros(n, dtype=bool)
+        members[0] = True
+        members[1:] = [(mask >> j) & 1 for j in range(n - 1)]
+        idx = all_states[members]
+        cidx = all_states[~members]
+        cross = Q[np.ix_(idx, cidx)].sum()
+        pi_s = pi[idx].sum()
+        pi_c = 1.0 - pi_s
+        single = cross / (pi_s * pi_c)
+        if single < best:
+            best = single
+            best_set = tuple(int(i) for i in idx)
+        if pi_s <= 0.5 + 1e-12:
+            best_asym = min(best_asym, single * pi_c)
+        if pi_c <= 0.5 + 1e-12:
+            best_asym = min(best_asym, single * pi_s)
+    return float(best), float(best_asym), best_set
+
+
+def _two_blocks(coupling: float, k: int = 7):
+    """Walk on two weighted k-cliques joined by one edge of the given weight.
+
+    Built with its exact stationary law (degree over total weight), so the
+    cut flows balance to rounding even when the coupling is tiny.
+    """
+    rng = np.random.default_rng(3)
+    W = np.zeros((2 * k, 2 * k))
+    for block in (slice(0, k), slice(k, 2 * k)):
+        A = rng.uniform(0.5, 2.0, (k, k))
+        W[block, block] = A + A.T
+    W[k - 1, k] = W[k, k - 1] = coupling
+    degree = W.sum(axis=1)
+    return Chain([f"s{i}" for i in range(2 * k)], W / degree[:, None], degree / degree.sum(),
+                 name=f"two_blocks({coupling:g})")
+
+
+def test_conductance_matches_cut_loop():
+    chains = [random_reversible(n, seed=n) for n in range(2, 16)]
+    chains += [doubly_stochastic(9, seed=4), dhn(4)]
+    chains += [_two_blocks(c) for c in (1e-4, 1e-8, 1e-10, 1e-12)]
+    for chain in chains:
+        phi, phi_asym, argmin = conductance(chain)
+        want_phi, want_asym, want_argmin = _conductance_by_cut_loop(chain)
+        assert abs(phi - want_phi) <= 1e-12 * want_phi, chain.name
+        assert abs(phi_asym - want_asym) <= 1e-12 * want_asym, chain.name
+        assert argmin == want_argmin, chain.name
+
+
+def test_conductance_keeps_tiny_complement_mass():
+    # state c carries stationary mass ~5e-16 and leaves with probability 1e-3;
+    # pi({c}) = 1 - pi({a, b}) would lose most of its digits
+    w = 1e-16
+    W = np.array([[100.0, 1.0, 0.0], [1.0, 100.0, w], [0.0, w, 999 * w]])
+    degree = W.sum(axis=1)
+    chain = Chain(["a", "b", "c"], W / degree[:, None], degree / degree.sum())
+    phi, phi_asym, argmin = conductance(chain)
+    assert argmin == (0, 1)
+    assert abs(phi - 1e-3 / (1.0 - chain.pi[2])) <= 1e-12 * phi
+    assert abs(phi_asym - 1e-3) <= 1e-12 * phi_asym
