@@ -32,7 +32,7 @@ from .errors import (
     StationaryMismatch,
     WrongFlowBase,
 )
-from .flows import Flow, edge_congestion, validate_flow
+from .flows import Flow, _edge_congestion, validate_flow
 from .mixing import continuous_mixing_time, discrete_mixing_time, _check_eps
 from .spectral import MAX_CONDUCTANCE_STATES, conductance, eigendecompose, lambda_constants
 
@@ -211,7 +211,7 @@ def comparison_reversible(
     if not valid:
         raise InvalidFlow("; ".join(violations[:5]))
     x = base.index(x)
-    _, A = edge_congestion(flow)
+    _, A = _edge_congestion(flow)
     log_term = _log_term(eps, base.pi[x])
     deltas = sorted(set(DELTA_SWEEP) | {delta}) if sweep else [delta]
     factors = [_mix_factor(discrete_mixing_time(target, None, d).time, d) for d in deltas]
@@ -352,7 +352,7 @@ def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) ->
     valid, _, violations = validate_flow(flow)
     if not valid:
         raise InvalidFlow("; ".join(violations[:5]))
-    _, A = edge_congestion(flow)
+    _, A = _edge_congestion(flow)
 
     cls = classify(base)
     cls_t = classify(target)

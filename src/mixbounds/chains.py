@@ -33,8 +33,9 @@ ROW_SUM_TOL = 1e-9
 RENORM_TOL = 1e-13
 #: residual allowed in pi P = pi
 STATIONARY_TOL = 1e-10
-#: componentwise tolerance for detailed balance and other exact identities
-IDENTITY_TOL = 1e-12
+#: detailed balance: |F - F^T| at most this fraction of max(F, F^T) per edge,
+#: with F(x, y) = pi(x) P(x, y)
+BALANCE_RTOL = 1e-9
 
 
 class Chain:
@@ -93,8 +94,8 @@ class ChainClass:
 
     ``period`` is the gcd of closed-walk lengths and is reported as 0 for a
     reducible chain, where it is not defined.  ``reversible`` means detailed
-    balance holds against the chain's stationary distribution.
-    ``min_self_loop`` is the smallest diagonal entry of P.
+    balance holds against the chain's stationary distribution, on every edge
+    within a relative 1e-9.  ``min_self_loop`` is the smallest diagonal entry of P.
     """
 
     irreducible: bool
@@ -119,7 +120,8 @@ def build_chain(labels, P, name=None) -> Chain:
     a one-dimensional stationary space.
 
     Raises:
-        DimensionMismatch: non-square matrix or label count mismatch.
+        DimensionMismatch: non-square matrix, label count mismatch or
+            repeated labels.
         NonStochastic: negative entries or row sums off by more than 1e-9.
         SingularStationary: stationary space not one-dimensional, or the
             solution is not strictly positive (e.g. transient states).
@@ -132,6 +134,8 @@ def build_chain(labels, P, name=None) -> Chain:
         raise DimensionMismatch("need at least 2 states")
     if len(labels) != n:
         raise DimensionMismatch(f"{len(labels)} labels for {n} states")
+    if len({str(s) for s in labels}) != n:
+        raise DimensionMismatch("state labels are not distinct")
     if not np.all(np.isfinite(P)):
         raise NonStochastic("transition matrix has non-finite entries")
     if np.any(P < -ROW_SUM_TOL):
@@ -193,7 +197,7 @@ def classify(chain: Chain) -> ChainClass:
     aperiodic = period == 1
 
     F = chain.pi[:, None] * chain.P
-    reversible = bool(np.abs(F - F.T).max() <= IDENTITY_TOL)
+    reversible = bool(np.all(np.abs(F - F.T) <= BALANCE_RTOL * np.maximum(F, F.T)))
     min_self_loop = float(chain.P.diagonal().min())
     return ChainClass(irreducible, period, aperiodic, reversible, min_self_loop)
 

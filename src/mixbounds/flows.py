@@ -21,10 +21,13 @@ Flows are plain data and immutable in spirit; all operations are pure.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from .chains import Chain, classify
 from .errors import (
@@ -77,9 +80,10 @@ class Flow:
 
 
 def _demands(target: Chain) -> dict[tuple[int, int], float]:
+    """pi'(x) P'(x, y) for every target edge, keyed in sorted (row-major) order."""
     P, pi = target.P, target.pi
     xs, ys = np.nonzero(P > 0.0)
-    return {(int(x), int(y)): float(pi[x] * P[x, y]) for x, y in zip(xs, ys)}
+    return dict(zip(zip(xs.tolist(), ys.tolist()), (pi[xs] * P[xs, ys]).tolist()))
 
 
 def _check_pair(base: Chain, target: Chain):
@@ -99,32 +103,36 @@ def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
     """
     _check_pair(flow.base, flow.target)
     labels = flow.base.labels
-    support = flow.base.support()
+    support = flow.base.support().tolist()
     violations: list[str] = []
 
+    def name(p: FlowPath) -> str:
+        return "->".join(labels[s] for s in p.states)
+
     for p in flow.paths:
-        name = "->".join(labels[s] for s in p.states)
-        if not np.isfinite(p.mass) or p.mass < 0.0 or p.mass > 1.0 + 1e-12:
-            violations.append(f"path {name}: mass {p.mass!r} outside [0, 1]")
+        if not math.isfinite(p.mass) or p.mass < 0.0 or p.mass > 1.0 + 1e-12:
+            violations.append(f"path {name(p)}: mass {p.mass!r} outside [0, 1]")
         if len(p.states) == 0:
             violations.append("empty path")
             continue
-        for u, v in p.edges():
-            if not support[u, v]:
-                violations.append(f"path {name}: edge ({labels[u]},{labels[v]}) not in the base chain")
+        edges = p.edges()
+        for u, v in edges:
+            if not support[u][v]:
+                violations.append(f"path {name(p)}: edge ({labels[u]},{labels[v]}) not in the base chain")
                 break
-        counts = Counter(p.edges())
-        if counts and max(counts.values()) > 2:
+        if len(set(edges)) < len(edges):
+            counts = Counter(edges)
             e = max(counts, key=counts.get)
-            violations.append(
-                f"path {name}: edge ({labels[e[0]]},{labels[e[1]]}) appears more than twice"
-            )
+            if counts[e] > 2:
+                violations.append(
+                    f"path {name(p)}: edge ({labels[e[0]]},{labels[e[1]]}) appears more than twice"
+                )
 
     demands = _demands(flow.target)
     routed: dict[tuple[int, int], float] = defaultdict(float)
     for p in flow.paths:
         routed[p.demand_edge] += p.mass
-    for edge, want in sorted(demands.items()):
+    for edge, want in demands.items():
         got = routed.pop(edge, 0.0)
         if abs(got - want) > DEMAND_TOL:
             violations.append(
@@ -149,6 +157,11 @@ def _require_valid(flow: Flow) -> None:
 def edge_congestion(flow: Flow) -> tuple[dict[tuple[int, int], float], float]:
     """Per-edge congestion over every base edge, and its maximum."""
     _require_valid(flow)
+    return _edge_congestion(flow)
+
+
+def _edge_congestion(flow: Flow) -> tuple[dict[tuple[int, int], float], float]:
+    """:func:`edge_congestion` of a flow the caller has already validated."""
     base = flow.base
     load: dict[tuple[int, int], float] = defaultdict(float)
     for p in flow.paths:
@@ -186,6 +199,11 @@ def state_congestion(flow: Flow) -> tuple[dict[int, float], float, float]:
     is infinite and KappaInfinite is raised.
     """
     _require_valid(flow)
+    return _state_congestion(flow)
+
+
+def _state_congestion(flow: Flow) -> tuple[dict[int, float], float, float]:
+    """:func:`state_congestion` of a flow the caller has already validated."""
     base = flow.base
     load = np.zeros(base.n)
     for p in flow.paths:
@@ -196,7 +214,7 @@ def state_congestion(flow: Flow) -> tuple[dict[int, float], float, float]:
     per_state = {z: float(load[z] / base.pi[z]) for z in range(base.n)}
     B = max(per_state.values())
 
-    per_edge, _ = edge_congestion(flow)
+    per_edge, _ = _edge_congestion(flow)
     R = _reversal_matrix(base)
     kappa = 0.0
     for (z, w), a in per_edge.items():
@@ -260,15 +278,15 @@ def spread_flow(flow: Flow) -> Flow:
     hop has no usable intermediate.
     """
     _require_valid(flow)
-    _, a_before = edge_congestion(flow)
+    _, a_before = _edge_congestion(flow)
     simple = _simplify(flow)
-    _, a_simple = edge_congestion(simple)
+    _, a_simple = _edge_congestion(simple)
     if a_simple > a_before + 1e-12:
         raise AssertionError("loop erasure increased congestion (internal bug)")
 
     base = simple.base
     R = _reversal_matrix(base)
-    _, B, kappa = state_congestion(simple)
+    _, B, kappa = _state_congestion(simple)
 
     out: dict[tuple[int, ...], float] = defaultdict(float)
     for p in simple.paths:
@@ -295,7 +313,7 @@ def spread_flow(flow: Flow) -> Flow:
     valid, _, violations = validate_flow(result)
     if not valid:
         raise AssertionError("spread flow failed validation: " + "; ".join(violations[:3]))
-    _, a_after = edge_congestion(result)
+    _, a_after = _edge_congestion(result)
     if a_after > 8.0 * kappa * B + 1e-9:
         raise AssertionError(
             f"spread congestion {a_after!r} exceeds 8*kappa*B = {8.0 * kappa * B!r}"
@@ -327,66 +345,6 @@ def _couple_hops(hop_shares: list[list[tuple[int, float]]]):
             h[0] = (x, share - chunk)
 
 
-def _cover_shortest(base: Chain, start: int, goal: int, odd: bool) -> tuple[int, ...] | None:
-    """Lexicographically smallest shortest path from start to goal.
-
-    With ``odd`` the search runs on the parity double cover, forcing the path
-    length to be odd.  Returns None when the goal is unreachable.
-    """
-    n = base.n
-    support = base.support()
-    if odd:
-        # nodes (v, parity); edge (v,p) -> (w, 1-p) for each base edge v -> w
-        dist = -np.ones((n, 2), dtype=int)
-        dist[goal, 1] = 0
-        frontier = [(goal, 1)]
-        while frontier:
-            nxt = []
-            for v, p in frontier:
-                for u in np.nonzero(support[:, v])[0]:
-                    if dist[u, 1 - p] < 0:
-                        dist[u, 1 - p] = dist[v, p] + 1
-                        nxt.append((int(u), 1 - p))
-            frontier = nxt
-        if dist[start, 0] < 0:
-            return None
-        path = [start]
-        v, p = start, 0
-        while (v, p) != (goal, 1):
-            d = dist[v, p]
-            for w in range(n):
-                if support[v, w] and dist[w, 1 - p] == d - 1:
-                    path.append(w)
-                    v, p = w, 1 - p
-                    break
-        return tuple(path)
-
-    if start == goal:
-        return (start,)
-    dist = -np.ones(n, dtype=int)
-    dist[goal] = 0
-    frontier = [goal]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in np.nonzero(support[:, v])[0]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    nxt.append(int(u))
-        frontier = nxt
-    if dist[start] < 0:
-        return None
-    path = [start]
-    v = start
-    while v != goal:
-        for w in range(n):
-            if support[v, w] and dist[w] == dist[v] - 1:
-                path.append(w)
-                v = w
-                break
-    return tuple(path)
-
-
 def build_canonical_flow(base: Chain, target: Chain, odd: bool = False) -> Flow:
     """Route every demand along one shortest base path (ties: smallest state).
 
@@ -394,23 +352,45 @@ def build_canonical_flow(base: Chain, target: Chain, odd: bool = False) -> Flow:
     path, including those for self-loop demands, has odd length; if the cover
     is disconnected for some demand the base is bipartite-like and NoOddPath
     is raised.  With ``odd=False`` self-loop demands take length-0 paths.
+
+    One all-pairs shortest-path call on the unweighted support (BFS
+    distances) gives every distance to every goal.  On the cover, node
+    v + n*p stands for (v, parity p), and routes run from parity 0 to parity
+    1.  Each goal g gets a next-hop table: from node a, the smallest
+    successor one step closer to g.
     """
     _check_pair(base, target)
     if not classify(base).irreducible:
         raise NotErgodic("canonical flows need an irreducible base chain")
+    n = base.n
+    S = base.support()
+    if odd:
+        Z = np.zeros_like(S)
+        S = np.block([[Z, S], [S, Z]])
+    D = shortest_path(csr_matrix(S), unweighted=True)
+    next_hop: dict[int, np.ndarray] = {}
     paths = []
-    for (x, y), mass in sorted(_demands(target).items()):
+    for (x, y), mass in _demands(target).items():
         if mass == 0.0:
             continue
         if not odd and x == y:
             paths.append(FlowPath((x,), mass))
             continue
-        route = _cover_shortest(base, x, y, odd)
-        if route is None:
+        goal = y + n if odd else y
+        if not np.isfinite(D[x, goal]):
             if odd:
                 raise NoOddPath(
                     f"no odd-length route for demand ({base.labels[x]},{base.labels[y]})"
                 )
             raise Unreachable(f"no route for demand ({base.labels[x]},{base.labels[y]})")
-        paths.append(FlowPath(route, mass))
+        hops = next_hop.get(goal)
+        if hops is None:
+            d = D[:, goal]
+            hops = next_hop[goal] = np.argmax(S & (d[None, :] == d[:, None] - 1), axis=1)
+        route = [x]
+        a = x
+        while a != goal:
+            a = int(hops[a])
+            route.append(a % n)
+        paths.append(FlowPath(tuple(route), mass))
     return Flow(base, target, paths)

@@ -45,9 +45,16 @@ def save_chain(chain: Chain, path, meta: dict | None = None) -> None:
         fh.write("\n")
 
 
-def load_chain(path) -> Chain:
+def _read_json(path):
     with open(path) as fh:
-        return chain_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MixboundsError(f"{path}: not valid JSON ({exc})") from None
+
+
+def load_chain(path) -> Chain:
+    return chain_from_dict(_read_json(path))
 
 
 def flow_to_dict(flow: Flow) -> dict:
@@ -60,16 +67,24 @@ def flow_to_dict(flow: Flow) -> dict:
 
 def flow_from_dict(data: dict, base: Chain, target: Chain) -> Flow:
     """Attach a stored path list to its chains; names must match when present."""
+    if not isinstance(data, dict) or not isinstance(data.get("paths", []), list):
+        raise MixboundsError("flow JSON must be an object with a 'paths' list")
     for key, chain in (("base", base), ("target", target)):
         stored = data.get(key)
         if stored is not None and stored != chain.name:
             raise MixboundsError(f"flow file {key} is {stored!r}, got chain {chain.name!r}")
     paths = []
     for item in data.get("paths", []):
-        states = tuple(int(s) for s in item["path"])
+        try:
+            states = tuple(int(s) for s in item["path"])
+            mass = float(item["mass"])
+        except (KeyError, TypeError, ValueError):
+            raise MixboundsError(
+                f"flow path {item!r} needs a 'path' of state indices and a numeric 'mass'"
+            ) from None
         if any(not 0 <= s < base.n for s in states):
             raise DimensionMismatch(f"path {states} leaves the state space")
-        paths.append(FlowPath(states, float(item["mass"])))
+        paths.append(FlowPath(states, mass))
     return Flow(base, target, paths)
 
 
@@ -80,5 +95,4 @@ def save_flow(flow: Flow, path) -> None:
 
 
 def load_flow(path, base: Chain, target: Chain) -> Flow:
-    with open(path) as fh:
-        return flow_from_dict(json.load(fh), base, target)
+    return flow_from_dict(_read_json(path), base, target)

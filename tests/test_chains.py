@@ -23,6 +23,8 @@ from mixbounds.errors import (
     StationaryMismatch,
 )
 
+from _families import tiny_mass_chain
+
 
 def test_two_state_stationary_uniform():
     chain = two_state(0.25)
@@ -92,6 +94,17 @@ def test_classify_dhn_not_reversible():
     i, j = 1, 2
     assert chain.pi[i] * chain.P[i, j] > 0
     assert chain.P[j, i] == 0.0
+
+
+def test_classify_tiny_mass_chain_not_reversible():
+    # pi(a)P(a,c) and pi(c)P(c,a) are both below 1e-12 but differ by 80%
+    # relative; Kolmogorov's criterion fails on the cycle a -> b -> c -> a
+    chain = tiny_mass_chain()
+    F = chain.pi[:, None] * chain.P
+    assert abs(F[0, 2] - F[2, 0]) < 1e-12
+    assert classify(chain).reversible is False
+    P = chain.P
+    assert (P[0, 1] * P[1, 2] * P[2, 0]) / (P[0, 2] * P[2, 1] * P[1, 0]) < 0.2
 
 
 def test_classify_reducible_reports_period_zero():

@@ -137,6 +137,46 @@ def test_analyze_ill_conditioned_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_analyze_truncated_json_exits_two(tmp_path, capsys):
+    chain_path = tmp_path / "cut.json"
+    chain_path.write_text('{"states": ["a", "b"], "P": [[0.5, 0.5], [0.5')
+    assert run_cli(["analyze", str(chain_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_compare_malformed_flow_exits_two(tmp_path, capsys):
+    from mixbounds import two_state, uniform_walk
+
+    base_path, target_path, flow_path = (tmp_path / "m.json", tmp_path / "u.json", tmp_path / "f.json")
+    save_chain(two_state(0.25), base_path)
+    save_chain(uniform_walk(2, labels=["a", "b"]), target_path)
+    malformed = [
+        {"paths": [{"path": [0, 1]}]},  # no mass
+        {"paths": [{"path": [0, 1], "mass": "lots"}]},
+        {"paths": [{"mass": 0.25}]},  # no path
+        {"paths": [{"path": 1, "mass": 0.25}]},
+        {"paths": 5},
+        [],
+    ]
+    for data in malformed:
+        flow_path.write_text(json.dumps(data))
+        rc = run_cli(["compare", str(base_path), str(target_path), "--flow", str(flow_path),
+                      "--from", "a", "--eps", "0.25"])
+        assert rc == 2, data
+        assert capsys.readouterr().err.startswith("error:")
+    flow_path.write_text('{"paths": [')
+    assert run_cli(["compare", str(base_path), str(target_path), "--flow", str(flow_path),
+                    "--from", "a", "--eps", "0.25"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_analyze_duplicate_labels_exits_two(tmp_path, capsys):
+    chain_path = tmp_path / "dup.json"
+    chain_path.write_text(json.dumps({"states": ["a", "a"], "P": [[0.5, 0.5], [0.5, 0.5]]}))
+    assert run_cli(["analyze", str(chain_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_selftest_passes(capsys):
     assert run_cli(["selftest", "--quiet"]) == 0
     assert run_cli(["selftest"]) == 0

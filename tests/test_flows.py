@@ -14,9 +14,11 @@ from mixbounds import (
     edge_congestion,
     f_form,
     lazy,
+    multiply,
     random_reversible,
     spread_flow,
     state_congestion,
+    time_reversal,
     two_state,
     two_state_uniform_flow,
     uniform_walk,
@@ -24,7 +26,7 @@ from mixbounds import (
 )
 from mixbounds.errors import InvalidFlow, KappaInfinite, NoOddPath, StationaryMismatch
 
-from _families import nonreversible_pair, reversible_pair
+from _families import doubly_stochastic, nonreversible_pair, reversible_pair
 
 
 # ---------------------------------------------------------------- validation
@@ -152,8 +154,9 @@ def test_kappa_infinite_on_cycle():
 def test_congestion_requires_valid_flow():
     flow = two_state_uniform_flow(0.25)
     broken = Flow(flow.base, flow.target, flow.paths[:2])
-    with pytest.raises(InvalidFlow):
-        edge_congestion(broken)
+    for public in (edge_congestion, state_congestion, spread_flow):
+        with pytest.raises(InvalidFlow):
+            public(broken)
 
 
 # ---------------------------------------------------------------- canonical flows
@@ -213,6 +216,97 @@ def test_canonical_flow_dhn_pair():
         assert valid, violations
         assert is_odd == odd or is_odd  # non-odd construction may be odd by luck
 
+
+def _reference_route(base, start, goal, odd):
+    """Lexicographically smallest shortest path from start to goal, by one BFS
+    per demand (the original routing, kept as the reference).
+
+    With ``odd`` the search runs on the parity double cover, forcing the path
+    length to be odd.  Returns None when the goal is unreachable.
+    """
+    n = base.n
+    support = base.support()
+    if odd:
+        # nodes (v, parity); edge (v,p) -> (w, 1-p) for each base edge v -> w
+        dist = -np.ones((n, 2), dtype=int)
+        dist[goal, 1] = 0
+        frontier = [(goal, 1)]
+        while frontier:
+            nxt = []
+            for v, p in frontier:
+                for u in np.nonzero(support[:, v])[0]:
+                    if dist[u, 1 - p] < 0:
+                        dist[u, 1 - p] = dist[v, p] + 1
+                        nxt.append((int(u), 1 - p))
+            frontier = nxt
+        if dist[start, 0] < 0:
+            return None
+        path = [start]
+        v, p = start, 0
+        while (v, p) != (goal, 1):
+            d = dist[v, p]
+            for w in range(n):
+                if support[v, w] and dist[w, 1 - p] == d - 1:
+                    path.append(w)
+                    v, p = w, 1 - p
+                    break
+        return tuple(path)
+
+    if start == goal:
+        return (start,)
+    dist = -np.ones(n, dtype=int)
+    dist[goal] = 0
+    frontier = [goal]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in np.nonzero(support[:, v])[0]:
+                if dist[u] < 0:
+                    dist[u] = dist[v] + 1
+                    nxt.append(int(u))
+        frontier = nxt
+    if dist[start] < 0:
+        return None
+    path = [start]
+    v = start
+    while v != goal:
+        for w in range(n):
+            if support[v, w] and dist[w] == dist[v] - 1:
+                path.append(w)
+                v = w
+                break
+    return tuple(path)
+
+
+def _reference_canonical(base, target, odd):
+    paths = []
+    for x, y in zip(*np.nonzero(target.P > 0.0)):
+        x, y = int(x), int(y)
+        route = _reference_route(base, x, y, odd)
+        if route is None:
+            raise NoOddPath(f"no odd-length route for demand ({base.labels[x]},{base.labels[y]})")
+        paths.append((route, float(target.pi[x] * target.P[x, y])))
+    return paths
+
+
+def test_canonical_flow_matches_per_demand_bfs():
+    pairs = []
+    for n in range(3, 13):
+        base, target = reversible_pair(n, seed=n)
+        pairs += [(base, target), (target, base)]
+    pairs += [(dhn(3), uniform_walk(6)), (dhn(5), uniform_walk(10))]
+    ds = doubly_stochastic(9, seed=4)
+    pairs += [(ds, uniform_walk(9)), (multiply(time_reversal(ds), ds), uniform_walk(9))]
+    for base, target in pairs:
+        for odd in (False, True):
+            flow = build_canonical_flow(base, target, odd=odd)
+            got = [(p.states, p.mass) for p in flow.paths]
+            assert got == _reference_canonical(base, target, odd), (base.name, target.name, odd)
+    cycle = directed_cycle(4)
+    with pytest.raises(NoOddPath):
+        _reference_canonical(cycle, uniform_walk(4), odd=True)
+    with pytest.raises(NoOddPath):
+        build_canonical_flow(cycle, uniform_walk(4), odd=True)
 
 # ---------------------------------------------------------------- comparisons
 
