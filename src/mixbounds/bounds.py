@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Chain, classify, lazy, multiply, time_reversal
+from .chains import Chain, ChainClass, classify, lazy, multiply, time_reversal
 from .errors import (
     BadDelta,
     InvalidFlow,
@@ -33,8 +33,8 @@ from .errors import (
     WrongFlowBase,
 )
 from .flows import Flow, _edge_congestion, validate_flow
-from .mixing import continuous_mixing_time, discrete_mixing_time, _check_eps
-from .spectral import MAX_CONDUCTANCE_STATES, conductance, eigendecompose, lambda_constants
+from .mixing import _check_eps, _continuous_time, _discrete_time
+from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _eigendecompose, _lambda_constants, conductance
 
 #: bound-vs-exact comparisons allow this much slack
 HOLD_TOL = 1e-9
@@ -141,6 +141,48 @@ def _log_term_sq(eps: float, pi_x: float) -> float:
     return math.log(1.0 / (eps * eps * pi_x))
 
 
+class _Derived:
+    """What one public call derives from each chain it touches, computed once.
+
+    Entries are keyed by chain identity and hold their chain, so an id cannot
+    be reused while the memo lives.  A memo is created by a public bound
+    function (or ``full_report``) and dropped when that call returns.  Each
+    exponential probe is kept as its vector of per-start distances, never as
+    the n x n exponential.
+    """
+
+    def __init__(self):
+        self._chains: dict[int, tuple[Chain, dict]] = {}
+
+    def _get(self, chain: Chain, key, compute):
+        memo = self._chains.setdefault(id(chain), (chain, {}))[1]
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    def cls(self, chain: Chain) -> ChainClass:
+        return self._get(chain, "class", lambda: classify(chain))
+
+    def summary(self, chain: Chain) -> SpectralSummary:
+        return self._get(chain, "summary", lambda: _eigendecompose(chain, self.cls(chain)))
+
+    def lambdas(self, chain: Chain) -> tuple[float, float]:
+        return self._get(chain, "lambdas", lambda: _lambda_constants(chain, self.cls(chain), self.summary))
+
+    def product(self, chain: Chain) -> Chain:
+        """The reversal product R(P) P."""
+        return self._get(chain, "product", lambda: multiply(time_reversal(chain), chain))
+
+    def discrete(self, chain: Chain, x, eps: float) -> int:
+        return self._get(chain, ("discrete", x, eps),
+                         lambda: _discrete_time(chain, self.cls(chain), x, eps).time)
+
+    def continuous(self, chain: Chain, x, eps: float) -> float:
+        row_tvs = self._get(chain, "row_tvs", dict)
+        return self._get(chain, ("continuous", x, eps),
+                         lambda: _continuous_time(chain, self.cls(chain), x, eps, row_tvs).time)
+
+
 def _same_chain(a: Chain, b: Chain) -> bool:
     return (
         a.n == b.n
@@ -157,23 +199,26 @@ def spectral_bounds_reversible(chain: Chain, x, eps: float) -> list[BoundEntry]:
     mixing time from x by ``ln(1/(eps pi(x))) / (1 - bm)`` (T7), where bm is
     the largest nontrivial eigenvalue modulus.
     """
+    return _spectral_bounds_reversible(_Derived(), chain, x, eps)
+
+
+def _spectral_bounds_reversible(d: _Derived, chain: Chain, x, eps: float) -> list[BoundEntry]:
     eps = _check_eps(eps)
-    cls = classify(chain)
+    cls = d.cls(chain)
     if not cls.reversible:
         raise NotReversible("spectral mixing bounds need a reversible chain")
     if not cls.ergodic:
         raise NotErgodic("spectral mixing bounds need an ergodic chain")
     x = chain.index(x)
-    bm = eigendecompose(chain).beta_max
+    bm = d.summary(chain).beta_max
     entries = []
     if eps < 0.5:
-        exact_worst = discrete_mixing_time(chain, None, eps).time
+        exact_worst = d.discrete(chain, None, eps)
         entries.append(_entry("T5", bm / (1.0 - bm) * math.log(1.0 / (2.0 * eps)), exact_worst))
     else:
         entries.append(_skip("T5", "eps >= 1/2 makes the lower bound vacuous"))
-    exact_worst_e = discrete_mixing_time(chain, None, DELTA_DEFAULT).time
-    entries.append(_entry("C6", bm / (1.0 - bm), exact_worst_e))
-    exact_x = discrete_mixing_time(chain, x, eps).time
+    entries.append(_entry("C6", bm / (1.0 - bm), d.discrete(chain, None, DELTA_DEFAULT)))
+    exact_x = d.discrete(chain, x, eps)
     entries.append(_entry("T7", _log_term(eps, chain.pi[x]) / (1.0 - bm), exact_x))
     return entries
 
@@ -197,10 +242,15 @@ def comparison_reversible(
     lazy chain instead.  With ``sweep`` the delta-dependent bounds report
     their minimum over ``DELTA_SWEEP``.
     """
+    return _comparison_reversible(_Derived(), base, target, flow, x, eps, delta, sweep)
+
+
+def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, x, eps: float,
+                           delta: float, sweep: bool) -> list[BoundEntry]:
     eps = _check_eps(eps)
     delta = _check_delta(delta)
     for c, who in ((base, "base"), (target, "target")):
-        cls = classify(c)
+        cls = d.cls(c)
         if not cls.reversible:
             raise NotReversible(f"{who} chain is not reversible")
         if not cls.ergodic:
@@ -214,10 +264,9 @@ def comparison_reversible(
     _, A = _edge_congestion(flow)
     log_term = _log_term(eps, base.pi[x])
     deltas = sorted(set(DELTA_SWEEP) | {delta}) if sweep else [delta]
-    factors = [_mix_factor(discrete_mixing_time(target, None, d).time, d) for d in deltas]
-    best_factor = min(factors)
-    tau_prime_e = discrete_mixing_time(target, None, DELTA_DEFAULT).time
-    exact_x = discrete_mixing_time(base, x, eps).time
+    best_factor = min(_mix_factor(d.discrete(target, None, dl), dl) for dl in deltas)
+    tau_prime_e = d.discrete(target, None, DELTA_DEFAULT)
+    exact_x = d.discrete(base, x, eps)
 
     entries = []
     if odd:
@@ -227,20 +276,20 @@ def comparison_reversible(
         entries.append(_skip("T8", "flow is not odd"))
         entries.append(_skip("I5", "flow is not odd"))
 
-    summary = eigendecompose(base)
+    summary = d.summary(base)
     if summary.betas[1] >= abs(summary.betas[-1]) - 1e-12:
         entries.append(_entry("T10", A * best_factor * log_term, exact_x))
     else:
         entries.append(_skip("T10", "largest eigenvalue modulus is the negative end"))
 
-    c = classify(base).min_self_loop
+    c = d.cls(base).min_self_loop
     if c > 0.0:
         bound = max(A * best_factor, 1.0 / (2.0 * c)) * log_term
         entries.append(_entry("O13", bound, exact_x))
     else:
         entries.append(_skip("O13", "some state has no self-loop"))
 
-    lazy_exact = discrete_mixing_time(lazy(base), x, eps).time
+    lazy_exact = d.discrete(lazy(base), x, eps)
     entries.append(_entry("O14", 2.0 * A * (tau_prime_e + 1.0) * log_term, lazy_exact))
     return entries
 
@@ -260,10 +309,13 @@ def conductance_bounds(
     lower bounds on the gap that do not need the conductance at all
     (C20d, C20c).
     """
-    cls = classify(chain)
-    if not cls.irreducible:
+    return _conductance_bounds(_Derived(), chain, discrete_tau, continuous_tau)
+
+
+def _conductance_bounds(d: _Derived, chain: Chain, discrete_tau, continuous_tau) -> list[BoundEntry]:
+    if not d.cls(chain).irreducible:
         raise NotErgodic("conductance bounds need an irreducible chain")
-    lam1, _ = lambda_constants(chain)
+    lam1, _ = d.lambdas(chain)
     entries = []
     if chain.n <= MAX_CONDUCTANCE_STATES:
         phi, _, _ = conductance(chain)
@@ -300,25 +352,26 @@ def nonreversible_bounds(chain: Chain, x, eps: float) -> list[BoundEntry]:
     when that product is reducible its gap is zero and no discrete bound of
     this kind exists, which the entry reports instead of failing.
     """
+    return _nonreversible_bounds(_Derived(), chain, x, eps)
+
+
+def _nonreversible_bounds(d: _Derived, chain: Chain, x, eps: float) -> list[BoundEntry]:
     eps = _check_eps(eps)
-    cls = classify(chain)
+    cls = d.cls(chain)
     if not cls.irreducible:
         raise NotIrreducible("nonreversible bounds need an irreducible chain")
     x = chain.index(x)
-    lam1, _ = lambda_constants(chain)
+    lam1, _ = d.lambdas(chain)
     log2 = _log_term_sq(eps, chain.pi[x])
-    entries = [
-        _entry("T22", log2 / (2.0 * lam1), continuous_mixing_time(chain, x, eps).time)
-    ]
-    product = multiply(time_reversal(chain), chain)
-    if not classify(product).irreducible:
+    entries = [_entry("T22", log2 / (2.0 * lam1), d.continuous(chain, x, eps))]
+    product = d.product(chain)
+    if not d.cls(product).irreducible:
         entries.append(_skip("T23", "reversal-product chain is reducible (gap 0)"))
     elif not cls.aperiodic:
         entries.append(_skip("T23", "chain is periodic: no discrete mixing time"))
     else:
-        lam_prod, _ = lambda_constants(product)
-        exact_x = discrete_mixing_time(chain, x, eps).time
-        entries.append(_entry("T23", log2 / lam_prod, exact_x))
+        lam_prod, _ = d.lambdas(product)
+        entries.append(_entry("T23", log2 / lam_prod, d.discrete(chain, x, eps)))
     return entries
 
 
@@ -331,9 +384,13 @@ def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) ->
     routed over the base's reversal product instead bounds the discrete
     mixing time (T25).  The flow's base decides which family applies.
     """
+    return _comparison_general(_Derived(), base, target, flow, x, eps)
+
+
+def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, eps) -> list[BoundEntry]:
     eps = _check_eps(eps)
     for c, who in ((base, "base"), (target, "target")):
-        if not classify(c).irreducible:
+        if not d.cls(c).irreducible:
             raise NotIrreducible(f"{who} chain is reducible")
     if np.abs(base.pi - target.pi).max() > 1e-10:
         raise StationaryMismatch("base and target stationary distributions differ")
@@ -341,12 +398,10 @@ def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) ->
 
     if _same_chain(flow.base, base):
         kind = "direct"
+    elif _same_chain(flow.base, d.product(base)):
+        kind = "product"
     else:
-        product = multiply(time_reversal(base), base)
-        if _same_chain(flow.base, product):
-            kind = "product"
-        else:
-            raise WrongFlowBase("flow is routed over neither the base chain nor its reversal product")
+        raise WrongFlowBase("flow is routed over neither the base chain nor its reversal product")
     if not _same_chain(flow.target, target):
         raise WrongFlowBase("flow target does not match the given target chain")
     valid, _, violations = validate_flow(flow)
@@ -354,15 +409,14 @@ def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) ->
         raise InvalidFlow("; ".join(violations[:5]))
     _, A = _edge_congestion(flow)
 
-    cls = classify(base)
-    cls_t = classify(target)
+    cls_t = d.cls(target)
     log2 = _log_term_sq(eps, base.pi[x])
-    tau_t_cont = continuous_mixing_time(target, None, DELTA_DEFAULT).time
-    tau_t_disc = discrete_mixing_time(target, None, DELTA_DEFAULT).time if cls_t.ergodic else None
+    tau_t_cont = d.continuous(target, None, DELTA_DEFAULT)
+    tau_t_disc = d.discrete(target, None, DELTA_DEFAULT) if cls_t.ergodic else None
 
     entries = []
     if kind == "direct":
-        exact_cont = continuous_mixing_time(base, x, eps).time
+        exact_cont = d.continuous(base, x, eps)
         entries.append(_entry("T24c", 4.0 * A * tau_t_cont**2 / GAP_CONST**2 * log2, exact_cont))
         if tau_t_disc is not None:
             entries.append(_entry("T24d", 4.0 * A * tau_t_disc**2 / GAP_CONST**2 * log2, exact_cont))
@@ -379,12 +433,12 @@ def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) ->
         reason = "flow is routed over the reversal product"
         entries.append(_skip("T24c", reason))
         entries.append(_skip("T24d", reason))
-        if not cls.aperiodic:
+        if not d.cls(base).aperiodic:
             entries.append(_skip("T25", "base chain is periodic: no discrete mixing time"))
         elif tau_t_disc is None:
             entries.append(_skip("T25", "target is periodic: no discrete mixing time"))
         else:
-            exact_disc = discrete_mixing_time(base, x, eps).time
+            exact_disc = d.discrete(base, x, eps)
             entries.append(_entry("T25", 8.0 * A * tau_t_disc**2 / GAP_CONST**2 * log2, exact_disc))
         entries.append(_skip("T26", reason))
     return entries
@@ -448,57 +502,49 @@ def full_report(
     non-applicable.  Comparison entries need both a target chain and a flow;
     a flow routed over the base's reversal product activates the discrete
     product bound instead of the direct family.
+
+    Everything derived from a chain (classification, eigenstructure, the
+    reversal product, each mixing time and each exponential probe) is
+    computed once per report and shared by the bound families.
     """
     eps = _check_eps(eps)
     delta = _check_delta(delta)
     if (target is None) != (flow is None):
         raise MixboundsError("supply target and flow together, or neither")
-    cls = classify(base)
+    d = _Derived()
+    cls = d.cls(base)
     if not cls.irreducible:
         raise NotIrreducible("no report for a reducible chain")
     x_idx = base.index(x)
 
-    exact_disc = discrete_mixing_time(base, x_idx, eps).time if cls.ergodic else None
-    exact_cont = continuous_mixing_time(base, x_idx, eps).time
-    tau_worst_disc = (
-        discrete_mixing_time(base, None, DELTA_DEFAULT).time if cls.ergodic else None
-    )
-    tau_worst_cont = continuous_mixing_time(base, None, DELTA_DEFAULT).time
+    exact_disc = d.discrete(base, x_idx, eps) if cls.ergodic else None
+    exact_cont = d.continuous(base, x_idx, eps)
+    tau_worst_disc = d.discrete(base, None, DELTA_DEFAULT) if cls.ergodic else None
+    tau_worst_cont = d.continuous(base, None, DELTA_DEFAULT)
 
     entries: list[BoundEntry] = []
     if cls.reversible and cls.ergodic:
-        entries += spectral_bounds_reversible(base, x_idx, eps)
-    elif not cls.reversible:
-        entries += [_skip(t, "chain is not reversible") for t in ("T5", "C6", "T7")]
+        entries += _spectral_bounds_reversible(d, base, x_idx, eps)
     else:
-        entries += [_skip(t, "chain is periodic") for t in ("T5", "C6", "T7")]
+        reason = "chain is periodic" if cls.reversible else "chain is not reversible"
+        entries += [_skip(t, reason) for t in ("T5", "C6", "T7")]
 
-    entries += conductance_bounds(base, tau_worst_disc, tau_worst_cont)
-    entries += nonreversible_bounds(base, x_idx, eps)
+    entries += _conductance_bounds(d, base, tau_worst_disc, tau_worst_cont)
+    entries += _nonreversible_bounds(d, base, x_idx, eps)
 
     if target is None:
         entries += _comparison_skips("no target chain and flow supplied")
     else:
-        both_rev_erg = (
-            cls.reversible
-            and cls.ergodic
-            and classify(target).reversible
-            and classify(target).ergodic
-        )
+        cls_t = d.cls(target)
+        both_rev_erg = cls.reversible and cls.ergodic and cls_t.reversible and cls_t.ergodic
         direct = _same_chain(flow.base, base)
         if direct and both_rev_erg:
-            entries += comparison_reversible(base, target, flow, x_idx, eps, delta, sweep)
-        elif direct:
-            entries += [
-                _skip(t, "comparison pair is not reversible ergodic")
-                for t in ("T8", "I5", "T10", "O13", "O14")
-            ]
+            entries += _comparison_reversible(d, base, target, flow, x_idx, eps, delta, sweep)
         else:
-            entries += [
-                _skip(t, "flow is routed over the reversal product")
-                for t in ("T8", "I5", "T10", "O13", "O14")
-            ]
-        entries += comparison_general(base, target, flow, x_idx, eps)
+            reason = ("comparison pair is not reversible ergodic" if direct
+                      else "flow is routed over the reversal product")
+            entries += [_skip(t, reason) for t in ("T8", "I5", "T10", "O13", "O14")]
+        entries += _comparison_general(d, base, target, flow, x_idx, eps)
 
     order = {tid: i for i, tid in enumerate(CATALOG)}
     entries.sort(key=lambda e: order[e.theorem])

@@ -12,11 +12,10 @@ Internally states are indexed ``0 .. N-1``; labels are cosmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import (
     DimensionMismatch,
@@ -120,13 +119,20 @@ def build_chain(labels, P, name=None) -> Chain:
     a one-dimensional stationary space.
 
     Raises:
-        DimensionMismatch: non-square matrix, label count mismatch or
-            repeated labels.
-        NonStochastic: negative entries or row sums off by more than 1e-9.
+        DimensionMismatch: non-square matrix, rows of different lengths,
+            label count mismatch or repeated labels.
+        NonStochastic: non-numeric or negative entries, or row sums off by
+            more than 1e-9.
         SingularStationary: stationary space not one-dimensional, or the
             solution is not strictly positive (e.g. transient states).
     """
-    P = np.asarray(P, dtype=float)
+    try:
+        P = np.asarray(P, dtype=float)
+    except (TypeError, ValueError):
+        rows = P if isinstance(P, (list, tuple)) else ()
+        if len({len(r) if isinstance(r, (list, tuple)) else -1 for r in rows}) > 1:
+            raise DimensionMismatch("transition matrix rows differ in length") from None
+        raise NonStochastic("transition matrix has a non-numeric entry") from None
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise DimensionMismatch(f"transition matrix must be square, got {P.shape}")
     n = P.shape[0]
@@ -182,18 +188,16 @@ def classify(chain: Chain) -> ChainClass:
     """Classify a chain: irreducibility, period, detailed balance, self-loops.
 
     Irreducibility is strong connectivity of the directed graph of positive
-    entries.  The period is the gcd of ``d(u) + 1 - d(v)`` over edges u -> v
-    of a BFS tree (the standard algorithm) and is only computed for
-    irreducible chains.  Never raises: a classification is returned even for
-    degenerate chains.
+    entries.  The period is computed only for irreducible chains, as the gcd
+    of ``d(u) + 1 - d(v)`` over the edges u -> v, where d is the BFS depth
+    from state 0 (the standard algorithm); the depths come from one scipy
+    unweighted shortest-path call.  Detailed balance is tested edge by edge
+    relative to the edge flow (``BALANCE_RTOL``).  Never raises: a
+    classification is returned even for degenerate chains.
     """
-    adj = chain.support()
-    ncomp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    irreducible = ncomp == 1
-
-    period = 0
-    if irreducible:
-        period = _period(adj)
+    graph = csr_matrix(chain.support())
+    irreducible = _strongly_connected(graph)
+    period = _period(graph) if irreducible else 0
     aperiodic = period == 1
 
     F = chain.pi[:, None] * chain.P
@@ -202,31 +206,19 @@ def classify(chain: Chain) -> ChainClass:
     return ChainClass(irreducible, period, aperiodic, reversible, min_self_loop)
 
 
-def _period(adj: np.ndarray) -> int:
-    n = adj.shape[0]
-    depth = np.full(n, -1)
-    depth[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(adj[u])[0]:
-                if depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u in range(n):
-        for v in np.nonzero(adj[u])[0]:
-            g = gcd(g, depth[u] + 1 - depth[v])
-    return abs(g)
+def _strongly_connected(graph: csr_matrix) -> bool:
+    return connected_components(graph, directed=True, connection="strong")[0] == 1
 
 
-def _require_irreducible(chain: Chain, op: str) -> ChainClass:
-    cls = classify(chain)
-    if not cls.irreducible:
+def _period(graph: csr_matrix) -> int:
+    depth = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
+    u, v = graph.nonzero()
+    return int(np.gcd.reduce(depth[u] + 1 - depth[v]))
+
+
+def _require_irreducible(chain: Chain, op: str) -> None:
+    if not _strongly_connected(csr_matrix(chain.support())):
         raise NotErgodic(f"{op} requires an irreducible chain")
-    return cls
 
 
 def time_reversal(chain: Chain) -> Chain:

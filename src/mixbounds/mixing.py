@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, classify
+from .chains import Chain, ChainClass, classify
 from .errors import BadEpsilon, BadParams, DimensionMismatch, NoConvergence, NotErgodic, NotIrreducible
 
 MAX_DISCRETE_STEPS = 1_000_000
@@ -70,15 +70,6 @@ class MixingResult:
     achieved_tv: float
 
 
-def _start_matrix(chain: Chain, x: int | None) -> np.ndarray:
-    if x is None:
-        return np.eye(chain.n)
-    x = chain.index(x)
-    v = np.zeros((1, chain.n))
-    v[0, x] = 1.0
-    return v
-
-
 def _rows_tv(rows: np.ndarray, pi: np.ndarray) -> float:
     return float(0.5 * np.abs(rows - pi[None, :]).sum(axis=1).max())
 
@@ -90,12 +81,16 @@ def discrete_mixing_time(chain: Chain, x, eps, max_steps: int = MAX_DISCRETE_STE
     starting states.  Raises NoConvergence after ``max_steps`` steps, which
     signals near-periodicity or an epsilon below reach.
     """
+    return _discrete_time(chain, classify(chain), x, eps, max_steps)
+
+
+def _discrete_time(chain: Chain, cls: ChainClass, x, eps, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
+    """discrete_mixing_time, given the chain's classification."""
     eps = _check_eps(eps)
-    cls = classify(chain)
     if not cls.ergodic:
         raise NotErgodic("discrete mixing time requires an ergodic chain")
     x_idx = None if x is None else chain.index(x)
-    rows = _start_matrix(chain, x_idx)
+    rows = np.eye(chain.n) if x_idx is None else np.eye(chain.n)[x_idx : x_idx + 1]
     prev = _rows_tv(rows, chain.pi)
     for t in range(1, max_steps + 1):
         rows = rows @ chain.P
@@ -161,11 +156,11 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
     return E
 
 
-def _continuous_tv(chain: Chain, x_idx: int | None, t: float) -> float:
+def _row_tvs(chain: Chain, t: float) -> np.ndarray:
+    """TV(e^{(P - I) t}(j, .), pi) for every start j, from one exponential."""
     E = matrix_exponential(chain.P - np.eye(chain.n), t)
-    rows = E if x_idx is None else E[x_idx : x_idx + 1]
-    rows = np.where(rows < 0.0, 0.0, rows)  # clamp the <=1e-12 negatives
-    return _rows_tv(rows, chain.pi)
+    E = np.where(E < 0.0, 0.0, E)  # clamp the <=1e-12 negatives
+    return 0.5 * np.abs(E - chain.pi[None, :]).sum(axis=1)
 
 
 def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
@@ -177,8 +172,14 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     times); the returned time is the safe side of the bracket.  The distance
     is checked to be non-increasing across all probe points.
     """
+    return _continuous_time(chain, classify(chain), x, eps, {})
+
+
+def _continuous_time(chain: Chain, cls: ChainClass, x, eps, row_tvs: dict) -> MixingResult:
+    """continuous_mixing_time, given the chain's classification.  ``row_tvs``
+    maps probe times t to ``_row_tvs(chain, t)`` and is filled in as probes
+    are made, so calls on one chain that share it share their exponentials."""
     eps = _check_eps(eps)
-    cls = classify(chain)
     if not cls.irreducible:
         raise NotIrreducible("continuization needs an irreducible chain")
     x_idx = None if x is None else chain.index(x)
@@ -186,7 +187,10 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     probes: list[tuple[float, float]] = []
 
     def probe(t: float) -> float:
-        val = _continuous_tv(chain, x_idx, t)
+        if t not in row_tvs:
+            row_tvs[t] = _row_tvs(chain, t)
+        tvs = row_tvs[t]
+        val = float(tvs.max() if x_idx is None else tvs[x_idx])
         probes.append((t, val))
         return val
 

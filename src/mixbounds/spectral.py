@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, classify, reversibilize
+from .chains import Chain, ChainClass, _require_irreducible, classify, reversibilize
 from .errors import DimensionMismatch, IllConditioned, NotErgodic, NotReversible, TooLarge
 
 #: exact conductance limit (the enumeration visits 2^(N-1) - 1 cuts)
@@ -95,11 +95,16 @@ class SpectralSummary:
 def eigendecompose(chain: Chain) -> SpectralSummary:
     """Symmetric eigensolve of A = D P D^{-1} for a reversible chain.
 
-    Requires an irreducible, reversible chain (detailed balance within
-    1e-12).  Eigenvalues come back sorted descending with orthonormal
+    Requires an irreducible, reversible chain: detailed balance as tested by
+    ``classify``, on every edge within a relative ``BALANCE_RTOL`` = 1e-9 of
+    the edge flow.  Eigenvalues come back sorted descending with orthonormal
     vectors; the leading vector's sign is fixed so it matches sqrt(pi).
     """
-    cls = classify(chain)
+    return _eigendecompose(chain, classify(chain))
+
+
+def _eigendecompose(chain: Chain, cls: ChainClass) -> SpectralSummary:
+    """eigendecompose, given the chain's classification."""
     if not cls.irreducible:
         raise NotErgodic("eigendecompose requires an irreducible chain")
     if not cls.reversible:
@@ -124,13 +129,15 @@ def lambda_constants(chain: Chain) -> tuple[float, float]:
     are computed on the additive reversibilization, which has the same
     quadratic forms (asserted by the test suite, not assumed silently).
     """
-    cls = classify(chain)
+    return _lambda_constants(chain, classify(chain), eigendecompose)
+
+
+def _lambda_constants(chain: Chain, cls: ChainClass, decompose) -> tuple[float, float]:
+    """lambda_constants, given the chain's classification and an eigensolver."""
     if not cls.irreducible:
         raise NotErgodic("lambda_constants requires an irreducible chain")
-    summary = eigendecompose(chain if cls.reversible else reversibilize(chain))
-    lam1 = float(1.0 - summary.betas[1])
-    lam_bottom = float(1.0 + summary.betas[-1])
-    return lam1, lam_bottom
+    summary = decompose(chain if cls.reversible else reversibilize(chain))
+    return float(1.0 - summary.betas[1]), float(1.0 + summary.betas[-1])
 
 
 def reconstruct_power(summary: SpectralSummary, pi, n: int) -> np.ndarray:
@@ -190,9 +197,7 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
     if n > MAX_CONDUCTANCE_STATES:
         raise TooLarge(f"exact conductance enumerates every cut and is limited to "
                        f"{MAX_CONDUCTANCE_STATES} states")
-    cls = classify(chain)
-    if not cls.irreducible:
-        raise NotErgodic("conductance requires an irreducible chain")
+    _require_irreducible(chain, "conductance")
 
     Q = chain.pi[:, None] * chain.P
     pi = chain.pi

@@ -1,5 +1,7 @@
 """Chain construction, classification and the chain-level transforms."""
 
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from mixbounds.errors import (
     StationaryMismatch,
 )
 
-from _families import tiny_mass_chain
+from _families import doubly_stochastic, tiny_mass_chain
 
 
 def test_two_state_stationary_uniform():
@@ -113,6 +115,69 @@ def test_classify_reducible_reports_period_zero():
     cls = classify(product)
     assert not cls.irreducible and cls.period == 0 and not cls.aperiodic
     assert cls.reversible  # identity matrix is trivially balanced
+
+
+def _bfs_period(adj: np.ndarray) -> int:
+    """Reference: the Python BFS and per-edge gcd that classify used before."""
+    n = adj.shape[0]
+    depth = np.full(n, -1)
+    depth[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in np.nonzero(adj[u])[0]:
+                if depth[v] < 0:
+                    depth[v] = depth[u] + 1
+                    nxt.append(int(v))
+        frontier = nxt
+    g = 0
+    for u in range(n):
+        for v in np.nonzero(adj[u])[0]:
+            g = gcd(g, depth[u] + 1 - depth[v])
+    return abs(g)
+
+
+def _cycle_walk(n: int):
+    """Simple random walk on the undirected n-cycle: bipartite for even n."""
+    P = np.zeros((n, n))
+    for i in range(n):
+        P[i, (i + 1) % n] = P[i, (i - 1) % n] = 0.5
+    return build_chain([f"s{i}" for i in range(n)], P, name=f"cycle_walk({n})")
+
+
+def _cycle_with_chords():
+    """Directed 6-cycle with chords 3 -> 0 and 5 -> 2 (cycles of length 4 and 6).
+
+    The chord into the root spans the deepest BFS level, so its term
+    d(u) + 1 - d(v) is the largest.  No term is ever negative: BFS depths
+    satisfy d(v) <= d(u) + 1 on every edge u -> v.
+    """
+    P = np.zeros((6, 6))
+    for i in range(6):
+        P[i, (i + 1) % 6] = 1.0
+    P[3] = P[5] = 0.0
+    P[3, 4] = P[3, 0] = 0.5
+    P[5, 0] = P[5, 2] = 0.5
+    return build_chain([f"s{i}" for i in range(6)], P, name="cycle_with_chords")
+
+
+def test_period_matches_bfs_reference():
+    chains = [directed_cycle(k) for k in range(2, 8)]
+    chains += [dhn(n) for n in (3, 4, 8)]
+    chains += [_cycle_walk(6), _cycle_walk(7), _cycle_with_chords()]
+    chains += [random_reversible(N, s) for N, s in ((2, 0), (5, 1), (12, 3), (30, 7), (64, 2))]
+    chains += [doubly_stochastic(9, 4), doubly_stochastic(16, 1)]
+    chains += [lazy(c) for c in chains]
+    periods = {}
+    for chain in chains:
+        expected = _bfs_period(chain.support())
+        assert classify(chain).period == expected, chain.name
+        periods[chain.name] = expected
+    assert [periods[f"directed_cycle(k={k})"] for k in range(2, 8)] == [2, 3, 4, 5, 6, 7]
+    assert periods["cycle_walk(6)"] == 2 and periods["cycle_walk(7)"] == 1
+    assert periods["cycle_with_chords"] == 2
+    assert all(periods[c.name] == 1 for c in chains if c.name.startswith("lazy("))
 
 
 def test_time_reversal_involution_and_fixed_points():

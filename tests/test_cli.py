@@ -177,6 +177,18 @@ def test_analyze_duplicate_labels_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("P", [
+    "xy",
+    [[0.5, "q"], [0.5, 0.5]],
+    [[0.5, 0.5], [1.0]],
+], ids=["string", "non-numeric-entry", "ragged"])
+def test_analyze_malformed_matrix_exits_two(tmp_path, capsys, P):
+    chain_path = tmp_path / "bad.json"
+    chain_path.write_text(json.dumps({"states": ["a", "b"], "P": P}))
+    assert run_cli(["analyze", str(chain_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_selftest_passes(capsys):
     assert run_cli(["selftest", "--quiet"]) == 0
     assert run_cli(["selftest"]) == 0

@@ -1,0 +1,152 @@
+"""full_report derives each chain quantity once and agrees with the public bound functions."""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from mixbounds import (
+    build_canonical_flow,
+    classify,
+    comparison_general,
+    comparison_reversible,
+    conductance_bounds,
+    continuous_mixing_time,
+    directed_cycle,
+    dhn,
+    discrete_mixing_time,
+    full_report,
+    lazy,
+    multiply,
+    nonreversible_bounds,
+    random_reversible,
+    spectral_bounds_reversible,
+    time_reversal,
+    uniform_walk,
+)
+from mixbounds import mixing
+from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _comparison_skips, _same_chain, _skip
+
+from _families import doubly_stochastic
+
+
+def _reversible_pair():
+    base = random_reversible(16, 2)
+    target = lazy(base)
+    return {"base": base, "target": target, "flow": build_canonical_flow(base, target, odd=True),
+            "sweep": True}
+
+
+def _product_pair():
+    base = doubly_stochastic(9, 4)
+    target = uniform_walk(9)
+    product = multiply(time_reversal(base), base)
+    return {"base": base, "target": target, "flow": build_canonical_flow(product, target)}
+
+
+COUNTED = {
+    "reversible pair": _reversible_pair,
+    "dhn(8)": lambda: {"base": dhn(8)},
+    "doubly_stochastic(9, 4)": lambda: {"base": doubly_stochastic(9, 4)},
+}
+
+COMPARED = {
+    **COUNTED,
+    "periodic": lambda: {"base": directed_cycle(5), "x": 2},
+    "product flow": _product_pair,
+}
+
+
+def _count(monkeypatch, fn, key):
+    """Count calls to ``fn`` by ``key(*args)`` at every mixbounds binding of it."""
+    calls = Counter()
+    kept = []  # holds the arguments, so no id is reused during the run
+
+    def counting(*args, **kwargs):
+        kept.append(args)
+        calls[key(*args)] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mixbounds" or name.startswith("mixbounds."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(COUNTED))
+def test_full_report_computes_each_quantity_once(monkeypatch, case):
+    kwargs = COUNTED[case]()
+    exponentials = _count(monkeypatch, mixing.matrix_exponential,
+                          lambda Q, t: (Q.tobytes(), float(t)))
+    classified = _count(monkeypatch, classify, lambda chain: id(chain))
+    iterated = _count(monkeypatch, mixing._discrete_time,
+                      lambda chain, cls, x, eps, *rest: (id(chain), x, float(eps)))
+    full_report(**kwargs)
+    assert exponentials and classified and iterated
+    assert max(exponentials.values()) == 1, "a (chain, t) was exponentiated twice"
+    assert max(iterated.values()) == 1, "a (chain, x, eps) mixing time was iterated twice"
+    assert max(classified.values()) == 1, "a chain object was classified twice"
+
+
+def _reference_report(base, target=None, flow=None, *, x=0, eps=0.25, delta=DELTA_DEFAULT,
+                      sweep=False):
+    """A report assembled from the public functions, each called standalone."""
+    cls = classify(base)
+    exact_disc = discrete_mixing_time(base, x, eps).time if cls.ergodic else None
+    exact_cont = continuous_mixing_time(base, x, eps).time
+    tau_worst_disc = discrete_mixing_time(base, None, DELTA_DEFAULT).time if cls.ergodic else None
+    tau_worst_cont = continuous_mixing_time(base, None, DELTA_DEFAULT).time
+
+    entries = []
+    if cls.reversible and cls.ergodic:
+        entries += spectral_bounds_reversible(base, x, eps)
+    elif not cls.reversible:
+        entries += [_skip(t, "chain is not reversible") for t in ("T5", "C6", "T7")]
+    else:
+        entries += [_skip(t, "chain is periodic") for t in ("T5", "C6", "T7")]
+    entries += conductance_bounds(base, tau_worst_disc, tau_worst_cont)
+    entries += nonreversible_bounds(base, x, eps)
+    if target is None:
+        entries += _comparison_skips("no target chain and flow supplied")
+    else:
+        cls_t = classify(target)
+        both = cls.reversible and cls.ergodic and cls_t.reversible and cls_t.ergodic
+        direct = _same_chain(flow.base, base)
+        if direct and both:
+            entries += comparison_reversible(base, target, flow, x, eps, delta, sweep)
+        else:
+            reason = ("comparison pair is not reversible ergodic" if direct
+                      else "flow is routed over the reversal product")
+            entries += [_skip(t, reason) for t in ("T8", "I5", "T10", "O13", "O14")]
+        entries += comparison_general(base, target, flow, x, eps)
+    entries.sort(key=lambda e: CATALOG.index(e.theorem))
+    return BoundReport(base.name, None if target is None else target.name, base.labels[x], x,
+                       eps, delta, exact_disc, exact_cont, entries)
+
+
+def _continuized(entry: dict) -> bool:
+    """Entries whose bound or exact side is a continuized mixing time."""
+    return "continuous" in entry["quantity"] or entry["theorem"] in ("T18", "C20c")
+
+
+@pytest.mark.parametrize("case", sorted(COMPARED))
+def test_full_report_matches_public_functions(case):
+    kwargs = COMPARED[case]()
+    got = full_report(**kwargs).to_dict()
+    want = _reference_report(**kwargs).to_dict()
+    assert got["exact"]["continuous_tau_x"] == pytest.approx(want["exact"]["continuous_tau_x"], rel=2e-6)
+    got["exact"].pop("continuous_tau_x")
+    want["exact"].pop("continuous_tau_x")
+    got_entries, want_entries = got.pop("entries"), want.pop("entries")
+    assert got == want
+    assert [e["theorem"] for e in got_entries] == list(CATALOG)
+    assert [e["theorem"] for e in want_entries] == list(CATALOG)
+    for g, w in zip(got_entries, want_entries):
+        if _continuized(g):
+            for side in ("bound", "exact"):
+                if w[side] is not None:
+                    assert g[side] == pytest.approx(w[side], rel=2e-6), (g["theorem"], side)
+                    g[side] = w[side]
+        assert g == w
