@@ -33,7 +33,7 @@ from .errors import (
     WrongFlowBase,
 )
 from .flows import Flow, _edge_congestion, validate_flow
-from .mixing import _check_eps, _continuous_time, _discrete_time
+from .mixing import _Ladder, _check_eps, _continuous_time, _discrete_time
 from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _eigendecompose, _lambda_constants, conductance
 
 #: bound-vs-exact comparisons allow this much slack
@@ -146,9 +146,10 @@ class _Derived:
 
     Entries are keyed by chain identity and hold their chain, so an id cannot
     be reused while the memo lives.  A memo is created by a public bound
-    function (or ``full_report``) and dropped when that call returns.  Each
-    exponential probe is kept as its vector of per-start distances, never as
-    the n x n exponential.
+    function (or ``full_report``) and dropped when that call returns.  For
+    the continuized times it holds each chain's ``mixing._Ladder``: the few
+    anchor exponentials E(2^a) (n x n each, at most four per chain) and every
+    probe's vector of per-start distances.
     """
 
     def __init__(self):
@@ -178,9 +179,9 @@ class _Derived:
                          lambda: _discrete_time(chain, self.cls(chain), x, eps).time)
 
     def continuous(self, chain: Chain, x, eps: float) -> float:
-        row_tvs = self._get(chain, "row_tvs", dict)
+        ladder = self._get(chain, "ladder", lambda: _Ladder(chain))
         return self._get(chain, ("continuous", x, eps),
-                         lambda: _continuous_time(chain, self.cls(chain), x, eps, row_tvs).time)
+                         lambda: _continuous_time(chain, self.cls(chain), x, eps, ladder).time)
 
 
 def _same_chain(a: Chain, b: Chain) -> bool:

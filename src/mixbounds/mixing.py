@@ -5,7 +5,11 @@ time (never materialising matrix powers), relying on the fact that the
 distance to stationarity is non-increasing; that monotonicity is re-checked
 at every step so a violation surfaces as a bug rather than a wrong answer.
 The continuized chain has rate matrix Q = P - I and distribution
-``v expm(Q t)``; its mixing time is found by doubling and bisection.
+``v expm(Q t)``; its mixing time is found by doubling and bisection.  The
+probes share a ladder of power-of-two exponentials E(2^e) = expm(Q 2^e),
+squared up from a few anchors computed directly, so each probe costs one
+matrix product rather than a fresh exponential; every square and product is
+checked to stay stochastic.
 """
 
 from __future__ import annotations
@@ -107,6 +111,8 @@ def _discrete_time(chain: Chain, cls: ChainClass, x, eps, max_steps: int = MAX_D
 
 def d_profile(chain: Chain, t_max: int) -> list[float]:
     """Worst-start TV profile d(t) = max_j TV(P^t(j, .), pi) for t = 1 .. t_max."""
+    if t_max < 0:
+        raise BadParams(f"t_max must be nonnegative, got {t_max}")
     if t_max > MAX_PROFILE_STEPS:
         raise BadParams(f"t_max is capped at {MAX_PROFILE_STEPS}")
     cls = classify(chain)
@@ -120,6 +126,14 @@ def d_profile(chain: Chain, t_max: int) -> list[float]:
     return out
 
 
+def _checked(E: np.ndarray) -> np.ndarray:
+    """E itself, after checking that it is row-stochastic (row sums within 1e-9)."""
+    row_err = float(np.abs(E.sum(axis=1) - 1.0).max())
+    if row_err > 1e-9 or float(E.min()) < -1e-12:
+        raise AssertionError(f"matrix exponential lost stochasticity (row err {row_err:.3e})")
+    return E
+
+
 def matrix_exponential(Q, t: float) -> np.ndarray:
     """expm(Q t) by scaling and squaring with a truncated Taylor series.
 
@@ -129,14 +143,30 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
     series is summed until the next term drops below 1e-16, and the result is
     squared back up.
     """
-    Q = np.asarray(Q, dtype=float)
+    try:
+        Q = np.asarray(Q, dtype=float)
+    except (TypeError, ValueError):
+        rows = Q if isinstance(Q, (list, tuple)) else ()
+        if len({len(r) if isinstance(r, (list, tuple)) else -1 for r in rows}) > 1:
+            raise DimensionMismatch("rate matrix rows differ in length") from None
+        raise BadParams("rate matrix has a non-numeric entry") from None
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise DimensionMismatch("rate matrix must be square")
+    if not np.all(np.isfinite(Q)):
+        raise BadParams("rate matrix has non-finite entries")
+    try:
+        t = float(t)
+    except (TypeError, ValueError):
+        raise BadParams(f"time must be a number, got {t!r}") from None
+    if not np.isfinite(t):
+        raise BadParams(f"time must be finite, got {t!r}")
     if t < 0:
         raise BadParams("time must be nonnegative")
     n = Q.shape[0]
-    X = Q * float(t)
+    X = Q * t
     norm = float(np.linalg.norm(X, 1))
+    if not np.isfinite(norm / 0.5):
+        raise BadParams(f"Q t overflows at t = {t!r}")
     s = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
     X = X / (2.0**s)
     E = np.eye(n)
@@ -150,17 +180,78 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
         k += 1
     for _ in range(s):
         E = E @ E
-    row_err = float(np.abs(E.sum(axis=1) - 1.0).max())
-    if row_err > 1e-9 or float(E.min()) < -1e-12:
-        raise AssertionError(f"matrix exponential lost stochasticity (row err {row_err:.3e})")
-    return E
+    return _checked(E)
 
 
-def _row_tvs(chain: Chain, t: float) -> np.ndarray:
-    """TV(e^{(P - I) t}(j, .), pi) for every start j, from one exponential."""
-    E = matrix_exponential(chain.P - np.eye(chain.n), t)
-    E = np.where(E < 0.0, 0.0, E)  # clamp the <=1e-12 negatives
-    return 0.5 * np.abs(E - chain.pi[None, :]).sum(axis=1)
+#: the anchors below E(1) are E(2^a) for the negative multiples a of this
+_ANCHOR_STEP = 8
+
+
+def _descending(base: np.ndarray, lo: int, hi: int):
+    """Yield (e, E(2^e)) for e = hi, hi - 1, ..., lo, given base = E(2^lo).
+
+    Recursive halving: square up to the middle level, yield the upper half
+    from there, then the lower half from ``base``.  O(log(hi - lo)) matrices
+    are live at a time; every square is checked.
+    """
+    if lo == hi:
+        yield lo, base
+        return
+    mid = (lo + hi + 1) // 2
+    upper = base
+    for _ in range(mid - lo):
+        upper = _checked(upper @ upper)
+    yield from _descending(upper, mid, hi)
+    del upper
+    yield from _descending(base, lo, mid - 1)
+
+
+class _Ladder:
+    """Exponentials E(t) = expm((P - I) t) of one chain, shared by its
+    continuized-time calls.
+
+    Holds the anchors E(2^a), each from one ``matrix_exponential``, and the
+    vector of per-start distances TV(E(t)(j, .), pi) at every probe time t
+    made so far.  Rung E(2^e) is squared up from anchor a = 0 for e >= 0 and
+    from a = 8 floor(e / 8) below, so no rung is more than 7 squarings from a
+    direct exponential: each squaring roughly doubles the row-sum error, and a
+    ladder squared up from 2^-20 breaks the 1e-9 stochasticity check.
+    """
+
+    def __init__(self, chain: Chain):
+        self.chain = chain
+        self.tvs: dict[float, np.ndarray] = {}
+        self._anchors: dict[int, np.ndarray] = {}
+
+    def anchor(self, a: int) -> np.ndarray:
+        if a not in self._anchors:
+            self._anchors[a] = matrix_exponential(self.chain.P - np.eye(self.chain.n), 2.0**a)
+        return self._anchors[a]
+
+    def rungs(self, top: int):
+        """Yield (e, E(2^e)) for e = top, top - 1, ... without end, squaring
+        each anchor's segment only when the walk down reaches it."""
+        if top >= 0:
+            yield from _descending(self.anchor(0), 0, top)
+            top = -1
+        while True:
+            a = _ANCHOR_STEP * (top // _ANCHOR_STEP)
+            yield from _descending(self.anchor(a), a, top)
+            top = a - 1
+
+    def tv(self, t: float, form) -> np.ndarray:
+        """Per-start distances at time t; ``form()`` gives E(t) if t is new."""
+        if t not in self.tvs:
+            D = np.maximum(form(), 0.0)  # clamp the <=1e-12 negatives
+            D -= self.chain.pi
+            np.abs(D, out=D)
+            self.tvs[t] = 0.5 * D.sum(axis=1)
+        return self.tvs[t]
+
+
+def _advance(E_lo: np.ndarray | None, R: np.ndarray) -> np.ndarray:
+    """E(lo) R, checked, where None stands for E(0) = I."""
+    return R if E_lo is None else _checked(E_lo @ R)
 
 
 def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
@@ -170,15 +261,25 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     crossing time is bracketed by doubling until the distance falls below
     eps/2 and then bisected to absolute precision 1e-6 (relative for large
     times); the returned time is the safe side of the bracket.  The distance
-    is checked to be non-increasing across all probe points.
+    is checked to be non-increasing across all probe points.  Each probe is
+    one matrix product with a rung of a power-of-two ladder of exponentials,
+    so a call runs at most four exponentials from scratch.
     """
-    return _continuous_time(chain, classify(chain), x, eps, {})
+    return _continuous_time(chain, classify(chain), x, eps, _Ladder(chain))
 
 
-def _continuous_time(chain: Chain, cls: ChainClass, x, eps, row_tvs: dict) -> MixingResult:
-    """continuous_mixing_time, given the chain's classification.  ``row_tvs``
-    maps probe times t to ``_row_tvs(chain, t)`` and is filled in as probes
-    are made, so calls on one chain that share it share their exponentials."""
+def _continuous_time(chain: Chain, cls: ChainClass, x, eps, ladder: _Ladder) -> MixingResult:
+    """continuous_mixing_time, given the chain's classification.  ``ladder``
+    holds the chain's anchors and probe distances; calls on one chain that
+    share it share their exponentials.
+
+    No probe runs a fresh exponential.  Doubling squares E(1): E(2^(k+1)) =
+    E(2^k)^2.  After doubling to H = 2^e_hi, the j-th bisection midpoint is
+    exactly lo + 2^(e_hi - j), so E(mid) = E(lo) E(2^(e_hi - j)), one product
+    with the next rung of the ladder.  That product is formed only when the
+    distances at mid are not yet known or mid becomes the new lo; every
+    square and product is checked to stay stochastic.
+    """
     eps = _check_eps(eps)
     if not cls.irreducible:
         raise NotIrreducible("continuization needs an irreducible chain")
@@ -186,30 +287,37 @@ def _continuous_time(chain: Chain, cls: ChainClass, x, eps, row_tvs: dict) -> Mi
 
     probes: list[tuple[float, float]] = []
 
-    def probe(t: float) -> float:
-        if t not in row_tvs:
-            row_tvs[t] = _row_tvs(chain, t)
-        tvs = row_tvs[t]
+    def probe(t: float, form) -> float:
+        tvs = ladder.tv(t, form)
         val = float(tvs.max() if x_idx is None else tvs[x_idx])
         probes.append((t, val))
         return val
 
-    if probe(0.0) <= eps:
+    if probe(0.0, lambda: np.eye(chain.n)) <= eps:
         return MixingResult(from_state=x_idx, epsilon=eps, time=0.0, achieved_tv=probes[0][1])
-    hi = 1.0
-    while probe(hi) > 0.5 * eps:
-        hi *= 2.0
-        if hi > 2.0**60:
+
+    e_hi, E_hi = 0, ladder.anchor(0)
+    while probe(2.0**e_hi, lambda: E_hi) > 0.5 * eps:
+        e_hi += 1
+        if e_hi > 60:
             raise NoConvergence("continuized chain failed to mix (internal bug)")
-    lo = 0.0
+        E_hi = _checked(E_hi @ E_hi)
+    E_hi = None
+    lo, hi = 0.0, 2.0**e_hi
     hi_tv = probes[-1][1]
+    E_lo = None  # E(lo); None while lo = 0, where E(0) is the identity
+    rungs = ladder.rungs(e_hi - 1)
     while hi - lo > BISECTION_REL * max(1.0, hi):
+        e, R = next(rungs)
         mid = 0.5 * (lo + hi)
-        val = probe(mid)
+        if mid - lo != 2.0**e:
+            raise AssertionError(f"bisection midpoint {mid!r} is not {lo!r} + 2^{e}")
+        E_mid = None if mid in ladder.tvs else _advance(E_lo, R)
+        val = probe(mid, lambda: E_mid)
         if val <= eps:
             hi, hi_tv = mid, val
         else:
-            lo = mid
+            lo, E_lo = mid, (_advance(E_lo, R) if E_mid is None else E_mid)
     probes.sort()
     for (t1, v1), (t2, v2) in zip(probes, probes[1:]):
         if t2 > t1 and v2 > v1 + MONOTONE_TOL_CONTINUOUS:

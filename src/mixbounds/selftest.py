@@ -15,7 +15,7 @@ from .bounds import DELTA_DEFAULT, full_report
 from .chains import classify, lazy
 from .flows import build_canonical_flow, edge_congestion, spread_flow, state_congestion, validate_flow
 from .generators import dhn, directed_cycle, two_state, two_state_uniform_flow, uniform_walk
-from .mixing import discrete_mixing_time
+from .mixing import continuous_mixing_time, discrete_mixing_time
 from .spectral import dirichlet_form, lambda_constants, variance
 
 
@@ -29,6 +29,7 @@ def _two_state_exact_tau(delta: float, eps: float) -> int:
 
 def _checks():
     yield from _check_two_state_family()
+    yield from _check_continuized_two_state()
     yield from _check_slowdown_ratio()
     yield from _check_lazy_escape()
     yield from _check_dhn_scaling()
@@ -62,6 +63,19 @@ def _check_two_state_family():
             f"explicit two-state flow delta={delta}: congestion = 5/(2(1-delta))",
             abs(a - want) <= 1e-12,
             f"got {a!r}, want {want!r}",
+        )
+
+
+def _check_continuized_two_state():
+    # the continuized distance from a is exp(-2 (1 - delta) t) / 2; the first
+    # two times lie below 1, where the bisection reaches the deepest anchors
+    for delta, eps in ((0.25, 0.25), (0.1, 0.1), (0.05, 0.01)):
+        tau = continuous_mixing_time(two_state(delta), "a", eps).time
+        want = math.log(1.0 / (2.0 * eps)) / (2.0 * (1.0 - delta))
+        yield (
+            f"continuized two-state delta={delta}: tau_a({eps}) = ln(1/(2 eps)) / (2 (1 - delta)) = {want:.6f}",
+            abs(tau - want) <= 2e-6,
+            f"got {tau!r}",
         )
 
 

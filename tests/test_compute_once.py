@@ -86,6 +86,8 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     full_report(**kwargs)
     assert exponentials and classified and iterated
     assert max(exponentials.values()) == 1, "a (chain, t) was exponentiated twice"
+    per_rate_matrix = Counter(Q for Q, _ in exponentials)
+    assert max(per_rate_matrix.values()) <= 4, "a chain needed more than 4 anchor exponentials"
     assert max(iterated.values()) == 1, "a (chain, x, eps) mixing time was iterated twice"
     assert max(classified.values()) == 1, "a chain object was classified twice"
 

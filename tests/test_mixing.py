@@ -1,17 +1,21 @@
 """Total variation, discrete and continuized mixing times, matrix exponential."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from mixbounds import (
+    build_chain,
+    classify,
     continuous_mixing_time,
     d_profile,
     dhn,
     directed_cycle,
     discrete_mixing_time,
+    full_report,
     lazy,
     matrix_exponential,
     random_reversible,
@@ -19,6 +23,7 @@ from mixbounds import (
     two_state,
     uniform_walk,
 )
+from mixbounds.mixing import BISECTION_REL, _continuous_time, _Ladder
 from mixbounds.errors import BadEpsilon, BadParams, DimensionMismatch, NoConvergence, NotErgodic, NotIrreducible
 
 from _families import doubly_stochastic
@@ -91,6 +96,9 @@ def test_d_profile_two_state():
     assert all(v == 0.0 for v in d_profile(uniform_walk(2), 5))
     with pytest.raises(BadParams):
         d_profile(chain, 10_001)
+    with pytest.raises(BadParams):
+        d_profile(chain, -1)
+    assert d_profile(chain, 0) == []
     with pytest.raises(NotErgodic):
         d_profile(directed_cycle(4), 5)
 
@@ -144,10 +152,18 @@ def test_matrix_exponential_derivative():
 
 
 def test_matrix_exponential_bad_input():
-    with pytest.raises(BadParams):
-        matrix_exponential(np.zeros((2, 2)), -1.0)
+    Q = two_state(0.25).P - np.eye(2)
+    for t in (-1.0, math.nan, math.inf, -math.inf, "abc", None, [1.0, 2.0], 1e308):
+        with pytest.raises(BadParams):
+            matrix_exponential(Q, t)
+    for bad in ([[-1.0, math.nan], [0.5, -0.5]], [[-1.0, math.inf], [0.5, -0.5]],
+                [["x", 1.0], [0.5, -0.5]]):
+        with pytest.raises(BadParams):
+            matrix_exponential(bad, 1.0)
     with pytest.raises(DimensionMismatch):
         matrix_exponential(np.zeros((2, 3)), 1.0)
+    with pytest.raises(DimensionMismatch):
+        matrix_exponential([[-1.0, 1.0], [0.5]], 1.0)
 
 
 def test_continuous_mixing_two_state_closed_form():
@@ -197,3 +213,135 @@ def test_continuous_mixing_gates():
         continuous_mixing_time(multiply(time_reversal(c3), c3), 0, 0.25)
     with pytest.raises(BadEpsilon):
         continuous_mixing_time(two_state(0.25), 0, 1.5)
+
+
+# The per-probe continuized time before the squaring ladder, kept verbatim as
+# the reference: every probe runs a fresh Taylor scaling-and-squaring.
+def _reference_matrix_exponential(Q, t: float) -> np.ndarray:
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise DimensionMismatch("rate matrix must be square")
+    if t < 0:
+        raise BadParams("time must be nonnegative")
+    n = Q.shape[0]
+    X = Q * float(t)
+    norm = float(np.linalg.norm(X, 1))
+    s = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
+    X = X / (2.0**s)
+    E = np.eye(n)
+    term = np.eye(n)
+    k = 1
+    while True:
+        term = term @ X / k
+        E = E + term
+        if float(np.abs(term).max()) < 1e-16 or k > 64:
+            break
+        k += 1
+    for _ in range(s):
+        E = E @ E
+    row_err = float(np.abs(E.sum(axis=1) - 1.0).max())
+    if row_err > 1e-9 or float(E.min()) < -1e-12:
+        raise AssertionError(f"matrix exponential lost stochasticity (row err {row_err:.3e})")
+    return E
+
+
+def _reference_row_tvs(chain, t: float) -> np.ndarray:
+    E = _reference_matrix_exponential(chain.P - np.eye(chain.n), t)
+    E = np.where(E < 0.0, 0.0, E)  # clamp the <=1e-12 negatives
+    return 0.5 * np.abs(E - chain.pi[None, :]).sum(axis=1)
+
+
+def _reference_continuous_time(chain, x, eps, row_tvs: dict) -> tuple[float, float]:
+    x_idx = None if x is None else chain.index(x)
+
+    probes: list[tuple[float, float]] = []
+
+    def probe(t: float) -> float:
+        if t not in row_tvs:
+            row_tvs[t] = _reference_row_tvs(chain, t)
+        tvs = row_tvs[t]
+        val = float(tvs.max() if x_idx is None else tvs[x_idx])
+        probes.append((t, val))
+        return val
+
+    if probe(0.0) <= eps:
+        return 0.0, probes[0][1]
+    hi = 1.0
+    while probe(hi) > 0.5 * eps:
+        hi *= 2.0
+        if hi > 2.0**60:
+            raise NoConvergence("continuized chain failed to mix (internal bug)")
+    lo = 0.0
+    hi_tv = probes[-1][1]
+    while hi - lo > BISECTION_REL * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        val = probe(mid)
+        if val <= eps:
+            hi, hi_tv = mid, val
+        else:
+            lo = mid
+    return float(hi), hi_tv
+
+
+def _lazy_cycle(n: int):
+    P = np.zeros((n, n))
+    for i in range(n):
+        P[i, i] += 0.5
+        P[i, (i + 1) % n] += 0.25
+        P[i, (i - 1) % n] += 0.25
+    return build_chain([str(i) for i in range(n)], P, name=f"lazy_cycle({n})")
+
+
+REFERENCE_CASES = {
+    # continuized times below 1: the bisection reaches level -20, whose rungs
+    # fail the 1e-9 stochasticity check if squared up from 2^-20 in one ladder
+    "rr(200, 3) from 0": (lambda: random_reversible(200, 3), [(0, 0.45)]),
+    "rr(200, 3) from 100": (lambda: random_reversible(200, 3), [(100, 0.45)]),
+    "rr(200, 9) from 100": (lambda: random_reversible(200, 9), [(100, 0.45)]),
+    "t = 0 exit": (lambda: uniform_walk(2), [(0, 0.5)]),
+    "time below 1": (lambda: random_reversible(12, 2), [(0, 0.45)]),
+    # worst start doubles to 2^11 before the bisection
+    "lazy cycle(100) worst start": (lambda: _lazy_cycle(100), [(None, 0.25)]),
+    "dhn(8)": (lambda: dhn(8), [(0, 0.25), (None, 0.1)]),
+    "doubly_stochastic(9, 4)": (lambda: doubly_stochastic(9, 4), [(3, 0.25), (None, 0.05)]),
+    "directed_cycle(3)": (lambda: directed_cycle(3), [(0, 0.25), (None, 0.01)]),
+    # two calls sharing one memo: the second reuses the first's probes
+    "shared memo, x then worst": (lambda: random_reversible(40, 7), [(5, 0.25), (None, 0.25)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_continuous_time_matches_per_probe_reference(case):
+    make, calls = REFERENCE_CASES[case]
+    chain = make()
+    cls = classify(chain)
+    ladder, row_tvs = _Ladder(chain), {}
+    for x, eps in calls:
+        got = _continuous_time(chain, cls, x, eps, ladder)
+        want_time, want_tv = _reference_continuous_time(chain, x, eps, row_tvs)
+        assert got.time == want_time, (x, eps)
+        assert abs(got.achieved_tv - want_tv) <= 1e-10, (x, eps)
+        assert got.achieved_tv <= eps
+    if case == "t = 0 exit":
+        assert got.time == 0.0
+    if case == "time below 1":
+        assert 0.0 < got.time < 1.0
+    if case == "lazy cycle(100) worst start":
+        assert 2.0**11 in row_tvs and 2.0**10 in row_tvs and 2.0**12 not in row_tvs
+
+
+@pytest.mark.parametrize("what", ["continuous_mixing_time", "full_report"])
+def test_continuous_time_memory_stays_small(what):
+    """The ladder never holds more than a few n x n matrices at once."""
+    chain = random_reversible(200, 1)
+    call = {
+        "continuous_mixing_time": lambda: continuous_mixing_time(chain, None, 0.12),
+        "full_report": lambda: full_report(chain),
+    }[what]
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * chain.n**2, f"peak {peak / (8 * chain.n**2):.1f} n x n matrices"
