@@ -6,12 +6,14 @@ side always comes from the mixing module (step iteration, bisection on the
 continuized chain), never from spectral formulas, so the two sides of each
 inequality stay independent.
 
-Entry identifiers (T5, C6, T7, T8, I5, T10, O13, O14, O16, T17, T18, T19,
-C20d/C20c, T22, T23, T24c/T24d, T25, T26) are stable tokens used in the JSON
-report; the suffixes c/d distinguish continuous- and discrete-time variants
-of the same bound.  Non-applicability is data, not an error: a report on a
-periodic chain, or with a flow of the wrong kind, simply carries the gating
-reason for the affected entries.
+The catalogue is one table, ``CATALOG``, in report order: each entry
+identifier (a stable token of the JSON report; suffixes c/d mark the
+continuous- and discrete-time variants of one bound) maps to its family,
+direction and quantity.  A family is the set of rows one gate turns on or
+off together.  Non-applicability is data, not an error: a report on a
+periodic chain, or with a flow of the wrong kind, carries the gating reason
+for the affected entries.  Each public call derives every chain quantity,
+and each flow's validation and congestion, once in one memo (``_Derived``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .chains import Chain, ChainClass, classify, lazy, multiply, time_reversal
 from .errors import (
     BadDelta,
-    InvalidFlow,
+    BadParams,
     MixboundsError,
     NotErgodic,
     NotIrreducible,
@@ -32,7 +34,7 @@ from .errors import (
     StationaryMismatch,
     WrongFlowBase,
 )
-from .flows import Flow, _edge_congestion, validate_flow
+from .flows import Flow, _edge_congestion, _require_valid
 from .mixing import _Ladder, _check_eps, _continuous_time, _discrete_time
 from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _eigendecompose, _lambda_constants, conductance
 
@@ -45,41 +47,30 @@ DELTA_DEFAULT = 0.5 / math.e
 #: deltas evaluated when a sweep is requested
 DELTA_SWEEP = (DELTA_DEFAULT, 0.1, 0.05, 0.01)
 
-CATALOG = (
-    "T5", "C6", "T7", "T8", "I5", "T10", "O13", "O14", "O16",
-    "T17", "T18", "T19", "C20d", "C20c", "T22", "T23",
-    "T24c", "T24d", "T25", "T26",
-)
-
-_DIRECTION = {
-    "T5": "lower", "C6": "lower", "T7": "upper", "T8": "upper", "I5": "upper",
-    "T10": "upper", "O13": "upper", "O14": "upper", "O16": "upper",
-    "T17": "lower", "T18": "lower", "T19": "lower", "C20d": "lower",
-    "C20c": "lower", "T22": "upper", "T23": "upper", "T24c": "upper",
-    "T24d": "upper", "T25": "upper", "T26": "upper",
-}
-
-_QUANTITY = {
-    "T5": "worst-start discrete mixing time",
-    "C6": "worst-start discrete mixing time at 1/(2e)",
-    "T7": "discrete mixing time from x",
-    "T8": "discrete mixing time from x",
-    "I5": "discrete mixing time from x",
-    "T10": "discrete mixing time from x",
-    "O13": "discrete mixing time from x",
-    "O14": "discrete mixing time from x of the lazy chain",
-    "O16": "spectral gap",
-    "T17": "conductance",
-    "T18": "conductance",
-    "T19": "spectral gap",
-    "C20d": "spectral gap",
-    "C20c": "spectral gap",
-    "T22": "continuous mixing time from x",
-    "T23": "discrete mixing time from x",
-    "T24c": "continuous mixing time from x",
-    "T24d": "continuous mixing time from x",
-    "T25": "discrete mixing time from x",
-    "T26": "continuous mixing time from x",
+#: The catalogue in report order: theorem id -> (family, direction, quantity).
+#: A family is the set of rows that one gate turns on or off together; the
+#: quantity names the exact side each bound is checked against.
+CATALOG = {
+    "T5": ("spectral", "lower", "worst-start discrete mixing time"),
+    "C6": ("spectral", "lower", "worst-start discrete mixing time at 1/(2e)"),
+    "T7": ("spectral", "upper", "discrete mixing time from x"),
+    "T8": ("comparison_reversible", "upper", "discrete mixing time from x"),
+    "I5": ("comparison_reversible", "upper", "discrete mixing time from x"),
+    "T10": ("comparison_reversible", "upper", "discrete mixing time from x"),
+    "O13": ("comparison_reversible", "upper", "discrete mixing time from x"),
+    "O14": ("comparison_reversible", "upper", "discrete mixing time from x of the lazy chain"),
+    "O16": ("cut", "upper", "spectral gap"),
+    "T17": ("cut", "lower", "conductance"),
+    "T18": ("cut", "lower", "conductance"),
+    "T19": ("cut", "lower", "spectral gap"),
+    "C20d": ("gap", "lower", "spectral gap"),
+    "C20c": ("gap", "lower", "spectral gap"),
+    "T22": ("nonreversible", "upper", "continuous mixing time from x"),
+    "T23": ("nonreversible", "upper", "discrete mixing time from x"),
+    "T24c": ("comparison_general", "upper", "continuous mixing time from x"),
+    "T24d": ("comparison_general", "upper", "continuous mixing time from x"),
+    "T25": ("comparison_general", "upper", "discrete mixing time from x"),
+    "T26": ("comparison_general", "upper", "continuous mixing time from x"),
 }
 
 
@@ -110,19 +101,29 @@ class BoundEntry:
 def _entry(tid: str, bound: float, exact: float) -> BoundEntry:
     if not (math.isfinite(bound) and math.isfinite(exact)):
         raise AssertionError(f"entry {tid}: non-finite bound or exact value")
-    if _DIRECTION[tid] == "lower":
+    _, direction, quantity = CATALOG[tid]
+    if direction == "lower":
         holds = bound <= exact + HOLD_TOL
     else:
         holds = bound >= exact - HOLD_TOL
-    return BoundEntry(tid, _DIRECTION[tid], _QUANTITY[tid], float(bound), float(exact), True, holds, None)
+    return BoundEntry(tid, direction, quantity, float(bound), float(exact), True, holds, None)
 
 
 def _skip(tid: str, reason: str) -> BoundEntry:
-    return BoundEntry(tid, _DIRECTION[tid], _QUANTITY[tid], None, None, False, None, reason)
+    _, direction, quantity = CATALOG[tid]
+    return BoundEntry(tid, direction, quantity, None, None, False, None, reason)
+
+
+def _skip_families(reason: str, *families: str) -> list[BoundEntry]:
+    """Every row of the named families, skipped for ``reason``, in table order."""
+    return [_skip(tid, reason) for tid, (family, _, _) in CATALOG.items() if family in families]
 
 
 def _check_delta(delta: float) -> float:
-    delta = float(delta)
+    try:
+        delta = float(delta)
+    except (TypeError, ValueError):
+        raise BadDelta(f"delta must be a number, got {delta!r}") from None
     if not 0.0 < delta < 0.5:
         raise BadDelta(f"delta must lie in (0, 1/2), got {delta}")
     return delta
@@ -142,21 +143,23 @@ def _log_term_sq(eps: float, pi_x: float) -> float:
 
 
 class _Derived:
-    """What one public call derives from each chain it touches, computed once.
+    """What one public call derives from each chain and flow it touches,
+    computed once.
 
-    Entries are keyed by chain identity and hold their chain, so an id cannot
-    be reused while the memo lives.  A memo is created by a public bound
-    function (or ``full_report``) and dropped when that call returns.  For
-    the continuized times it holds each chain's ``mixing._Ladder``: the few
-    anchor exponentials E(2^a) (n x n each, at most four per chain) and every
-    probe's vector of per-start distances.
+    Entries are keyed by object identity and hold their object, so an id
+    cannot be reused while the memo lives.  A memo is created by a public
+    bound function (or ``full_report``) and dropped when that call returns.
+    For the continuized times it holds each chain's ``mixing._Ladder``: the
+    few anchor exponentials E(2^a) (n x n each, at most four per chain) and
+    every probe's vector of per-start distances.  For a flow it holds the
+    outcome of its validation and its congestion.
     """
 
     def __init__(self):
-        self._chains: dict[int, tuple[Chain, dict]] = {}
+        self._objects: dict[int, tuple[object, dict]] = {}
 
-    def _get(self, chain: Chain, key, compute):
-        memo = self._chains.setdefault(id(chain), (chain, {}))[1]
+    def _get(self, obj, key, compute):
+        memo = self._objects.setdefault(id(obj), (obj, {}))[1]
         if key not in memo:
             memo[key] = compute()
         return memo[key]
@@ -182,6 +185,10 @@ class _Derived:
         ladder = self._get(chain, "ladder", lambda: _Ladder(chain))
         return self._get(chain, ("continuous", x, eps),
                          lambda: _continuous_time(chain, self.cls(chain), x, eps, ladder).time)
+
+    def flow(self, flow: Flow) -> tuple[bool, float]:
+        """(odd, A): whether a valid flow is odd, and its congestion; InvalidFlow if invalid."""
+        return self._get(flow, "flow", lambda: (_require_valid(flow), _edge_congestion(flow)[1]))
 
 
 def _same_chain(a: Chain, b: Chain) -> bool:
@@ -258,11 +265,8 @@ def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, 
             raise NotErgodic(f"{who} chain is not ergodic")
     if not _same_chain(flow.base, base) or not _same_chain(flow.target, target):
         raise WrongFlowBase("flow does not connect the given base and target chains")
-    valid, odd, violations = validate_flow(flow)
-    if not valid:
-        raise InvalidFlow("; ".join(violations[:5]))
+    odd, A = d.flow(flow)
     x = base.index(x)
-    _, A = _edge_congestion(flow)
     log_term = _log_term(eps, base.pi[x])
     deltas = sorted(set(DELTA_SWEEP) | {delta}) if sweep else [delta]
     best_factor = min(_mix_factor(d.discrete(target, None, dl), dl) for dl in deltas)
@@ -308,9 +312,22 @@ def conductance_bounds(
     (T17 discrete, T18 continuous), the quadratic lower bound on the spectral
     gap (T19) with its trivial upper companion (O16), and the two mixing-time
     lower bounds on the gap that do not need the conductance at all
-    (C20d, C20c).
+    (C20d, C20c).  Each tau must be None or a finite number > 0.
     """
-    return _conductance_bounds(_Derived(), chain, discrete_tau, continuous_tau)
+    return _conductance_bounds(_Derived(), chain, _check_tau(discrete_tau, "discrete_tau"),
+                               _check_tau(continuous_tau, "continuous_tau"))
+
+
+def _check_tau(tau, name: str) -> float | None:
+    if tau is None:
+        return None
+    try:
+        tau = float(tau)
+    except (TypeError, ValueError):
+        raise BadParams(f"{name} must be None or a number, got {tau!r}") from None
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise BadParams(f"{name} must be finite and > 0, got {tau!r}")
+    return tau
 
 
 def _conductance_bounds(d: _Derived, chain: Chain, discrete_tau, continuous_tau) -> list[BoundEntry]:
@@ -320,6 +337,7 @@ def _conductance_bounds(d: _Derived, chain: Chain, discrete_tau, continuous_tau)
     entries = []
     if chain.n <= MAX_CONDUCTANCE_STATES:
         phi, _, _ = conductance(chain)
+        entries.append(_entry("O16", phi, lam1))
         if discrete_tau is not None:
             entries.append(_entry("T17", GAP_CONST / discrete_tau, phi))
         else:
@@ -329,10 +347,9 @@ def _conductance_bounds(d: _Derived, chain: Chain, discrete_tau, continuous_tau)
         else:
             entries.append(_skip("T18", "no continuous mixing time supplied"))
         entries.append(_entry("T19", phi * phi / 8.0, lam1))
-        entries.append(_entry("O16", phi, lam1))
     else:
         reason = f"more than {MAX_CONDUCTANCE_STATES} states: exact conductance skipped"
-        entries.extend(_skip(tid, reason) for tid in ("T17", "T18", "T19", "O16"))
+        entries += _skip_families(reason, "cut")
     if discrete_tau is not None:
         entries.append(_entry("C20d", GAP_CONST**2 / (8.0 * discrete_tau**2), lam1))
     else:
@@ -405,10 +422,7 @@ def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, 
         raise WrongFlowBase("flow is routed over neither the base chain nor its reversal product")
     if not _same_chain(flow.target, target):
         raise WrongFlowBase("flow target does not match the given target chain")
-    valid, _, violations = validate_flow(flow)
-    if not valid:
-        raise InvalidFlow("; ".join(violations[:5]))
-    _, A = _edge_congestion(flow)
+    _, A = d.flow(flow)
 
     cls_t = d.cls(target)
     log2 = _log_term_sq(eps, base.pi[x])
@@ -480,11 +494,6 @@ class BoundReport:
         }
 
 
-def _comparison_skips(reason: str) -> list[BoundEntry]:
-    ids = ("T8", "I5", "T10", "O13", "O14", "T24c", "T24d", "T25", "T26")
-    return [_skip(tid, reason) for tid in ids]
-
-
 def full_report(
     base: Chain,
     target: Chain | None = None,
@@ -528,13 +537,14 @@ def full_report(
         entries += _spectral_bounds_reversible(d, base, x_idx, eps)
     else:
         reason = "chain is periodic" if cls.reversible else "chain is not reversible"
-        entries += [_skip(t, reason) for t in ("T5", "C6", "T7")]
+        entries += _skip_families(reason, "spectral")
 
     entries += _conductance_bounds(d, base, tau_worst_disc, tau_worst_cont)
     entries += _nonreversible_bounds(d, base, x_idx, eps)
 
     if target is None:
-        entries += _comparison_skips("no target chain and flow supplied")
+        entries += _skip_families("no target chain and flow supplied",
+                                  "comparison_reversible", "comparison_general")
     else:
         cls_t = d.cls(target)
         both_rev_erg = cls.reversible and cls.ergodic and cls_t.reversible and cls_t.ergodic
@@ -544,7 +554,7 @@ def full_report(
         else:
             reason = ("comparison pair is not reversible ergodic" if direct
                       else "flow is routed over the reversal product")
-            entries += [_skip(t, reason) for t in ("T8", "I5", "T10", "O13", "O14")]
+            entries += _skip_families(reason, "comparison_reversible")
         entries += _comparison_general(d, base, target, flow, x_idx, eps)
 
     order = {tid: i for i, tid in enumerate(CATALOG)}

@@ -148,10 +148,12 @@ def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
     return (not violations, odd, violations)
 
 
-def _require_valid(flow: Flow) -> None:
-    valid, _, violations = validate_flow(flow)
+def _require_valid(flow: Flow) -> bool:
+    """Raise InvalidFlow unless the flow is valid; return whether it is odd."""
+    valid, odd, violations = validate_flow(flow)
     if not valid:
         raise InvalidFlow("; ".join(violations[:5]))
+    return odd
 
 
 def edge_congestion(flow: Flow) -> tuple[dict[tuple[int, int], float], float]:

@@ -27,10 +27,16 @@ MONOTONE_TOL = 1e-12
 #: continuous-time probes may disagree by at most this (matrix exponential noise)
 MONOTONE_TOL_CONTINUOUS = 1e-10
 BISECTION_REL = 1e-6
+#: continuized doubling stops here (about MAX_DISCRETE_STEPS): squaring E(1)
+#: much further loses stochasticity, first at about 2^23 on the chains tried
+MAX_CONTINUOUS_TIME = 2.0**20
 
 
 def _check_eps(eps: float) -> float:
-    eps = float(eps)
+    try:
+        eps = float(eps)
+    except (TypeError, ValueError):
+        raise BadEpsilon(f"epsilon must be a number, got {eps!r}") from None
     if not (0.0 < eps < 1.0):
         raise BadEpsilon(f"epsilon must lie in (0, 1), got {eps}")
     if eps < 1e-12:
@@ -260,10 +266,11 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     Only irreducibility is required: continuization removes periodicity.  The
     crossing time is bracketed by doubling until the distance falls below
     eps/2 and then bisected to absolute precision 1e-6 (relative for large
-    times); the returned time is the safe side of the bracket.  The distance
-    is checked to be non-increasing across all probe points.  Each probe is
-    one matrix product with a rung of a power-of-two ladder of exponentials,
-    so a call runs at most four exponentials from scratch.
+    times); the returned time is the safe side of the bracket.  Raises
+    NoConvergence if the distance still exceeds eps at ``MAX_CONTINUOUS_TIME``.
+    The distance is checked to be non-increasing across all probe points.
+    Each probe is one matrix product with a rung of a power-of-two ladder of
+    exponentials, so a call runs at most four exponentials from scratch.
     """
     return _continuous_time(chain, classify(chain), x, eps, _Ladder(chain))
 
@@ -297,14 +304,15 @@ def _continuous_time(chain: Chain, cls: ChainClass, x, eps, ladder: _Ladder) -> 
         return MixingResult(from_state=x_idx, epsilon=eps, time=0.0, achieved_tv=probes[0][1])
 
     e_hi, E_hi = 0, ladder.anchor(0)
-    while probe(2.0**e_hi, lambda: E_hi) > 0.5 * eps:
+    while probe(2.0**e_hi, lambda: E_hi) > 0.5 * eps and 2.0**e_hi < MAX_CONTINUOUS_TIME:
         e_hi += 1
-        if e_hi > 60:
-            raise NoConvergence("continuized chain failed to mix (internal bug)")
         E_hi = _checked(E_hi @ E_hi)
     E_hi = None
     lo, hi = 0.0, 2.0**e_hi
     hi_tv = probes[-1][1]
+    if hi_tv > eps:
+        raise NoConvergence(f"no mixing within the cap of {MAX_CONTINUOUS_TIME:.0f} time units "
+                            f"(TV still {hi_tv:.3e})")
     E_lo = None  # E(lo); None while lo = 0, where E(0) is the identity
     rungs = ladder.rungs(e_hi - 1)
     while hi - lo > BISECTION_REL * max(1.0, hi):

@@ -31,6 +31,7 @@ from mixbounds import (
 from mixbounds.bounds import CATALOG, DELTA_DEFAULT, _mix_factor
 from mixbounds.errors import (
     BadDelta,
+    BadParams,
     MixboundsError,
     NotIrreducible,
     NotReversible,
@@ -112,6 +113,15 @@ def test_conductance_bounds_periodic_and_large():
     assert entries["C20c"].applicable and entries["C20c"].holds
 
 
+def test_conductance_bounds_rejects_bad_taus():
+    chain = random_reversible(6, seed=1)
+    for bad in (0, -1.0, float("nan"), float("inf"), "a", [3]):
+        with pytest.raises(BadParams):
+            conductance_bounds(chain, bad, None)
+        with pytest.raises(BadParams):
+            conductance_bounds(chain, None, bad)
+
+
 def test_comparison_reversible_explicit_pair():
     flow = two_state_uniform_flow(0.25)
     base, target = flow.base, flow.target
@@ -158,6 +168,11 @@ def test_comparison_reversible_gates():
     flow = build_canonical_flow(base, target, odd=True)
     with pytest.raises(BadDelta):
         comparison_reversible(base, target, flow, "a", 0.25, delta=0.7)
+    for bad in ("x", None):
+        with pytest.raises(BadDelta):
+            comparison_reversible(base, target, flow, "a", 0.25, delta=bad)
+        with pytest.raises(BadDelta):
+            full_report(base, delta=bad)
     with pytest.raises(NotReversible):
         comparison_reversible(
             dhn(2), uniform_walk(4), build_canonical_flow(dhn(2), uniform_walk(4)), 0, 0.25
@@ -326,3 +341,35 @@ def test_full_report_regression_sample():
         report = full_report(base, target, flow, x=0, eps=0.25)
         bad = [e.theorem for e in report.entries if e.applicable and not e.holds]
         assert not bad, f"seed {seed}: violated {bad}"
+
+
+
+# ---------------------------------------------------------------- the catalogue table
+
+
+def _family_ids(*families):
+    return [tid for tid, (family, _, _) in CATALOG.items() if family in families]
+
+
+def test_family_functions_return_their_rows_in_table_order():
+    rev = random_reversible(8, seed=3)
+    rev_target = lazy(rev)
+    odd_flow = build_canonical_flow(rev, rev_target, odd=True)
+    ds = doubly_stochastic(6, seed=5)
+    product_flow = build_canonical_flow(multiply(time_reversal(ds), ds), uniform_walk(6))
+    big = dhn(16)  # above the exact-conductance limit: the cut rows are skipped
+    taus = {c: (discrete_mixing_time(c, None, DELTA_DEFAULT).time,
+                continuous_mixing_time(c, None, DELTA_DEFAULT).time) for c in (rev, big)}
+    calls = [
+        (spectral_bounds_reversible(rev, 0, 0.25), ("spectral",)),
+        (comparison_reversible(rev, rev_target, odd_flow, 0, 0.25), ("comparison_reversible",)),
+        (conductance_bounds(rev, *taus[rev]), ("cut", "gap")),
+        (conductance_bounds(big, *taus[big]), ("cut", "gap")),
+        (nonreversible_bounds(ds, 0, 0.25), ("nonreversible",)),
+        (comparison_general(rev, rev_target, odd_flow, 0, 0.25), ("comparison_general",)),
+        (comparison_general(ds, uniform_walk(6), product_flow, 0, 0.25), ("comparison_general",)),
+    ]
+    for entries, families in calls:
+        assert [e.theorem for e in entries] == _family_ids(*families), families
+    assert [e.applicable for e in calls[2][0]] == [True] * 6
+    assert [e.applicable for e in calls[3][0]] == [False] * 4 + [True] * 2

@@ -189,6 +189,13 @@ def test_analyze_malformed_matrix_exits_two(tmp_path, capsys, P):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_mix_continuous_past_the_cap_exits_two(tmp_path, capsys):
+    chain_path = tmp_path / "slow.json"
+    chain_path.write_text(json.dumps({"states": ["a", "b"], "P": [[1 - 1e-8, 1e-8], [1e-8, 1 - 1e-8]]}))
+    assert run_cli(["mix", str(chain_path), "--from", "a", "--eps", "0.25", "--continuous"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_selftest_passes(capsys):
     assert run_cli(["selftest", "--quiet"]) == 0
     assert run_cli(["selftest"]) == 0

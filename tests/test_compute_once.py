@@ -24,8 +24,8 @@ from mixbounds import (
     time_reversal,
     uniform_walk,
 )
-from mixbounds import mixing
-from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _comparison_skips, _same_chain, _skip
+from mixbounds import flows, mixing
+from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _same_chain, _skip, _skip_families
 
 from _families import doubly_stochastic
 
@@ -83,6 +83,8 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     classified = _count(monkeypatch, classify, lambda chain: id(chain))
     iterated = _count(monkeypatch, mixing._discrete_time,
                       lambda chain, cls, x, eps, *rest: (id(chain), x, float(eps)))
+    validated = _count(monkeypatch, flows.validate_flow, lambda flow: id(flow))
+    congested = _count(monkeypatch, flows._edge_congestion, lambda flow: id(flow))
     full_report(**kwargs)
     assert exponentials and classified and iterated
     assert max(exponentials.values()) == 1, "a (chain, t) was exponentiated twice"
@@ -90,6 +92,8 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     assert max(per_rate_matrix.values()) <= 4, "a chain needed more than 4 anchor exponentials"
     assert max(iterated.values()) == 1, "a (chain, x, eps) mixing time was iterated twice"
     assert max(classified.values()) == 1, "a chain object was classified twice"
+    assert max(validated.values(), default=0) <= 1, "a flow was validated twice"
+    assert max(congested.values(), default=0) <= 1, "a flow's congestion was computed twice"
 
 
 def _reference_report(base, target=None, flow=None, *, x=0, eps=0.25, delta=DELTA_DEFAULT,
@@ -111,7 +115,8 @@ def _reference_report(base, target=None, flow=None, *, x=0, eps=0.25, delta=DELT
     entries += conductance_bounds(base, tau_worst_disc, tau_worst_cont)
     entries += nonreversible_bounds(base, x, eps)
     if target is None:
-        entries += _comparison_skips("no target chain and flow supplied")
+        entries += _skip_families("no target chain and flow supplied",
+                                  "comparison_reversible", "comparison_general")
     else:
         cls_t = classify(target)
         both = cls.reversible and cls.ergodic and cls_t.reversible and cls_t.ergodic
@@ -123,7 +128,7 @@ def _reference_report(base, target=None, flow=None, *, x=0, eps=0.25, delta=DELT
                       else "flow is routed over the reversal product")
             entries += [_skip(t, reason) for t in ("T8", "I5", "T10", "O13", "O14")]
         entries += comparison_general(base, target, flow, x, eps)
-    entries.sort(key=lambda e: CATALOG.index(e.theorem))
+    entries.sort(key=lambda e: list(CATALOG).index(e.theorem))
     return BoundReport(base.name, None if target is None else target.name, base.labels[x], x,
                        eps, delta, exact_disc, exact_cont, entries)
 

@@ -72,7 +72,7 @@ def test_discrete_mixing_gates():
     with pytest.raises(NotErgodic):
         discrete_mixing_time(directed_cycle(3), 0, 0.25)
     chain = two_state(0.25)
-    for bad in (0.0, 1.0, -0.1, 5e-13):
+    for bad in (0.0, 1.0, -0.1, 5e-13, "a", None):
         with pytest.raises(BadEpsilon):
             discrete_mixing_time(chain, 0, bad)
     with pytest.raises(NoConvergence):
@@ -213,6 +213,13 @@ def test_continuous_mixing_gates():
         continuous_mixing_time(multiply(time_reversal(c3), c3), 0, 0.25)
     with pytest.raises(BadEpsilon):
         continuous_mixing_time(two_state(0.25), 0, 1.5)
+
+
+def test_continuous_mixing_stops_at_the_cap():
+    # gap 2e-8: mixing takes about 1.7e7 time units, far past MAX_CONTINUOUS_TIME
+    slow = build_chain(["a", "b"], [[1 - 1e-8, 1e-8], [1e-8, 1 - 1e-8]])
+    with pytest.raises(NoConvergence, match="1048576"):
+        continuous_mixing_time(slow, "a", 0.25)
 
 
 # The per-probe continuized time before the squaring ladder, kept verbatim as
