@@ -12,8 +12,9 @@ continuous- and discrete-time variants of one bound) maps to its family,
 direction and quantity.  A family is the set of rows one gate turns on or
 off together.  Non-applicability is data, not an error: a report on a
 periodic chain, or with a flow of the wrong kind, carries the gating reason
-for the affected entries.  Each public call derives every chain quantity,
-and each flow's validation and congestion, once in one memo (``_Derived``).
+for the affected entries.  Each public call derives every chain quantity but
+the classification, which the chain keeps, and each flow's validation and
+congestion, once in one memo (``_Derived``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Chain, ChainClass, classify, lazy, multiply, time_reversal
+from .chains import Chain, classify, lazy, multiply, reversibilize, time_reversal
 from .errors import (
     BadDelta,
     BadParams,
@@ -31,12 +32,11 @@ from .errors import (
     NotErgodic,
     NotIrreducible,
     NotReversible,
-    StationaryMismatch,
     WrongFlowBase,
 )
-from .flows import Flow, _edge_congestion, _require_valid
-from .mixing import _Ladder, _check_eps, _continuous_time, _discrete_time
-from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _eigendecompose, _lambda_constants, conductance
+from .flows import Flow, _check_pair, _edge_congestion, _require_valid
+from .mixing import _Ladder, _check_eps, _continuous_time, discrete_mixing_time
+from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _gaps, conductance, eigendecompose
 
 #: bound-vs-exact comparisons allow this much slack
 HOLD_TOL = 1e-9
@@ -164,14 +164,12 @@ class _Derived:
             memo[key] = compute()
         return memo[key]
 
-    def cls(self, chain: Chain) -> ChainClass:
-        return self._get(chain, "class", lambda: classify(chain))
-
     def summary(self, chain: Chain) -> SpectralSummary:
-        return self._get(chain, "summary", lambda: _eigendecompose(chain, self.cls(chain)))
+        return self._get(chain, "summary", lambda: eigendecompose(chain))
 
     def lambdas(self, chain: Chain) -> tuple[float, float]:
-        return self._get(chain, "lambdas", lambda: _lambda_constants(chain, self.cls(chain), self.summary))
+        return self._get(chain, "lambdas", lambda: _gaps(
+            self.summary(chain if classify(chain).reversible else reversibilize(chain))))
 
     def product(self, chain: Chain) -> Chain:
         """The reversal product R(P) P."""
@@ -179,12 +177,12 @@ class _Derived:
 
     def discrete(self, chain: Chain, x, eps: float) -> int:
         return self._get(chain, ("discrete", x, eps),
-                         lambda: _discrete_time(chain, self.cls(chain), x, eps).time)
+                         lambda: discrete_mixing_time(chain, x, eps).time)
 
     def continuous(self, chain: Chain, x, eps: float) -> float:
         ladder = self._get(chain, "ladder", lambda: _Ladder(chain))
         return self._get(chain, ("continuous", x, eps),
-                         lambda: _continuous_time(chain, self.cls(chain), x, eps, ladder).time)
+                         lambda: _continuous_time(chain, x, eps, ladder).time)
 
     def flow(self, flow: Flow) -> tuple[bool, float]:
         """(odd, A): whether a valid flow is odd, and its congestion; InvalidFlow if invalid."""
@@ -212,7 +210,7 @@ def spectral_bounds_reversible(chain: Chain, x, eps: float) -> list[BoundEntry]:
 
 def _spectral_bounds_reversible(d: _Derived, chain: Chain, x, eps: float) -> list[BoundEntry]:
     eps = _check_eps(eps)
-    cls = d.cls(chain)
+    cls = classify(chain)
     if not cls.reversible:
         raise NotReversible("spectral mixing bounds need a reversible chain")
     if not cls.ergodic:
@@ -258,7 +256,7 @@ def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, 
     eps = _check_eps(eps)
     delta = _check_delta(delta)
     for c, who in ((base, "base"), (target, "target")):
-        cls = d.cls(c)
+        cls = classify(c)
         if not cls.reversible:
             raise NotReversible(f"{who} chain is not reversible")
         if not cls.ergodic:
@@ -287,7 +285,7 @@ def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, 
     else:
         entries.append(_skip("T10", "largest eigenvalue modulus is the negative end"))
 
-    c = d.cls(base).min_self_loop
+    c = classify(base).min_self_loop
     if c > 0.0:
         bound = max(A * best_factor, 1.0 / (2.0 * c)) * log_term
         entries.append(_entry("O13", bound, exact_x))
@@ -331,7 +329,7 @@ def _check_tau(tau, name: str) -> float | None:
 
 
 def _conductance_bounds(d: _Derived, chain: Chain, discrete_tau, continuous_tau) -> list[BoundEntry]:
-    if not d.cls(chain).irreducible:
+    if not classify(chain).irreducible:
         raise NotErgodic("conductance bounds need an irreducible chain")
     lam1, _ = d.lambdas(chain)
     entries = []
@@ -375,7 +373,7 @@ def nonreversible_bounds(chain: Chain, x, eps: float) -> list[BoundEntry]:
 
 def _nonreversible_bounds(d: _Derived, chain: Chain, x, eps: float) -> list[BoundEntry]:
     eps = _check_eps(eps)
-    cls = d.cls(chain)
+    cls = classify(chain)
     if not cls.irreducible:
         raise NotIrreducible("nonreversible bounds need an irreducible chain")
     x = chain.index(x)
@@ -383,7 +381,7 @@ def _nonreversible_bounds(d: _Derived, chain: Chain, x, eps: float) -> list[Boun
     log2 = _log_term_sq(eps, chain.pi[x])
     entries = [_entry("T22", log2 / (2.0 * lam1), d.continuous(chain, x, eps))]
     product = d.product(chain)
-    if not d.cls(product).irreducible:
+    if not classify(product).irreducible:
         entries.append(_skip("T23", "reversal-product chain is reducible (gap 0)"))
     elif not cls.aperiodic:
         entries.append(_skip("T23", "chain is periodic: no discrete mixing time"))
@@ -408,10 +406,9 @@ def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) ->
 def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, eps) -> list[BoundEntry]:
     eps = _check_eps(eps)
     for c, who in ((base, "base"), (target, "target")):
-        if not d.cls(c).irreducible:
+        if not classify(c).irreducible:
             raise NotIrreducible(f"{who} chain is reducible")
-    if np.abs(base.pi - target.pi).max() > 1e-10:
-        raise StationaryMismatch("base and target stationary distributions differ")
+    _check_pair(base, target)
     x = base.index(x)
 
     if _same_chain(flow.base, base):
@@ -424,7 +421,7 @@ def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, 
         raise WrongFlowBase("flow target does not match the given target chain")
     _, A = d.flow(flow)
 
-    cls_t = d.cls(target)
+    cls_t = classify(target)
     log2 = _log_term_sq(eps, base.pi[x])
     tau_t_cont = d.continuous(target, None, DELTA_DEFAULT)
     tau_t_disc = d.discrete(target, None, DELTA_DEFAULT) if cls_t.ergodic else None
@@ -448,7 +445,7 @@ def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, 
         reason = "flow is routed over the reversal product"
         entries.append(_skip("T24c", reason))
         entries.append(_skip("T24d", reason))
-        if not d.cls(base).aperiodic:
+        if not classify(base).aperiodic:
             entries.append(_skip("T25", "base chain is periodic: no discrete mixing time"))
         elif tau_t_disc is None:
             entries.append(_skip("T25", "target is periodic: no discrete mixing time"))
@@ -513,16 +510,16 @@ def full_report(
     a flow routed over the base's reversal product activates the discrete
     product bound instead of the direct family.
 
-    Everything derived from a chain (classification, eigenstructure, the
-    reversal product, each mixing time and each exponential probe) is
-    computed once per report and shared by the bound families.
+    Everything derived from a chain (eigenstructure, the reversal product,
+    each mixing time and each exponential probe) is computed once per report
+    and shared by the bound families.
     """
     eps = _check_eps(eps)
     delta = _check_delta(delta)
     if (target is None) != (flow is None):
         raise MixboundsError("supply target and flow together, or neither")
     d = _Derived()
-    cls = d.cls(base)
+    cls = classify(base)
     if not cls.irreducible:
         raise NotIrreducible("no report for a reducible chain")
     x_idx = base.index(x)
@@ -546,7 +543,7 @@ def full_report(
         entries += _skip_families("no target chain and flow supplied",
                                   "comparison_reversible", "comparison_general")
     else:
-        cls_t = d.cls(target)
+        cls_t = classify(target)
         both_rev_erg = cls.reversible and cls.ergodic and cls_t.reversible and cls_t.ergodic
         direct = _same_chain(flow.base, base)
         if direct and both_rev_erg:

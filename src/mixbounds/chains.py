@@ -4,7 +4,8 @@ A :class:`Chain` bundles a row-stochastic transition matrix with state labels
 and the stationary distribution, which is computed once at construction by a
 dense linear solve.  Chains are immutable after construction and every
 operation here is a pure function returning a new chain, so concurrent reads
-are safe.
+are safe.  :func:`classify` keeps its result on the chain (two threads may
+both compute it, harmlessly).
 
 Internally states are indexed ``0 .. N-1``; labels are cosmetic.
 """
@@ -46,7 +47,7 @@ class Chain:
     stationary distribution of their result (products, laziness, reversal).
     """
 
-    __slots__ = ("labels", "P", "pi", "name")
+    __slots__ = ("labels", "P", "pi", "name", "_class")
 
     def __init__(self, labels, P, pi, name=None):
         P = np.ascontiguousarray(P, dtype=float)
@@ -62,6 +63,7 @@ class Chain:
         self.P = P
         self.pi = pi
         self.name = name if name is not None else f"chain[{len(labels)}]"
+        self._class = None
 
     @property
     def n(self) -> int:
@@ -69,6 +71,8 @@ class Chain:
 
     def index(self, label) -> int:
         """Index of a state given by label (or pass an index through)."""
+        if isinstance(label, (bool, np.bool_)):
+            raise DimensionMismatch(f"a bool is not a state: {label!r}")
         if isinstance(label, (int, np.integer)):
             i = int(label)
             if not 0 <= i < self.n:
@@ -193,10 +197,18 @@ def classify(chain: Chain) -> ChainClass:
     from state 0 (the standard algorithm); the depths come from one scipy
     unweighted shortest-path call.  Detailed balance is tested edge by edge
     relative to the edge flow (``BALANCE_RTOL``).  Never raises: a
-    classification is returned even for degenerate chains.
+    classification is returned even for degenerate chains.  The result is
+    kept on the chain, whose P and pi are read-only, so later calls return it
+    at once; two threads may both compute it, harmlessly.
     """
+    if chain._class is None:
+        chain._class = _classify(chain)
+    return chain._class
+
+
+def _classify(chain: Chain) -> ChainClass:
     graph = csr_matrix(chain.support())
-    irreducible = _strongly_connected(graph)
+    irreducible = connected_components(graph, directed=True, connection="strong")[0] == 1
     period = _period(graph) if irreducible else 0
     aperiodic = period == 1
 
@@ -206,10 +218,6 @@ def classify(chain: Chain) -> ChainClass:
     return ChainClass(irreducible, period, aperiodic, reversible, min_self_loop)
 
 
-def _strongly_connected(graph: csr_matrix) -> bool:
-    return connected_components(graph, directed=True, connection="strong")[0] == 1
-
-
 def _period(graph: csr_matrix) -> int:
     depth = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
     u, v = graph.nonzero()
@@ -217,7 +225,7 @@ def _period(graph: csr_matrix) -> int:
 
 
 def _require_irreducible(chain: Chain, op: str) -> None:
-    if not _strongly_connected(csr_matrix(chain.support())):
+    if not classify(chain).irreducible:
         raise NotErgodic(f"{op} requires an irreducible chain")
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, ChainClass, classify
+from .chains import Chain, classify
 from .errors import BadEpsilon, BadParams, DimensionMismatch, NoConvergence, NotErgodic, NotIrreducible
 
 MAX_DISCRETE_STEPS = 1_000_000
@@ -80,8 +80,13 @@ class MixingResult:
     achieved_tv: float
 
 
-def _rows_tv(rows: np.ndarray, pi: np.ndarray) -> float:
-    return float(0.5 * np.abs(rows - pi[None, :]).sum(axis=1).max())
+def _rows_tv(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """TV(rows[j], pi) per row j, with one temporary.  The clamp at 0 is a no-op
+    on step iterates and drops the <=1e-12 negatives of an exponential."""
+    D = np.maximum(rows, 0.0)
+    D -= pi
+    np.abs(D, out=D)
+    return 0.5 * D.sum(axis=1)
 
 
 def discrete_mixing_time(chain: Chain, x, eps, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
@@ -91,20 +96,15 @@ def discrete_mixing_time(chain: Chain, x, eps, max_steps: int = MAX_DISCRETE_STE
     starting states.  Raises NoConvergence after ``max_steps`` steps, which
     signals near-periodicity or an epsilon below reach.
     """
-    return _discrete_time(chain, classify(chain), x, eps, max_steps)
-
-
-def _discrete_time(chain: Chain, cls: ChainClass, x, eps, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
-    """discrete_mixing_time, given the chain's classification."""
     eps = _check_eps(eps)
-    if not cls.ergodic:
+    if not classify(chain).ergodic:
         raise NotErgodic("discrete mixing time requires an ergodic chain")
     x_idx = None if x is None else chain.index(x)
     rows = np.eye(chain.n) if x_idx is None else np.eye(chain.n)[x_idx : x_idx + 1]
-    prev = _rows_tv(rows, chain.pi)
+    prev = float(_rows_tv(rows, chain.pi).max())
     for t in range(1, max_steps + 1):
         rows = rows @ chain.P
-        cur = _rows_tv(rows, chain.pi)
+        cur = float(_rows_tv(rows, chain.pi).max())
         if cur > prev + MONOTONE_TOL:
             raise AssertionError(
                 f"TV to stationarity increased at step {t}: {prev!r} -> {cur!r}"
@@ -121,14 +121,13 @@ def d_profile(chain: Chain, t_max: int) -> list[float]:
         raise BadParams(f"t_max must be nonnegative, got {t_max}")
     if t_max > MAX_PROFILE_STEPS:
         raise BadParams(f"t_max is capped at {MAX_PROFILE_STEPS}")
-    cls = classify(chain)
-    if not cls.ergodic:
+    if not classify(chain).ergodic:
         raise NotErgodic("d_profile requires an ergodic chain")
     rows = np.eye(chain.n)
     out = []
     for _ in range(t_max):
         rows = rows @ chain.P
-        out.append(_rows_tv(rows, chain.pi))
+        out.append(float(_rows_tv(rows, chain.pi).max()))
     return out
 
 
@@ -248,10 +247,7 @@ class _Ladder:
     def tv(self, t: float, form) -> np.ndarray:
         """Per-start distances at time t; ``form()`` gives E(t) if t is new."""
         if t not in self.tvs:
-            D = np.maximum(form(), 0.0)  # clamp the <=1e-12 negatives
-            D -= self.chain.pi
-            np.abs(D, out=D)
-            self.tvs[t] = 0.5 * D.sum(axis=1)
+            self.tvs[t] = _rows_tv(form(), self.chain.pi)
         return self.tvs[t]
 
 
@@ -272,13 +268,13 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     Each probe is one matrix product with a rung of a power-of-two ladder of
     exponentials, so a call runs at most four exponentials from scratch.
     """
-    return _continuous_time(chain, classify(chain), x, eps, _Ladder(chain))
+    return _continuous_time(chain, x, eps, _Ladder(chain))
 
 
-def _continuous_time(chain: Chain, cls: ChainClass, x, eps, ladder: _Ladder) -> MixingResult:
-    """continuous_mixing_time, given the chain's classification.  ``ladder``
-    holds the chain's anchors and probe distances; calls on one chain that
-    share it share their exponentials.
+def _continuous_time(chain: Chain, x, eps, ladder: _Ladder) -> MixingResult:
+    """continuous_mixing_time on a given ladder.  ``ladder`` holds the chain's
+    anchors and probe distances; calls on one chain that share it share their
+    exponentials.
 
     No probe runs a fresh exponential.  Doubling squares E(1): E(2^(k+1)) =
     E(2^k)^2.  After doubling to H = 2^e_hi, the j-th bisection midpoint is
@@ -288,7 +284,7 @@ def _continuous_time(chain: Chain, cls: ChainClass, x, eps, ladder: _Ladder) -> 
     square and product is checked to stay stochastic.
     """
     eps = _check_eps(eps)
-    if not cls.irreducible:
+    if not classify(chain).irreducible:
         raise NotIrreducible("continuization needs an irreducible chain")
     x_idx = None if x is None else chain.index(x)
 

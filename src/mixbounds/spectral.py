@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, ChainClass, _require_irreducible, classify, reversibilize
+from .chains import Chain, _require_irreducible, classify, reversibilize
 from .errors import DimensionMismatch, IllConditioned, NotErgodic, NotReversible, TooLarge
 
 #: exact conductance limit (the enumeration visits 2^(N-1) - 1 cuts)
@@ -100,11 +100,7 @@ def eigendecompose(chain: Chain) -> SpectralSummary:
     the edge flow.  Eigenvalues come back sorted descending with orthonormal
     vectors; the leading vector's sign is fixed so it matches sqrt(pi).
     """
-    return _eigendecompose(chain, classify(chain))
-
-
-def _eigendecompose(chain: Chain, cls: ChainClass) -> SpectralSummary:
-    """eigendecompose, given the chain's classification."""
+    cls = classify(chain)
     if not cls.irreducible:
         raise NotErgodic("eigendecompose requires an irreducible chain")
     if not cls.reversible:
@@ -129,14 +125,14 @@ def lambda_constants(chain: Chain) -> tuple[float, float]:
     are computed on the additive reversibilization, which has the same
     quadratic forms (asserted by the test suite, not assumed silently).
     """
-    return _lambda_constants(chain, classify(chain), eigendecompose)
-
-
-def _lambda_constants(chain: Chain, cls: ChainClass, decompose) -> tuple[float, float]:
-    """lambda_constants, given the chain's classification and an eigensolver."""
+    cls = classify(chain)
     if not cls.irreducible:
         raise NotErgodic("lambda_constants requires an irreducible chain")
-    summary = decompose(chain if cls.reversible else reversibilize(chain))
+    return _gaps(eigendecompose(chain if cls.reversible else reversibilize(chain)))
+
+
+def _gaps(summary: SpectralSummary) -> tuple[float, float]:
+    """The gaps (1 - betas[1], 1 + betas[-1]) of a reversible chain's spectrum."""
     return float(1.0 - summary.betas[1]), float(1.0 + summary.betas[-1])
 
 

@@ -32,6 +32,7 @@ from mixbounds.bounds import CATALOG, DELTA_DEFAULT, _mix_factor
 from mixbounds.errors import (
     BadDelta,
     BadParams,
+    DimensionMismatch,
     MixboundsError,
     NotIrreducible,
     NotReversible,
@@ -262,6 +263,12 @@ def test_comparison_general_wrong_flow_base():
     flow = build_canonical_flow(lazy(doubly_stochastic(5, seed=9)), stranger, odd=False)
     with pytest.raises(WrongFlowBase):
         comparison_general(base, target, flow, 0, 0.25)
+
+
+def test_comparison_general_size_mismatch():
+    base, target = dhn(2), uniform_walk(3)
+    with pytest.raises(DimensionMismatch):
+        comparison_general(base, target, Flow(base, target, []), 0, 0.25)
 
 
 # ---------------------------------------------------------------- full reports

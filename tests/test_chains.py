@@ -10,6 +10,7 @@ from mixbounds import (
     classify,
     dhn,
     directed_cycle,
+    discrete_mixing_time,
     lazy,
     multiply,
     random_reversible,
@@ -277,3 +278,12 @@ def test_index_lookup():
         chain.index("z")
     with pytest.raises(DimensionMismatch):
         chain.index(5)
+
+
+def test_index_rejects_bools():
+    chain = random_reversible(6, 1)
+    for flag in (True, False, np.True_):
+        with pytest.raises(DimensionMismatch):
+            chain.index(flag)
+    with pytest.raises(DimensionMismatch):
+        discrete_mixing_time(chain, True, 0.25)

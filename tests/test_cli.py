@@ -170,6 +170,18 @@ def test_compare_malformed_flow_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_compare_size_mismatch_exits_two(tmp_path, capsys):
+    from mixbounds import dhn, uniform_walk
+
+    base_path, target_path, flow_path = (tmp_path / "b.json", tmp_path / "t.json", tmp_path / "f.json")
+    save_chain(dhn(2), base_path)
+    save_chain(uniform_walk(3), target_path)
+    flow_path.write_text(json.dumps({"paths": []}))
+    assert run_cli(["compare", str(base_path), str(target_path), "--flow", str(flow_path),
+                    "--from", "0", "--eps", "0.25"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_analyze_duplicate_labels_exits_two(tmp_path, capsys):
     chain_path = tmp_path / "dup.json"
     chain_path.write_text(json.dumps({"states": ["a", "a"], "P": [[0.5, 0.5], [0.5, 0.5]]}))

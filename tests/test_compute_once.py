@@ -10,11 +10,13 @@ from mixbounds import (
     classify,
     comparison_general,
     comparison_reversible,
+    conductance,
     conductance_bounds,
     continuous_mixing_time,
     directed_cycle,
     dhn,
     discrete_mixing_time,
+    eigendecompose,
     full_report,
     lazy,
     multiply,
@@ -24,7 +26,7 @@ from mixbounds import (
     time_reversal,
     uniform_walk,
 )
-from mixbounds import flows, mixing
+from mixbounds import chains, flows, mixing
 from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _same_chain, _skip, _skip_families
 
 from _families import doubly_stochastic
@@ -80,9 +82,9 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     kwargs = COUNTED[case]()
     exponentials = _count(monkeypatch, mixing.matrix_exponential,
                           lambda Q, t: (Q.tobytes(), float(t)))
-    classified = _count(monkeypatch, classify, lambda chain: id(chain))
-    iterated = _count(monkeypatch, mixing._discrete_time,
-                      lambda chain, cls, x, eps, *rest: (id(chain), x, float(eps)))
+    classified = _count(monkeypatch, chains._classify, lambda chain: id(chain))
+    iterated = _count(monkeypatch, mixing.discrete_mixing_time,
+                      lambda chain, x, eps, *rest: (id(chain), x, float(eps)))
     validated = _count(monkeypatch, flows.validate_flow, lambda flow: id(flow))
     congested = _count(monkeypatch, flows._edge_congestion, lambda flow: id(flow))
     full_report(**kwargs)
@@ -94,6 +96,17 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     assert max(classified.values()) == 1, "a chain object was classified twice"
     assert max(validated.values(), default=0) <= 1, "a flow was validated twice"
     assert max(congested.values(), default=0) <= 1, "a flow's congestion was computed twice"
+
+
+def test_a_chain_is_classified_once_across_public_calls(monkeypatch):
+    classified = _count(monkeypatch, chains._classify, lambda chain: id(chain))
+    chain = random_reversible(12, 1)
+    assert classify(chain) is classify(chain)
+    discrete_mixing_time(chain, 0, 0.25)
+    eigendecompose(chain)
+    conductance(chain)
+    build_canonical_flow(chain, lazy(chain))
+    assert classified[id(chain)] == 1
 
 
 def _reference_report(base, target=None, flow=None, *, x=0, eps=0.25, delta=DELTA_DEFAULT,

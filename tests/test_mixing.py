@@ -9,7 +9,6 @@ import scipy.linalg
 
 from mixbounds import (
     build_chain,
-    classify,
     continuous_mixing_time,
     d_profile,
     dhn,
@@ -321,10 +320,9 @@ REFERENCE_CASES = {
 def test_continuous_time_matches_per_probe_reference(case):
     make, calls = REFERENCE_CASES[case]
     chain = make()
-    cls = classify(chain)
     ladder, row_tvs = _Ladder(chain), {}
     for x, eps in calls:
-        got = _continuous_time(chain, cls, x, eps, ladder)
+        got = _continuous_time(chain, x, eps, ladder)
         want_time, want_tv = _reference_continuous_time(chain, x, eps, row_tvs)
         assert got.time == want_time, (x, eps)
         assert abs(got.achieved_tv - want_tv) <= 1e-10, (x, eps)
