@@ -13,8 +13,8 @@ direction and quantity.  A family is the set of rows one gate turns on or
 off together.  Non-applicability is data, not an error: a report on a
 periodic chain, or with a flow of the wrong kind, carries the gating reason
 for the affected entries.  Each public call derives every chain quantity but
-the classification, which the chain keeps, and each flow's validation and
-congestion, once in one memo (``_Derived``).
+the classification, which the chain keeps, and each flow's congestion, once
+in one memo (``_Derived``); a flow keeps its own validation.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     NotReversible,
     WrongFlowBase,
 )
-from .flows import Flow, _check_pair, _edge_congestion, _require_valid
+from .flows import Flow, _check_pair, edge_congestion, validate_flow
 from .mixing import _Ladder, _check_eps, _continuous_time, discrete_mixing_time
 from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _gaps, conductance, eigendecompose
 
@@ -151,8 +151,8 @@ class _Derived:
     bound function (or ``full_report``) and dropped when that call returns.
     For the continuized times it holds each chain's ``mixing._Ladder``: the
     few anchor exponentials E(2^a) (n x n each, at most four per chain) and
-    every probe's vector of per-start distances.  For a flow it holds the
-    outcome of its validation and its congestion.
+    every probe's vector of per-start distances.  For a flow it holds its
+    congestion; the flow keeps its own validation.
     """
 
     def __init__(self):
@@ -184,9 +184,9 @@ class _Derived:
         return self._get(chain, ("continuous", x, eps),
                          lambda: _continuous_time(chain, x, eps, ladder).time)
 
-    def flow(self, flow: Flow) -> tuple[bool, float]:
-        """(odd, A): whether a valid flow is odd, and its congestion; InvalidFlow if invalid."""
-        return self._get(flow, "flow", lambda: (_require_valid(flow), _edge_congestion(flow)[1]))
+    def flow(self, flow: Flow) -> float:
+        """A, the congestion of a valid flow; InvalidFlow if invalid."""
+        return self._get(flow, "A", lambda: edge_congestion(flow)[1])
 
 
 def _same_chain(a: Chain, b: Chain) -> bool:
@@ -263,7 +263,7 @@ def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, 
             raise NotErgodic(f"{who} chain is not ergodic")
     if not _same_chain(flow.base, base) or not _same_chain(flow.target, target):
         raise WrongFlowBase("flow does not connect the given base and target chains")
-    odd, A = d.flow(flow)
+    A = d.flow(flow)
     x = base.index(x)
     log_term = _log_term(eps, base.pi[x])
     deltas = sorted(set(DELTA_SWEEP) | {delta}) if sweep else [delta]
@@ -272,7 +272,7 @@ def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, 
     exact_x = d.discrete(base, x, eps)
 
     entries = []
-    if odd:
+    if validate_flow(flow)[1]:
         entries.append(_entry("T8", A * best_factor * log_term, exact_x))
         entries.append(_entry("I5", A * (tau_prime_e + 1.0) * log_term, exact_x))
     else:
@@ -419,7 +419,7 @@ def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, 
         raise WrongFlowBase("flow is routed over neither the base chain nor its reversal product")
     if not _same_chain(flow.target, target):
         raise WrongFlowBase("flow target does not match the given target chain")
-    _, A = d.flow(flow)
+    A = d.flow(flow)
 
     cls_t = classify(target)
     log2 = _log_term_sq(eps, base.pi[x])

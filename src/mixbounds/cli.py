@@ -28,7 +28,7 @@ from .generators import generate
 from .mixing import continuous_mixing_time, discrete_mixing_time
 from .selftest import collect_results, run_selftest
 from .serialize import chain_to_dict, load_chain, load_flow, save_chain
-from .spectral import MAX_CONDUCTANCE_STATES, conductance, eigendecompose, lambda_constants
+from .spectral import MAX_CONDUCTANCE_STATES, _gaps, conductance, eigendecompose, lambda_constants
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,13 +107,13 @@ def _cmd_analyze(args) -> int:
         "min_self_loop": cls.min_self_loop,
     }
     if cls.irreducible:
-        lam1, lam_bottom = lambda_constants(chain)
-        out["lambda_1"] = lam1
-        out["lambda_bottom"] = lam_bottom
-        if cls.reversible:
+        if cls.reversible:  # one eigensolve gives the gaps and the spectrum
             summary = eigendecompose(chain)
+            out["lambda_1"], out["lambda_bottom"] = _gaps(summary)
             out["betas"] = [float(b) for b in summary.betas]
             out["beta_max"] = summary.beta_max
+        else:
+            out["lambda_1"], out["lambda_bottom"] = lambda_constants(chain)
         if chain.n <= MAX_CONDUCTANCE_STATES:
             phi, phi_asym, argmin = conductance(chain)
             out["conductance"] = phi

@@ -16,7 +16,8 @@ z counts path occurrences the same way:
 
     B_z = (1 / pi(z)) * sum over occurrences of z on paths of len * mass
 
-Flows are plain data and immutable in spirit; all operations are pure.
+Flows are immutable plain data, and all operations are pure.  A flow keeps its
+first validation, so it is validated once however many functions it visits.
 """
 
 from __future__ import annotations
@@ -64,13 +65,19 @@ class FlowPath:
         return (self.states[0], self.states[-1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Flow:
-    """A collection of weighted base paths meeting every target-edge demand."""
+    """Weighted base paths meeting every target-edge demand.  ``paths`` is kept
+    as a tuple, so the validation the flow keeps cannot go stale; two threads
+    may both compute that validation, harmlessly."""
 
     base: Chain
     target: Chain
-    paths: list[FlowPath] = field(default_factory=list)
+    paths: tuple[FlowPath, ...] = ()
+    _validation: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "paths", tuple(self.paths))
 
     def grouped(self) -> dict[tuple[int, int], list[FlowPath]]:
         groups: dict[tuple[int, int], list[FlowPath]] = defaultdict(list)
@@ -99,8 +106,16 @@ def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
     Returns ``(valid, odd, violations)``.  Structural problems with the chain
     pair (different state space or stationary law) raise; everything about
     the paths themselves is reported in the violations list, which names the
-    offending demand edge or path.
+    offending demand edge or path.  The flow keeps the result (two threads may
+    both compute it, harmlessly); each call returns a fresh violations list.
     """
+    if flow._validation is None:
+        object.__setattr__(flow, "_validation", _validate(flow))
+    valid, odd, violations = flow._validation
+    return valid, odd, list(violations)
+
+
+def _validate(flow: Flow) -> tuple[bool, bool, tuple[str, ...]]:
     _check_pair(flow.base, flow.target)
     labels = flow.base.labels
     support = flow.base.support().tolist()
@@ -109,12 +124,17 @@ def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
     def name(p: FlowPath) -> str:
         return "->".join(labels[s] for s in p.states)
 
+    legal = []  # paths whose states all lie in the state space
     for p in flow.paths:
-        if not math.isfinite(p.mass) or p.mass < 0.0 or p.mass > 1.0 + 1e-12:
-            violations.append(f"path {name(p)}: mass {p.mass!r} outside [0, 1]")
         if len(p.states) == 0:
             violations.append("empty path")
             continue
+        if min(p.states) < 0 or max(p.states) >= flow.base.n:
+            violations.append(f"path {p.states!r}: state outside 0..{flow.base.n - 1}")
+            continue
+        legal.append(p)
+        if not math.isfinite(p.mass) or p.mass < 0.0 or p.mass > 1.0 + 1e-12:
+            violations.append(f"path {name(p)}: mass {p.mass!r} outside [0, 1]")
         edges = p.edges()
         for u, v in edges:
             if not support[u][v]:
@@ -130,7 +150,7 @@ def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
 
     demands = _demands(flow.target)
     routed: dict[tuple[int, int], float] = defaultdict(float)
-    for p in flow.paths:
+    for p in legal:
         routed[p.demand_edge] += p.mass
     for edge, want in demands.items():
         got = routed.pop(edge, 0.0)
@@ -144,26 +164,20 @@ def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
                 f"edge ({labels[edge[0]]},{labels[edge[1]]}): {got!r} units routed for a zero demand"
             )
 
-    odd = all(p.length % 2 == 1 for p in flow.paths if p.mass > 0.0)
-    return (not violations, odd, violations)
+    odd = all(p.length % 2 == 1 for p in legal if p.mass > 0.0)
+    return (not violations, odd, tuple(violations))
 
 
-def _require_valid(flow: Flow) -> bool:
-    """Raise InvalidFlow unless the flow is valid; return whether it is odd."""
-    valid, odd, violations = validate_flow(flow)
+def _require_valid(flow: Flow) -> None:
+    """Raise InvalidFlow unless the flow is valid."""
+    valid, _, violations = validate_flow(flow)
     if not valid:
         raise InvalidFlow("; ".join(violations[:5]))
-    return odd
 
 
 def edge_congestion(flow: Flow) -> tuple[dict[tuple[int, int], float], float]:
     """Per-edge congestion over every base edge, and its maximum."""
     _require_valid(flow)
-    return _edge_congestion(flow)
-
-
-def _edge_congestion(flow: Flow) -> tuple[dict[tuple[int, int], float], float]:
-    """:func:`edge_congestion` of a flow the caller has already validated."""
     base = flow.base
     load: dict[tuple[int, int], float] = defaultdict(float)
     for p in flow.paths:
@@ -187,42 +201,32 @@ def _reversal_matrix(base: Chain) -> np.ndarray:
     return base.P.T * base.pi[None, :] / base.pi[:, None]
 
 
-def _overlap(base: Chain, R: np.ndarray, z: int, w: int) -> float:
-    """sum_x min(P(z, x), R(w, x)): how much z's exits overlap w's entries."""
-    return float(np.minimum(base.P[z], R[w]).sum())
-
-
 def state_congestion(flow: Flow) -> tuple[dict[int, float], float, float]:
     """Per-state congestion, its maximum B, and the spreading constant kappa.
 
     A state occurring several times on one path is charged once per
-    occurrence.  kappa maximises 1 / overlap(z, w) over base edges carrying
-    positive congestion; if one of those edges has zero overlap the constant
-    is infinite and KappaInfinite is raised.
+    occurrence.  kappa maximises 1 / overlap(z, w), with overlap(z, w) =
+    sum_x min(P(z, x), R(w, x)), over the hops of positive-mass paths (the
+    base edges carrying positive congestion); if one of those has zero
+    overlap the constant is infinite and KappaInfinite is raised.
     """
     _require_valid(flow)
-    return _state_congestion(flow)
-
-
-def _state_congestion(flow: Flow) -> tuple[dict[int, float], float, float]:
-    """:func:`state_congestion` of a flow the caller has already validated."""
     base = flow.base
     load = np.zeros(base.n)
+    hops = set()
     for p in flow.paths:
         if p.mass == 0.0 or p.length == 0:
             continue
         for s in p.states:
             load[s] += p.length * p.mass
+        hops.update(p.edges())
     per_state = {z: float(load[z] / base.pi[z]) for z in range(base.n)}
     B = max(per_state.values())
 
-    per_edge, _ = _edge_congestion(flow)
     R = _reversal_matrix(base)
     kappa = 0.0
-    for (z, w), a in per_edge.items():
-        if a <= 0.0:
-            continue
-        delta = _overlap(base, R, z, w)
+    for z, w in sorted(hops):
+        delta = float(np.minimum(base.P[z], R[w]).sum())
         if delta == 0.0:
             raise KappaInfinite(
                 f"edge ({base.labels[z]},{base.labels[w]}) carries flow but has zero overlap"
@@ -279,16 +283,15 @@ def spread_flow(flow: Flow) -> Flow:
     which cannot increase congestion).  Raises KappaInfinite when some loaded
     hop has no usable intermediate.
     """
-    _require_valid(flow)
-    _, a_before = _edge_congestion(flow)
+    _, a_before = edge_congestion(flow)
     simple = _simplify(flow)
-    _, a_simple = _edge_congestion(simple)
+    _, a_simple = edge_congestion(simple)
     if a_simple > a_before + 1e-12:
         raise AssertionError("loop erasure increased congestion (internal bug)")
 
     base = simple.base
     R = _reversal_matrix(base)
-    _, B, kappa = _state_congestion(simple)
+    _, B, kappa = state_congestion(simple)
 
     out: dict[tuple[int, ...], float] = defaultdict(float)
     for p in simple.paths:
@@ -315,7 +318,7 @@ def spread_flow(flow: Flow) -> Flow:
     valid, _, violations = validate_flow(result)
     if not valid:
         raise AssertionError("spread flow failed validation: " + "; ".join(violations[:3]))
-    _, a_after = _edge_congestion(result)
+    _, a_after = edge_congestion(result)
     if a_after > 8.0 * kappa * B + 1e-9:
         raise AssertionError(
             f"spread congestion {a_after!r} exceeds 8*kappa*B = {8.0 * kappa * B!r}"

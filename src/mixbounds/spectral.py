@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Chain, _require_irreducible, classify, reversibilize
-from .errors import DimensionMismatch, IllConditioned, NotErgodic, NotReversible, TooLarge
+from .errors import DimensionMismatch, IllConditioned, NotReversible, TooLarge
 
 #: exact conductance limit (the enumeration visits 2^(N-1) - 1 cuts)
 MAX_CONDUCTANCE_STATES = 24
@@ -100,10 +100,8 @@ def eigendecompose(chain: Chain) -> SpectralSummary:
     the edge flow.  Eigenvalues come back sorted descending with orthonormal
     vectors; the leading vector's sign is fixed so it matches sqrt(pi).
     """
-    cls = classify(chain)
-    if not cls.irreducible:
-        raise NotErgodic("eigendecompose requires an irreducible chain")
-    if not cls.reversible:
+    _require_irreducible(chain, "eigendecompose")
+    if not classify(chain).reversible:
         raise NotReversible("eigendecompose requires a reversible chain")
     d = np.sqrt(chain.pi)
     A = (d[:, None] / d[None, :]) * chain.P
@@ -125,10 +123,8 @@ def lambda_constants(chain: Chain) -> tuple[float, float]:
     are computed on the additive reversibilization, which has the same
     quadratic forms (asserted by the test suite, not assumed silently).
     """
-    cls = classify(chain)
-    if not cls.irreducible:
-        raise NotErgodic("lambda_constants requires an irreducible chain")
-    return _gaps(eigendecompose(chain if cls.reversible else reversibilize(chain)))
+    _require_irreducible(chain, "lambda_constants")
+    return _gaps(eigendecompose(chain if classify(chain).reversible else reversibilize(chain)))
 
 
 def _gaps(summary: SpectralSummary) -> tuple[float, float]:

@@ -157,6 +157,7 @@ def test_compare_malformed_flow_exits_two(tmp_path, capsys):
         {"paths": [{"path": 1, "mass": 0.25}]},
         {"paths": 5},
         [],
+        {"paths": [{"path": [], "mass": 0.25}]},  # empty path
     ]
     for data in malformed:
         flow_path.write_text(json.dumps(data))
@@ -206,6 +207,13 @@ def test_mix_continuous_past_the_cap_exits_two(tmp_path, capsys):
     chain_path.write_text(json.dumps({"states": ["a", "b"], "P": [[1 - 1e-8, 1e-8], [1e-8, 1 - 1e-8]]}))
     assert run_cli(["mix", str(chain_path), "--from", "a", "--eps", "0.25", "--continuous"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_selftest_json_reports_no_failures(capsys):
+    assert run_cli(["selftest", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["failed"] == 0 and out["checks"]
+    assert all(check["passed"] for check in out["checks"])
 
 
 def test_selftest_passes(capsys):

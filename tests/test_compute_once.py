@@ -16,18 +16,24 @@ from mixbounds import (
     directed_cycle,
     dhn,
     discrete_mixing_time,
+    edge_congestion,
     eigendecompose,
     full_report,
     lazy,
     multiply,
     nonreversible_bounds,
     random_reversible,
+    save_chain,
     spectral_bounds_reversible,
+    spread_flow,
+    state_congestion,
     time_reversal,
     uniform_walk,
+    validate_flow,
 )
-from mixbounds import chains, flows, mixing
+from mixbounds import chains, flows, mixing, spectral
 from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _same_chain, _skip, _skip_families
+from mixbounds.cli import run_cli
 
 from _families import doubly_stochastic
 
@@ -85,8 +91,8 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     classified = _count(monkeypatch, chains._classify, lambda chain: id(chain))
     iterated = _count(monkeypatch, mixing.discrete_mixing_time,
                       lambda chain, x, eps, *rest: (id(chain), x, float(eps)))
-    validated = _count(monkeypatch, flows.validate_flow, lambda flow: id(flow))
-    congested = _count(monkeypatch, flows._edge_congestion, lambda flow: id(flow))
+    validated = _count(monkeypatch, flows._validate, lambda flow: id(flow))
+    congested = _count(monkeypatch, flows.edge_congestion, lambda flow: id(flow))
     full_report(**kwargs)
     assert exponentials and classified and iterated
     assert max(exponentials.values()) == 1, "a (chain, t) was exponentiated twice"
@@ -107,6 +113,29 @@ def test_a_chain_is_classified_once_across_public_calls(monkeypatch):
     conductance(chain)
     build_canonical_flow(chain, lazy(chain))
     assert classified[id(chain)] == 1
+
+
+def test_a_flow_is_validated_once_across_public_calls(monkeypatch):
+    validated = _count(monkeypatch, flows._validate, lambda flow: id(flow))
+    base = random_reversible(12, 1)
+    flow = build_canonical_flow(base, lazy(base))
+    assert validate_flow(flow) == validate_flow(flow)
+    spread = spread_flow(flow)
+    state_congestion(flow)
+    edge_congestion(flow)
+    edge_congestion(spread)
+    assert validated[id(flow)] == 1 and validated[id(spread)] == 1
+    # the input, its loop-erased simplification, and the spread flow
+    assert len(validated) == 3 and max(validated.values()) == 1
+
+
+def test_analyze_eigensolves_a_reversible_chain_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    save_chain(random_reversible(12, 1), path)
+    solved = _count(monkeypatch, spectral.eigendecompose, lambda chain: id(chain))
+    assert run_cli(["analyze", str(path), "--json"]) == 0
+    assert sum(solved.values()) == 1
+    assert "lambda_1" in capsys.readouterr().out
 
 
 def _reference_report(base, target=None, flow=None, *, x=0, eps=0.25, delta=DELTA_DEFAULT,

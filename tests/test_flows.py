@@ -1,5 +1,7 @@
 """Flows: validation, congestion, canonical routing, and detour spreading."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,10 +42,10 @@ def test_explicit_two_state_flow_is_valid_not_odd():
 
 def test_halved_mass_names_the_broken_edge():
     flow = two_state_uniform_flow(0.25)
-    tampered = Flow(flow.base, flow.target, list(flow.paths))
-    p = tampered.paths[0]
+    p = flow.paths[0]
     assert p.states == (0, 1)
-    tampered.paths[0] = FlowPath(p.states, p.mass / 2)
+    halved = [FlowPath(p.states, p.mass / 2), *flow.paths[1:]]
+    tampered = Flow(flow.base, flow.target, halved)
     valid, _, violations = validate_flow(tampered)
     assert not valid
     assert any("(a,b)" in v for v in violations)
@@ -79,6 +81,36 @@ def test_edge_used_more_than_twice_is_reported():
     walk = FlowPath((0, 1, 0, 1, 0, 1), 0.25)  # edge (a,b) three times
     _, _, violations = validate_flow(Flow(chain, target, [walk]))
     assert any("more than twice" in v for v in violations)
+
+
+def test_a_flow_is_immutable():
+    canonical = two_state_uniform_flow(0.25)
+    paths = list(canonical.paths)
+    flow = Flow(canonical.base, canonical.target, paths)
+    assert isinstance(flow.paths, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        flow.paths = []
+    paths[0] = FlowPath(paths[0].states, paths[0].mass / 2)  # the caller's list only
+    assert flow.paths == canonical.paths
+    valid, _, violations = validate_flow(flow)
+    assert valid
+    violations.append("tampered")
+    assert validate_flow(flow) == (True, False, [])
+
+
+def test_path_states_outside_the_state_space_are_reported():
+    chain = random_reversible(4, 1)
+    target = lazy(chain)
+    canonical = build_canonical_flow(chain, target)
+    for bad, want in (((0, 7), "path (0, 7): state outside 0..3"),
+                      ((-1, 2), "path (-1, 2): state outside 0..3"),
+                      ((), "empty path")):
+        flow = Flow(chain, target, [*canonical.paths, FlowPath(bad, 0.1)])
+        valid, _, violations = validate_flow(flow)
+        assert not valid
+        assert violations == [want]  # kept out of the demand sums
+        with pytest.raises(InvalidFlow):
+            edge_congestion(flow)
 
 
 def test_stationary_mismatch_raises():
