@@ -13,8 +13,9 @@ direction and quantity.  A family is the set of rows one gate turns on or
 off together.  Non-applicability is data, not an error: a report on a
 periodic chain, or with a flow of the wrong kind, carries the gating reason
 for the affected entries.  Each public call derives every chain quantity but
-the classification, which the chain keeps, and each flow's congestion, once
-in one memo (``_Derived``); a flow keeps its own validation.
+the classification, which the chain keeps, once in one memo (``_Derived``).
+A flow keeps its one walk (its validation and loads), so its congestion is a
+cheap read and needs no memo.
 """
 
 from __future__ import annotations
@@ -143,16 +144,15 @@ def _log_term_sq(eps: float, pi_x: float) -> float:
 
 
 class _Derived:
-    """What one public call derives from each chain and flow it touches,
-    computed once.
+    """What one public call derives from each chain it touches, computed once.
 
     Entries are keyed by object identity and hold their object, so an id
     cannot be reused while the memo lives.  A memo is created by a public
     bound function (or ``full_report``) and dropped when that call returns.
     For the continuized times it holds each chain's ``mixing._Ladder``: the
     few anchor exponentials E(2^a) (n x n each, at most four per chain) and
-    every probe's vector of per-start distances.  For a flow it holds its
-    congestion; the flow keeps its own validation.
+    every probe's vector of per-start distances.  It holds nothing for a
+    flow, which keeps its own walk.
     """
 
     def __init__(self):
@@ -183,10 +183,6 @@ class _Derived:
         ladder = self._get(chain, "ladder", lambda: _Ladder(chain))
         return self._get(chain, ("continuous", x, eps),
                          lambda: _continuous_time(chain, x, eps, ladder).time)
-
-    def flow(self, flow: Flow) -> float:
-        """A, the congestion of a valid flow; InvalidFlow if invalid."""
-        return self._get(flow, "A", lambda: edge_congestion(flow)[1])
 
 
 def _same_chain(a: Chain, b: Chain) -> bool:
@@ -263,7 +259,7 @@ def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, 
             raise NotErgodic(f"{who} chain is not ergodic")
     if not _same_chain(flow.base, base) or not _same_chain(flow.target, target):
         raise WrongFlowBase("flow does not connect the given base and target chains")
-    A = d.flow(flow)
+    A = edge_congestion(flow)[1]
     x = base.index(x)
     log_term = _log_term(eps, base.pi[x])
     deltas = sorted(set(DELTA_SWEEP) | {delta}) if sweep else [delta]
@@ -419,7 +415,7 @@ def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, 
         raise WrongFlowBase("flow is routed over neither the base chain nor its reversal product")
     if not _same_chain(flow.target, target):
         raise WrongFlowBase("flow target does not match the given target chain")
-    A = d.flow(flow)
+    A = edge_congestion(flow)[1]
 
     cls_t = classify(target)
     log2 = _log_term_sq(eps, base.pi[x])

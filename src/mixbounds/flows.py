@@ -16,13 +16,17 @@ z counts path occurrences the same way:
 
     B_z = (1 / pi(z)) * sum over occurrences of z on paths of len * mass
 
-Flows are immutable plain data, and all operations are pure.  A flow keeps its
-first validation, so it is validated once however many functions it visits.
+Flows are immutable plain data, and all operations are pure.  A flow keeps
+its walk: one pass over its paths, on the first call that needs it, gives the
+verdict (valid, odd, violations) and the loads (the sums above), which the
+congestions only divide by pi(z)P(z,w) or pi(z).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -30,7 +34,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .chains import Chain, classify
+from .chains import Chain, classify, time_reversal
 from .errors import (
     DimensionMismatch,
     InvalidFlow,
@@ -68,8 +72,8 @@ class FlowPath:
 @dataclass(frozen=True)
 class Flow:
     """Weighted base paths meeting every target-edge demand.  ``paths`` is kept
-    as a tuple, so the validation the flow keeps cannot go stale; two threads
-    may both compute that validation, harmlessly."""
+    as a tuple, so the walk the flow keeps cannot go stale; two threads may
+    both compute that walk, harmlessly."""
 
     base: Chain
     target: Chain
@@ -106,33 +110,53 @@ def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
     Returns ``(valid, odd, violations)``.  Structural problems with the chain
     pair (different state space or stationary law) raise; everything about
     the paths themselves is reported in the violations list, which names the
-    offending demand edge or path.  The flow keeps the result (two threads may
-    both compute it, harmlessly); each call returns a fresh violations list.
+    offending demand edge or path.  The flow keeps the result with its loads
+    (two threads may both compute it, harmlessly); each call returns a fresh
+    violations list.
     """
     if flow._validation is None:
         object.__setattr__(flow, "_validation", _validate(flow))
-    valid, odd, violations = flow._validation
+    valid, odd, violations, _, _ = flow._validation
     return valid, odd, list(violations)
 
 
-def _validate(flow: Flow) -> tuple[bool, bool, tuple[str, ...]]:
+def _validate(flow: Flow) -> tuple:
+    """The walk a flow keeps: one pass over the paths checks legality, sums
+    the routed demands, decides oddness and sums the loads of positive-mass
+    paths: r * len * mass per distinct edge of a path (in first-occurrence
+    order) and len * mass per occurrence of a state."""
     _check_pair(flow.base, flow.target)
-    labels = flow.base.labels
+    n, labels = flow.base.n, flow.base.labels
     support = flow.base.support().tolist()
     violations: list[str] = []
+    routed: dict[tuple[int, int], float] = defaultdict(float)
+    edge_load: dict[tuple[int, int], float] = defaultdict(float)
+    state_load = [0.0] * n
+    odd = True
 
     def name(p: FlowPath) -> str:
         return "->".join(labels[s] for s in p.states)
 
-    legal = []  # paths whose states all lie in the state space
+    # one type scan over all states and masses; a path is scanned only when
+    # that finds a foreign type (bool is no state and no mass)
+    states = set(map(type, itertools.chain.from_iterable(p.states for p in flow.paths)))
+    bad_states = {t for t in states if not issubclass(t, numbers.Integral) or t is bool}
+    bad_masses = {t for t in {type(p.mass) for p in flow.paths}
+                  if not issubclass(t, numbers.Real) or t is bool}
     for p in flow.paths:
         if len(p.states) == 0:
             violations.append("empty path")
             continue
-        if min(p.states) < 0 or max(p.states) >= flow.base.n:
-            violations.append(f"path {p.states!r}: state outside 0..{flow.base.n - 1}")
+        if bad_states and not bad_states.isdisjoint(map(type, p.states)):
+            violations.append(f"path {p.states!r}: states must be integers")
             continue
-        legal.append(p)
+        if min(p.states) < 0 or max(p.states) >= n:
+            violations.append(f"path {p.states!r}: state outside 0..{n - 1}")
+            continue
+        if bad_masses and type(p.mass) in bad_masses:
+            violations.append(f"path {name(p)}: mass {p.mass!r} is not a number")
+            continue
+        routed[p.demand_edge] += p.mass
         if not math.isfinite(p.mass) or p.mass < 0.0 or p.mass > 1.0 + 1e-12:
             violations.append(f"path {name(p)}: mass {p.mass!r} outside [0, 1]")
         edges = p.edges()
@@ -140,19 +164,23 @@ def _validate(flow: Flow) -> tuple[bool, bool, tuple[str, ...]]:
             if not support[u][v]:
                 violations.append(f"path {name(p)}: edge ({labels[u]},{labels[v]}) not in the base chain")
                 break
-        if len(set(edges)) < len(edges):
+        counts = dict.fromkeys(edges, 1)
+        if len(counts) < len(edges):
             counts = Counter(edges)
             e = max(counts, key=counts.get)
             if counts[e] > 2:
                 violations.append(
                     f"path {name(p)}: edge ({labels[e[0]]},{labels[e[1]]}) appears more than twice"
                 )
+        if p.mass > 0.0:
+            length = p.length
+            odd = odd and length % 2 == 1
+            for s in p.states:
+                state_load[s] += length * p.mass
+            for e, r in counts.items():
+                edge_load[e] += r * length * p.mass
 
-    demands = _demands(flow.target)
-    routed: dict[tuple[int, int], float] = defaultdict(float)
-    for p in legal:
-        routed[p.demand_edge] += p.mass
-    for edge, want in demands.items():
+    for edge, want in _demands(flow.target).items():
         got = routed.pop(edge, 0.0)
         if abs(got - want) > DEMAND_TOL:
             violations.append(
@@ -163,42 +191,45 @@ def _validate(flow: Flow) -> tuple[bool, bool, tuple[str, ...]]:
             violations.append(
                 f"edge ({labels[edge[0]]},{labels[edge[1]]}): {got!r} units routed for a zero demand"
             )
-
-    odd = all(p.length % 2 == 1 for p in legal if p.mass > 0.0)
-    return (not violations, odd, tuple(violations))
+    return (not violations, odd, tuple(violations), dict(edge_load), state_load)
 
 
-def _require_valid(flow: Flow) -> None:
-    """Raise InvalidFlow unless the flow is valid."""
+def _loads(flow: Flow) -> tuple[dict[tuple[int, int], float], list[float]]:
+    """The edge and state loads of a valid flow; InvalidFlow if it is invalid."""
     valid, _, violations = validate_flow(flow)
     if not valid:
         raise InvalidFlow("; ".join(violations[:5]))
+    return flow._validation[3:]
 
 
 def edge_congestion(flow: Flow) -> tuple[dict[tuple[int, int], float], float]:
     """Per-edge congestion over every base edge, and its maximum."""
-    _require_valid(flow)
+    load, _ = _loads(flow)
     base = flow.base
-    load: dict[tuple[int, int], float] = defaultdict(float)
-    for p in flow.paths:
-        if p.mass == 0.0 or p.length == 0:
-            continue
-        for edge, r in Counter(p.edges()).items():
-            load[edge] += r * p.length * p.mass
     xs, ys = np.nonzero(base.support())
-    per_edge = {}
-    worst = 0.0
-    for x, y in zip(xs, ys):
-        e = (int(x), int(y))
-        cap = float(base.pi[x] * base.P[x, y])
-        a = load.get(e, 0.0) / cap
-        per_edge[e] = a
-        worst = max(worst, a)
-    return per_edge, worst
+    edges = list(zip(xs.tolist(), ys.tolist()))
+    a = np.array([load.get(e, 0.0) for e in edges]) / (base.pi[xs] * base.P[xs, ys])
+    per_edge = dict(zip(edges, a.tolist()))
+    return per_edge, max(per_edge.values(), default=0.0)
 
 
-def _reversal_matrix(base: Chain) -> np.ndarray:
-    return base.P.T * base.pi[None, :] / base.pi[:, None]
+def _detours(base: Chain, hops) -> dict:
+    """For each distinct hop (u, v), in sorted order: the overlap
+    delta = sum_x min(P(u, x), R(v, x)), the array of intermediates x with a
+    positive minimum, and the array of their shares min(P(u, x), R(v, x)) /
+    delta.  Raises KappaInfinite at the first hop with zero overlap."""
+    R = time_reversal(base).P
+    out = {}
+    for u, v in sorted(hops):
+        weights = np.minimum(base.P[u], R[v])
+        delta = float(weights.sum())
+        if delta == 0.0:
+            raise KappaInfinite(
+                f"edge ({base.labels[u]},{base.labels[v]}) carries flow but has zero overlap"
+            )
+        xs = np.nonzero(weights > 0.0)[0]
+        out[u, v] = delta, xs, weights[xs] / delta
+    return out
 
 
 def state_congestion(flow: Flow) -> tuple[dict[int, float], float, float]:
@@ -210,29 +241,11 @@ def state_congestion(flow: Flow) -> tuple[dict[int, float], float, float]:
     base edges carrying positive congestion); if one of those has zero
     overlap the constant is infinite and KappaInfinite is raised.
     """
-    _require_valid(flow)
+    edge_load, state_load = _loads(flow)
     base = flow.base
-    load = np.zeros(base.n)
-    hops = set()
-    for p in flow.paths:
-        if p.mass == 0.0 or p.length == 0:
-            continue
-        for s in p.states:
-            load[s] += p.length * p.mass
-        hops.update(p.edges())
-    per_state = {z: float(load[z] / base.pi[z]) for z in range(base.n)}
-    B = max(per_state.values())
-
-    R = _reversal_matrix(base)
-    kappa = 0.0
-    for z, w in sorted(hops):
-        delta = float(np.minimum(base.P[z], R[w]).sum())
-        if delta == 0.0:
-            raise KappaInfinite(
-                f"edge ({base.labels[z]},{base.labels[w]}) carries flow but has zero overlap"
-            )
-        kappa = max(kappa, 1.0 / delta)
-    return per_state, B, kappa
+    per_state = dict(enumerate((np.array(state_load) / base.pi).tolist()))
+    kappa = max((1.0 / delta for delta, _, _ in _detours(base, edge_load).values()), default=0.0)
+    return per_state, max(per_state.values()), kappa
 
 
 def _loop_erase(states: tuple[int, ...]) -> tuple[int, ...]:
@@ -290,31 +303,23 @@ def spread_flow(flow: Flow) -> Flow:
         raise AssertionError("loop erasure increased congestion (internal bug)")
 
     base = simple.base
-    R = _reversal_matrix(base)
     _, B, kappa = state_congestion(simple)
+    detours = _detours(base, _loads(simple)[0])
 
     out: dict[tuple[int, ...], float] = defaultdict(float)
     for p in simple.paths:
         if p.length == 0 or p.mass == 0.0:
             out[p.states] += p.mass
             continue
-        hop_shares = []
-        for u, v in p.edges():
-            weights = np.minimum(base.P[u], R[v])
-            delta = float(weights.sum())
-            if delta == 0.0:
-                raise KappaInfinite(
-                    f"hop ({base.labels[u]},{base.labels[v]}) has no detour intermediate"
-                )
-            xs = np.nonzero(weights > 0.0)[0]
-            hop_shares.append([(int(x), float(weights[x] / delta)) for x in xs])
-        for detour, frac in _couple_hops(hop_shares):
+        shares = [zip(xs.tolist(), fracs.tolist())
+                  for _, xs, fracs in map(detours.get, zip(p.states, p.states[1:]))]
+        for detour, frac in _couple_hops(shares):
             states = [p.states[0]]
-            for (u, v), x in zip(p.edges(), detour):
+            for v, x in zip(p.states[1:], detour):
                 states.extend((x, v))
             out[tuple(states)] += frac * p.mass
 
-    result = Flow(base, simple.target, [FlowPath(s, m) for s, m in sorted(out.items()) if m > 0.0])
+    result = Flow(base, simple.target, [FlowPath(s, out[s]) for s in sorted(out) if out[s] > 0.0])
     valid, _, violations = validate_flow(result)
     if not valid:
         raise AssertionError("spread flow failed validation: " + "; ".join(violations[:3]))

@@ -180,16 +180,13 @@ def collect_results() -> list[dict]:
 
 def run_selftest(verbose: bool = True) -> int:
     """Run all built-in checks; returns 0 when everything passes."""
-    failures = 0
-    for name, ok, detail in _checks():
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        if verbose:
-            line = f"[{status}] {name}"
-            if not ok and detail:
-                line += f"  ({detail})"
-            print(line)
+    results = collect_results()
+    failures = sum(1 for r in results if not r["passed"])
     if verbose:
+        for r in results:
+            line = f"[{'PASS' if r['passed'] else 'FAIL'}] {r['name']}"
+            if r["detail"]:
+                line += f"  ({r['detail']})"
+            print(line)
         print(f"selftest: {'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
     return 0 if failures == 0 else 1

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mixbounds import load_chain, save_chain
+from mixbounds import load_chain, save_chain, selftest
 from mixbounds.cli import run_cli
 
 from _families import tiny_mass_chain
@@ -221,3 +221,13 @@ def test_selftest_passes(capsys):
     assert run_cli(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_selftest_prints_each_check_and_counts_failures(monkeypatch, capsys):
+    checks = [("one", True, "unused"), ("two", False, "why"), ("three", False, "")]
+    monkeypatch.setattr(selftest, "_checks", lambda: iter(checks))
+    assert run_cli(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert out == "[PASS] one\n[FAIL] two  (why)\n[FAIL] three\nselftest: 2 check(s) failed\n"
+    assert run_cli(["selftest", "--quiet"]) == 1
+    assert capsys.readouterr().out == ""

@@ -83,6 +83,22 @@ def _count(monkeypatch, fn, key):
     return calls
 
 
+def _count_walks(monkeypatch):
+    """Count, per path object, how often its hops are listed: a walk over a
+    flow lists the hops of each of its paths once."""
+    walks = Counter()
+    kept = []  # holds the paths, so no id is reused during the run
+    edges = flows.FlowPath.edges
+
+    def counting(path):
+        kept.append(path)
+        walks[id(path)] += 1
+        return edges(path)
+
+    monkeypatch.setattr(flows.FlowPath, "edges", counting)
+    return walks
+
+
 @pytest.mark.parametrize("case", sorted(COUNTED))
 def test_full_report_computes_each_quantity_once(monkeypatch, case):
     kwargs = COUNTED[case]()
@@ -92,7 +108,7 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     iterated = _count(monkeypatch, mixing.discrete_mixing_time,
                       lambda chain, x, eps, *rest: (id(chain), x, float(eps)))
     validated = _count(monkeypatch, flows._validate, lambda flow: id(flow))
-    congested = _count(monkeypatch, flows.edge_congestion, lambda flow: id(flow))
+    walked = _count_walks(monkeypatch)
     full_report(**kwargs)
     assert exponentials and classified and iterated
     assert max(exponentials.values()) == 1, "a (chain, t) was exponentiated twice"
@@ -101,7 +117,7 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     assert max(iterated.values()) == 1, "a (chain, x, eps) mixing time was iterated twice"
     assert max(classified.values()) == 1, "a chain object was classified twice"
     assert max(validated.values(), default=0) <= 1, "a flow was validated twice"
-    assert max(congested.values(), default=0) <= 1, "a flow's congestion was computed twice"
+    assert max(walked.values(), default=0) <= 1, "a flow's paths were walked twice"
 
 
 def test_a_chain_is_classified_once_across_public_calls(monkeypatch):
@@ -127,6 +143,18 @@ def test_a_flow_is_validated_once_across_public_calls(monkeypatch):
     assert validated[id(flow)] == 1 and validated[id(spread)] == 1
     # the input, its loop-erased simplification, and the spread flow
     assert len(validated) == 3 and max(validated.values()) == 1
+
+
+def test_the_route_sequence_walks_each_flow_once(monkeypatch):
+    walked = _count_walks(monkeypatch)
+    base = random_reversible(12, 1)
+    flow = build_canonical_flow(base, lazy(base))
+    spread = spread_flow(flow)
+    state_congestion(flow)
+    edge_congestion(spread)
+    # every path of the input, its simplification and the spread flow
+    assert walked and max(walked.values()) == 1
+    assert len(walked) >= len(flow.paths) + len(spread.paths)
 
 
 def test_analyze_eigensolves_a_reversible_chain_once(monkeypatch, tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Flows: validation, congestion, canonical routing, and detour spreading."""
 
 import dataclasses
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixbounds import (
     Flow,
@@ -113,6 +116,34 @@ def test_path_states_outside_the_state_space_are_reported():
             edge_congestion(flow)
 
 
+@pytest.mark.parametrize("bad, want", [
+    (FlowPath((0, 1.5), 0.1), "path (0, 1.5): states must be integers"),
+    (FlowPath((True, 2), 0.1), "path (True, 2): states must be integers"),
+    (FlowPath((0, 1), "0.1"), "path s0->s1: mass '0.1' is not a number"),
+    (FlowPath((0, 1), None), "path s0->s1: mass None is not a number"),
+])
+def test_non_integer_states_and_non_numeric_masses_are_reported(bad, want):
+    chain = random_reversible(4, 1)
+    target = lazy(chain)
+    flow = Flow(chain, target, [*build_canonical_flow(chain, target).paths, bad])
+    valid, _, violations = validate_flow(flow)
+    assert not valid
+    assert violations == [want]  # kept out of the demand sums
+    with pytest.raises(InvalidFlow):
+        edge_congestion(flow)
+
+
+def test_numpy_integer_states_and_float_masses_are_accepted():
+    chain = random_reversible(4, 1)
+    target = lazy(chain)
+    canonical = build_canonical_flow(chain, target)
+    flow = Flow(chain, target, [FlowPath(tuple(np.int64(s) for s in p.states), np.float64(p.mass))
+                                for p in canonical.paths])
+    assert validate_flow(flow) == validate_flow(canonical)
+    assert edge_congestion(flow) == edge_congestion(canonical)
+    assert state_congestion(flow) == state_congestion(canonical)
+
+
 def test_stationary_mismatch_raises():
     skew = build_chain(["a", "b"], [[0.5, 0.5], [0.25, 0.75]])
     flow = Flow(skew, uniform_walk(2, labels=["a", "b"]), [])
@@ -189,6 +220,75 @@ def test_congestion_requires_valid_flow():
     for public in (edge_congestion, state_congestion, spread_flow):
         with pytest.raises(InvalidFlow):
             public(broken)
+
+
+def _per_path_congestions(flow):
+    """Both congestions from the per-path formulas, each in its own walk."""
+    base = flow.base
+    carried = [p for p in flow.paths if p.mass != 0.0 and p.length != 0]
+    load = defaultdict(float)
+    for p in carried:
+        for edge, r in Counter(p.edges()).items():
+            load[edge] += r * p.length * p.mass
+    per_edge, worst = {}, 0.0
+    for x, y in zip(*np.nonzero(base.support())):
+        a = load.get((int(x), int(y)), 0.0) / float(base.pi[x] * base.P[x, y])
+        per_edge[int(x), int(y)] = a
+        worst = max(worst, a)
+    state_load = np.zeros(base.n)
+    for p in carried:
+        for s in p.states:
+            state_load[s] += p.length * p.mass
+    per_state = {z: float(state_load[z] / base.pi[z]) for z in range(base.n)}
+    R = base.P.T * base.pi[None, :] / base.pi[:, None]
+    kappa = 0.0
+    for z, w in sorted({e for p in carried for e in p.edges()}):
+        kappa = max(kappa, 1.0 / float(np.minimum(base.P[z], R[w]).sum()))
+    return (per_edge, worst), (per_state, max(per_state.values()), kappa)
+
+
+@st.composite
+def _small_flows(draw):
+    """A valid flow on a lazy random_reversible chain (every edge present):
+    each demand split over 1-3 paths, some of which use one edge twice or
+    have length 0, plus a few zero-mass paths anywhere."""
+    n = draw(st.integers(3, 5))
+    base = lazy(random_reversible(n, draw(st.integers(0, 99))))
+    target = lazy(base) if draw(st.booleans()) else base
+    state = st.integers(0, n - 1)
+
+    def route(x, y):
+        shape = draw(st.sampled_from(["walk", "twice", "stay"]))
+        if shape == "stay" and x == y:
+            return (x,)
+        if shape == "twice":
+            z = y if x != y else (x + 1) % n
+            return (x, z, x, z, x) if x == y else (x, y, x, y)
+        walk = (x, *draw(st.lists(state, max_size=3)), y)
+        return walk if max(Counter(zip(walk, walk[1:])).values()) <= 2 else (x, y)
+
+    paths = []
+    xs, ys = np.nonzero(target.P)
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        demand = target.pi[x] * target.P[x, y]
+        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3))
+        paths += [FlowPath(route(x, y), demand * w / sum(weights)) for w in weights]
+    for _ in range(draw(st.integers(0, 3))):
+        paths.append(FlowPath(route(draw(state), draw(state)), 0.0))
+    order = draw(st.permutations(range(len(paths))))
+    return Flow(base, target, [paths[i] for i in order])
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_small_flows())
+def test_congestions_equal_the_per_path_formulas(flow):
+    assert validate_flow(flow)[0]
+    (per_edge, worst), (per_state, B, kappa) = _per_path_congestions(flow)
+    got_edge, got_worst = edge_congestion(flow)
+    assert list(got_edge.items()) == list(per_edge.items()) and got_worst == worst
+    got_state, got_B, got_kappa = state_congestion(flow)
+    assert list(got_state.items()) == list(per_state.items())
+    assert (got_B, got_kappa) == (B, kappa)
 
 
 # ---------------------------------------------------------------- canonical flows
