@@ -17,18 +17,20 @@ z counts path occurrences the same way:
     B_z = (1 / pi(z)) * sum over occurrences of z on paths of len * mass
 
 Flows are immutable plain data, and all operations are pure.  A flow keeps
-its walk: one pass over its paths, on the first call that needs it, gives the
-verdict (valid, odd, violations) and the loads (the sums above), which the
-congestions only divide by pi(z)P(z,w) or pi(z).
+its walk: one numpy pass over its paths laid end to end, in blocks, gives the
+verdict (valid, odd, violations) and the loads (the sums above, in path
+order), which the congestions only divide by pi(z)P(z,w) or pi(z).
+Spreading splits each path over its detours by a quantile coupling.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-import math
 import numbers
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -48,6 +50,8 @@ from .errors import (
 
 DEMAND_TOL = 1e-10
 PI_MATCH_TOL = 1e-10
+#: paths per walk block: bounds the walk's arrays, yet keeps numpy's call overhead small
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -61,9 +65,6 @@ class FlowPath:
     def length(self) -> int:
         return len(self.states) - 1
 
-    def edges(self):
-        return list(zip(self.states[:-1], self.states[1:]))
-
     @property
     def demand_edge(self) -> tuple[int, int]:
         return (self.states[0], self.states[-1])
@@ -72,29 +73,24 @@ class FlowPath:
 @dataclass(frozen=True)
 class Flow:
     """Weighted base paths meeting every target-edge demand.  ``paths`` is kept
-    as a tuple, so the walk the flow keeps cannot go stale; two threads may
-    both compute that walk, harmlessly."""
+    as a tuple, so the walk and the detour table the flow keeps cannot go
+    stale; two threads may both compute them, harmlessly."""
 
     base: Chain
     target: Chain
     paths: tuple[FlowPath, ...] = ()
     _validation: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _detours: dict | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "paths", tuple(self.paths))
 
-    def grouped(self) -> dict[tuple[int, int], list[FlowPath]]:
-        groups: dict[tuple[int, int], list[FlowPath]] = defaultdict(list)
-        for p in self.paths:
-            groups[p.demand_edge].append(p)
-        return dict(groups)
 
-
-def _demands(target: Chain) -> dict[tuple[int, int], float]:
-    """pi'(x) P'(x, y) for every target edge, keyed in sorted (row-major) order."""
+def _demands(target: Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The target edges (x, y) in row-major order and pi'(x) P'(x, y) for each."""
     P, pi = target.P, target.pi
     xs, ys = np.nonzero(P > 0.0)
-    return dict(zip(zip(xs.tolist(), ys.tolist()), (pi[xs] * P[xs, ys]).tolist()))
+    return xs, ys, pi[xs] * P[xs, ys]
 
 
 def _check_pair(base: Chain, target: Chain):
@@ -110,9 +106,8 @@ def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
     Returns ``(valid, odd, violations)``.  Structural problems with the chain
     pair (different state space or stationary law) raise; everything about
     the paths themselves is reported in the violations list, which names the
-    offending demand edge or path.  The flow keeps the result with its loads
-    (two threads may both compute it, harmlessly); each call returns a fresh
-    violations list.
+    offending demand edge or path.  The flow keeps the result with its
+    loads; each call returns a fresh violations list.
     """
     if flow._validation is None:
         object.__setattr__(flow, "_validation", _validate(flow))
@@ -120,82 +115,96 @@ def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
     return valid, odd, list(violations)
 
 
+def _scrub(values: np.ndarray, kind: type) -> np.ndarray:
+    """Zeroes and flags the values that are no ``kind``, or bools; tests each type once."""
+    bad = {t for t in set(map(type, values)) if not issubclass(t, kind) or t is bool}
+    flags = (np.fromiter(map(bad.__contains__, map(type, values)), bool, len(values)) if bad
+             else np.zeros(len(values), bool))
+    values[flags] = 0
+    return flags
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan masses are reported, not warned
 def _validate(flow: Flow) -> tuple:
-    """The walk a flow keeps: one pass over the paths checks legality, sums
-    the routed demands, decides oddness and sums the loads of positive-mass
-    paths: r * len * mass per distinct edge of a path (in first-occurrence
-    order) and len * mass per occurrence of a state."""
+    """The walk a flow keeps.  Empty paths and paths with a foreign state or
+    mass are skipped; one sort of (path, edge) keys counts r.  Only paths that
+    break a rule are read in Python, to name the fault.  Every sum runs in
+    path order, as a loop over the paths would add it."""
     _check_pair(flow.base, flow.target)
     n, labels = flow.base.n, flow.base.labels
-    support = flow.base.support().tolist()
+    support = flow.base.support()
     violations: list[str] = []
-    routed: dict[tuple[int, int], float] = defaultdict(float)
-    edge_load: dict[tuple[int, int], float] = defaultdict(float)
-    state_load = [0.0] * n
+    routed, edge_load, state_load = np.zeros(n * n), np.zeros(n * n), np.zeros(n)
     odd = True
 
-    def name(p: FlowPath) -> str:
-        return "->".join(labels[s] for s in p.states)
+    for lo in range(0, len(flow.paths), _BLOCK):
+        block = flow.paths[lo:lo + _BLOCK]
+        sizes = np.fromiter(map(len, map(attrgetter("states"), block)), np.intp, len(block))
+        states = np.fromiter(itertools.chain.from_iterable(map(attrgetter("states"), block)),
+                             object, int(sizes.sum()))
+        owner = np.repeat(np.arange(len(block)), sizes)
+        masses = np.fromiter(map(attrgetter("mass"), block), object, len(block))
 
-    # one type scan over all states and masses; a path is scanned only when
-    # that finds a foreign type (bool is no state and no mass)
-    states = set(map(type, itertools.chain.from_iterable(p.states for p in flow.paths)))
-    bad_states = {t for t in states if not issubclass(t, numbers.Integral) or t is bool}
-    bad_masses = {t for t in {type(p.mass) for p in flow.paths}
-                  if not issubclass(t, numbers.Real) or t is bool}
-    for p in flow.paths:
-        if len(p.states) == 0:
-            violations.append("empty path")
-            continue
-        if bad_states and not bad_states.isdisjoint(map(type, p.states)):
-            violations.append(f"path {p.states!r}: states must be integers")
-            continue
-        if min(p.states) < 0 or max(p.states) >= n:
-            violations.append(f"path {p.states!r}: state outside 0..{n - 1}")
-            continue
-        if bad_masses and type(p.mass) in bad_masses:
-            violations.append(f"path {name(p)}: mass {p.mass!r} is not a number")
-            continue
-        routed[p.demand_edge] += p.mass
-        if not math.isfinite(p.mass) or p.mass < 0.0 or p.mass > 1.0 + 1e-12:
-            violations.append(f"path {name(p)}: mass {p.mass!r} outside [0, 1]")
-        edges = p.edges()
-        for u, v in edges:
-            if not support[u][v]:
-                violations.append(f"path {name(p)}: edge ({labels[u]},{labels[v]}) not in the base chain")
-                break
-        counts = dict.fromkeys(edges, 1)
-        if len(counts) < len(edges):
-            counts = Counter(edges)
-            e = max(counts, key=counts.get)
-            if counts[e] > 2:
-                violations.append(
-                    f"path {name(p)}: edge ({labels[e[0]]},{labels[e[1]]}) appears more than twice"
-                )
-        if p.mass > 0.0:
-            length = p.length
-            odd = odd and length % 2 == 1
-            for s in p.states:
-                state_load[s] += length * p.mass
-            for e, r in counts.items():
-                edge_load[e] += r * length * p.mass
+        def among(ids: np.ndarray) -> np.ndarray:  # flags the paths in ids
+            return np.bincount(ids, minlength=len(block)) > 0
+        bad_state = among(owner[_scrub(states, numbers.Integral)])
+        outside = (states < 0) | (states >= n)
+        states = np.where(outside, 0, states).astype(np.intp)
+        off_space = among(owner[outside])
+        bad_mass = _scrub(masses, numbers.Real)
+        mass = masses.astype(float)
+        kept = (sizes > 0) & ~bad_state & ~off_space & ~bad_mass
 
-    for edge, want in _demands(flow.target).items():
-        got = routed.pop(edge, 0.0)
-        if abs(got - want) > DEMAND_TOL:
-            violations.append(
-                f"edge ({labels[edge[0]]},{labels[edge[1]]}): routed {got!r}, demand {want!r}"
-            )
-    for edge, got in sorted(routed.items()):
-        if got > DEMAND_TOL:
-            violations.append(
-                f"edge ({labels[edge[0]]},{labels[edge[1]]}): {got!r} units routed for a zero demand"
-            )
-    return (not violations, odd, tuple(violations), dict(edge_load), state_load)
+        hop = (owner[1:] == owner[:-1]) & kept[owner[1:]]
+        path, u, v = owner[1:][hop], states[:-1][hop], states[1:][hop]
+        off_base = among(path[~support[u, v]])
+        keys, r = np.unique((path * n + u) * n + v, return_counts=True)
+        path = keys // (n * n)  # now one entry per distinct (path, edge)
+        thrice = among(path[r > 2])
+        bad_range = ~np.isfinite(mass) | (mass < 0.0) | (mass > 1.0 + 1e-12)
+
+        for i in np.flatnonzero(~kept | bad_range | off_base | thrice).tolist():
+            p = block[i]
+            name = "" if bad_state[i] or off_space[i] else "->".join(labels[s] for s in p.states)
+            if not kept[i]:
+                violations.append("empty path" if not sizes[i] else
+                                  f"path {p.states!r}: states must be integers" if bad_state[i] else
+                                  f"path {p.states!r}: state outside 0..{n - 1}" if off_space[i] else
+                                  f"path {name}: mass {p.mass!r} is not a number")
+                continue
+            if bad_range[i]:
+                violations.append(f"path {name}: mass {p.mass!r} outside [0, 1]")
+            edges = Counter(zip(p.states, p.states[1:]))  # in first-occurrence order
+            if off_base[i]:
+                a, b = next(e for e in edges if not support[e])
+                violations.append(f"path {name}: edge ({labels[a]},{labels[b]}) not in the base chain")
+            if thrice[i]:
+                a, b = max(edges, key=edges.get)
+                violations.append(f"path {name}: edge ({labels[a]},{labels[b]}) appears more than twice")
+
+        first = np.cumsum(sizes) - sizes
+        np.add.at(routed, states[first[kept]] * n + states[(first + sizes - 1)[kept]], mass[kept])
+        carry = kept & (mass > 0.0)
+        length = sizes - 1
+        odd = odd and bool(np.all(length[carry] % 2 == 1))
+        weight = np.where(carry, mass, 0.0)  # adding 0.0 leaves a sum as it is
+        np.add.at(state_load, states, (length * weight)[owner])
+        np.add.at(edge_load, keys % (n * n), (r * length[path]) * weight[path])
+
+    xs, ys, want = _demands(flow.target)
+    got = routed[xs * n + ys]
+    for k in np.flatnonzero(np.abs(got - want) > DEMAND_TOL).tolist():
+        violations.append(f"edge ({labels[xs[k]]},{labels[ys[k]]}): "
+                          f"routed {float(got[k])!r}, demand {float(want[k])!r}")
+    routed[xs * n + ys] = 0.0
+    for k in np.flatnonzero(routed > DEMAND_TOL).tolist():
+        violations.append(f"edge ({labels[k // n]},{labels[k % n]}): "
+                          f"{float(routed[k])!r} units routed for a zero demand")
+    return (not violations, odd, tuple(violations), edge_load.reshape(n, n), state_load)
 
 
-def _loads(flow: Flow) -> tuple[dict[tuple[int, int], float], list[float]]:
-    """The edge and state loads of a valid flow; InvalidFlow if it is invalid."""
+def _loads(flow: Flow) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n edge loads and the state loads of a valid flow; InvalidFlow if not."""
     valid, _, violations = validate_flow(flow)
     if not valid:
         raise InvalidFlow("; ".join(violations[:5]))
@@ -207,20 +216,18 @@ def edge_congestion(flow: Flow) -> tuple[dict[tuple[int, int], float], float]:
     load, _ = _loads(flow)
     base = flow.base
     xs, ys = np.nonzero(base.support())
-    edges = list(zip(xs.tolist(), ys.tolist()))
-    a = np.array([load.get(e, 0.0) for e in edges]) / (base.pi[xs] * base.P[xs, ys])
-    per_edge = dict(zip(edges, a.tolist()))
+    a = load[xs, ys] / (base.pi[xs] * base.P[xs, ys])
+    per_edge = dict(zip(zip(xs.tolist(), ys.tolist()), a.tolist()))
     return per_edge, max(per_edge.values(), default=0.0)
 
 
-def _detours(base: Chain, hops) -> dict:
-    """For each distinct hop (u, v), in sorted order: the overlap
-    delta = sum_x min(P(u, x), R(v, x)), the array of intermediates x with a
-    positive minimum, and the array of their shares min(P(u, x), R(v, x)) /
-    delta.  Raises KappaInfinite at the first hop with zero overlap."""
+def _detours(base: Chain, load: np.ndarray) -> dict:
+    """For each loaded hop (u, v), in sorted order: the overlap delta = sum_x m(x),
+    m(x) = min(P(u, x), R(v, x)), and the arrays of the x with m(x) > 0 and of
+    their shares m(x) / delta.  Raises KappaInfinite at a zero overlap."""
     R = time_reversal(base).P
     out = {}
-    for u, v in sorted(hops):
+    for u, v in zip(*(a.tolist() for a in np.nonzero(load > 0.0))):
         weights = np.minimum(base.P[u], R[v])
         delta = float(weights.sum())
         if delta == 0.0:
@@ -243,39 +250,40 @@ def state_congestion(flow: Flow) -> tuple[dict[int, float], float, float]:
     """
     edge_load, state_load = _loads(flow)
     base = flow.base
-    per_state = dict(enumerate((np.array(state_load) / base.pi).tolist()))
-    kappa = max((1.0 / delta for delta, _, _ in _detours(base, edge_load).values()), default=0.0)
+    if flow._detours is None:
+        object.__setattr__(flow, "_detours", _detours(base, edge_load))
+    per_state = dict(enumerate((state_load / base.pi).tolist()))
+    kappa = max((1.0 / delta for delta, _, _ in flow._detours.values()), default=0.0)
     return per_state, max(per_state.values()), kappa
 
 
 def _loop_erase(states: tuple[int, ...]) -> tuple[int, ...]:
-    """Remove cycles between repeated vertices, keeping the endpoints.
-
-    Equal endpoints with distinct interior vertices (a simple closed walk)
-    are left alone; only interior repetitions are cut.
-    """
-    seq = list(states)
-    while True:
-        seen: dict[int, int] = {}
-        cut = None
-        for j, s in enumerate(seq):
-            if s in seen and not (seen[s] == 0 and j == len(seq) - 1):
-                cut = (seen[s], j)
-                break
-            seen.setdefault(s, j)
-        if cut is None:
-            return tuple(seq)
-        i, j = cut
-        seq = seq[: i] + seq[j:]
+    """Remove cycles between repeated vertices, keeping the endpoints, in one
+    chronological pass: a repeated state cuts the walk back to its first
+    occurrence.  Equal endpoints with distinct interior vertices (a simple
+    closed walk) are left alone; only interior repetitions are cut."""
+    out: list[int] = []
+    at: dict[int, int] = {}  # where each state went into out; stale once cut
+    for j, s in enumerate(states):
+        i = at.get(s, len(out))
+        if i < len(out) and out[i] == s and not (i == 0 and j == len(states) - 1):
+            del out[i + 1:]
+        else:
+            at[s] = len(out)
+            out.append(s)
+    return tuple(out)
 
 
 def _simplify(flow: Flow) -> Flow:
-    """Reroute a flow onto simple support by loop erasure; congestion never grows."""
+    """Reroute a flow onto simple support by loop erasure; congestion never
+    grows.  A flow that loop erasure leaves as it is comes back itself."""
     merged: dict[tuple[int, ...], float] = defaultdict(float)
     for p in flow.paths:
-        if p.mass == 0.0:
-            continue
-        merged[_loop_erase(p.states)] += p.mass
+        if p.mass != 0.0:
+            merged[_loop_erase(p.states)] += p.mass
+    # erased walks are loop-free; equal sizes rule out zero masses and merges
+    if len(merged) == len(flow.paths) and all(p.states in merged for p in flow.paths):
+        return flow
     simple = Flow(flow.base, flow.target, [FlowPath(s, m) for s, m in sorted(merged.items())])
     valid, _, violations = validate_flow(simple)
     if not valid:
@@ -302,24 +310,16 @@ def spread_flow(flow: Flow) -> Flow:
     if a_simple > a_before + 1e-12:
         raise AssertionError("loop erasure increased congestion (internal bug)")
 
-    base = simple.base
     _, B, kappa = state_congestion(simple)
-    detours = _detours(base, _loads(simple)[0])
-
     out: dict[tuple[int, ...], float] = defaultdict(float)
-    for p in simple.paths:
-        if p.length == 0 or p.mass == 0.0:
-            out[p.states] += p.mass
-            continue
-        shares = [zip(xs.tolist(), fracs.tolist())
-                  for _, xs, fracs in map(detours.get, zip(p.states, p.states[1:]))]
+    for p in simple.paths:  # a length-0 path is its own detour
+        shares = [list(zip(xs.tolist(), fracs.tolist()))
+                  for _, xs, fracs in map(simple._detours.get, zip(p.states, p.states[1:]))]
         for detour, frac in _couple_hops(shares):
-            states = [p.states[0]]
-            for v, x in zip(p.states[1:], detour):
-                states.extend((x, v))
-            out[tuple(states)] += frac * p.mass
+            states = (p.states[0], *itertools.chain.from_iterable(zip(detour, p.states[1:])))
+            out[states] += frac * p.mass
 
-    result = Flow(base, simple.target, [FlowPath(s, out[s]) for s in sorted(out) if out[s] > 0.0])
+    result = Flow(simple.base, simple.target, [FlowPath(s, out[s]) for s in sorted(out) if out[s] > 0.0])
     valid, _, violations = validate_flow(result)
     if not valid:
         raise AssertionError("spread flow failed validation: " + "; ".join(violations[:3]))
@@ -335,24 +335,22 @@ def _couple_hops(hop_shares: list[list[tuple[int, float]]]):
     """Couple per-hop intermediate distributions into full detour choices.
 
     Yields ``(intermediates, fraction)`` pairs whose per-hop marginals equal
-    the given shares, using linearly many paths instead of the product set.
-    Because all detoured paths have the same length, any coupling with the
-    right marginals gives the same congestion as the full product.
+    the given shares, using linearly many paths instead of the product set:
+    chunks run between consecutive points of the union of the hops'
+    cumulative shares (a quantile coupling; dust of 1e-14 or less is dropped,
+    except a hop's last share).  All detoured paths have the same length, so
+    any coupling with the right marginals gives the full product's congestion.
     """
-    fronts = [list(h) for h in hop_shares]
-    remaining = 1.0
-    while remaining > 1e-14:
-        for h in fronts:
-            while len(h) > 1 and h[0][1] <= 1e-14:
-                h.pop(0)
-        chunk = min(min(h[0][1] for h in fronts), remaining)
-        if chunk <= 0.0:
+    kept = [[pair for pair in pairs[:-1] if pair[1] > 1e-14] + pairs[-1:] for pairs in hop_shares]
+    hops = [([x for x, _ in h], list(itertools.accumulate(s for _, s in h))) for h in kept]
+    start = 0.0
+    while 1.0 - start > 1e-14:
+        picks = [min(bisect.bisect_right(cum, start + 1e-14), len(cum) - 1) for _, cum in hops]
+        end = min([1.0, *(cum[j] for (_, cum), j in zip(hops, picks))])
+        if end <= start:
             break  # floating-point dust only; demand check catches real loss
-        yield tuple(h[0][0] for h in fronts), chunk
-        remaining -= chunk
-        for h in fronts:
-            x, share = h[0]
-            h[0] = (x, share - chunk)
+        yield tuple(xs[j] for (xs, _), j in zip(hops, picks)), end - start
+        start = end
 
 
 def build_canonical_flow(base: Chain, target: Chain, odd: bool = False) -> Flow:
@@ -380,7 +378,7 @@ def build_canonical_flow(base: Chain, target: Chain, odd: bool = False) -> Flow:
     D = shortest_path(csr_matrix(S), unweighted=True)
     next_hop: dict[int, np.ndarray] = {}
     paths = []
-    for (x, y), mass in _demands(target).items():
+    for x, y, mass in zip(*(a.tolist() for a in _demands(target))):
         if mass == 0.0:
             continue
         if not odd and x == y:

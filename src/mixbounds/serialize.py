@@ -76,15 +76,16 @@ def flow_from_dict(data: dict, base: Chain, target: Chain) -> Flow:
     paths = []
     for item in data.get("paths", []):
         try:
-            states = tuple(int(s) for s in item["path"])
-            mass = float(item["mass"])
-        except (KeyError, TypeError, ValueError):
+            states, mass = tuple(item["path"]), item["mass"]
+            if any(type(s) is not int for s in states) or type(mass) not in (int, float):
+                raise TypeError  # JSON integers and numbers only: no bools or strings
+        except (KeyError, TypeError):
             raise MixboundsError(
                 f"flow path {item!r} needs a 'path' of state indices and a numeric 'mass'"
             ) from None
         if any(not 0 <= s < base.n for s in states):
             raise DimensionMismatch(f"path {states} leaves the state space")
-        paths.append(FlowPath(states, mass))
+        paths.append(FlowPath(states, float(mass)))
     return Flow(base, target, paths)
 
 

@@ -158,6 +158,11 @@ def test_compare_malformed_flow_exits_two(tmp_path, capsys):
         {"paths": 5},
         [],
         {"paths": [{"path": [], "mass": 0.25}]},  # empty path
+        {"paths": [{"path": [0, 1.7], "mass": 0.25}]},
+        {"paths": [{"path": [True, 1], "mass": 0.25}]},
+        {"paths": [{"path": ["0", 1], "mass": 0.25}]},
+        {"paths": [{"path": [0, 1], "mass": "0.25"}]},
+        {"paths": [{"path": [0, 1], "mass": True}]},
     ]
     for data in malformed:
         flow_path.write_text(json.dumps(data))

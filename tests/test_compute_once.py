@@ -84,19 +84,9 @@ def _count(monkeypatch, fn, key):
 
 
 def _count_walks(monkeypatch):
-    """Count, per path object, how often its hops are listed: a walk over a
-    flow lists the hops of each of its paths once."""
-    walks = Counter()
-    kept = []  # holds the paths, so no id is reused during the run
-    edges = flows.FlowPath.edges
-
-    def counting(path):
-        kept.append(path)
-        walks[id(path)] += 1
-        return edges(path)
-
-    monkeypatch.setattr(flows.FlowPath, "edges", counting)
-    return walks
+    """Count, per flow object, how often its paths are walked: the walk lays
+    out and checks every path of a flow, so it runs once per flow."""
+    return _count(monkeypatch, flows._validate, lambda flow: id(flow))
 
 
 @pytest.mark.parametrize("case", sorted(COUNTED))
@@ -141,20 +131,22 @@ def test_a_flow_is_validated_once_across_public_calls(monkeypatch):
     edge_congestion(flow)
     edge_congestion(spread)
     assert validated[id(flow)] == 1 and validated[id(spread)] == 1
-    # the input, its loop-erased simplification, and the spread flow
-    assert len(validated) == 3 and max(validated.values()) == 1
+    # the input, which loop erasure leaves as it is, and the spread flow
+    assert len(validated) == 2 and max(validated.values()) == 1
 
 
 def test_the_route_sequence_walks_each_flow_once(monkeypatch):
     walked = _count_walks(monkeypatch)
+    detoured = _count(monkeypatch, flows._detours, lambda base, load: id(base))
     base = random_reversible(12, 1)
     flow = build_canonical_flow(base, lazy(base))
     spread = spread_flow(flow)
     state_congestion(flow)
     edge_congestion(spread)
-    # every path of the input, its simplification and the spread flow
+    # the input, which is its own simplification, and the spread flow
     assert walked and max(walked.values()) == 1
-    assert len(walked) >= len(flow.paths) + len(spread.paths)
+    assert set(walked) == {id(flow), id(spread)}
+    assert sum(detoured.values()) == 1, "the input's detour table was built twice"
 
 
 def test_analyze_eigensolves_a_reversible_chain_once(monkeypatch, tmp_path, capsys):

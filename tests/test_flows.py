@@ -1,6 +1,7 @@
 """Flows: validation, congestion, canonical routing, and detour spreading."""
 
 import dataclasses
+import tracemalloc
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -29,6 +30,7 @@ from mixbounds import (
     uniform_walk,
     validate_flow,
 )
+from mixbounds import flows
 from mixbounds.errors import InvalidFlow, KappaInfinite, NoOddPath, StationaryMismatch
 
 from _families import doubly_stochastic, nonreversible_pair, reversible_pair
@@ -133,6 +135,36 @@ def test_non_integer_states_and_non_numeric_masses_are_reported(bad, want):
         edge_congestion(flow)
 
 
+def test_every_violation_kind_is_named_in_path_order():
+    chain = random_reversible(5, seed=3)  # state s0 has no self-loop
+    canonical = [p for p in build_canonical_flow(chain, chain).paths if p.states != (1, 0)]
+    bad = [
+        FlowPath((), 0.1),
+        FlowPath((0, 1.5), 0.1),
+        FlowPath((2.5, 1), None),  # the state is named, not the mass
+        FlowPath((0, 9), 0.1),
+        FlowPath((0, 1), "0.1"),
+        FlowPath((0, 1), 1.5),
+        FlowPath((0, 0), 0.05),
+        FlowPath((0, 1, 0, 1, 0, 1), 0.0),
+    ]
+    flow = Flow(chain, chain, canonical[:3] + bad[:5] + canonical[3:6] + bad[5:] + canonical[6:])
+    # recorded from the per-path loop that the array walk replaced
+    assert validate_flow(flow) == (False, False, [
+        "empty path",
+        "path (0, 1.5): states must be integers",
+        "path (2.5, 1): states must be integers",
+        "path (0, 9): state outside 0..4",
+        "path s0->s1: mass '0.1' is not a number",
+        "path s0->s1: mass 1.5 outside [0, 1]",
+        "path s0->s0: edge (s0,s0) not in the base chain",
+        "path s0->s1->s0->s1->s0->s1: edge (s0,s1) appears more than twice",
+        "edge (s0,s1): routed 1.5302148678661394, demand 0.030214867866139333",
+        "edge (s1,s0): routed 0.0, demand 0.030214867866139337",
+        "edge (s0,s0): 0.05 units routed for a zero demand",
+    ])
+
+
 def test_numpy_integer_states_and_float_masses_are_accepted():
     chain = random_reversible(4, 1)
     target = lazy(chain)
@@ -228,7 +260,7 @@ def _per_path_congestions(flow):
     carried = [p for p in flow.paths if p.mass != 0.0 and p.length != 0]
     load = defaultdict(float)
     for p in carried:
-        for edge, r in Counter(p.edges()).items():
+        for edge, r in Counter(zip(p.states, p.states[1:])).items():
             load[edge] += r * p.length * p.mass
     per_edge, worst = {}, 0.0
     for x, y in zip(*np.nonzero(base.support())):
@@ -242,7 +274,7 @@ def _per_path_congestions(flow):
     per_state = {z: float(state_load[z] / base.pi[z]) for z in range(base.n)}
     R = base.P.T * base.pi[None, :] / base.pi[:, None]
     kappa = 0.0
-    for z, w in sorted({e for p in carried for e in p.edges()}):
+    for z, w in sorted({e for p in carried for e in zip(p.states, p.states[1:])}):
         kappa = max(kappa, 1.0 / float(np.minimum(base.P[z], R[w]).sum()))
     return (per_edge, worst), (per_state, max(per_state.values()), kappa)
 
@@ -291,18 +323,37 @@ def test_congestions_equal_the_per_path_formulas(flow):
     assert (got_B, got_kappa) == (B, kappa)
 
 
+def test_loads_across_walk_blocks_equal_the_per_path_formulas():
+    base = random_reversible(32, 1)
+    spread = spread_flow(build_canonical_flow(base, lazy(base), odd=True))
+    flow = Flow(spread.base, spread.target, spread.paths)
+    assert len(flow.paths) > 4 * flows._BLOCK
+    assert any(len(set(zip(p.states, p.states[1:]))) < p.length for p in flow.paths)
+    (per_edge, worst), (per_state, B, kappa) = _per_path_congestions(flow)
+    assert edge_congestion(flow) == (per_edge, worst)
+    assert state_congestion(flow) == (per_state, B, kappa)
+
+
 # ---------------------------------------------------------------- canonical flows
+
+
+def _grouped(flow):
+    """The paths of a flow by demand edge."""
+    groups = defaultdict(list)
+    for p in flow.paths:
+        groups[p.demand_edge].append(p)
+    return groups
 
 
 def test_canonical_flow_self_demands():
     chain = two_state(0.25)
     target = uniform_walk(2, labels=["a", "b"])
     flow = build_canonical_flow(chain, target, odd=False)
-    by_demand = flow.grouped()
+    by_demand = _grouped(flow)
     assert by_demand[(0, 0)][0].states == (0,)
     flow_odd = build_canonical_flow(chain, target, odd=True)
     assert all(p.length % 2 == 1 for p in flow_odd.paths)
-    assert flow_odd.grouped()[(0, 0)][0].states == (0, 0)  # direct self-loop
+    assert _grouped(flow_odd)[(0, 0)][0].states == (0, 0)  # direct self-loop
 
 
 def test_canonical_flow_odd_impossible_on_bipartite():
@@ -324,8 +375,8 @@ def test_canonical_flow_lexicographic_tie_break():
     )
     square = build_chain(["s0", "s1", "s2", "s3"], P)
     flow = build_canonical_flow(square, uniform_walk(4), odd=False)
-    assert flow.grouped()[(0, 3)][0].states == (0, 1, 3)
-    assert flow.grouped()[(3, 0)][0].states == (3, 1, 0)
+    assert _grouped(flow)[(0, 3)][0].states == (0, 1, 3)
+    assert _grouped(flow)[(3, 0)][0].states == (3, 1, 0)
 
 
 def test_canonical_flow_odd_on_chain_without_self_loops():
@@ -523,3 +574,105 @@ def test_spread_flow_on_seeded_instances():
         assert valid, violations
         _, worst = edge_congestion(spread)
         assert worst <= 8.0 * kappa * B + 1e-9
+
+
+def _greedy_coupling(hop_shares):
+    """The greedy coupling the quantile coupling replaced, kept as its
+    reference: every chunk is the smallest share left at the hops' fronts."""
+    fronts = [list(h) for h in hop_shares]
+    remaining = 1.0
+    while remaining > 1e-14:
+        for h in fronts:
+            while len(h) > 1 and h[0][1] <= 1e-14:
+                h.pop(0)
+        chunk = min(min(h[0][1] for h in fronts), remaining)
+        if chunk <= 0.0:
+            break
+        yield tuple(h[0][0] for h in fronts), chunk
+        remaining -= chunk
+        for h in fronts:
+            x, share = h[0]
+            h[0] = (x, share - chunk)
+
+
+@st.composite
+def _hop_shares(draw):
+    """1-4 hops, each a distribution over 1-6 intermediates; tiny weights give
+    shares of 1e-14 or less."""
+    hops = []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = draw(st.lists(st.one_of(st.floats(1e-3, 1.0), st.floats(1e-20, 1e-14)),
+                                min_size=1, max_size=6))
+        xs = draw(st.lists(st.integers(0, 40), min_size=len(weights), max_size=len(weights),
+                           unique=True))
+        total = sum(weights)
+        hops.append([(x, w / total) for x, w in zip(xs, weights)])
+    return hops
+
+
+def _by_detour(coupling):
+    fractions = defaultdict(float)
+    for detour, frac in coupling:
+        fractions[detour] += frac
+    return fractions
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_hop_shares())
+def test_quantile_coupling_matches_the_greedy_coupling(hops):
+    got = _by_detour(flows._couple_hops(hops))
+    want = _by_detour(_greedy_coupling(hops))
+    # The greedy coupling loses the remainder (at most 1e-14, the dust) of
+    # each front it drops, where the quantile coupling keeps fixed cumulative
+    # points.  So a chunk may move by up to the dust per entry, and a chunk of
+    # that size may exist in one coupling only; every other detour is in both.
+    tol = sum(map(len, hops)) * 1e-14
+    for detour in got.keys() | want.keys():
+        a, b = got.get(detour, 0.0), want.get(detour, 0.0)
+        assert abs(a - b) <= 1e-12 * max(a, b) + tol, detour
+    for h, shares in enumerate(hops):
+        marginal = Counter()
+        for detour, frac in got.items():
+            marginal[detour[h]] += frac
+        for x, share in shares:
+            assert abs(marginal[x] - share) <= tol
+
+
+def _restart_loop_erase(states):
+    """Loop erasure that restarts its scan after every cut, kept as the
+    reference for the one-pass version."""
+    seq = list(states)
+    while True:
+        seen = {}
+        cut = None
+        for j, s in enumerate(seq):
+            if s in seen and not (seen[s] == 0 and j == len(seq) - 1):
+                cut = (seen[s], j)
+                break
+            seen.setdefault(s, j)
+        if cut is None:
+            return tuple(seq)
+        i, j = cut
+        seq = seq[: i] + seq[j:]
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=14), st.booleans())
+def test_loop_erasure_matches_the_restarting_scan(walk, closed):
+    if closed:
+        walk = [*walk, walk[0]]
+    assert flows._loop_erase(tuple(walk)) == _restart_loop_erase(walk)
+
+
+def test_validating_a_large_spread_flow_stays_small():
+    """The walk runs in blocks, so its arrays never span the whole flow."""
+    base = random_reversible(32, 1)
+    spread = spread_flow(build_canonical_flow(base, lazy(base)))
+    flow = Flow(spread.base, spread.target, spread.paths)
+    tracemalloc.start()
+    try:
+        assert validate_flow(flow)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6, f"validating {len(flow.paths)} paths peaked at {peak / 1e6:.1f} MB"
