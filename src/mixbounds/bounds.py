@@ -25,17 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import Chain, classify, lazy, multiply, reversibilize, time_reversal
-from .errors import (
-    BadDelta,
-    BadParams,
-    MixboundsError,
-    NotErgodic,
-    NotIrreducible,
-    NotReversible,
-    WrongFlowBase,
-)
-from .flows import Flow, _check_pair, edge_congestion, validate_flow
+from .chains import Chain, _check_pair, _require, classify, lazy, multiply, reversibilize, time_reversal
+from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
+from .flows import Flow, edge_congestion, validate_flow
 from .mixing import _Ladder, _check_eps, _continuous_time, discrete_mixing_time
 from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _gaps, conductance, eigendecompose
 
@@ -121,10 +113,7 @@ def _skip_families(reason: str, *families: str) -> list[BoundEntry]:
 
 
 def _check_delta(delta: float) -> float:
-    try:
-        delta = float(delta)
-    except (TypeError, ValueError):
-        raise BadDelta(f"delta must be a number, got {delta!r}") from None
+    delta = _real(delta, "delta", BadDelta)
     if not 0.0 < delta < 0.5:
         raise BadDelta(f"delta must lie in (0, 1/2), got {delta}")
     return delta
@@ -206,11 +195,8 @@ def spectral_bounds_reversible(chain: Chain, x, eps: float) -> list[BoundEntry]:
 
 def _spectral_bounds_reversible(d: _Derived, chain: Chain, x, eps: float) -> list[BoundEntry]:
     eps = _check_eps(eps)
-    cls = classify(chain)
-    if not cls.reversible:
-        raise NotReversible("spectral mixing bounds need a reversible chain")
-    if not cls.ergodic:
-        raise NotErgodic("spectral mixing bounds need an ergodic chain")
+    _require(chain, "reversible", "spectral mixing bounds")
+    _require(chain, "ergodic", "spectral mixing bounds")
     x = chain.index(x)
     bm = d.summary(chain).beta_max
     entries = []
@@ -252,11 +238,8 @@ def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, 
     eps = _check_eps(eps)
     delta = _check_delta(delta)
     for c, who in ((base, "base"), (target, "target")):
-        cls = classify(c)
-        if not cls.reversible:
-            raise NotReversible(f"{who} chain is not reversible")
-        if not cls.ergodic:
-            raise NotErgodic(f"{who} chain is not ergodic")
+        _require(c, "reversible", f"reversible comparison bounds ({who})")
+        _require(c, "ergodic", f"reversible comparison bounds ({who})")
     if not _same_chain(flow.base, base) or not _same_chain(flow.target, target):
         raise WrongFlowBase("flow does not connect the given base and target chains")
     A = edge_congestion(flow)[1]
@@ -315,18 +298,14 @@ def conductance_bounds(
 def _check_tau(tau, name: str) -> float | None:
     if tau is None:
         return None
-    try:
-        tau = float(tau)
-    except (TypeError, ValueError):
-        raise BadParams(f"{name} must be None or a number, got {tau!r}") from None
+    tau = _real(tau, f"{name} (or None)", BadParams)
     if not (math.isfinite(tau) and tau > 0.0):
         raise BadParams(f"{name} must be finite and > 0, got {tau!r}")
     return tau
 
 
 def _conductance_bounds(d: _Derived, chain: Chain, discrete_tau, continuous_tau) -> list[BoundEntry]:
-    if not classify(chain).irreducible:
-        raise NotErgodic("conductance bounds need an irreducible chain")
+    _require(chain, "irreducible", "conductance bounds")
     lam1, _ = d.lambdas(chain)
     entries = []
     if chain.n <= MAX_CONDUCTANCE_STATES:
@@ -369,18 +348,17 @@ def nonreversible_bounds(chain: Chain, x, eps: float) -> list[BoundEntry]:
 
 def _nonreversible_bounds(d: _Derived, chain: Chain, x, eps: float) -> list[BoundEntry]:
     eps = _check_eps(eps)
-    cls = classify(chain)
-    if not cls.irreducible:
-        raise NotIrreducible("nonreversible bounds need an irreducible chain")
+    _require(chain, "irreducible", "nonreversible bounds")
     x = chain.index(x)
     lam1, _ = d.lambdas(chain)
     log2 = _log_term_sq(eps, chain.pi[x])
     entries = [_entry("T22", log2 / (2.0 * lam1), d.continuous(chain, x, eps))]
     product = d.product(chain)
+    # R(P) P never links two cyclic classes, so a periodic chain's product is
+    # reducible: T23 is skipped here, and T25 never sees a periodic base, as
+    # no valid flow routes over a reducible product (edge_congestion raises)
     if not classify(product).irreducible:
         entries.append(_skip("T23", "reversal-product chain is reducible (gap 0)"))
-    elif not cls.aperiodic:
-        entries.append(_skip("T23", "chain is periodic: no discrete mixing time"))
     else:
         lam_prod, _ = d.lambdas(product)
         entries.append(_entry("T23", log2 / lam_prod, d.discrete(chain, x, eps)))
@@ -402,8 +380,7 @@ def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) ->
 def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, eps) -> list[BoundEntry]:
     eps = _check_eps(eps)
     for c, who in ((base, "base"), (target, "target")):
-        if not classify(c).irreducible:
-            raise NotIrreducible(f"{who} chain is reducible")
+        _require(c, "irreducible", f"general comparison bounds ({who})")
     _check_pair(base, target)
     x = base.index(x)
 
@@ -441,9 +418,7 @@ def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, 
         reason = "flow is routed over the reversal product"
         entries.append(_skip("T24c", reason))
         entries.append(_skip("T24d", reason))
-        if not classify(base).aperiodic:
-            entries.append(_skip("T25", "base chain is periodic: no discrete mixing time"))
-        elif tau_t_disc is None:
+        if tau_t_disc is None:
             entries.append(_skip("T25", "target is periodic: no discrete mixing time"))
         else:
             exact_disc = d.discrete(base, x, eps)
@@ -515,9 +490,7 @@ def full_report(
     if (target is None) != (flow is None):
         raise MixboundsError("supply target and flow together, or neither")
     d = _Derived()
-    cls = classify(base)
-    if not cls.irreducible:
-        raise NotIrreducible("no report for a reducible chain")
+    cls = _require(base, "irreducible", "full report")
     x_idx = base.index(x)
 
     exact_disc = d.discrete(base, x_idx, eps) if cls.ergodic else None

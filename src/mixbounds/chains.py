@@ -22,8 +22,11 @@ from .errors import (
     DimensionMismatch,
     NonStochastic,
     NotErgodic,
+    NotIrreducible,
+    NotReversible,
     SingularStationary,
     StationaryMismatch,
+    _square,
 )
 
 #: input validation: rejected beyond this
@@ -124,30 +127,22 @@ def build_chain(labels, P, name=None) -> Chain:
 
     Raises:
         DimensionMismatch: non-square matrix, rows of different lengths,
-            label count mismatch or repeated labels.
-        NonStochastic: non-numeric or negative entries, or row sums off by
-            more than 1e-9.
+            labels not a list or tuple, label count mismatch or repeated labels.
+        NonStochastic: non-numeric, non-finite or negative entries, or row
+            sums off by more than 1e-9.
         SingularStationary: stationary space not one-dimensional, or the
             solution is not strictly positive (e.g. transient states).
     """
-    try:
-        P = np.asarray(P, dtype=float)
-    except (TypeError, ValueError):
-        rows = P if isinstance(P, (list, tuple)) else ()
-        if len({len(r) if isinstance(r, (list, tuple)) else -1 for r in rows}) > 1:
-            raise DimensionMismatch("transition matrix rows differ in length") from None
-        raise NonStochastic("transition matrix has a non-numeric entry") from None
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise DimensionMismatch(f"transition matrix must be square, got {P.shape}")
+    P = _square(P, "transition matrix", NonStochastic)
     n = P.shape[0]
     if n < 2:
         raise DimensionMismatch("need at least 2 states")
+    if not isinstance(labels, (list, tuple)):
+        raise DimensionMismatch(f"state labels must be a list, got {type(labels).__name__}")
     if len(labels) != n:
         raise DimensionMismatch(f"{len(labels)} labels for {n} states")
     if len({str(s) for s in labels}) != n:
         raise DimensionMismatch("state labels are not distinct")
-    if not np.all(np.isfinite(P)):
-        raise NonStochastic("transition matrix has non-finite entries")
     if np.any(P < -ROW_SUM_TOL):
         raise NonStochastic("transition matrix has a negative entry")
     P = np.where(P < 0.0, 0.0, P)
@@ -224,9 +219,25 @@ def _period(graph: csr_matrix) -> int:
     return int(np.gcd.reduce(depth[u] + 1 - depth[v]))
 
 
-def _require_irreducible(chain: Chain, op: str) -> None:
-    if not classify(chain).irreducible:
-        raise NotErgodic(f"{op} requires an irreducible chain")
+#: the error each gated property raises when a chain lacks it
+_GATES = {"irreducible": NotIrreducible, "ergodic": NotErgodic, "reversible": NotReversible}
+
+
+def _require(chain: Chain, prop: str, op: str) -> ChainClass:
+    """The chain's classification, once ``prop`` (irreducible, ergodic or
+    reversible) is checked to hold; the error it raises names ``op``."""
+    cls = classify(chain)
+    if not getattr(cls, prop):
+        raise _GATES[prop](f"{op}: the chain must be {prop}")
+    return cls
+
+
+def _check_pair(a: Chain, b: Chain) -> None:
+    """Raises unless the chains share a state space and pi (within 1e-10)."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"state spaces differ: {a.n} vs {b.n}")
+    if np.abs(a.pi - b.pi).max() > STATIONARY_TOL:
+        raise StationaryMismatch("chains do not share a stationary distribution")
 
 
 def time_reversal(chain: Chain) -> Chain:
@@ -235,7 +246,7 @@ def time_reversal(chain: Chain) -> Chain:
     Shares the stationary distribution of the input; applying it twice gives
     back the original matrix (within 1e-12).
     """
-    _require_irreducible(chain, "time_reversal")
+    _require(chain, "irreducible", "time_reversal")
     R = chain.P.T * chain.pi[None, :] / chain.pi[:, None]
     return Chain(chain.labels, R, chain.pi, name=f"reversal({chain.name})")
 
@@ -249,10 +260,7 @@ def multiply(a: Chain, b: Chain) -> Chain:
     cycle composed with its reversal) are representable and ``classify``
     reports them.
     """
-    if a.n != b.n:
-        raise DimensionMismatch(f"state spaces differ: {a.n} vs {b.n}")
-    if np.abs(a.pi - b.pi).max() > STATIONARY_TOL:
-        raise StationaryMismatch("chains do not share a stationary distribution")
+    _check_pair(a, b)
     return Chain(a.labels, a.P @ b.P, a.pi, name=f"{a.name}*{b.name}")
 
 
@@ -268,7 +276,7 @@ def reversibilize(chain: Chain) -> Chain:
     Preserves the quadratic forms built from pi(x)P(x,y), which is why the
     spectral constants of a non-reversible chain can be read off this one.
     """
-    _require_irreducible(chain, "reversibilize")
+    _require(chain, "irreducible", "reversibilize")
     R = time_reversal(chain)
     H = 0.5 * (chain.P + R.P)
     return Chain(chain.labels, H, chain.pi, name=f"rev({chain.name})")

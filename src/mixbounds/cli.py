@@ -214,10 +214,7 @@ def run_cli(argv=None) -> int:
                 print(json.dumps({"checks": results, "failed": failed}, indent=2))
                 return 0 if failed == 0 else 1
             return run_selftest(verbose=not args.quiet)
-    except MixboundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MixboundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

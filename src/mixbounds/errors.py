@@ -1,4 +1,15 @@
-"""Exception hierarchy. Everything derives from MixboundsError (a ValueError)."""
+"""Exception hierarchy, and the parsers of outside input that raise it.
+
+Public functions raise a MixboundsError (a ValueError) subclass on bad
+input, and the CLI exits 2 on one.  NotIrreducible is a NotErgodic.  Numbers,
+counts and arrays are parsed here, by ``_real``, ``_count``, ``_floats`` and
+``_square``; each caller names the error class and keeps its own range test.
+"""
+
+import reprlib
+import sys
+
+import numpy as np
 
 
 class MixboundsError(ValueError):
@@ -22,7 +33,7 @@ class NotErgodic(MixboundsError):
     """Operation requires an irreducible (and, where stated, aperiodic) chain."""
 
 
-class NotIrreducible(MixboundsError):
+class NotIrreducible(NotErgodic):
     """Operation requires an irreducible chain."""
 
 
@@ -82,3 +93,41 @@ class Unreachable(MixboundsError):
 
 class WrongFlowBase(MixboundsError):
     """The flow is not built over the chain the requested bound needs."""
+
+
+def _real(value, what: str, error: type) -> float:
+    """``float(value)``; whatever float() rejects or overflows on raises ``error``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} must be a number, got {reprlib.repr(value)}") from None
+
+
+def _count(value, what: str, error: type, least: int = 0, most: int = sys.maxsize) -> int:
+    """An integer in [least, most], else ``error``; sys.maxsize is the largest numpy size."""
+    if not isinstance(value, (int, np.integer)) or not least <= value <= most:
+        raise error(f"{what} must be an integer in [{least}, {most}], got {reprlib.repr(value)}")
+    return int(value)
+
+
+def _floats(values, what: str, error: type) -> np.ndarray:
+    """``values`` as a float array.  Ragged rows raise DimensionMismatch; a
+    non-numeric, overflowing or non-finite entry raises ``error``."""
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        rows = values if isinstance(values, (list, tuple)) else ()
+        if len({len(r) if isinstance(r, (list, tuple)) else -1 for r in rows}) > 1:
+            raise DimensionMismatch(f"{what} rows differ in length") from None
+        raise error(f"{what} has a non-numeric entry, or one too large for a float") from None
+    if not np.all(np.isfinite(out)):
+        raise error(f"{what} has non-finite entries")
+    return out
+
+
+def _square(M, what: str, error: type) -> np.ndarray:
+    """``M`` parsed by ``_floats``, and DimensionMismatch unless it is a square matrix."""
+    M = _floats(M, what, error)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"{what} must be square, got {M.shape}")
+    return M

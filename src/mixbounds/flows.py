@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import numbers
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -36,20 +37,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .chains import Chain, classify, time_reversal
-from .errors import (
-    DimensionMismatch,
-    InvalidFlow,
-    KappaInfinite,
-    NoOddPath,
-    NotErgodic,
-    NotSimplifiable,
-    StationaryMismatch,
-    Unreachable,
-)
+from .chains import Chain, _check_pair, _require, time_reversal
+from .errors import InvalidFlow, KappaInfinite, NoOddPath, NotSimplifiable, Unreachable
 
 DEMAND_TOL = 1e-10
-PI_MATCH_TOL = 1e-10
 #: paths per walk block: bounds the walk's arrays, yet keeps numpy's call overhead small
 _BLOCK = 4096
 
@@ -91,13 +82,6 @@ def _demands(target: Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     P, pi = target.P, target.pi
     xs, ys = np.nonzero(P > 0.0)
     return xs, ys, pi[xs] * P[xs, ys]
-
-
-def _check_pair(base: Chain, target: Chain):
-    if base.n != target.n:
-        raise DimensionMismatch(f"state spaces differ: {base.n} vs {target.n}")
-    if np.abs(base.pi - target.pi).max() > PI_MATCH_TOL:
-        raise StationaryMismatch("base and target stationary distributions differ")
 
 
 def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
@@ -152,7 +136,10 @@ def _validate(flow: Flow) -> tuple:
         states = np.where(outside, 0, states).astype(np.intp)
         off_space = among(owner[outside])
         bad_mass = _scrub(masses, numbers.Real)
-        mass = masses.astype(float)
+        try:
+            mass = masses.astype(float)
+        except OverflowError:  # a number beyond float range: as nan, it is outside [0, 1]
+            mass = np.array([m if abs(m) < 1e308 else math.nan for m in masses], float)
         kept = (sizes > 0) & ~bad_state & ~off_space & ~bad_mass
 
         hop = (owner[1:] == owner[:-1]) & kept[owner[1:]]
@@ -368,8 +355,7 @@ def build_canonical_flow(base: Chain, target: Chain, odd: bool = False) -> Flow:
     successor one step closer to g.
     """
     _check_pair(base, target)
-    if not classify(base).irreducible:
-        raise NotErgodic("canonical flows need an irreducible base chain")
+    _require(base, "irreducible", "canonical flow (base)")
     n = base.n
     S = base.support()
     if odd:

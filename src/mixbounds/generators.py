@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chains import Chain, build_chain, lazy
-from .errors import BadParams
+from .errors import BadParams, _count, _real
 from .flows import Flow, FlowPath
 
 KINDS = ("two_state", "dhn", "uniform_walk", "directed_cycle", "random_reversible", "lazy_of")
@@ -18,6 +18,7 @@ def two_state(delta: float) -> Chain:
     though its stationary distribution (uniform) is reached instantly by the
     uniform walk on the same two states.
     """
+    delta = _real(delta, "two_state's delta", BadParams)
     if not 0.0 < delta < 1.0:
         raise BadParams(f"two_state needs 0 < delta < 1, got {delta}")
     P = [[delta, 1.0 - delta], [1.0 - delta, delta]]
@@ -33,8 +34,7 @@ def dhn(n: int) -> Chain:
     coincide (their congruence would need 2i = -1 mod 2n), but assignments
     are accumulated defensively and the rows validated anyway.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise BadParams(f"dhn needs an integer n >= 2, got {n}")
+    n = _count(n, "dhn's n", BadParams, least=2)
     m = 2 * n
     values = list(range(-(n - 1), n + 1))
     index = {v: i for i, v in enumerate(values)}
@@ -53,8 +53,7 @@ def dhn(n: int) -> Chain:
 
 def uniform_walk(N: int, labels=None) -> Chain:
     """Constant-row walk: every step lands uniformly; mixes in one step."""
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise BadParams(f"uniform_walk needs an integer N >= 2, got {N}")
+    N = _count(N, "uniform_walk's N", BadParams, least=2)
     P = np.full((N, N), 1.0 / N)
     if labels is None:
         labels = [f"s{i}" for i in range(N)]
@@ -63,8 +62,7 @@ def uniform_walk(N: int, labels=None) -> Chain:
 
 def directed_cycle(k: int) -> Chain:
     """Deterministic walk around a directed k-cycle (irreducible, period k)."""
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise BadParams(f"directed_cycle needs an integer k >= 2, got {k}")
+    k = _count(k, "directed_cycle's k", BadParams, least=2)
     P = np.zeros((k, k))
     for i in range(k):
         P[i, (i + 1) % k] = 1.0
@@ -78,9 +76,8 @@ def random_reversible(N: int, seed: int = 0) -> Chain:
     the leftover mass stays put.  Detailed balance with respect to the
     normalised weights holds by construction.
     """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise BadParams(f"random_reversible needs an integer N >= 2, got {N}")
-    rng = np.random.default_rng(seed)
+    N = _count(N, "random_reversible's N", BadParams, least=2)
+    rng = np.random.default_rng(_count(seed, "random_reversible's seed", BadParams))
     w = rng.uniform(0.5, 2.0, size=N)
     P = np.zeros((N, N))
     for x in range(N):

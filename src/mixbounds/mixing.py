@@ -14,12 +14,13 @@ checked to stay stochastic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, classify
-from .errors import BadEpsilon, BadParams, DimensionMismatch, NoConvergence, NotErgodic, NotIrreducible
+from .chains import Chain, _require
+from .errors import BadEpsilon, BadParams, DimensionMismatch, NoConvergence, _count, _floats, _real, _square
 
 MAX_DISCRETE_STEPS = 1_000_000
 MAX_PROFILE_STEPS = 10_000
@@ -33,10 +34,7 @@ MAX_CONTINUOUS_TIME = 2.0**20
 
 
 def _check_eps(eps: float) -> float:
-    try:
-        eps = float(eps)
-    except (TypeError, ValueError):
-        raise BadEpsilon(f"epsilon must be a number, got {eps!r}") from None
+    eps = _real(eps, "epsilon", BadEpsilon)
     if not (0.0 < eps < 1.0):
         raise BadEpsilon(f"epsilon must lie in (0, 1), got {eps}")
     if eps < 1e-12:
@@ -51,8 +49,8 @@ def tv_distance(theta1, theta2) -> float:
     the difference); for genuine distributions the two are equal up to half
     the difference of the totals.
     """
-    t1 = np.asarray(theta1, dtype=float)
-    t2 = np.asarray(theta2, dtype=float)
+    t1 = _floats(theta1, "distribution", BadParams)
+    t2 = _floats(theta2, "distribution", BadParams)
     if t1.shape != t2.shape:
         raise DimensionMismatch("distributions have different lengths")
     d = t1 - t2
@@ -97,38 +95,41 @@ def discrete_mixing_time(chain: Chain, x, eps, max_steps: int = MAX_DISCRETE_STE
     signals near-periodicity or an epsilon below reach.
     """
     eps = _check_eps(eps)
-    if not classify(chain).ergodic:
-        raise NotErgodic("discrete mixing time requires an ergodic chain")
+    max_steps = _count(max_steps, "max_steps", BadParams)
+    _require(chain, "ergodic", "discrete mixing time")
     x_idx = None if x is None else chain.index(x)
+    tvs = _step_tvs(chain, x_idx)
+    tv = next(tvs)
+    for t in range(1, max_steps + 1):
+        tv = next(tvs)
+        if tv <= eps:
+            return MixingResult(from_state=x_idx, epsilon=eps, time=t, achieved_tv=tv)
+    raise NoConvergence(f"no mixing within {max_steps} steps (TV still {tv:.3e})")
+
+
+def d_profile(chain: Chain, t_max: int) -> list[float]:
+    """Worst-start TV profile d(t) = max_j TV(P^t(j, .), pi) for t = 1 .. t_max."""
+    t_max = _count(t_max, "t_max", BadParams, most=MAX_PROFILE_STEPS)
+    _require(chain, "ergodic", "d_profile")
+    return list(itertools.islice(_step_tvs(chain, None), 1, t_max + 1))
+
+
+def _step_tvs(chain: Chain, x_idx: int | None):
+    """Yield max TV(P^t(j, .), pi) over j = x_idx (every state if None) for
+    t = 0, 1, ... without end, by row iteration; each step is checked not to
+    raise the distance (beyond MONOTONE_TOL)."""
     rows = np.eye(chain.n) if x_idx is None else np.eye(chain.n)[x_idx : x_idx + 1]
     prev = float(_rows_tv(rows, chain.pi).max())
-    for t in range(1, max_steps + 1):
+    yield prev
+    for t in itertools.count(1):
         rows = rows @ chain.P
         cur = float(_rows_tv(rows, chain.pi).max())
         if cur > prev + MONOTONE_TOL:
             raise AssertionError(
                 f"TV to stationarity increased at step {t}: {prev!r} -> {cur!r}"
             )
+        yield cur
         prev = cur
-        if cur <= eps:
-            return MixingResult(from_state=x_idx, epsilon=eps, time=t, achieved_tv=cur)
-    raise NoConvergence(f"no mixing within {max_steps} steps (TV still {prev:.3e})")
-
-
-def d_profile(chain: Chain, t_max: int) -> list[float]:
-    """Worst-start TV profile d(t) = max_j TV(P^t(j, .), pi) for t = 1 .. t_max."""
-    if t_max < 0:
-        raise BadParams(f"t_max must be nonnegative, got {t_max}")
-    if t_max > MAX_PROFILE_STEPS:
-        raise BadParams(f"t_max is capped at {MAX_PROFILE_STEPS}")
-    if not classify(chain).ergodic:
-        raise NotErgodic("d_profile requires an ergodic chain")
-    rows = np.eye(chain.n)
-    out = []
-    for _ in range(t_max):
-        rows = rows @ chain.P
-        out.append(float(_rows_tv(rows, chain.pi).max()))
-    return out
 
 
 def _checked(E: np.ndarray) -> np.ndarray:
@@ -148,25 +149,10 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
     series is summed until the next term drops below 1e-16, and the result is
     squared back up.
     """
-    try:
-        Q = np.asarray(Q, dtype=float)
-    except (TypeError, ValueError):
-        rows = Q if isinstance(Q, (list, tuple)) else ()
-        if len({len(r) if isinstance(r, (list, tuple)) else -1 for r in rows}) > 1:
-            raise DimensionMismatch("rate matrix rows differ in length") from None
-        raise BadParams("rate matrix has a non-numeric entry") from None
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise DimensionMismatch("rate matrix must be square")
-    if not np.all(np.isfinite(Q)):
-        raise BadParams("rate matrix has non-finite entries")
-    try:
-        t = float(t)
-    except (TypeError, ValueError):
-        raise BadParams(f"time must be a number, got {t!r}") from None
-    if not np.isfinite(t):
-        raise BadParams(f"time must be finite, got {t!r}")
-    if t < 0:
-        raise BadParams("time must be nonnegative")
+    Q = _square(Q, "rate matrix", BadParams)
+    t = _real(t, "time", BadParams)
+    if not 0.0 <= t < np.inf:
+        raise BadParams(f"time must be finite and nonnegative, got {t!r}")
     n = Q.shape[0]
     X = Q * t
     norm = float(np.linalg.norm(X, 1))
@@ -284,8 +270,7 @@ def _continuous_time(chain: Chain, x, eps, ladder: _Ladder) -> MixingResult:
     square and product is checked to stay stochastic.
     """
     eps = _check_eps(eps)
-    if not classify(chain).irreducible:
-        raise NotIrreducible("continuization needs an irreducible chain")
+    _require(chain, "irreducible", "continuization")
     x_idx = None if x is None else chain.index(x)
 
     probes: list[tuple[float, float]] = []

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .chains import Chain, build_chain
-from .errors import DimensionMismatch, MixboundsError
+from .errors import DimensionMismatch, MixboundsError, _real
 from .flows import Flow, FlowPath
 
 
@@ -85,7 +85,7 @@ def flow_from_dict(data: dict, base: Chain, target: Chain) -> Flow:
             ) from None
         if any(not 0 <= s < base.n for s in states):
             raise DimensionMismatch(f"path {states} leaves the state space")
-        paths.append(FlowPath(states, float(mass)))
+        paths.append(FlowPath(states, _real(mass, f"mass of flow path {list(states)}", MixboundsError)))
     return Flow(base, target, paths)
 
 

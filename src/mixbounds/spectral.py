@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, _require_irreducible, classify, reversibilize
-from .errors import DimensionMismatch, IllConditioned, NotReversible, TooLarge
+from .chains import Chain, _require, reversibilize
+from .errors import DimensionMismatch, IllConditioned, TooLarge, _count, _floats
 
 #: exact conductance limit (the enumeration visits 2^(N-1) - 1 cuts)
 MAX_CONDUCTANCE_STATES = 24
@@ -34,11 +34,9 @@ _TIE_TOL = 1e-12
 
 
 def _check_phi(chain: Chain, phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
+    phi = _floats(phi, "state function", DimensionMismatch)
     if phi.shape != (chain.n,):
         raise DimensionMismatch(f"state function has shape {phi.shape}, chain has {chain.n} states")
-    if not np.all(np.isfinite(phi)):
-        raise DimensionMismatch("state function has non-finite entries")
     return phi
 
 
@@ -60,10 +58,10 @@ def f_form(chain: Chain, phi) -> float:
 
 def variance(pi, phi) -> float:
     """Variance of phi under the distribution pi."""
-    pi = np.asarray(pi, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if pi.shape != phi.shape:
-        raise DimensionMismatch("pi and phi lengths differ")
+    pi = _floats(pi, "pi", DimensionMismatch)
+    phi = _floats(phi, "phi", DimensionMismatch)
+    if pi.ndim != 1 or pi.shape != phi.shape:
+        raise DimensionMismatch("pi and phi must be vectors of one length")
     mu = float(pi @ phi)
     d = phi - mu
     return float(pi @ (d * d))
@@ -100,9 +98,8 @@ def eigendecompose(chain: Chain) -> SpectralSummary:
     the edge flow.  Eigenvalues come back sorted descending with orthonormal
     vectors; the leading vector's sign is fixed so it matches sqrt(pi).
     """
-    _require_irreducible(chain, "eigendecompose")
-    if not classify(chain).reversible:
-        raise NotReversible("eigendecompose requires a reversible chain")
+    _require(chain, "irreducible", "eigendecompose")
+    _require(chain, "reversible", "eigendecompose")
     d = np.sqrt(chain.pi)
     A = (d[:, None] / d[None, :]) * chain.P
     A = 0.5 * (A + A.T)  # kill the <=1e-12 asymmetry left by detailed balance
@@ -123,8 +120,8 @@ def lambda_constants(chain: Chain) -> tuple[float, float]:
     are computed on the additive reversibilization, which has the same
     quadratic forms (asserted by the test suite, not assumed silently).
     """
-    _require_irreducible(chain, "lambda_constants")
-    return _gaps(eigendecompose(chain if classify(chain).reversible else reversibilize(chain)))
+    cls = _require(chain, "irreducible", "lambda_constants")
+    return _gaps(eigendecompose(chain if cls.reversible else reversibilize(chain)))
 
 
 def _gaps(summary: SpectralSummary) -> tuple[float, float]:
@@ -138,9 +135,10 @@ def reconstruct_power(summary: SpectralSummary, pi, n: int) -> np.ndarray:
     Entry (j, k) is  pi(k) + sqrt(pi_k / pi_j) * sum_{i>=1} betas_i^n e_j^(i) e_k^(i).
     Matches the direct matrix power within 1e-9 for moderate n.
     """
-    if n < 0:
-        raise DimensionMismatch("n must be >= 0")
-    pi = np.asarray(pi, dtype=float)
+    n = _count(n, "n", DimensionMismatch)
+    pi = _floats(pi, "pi", DimensionMismatch)
+    if pi.shape != summary.betas.shape:
+        raise DimensionMismatch(f"pi has shape {pi.shape}, the spectrum {summary.betas.shape}")
     B = summary.vectors[1:]
     coef = summary.betas[1:] ** n
     term = (B * coef[:, None]).T @ B
@@ -189,7 +187,7 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
     if n > MAX_CONDUCTANCE_STATES:
         raise TooLarge(f"exact conductance enumerates every cut and is limited to "
                        f"{MAX_CONDUCTANCE_STATES} states")
-    _require_irreducible(chain, "conductance")
+    _require(chain, "irreducible", "conductance")
 
     Q = chain.pi[:, None] * chain.P
     pi = chain.pi

@@ -1,0 +1,98 @@
+"""Bad input to any public function ends in a MixboundsError, never in another exception.
+
+Every numeric parameter is fed the values below, and every matrix or vector
+parameter the malformed arrays as well.  Chains, flows and spectral summaries
+are the library's own objects and are always passed valid; a flow path's
+states are a sequence by type, so they are fed only the malformed arrays.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mixbounds as mb
+from mixbounds.errors import MixboundsError
+from mixbounds.serialize import chain_from_dict, flow_from_dict
+
+NUMBERS = [None, "x", True, math.nan, math.inf, -math.inf, 10**400, -10**400, 2.5, -1]
+ARRAYS = [[], [[0.5, 0.5], [1.0]], [0.5, [0.5]], ["x", 1.0], [[10**400, 0.5], [0.5, 0.5]],
+          [[math.nan, 0.5], [0.5, 0.5]]]
+POOLS = {"number": NUMBERS, "array": ARRAYS + NUMBERS, "path": ARRAYS}
+
+C = mb.two_state(0.25)
+U = mb.uniform_walk(2, labels=["a", "b"])
+FLOW = mb.build_canonical_flow(C, U, odd=True)
+SUMMARY = mb.eigendecompose(C)
+Q = C.P - np.eye(2)
+PAIR = (C, U, FLOW)
+
+
+def _flow_path(states=(0, 1), mass=0.25):
+    return mb.edge_congestion(mb.Flow(C, U, [mb.FlowPath(states, mass)]))
+
+
+#: "function.parameter" -> (pool, call with the bad value in that parameter)
+CALLS = {
+    "build_chain.labels": ("array", lambda v: mb.build_chain(v, [[0.5, 0.5], [0.5, 0.5]])),
+    "build_chain.P": ("array", lambda v: mb.build_chain(["a", "b"], v)),
+    "chain_from_dict.states": ("array", lambda v: chain_from_dict({"states": v, "P": C.P.tolist()})),
+    "chain_from_dict.P": ("array", lambda v: chain_from_dict({"states": ["a", "b"], "P": v})),
+    "flow_from_dict.path": ("array", lambda v: flow_from_dict({"paths": [{"path": v, "mass": 0.5}]}, C, U)),
+    "flow_from_dict.mass": ("array", lambda v: flow_from_dict({"paths": [{"path": [0, 1], "mass": v}]}, C, U)),
+    "FlowPath.states": ("path", lambda v: _flow_path(states=v)),
+    "FlowPath.mass": ("array", lambda v: _flow_path(mass=v)),
+    "dirichlet_form.phi": ("array", lambda v: mb.dirichlet_form(C, v)),
+    "f_form.phi": ("array", lambda v: mb.f_form(C, v)),
+    "variance.pi": ("array", lambda v: mb.variance(v, [1.0, 2.0])),
+    "variance.phi": ("array", lambda v: mb.variance(C.pi, v)),
+    "reconstruct_power.pi": ("array", lambda v: mb.reconstruct_power(SUMMARY, v, 2)),
+    "reconstruct_power.n": ("number", lambda v: mb.reconstruct_power(SUMMARY, C.pi, v)),
+    "tv_distance.theta1": ("array", lambda v: mb.tv_distance(v, [0.5, 0.5])),
+    "tv_distance.theta2": ("array", lambda v: mb.tv_distance([0.5, 0.5], v)),
+    "discrete_mixing_time.x": ("number", lambda v: mb.discrete_mixing_time(C, v, 0.25)),
+    "discrete_mixing_time.eps": ("number", lambda v: mb.discrete_mixing_time(C, 0, v)),
+    "discrete_mixing_time.max_steps": ("number", lambda v: mb.discrete_mixing_time(C, 0, 0.25, v)),
+    "d_profile.t_max": ("number", lambda v: mb.d_profile(C, v)),
+    "continuous_mixing_time.x": ("number", lambda v: mb.continuous_mixing_time(C, v, 0.25)),
+    "continuous_mixing_time.eps": ("number", lambda v: mb.continuous_mixing_time(C, 0, v)),
+    "matrix_exponential.Q": ("array", lambda v: mb.matrix_exponential(v, 1.0)),
+    "matrix_exponential.t": ("number", lambda v: mb.matrix_exponential(Q, v)),
+    "spectral_bounds_reversible.x": ("number", lambda v: mb.spectral_bounds_reversible(C, v, 0.25)),
+    "spectral_bounds_reversible.eps": ("number", lambda v: mb.spectral_bounds_reversible(C, 0, v)),
+    "comparison_reversible.x": ("number", lambda v: mb.comparison_reversible(*PAIR, v, 0.25)),
+    "comparison_reversible.eps": ("number", lambda v: mb.comparison_reversible(*PAIR, 0, v)),
+    "comparison_reversible.delta": ("number", lambda v: mb.comparison_reversible(*PAIR, 0, 0.25, v)),
+    "conductance_bounds.discrete_tau": ("number", lambda v: mb.conductance_bounds(C, v, None)),
+    "conductance_bounds.continuous_tau": ("number", lambda v: mb.conductance_bounds(C, None, v)),
+    "nonreversible_bounds.x": ("number", lambda v: mb.nonreversible_bounds(C, v, 0.25)),
+    "nonreversible_bounds.eps": ("number", lambda v: mb.nonreversible_bounds(C, 0, v)),
+    "comparison_general.x": ("number", lambda v: mb.comparison_general(*PAIR, v, 0.25)),
+    "comparison_general.eps": ("number", lambda v: mb.comparison_general(*PAIR, 0, v)),
+    "full_report.x": ("number", lambda v: mb.full_report(*PAIR, x=v)),
+    "full_report.eps": ("number", lambda v: mb.full_report(*PAIR, eps=v)),
+    "full_report.delta": ("number", lambda v: mb.full_report(*PAIR, delta=v)),
+    "two_state.delta": ("number", lambda v: mb.two_state(v)),
+    "two_state_uniform_flow.delta": ("number", lambda v: mb.two_state_uniform_flow(v)),
+    "dhn.n": ("number", lambda v: mb.dhn(v)),
+    "uniform_walk.N": ("number", lambda v: mb.uniform_walk(v)),
+    "uniform_walk.labels": ("array", lambda v: mb.uniform_walk(2, labels=v)),
+    "directed_cycle.k": ("number", lambda v: mb.directed_cycle(v)),
+    "random_reversible.N": ("number", lambda v: mb.random_reversible(v)),
+    "random_reversible.seed": ("number", lambda v: mb.random_reversible(3, v)),
+    "generate.delta": ("number", lambda v: mb.generate("two_state", delta=v)),
+    "generate.seed": ("number", lambda v: mb.generate("random_reversible", N=3, seed=v)),
+}
+
+CASES = [(name, value) for name, (pool, _) in CALLS.items() for value in POOLS[pool]]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=2 * len(CASES))
+@given(st.sampled_from(CASES))
+def test_bad_input_returns_or_raises_a_mixbounds_error(case):
+    name, value = case
+    try:
+        CALLS[name][1](value)
+    except MixboundsError:
+        pass

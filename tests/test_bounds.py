@@ -9,6 +9,7 @@ from mixbounds import (
     Flow,
     FlowPath,
     build_canonical_flow,
+    build_chain,
     comparison_general,
     comparison_reversible,
     conductance_bounds,
@@ -34,6 +35,7 @@ from mixbounds.errors import (
     BadParams,
     DimensionMismatch,
     MixboundsError,
+    NotErgodic,
     NotIrreducible,
     NotReversible,
     WrongFlowBase,
@@ -380,3 +382,58 @@ def test_family_functions_return_their_rows_in_table_order():
         assert [e.theorem for e in entries] == _family_ids(*families), families
     assert [e.applicable for e in calls[2][0]] == [True] * 6
     assert [e.applicable for e in calls[3][0]] == [False] * 4 + [True] * 2
+
+
+def _cycle4():
+    """The non-lazy walk on a 4-cycle: reversible, period 2, uniform pi."""
+    P = [[0.5 if (i - j) % 4 in (1, 3) else 0.0 for j in range(4)] for i in range(4)]
+    return build_chain([f"s{i}" for i in range(4)], P, name="cycle4")
+
+
+def _reducible():
+    """A reducible chain with positive pi: the reversal product of a directed 3-cycle."""
+    c3 = directed_cycle(3)
+    return multiply(time_reversal(c3), c3)
+
+
+def _general(base, target, product=False):
+    flow_base = multiply(time_reversal(base), base) if product else base
+    return comparison_general(base, target, build_canonical_flow(flow_base, target), 0, 0.25)
+
+
+@pytest.mark.parametrize("call, want, fragment", [
+    (lambda: spectral_bounds_reversible(two_state(0.25), "a", 0.5), "T5", "eps >= 1/2"),
+    (lambda: conductance_bounds(two_state(0.25), 2, None), "T18", "no continuous mixing time"),
+    (lambda: conductance_bounds(two_state(0.25), 2, None), "C20c", "no continuous mixing time"),
+    (lambda: _general(uniform_walk(4), _cycle4()), "T24d", "target is periodic"),
+    (lambda: _general(uniform_walk(4), _cycle4()), "T26", "target is periodic"),
+    (lambda: _general(lazy(_cycle4()), _cycle4(), product=True), "T25", "target is periodic"),
+    (lambda: _general(uniform_walk(4), dhn(2)), "T26", "target chain is not reversible"),
+    (lambda: spectral_bounds_reversible(dhn(2), 0, 0.25), NotReversible, "spectral mixing bounds"),
+    (lambda: spectral_bounds_reversible(_cycle4(), 0, 0.25), NotErgodic, "spectral mixing bounds"),
+    (lambda: comparison_reversible(dhn(2), uniform_walk(4), Flow(dhn(2), uniform_walk(4)), 0, 0.25),
+     NotReversible, "(base)"),
+    (lambda: comparison_reversible(uniform_walk(4), _cycle4(), Flow(uniform_walk(4), _cycle4()), 0, 0.25),
+     NotErgodic, "(target)"),
+    (lambda: conductance_bounds(_reducible(), None, None), NotIrreducible, "conductance bounds"),
+    (lambda: nonreversible_bounds(_reducible(), 0, 0.25), NotIrreducible, "nonreversible bounds"),
+    (lambda: comparison_general(_reducible(), uniform_walk(3), Flow(_reducible(), uniform_walk(3)), 0, 0.25),
+     NotIrreducible, "(base)"),
+    (lambda: comparison_general(uniform_walk(3), _reducible(), Flow(uniform_walk(3), _reducible()), 0, 0.25),
+     NotIrreducible, "(target)"),
+    (lambda: full_report(_reducible()), NotIrreducible, "full report"),
+], ids=["T5-eps-half", "T18-no-tau", "C20c-no-tau", "T24d-periodic-target", "T26-periodic-target",
+        "T25-periodic-target", "T26-nonreversible-target", "spectral-nonreversible", "spectral-periodic",
+        "comparison-reversible-base", "comparison-reversible-target", "conductance-reducible",
+        "nonreversible-reducible", "comparison-general-base", "comparison-general-target",
+        "full-report-reducible"])
+def test_each_skip_reason_and_family_gate_is_reached(call, want, fragment):
+    """Skip reasons no other test reaches, and the error of each family's gate:
+    the exact class (NotIrreducible is also a NotErgodic), naming the failing chain."""
+    if isinstance(want, str):
+        entry = by_id(call())[want]
+        assert not entry.applicable and fragment in entry.reason
+        return
+    with pytest.raises(want) as info:
+        call()
+    assert type(info.value) is want and fragment in str(info.value)

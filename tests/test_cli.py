@@ -163,6 +163,7 @@ def test_compare_malformed_flow_exits_two(tmp_path, capsys):
         {"paths": [{"path": ["0", 1], "mass": 0.25}]},
         {"paths": [{"path": [0, 1], "mass": "0.25"}]},
         {"paths": [{"path": [0, 1], "mass": True}]},
+        {"paths": [{"path": [0, 1], "mass": 10**400}]},  # too large for a float
     ]
     for data in malformed:
         flow_path.write_text(json.dumps(data))
@@ -190,16 +191,18 @@ def test_compare_size_mismatch_exits_two(tmp_path, capsys):
 
 def test_analyze_duplicate_labels_exits_two(tmp_path, capsys):
     chain_path = tmp_path / "dup.json"
-    chain_path.write_text(json.dumps({"states": ["a", "a"], "P": [[0.5, 0.5], [0.5, 0.5]]}))
-    assert run_cli(["analyze", str(chain_path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    for states in (["a", "a"], 5, None):  # repeated labels, or no list of labels
+        chain_path.write_text(json.dumps({"states": states, "P": [[0.5, 0.5], [0.5, 0.5]]}))
+        assert run_cli(["analyze", str(chain_path)]) == 2, states
+        assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("P", [
     "xy",
     [[0.5, "q"], [0.5, 0.5]],
     [[0.5, 0.5], [1.0]],
-], ids=["string", "non-numeric-entry", "ragged"])
+    [[10**400, 0.5], [0.5, 0.5]],
+], ids=["string", "non-numeric-entry", "ragged", "too-large-for-a-float"])
 def test_analyze_malformed_matrix_exits_two(tmp_path, capsys, P):
     chain_path = tmp_path / "bad.json"
     chain_path.write_text(json.dumps({"states": ["a", "b"], "P": P}))

@@ -123,6 +123,8 @@ def test_path_states_outside_the_state_space_are_reported():
     (FlowPath((True, 2), 0.1), "path (True, 2): states must be integers"),
     (FlowPath((0, 1), "0.1"), "path s0->s1: mass '0.1' is not a number"),
     (FlowPath((0, 1), None), "path s0->s1: mass None is not a number"),
+    pytest.param(FlowPath((0, 1), 10**400), f"path s0->s1: mass {10**400!r} outside [0, 1]",
+                 id="mass-too-large-for-a-float"),
 ])
 def test_non_integer_states_and_non_numeric_masses_are_reported(bad, want):
     chain = random_reversible(4, 1)
