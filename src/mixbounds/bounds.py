@@ -28,7 +28,7 @@ import numpy as np
 from .chains import Chain, _check_pair, _require, classify, lazy, multiply, reversibilize, time_reversal
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
 from .flows import Flow, edge_congestion, validate_flow
-from .mixing import _Ladder, _check_eps, _continuous_time, discrete_mixing_time
+from .mixing import _Ladder, _Steps, _check_eps, _continuous_time
 from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _gaps, conductance, eigendecompose
 
 #: bound-vs-exact comparisons allow this much slack
@@ -138,10 +138,12 @@ class _Derived:
     Entries are keyed by object identity and hold their object, so an id
     cannot be reused while the memo lives.  A memo is created by a public
     bound function (or ``full_report``) and dropped when that call returns.
-    For the continuized times it holds each chain's ``mixing._Ladder``: the
-    few anchor exponentials E(2^a) (n x n each, at most four per chain) and
-    every probe's vector of per-start distances.  It holds nothing for a
-    flow, which keeps its own walk.
+    For the discrete times it holds each chain's one ``mixing._Steps``
+    stream: the current iterate and O(t) distances.  For the continuized
+    times it holds each chain's ``mixing._Ladder``: the few anchor
+    exponentials E(2^a) (n x n each, at most four per chain) and every
+    probe's vector of per-start distances.  It holds nothing for a flow,
+    which keeps its own walk.
     """
 
     def __init__(self):
@@ -164,9 +166,14 @@ class _Derived:
         """The reversal product R(P) P."""
         return self._get(chain, "product", lambda: multiply(time_reversal(chain), chain))
 
-    def discrete(self, chain: Chain, x, eps: float) -> int:
-        return self._get(chain, ("discrete", x, eps),
-                         lambda: discrete_mixing_time(chain, x, eps).time)
+    def discrete(self, chain: Chain, x, eps: float, worst: bool = False) -> int:
+        """The discrete mixing time at eps from the worst start if ``worst``,
+        else from x, where x is the call's start on this chain (None if it has
+        none).  Both read the chain's one step stream, which tracks row x; the
+        first query decides whether it also iterates every row, so a call asks
+        its worst-start times first."""
+        steps = self._get(chain, ("steps", x), lambda: _Steps(chain, x, every_row=worst))
+        return steps.time(None if worst else x, eps).time
 
     def continuous(self, chain: Chain, x, eps: float) -> float:
         ladder = self._get(chain, "ladder", lambda: _Ladder(chain))
@@ -201,11 +208,11 @@ def _spectral_bounds_reversible(d: _Derived, chain: Chain, x, eps: float) -> lis
     bm = d.summary(chain).beta_max
     entries = []
     if eps < 0.5:
-        exact_worst = d.discrete(chain, None, eps)
+        exact_worst = d.discrete(chain, x, eps, worst=True)
         entries.append(_entry("T5", bm / (1.0 - bm) * math.log(1.0 / (2.0 * eps)), exact_worst))
     else:
         entries.append(_skip("T5", "eps >= 1/2 makes the lower bound vacuous"))
-    entries.append(_entry("C6", bm / (1.0 - bm), d.discrete(chain, None, DELTA_DEFAULT)))
+    entries.append(_entry("C6", bm / (1.0 - bm), d.discrete(chain, x, DELTA_DEFAULT, worst=True)))
     exact_x = d.discrete(chain, x, eps)
     entries.append(_entry("T7", _log_term(eps, chain.pi[x]) / (1.0 - bm), exact_x))
     return entries
@@ -246,8 +253,8 @@ def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, 
     x = base.index(x)
     log_term = _log_term(eps, base.pi[x])
     deltas = sorted(set(DELTA_SWEEP) | {delta}) if sweep else [delta]
-    best_factor = min(_mix_factor(d.discrete(target, None, dl), dl) for dl in deltas)
-    tau_prime_e = d.discrete(target, None, DELTA_DEFAULT)
+    best_factor = min(_mix_factor(d.discrete(target, None, dl, worst=True), dl) for dl in deltas)
+    tau_prime_e = d.discrete(target, None, DELTA_DEFAULT, worst=True)
     exact_x = d.discrete(base, x, eps)
 
     entries = []
@@ -397,7 +404,7 @@ def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, 
     cls_t = classify(target)
     log2 = _log_term_sq(eps, base.pi[x])
     tau_t_cont = d.continuous(target, None, DELTA_DEFAULT)
-    tau_t_disc = d.discrete(target, None, DELTA_DEFAULT) if cls_t.ergodic else None
+    tau_t_disc = d.discrete(target, None, DELTA_DEFAULT, worst=True) if cls_t.ergodic else None
 
     entries = []
     if kind == "direct":
@@ -482,8 +489,9 @@ def full_report(
     product bound instead of the direct family.
 
     Everything derived from a chain (eigenstructure, the reversal product,
-    each mixing time and each exponential probe) is computed once per report
-    and shared by the bound families.
+    each exponential probe, and one step stream that gives every discrete
+    mixing time) is computed once per report and shared by the bound
+    families.
     """
     eps = _check_eps(eps)
     delta = _check_delta(delta)
@@ -493,9 +501,8 @@ def full_report(
     cls = _require(base, "irreducible", "full report")
     x_idx = base.index(x)
 
-    exact_disc = d.discrete(base, x_idx, eps) if cls.ergodic else None
+    tau_worst_disc = d.discrete(base, x_idx, DELTA_DEFAULT, worst=True) if cls.ergodic else None
     exact_cont = d.continuous(base, x_idx, eps)
-    tau_worst_disc = d.discrete(base, None, DELTA_DEFAULT) if cls.ergodic else None
     tau_worst_cont = d.continuous(base, None, DELTA_DEFAULT)
 
     entries: list[BoundEntry] = []
@@ -525,6 +532,7 @@ def full_report(
 
     order = {tid: i for i, tid in enumerate(CATALOG)}
     entries.sort(key=lambda e: order[e.theorem])
+    exact_disc = d.discrete(base, x_idx, eps) if cls.ergodic else None  # from x: read after T5
     return BoundReport(
         base_name=base.name,
         target_name=None if target is None else target.name,

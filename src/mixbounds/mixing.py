@@ -1,9 +1,10 @@
 """Total-variation distance, exact mixing times, and continuization.
 
-Discrete mixing times are found by iterating the distribution one step at a
-time (never materialising matrix powers), relying on the fact that the
-distance to stationarity is non-increasing; that monotonicity is re-checked
-at every step so a violation surfaces as a bug rather than a wrong answer.
+Discrete mixing times are found by iterating the distributions one step at a
+time (never materialising matrix powers), one stream of rows per chain and
+call, relying on the fact that each row's distance to stationarity is
+non-increasing; that is re-checked for every row at every step, so a
+violation surfaces as a bug rather than a wrong answer.
 The continuized chain has rate matrix Q = P - I and distribution
 ``v expm(Q t)``; its mixing time is found by doubling and bisection.  The
 probes share a ladder of power-of-two exponentials E(2^e) = expm(Q 2^e),
@@ -14,12 +15,12 @@ checked to stay stochastic.
 
 from __future__ import annotations
 
-import itertools
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, _require
+from .chains import ROW_SUM_TOL, Chain, _require
 from .errors import BadEpsilon, BadParams, DimensionMismatch, NoConvergence, _count, _floats, _real, _square
 
 MAX_DISCRETE_STEPS = 1_000_000
@@ -98,38 +99,76 @@ def discrete_mixing_time(chain: Chain, x, eps, max_steps: int = MAX_DISCRETE_STE
     max_steps = _count(max_steps, "max_steps", BadParams)
     _require(chain, "ergodic", "discrete mixing time")
     x_idx = None if x is None else chain.index(x)
-    tvs = _step_tvs(chain, x_idx)
-    tv = next(tvs)
-    for t in range(1, max_steps + 1):
-        tv = next(tvs)
-        if tv <= eps:
-            return MixingResult(from_state=x_idx, epsilon=eps, time=t, achieved_tv=tv)
-    raise NoConvergence(f"no mixing within {max_steps} steps (TV still {tv:.3e})")
+    return _Steps(chain, x_idx, every_row=x_idx is None).time(x_idx, eps, max_steps)
 
 
 def d_profile(chain: Chain, t_max: int) -> list[float]:
     """Worst-start TV profile d(t) = max_j TV(P^t(j, .), pi) for t = 1 .. t_max."""
     t_max = _count(t_max, "t_max", BadParams, most=MAX_PROFILE_STEPS)
     _require(chain, "ergodic", "d_profile")
-    return list(itertools.islice(_step_tvs(chain, None), 1, t_max + 1))
+    steps = _Steps(chain, None, every_row=True)
+    while steps.t < t_max:
+        steps.step()
+    return list(steps.history[None][1:])
 
 
-def _step_tvs(chain: Chain, x_idx: int | None):
-    """Yield max TV(P^t(j, .), pi) over j = x_idx (every state if None) for
-    t = 0, 1, ... without end, by row iteration; each step is checked not to
-    raise the distance (beyond MONOTONE_TOL)."""
-    rows = np.eye(chain.n) if x_idx is None else np.eye(chain.n)[x_idx : x_idx + 1]
-    prev = float(_rows_tv(rows, chain.pi).max())
-    yield prev
-    for t in itertools.count(1):
-        rows = rows @ chain.P
-        cur = float(_rows_tv(rows, chain.pi).max())
-        if cur > prev + MONOTONE_TOL:
-            raise AssertionError(
-                f"TV to stationarity increased at step {t}: {prev!r} -> {cur!r}"
-            )
-        yield cur
-        prev = cur
+class _Steps:
+    """The row iterates P^t, t = 0, 1, ..., of one chain, stepped only as far
+    as the queries on it need.
+
+    Iterates every row (from the identity) if ``every_row``, else only e_x.
+    The history is O(t): the worst-start distance max_j TV(P^t(j, .), pi) at
+    each step while every row is iterated (key None), and TV(P^t(x, .), pi)
+    if x is given (key x).  So one stream answers every worst-start and
+    from-x query of a call, at any epsilon.  A from-x query that steps on
+    drops the other rows, so a call asks its worst-start times first.  Each
+    step is checked not to raise any row's distance (beyond MONOTONE_TOL),
+    since TV(mu P, pi) <= TV(mu, pi) for every start mu.
+    """
+
+    def __init__(self, chain: Chain, x: int | None, every_row: bool):
+        self.P, self.pi, self.t = chain.P, chain.pi, 0
+        self.rows = np.eye(chain.n) if every_row else np.eye(chain.n)[x : x + 1]
+        self.row_x = x if every_row else 0
+        starts = ([None] if every_row else []) + ([] if x is None else [x])
+        self.history = {start: array("d") for start in starts}
+        self.tvs = _rows_tv(self.rows, self.pi)
+        self._record()
+
+    def _record(self):
+        for key, h in self.history.items():
+            h.append(float(self.tvs.max() if key is None else self.tvs[self.row_x]))
+
+    def step(self):
+        self.rows = self.rows @ self.P
+        self.t += 1
+        tvs = _rows_tv(self.rows, self.pi)
+        risen = tvs > self.tvs + MONOTONE_TOL
+        if risen.any():
+            prev, cur = (float(v[risen.argmax()]) for v in (self.tvs, tvs))
+            raise AssertionError(f"TV to stationarity increased at step {self.t}: {prev!r} -> {cur!r}")
+        self.tvs = tvs
+        self._record()
+
+    def time(self, x: int | None, eps: float, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
+        """Smallest t in 1 .. max_steps with TV <= eps from x (None: the
+        worst start), read from the history and stepping on as needed."""
+        if x not in self.history:
+            raise AssertionError(f"step stream does not track start {x!r}: ask worst-start times first")
+        h = self.history[x]
+        crossed = np.flatnonzero(np.array(h[1 : max_steps + 1]) <= eps)
+        t = int(crossed[0]) + 1 if crossed.size else None
+        if t is None and x is not None and None in self.history:
+            del self.history[None]
+            self.rows, self.tvs = (v[self.row_x : self.row_x + 1] for v in (self.rows, self.tvs))
+            self.row_x = 0
+        while t is None and self.t < max_steps:
+            self.step()
+            if h[-1] <= eps:
+                t = self.t
+        if t is None:
+            raise NoConvergence(f"no mixing within {max_steps} steps (TV still {h[max_steps]:.3e})")
+        return MixingResult(from_state=x, epsilon=eps, time=t, achieved_tv=h[t])
 
 
 def _checked(E: np.ndarray) -> np.ndarray:
@@ -143,8 +182,10 @@ def _checked(E: np.ndarray) -> np.ndarray:
 def matrix_exponential(Q, t: float) -> np.ndarray:
     """expm(Q t) by scaling and squaring with a truncated Taylor series.
 
-    Q is expected to be a transition rate matrix (P - I for a stochastic P),
-    so the result is again row-stochastic; this is verified before returning.
+    Q must be a transition rate matrix, else BadParams: off-diagonal entries
+    >= 0, each row summing to zero within ROW_SUM_TOL times the larger of the
+    row's magnitude and 1 (the size of the P and I a P - I is formed from).
+    The result is then row-stochastic; this is verified before returning.
     The argument is scaled until its induced 1-norm is at most 1/2, the
     series is summed until the next term drops below 1e-16, and the result is
     squared back up.
@@ -154,6 +195,9 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
     if not 0.0 <= t < np.inf:
         raise BadParams(f"time must be finite and nonnegative, got {t!r}")
     n = Q.shape[0]
+    size = np.maximum(np.abs(Q).sum(axis=1), 1.0)
+    if (Q[~np.eye(n, dtype=bool)] < 0.0).any() or (np.abs(Q.sum(axis=1)) > ROW_SUM_TOL * size).any():
+        raise BadParams("Q is not a rate matrix: it needs off-diagonal entries >= 0 and zero row sums")
     X = Q * t
     norm = float(np.linalg.norm(X, 1))
     if not np.isfinite(norm / 0.5):

@@ -46,10 +46,10 @@ def save_chain(chain: Chain, path, meta: dict | None = None) -> None:
 
 
 def _read_json(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax, bytes that are not UTF-8, an over-long integer
             raise MixboundsError(f"{path}: not valid JSON ({exc})") from None
 
 

@@ -139,9 +139,14 @@ def test_analyze_ill_conditioned_exits_two(tmp_path, capsys):
 
 def test_analyze_truncated_json_exits_two(tmp_path, capsys):
     chain_path = tmp_path / "cut.json"
-    chain_path.write_text('{"states": ["a", "b"], "P": [[0.5, 0.5], [0.5')
-    assert run_cli(["analyze", str(chain_path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    for content in (
+        b'{"states": ["a", "b"], "P": [[0.5, 0.5], [0.5',
+        b'{"states": ["a", "b"], "P": ' + b"1" * 4301 + b"}",  # past Python's integer digit limit
+        b'{"states": ["\xe9", "b"], "P": [[0.5, 0.5], [0.5, 0.5]]}',  # not UTF-8
+    ):
+        chain_path.write_bytes(content)
+        assert run_cli(["analyze", str(chain_path)]) == 2, content[:40]
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_compare_malformed_flow_exits_two(tmp_path, capsys):

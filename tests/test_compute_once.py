@@ -3,10 +3,12 @@
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from mixbounds import (
     build_canonical_flow,
+    build_chain,
     classify,
     comparison_general,
     comparison_reversible,
@@ -52,6 +54,12 @@ def _product_pair():
     return {"base": base, "target": target, "flow": build_canonical_flow(product, target)}
 
 
+def _lazy_cycle(n):
+    """Stay with 1/2, step to either neighbour on the n-cycle with 1/4."""
+    P = 0.5 * np.eye(n) + 0.25 * (np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1))
+    return build_chain(list(range(n)), P, name=f"lazy_cycle({n})")
+
+
 COUNTED = {
     "reversible pair": _reversible_pair,
     "dhn(8)": lambda: {"base": dhn(8)},
@@ -62,6 +70,12 @@ COMPARED = {
     **COUNTED,
     "periodic": lambda: {"base": directed_cycle(5), "x": 2},
     "product flow": _product_pair,
+    # the from-x crossing at 0.05 comes after the worst-start one at 1/(2e)
+    "dhn(8) at eps 0.05": lambda: {"base": dhn(8), "x": 3, "eps": 0.05},
+    # at eps >= 1/2, T5 is skipped and the worst start is asked only at 1/(2e)
+    "reversible at eps 0.6": lambda: {"base": random_reversible(10, 3), "x": 4, "eps": 0.6},
+    # T5 is read at 0.05, past the worst start's crossing of 1/(2e)
+    "lazy cycle(30) at eps 0.05": lambda: {"base": _lazy_cycle(30), "x": 7, "eps": 0.05},
 }
 
 
@@ -95,16 +109,15 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     exponentials = _count(monkeypatch, mixing.matrix_exponential,
                           lambda Q, t: (Q.tobytes(), float(t)))
     classified = _count(monkeypatch, chains._classify, lambda chain: id(chain))
-    iterated = _count(monkeypatch, mixing.discrete_mixing_time,
-                      lambda chain, x, eps, *rest: (id(chain), x, float(eps)))
+    streamed = _count(monkeypatch, mixing._Steps, lambda chain, *rest: id(chain))
     validated = _count(monkeypatch, flows._validate, lambda flow: id(flow))
     walked = _count_walks(monkeypatch)
     full_report(**kwargs)
-    assert exponentials and classified and iterated
+    assert exponentials and classified and streamed
     assert max(exponentials.values()) == 1, "a (chain, t) was exponentiated twice"
     per_rate_matrix = Counter(Q for Q, _ in exponentials)
     assert max(per_rate_matrix.values()) <= 4, "a chain needed more than 4 anchor exponentials"
-    assert max(iterated.values()) == 1, "a (chain, x, eps) mixing time was iterated twice"
+    assert max(streamed.values()) == 1, "a chain object's rows were iterated by two step streams"
     assert max(classified.values()) == 1, "a chain object was classified twice"
     assert max(validated.values(), default=0) <= 1, "a flow was validated twice"
     assert max(walked.values(), default=0) <= 1, "a flow's paths were walked twice"

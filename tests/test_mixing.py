@@ -22,6 +22,7 @@ from mixbounds import (
     two_state,
     uniform_walk,
 )
+from mixbounds.chains import Chain
 from mixbounds.mixing import BISECTION_REL, _continuous_time, _Ladder
 from mixbounds.errors import BadEpsilon, BadParams, DimensionMismatch, NoConvergence, NotErgodic, NotIrreducible
 
@@ -85,6 +86,14 @@ def test_discrete_mixing_worst_start():
     assert worst.time == per_state
     assert worst.from_state is None
     assert worst.achieved_tv <= 0.05 + 1e-12
+
+
+def test_each_row_is_checked_not_to_rise():
+    # pi is not stationary here: row 0's distance rises 0.1 -> 0.4 at step 1
+    # while the worst start's falls 0.9 -> 0.4, under eps
+    chain = Chain(["a", "b"], [[0.5, 0.5], [0.5, 0.5]], [0.9, 0.1])
+    with pytest.raises(AssertionError, match="increased at step 1"):
+        discrete_mixing_time(chain, None, 0.45)
 
 
 def test_d_profile_two_state():
@@ -156,7 +165,8 @@ def test_matrix_exponential_bad_input():
         with pytest.raises(BadParams):
             matrix_exponential(Q, t)
     for bad in ([[-1.0, math.nan], [0.5, -0.5]], [[-1.0, math.inf], [0.5, -0.5]],
-                [["x", 1.0], [0.5, -0.5]]):
+                [["x", 1.0], [0.5, -0.5]],
+                np.eye(2), [[-1.0, 2.0], [0.5, -0.5]]):  # not rate matrices
         with pytest.raises(BadParams):
             matrix_exponential(bad, 1.0)
     with pytest.raises(DimensionMismatch):
