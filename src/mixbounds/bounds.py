@@ -28,7 +28,7 @@ import numpy as np
 from .chains import Chain, _check_pair, _require, classify, lazy, multiply, reversibilize, time_reversal
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
 from .flows import Flow, edge_congestion, validate_flow
-from .mixing import _Ladder, _Steps, _check_eps, _continuous_time
+from .mixing import _Ladder, _Steps, _check_eps
 from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _gaps, conductance, eigendecompose
 
 #: bound-vs-exact comparisons allow this much slack
@@ -138,11 +138,13 @@ class _Derived:
     Entries are keyed by object identity and hold their object, so an id
     cannot be reused while the memo lives.  A memo is created by a public
     bound function (or ``full_report``) and dropped when that call returns.
-    For the discrete times it holds each chain's one ``mixing._Steps``
-    stream: the current iterate and O(t) distances.  For the continuized
-    times it holds each chain's ``mixing._Ladder``: the few anchor
-    exponentials E(2^a) (n x n each, at most four per chain) and every
-    probe's vector of per-start distances.  It holds nothing for a flow,
+    It answers mixing-time queries in any order.  For the discrete times it
+    holds each chain's ``mixing._Steps`` streams (the current iterate and
+    O(t) distances): one over every row, and one from e_x if a from-x time
+    lies past where that one has stepped.  For the continuized times it
+    holds each chain's ``mixing._Ladder``: the few anchor exponentials
+    E(2^a) (n x n each, at most four per chain), every probe's vector of
+    per-start distances and every answer.  It holds nothing for a flow,
     which keeps its own walk.
     """
 
@@ -169,16 +171,16 @@ class _Derived:
     def discrete(self, chain: Chain, x, eps: float, worst: bool = False) -> int:
         """The discrete mixing time at eps from the worst start if ``worst``,
         else from x, where x is the call's start on this chain (None if it has
-        none).  Both read the chain's one step stream, which tracks row x; the
-        first query decides whether it also iterates every row, so a call asks
-        its worst-start times first."""
-        steps = self._get(chain, ("steps", x), lambda: _Steps(chain, x, every_row=worst))
-        return steps.time(None if worst else x, eps).time
+        none).  Worst-start times step the every-row stream, which tracks x; a
+        from-x time reads its row x if that has crossed eps, else steps e_x."""
+        if worst:
+            return self._get(chain, "steps", lambda: _Steps(chain, None, tracked=x)).time(eps).time
+        every_row = self._objects.get(id(chain), (chain, {}))[1].get("steps")
+        t = None if every_row is None else every_row.tracked_time(x, eps)
+        return t or self._get(chain, ("steps", x), lambda: _Steps(chain, x)).time(eps).time
 
     def continuous(self, chain: Chain, x, eps: float) -> float:
-        ladder = self._get(chain, "ladder", lambda: _Ladder(chain))
-        return self._get(chain, ("continuous", x, eps),
-                         lambda: _continuous_time(chain, x, eps, ladder).time)
+        return self._get(chain, "ladder", lambda: _Ladder(chain)).time(x, eps).time
 
 
 def _same_chain(a: Chain, b: Chain) -> bool:
@@ -489,9 +491,9 @@ def full_report(
     product bound instead of the direct family.
 
     Everything derived from a chain (eigenstructure, the reversal product,
-    each exponential probe, and one step stream that gives every discrete
-    mixing time) is computed once per report and shared by the bound
-    families.
+    the exponentials with every probe's distances, and the step streams that
+    give the discrete mixing times) is computed once per report and shared
+    by the bound families.
     """
     eps = _check_eps(eps)
     delta = _check_delta(delta)
@@ -501,6 +503,8 @@ def full_report(
     cls = _require(base, "irreducible", "full report")
     x_idx = base.index(x)
 
+    # worst-start times first, the cheap order: the every-row stream answers
+    # each from-x time it has passed, and any other steps a stream from e_x
     tau_worst_disc = d.discrete(base, x_idx, DELTA_DEFAULT, worst=True) if cls.ergodic else None
     exact_cont = d.continuous(base, x_idx, eps)
     tau_worst_cont = d.continuous(base, None, DELTA_DEFAULT)
@@ -532,7 +536,7 @@ def full_report(
 
     order = {tid: i for i, tid in enumerate(CATALOG)}
     entries.sort(key=lambda e: order[e.theorem])
-    exact_disc = d.discrete(base, x_idx, eps) if cls.ergodic else None  # from x: read after T5
+    exact_disc = d.discrete(base, x_idx, eps) if cls.ergodic else None  # after T5, like T7
     return BoundReport(
         base_name=base.name,
         target_name=None if target is None else target.name,

@@ -1,16 +1,17 @@
 """Total-variation distance, exact mixing times, and continuization.
 
 Discrete mixing times are found by iterating the distributions one step at a
-time (never materialising matrix powers), one stream of rows per chain and
-call, relying on the fact that each row's distance to stationarity is
-non-increasing; that is re-checked for every row at every step, so a
-violation surfaces as a bug rather than a wrong answer.
+time (never materialising matrix powers): a stream iterates e_x, or every row
+for the worst start, and keeps the distance at each step, so it answers its
+start at any epsilon.  Each row's distance to stationarity is non-increasing;
+that is re-checked for every row at every step, so a violation surfaces as a
+bug rather than a wrong answer.
 The continuized chain has rate matrix Q = P - I and distribution
 ``v expm(Q t)``; its mixing time is found by doubling and bisection.  The
 probes share a ladder of power-of-two exponentials E(2^e) = expm(Q 2^e),
 squared up from a few anchors computed directly, so each probe costs one
 matrix product rather than a fresh exponential; every square and product is
-checked to stay stochastic.
+checked to stay stochastic.  The ladder keeps every answer it gave.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ROW_SUM_TOL, Chain, _require
-from .errors import BadEpsilon, BadParams, DimensionMismatch, NoConvergence, _count, _floats, _real, _square
+from .errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, NoConvergence, _count, _floats,
+                     _real, _square)
 
 MAX_DISCRETE_STEPS = 1_000_000
 MAX_PROFILE_STEPS = 10_000
@@ -98,46 +100,50 @@ def discrete_mixing_time(chain: Chain, x, eps, max_steps: int = MAX_DISCRETE_STE
     eps = _check_eps(eps)
     max_steps = _count(max_steps, "max_steps", BadParams)
     _require(chain, "ergodic", "discrete mixing time")
-    x_idx = None if x is None else chain.index(x)
-    return _Steps(chain, x_idx, every_row=x_idx is None).time(x_idx, eps, max_steps)
+    return _Steps(chain, None if x is None else chain.index(x)).time(eps, max_steps)
 
 
 def d_profile(chain: Chain, t_max: int) -> list[float]:
     """Worst-start TV profile d(t) = max_j TV(P^t(j, .), pi) for t = 1 .. t_max."""
     t_max = _count(t_max, "t_max", BadParams, most=MAX_PROFILE_STEPS)
     _require(chain, "ergodic", "d_profile")
-    steps = _Steps(chain, None, every_row=True)
+    steps = _Steps(chain, None)
     while steps.t < t_max:
         steps.step()
-    return list(steps.history[None][1:])
+    return list(steps.history[1:])
+
+
+def _crossing(history: array, eps: float, last: int) -> int | None:
+    """Smallest t in 1 .. last with history[t] <= eps, if any is recorded."""
+    crossed = np.flatnonzero(np.array(history[1 : last + 1]) <= eps)
+    return int(crossed[0]) + 1 if crossed.size else None
 
 
 class _Steps:
-    """The row iterates P^t, t = 0, 1, ..., of one chain, stepped only as far
-    as the queries on it need.
+    """The row iterates P^t, t = 0, 1, ..., of one chain from one start,
+    stepped only as far as the queries on it need.
 
-    Iterates every row (from the identity) if ``every_row``, else only e_x.
-    The history is O(t): the worst-start distance max_j TV(P^t(j, .), pi) at
-    each step while every row is iterated (key None), and TV(P^t(x, .), pi)
-    if x is given (key x).  So one stream answers every worst-start and
-    from-x query of a call, at any epsilon.  A from-x query that steps on
-    drops the other rows, so a call asks its worst-start times first.  Each
-    step is checked not to raise any row's distance (beyond MONOTONE_TOL),
-    since TV(mu P, pi) <= TV(mu, pi) for every start mu.
+    Iterates e_x, or every row (from the identity) when x is None.  The
+    history is O(t): the largest distance over the stream's rows at each
+    step, so the stream answers its own start at any epsilon.  An every-row
+    stream may also record the distance of one row, ``tracked``, which
+    answers that start as far as the stream has stepped.  Each step is
+    checked not to raise any row's distance (beyond MONOTONE_TOL), since
+    TV(mu P, pi) <= TV(mu, pi) for every start mu.
     """
 
-    def __init__(self, chain: Chain, x: int | None, every_row: bool):
-        self.P, self.pi, self.t = chain.P, chain.pi, 0
-        self.rows = np.eye(chain.n) if every_row else np.eye(chain.n)[x : x + 1]
-        self.row_x = x if every_row else 0
-        starts = ([None] if every_row else []) + ([] if x is None else [x])
-        self.history = {start: array("d") for start in starts}
+    def __init__(self, chain: Chain, x: int | None, tracked: int | None = None):
+        self.P, self.pi, self.t, self.x = chain.P, chain.pi, 0, x
+        self.rows = np.eye(chain.n) if x is None else np.eye(chain.n)[x : x + 1]
+        self.tracked = tracked
+        self.history, self.tracked_history = array("d"), array("d")
         self.tvs = _rows_tv(self.rows, self.pi)
         self._record()
 
     def _record(self):
-        for key, h in self.history.items():
-            h.append(float(self.tvs.max() if key is None else self.tvs[self.row_x]))
+        self.history.append(float(self.tvs.max()))
+        if self.tracked is not None:
+            self.tracked_history.append(float(self.tvs[self.tracked]))
 
     def step(self):
         self.rows = self.rows @ self.P
@@ -150,25 +156,22 @@ class _Steps:
         self.tvs = tvs
         self._record()
 
-    def time(self, x: int | None, eps: float, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
-        """Smallest t in 1 .. max_steps with TV <= eps from x (None: the
-        worst start), read from the history and stepping on as needed."""
-        if x not in self.history:
-            raise AssertionError(f"step stream does not track start {x!r}: ask worst-start times first")
-        h = self.history[x]
-        crossed = np.flatnonzero(np.array(h[1 : max_steps + 1]) <= eps)
-        t = int(crossed[0]) + 1 if crossed.size else None
-        if t is None and x is not None and None in self.history:
-            del self.history[None]
-            self.rows, self.tvs = (v[self.row_x : self.row_x + 1] for v in (self.rows, self.tvs))
-            self.row_x = 0
+    def time(self, eps: float, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
+        """Smallest t in 1 .. max_steps with TV <= eps from the stream's start,
+        read from the history and stepping on as needed."""
+        t = _crossing(self.history, eps, max_steps)
         while t is None and self.t < max_steps:
             self.step()
-            if h[-1] <= eps:
+            if self.history[-1] <= eps:
                 t = self.t
         if t is None:
-            raise NoConvergence(f"no mixing within {max_steps} steps (TV still {h[max_steps]:.3e})")
-        return MixingResult(from_state=x, epsilon=eps, time=t, achieved_tv=h[t])
+            raise NoConvergence(f"no mixing within {max_steps} steps (TV still {self.history[max_steps]:.3e})")
+        return MixingResult(from_state=self.x, epsilon=eps, time=t, achieved_tv=self.history[t])
+
+    def tracked_time(self, x: int, eps: float) -> int | None:
+        """The mixing time from x at eps if this stream tracks x and has
+        already stepped past it, else None; never steps."""
+        return _crossing(self.tracked_history, eps, self.t) if x == self.tracked else None
 
 
 def _checked(E: np.ndarray) -> np.ndarray:
@@ -185,7 +188,8 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
     Q must be a transition rate matrix, else BadParams: off-diagonal entries
     >= 0, each row summing to zero within ROW_SUM_TOL times the larger of the
     row's magnitude and 1 (the size of the P and I a P - I is formed from).
-    The result is then row-stochastic; this is verified before returning.
+    The result is then row-stochastic; this is verified before returning, and
+    one that lost it (squaring at very long times) raises IllConditioned.
     The argument is scaled until its induced 1-norm is at most 1/2, the
     series is summed until the next term drops below 1e-16, and the result is
     squared back up.
@@ -215,7 +219,10 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
         k += 1
     for _ in range(s):
         E = E @ E
-    return _checked(E)
+    try:
+        return _checked(E)
+    except AssertionError as lost:  # each squaring roughly doubles the row-sum error
+        raise IllConditioned(f"{lost} at t = {t!r}: too long a time for this rate matrix") from None
 
 
 #: the anchors below E(1) are E(2^a) for the negative multiples a of this
@@ -243,19 +250,21 @@ def _descending(base: np.ndarray, lo: int, hi: int):
 
 class _Ladder:
     """Exponentials E(t) = expm((P - I) t) of one chain, shared by its
-    continuized-time calls.
+    continuized-time queries, and every answer it gave.
 
-    Holds the anchors E(2^a), each from one ``matrix_exponential``, and the
+    Holds the anchors E(2^a), each from one ``matrix_exponential``, the
     vector of per-start distances TV(E(t)(j, .), pi) at every probe time t
-    made so far.  Rung E(2^e) is squared up from anchor a = 0 for e >= 0 and
-    from a = 8 floor(e / 8) below, so no rung is more than 7 squarings from a
-    direct exponential: each squaring roughly doubles the row-sum error, and a
-    ladder squared up from 2^-20 breaks the 1e-9 stochasticity check.
+    made so far, and each (start, eps) answer.  Rung E(2^e) is squared up
+    from anchor a = 0 for e >= 0 and from a = 8 floor(e / 8) below, so no
+    rung is more than 7 squarings from a direct exponential: each squaring
+    roughly doubles the row-sum error, and a ladder squared up from 2^-20
+    breaks the 1e-9 stochasticity check.
     """
 
     def __init__(self, chain: Chain):
         self.chain = chain
         self.tvs: dict[float, np.ndarray] = {}
+        self.answers: dict[tuple[int | None, float], MixingResult] = {}
         self._anchors: dict[int, np.ndarray] = {}
 
     def anchor(self, a: int) -> np.ndarray:
@@ -266,24 +275,61 @@ class _Ladder:
     def rungs(self, top: int):
         """Yield (e, E(2^e)) for e = top, top - 1, ... without end, squaring
         each anchor's segment only when the walk down reaches it."""
-        if top >= 0:
-            yield from _descending(self.anchor(0), 0, top)
-            top = -1
         while True:
-            a = _ANCHOR_STEP * (top // _ANCHOR_STEP)
+            a = min(0, _ANCHOR_STEP * (top // _ANCHOR_STEP))
             yield from _descending(self.anchor(a), a, top)
             top = a - 1
 
-    def tv(self, t: float, form) -> np.ndarray:
-        """Per-start distances at time t; ``form()`` gives E(t) if t is new."""
-        if t not in self.tvs:
-            self.tvs[t] = _rows_tv(form(), self.chain.pi)
-        return self.tvs[t]
+    def time(self, x: int | None, eps: float) -> MixingResult:
+        """The continuized mixing time from state index x (None: the worst
+        start) at eps; see ``continuous_mixing_time``.
 
+        No probe runs a fresh exponential.  At level e the probe is lo + 2^e.
+        Doubling keeps lo = 0 and squares E(1): E(2^(e+1)) = E(2^e)^2.  After
+        doubling to 2^e_hi, bisection walks down the rungs from e_hi - 1, so
+        E(lo + 2^e) = E(lo) E(2^e) is one product, formed only when its
+        distances are new or the probe becomes the new lo.  Every square and
+        product is checked to stay stochastic.
+        """
+        if (x, eps) in self.answers:
+            return self.answers[x, eps]
+        probes: list[tuple[float, float]] = []
 
-def _advance(E_lo: np.ndarray | None, R: np.ndarray) -> np.ndarray:
-    """E(lo) R, checked, where None stands for E(0) = I."""
-    return R if E_lo is None else _checked(E_lo @ R)
+        def probe(t: float, E: np.ndarray | None) -> float:
+            """Distance at t from x; E = E(t) is needed only if t is new."""
+            if t not in self.tvs:
+                self.tvs[t] = _rows_tv(E, self.chain.pi)
+            tvs = self.tvs[t]
+            probes.append((t, float(tvs.max() if x is None else tvs[x])))
+            return probes[-1][1]
+
+        hi, hi_tv = 0.0, probe(0.0, np.eye(self.chain.n))
+        if hi_tv > eps:
+            e_hi, E_hi = 0, self.anchor(0)
+            while probe(2.0**e_hi, E_hi) > 0.5 * eps and 2.0**e_hi < MAX_CONTINUOUS_TIME:
+                e_hi += 1
+                E_hi = _checked(E_hi @ E_hi)
+            E_hi = None
+            lo, hi, hi_tv = 0.0, 2.0**e_hi, probes[-1][1]
+            if hi_tv > eps:
+                raise NoConvergence(f"no mixing within the cap of {MAX_CONTINUOUS_TIME:.0f} time units "
+                                    f"(TV still {hi_tv:.3e})")
+            E_lo = None  # E(lo); None while lo = 0, where E(lo + 2^e) is the rung itself
+            rungs = self.rungs(e_hi - 1)
+            while hi - lo > BISECTION_REL * max(1.0, hi):
+                e, R = next(rungs)
+                mid = lo + 2.0**e
+                E_mid = R if E_lo is None else None if mid in self.tvs else _checked(E_lo @ R)
+                if probe(mid, E_mid) <= eps:
+                    hi, hi_tv = mid, probes[-1][1]
+                else:
+                    lo, E_lo = mid, _checked(E_lo @ R) if E_mid is None else E_mid
+        probes.sort()
+        for (t1, v1), (t2, v2) in zip(probes, probes[1:]):
+            if t2 > t1 and v2 > v1 + MONOTONE_TOL_CONTINUOUS:
+                raise AssertionError(f"continuous TV increased between t={t1} and t={t2} ({v1!r} -> {v2!r})")
+        self.answers[x, eps] = MixingResult(from_state=x, epsilon=eps, time=hi, achieved_tv=hi_tv)
+        return self.answers[x, eps]
 
 
 def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
@@ -298,63 +344,6 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     Each probe is one matrix product with a rung of a power-of-two ladder of
     exponentials, so a call runs at most four exponentials from scratch.
     """
-    return _continuous_time(chain, x, eps, _Ladder(chain))
-
-
-def _continuous_time(chain: Chain, x, eps, ladder: _Ladder) -> MixingResult:
-    """continuous_mixing_time on a given ladder.  ``ladder`` holds the chain's
-    anchors and probe distances; calls on one chain that share it share their
-    exponentials.
-
-    No probe runs a fresh exponential.  Doubling squares E(1): E(2^(k+1)) =
-    E(2^k)^2.  After doubling to H = 2^e_hi, the j-th bisection midpoint is
-    exactly lo + 2^(e_hi - j), so E(mid) = E(lo) E(2^(e_hi - j)), one product
-    with the next rung of the ladder.  That product is formed only when the
-    distances at mid are not yet known or mid becomes the new lo; every
-    square and product is checked to stay stochastic.
-    """
     eps = _check_eps(eps)
     _require(chain, "irreducible", "continuization")
-    x_idx = None if x is None else chain.index(x)
-
-    probes: list[tuple[float, float]] = []
-
-    def probe(t: float, form) -> float:
-        tvs = ladder.tv(t, form)
-        val = float(tvs.max() if x_idx is None else tvs[x_idx])
-        probes.append((t, val))
-        return val
-
-    if probe(0.0, lambda: np.eye(chain.n)) <= eps:
-        return MixingResult(from_state=x_idx, epsilon=eps, time=0.0, achieved_tv=probes[0][1])
-
-    e_hi, E_hi = 0, ladder.anchor(0)
-    while probe(2.0**e_hi, lambda: E_hi) > 0.5 * eps and 2.0**e_hi < MAX_CONTINUOUS_TIME:
-        e_hi += 1
-        E_hi = _checked(E_hi @ E_hi)
-    E_hi = None
-    lo, hi = 0.0, 2.0**e_hi
-    hi_tv = probes[-1][1]
-    if hi_tv > eps:
-        raise NoConvergence(f"no mixing within the cap of {MAX_CONTINUOUS_TIME:.0f} time units "
-                            f"(TV still {hi_tv:.3e})")
-    E_lo = None  # E(lo); None while lo = 0, where E(0) is the identity
-    rungs = ladder.rungs(e_hi - 1)
-    while hi - lo > BISECTION_REL * max(1.0, hi):
-        e, R = next(rungs)
-        mid = 0.5 * (lo + hi)
-        if mid - lo != 2.0**e:
-            raise AssertionError(f"bisection midpoint {mid!r} is not {lo!r} + 2^{e}")
-        E_mid = None if mid in ladder.tvs else _advance(E_lo, R)
-        val = probe(mid, lambda: E_mid)
-        if val <= eps:
-            hi, hi_tv = mid, val
-        else:
-            lo, E_lo = mid, (_advance(E_lo, R) if E_mid is None else E_mid)
-    probes.sort()
-    for (t1, v1), (t2, v2) in zip(probes, probes[1:]):
-        if t2 > t1 and v2 > v1 + MONOTONE_TOL_CONTINUOUS:
-            raise AssertionError(
-                f"continuous TV increased between t={t1} and t={t2} ({v1!r} -> {v2!r})"
-            )
-    return MixingResult(from_state=x_idx, epsilon=eps, time=float(hi), achieved_tv=hi_tv)
+    return _Ladder(chain).time(None if x is None else chain.index(x), eps)

@@ -1,5 +1,6 @@
 """full_report derives each chain quantity once and agrees with the public bound functions."""
 
+import itertools
 import sys
 from collections import Counter
 
@@ -34,7 +35,7 @@ from mixbounds import (
     validate_flow,
 )
 from mixbounds import chains, flows, mixing, spectral
-from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _same_chain, _skip, _skip_families
+from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _Derived, _same_chain, _skip, _skip_families
 from mixbounds.cli import run_cli
 
 from _families import doubly_stochastic
@@ -60,10 +61,17 @@ def _lazy_cycle(n):
     return build_chain(list(range(n)), P, name=f"lazy_cycle({n})")
 
 
+def _self_pair():
+    chain = random_reversible(12, 1)
+    return {"base": chain, "target": chain, "flow": build_canonical_flow(chain, chain)}
+
+
 COUNTED = {
     "reversible pair": _reversible_pair,
     "dhn(8)": lambda: {"base": dhn(8)},
     "doubly_stochastic(9, 4)": lambda: {"base": doubly_stochastic(9, 4)},
+    # the target is the base object itself: one chain, one every-row stream
+    "target is base": _self_pair,
 }
 
 COMPARED = {
@@ -121,6 +129,38 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     assert max(classified.values()) == 1, "a chain object was classified twice"
     assert max(validated.values(), default=0) <= 1, "a flow was validated twice"
     assert max(walked.values(), default=0) <= 1, "a flow's paths were walked twice"
+
+
+def test_a_report_steps_one_stream_past_every_discrete_crossing(monkeypatch):
+    """Worst-start times first: on the lazy 100-cycle, the every-row stream
+    that reaches the worst start's crossing of 1/(2e) (1,259 steps) has
+    passed the report's other discrete crossings too."""
+    stepped = Counter()
+    step = mixing._Steps.step
+
+    def counting_step(self):
+        stepped[id(self)] += 1
+        step(self)
+
+    monkeypatch.setattr(mixing._Steps, "step", counting_step)
+    chain = _lazy_cycle(100)
+    streamed = _count(monkeypatch, mixing._Steps, lambda chain, *rest: id(chain))
+    full_report(chain, x=3, eps=0.25)
+    assert streamed == {id(chain): 1}
+    assert sum(stepped.values()) <= 1259
+
+
+@pytest.mark.parametrize("case", sorted(set(COMPARED) - {"periodic"}))  # the other bases are ergodic
+def test_discrete_times_in_any_order(case):
+    kwargs = COMPARED[case]()
+    base, eps = kwargs["base"], kwargs.get("eps", 0.25)
+    x = base.index(kwargs.get("x", 0))
+    queries = [(True, DELTA_DEFAULT), (True, eps), (False, eps), (False, DELTA_DEFAULT)]
+    want = {(worst, e): discrete_mixing_time(base, None if worst else x, e).time for worst, e in queries}
+    for order in itertools.permutations(queries):
+        d = _Derived()
+        got = {(worst, e): d.discrete(base, x, e, worst=worst) for worst, e in order}
+        assert got == want, order
 
 
 def test_a_chain_is_classified_once_across_public_calls(monkeypatch):

@@ -23,8 +23,9 @@ from mixbounds import (
     uniform_walk,
 )
 from mixbounds.chains import Chain
-from mixbounds.mixing import BISECTION_REL, _continuous_time, _Ladder
-from mixbounds.errors import BadEpsilon, BadParams, DimensionMismatch, NoConvergence, NotErgodic, NotIrreducible
+from mixbounds.mixing import BISECTION_REL, _Ladder
+from mixbounds.errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, NoConvergence, NotErgodic,
+                              NotIrreducible)
 
 from _families import doubly_stochastic
 
@@ -173,6 +174,15 @@ def test_matrix_exponential_bad_input():
         matrix_exponential(np.zeros((2, 3)), 1.0)
     with pytest.raises(DimensionMismatch):
         matrix_exponential([[-1.0, 1.0], [0.5]], 1.0)
+
+
+def test_matrix_exponential_at_too_long_a_time_is_ill_conditioned():
+    # accepted rate matrices whose squarings, each roughly doubling the
+    # row-sum error (or the row sum's 5e-10 slack), lose stochasticity
+    Q = random_reversible(20, 1).P - np.eye(20)
+    for rate, t in ((Q, 2.0**30), (Q, 1e12), ([[-1.0, 1.0 + 5e-10], [0.5, -0.5]], 1e3)):
+        with pytest.raises(IllConditioned, match="lost stochasticity"):
+            matrix_exponential(rate, t)
 
 
 def test_continuous_mixing_two_state_closed_form():
@@ -332,7 +342,7 @@ def test_continuous_time_matches_per_probe_reference(case):
     chain = make()
     ladder, row_tvs = _Ladder(chain), {}
     for x, eps in calls:
-        got = _continuous_time(chain, x, eps, ladder)
+        got = ladder.time(None if x is None else chain.index(x), eps)
         want_time, want_tv = _reference_continuous_time(chain, x, eps, row_tvs)
         assert got.time == want_time, (x, eps)
         assert abs(got.achieved_tv - want_tv) <= 1e-10, (x, eps)
