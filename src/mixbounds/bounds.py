@@ -27,7 +27,7 @@ import numpy as np
 
 from .chains import Chain, _check_pair, _require, classify, lazy, multiply, reversibilize, time_reversal
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
-from .flows import Flow, edge_congestion, validate_flow
+from .flows import Flow, _worst_edge, validate_flow
 from .mixing import _Ladder, _Steps, _check_eps
 from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _gaps, conductance, eigendecompose
 
@@ -251,7 +251,7 @@ def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, 
         _require(c, "ergodic", f"reversible comparison bounds ({who})")
     if not _same_chain(flow.base, base) or not _same_chain(flow.target, target):
         raise WrongFlowBase("flow does not connect the given base and target chains")
-    A = edge_congestion(flow)[1]
+    A = _worst_edge(flow)
     x = base.index(x)
     log_term = _log_term(eps, base.pi[x])
     deltas = sorted(set(DELTA_SWEEP) | {delta}) if sweep else [delta]
@@ -365,7 +365,7 @@ def _nonreversible_bounds(d: _Derived, chain: Chain, x, eps: float) -> list[Boun
     product = d.product(chain)
     # R(P) P never links two cyclic classes, so a periodic chain's product is
     # reducible: T23 is skipped here, and T25 never sees a periodic base, as
-    # no valid flow routes over a reducible product (edge_congestion raises)
+    # no valid flow routes over a reducible product (its congestion raises)
     if not classify(product).irreducible:
         entries.append(_skip("T23", "reversal-product chain is reducible (gap 0)"))
     else:
@@ -401,7 +401,7 @@ def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, 
         raise WrongFlowBase("flow is routed over neither the base chain nor its reversal product")
     if not _same_chain(flow.target, target):
         raise WrongFlowBase("flow target does not match the given target chain")
-    A = edge_congestion(flow)[1]
+    A = _worst_edge(flow)
 
     cls_t = classify(target)
     log2 = _log_term_sq(eps, base.pi[x])

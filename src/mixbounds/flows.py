@@ -20,18 +20,21 @@ Flows are immutable plain data, and all operations are pure.  A flow keeps
 its walk: one numpy pass over its paths laid end to end, in blocks, gives the
 verdict (valid, odd, violations) and the loads (the sums above, in path
 order), which the congestions only divide by pi(z)P(z,w) or pi(z).
-Spreading splits each path over its detours by a quantile coupling.
+Spreading splits each path over its detours by a quantile coupling of its
+hops' cumulative shares.  It runs as numpy arrays over blocks of paths, from
+the coupling to the sorted and merged detour rows; only the output paths are
+built one by one.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import numbers
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -71,7 +74,7 @@ class Flow:
     target: Chain
     paths: tuple[FlowPath, ...] = ()
     _validation: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    _detours: dict | None = field(default=None, init=False, compare=False, repr=False)
+    _detours: _Detours | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "paths", tuple(self.paths))
@@ -198,32 +201,65 @@ def _loads(flow: Flow) -> tuple[np.ndarray, np.ndarray]:
     return flow._validation[3:]
 
 
-def edge_congestion(flow: Flow) -> tuple[dict[tuple[int, int], float], float]:
-    """Per-edge congestion over every base edge, and its maximum."""
+def _edge_congestions(flow: Flow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every base edge (xs, ys), in row-major order, and its congestion."""
     load, _ = _loads(flow)
     base = flow.base
     xs, ys = np.nonzero(base.support())
-    a = load[xs, ys] / (base.pi[xs] * base.P[xs, ys])
+    return xs, ys, load[xs, ys] / (base.pi[xs] * base.P[xs, ys])
+
+
+def edge_congestion(flow: Flow) -> tuple[dict[tuple[int, int], float], float]:
+    """Per-edge congestion over every base edge, and its maximum."""
+    xs, ys, a = _edge_congestions(flow)
     per_edge = dict(zip(zip(xs.tolist(), ys.tolist()), a.tolist()))
     return per_edge, max(per_edge.values(), default=0.0)
 
 
-def _detours(base: Chain, load: np.ndarray) -> dict:
-    """For each loaded hop (u, v), in sorted order: the overlap delta = sum_x m(x),
-    m(x) = min(P(u, x), R(v, x)), and the arrays of the x with m(x) > 0 and of
-    their shares m(x) / delta.  Raises KappaInfinite at a zero overlap."""
-    R = time_reversal(base).P
-    out = {}
-    for u, v in zip(*(a.tolist() for a in np.nonzero(load > 0.0))):
-        weights = np.minimum(base.P[u], R[v])
-        delta = float(weights.sum())
-        if delta == 0.0:
-            raise KappaInfinite(
-                f"edge ({base.labels[u]},{base.labels[v]}) carries flow but has zero overlap"
-            )
-        xs = np.nonzero(weights > 0.0)[0]
-        out[u, v] = delta, xs, weights[xs] / delta
-    return out
+def _worst_edge(flow: Flow) -> float:
+    """The maximum of ``edge_congestion``, without its per-edge dict."""
+    return float(_edge_congestions(flow)[2].max(initial=0.0))
+
+
+class _Detours(NamedTuple):
+    """The detour table of a flow's loaded hops (u, v), in sorted order: each
+    one's overlap delta = sum_x m(x), m(x) = min(P(u, x), R(v, x)), and the
+    ``_quantiles`` of its shares m(x) / delta; ``row`` is the n x n index of
+    the hops into these arrays, -1 where a hop carries no flow."""
+
+    row: np.ndarray
+    delta: np.ndarray
+    quantiles: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _detours(base: Chain, load: np.ndarray) -> _Detours:
+    """The detour table of the hops with positive load.  Raises KappaInfinite
+    at the first one with zero overlap."""
+    us, vs = np.nonzero(load > 0.0)
+    weights = np.minimum(base.P[us], time_reversal(base).P[vs])
+    delta = weights.sum(axis=1)
+    zero = np.flatnonzero(delta == 0.0)
+    if zero.size:
+        k = zero[0]
+        raise KappaInfinite(
+            f"edge ({base.labels[us[k]]},{base.labels[vs[k]]}) carries flow but has zero overlap"
+        )
+    row = np.full((base.n, base.n), -1, np.intp)
+    row[us, vs] = np.arange(len(us))
+    return _Detours(row, delta, _quantiles(weights / delta[:, None]))
+
+
+def _quantiles(shares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of shares (0 where a column is no intermediate): the kept
+    columns, their cumulative shares, padded, and how many there are.  A share
+    of 1e-14 or less is dust and dropped, except a row's last."""
+    present = shares > 0.0
+    kept = present & (shares > 1e-14)
+    kept[np.arange(len(shares)), shares.shape[1] - 1 - np.argmax(present[:, ::-1], axis=1)] = True
+    cum = np.cumsum(np.where(kept, shares, 0.0), axis=1)  # a dropped share adds 0.0: no rounding
+    size = kept.sum(axis=1)
+    columns = np.argsort(~kept, axis=1, kind="stable")[:, :size.max(initial=0)]
+    return columns, np.take_along_axis(cum, columns, axis=1), size
 
 
 def state_congestion(flow: Flow) -> tuple[dict[int, float], float, float]:
@@ -240,7 +276,7 @@ def state_congestion(flow: Flow) -> tuple[dict[int, float], float, float]:
     if flow._detours is None:
         object.__setattr__(flow, "_detours", _detours(base, edge_load))
     per_state = dict(enumerate((state_load / base.pi).tolist()))
-    kappa = max((1.0 / delta for delta, _, _ in flow._detours.values()), default=0.0)
+    kappa = float((1.0 / flow._detours.delta).max(initial=0.0))
     return per_state, max(per_state.values()), kappa
 
 
@@ -290,27 +326,23 @@ def spread_flow(flow: Flow) -> Flow:
     Non-simple input is first rerouted onto simple support (loop erasure,
     which cannot increase congestion).  Raises KappaInfinite when some loaded
     hop has no usable intermediate.
+
+    The hops of one path are split together by a quantile coupling
+    (``_couple``), computed as arrays for blocks of paths; the detours are
+    sorted and summed as arrays too, exactly as a dict of tuples would sum
+    them in the order they are made.
     """
-    _, a_before = edge_congestion(flow)
+    a_before = _worst_edge(flow)
     simple = _simplify(flow)
-    _, a_simple = edge_congestion(simple)
-    if a_simple > a_before + 1e-12:
+    if _worst_edge(simple) > a_before + 1e-12:
         raise AssertionError("loop erasure increased congestion (internal bug)")
 
     _, B, kappa = state_congestion(simple)
-    out: dict[tuple[int, ...], float] = defaultdict(float)
-    for p in simple.paths:  # a length-0 path is its own detour
-        shares = [list(zip(xs.tolist(), fracs.tolist()))
-                  for _, xs, fracs in map(simple._detours.get, zip(p.states, p.states[1:]))]
-        for detour, frac in _couple_hops(shares):
-            states = (p.states[0], *itertools.chain.from_iterable(zip(detour, p.states[1:])))
-            out[states] += frac * p.mass
-
-    result = Flow(simple.base, simple.target, [FlowPath(s, out[s]) for s in sorted(out) if out[s] > 0.0])
+    result = Flow(simple.base, simple.target, _spread_paths(simple))
     valid, _, violations = validate_flow(result)
     if not valid:
         raise AssertionError("spread flow failed validation: " + "; ".join(violations[:3]))
-    _, a_after = edge_congestion(result)
+    a_after = _worst_edge(result)
     if a_after > 8.0 * kappa * B + 1e-9:
         raise AssertionError(
             f"spread congestion {a_after!r} exceeds 8*kappa*B = {8.0 * kappa * B!r}"
@@ -318,26 +350,124 @@ def spread_flow(flow: Flow) -> Flow:
     return result
 
 
-def _couple_hops(hop_shares: list[list[tuple[int, float]]]):
+def _spread_paths(simple: Flow) -> list[FlowPath]:
+    """The spread paths of a simple flow, in sorted order.  Detours of paths
+    with different first states never interleave in that order, so the paths
+    are sorted and cut into blocks of whole runs of one first state, of about
+    _BLOCK coupling points each, and each block is spread on its own."""
+    table = simple._detours
+    paths = sorted(simple.paths, key=attrgetter("states"))
+    sizes = np.fromiter(map(len, map(attrgetter("states"), paths)), np.intp, len(paths))
+    states = np.fromiter(itertools.chain.from_iterable(map(attrgetter("states"), paths)),
+                         np.intp, int(sizes.sum()))
+    mass = np.fromiter(map(attrgetter("mass"), paths), float, len(paths))
+    hop = table.row[states[:-1], states[1:]][_ragged(sizes)[1][1:] > 0]
+    state_lo = np.r_[0, np.cumsum(sizes)]
+    hop_lo = state_lo - np.arange(len(paths) + 1)
+    points = np.r_[0, np.cumsum(table.quantiles[2][hop])][hop_lo[:-1]]  # coupling points before each path
+    run = np.flatnonzero(np.r_[True, np.diff(states[state_lo[:-1]]) != 0])
+    _, at = np.unique(points[run] // _BLOCK, return_index=True)
+    bounds = [*run[at].tolist(), len(paths)]
+    out: list[FlowPath] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        out += _spread_block(states[state_lo[lo]:state_lo[hi]], sizes[lo:hi], mass[lo:hi],
+                             hop[hop_lo[lo]:hop_lo[hi]], table)
+    return out
+
+
+def _spread_block(states: np.ndarray, sizes: np.ndarray, mass: np.ndarray, hop: np.ndarray,
+                  table: _Detours) -> list[FlowPath]:
+    """The spread paths of a block of simple paths, laid end to end, whose
+    hops have the given table rows.  Each chunk of the coupling is a detour
+    row (s0, x1, s1, ..., xL, sL), padded with -1, which sorts a shorter row
+    below its extensions as tuples sort; equal rows are summed in the order
+    they are made, as a dict of tuples would sum them.  A length-0 path is
+    its own detour."""
+    owner, frac, xs = _couple(table.quantiles, hop, sizes - 1)
+    rows = np.full((len(owner), 2 * sizes.max() - 1), -1, np.intp)
+    chunk, j = _ragged(sizes[owner])
+    rows[chunk, 2 * j] = states[(np.cumsum(sizes) - sizes)[owner[chunk]] + j]
+    chunk, j = _ragged(sizes[owner] - 1)
+    rows[chunk, 2 * j + 1] = xs
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    made = np.empty(len(rows), np.intp)  # each row's place among the distinct ones
+    made[order] = np.cumsum(first) - 1
+    total = np.zeros(int(first.sum()))
+    np.add.at(total, made, frac * mass[owner])
+    keep = total > 0.0
+    rows = rows[first][keep]
+    return [FlowPath(tuple(r[:s]), m) for r, s, m in
+            zip(rows.tolist(), (rows >= 0).sum(axis=1).tolist(), total[keep].tolist())]
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the given lengths laid end to end: each entry's run, and its index in it."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _keys(owner: np.ndarray, value) -> np.ndarray:
+    """(owner, value) pairs as complex numbers.  Numpy orders complex numbers by
+    real part, then by imaginary part, so a sort or a search over these keys
+    orders the values within each owner, exactly, in one call."""
+    keys = np.empty(len(owner), complex)
+    keys.real, keys.imag = owner, value
+    return keys
+
+
+def _couple(quantiles: tuple[np.ndarray, np.ndarray, np.ndarray], hop: np.ndarray,
+            per_path: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Couple per-hop intermediate distributions into full detour choices.
 
-    Yields ``(intermediates, fraction)`` pairs whose per-hop marginals equal
-    the given shares, using linearly many paths instead of the product set:
-    chunks run between consecutive points of the union of the hops'
-    cumulative shares (a quantile coupling; dust of 1e-14 or less is dropped,
-    except a hop's last share).  All detoured paths have the same length, so
-    any coupling with the right marginals gives the full product's congestion.
+    ``quantiles`` holds, per table row, the kept intermediates, their
+    cumulative shares and their count (see ``_quantiles``).  Path p has the
+    next ``per_path[p]`` entries of ``hop``, each a table row.  Returns the
+    chunks in order, each with its path and its fraction, and per chunk the
+    intermediate of each hop of its path.
+
+    Chunks run between consecutive chunk ends, a quantile coupling: from
+    start t, the end is the first of the path's cumulative points past
+    t + 1e-14, or, once a hop has no point past it, that hop's total; ends
+    stop at 1.0, and chunks while 1 - t > 1e-14.  Each hop picks the
+    intermediate its own points reach at t + 1e-14 (its last at most).  So
+    the per-hop marginals are the shares, with linearly many detours, not the
+    product set; all detoured paths have the same length, so any coupling
+    with the right marginals gives the full product's congestion.
     """
-    kept = [[pair for pair in pairs[:-1] if pair[1] > 1e-14] + pairs[-1:] for pairs in hop_shares]
-    hops = [([x for x, _ in h], list(itertools.accumulate(s for _, s in h))) for h in kept]
-    start = 0.0
-    while 1.0 - start > 1e-14:
-        picks = [min(bisect.bisect_right(cum, start + 1e-14), len(cum) - 1) for _, cum in hops]
-        end = min([1.0, *(cum[j] for (_, cum), j in zip(hops, picks))])
-        if end <= start:
-            break  # floating-point dust only; demand check catches real loss
-        yield tuple(xs[j] for (xs, _), j in zip(hops, picks)), end - start
-        start = end
+    xs, cum, size = quantiles
+    n = len(per_path)
+    path = np.repeat(np.arange(n), per_path)
+    size = size[hop]
+    point_hop, k = _ragged(size)
+    point_path, value = path[point_hop], cum[hop[point_hop], k]
+    # a chain never passes the smallest hop total, nor 1.0: nodes are 0, the
+    # points up to that cap, and the cap (1.0 alone for a path without hops)
+    cap = np.ones(n)
+    np.minimum.at(cap, path, cum[hop, size - 1])
+    below = value <= cap[point_path]
+    nodes = np.unique(np.concatenate([_keys(point_path[below], value[below]),
+                                      _keys(np.arange(n), cap), _keys(np.arange(n), 0.0)]))
+    node_path, t = nodes.real.astype(np.intp), nodes.imag
+    last = np.searchsorted(node_path, node_path, side="right") - 1
+    nxt = np.minimum(np.searchsorted(nodes, _keys(node_path, t + 1e-14), side="right"), last)
+    nxt[(nxt == np.arange(len(nodes))) | ~(1.0 - t > 1e-14)] = -1
+    # follow every path's chain at once, from its node 0
+    start = np.zeros(len(nodes), bool)
+    at = np.searchsorted(node_path, np.arange(n))
+    while (at := at[nxt[at] >= 0]).size:
+        start[at] = True
+        at = nxt[at]
+    at = np.flatnonzero(start)
+    owner = node_path[at]
+    # each hop's pick: how many of its points t + 1e-14 reaches, clamped to its last
+    chunk, j = _ragged(per_path[owner])
+    pair = (np.cumsum(per_path) - per_path)[owner[chunk]] + j
+    reach = np.searchsorted(_keys(point_hop, value), _keys(pair, t[at][chunk] + 1e-14), side="right")
+    pick = np.minimum(reach - (np.cumsum(size) - size)[pair], size[pair] - 1)
+    return owner, t[nxt[at]] - t[at], xs[hop[pair], pick]
 
 
 def build_canonical_flow(base: Chain, target: Chain, odd: bool = False) -> Flow:
