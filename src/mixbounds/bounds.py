@@ -21,7 +21,7 @@ cheap read and needs no memo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -74,21 +74,12 @@ class BoundEntry:
     quantity: str
     bound: float | None
     exact: float | None
-    applicable: bool
     holds: bool | None
+    applicable: bool
     reason: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "direction": self.direction,
-            "quantity": self.quantity,
-            "bound": self.bound,
-            "exact": self.exact,
-            "holds": self.holds,
-            "applicable": self.applicable,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 def _entry(tid: str, bound: float, exact: float) -> BoundEntry:
@@ -99,12 +90,12 @@ def _entry(tid: str, bound: float, exact: float) -> BoundEntry:
         holds = bound <= exact + HOLD_TOL
     else:
         holds = bound >= exact - HOLD_TOL
-    return BoundEntry(tid, direction, quantity, float(bound), float(exact), True, holds, None)
+    return BoundEntry(tid, direction, quantity, float(bound), float(exact), holds, True, None)
 
 
 def _skip(tid: str, reason: str) -> BoundEntry:
     _, direction, quantity = CATALOG[tid]
-    return BoundEntry(tid, direction, quantity, None, None, False, None, reason)
+    return BoundEntry(tid, direction, quantity, None, None, None, False, reason)
 
 
 def _skip_families(reason: str, *families: str) -> list[BoundEntry]:
@@ -138,17 +129,20 @@ class _Derived:
     Entries are keyed by object identity and hold their object, so an id
     cannot be reused while the memo lives.  A memo is created by a public
     bound function (or ``full_report``) and dropped when that call returns.
-    It answers mixing-time queries in any order.  For the discrete times it
-    holds each chain's ``mixing._Steps`` streams (the current iterate and
-    O(t) distances): one over every row, and one from e_x if a from-x time
-    lies past where that one has stepped.  For the continuized times it
-    holds each chain's ``mixing._Ladder``: the few anchor exponentials
-    E(2^a) (n x n each, at most four per chain), every probe's vector of
-    per-start distances and every answer.  It holds nothing for a flow,
-    which keeps its own walk.
+    It is made where the call's ``eps`` is checked, and keeps it.  It
+    answers mixing-time queries in any order.  For the discrete times it
+    holds each chain's ``mixing._Steps`` streams (the current iterate, O(t)
+    distances and O(n) crossings of eps): one over every row, which answers
+    the worst start at any epsilon and every start at eps as far as it has
+    stepped, and one from e_x for a from-x time it does not answer.  For the
+    continuized times it holds each chain's ``mixing._Ladder``: the few
+    anchor exponentials E(2^a) (n x n each, at most four per chain), every
+    probe's vector of per-start distances and every answer.  It holds
+    nothing for a flow, which keeps its own walk.
     """
 
-    def __init__(self):
+    def __init__(self, eps: float | None = None):
+        self.eps = eps
         self._objects: dict[int, tuple[object, dict]] = {}
 
     def _get(self, obj, key, compute):
@@ -168,16 +162,17 @@ class _Derived:
         """The reversal product R(P) P."""
         return self._get(chain, "product", lambda: multiply(time_reversal(chain), chain))
 
-    def discrete(self, chain: Chain, x, eps: float, worst: bool = False) -> int:
-        """The discrete mixing time at eps from the worst start if ``worst``,
-        else from x, where x is the call's start on this chain (None if it has
-        none).  Worst-start times step the every-row stream, which tracks x; a
-        from-x time reads its row x if that has crossed eps, else steps e_x."""
-        if worst:
-            return self._get(chain, "steps", lambda: _Steps(chain, None, tracked=x)).time(eps).time
+    def discrete(self, chain: Chain, x, eps: float) -> int:
+        """The discrete mixing time at eps from state index x, or from the
+        worst start if x is None.  Worst-start times step the every-row
+        stream.  A from-x time at the call's eps reads that stream's crossing
+        of row x; one it has not reached, or at another eps, steps e_x."""
+        if x is None:
+            return self._get(chain, "steps", lambda: _Steps(chain, None, self.eps)).time(eps).time
         every_row = self._objects.get(id(chain), (chain, {}))[1].get("steps")
-        t = None if every_row is None else every_row.tracked_time(x, eps)
-        return t or self._get(chain, ("steps", x), lambda: _Steps(chain, x)).time(eps).time
+        if eps == self.eps and every_row is not None and every_row.crossed[x]:
+            return int(every_row.crossed[x])
+        return self._get(chain, ("steps", x), lambda: _Steps(chain, x)).time(eps).time
 
     def continuous(self, chain: Chain, x, eps: float) -> float:
         return self._get(chain, "ladder", lambda: _Ladder(chain)).time(x, eps).time
@@ -199,22 +194,22 @@ def spectral_bounds_reversible(chain: Chain, x, eps: float) -> list[BoundEntry]:
     mixing time from x by ``ln(1/(eps pi(x))) / (1 - bm)`` (T7), where bm is
     the largest nontrivial eigenvalue modulus.
     """
-    return _spectral_bounds_reversible(_Derived(), chain, x, eps)
+    return _spectral_bounds_reversible(_Derived(_check_eps(eps)), chain, x)
 
 
-def _spectral_bounds_reversible(d: _Derived, chain: Chain, x, eps: float) -> list[BoundEntry]:
-    eps = _check_eps(eps)
+def _spectral_bounds_reversible(d: _Derived, chain: Chain, x) -> list[BoundEntry]:
+    eps = d.eps
     _require(chain, "reversible", "spectral mixing bounds")
     _require(chain, "ergodic", "spectral mixing bounds")
     x = chain.index(x)
     bm = d.summary(chain).beta_max
     entries = []
     if eps < 0.5:
-        exact_worst = d.discrete(chain, x, eps, worst=True)
+        exact_worst = d.discrete(chain, None, eps)
         entries.append(_entry("T5", bm / (1.0 - bm) * math.log(1.0 / (2.0 * eps)), exact_worst))
     else:
         entries.append(_skip("T5", "eps >= 1/2 makes the lower bound vacuous"))
-    entries.append(_entry("C6", bm / (1.0 - bm), d.discrete(chain, x, DELTA_DEFAULT, worst=True)))
+    entries.append(_entry("C6", bm / (1.0 - bm), d.discrete(chain, None, DELTA_DEFAULT)))
     exact_x = d.discrete(chain, x, eps)
     entries.append(_entry("T7", _log_term(eps, chain.pi[x]) / (1.0 - bm), exact_x))
     return entries
@@ -239,12 +234,12 @@ def comparison_reversible(
     lazy chain instead.  With ``sweep`` the delta-dependent bounds report
     their minimum over ``DELTA_SWEEP``.
     """
-    return _comparison_reversible(_Derived(), base, target, flow, x, eps, delta, sweep)
+    return _comparison_reversible(_Derived(_check_eps(eps)), base, target, flow, x, delta, sweep)
 
 
-def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, x, eps: float,
-                           delta: float, sweep: bool) -> list[BoundEntry]:
-    eps = _check_eps(eps)
+def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, x, delta: float,
+                           sweep: bool) -> list[BoundEntry]:
+    eps = d.eps
     delta = _check_delta(delta)
     for c, who in ((base, "base"), (target, "target")):
         _require(c, "reversible", f"reversible comparison bounds ({who})")
@@ -255,8 +250,8 @@ def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, 
     x = base.index(x)
     log_term = _log_term(eps, base.pi[x])
     deltas = sorted(set(DELTA_SWEEP) | {delta}) if sweep else [delta]
-    best_factor = min(_mix_factor(d.discrete(target, None, dl, worst=True), dl) for dl in deltas)
-    tau_prime_e = d.discrete(target, None, DELTA_DEFAULT, worst=True)
+    best_factor = min(_mix_factor(d.discrete(target, None, dl), dl) for dl in deltas)
+    tau_prime_e = d.discrete(target, None, DELTA_DEFAULT)
     exact_x = d.discrete(base, x, eps)
 
     entries = []
@@ -352,11 +347,11 @@ def nonreversible_bounds(chain: Chain, x, eps: float) -> list[BoundEntry]:
     when that product is reducible its gap is zero and no discrete bound of
     this kind exists, which the entry reports instead of failing.
     """
-    return _nonreversible_bounds(_Derived(), chain, x, eps)
+    return _nonreversible_bounds(_Derived(_check_eps(eps)), chain, x)
 
 
-def _nonreversible_bounds(d: _Derived, chain: Chain, x, eps: float) -> list[BoundEntry]:
-    eps = _check_eps(eps)
+def _nonreversible_bounds(d: _Derived, chain: Chain, x) -> list[BoundEntry]:
+    eps = d.eps
     _require(chain, "irreducible", "nonreversible bounds")
     x = chain.index(x)
     lam1, _ = d.lambdas(chain)
@@ -383,11 +378,11 @@ def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) ->
     routed over the base's reversal product instead bounds the discrete
     mixing time (T25).  The flow's base decides which family applies.
     """
-    return _comparison_general(_Derived(), base, target, flow, x, eps)
+    return _comparison_general(_Derived(_check_eps(eps)), base, target, flow, x)
 
 
-def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, eps) -> list[BoundEntry]:
-    eps = _check_eps(eps)
+def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x) -> list[BoundEntry]:
+    eps = d.eps
     for c, who in ((base, "base"), (target, "target")):
         _require(c, "irreducible", f"general comparison bounds ({who})")
     _check_pair(base, target)
@@ -406,7 +401,7 @@ def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x, 
     cls_t = classify(target)
     log2 = _log_term_sq(eps, base.pi[x])
     tau_t_cont = d.continuous(target, None, DELTA_DEFAULT)
-    tau_t_disc = d.discrete(target, None, DELTA_DEFAULT, worst=True) if cls_t.ergodic else None
+    tau_t_disc = d.discrete(target, None, DELTA_DEFAULT) if cls_t.ergodic else None
 
     entries = []
     if kind == "direct":
@@ -499,25 +494,25 @@ def full_report(
     delta = _check_delta(delta)
     if (target is None) != (flow is None):
         raise MixboundsError("supply target and flow together, or neither")
-    d = _Derived()
+    d = _Derived(eps)
     cls = _require(base, "irreducible", "full report")
     x_idx = base.index(x)
 
     # worst-start times first, the cheap order: the every-row stream answers
-    # each from-x time it has passed, and any other steps a stream from e_x
-    tau_worst_disc = d.discrete(base, x_idx, DELTA_DEFAULT, worst=True) if cls.ergodic else None
+    # each from-x time at eps it has passed, and any other steps e_x
+    tau_worst_disc = d.discrete(base, None, DELTA_DEFAULT) if cls.ergodic else None
     exact_cont = d.continuous(base, x_idx, eps)
     tau_worst_cont = d.continuous(base, None, DELTA_DEFAULT)
 
     entries: list[BoundEntry] = []
     if cls.reversible and cls.ergodic:
-        entries += _spectral_bounds_reversible(d, base, x_idx, eps)
+        entries += _spectral_bounds_reversible(d, base, x_idx)
     else:
         reason = "chain is periodic" if cls.reversible else "chain is not reversible"
         entries += _skip_families(reason, "spectral")
 
     entries += _conductance_bounds(d, base, tau_worst_disc, tau_worst_cont)
-    entries += _nonreversible_bounds(d, base, x_idx, eps)
+    entries += _nonreversible_bounds(d, base, x_idx)
 
     if target is None:
         entries += _skip_families("no target chain and flow supplied",
@@ -527,12 +522,12 @@ def full_report(
         both_rev_erg = cls.reversible and cls.ergodic and cls_t.reversible and cls_t.ergodic
         direct = _same_chain(flow.base, base)
         if direct and both_rev_erg:
-            entries += _comparison_reversible(d, base, target, flow, x_idx, eps, delta, sweep)
+            entries += _comparison_reversible(d, base, target, flow, x_idx, delta, sweep)
         else:
             reason = ("comparison pair is not reversible ergodic" if direct
                       else "flow is routed over the reversal product")
             entries += _skip_families(reason, "comparison_reversible")
-        entries += _comparison_general(d, base, target, flow, x_idx, eps)
+        entries += _comparison_general(d, base, target, flow, x_idx)
 
     order = {tid: i for i, tid in enumerate(CATALOG)}
     entries.sort(key=lambda e: order[e.theorem])

@@ -84,7 +84,9 @@ def random_reversible(N: int, seed: int = 0) -> Chain:
         for y in range(N):
             if x != y:
                 P[x, y] = min(1.0, w[y] / w[x]) / (N - 1)
-        P[x, x] = 1.0 - P[x].sum()
+        # every proposal from the lightest state is accepted: nothing stays put,
+        # where 1 - sum would leave a rounding error as a phantom self-loop
+        P[x, x] = 0.0 if (w >= w[x]).all() else 1.0 - P[x].sum()
     return build_chain([f"s{i}" for i in range(N)], P, name=f"random_reversible(N={N},seed={seed})")
 
 

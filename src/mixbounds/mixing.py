@@ -3,9 +3,11 @@
 Discrete mixing times are found by iterating the distributions one step at a
 time (never materialising matrix powers): a stream iterates e_x, or every row
 for the worst start, and keeps the distance at each step, so it answers its
-start at any epsilon.  Each row's distance to stationarity is non-increasing;
-that is re-checked for every row at every step, so a violation surfaces as a
-bug rather than a wrong answer.
+start at any epsilon.  An every-row stream given an epsilon also records each
+row's first crossing of it, so it answers every start at that epsilon.  Each
+row's distance to stationarity is non-increasing; that is re-checked for
+every row at every step, so a violation surfaces as a bug rather than a wrong
+answer.
 The continuized chain has rate matrix Q = P - I and distribution
 ``v expm(Q t)``; its mixing time is found by doubling and bisection.  The
 probes share a ladder of power-of-two exponentials E(2^e) = expm(Q 2^e),
@@ -125,25 +127,20 @@ class _Steps:
 
     Iterates e_x, or every row (from the identity) when x is None.  The
     history is O(t): the largest distance over the stream's rows at each
-    step, so the stream answers its own start at any epsilon.  An every-row
-    stream may also record the distance of one row, ``tracked``, which
-    answers that start as far as the stream has stepped.  Each step is
-    checked not to raise any row's distance (beyond MONOTONE_TOL), since
-    TV(mu P, pi) <= TV(mu, pi) for every start mu.
+    step, so the stream answers its own start at any epsilon.  Given eps,
+    the stream also keeps ``crossed``, O(n): for each of its rows, the first
+    step t >= 1 at which that row is within eps (0 until it is), so an
+    every-row stream answers every start at eps as far as it has stepped.
+    Each step is checked not to raise any row's distance (beyond
+    MONOTONE_TOL), since TV(mu P, pi) <= TV(mu, pi) for every start mu.
     """
 
-    def __init__(self, chain: Chain, x: int | None, tracked: int | None = None):
-        self.P, self.pi, self.t, self.x = chain.P, chain.pi, 0, x
+    def __init__(self, chain: Chain, x: int | None, eps: float | None = None):
+        self.P, self.pi, self.t, self.x, self.eps = chain.P, chain.pi, 0, x, eps
         self.rows = np.eye(chain.n) if x is None else np.eye(chain.n)[x : x + 1]
-        self.tracked = tracked
-        self.history, self.tracked_history = array("d"), array("d")
         self.tvs = _rows_tv(self.rows, self.pi)
-        self._record()
-
-    def _record(self):
-        self.history.append(float(self.tvs.max()))
-        if self.tracked is not None:
-            self.tracked_history.append(float(self.tvs[self.tracked]))
+        self.history = array("d", [float(self.tvs.max())])
+        self.crossed = np.zeros(len(self.rows), dtype=np.int64)
 
     def step(self):
         self.rows = self.rows @ self.P
@@ -154,7 +151,10 @@ class _Steps:
             prev, cur = (float(v[risen.argmax()]) for v in (self.tvs, tvs))
             raise AssertionError(f"TV to stationarity increased at step {self.t}: {prev!r} -> {cur!r}")
         self.tvs = tvs
-        self._record()
+        self.history.append(float(tvs.max()))
+        # a row can cross eps only while some row was above it and the nearest is within it now
+        if self.eps is not None and self.history[-2] > self.eps >= float(tvs.min()):
+            self.crossed[(self.crossed == 0) & (tvs <= self.eps)] = self.t
 
     def time(self, eps: float, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
         """Smallest t in 1 .. max_steps with TV <= eps from the stream's start,
@@ -167,11 +167,6 @@ class _Steps:
         if t is None:
             raise NoConvergence(f"no mixing within {max_steps} steps (TV still {self.history[max_steps]:.3e})")
         return MixingResult(from_state=self.x, epsilon=eps, time=t, achieved_tv=self.history[t])
-
-    def tracked_time(self, x: int, eps: float) -> int | None:
-        """The mixing time from x at eps if this stream tracks x and has
-        already stepped past it, else None; never steps."""
-        return _crossing(self.tracked_history, eps, self.t) if x == self.tracked else None
 
 
 def _checked(E: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ fast; the heavier randomised suites live in the test directory.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,11 +21,13 @@ from .spectral import dirichlet_form, lambda_constants, variance
 
 
 def _two_state_exact_tau(delta: float, eps: float) -> int:
-    """Closed form for the flip-heavy two-state chain: TV(t) = (1-2d)^t / 2."""
-    if delta == 0.5:
-        return 1
-    t = math.log(2.0 * eps) / math.log(1.0 - 2.0 * delta)
-    return max(1, math.ceil(t - 1e-12))
+    """Closed form for the flip-heavy two-state chain: TV(t) = |1-2d|^t / 2.
+    The smallest t >= 1 with that within eps, in exact rational arithmetic."""
+    r, eps = abs(1 - 2 * Fraction(delta)), Fraction(eps)
+    t = 1
+    while r**t / 2 > eps:
+        t += 1
+    return t
 
 
 def _checks():

@@ -150,6 +150,35 @@ def test_a_report_steps_one_stream_past_every_discrete_crossing(monkeypatch):
     assert sum(stepped.values()) <= 1259
 
 
+@pytest.mark.parametrize("report", ["comparison_reversible", "full_report"])
+def test_a_target_that_is_the_base_shares_its_stream(monkeypatch, report):
+    """The target's worst-start times step the every-row stream, which then
+    answers the base's from-x time: the same chain object gets one stream."""
+    kwargs = _self_pair()
+    chain = kwargs["base"]
+    streamed = _count(monkeypatch, mixing._Steps, lambda chain, *rest: id(chain))
+    if report == "full_report":
+        full_report(**kwargs, sweep=True)
+    else:
+        comparison_reversible(chain, chain, kwargs["flow"], 0, 0.25)
+    assert streamed[id(chain)] == 1
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.05])
+@pytest.mark.parametrize("base", [_lazy_cycle(30), dhn(8), doubly_stochastic(9, 4)], ids=lambda c: c.name)
+def test_from_x_times_after_a_worst_start_query(monkeypatch, base, eps):
+    """After the worst start's crossing of 1/(2e), each from-x time at the
+    call's eps equals the e_x iteration's; at eps = 0.25 every row has crossed,
+    so the every-row stream answers them all."""
+    d = _Derived(eps)
+    d.discrete(base, None, DELTA_DEFAULT)
+    streamed = _count(monkeypatch, mixing._Steps, lambda chain, *rest: id(chain))
+    for x in range(base.n):
+        assert d.discrete(base, x, eps) == discrete_mixing_time(base, x, eps).time, x
+    if eps > DELTA_DEFAULT:
+        assert streamed[id(base)] == base.n  # only the reference streams
+
+
 @pytest.mark.parametrize("case", sorted(set(COMPARED) - {"periodic"}))  # the other bases are ergodic
 def test_discrete_times_in_any_order(case):
     kwargs = COMPARED[case]()
@@ -158,8 +187,8 @@ def test_discrete_times_in_any_order(case):
     queries = [(True, DELTA_DEFAULT), (True, eps), (False, eps), (False, DELTA_DEFAULT)]
     want = {(worst, e): discrete_mixing_time(base, None if worst else x, e).time for worst, e in queries}
     for order in itertools.permutations(queries):
-        d = _Derived()
-        got = {(worst, e): d.discrete(base, x, e, worst=worst) for worst, e in order}
+        d = _Derived(eps)
+        got = {(worst, e): d.discrete(base, None if worst else x, e) for worst, e in order}
         assert got == want, order
 
 

@@ -8,9 +8,11 @@ import pytest
 from mixbounds import (
     build_canonical_flow,
     classify,
+    comparison_reversible,
     dhn,
     directed_cycle,
     generate,
+    lazy,
     load_chain,
     load_flow,
     random_reversible,
@@ -77,6 +79,21 @@ def test_random_reversible_properties():
     np.testing.assert_array_equal(chain.P, again.P)
     other = random_reversible(8, seed=43)
     assert np.abs(chain.P - other.P).max() > 1e-3
+
+
+def test_random_reversible_lightest_state_has_no_self_loop():
+    """Every proposal from the lightest state is accepted, so its diagonal is
+    exactly 0, not the rounding left by 1 - (sum of the row)."""
+    for N in range(2, 61):
+        for seed in range(3):
+            chain = random_reversible(N, seed)
+            x = int(np.argmin(chain.pi))
+            assert chain.P[x, x] == 0.0, (N, seed)
+    # a phantom loop there made O13 applicable, with 1/(2c) of about 4.5e15
+    base = random_reversible(40, 1)
+    entries = comparison_reversible(base, lazy(base), build_canonical_flow(base, lazy(base), odd=True), 0, 0.25)
+    o13 = next(e for e in entries if e.theorem == "O13")
+    assert not o13.applicable and o13.reason == "some state has no self-loop"
 
 
 def test_generate_dispatch():
