@@ -24,7 +24,7 @@ from .bounds import DELTA_DEFAULT, full_report
 from .chains import classify, multiply, time_reversal
 from .errors import MixboundsError
 from .flows import build_canonical_flow
-from .generators import generate
+from .generators import KINDS, generate
 from .mixing import continuous_mixing_time, discrete_mixing_time
 from .selftest import collect_results, run_selftest
 from .serialize import chain_to_dict, load_chain, load_flow, save_chain
@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a chain and write it to JSON")
-    p_gen.add_argument("kind", help="two_state | dhn | uniform_walk | directed_cycle | random_reversible | lazy_of")
+    p_gen.add_argument("kind", help=" | ".join(KINDS))
     p_gen.add_argument("--delta", type=float, help="flip-stay parameter for two_state")
     p_gen.add_argument("--n", type=int, help="half state count for dhn")
     p_gen.add_argument("--N", type=int, dest="N", help="state count for uniform_walk / random_reversible")
@@ -166,6 +166,8 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if (args.odd or args.product) and not args.auto_flow:
+        raise MixboundsError("--odd and --product only apply with --auto-flow")
     base = load_chain(args.base)
     target = load_chain(args.target)
     if args.flow:

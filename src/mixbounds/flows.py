@@ -43,7 +43,8 @@ from scipy.sparse.csgraph import shortest_path
 from .chains import Chain, _check_pair, _require, time_reversal
 from .errors import InvalidFlow, KappaInfinite, NoOddPath, NotSimplifiable, Unreachable
 
-DEMAND_TOL = 1e-10
+#: each demand must be routed within this fraction of it, and a zero demand not at all
+DEMAND_TOL = 1e-9
 #: paths per walk block: bounds the walk's arrays, yet keeps numpy's call overhead small
 _BLOCK = 4096
 
@@ -90,6 +91,8 @@ def _demands(target: Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
     """Check the demand equations and path legality.
 
+    Each demand pi'(x) P'(x, y) must be routed within a relative DEMAND_TOL
+    of it, and no positive mass may be routed between states with no demand.
     Returns ``(valid, odd, violations)``.  Structural problems with the chain
     pair (different state space or stationary law) raise; everything about
     the paths themselves is reported in the violations list, which names the
@@ -183,11 +186,11 @@ def _validate(flow: Flow) -> tuple:
 
     xs, ys, want = _demands(flow.target)
     got = routed[xs * n + ys]
-    for k in np.flatnonzero(np.abs(got - want) > DEMAND_TOL).tolist():
+    for k in np.flatnonzero(np.abs(got - want) > DEMAND_TOL * want).tolist():
         violations.append(f"edge ({labels[xs[k]]},{labels[ys[k]]}): "
                           f"routed {float(got[k])!r}, demand {float(want[k])!r}")
     routed[xs * n + ys] = 0.0
-    for k in np.flatnonzero(routed > DEMAND_TOL).tolist():
+    for k in np.flatnonzero(routed > 0.0).tolist():
         violations.append(f"edge ({labels[k // n]},{labels[k % n]}): "
                           f"{float(routed[k])!r} units routed for a zero demand")
     return (not violations, odd, tuple(violations), edge_load.reshape(n, n), state_load)

@@ -8,8 +8,6 @@ from .chains import Chain, build_chain, lazy
 from .errors import BadParams, _count, _real
 from .flows import Flow, FlowPath
 
-KINDS = ("two_state", "dhn", "uniform_walk", "directed_cycle", "random_reversible", "lazy_of")
-
 
 def two_state(delta: float) -> Chain:
     """Two states {a, b}; flip with probability 1 - delta, stay with delta.
@@ -37,17 +35,12 @@ def dhn(n: int) -> Chain:
     n = _count(n, "dhn's n", BadParams, least=2)
     m = 2 * n
     values = list(range(-(n - 1), n + 1))
-    index = {v: i for i, v in enumerate(values)}
-
-    def to_value(residue: int) -> int:
-        return ((residue + n - 1) % m) - (n - 1)
-
+    # value v sits at index i = v + n - 1: v + 1 is at i + 1 and -v at m - 2 - i (mod m)
+    rows = np.arange(m)
     flip = 1.0 / n
-    ahead = 1.0 - flip
     P = np.zeros((m, m))
-    for v in values:
-        P[index[v], index[to_value(v + 1)]] += ahead
-        P[index[v], index[to_value(-v)]] += flip
+    np.add.at(P, (rows, (rows + 1) % m), 1.0 - flip)
+    np.add.at(P, (rows, (m - 2 - rows) % m), flip)
     return build_chain([str(v) for v in values], P, name=f"dhn(n={n})")
 
 
@@ -63,9 +56,7 @@ def uniform_walk(N: int, labels=None) -> Chain:
 def directed_cycle(k: int) -> Chain:
     """Deterministic walk around a directed k-cycle (irreducible, period k)."""
     k = _count(k, "directed_cycle's k", BadParams, least=2)
-    P = np.zeros((k, k))
-    for i in range(k):
-        P[i, (i + 1) % k] = 1.0
+    P = np.roll(np.eye(k), 1, axis=1)
     return build_chain([f"s{i}" for i in range(k)], P, name=f"directed_cycle(k={k})")
 
 
@@ -79,26 +70,27 @@ def random_reversible(N: int, seed: int = 0) -> Chain:
     N = _count(N, "random_reversible's N", BadParams, least=2)
     rng = np.random.default_rng(_count(seed, "random_reversible's seed", BadParams))
     w = rng.uniform(0.5, 2.0, size=N)
-    P = np.zeros((N, N))
-    for x in range(N):
-        for y in range(N):
-            if x != y:
-                P[x, y] = min(1.0, w[y] / w[x]) / (N - 1)
-        # every proposal from the lightest state is accepted: nothing stays put,
-        # where 1 - sum would leave a rounding error as a phantom self-loop
-        P[x, x] = 0.0 if (w >= w[x]).all() else 1.0 - P[x].sum()
+    P = np.minimum(1.0, w[None, :] / w[:, None]) / (N - 1)
+    np.fill_diagonal(P, 0.0)
+    # every proposal from the lightest state is accepted: nothing stays put,
+    # where 1 - sum would leave a rounding error as a phantom self-loop
+    np.fill_diagonal(P, np.where(w == w.min(), 0.0, 1.0 - P.sum(axis=1)))
     return build_chain([f"s{i}" for i in range(N)], P, name=f"random_reversible(N={N},seed={seed})")
+
+
+#: each generator kind but ``lazy_of`` (which wraps another), with the parameters it takes
+_BUILDERS = {
+    "two_state": (two_state, ("delta",)),
+    "dhn": (dhn, ("n",)),
+    "uniform_walk": (uniform_walk, ("N",)),
+    "directed_cycle": (directed_cycle, ("k",)),
+    "random_reversible": (random_reversible, ("N", "seed")),
+}
+KINDS = (*_BUILDERS, "lazy_of")
 
 
 def generate(kind: str, **params) -> Chain:
     """Dispatch on a generator kind; unknown kinds or parameters raise BadParams."""
-    builders = {
-        "two_state": (two_state, ("delta",)),
-        "dhn": (dhn, ("n",)),
-        "uniform_walk": (uniform_walk, ("N",)),
-        "directed_cycle": (directed_cycle, ("k",)),
-        "random_reversible": (random_reversible, ("N", "seed")),
-    }
     if kind == "lazy_of":
         inner = params.pop("of", None)
         if inner is None:
@@ -106,9 +98,9 @@ def generate(kind: str, **params) -> Chain:
         wrapped = generate(inner, **params)
         out = lazy(wrapped)
         return Chain(out.labels, out.P, out.pi, name=f"lazy_of({wrapped.name})")
-    if kind not in builders:
+    if kind not in _BUILDERS:
         raise BadParams(f"unknown generator kind {kind!r} (known: {', '.join(KINDS)})")
-    fn, allowed = builders[kind]
+    fn, allowed = _BUILDERS[kind]
     cleaned = {k: v for k, v in params.items() if v is not None}
     extra = set(cleaned) - set(allowed)
     if extra:

@@ -51,8 +51,9 @@ def _check_two_state_family():
             tau == want,
             f"got {tau}",
         )
-        # survival argument: at even t < 1/(4 delta) the distance exceeds 1/4
-        t0 = int((1.0 / (4.0 * delta) - 1e-12) // 2 * 2)
+        # survival argument: at even t < 1/(4 delta) the distance exceeds 1/4;
+        # t0 is the largest such t, in exact rational arithmetic
+        t0 = 2 * (math.ceil(1 / (8 * Fraction(delta))) - 1)
         yield (
             f"two-state delta={delta}: tau_a(1/4) >= {t0 + 1} (even-step survival)",
             tau >= t0 + 1,

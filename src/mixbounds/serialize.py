@@ -23,7 +23,7 @@ def chain_to_dict(chain: Chain, meta: dict | None = None) -> dict:
     out = {
         "name": chain.name,
         "states": list(chain.labels),
-        "P": [[float(v) for v in row] for row in chain.P],
+        "P": chain.P.tolist(),
     }
     if meta:
         out["meta"] = meta

@@ -95,6 +95,26 @@ def test_compare_product_flow(tmp_path, capsys):
     assert "irreducible" in err
 
 
+def test_compare_routing_flags_need_auto_flow(tmp_path, capsys):
+    from mixbounds import build_canonical_flow, lazy, random_reversible, save_flow
+
+    base = random_reversible(5, 1)
+    target = lazy(base)
+    base_path, target_path, flow_path = (str(tmp_path / name) for name in ("b.json", "t.json", "f.json"))
+    save_chain(base, base_path)
+    save_chain(target, target_path)
+    save_flow(build_canonical_flow(base, target), flow_path)
+    for flags in (["--odd"], ["--product"], ["--odd", "--product"]):
+        rc = run_cli(["compare", base_path, target_path, "--flow", flow_path, *flags,
+                      "--from", "s0", "--eps", "0.25"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--auto-flow" in captured.err
+    for flags in (["--odd"], ["--product"]):  # without --flow either
+        assert run_cli(["compare", base_path, target_path, *flags, "--from", "s0", "--eps", "0.25"]) == 2
+        assert "--auto-flow" in capsys.readouterr().err
+
+
 def test_compare_with_saved_flow(tmp_path, capsys):
     from mixbounds import build_canonical_flow, save_flow, two_state, uniform_walk
 

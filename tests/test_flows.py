@@ -58,6 +58,23 @@ def test_halved_mass_names_the_broken_edge():
     assert any("(a,b)" in v for v in violations)
 
 
+def test_demands_are_met_relative_to_their_size():
+    """A demand of 3.3e-12 is still a demand, and mass routed where there is
+    none is reported however small: an absolute slack let both through."""
+    e = 1e-11
+    chain = build_chain(["a", "b", "c"], [[1 - e, e, 0.0], [e, 0.5 - e, 0.5], [0.0, 0.5, 0.5]])
+    flow = build_canonical_flow(chain, chain)
+    assert validate_flow(flow)[0] and edge_congestion(flow)[1] == pytest.approx(1.0, rel=1e-12)
+    dropped = Flow(chain, chain, [p for p in flow.paths if p.states != (0, 1)])
+    valid, _, violations = validate_flow(dropped)
+    assert not valid and any(v.startswith("edge (a,b): routed 0.0") for v in violations)
+    extra = Flow(chain, chain, [*flow.paths, FlowPath((0, 1, 2), 5e-11)])
+    valid, _, violations = validate_flow(extra)
+    assert not valid and violations == ["edge (a,c): 5e-11 units routed for a zero demand"]
+    with pytest.raises(InvalidFlow):  # which read an edge congestion of 31 on (a,b)
+        edge_congestion(extra)
+
+
 def test_length_one_paths_are_odd():
     chain = random_reversible(5, seed=21)
     flow = build_canonical_flow(chain, chain, odd=False)

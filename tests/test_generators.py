@@ -7,6 +7,7 @@ import pytest
 
 from mixbounds import (
     build_canonical_flow,
+    build_chain,
     classify,
     comparison_reversible,
     dhn,
@@ -94,6 +95,52 @@ def test_random_reversible_lightest_state_has_no_self_loop():
     entries = comparison_reversible(base, lazy(base), build_canonical_flow(base, lazy(base), odd=True), 0, 0.25)
     o13 = next(e for e in entries if e.theorem == "O13")
     assert not o13.applicable and o13.reason == "some state has no self-loop"
+
+
+# The generators' loops before they built P as arrays, kept as the reference.
+def _reference_dhn(n):
+    m = 2 * n
+    values = list(range(-(n - 1), n + 1))
+    index = {v: i for i, v in enumerate(values)}
+
+    def to_value(residue):
+        return ((residue + n - 1) % m) - (n - 1)
+
+    flip = 1.0 / n
+    ahead = 1.0 - flip
+    P = np.zeros((m, m))
+    for v in values:
+        P[index[v], index[to_value(v + 1)]] += ahead
+        P[index[v], index[to_value(-v)]] += flip
+    return P
+
+
+def _reference_directed_cycle(k):
+    P = np.zeros((k, k))
+    for i in range(k):
+        P[i, (i + 1) % k] = 1.0
+    return P
+
+
+def _reference_random_reversible(N, seed):
+    w = np.random.default_rng(seed).uniform(0.5, 2.0, size=N)
+    P = np.zeros((N, N))
+    for x in range(N):
+        for y in range(N):
+            if x != y:
+                P[x, y] = min(1.0, w[y] / w[x]) / (N - 1)
+        P[x, x] = 0.0 if (w >= w[x]).all() else 1.0 - P[x].sum()
+    return P
+
+
+def test_generators_match_their_loops_bit_for_bit():
+    cases = [(random_reversible(N, seed), _reference_random_reversible(N, seed))
+             for N in range(2, 61) for seed in range(4)]
+    cases += [(dhn(n), _reference_dhn(n)) for n in range(2, 70)]
+    cases += [(directed_cycle(k), _reference_directed_cycle(k)) for k in range(2, 50)]
+    for chain, P in cases:
+        assert chain.P.tobytes() == P.tobytes(), chain.name
+        assert chain.pi.tobytes() == build_chain(chain.labels, P).pi.tobytes(), chain.name
 
 
 def test_generate_dispatch():

@@ -130,13 +130,14 @@ def test_matrix_exponential_identity_and_closed_form():
         assert abs(E[0, 0] - want) <= 1e-12
 
 
-def test_matrix_exponential_against_scipy():
-    rng = np.random.default_rng(4)
+def test_matrix_exponential_against_the_taylor_reference():
+    # matrix_exponential is scipy's expm; the Taylor scaling and squaring it
+    # replaced is an independent check
     for chain in (dhn(3), random_reversible(7, seed=4), doubly_stochastic(6, seed=1)):
         Q = chain.P - np.eye(chain.n)
         for t in (0.1, 1.0, 10.0):
             E = matrix_exponential(Q, t)
-            assert np.abs(E - scipy.linalg.expm(Q * t)).max() <= 1e-12
+            assert np.abs(E - _reference_matrix_exponential(Q, t)).max() <= 1e-12
             assert np.abs(E.sum(axis=1) - 1.0).max() <= 1e-9
             assert E.min() >= -1e-12
 
@@ -183,6 +184,15 @@ def test_matrix_exponential_at_too_long_a_time_is_ill_conditioned():
     for rate, t in ((Q, 2.0**30), (Q, 1e12), ([[-1.0, 1.0 + 5e-10], [0.5, -0.5]], 1e3)):
         with pytest.raises(IllConditioned, match="lost stochasticity"):
             matrix_exponential(rate, t)
+
+
+def test_matrix_exponential_overflow_inside_expm_is_ill_conditioned():
+    # Q t is finite, but expm's squarings overflow to inf and nan, which the
+    # stochasticity check rejects without a warning
+    Q = random_reversible(20, 1).P - np.eye(20)
+    for t in (1e20, 1e50, 1e100, 1e300):
+        with pytest.raises(IllConditioned, match="lost stochasticity"):
+            matrix_exponential(Q, t)
 
 
 def test_continuous_mixing_two_state_closed_form():
