@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from .chains import Chain, build_chain, lazy
 from .errors import BadParams, _count, _real
 from .flows import Flow, FlowPath
+
+#: the largest n whose dense n x n float matrix numpy can index (8 n^2 <= sys.maxsize bytes)
+_MOST_STATES = math.isqrt(sys.maxsize // 8)
 
 
 def two_state(delta: float) -> Chain:
@@ -32,7 +38,7 @@ def dhn(n: int) -> Chain:
     coincide (their congruence would need 2i = -1 mod 2n), but assignments
     are accumulated defensively and the rows validated anyway.
     """
-    n = _count(n, "dhn's n", BadParams, least=2)
+    n = _count(n, "dhn's n", BadParams, least=2, most=_MOST_STATES // 2)
     m = 2 * n
     values = list(range(-(n - 1), n + 1))
     # value v sits at index i = v + n - 1: v + 1 is at i + 1 and -v at m - 2 - i (mod m)
@@ -46,7 +52,7 @@ def dhn(n: int) -> Chain:
 
 def uniform_walk(N: int, labels=None) -> Chain:
     """Constant-row walk: every step lands uniformly; mixes in one step."""
-    N = _count(N, "uniform_walk's N", BadParams, least=2)
+    N = _count(N, "uniform_walk's N", BadParams, least=2, most=_MOST_STATES)
     P = np.full((N, N), 1.0 / N)
     if labels is None:
         labels = [f"s{i}" for i in range(N)]
@@ -55,7 +61,7 @@ def uniform_walk(N: int, labels=None) -> Chain:
 
 def directed_cycle(k: int) -> Chain:
     """Deterministic walk around a directed k-cycle (irreducible, period k)."""
-    k = _count(k, "directed_cycle's k", BadParams, least=2)
+    k = _count(k, "directed_cycle's k", BadParams, least=2, most=_MOST_STATES)
     P = np.roll(np.eye(k), 1, axis=1)
     return build_chain([f"s{i}" for i in range(k)], P, name=f"directed_cycle(k={k})")
 
@@ -67,7 +73,7 @@ def random_reversible(N: int, seed: int = 0) -> Chain:
     the leftover mass stays put.  Detailed balance with respect to the
     normalised weights holds by construction.
     """
-    N = _count(N, "random_reversible's N", BadParams, least=2)
+    N = _count(N, "random_reversible's N", BadParams, least=2, most=_MOST_STATES)
     rng = np.random.default_rng(_count(seed, "random_reversible's seed", BadParams))
     w = rng.uniform(0.5, 2.0, size=N)
     P = np.minimum(1.0, w[None, :] / w[:, None]) / (N - 1)

@@ -13,7 +13,9 @@ The continuized chain has rate matrix Q = P - I and distribution
 probes share a ladder of power-of-two exponentials E(2^e) = expm(Q 2^e),
 squared up from a few anchors computed directly, so each probe costs one
 matrix product rather than a fresh exponential; every square and product is
-checked to stay stochastic.  The ladder keeps every answer it gave.
+checked to stay stochastic.  A query keeps the squares it makes in one list
+of rungs and pops them on the way down, so it makes each one once.  The
+ladder keeps every answer it gave.
 """
 
 from __future__ import annotations
@@ -53,16 +55,20 @@ def tv_distance(theta1, theta2) -> float:
 
     Cross-checked against the worst-event form (the sum of positive parts of
     the difference); for genuine distributions the two are equal up to half
-    the difference of the totals.
+    the difference of the totals, plus 1e-12 times the larger of the distance
+    and 1 for rounding.  A difference too large for a float raises BadParams.
     """
     t1 = _floats(theta1, "distribution", BadParams)
     t2 = _floats(theta2, "distribution", BadParams)
     if t1.shape != t2.shape:
         raise DimensionMismatch("distributions have different lengths")
-    d = t1 - t2
-    half_l1 = 0.5 * float(np.abs(d).sum())
+    with np.errstate(over="ignore"):
+        d = t1 - t2
+        half_l1 = 0.5 * float(np.abs(d).sum())
+    if half_l1 == np.inf:
+        raise BadParams("the distributions' difference overflows a float")
     positive_part = float(d[d > 0].sum())
-    slack = 1e-12 + 0.5 * abs(float(d.sum()))
+    slack = 1e-12 * max(1.0, half_l1) + 0.5 * abs(float(d.sum()))
     if abs(half_l1 - positive_part) > slack:
         raise AssertionError("half-l1 and worst-event forms of TV disagree")
     return half_l1
@@ -211,25 +217,6 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
 _ANCHOR_STEP = 8
 
 
-def _descending(base: np.ndarray, lo: int, hi: int):
-    """Yield (e, E(2^e)) for e = hi, hi - 1, ..., lo, given base = E(2^lo).
-
-    Recursive halving: square up to the middle level, yield the upper half
-    from there, then the lower half from ``base``.  O(log(hi - lo)) matrices
-    are live at a time; every square is checked.
-    """
-    if lo == hi:
-        yield lo, base
-        return
-    mid = (lo + hi + 1) // 2
-    upper = base
-    for _ in range(mid - lo):
-        upper = _checked(upper @ upper)
-    yield from _descending(upper, mid, hi)
-    del upper
-    yield from _descending(base, lo, mid - 1)
-
-
 class _Ladder:
     """Exponentials E(t) = expm((P - I) t) of one chain, shared by its
     continuized-time queries, and every answer it gave.
@@ -240,7 +227,8 @@ class _Ladder:
     from anchor a = 0 for e >= 0 and from a = 8 floor(e / 8) below, so no
     rung is more than 7 squarings from a direct exponential: each squaring
     roughly doubles the row-sum error, and a ladder squared up from 2^-20
-    breaks the 1e-9 stochasticity check.
+    breaks the 1e-9 stochasticity check.  The rungs themselves live only
+    during a query: up to 21 n x n matrices, E(1) .. E(2^20).
     """
 
     def __init__(self, chain: Chain):
@@ -254,24 +242,19 @@ class _Ladder:
             self._anchors[a] = matrix_exponential(self.chain.P - np.eye(self.chain.n), 2.0**a)
         return self._anchors[a]
 
-    def rungs(self, top: int):
-        """Yield (e, E(2^e)) for e = top, top - 1, ... without end, squaring
-        each anchor's segment only when the walk down reaches it."""
-        while True:
-            a = min(0, _ANCHOR_STEP * (top // _ANCHOR_STEP))
-            yield from _descending(self.anchor(a), a, top)
-            top = a - 1
-
     def time(self, x: int | None, eps: float) -> MixingResult:
         """The continuized mixing time from state index x (None: the worst
         start) at eps; see ``continuous_mixing_time``.
 
         No probe runs a fresh exponential.  At level e the probe is lo + 2^e.
-        Doubling keeps lo = 0 and squares E(1): E(2^(e+1)) = E(2^e)^2.  After
-        doubling to 2^e_hi, bisection walks down the rungs from e_hi - 1, so
-        E(lo + 2^e) = E(lo) E(2^e) is one product, formed only when its
-        distances are new or the probe becomes the new lo.  Every square and
-        product is checked to stay stochastic.
+        Doubling keeps lo = 0 and squares E(1): E(2^(e+1)) = E(2^e)^2, each
+        square appended to one list of rungs.  After doubling to 2^e_hi,
+        bisection pops the rungs from e_hi - 1 down, so E(lo + 2^e) =
+        E(lo) E(2^e) is one product, formed only when its distances are new
+        or the probe becomes the new lo.  Below 1, each anchor's segment is
+        squared up once into the list as the walk reaches it.  So no rung or
+        probe matrix is made twice, at the cost of holding up to e_hi + 1
+        <= 21 rungs.  Every square and product is checked to stay stochastic.
         """
         if (x, eps) in self.answers:
             return self.answers[x, eps]
@@ -287,19 +270,24 @@ class _Ladder:
 
         hi, hi_tv = 0.0, probe(0.0, np.eye(self.chain.n))
         if hi_tv > eps:
-            e_hi, E_hi = 0, self.anchor(0)
-            while probe(2.0**e_hi, E_hi) > 0.5 * eps and 2.0**e_hi < MAX_CONTINUOUS_TIME:
-                e_hi += 1
-                E_hi = _checked(E_hi @ E_hi)
-            E_hi = None
-            lo, hi, hi_tv = 0.0, 2.0**e_hi, probes[-1][1]
+            e, rungs = 0, [self.anchor(0)]  # rungs[e] = E(2^e)
+            while probe(2.0**e, rungs[e]) > 0.5 * eps and 2.0**e < MAX_CONTINUOUS_TIME:
+                e += 1
+                rungs.append(_checked(rungs[-1] @ rungs[-1]))
+            rungs.pop()  # the bisection walks down from level e - 1
+            lo, hi, hi_tv = 0.0, 2.0**e, probes[-1][1]
             if hi_tv > eps:
                 raise NoConvergence(f"no mixing within the cap of {MAX_CONTINUOUS_TIME:.0f} time units "
                                     f"(TV still {hi_tv:.3e})")
             E_lo = None  # E(lo); None while lo = 0, where E(lo + 2^e) is the rung itself
-            rungs = self.rungs(e_hi - 1)
             while hi - lo > BISECTION_REL * max(1.0, hi):
-                e, R = next(rungs)
+                e -= 1
+                if not rungs:  # below 1: the segment of anchor a, squared up to level e
+                    a = _ANCHOR_STEP * (e // _ANCHOR_STEP)
+                    rungs = [self.anchor(a)]
+                    for _ in range(e - a):
+                        rungs.append(_checked(rungs[-1] @ rungs[-1]))
+                R = rungs.pop()
                 mid = lo + 2.0**e
                 E_mid = R if E_lo is None else None if mid in self.tvs else _checked(E_lo @ R)
                 if probe(mid, E_mid) <= eps:
@@ -324,7 +312,8 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     NoConvergence if the distance still exceeds eps at ``MAX_CONTINUOUS_TIME``.
     The distance is checked to be non-increasing across all probe points.
     Each probe is one matrix product with a rung of a power-of-two ladder of
-    exponentials, so a call runs at most four exponentials from scratch.
+    exponentials, so a call runs at most four exponentials from scratch; it
+    makes each rung once and holds at most 21 of them, n x n each.
     """
     eps = _check_eps(eps)
     _require(chain, "irreducible", "continuization")

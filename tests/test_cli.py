@@ -138,6 +138,13 @@ def test_compare_with_saved_flow(tmp_path, capsys):
     assert "verdict: pass" in capsys.readouterr().out
 
 
+def test_gen_size_numpy_cannot_index_exits_two(tmp_path, capsys):
+    """Rejected as bad input before anything is allocated."""
+    out = tmp_path / "u.json"
+    assert run_cli(["gen", "uniform_walk", "--N", "10000000000", "-o", str(out)]) == 2
+    assert "uniform_walk's N" in capsys.readouterr().err and not out.exists()
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["gen", "two_state", "--delta", "0.1"])  # missing -o

@@ -131,6 +131,43 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     assert max(walked.values(), default=0) <= 1, "a flow's paths were walked twice"
 
 
+def _count_checked(monkeypatch):
+    """Count the matrices checked to stay stochastic, by their bytes."""
+    return _count(monkeypatch, mixing._checked, lambda E: E.tobytes())
+
+
+LADDER_QUERIES = {
+    "lazy cycle(100) worst start": (lambda: _lazy_cycle(100), None, 0.25),
+    # a time below 1: the rungs come from the anchors 2^-8, 2^-16, ...
+    "rr(12, 2) from 0": (lambda: random_reversible(12, 2), 0, 0.45),
+    "dhn(8) worst start": (lambda: dhn(8), None, 0.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_QUERIES))
+def test_a_continuized_query_makes_each_matrix_once(monkeypatch, case):
+    """Each rung E(2^e) and each probe matrix of one query is squared or
+    multiplied once; the anchors' exponentials are checked once each too."""
+    make, x, eps = LADDER_QUERIES[case]
+    chain = make()
+    checked = _count_checked(monkeypatch)
+    continuous_mixing_time(chain, x, eps)
+    assert checked and max(checked.values()) == 1
+
+
+def test_the_ladder_squares_only_what_it_probes(monkeypatch):
+    """On the lazy 100-cycle the worst start doubles to 2^11 and bisects down
+    to 2^-11: one square per rung, at most one product per probe, three
+    anchors."""
+    chain = _lazy_cycle(100)
+    checked = _count_checked(monkeypatch)
+    continuous_mixing_time(chain, None, 0.25)
+    assert sum(checked.values()) <= 48
+    checked.clear()
+    full_report(chain, x=3, eps=0.25)
+    assert sum(checked.values()) <= 93
+
+
 def test_a_report_steps_one_stream_past_every_discrete_crossing(monkeypatch):
     """Worst-start times first: on the lazy 100-cycle, the every-row stream
     that reaches the worst start's crossing of 1/(2e) (1,259 steps) has

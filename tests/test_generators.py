@@ -143,6 +143,14 @@ def test_generators_match_their_loops_bit_for_bit():
         assert chain.pi.tobytes() == build_chain(chain.labels, P).pi.tobytes(), chain.name
 
 
+@pytest.mark.parametrize("make", [dhn, uniform_walk, directed_cycle, random_reversible],
+                         ids=lambda f: f.__name__)
+def test_sizes_numpy_cannot_index_are_bad_params(make):
+    """A size whose dense matrix numpy cannot index fails before any allocation."""
+    with pytest.raises(BadParams, match="must be an integer in"):
+        make(10**10)
+
+
 def test_generate_dispatch():
     chain = generate("two_state", delta=0.1)
     assert chain.n == 2

@@ -48,6 +48,20 @@ def test_tv_distance_worst_event_form():
         assert abs(tv_distance(a, b) - d[d > 0].sum()) <= 1e-12
 
 
+def test_tv_distance_of_large_vectors():
+    """The forms' cross-check scales with the distance, so large entries pass."""
+    assert tv_distance([3.0, 1e6], [1e6, 0.1]) == 0.5 * ((1e6 - 3.0) + (1e6 - 0.1))
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a, b = rng.uniform(0.0, 1e6, size=(2, 5))
+        assert tv_distance(a, b) == 0.5 * np.abs(a - b).sum()
+
+
+def test_tv_distance_overflowing_difference_is_bad_params():
+    with pytest.raises(BadParams, match="overflows"):
+        tv_distance([1.7e308, 0.0], [-1.7e308, 0.0])
+
+
 def test_discrete_mixing_uniform_walk_single_step():
     for eps in (0.4, 0.25, 0.01):
         assert discrete_mixing_time(uniform_walk(2), 0, eps).time == 1
