@@ -192,7 +192,8 @@ def spectral_bounds_reversible(chain: Chain, x, eps: float) -> list[BoundEntry]:
     Lower bounds the worst-start mixing time by ``bm/(1-bm) ln(1/(2 eps))``
     (T5; at eps = 1/(2e) the log factor is one, C6) and upper bounds the
     mixing time from x by ``ln(1/(eps pi(x))) / (1 - bm)`` (T7), where bm is
-    the largest nontrivial eigenvalue modulus.
+    the largest nontrivial eigenvalue modulus.  When bm is 1.0 in floats,
+    1 - bm is 0.0 and all three rows are not applicable.
     """
     return _spectral_bounds_reversible(_Derived(_check_eps(eps)), chain, x)
 
@@ -203,6 +204,8 @@ def _spectral_bounds_reversible(d: _Derived, chain: Chain, x) -> list[BoundEntry
     _require(chain, "ergodic", "spectral mixing bounds")
     x = chain.index(x)
     bm = d.summary(chain).beta_max
+    if bm == 1.0:
+        return _skip_families("1 - beta_max is 0.0 in floats (the bounds divide by it)", "spectral")
     entries = []
     if eps < 0.5:
         exact_worst = d.discrete(chain, None, eps)
@@ -345,7 +348,8 @@ def nonreversible_bounds(chain: Chain, x, eps: float) -> list[BoundEntry]:
     ``ln(1/(eps^2 pi(x))) / (2 lambda_1)``.  T23 bounds the discrete one by
     ``ln(1/(eps^2 pi(x))) / lambda_1(R(M) M)`` using the reversal product;
     when that product is reducible its gap is zero and no discrete bound of
-    this kind exists, which the entry reports instead of failing.
+    this kind exists, which the entry reports instead of failing; so it does
+    when the product's lambda_1 is 0.0 in floats.
     """
     return _nonreversible_bounds(_Derived(_check_eps(eps)), chain, x)
 
@@ -365,7 +369,10 @@ def _nonreversible_bounds(d: _Derived, chain: Chain, x) -> list[BoundEntry]:
         entries.append(_skip("T23", "reversal-product chain is reducible (gap 0)"))
     else:
         lam_prod, _ = d.lambdas(product)
-        entries.append(_entry("T23", log2 / lam_prod, d.discrete(chain, x, eps)))
+        if lam_prod == 0.0:
+            entries.append(_skip("T23", "reversal-product lambda_1 is 0.0 in floats (the bound divides by it)"))
+        else:
+            entries.append(_entry("T23", log2 / lam_prod, d.discrete(chain, x, eps)))
     return entries
 
 

@@ -46,10 +46,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--of", help="wrapped kind for lazy_of")
     p_gen.add_argument("-o", "--out", required=True, help="output chain JSON path")
     p_gen.add_argument("--json", action="store_true", help="echo the chain JSON to stdout")
+    p_gen.set_defaults(handler=_cmd_gen)
 
     p_an = sub.add_parser("analyze", help="classification, spectral constants and conductance")
     p_an.add_argument("chain", help="chain JSON path")
     p_an.add_argument("--json", action="store_true", help="machine-readable output")
+    p_an.set_defaults(handler=_cmd_analyze)
 
     p_mix = sub.add_parser("mix", help="exact mixing time from a state (or the worst one)")
     p_mix.add_argument("chain", help="chain JSON path")
@@ -57,6 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mix.add_argument("--eps", type=float, required=True, help="target total-variation distance")
     p_mix.add_argument("--continuous", action="store_true", help="continuized chain instead of discrete")
     p_mix.add_argument("--json", action="store_true")
+    p_mix.set_defaults(handler=_cmd_mix)
 
     p_cmp = sub.add_parser("compare", help="evaluate the bound catalogue for a chain pair")
     p_cmp.add_argument("base", help="base chain JSON path")
@@ -72,10 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--delta", type=float, default=DELTA_DEFAULT)
     p_cmp.add_argument("--sweep", action="store_true", help="minimise delta-dependent bounds over a sweep")
     p_cmp.add_argument("--json", action="store_true")
+    p_cmp.set_defaults(handler=_cmd_compare)
 
     p_self = sub.add_parser("selftest", help="run the built-in example checks")
     p_self.add_argument("--quiet", action="store_true")
     p_self.add_argument("--json", action="store_true", help="machine-readable results")
+    p_self.set_defaults(handler=_cmd_selftest)
     return parser
 
 
@@ -197,29 +202,22 @@ def _cmd_compare(args) -> int:
     return 0 if report.verdict == "pass" else 1
 
 
+def _cmd_selftest(args) -> int:
+    if args.json:
+        results = collect_results()
+        failed = sum(1 for r in results if not r["passed"])
+        print(json.dumps({"checks": results, "failed": failed}, indent=2))
+        return 0 if failed == 0 else 1
+    return run_selftest(verbose=not args.quiet)
+
+
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "mix":
-            return _cmd_mix(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "selftest":
-            if args.json:
-                results = collect_results()
-                failed = sum(1 for r in results if not r["passed"])
-                print(json.dumps({"checks": results, "failed": failed}, indent=2))
-                return 0 if failed == 0 else 1
-            return run_selftest(verbose=not args.quiet)
+        return args.handler(args)
     except (MixboundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def main() -> None:

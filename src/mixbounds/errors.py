@@ -67,7 +67,8 @@ class BadDelta(MixboundsError):
 
 
 class BadParams(MixboundsError):
-    """Invalid generator parameters."""
+    """An invalid parameter other than epsilon or delta: a generator's, a
+    rate matrix or time, a distribution, a step count, or a mixing time."""
 
 
 class InvalidFlow(MixboundsError):
@@ -79,16 +80,8 @@ class KappaInfinite(MixboundsError):
     is infinite and the detour construction cannot run."""
 
 
-class NotSimplifiable(MixboundsError):
-    """Loop erasure failed to produce a flow with simple support (internal bug)."""
-
-
 class NoOddPath(MixboundsError):
     """No odd-length route exists for some demand (bipartite-like support)."""
-
-
-class Unreachable(MixboundsError):
-    """No route at all exists for some demand."""
 
 
 class WrongFlowBase(MixboundsError):

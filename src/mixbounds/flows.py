@@ -41,7 +41,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .chains import Chain, _check_pair, _require, time_reversal
-from .errors import InvalidFlow, KappaInfinite, NoOddPath, NotSimplifiable, Unreachable
+from .errors import InvalidFlow, KappaInfinite, NoOddPath
 
 #: each demand must be routed within this fraction of it, and a zero demand not at all
 DEMAND_TOL = 1e-9
@@ -313,7 +313,7 @@ def _simplify(flow: Flow) -> Flow:
     simple = Flow(flow.base, flow.target, [FlowPath(s, m) for s, m in sorted(merged.items())])
     valid, _, violations = validate_flow(simple)
     if not valid:
-        raise NotSimplifiable("loop erasure broke the demand equations: " + "; ".join(violations[:3]))
+        raise AssertionError("loop erasure broke the demand equations: " + "; ".join(violations[:3]))
     return simple
 
 
@@ -504,12 +504,8 @@ def build_canonical_flow(base: Chain, target: Chain, odd: bool = False) -> Flow:
             paths.append(FlowPath((x,), mass))
             continue
         goal = y + n if odd else y
-        if not np.isfinite(D[x, goal]):
-            if odd:
-                raise NoOddPath(
-                    f"no odd-length route for demand ({base.labels[x]},{base.labels[y]})"
-                )
-            raise Unreachable(f"no route for demand ({base.labels[x]},{base.labels[y]})")
+        if not np.isfinite(D[x, goal]):  # the base is irreducible: only the cover cuts a demand off
+            raise NoOddPath(f"no odd-length route for demand ({base.labels[x]},{base.labels[y]})")
         hops = next_hop.get(goal)
         if hops is None:
             d = D[:, goal]

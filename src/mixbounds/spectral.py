@@ -82,13 +82,6 @@ class SpectralSummary:
     vectors: np.ndarray
     beta_max: float
 
-    def to_dict(self) -> dict:
-        return {
-            "betas": [float(b) for b in self.betas],
-            "vectors": [[float(v) for v in row] for row in self.vectors],
-            "beta_max": float(self.beta_max),
-        }
-
 
 def eigendecompose(chain: Chain) -> SpectralSummary:
     """Symmetric eigensolve of A = D P D^{-1} for a reversible chain.

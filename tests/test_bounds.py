@@ -265,12 +265,42 @@ def test_comparison_general_wrong_flow_base():
     flow = build_canonical_flow(lazy(doubly_stochastic(5, seed=9)), stranger, odd=False)
     with pytest.raises(WrongFlowBase):
         comparison_general(base, target, flow, 0, 0.25)
+    # the right base, routed to another target
+    flow = build_canonical_flow(base, lazy(target), odd=False)
+    with pytest.raises(WrongFlowBase, match="flow target does not match the given target chain"):
+        comparison_general(base, target, flow, 0, 0.25)
 
 
 def test_comparison_general_size_mismatch():
     base, target = dhn(2), uniform_walk(3)
     with pytest.raises(DimensionMismatch):
         comparison_general(base, target, Flow(base, target, []), 0, 0.25)
+
+
+# ---------------------------------------------------------------- gaps that are 0.0 in floats
+
+#: valid, mixes in 4 steps; its reversal product is irreducible, but the
+#: product's lambda_1 (about 8e-17) comes out as 0.0
+ZERO_PRODUCT_GAP = [[0.0, 1.0, 1e-16], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]
+
+
+def test_a_product_gap_of_zero_in_floats_makes_t23_not_applicable():
+    report = full_report(build_chain(["a", "b", "c"], ZERO_PRODUCT_GAP), x=0, eps=0.25)
+    assert report.verdict == "pass" and report.exact_discrete == 4
+    assert "lambda_1 is 0.0 in floats" in by_id(report.entries)["T23"].reason
+    t22, t23 = nonreversible_bounds(two_state(1e-17), 0, 0.25)
+    assert t22.applicable and not t23.applicable
+    assert "lambda_1 is 0.0 in floats" in t23.reason
+    # a gap that is small but not 0.0 keeps the row
+    P = [[0.0, 1.0, 1e-12], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]
+    assert by_id(full_report(build_chain(["a", "b", "c"], P), x=0, eps=0.25).entries)["T23"].applicable
+
+
+def test_a_spectral_gap_of_zero_in_floats_makes_the_spectral_rows_not_applicable():
+    entries = spectral_bounds_reversible(two_state(1e-17), 0, 0.6)
+    assert [e.theorem for e in entries] == ["T5", "C6", "T7"]
+    for e in entries:
+        assert not e.applicable and e.reason == "1 - beta_max is 0.0 in floats (the bounds divide by it)"
 
 
 # ---------------------------------------------------------------- full reports

@@ -1,6 +1,10 @@
 """Command-line behaviour: subcommands, exit codes, JSON output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,22 @@ def test_analyze_text_and_json(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["period"] == 3
     assert data["conductance"] == pytest.approx(1.5, abs=1e-12)
+    # a reversible chain also prints its eigenvalues
+    chain_path = str(tmp_path / "m.json")
+    run_cli(["gen", "two_state", "--delta", "0.1", "-o", chain_path])
+    capsys.readouterr()
+    assert run_cli(["analyze", chain_path]) == 0
+    assert "eigenvalues: 1, -0.8   beta_max: 0.8" in capsys.readouterr().out
+
+
+def test_gen_json_and_lazy_of(tmp_path, capsys):
+    chain_path = tmp_path / "l.json"
+    assert run_cli(["gen", "lazy_of", "--of", "two_state", "--delta", "0.1", "-o", str(chain_path), "--json"]) == 0
+    echoed = json.loads(capsys.readouterr().out)
+    assert echoed == json.loads(chain_path.read_text())
+    assert echoed["name"] == "lazy_of(two_state(delta=0.1))"
+    assert echoed["meta"] == {"generator": "lazy_of", "delta": 0.1, "of": "two_state"}
+    np.testing.assert_allclose(echoed["P"], [[0.55, 0.45], [0.45, 0.55]], rtol=0, atol=1e-15)
 
 
 def test_compare_flow_file_and_auto(tmp_path, capsys):
@@ -113,6 +133,10 @@ def test_compare_routing_flags_need_auto_flow(tmp_path, capsys):
     for flags in (["--odd"], ["--product"]):  # without --flow either
         assert run_cli(["compare", base_path, target_path, *flags, "--from", "s0", "--eps", "0.25"]) == 2
         assert "--auto-flow" in capsys.readouterr().err
+    # with neither --flow nor --auto-flow
+    assert run_cli(["compare", base_path, target_path, "--from", "s0", "--eps", "0.25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "compare needs --flow FILE or --auto-flow" in captured.err
 
 
 def test_compare_with_saved_flow(tmp_path, capsys):
@@ -136,6 +160,35 @@ def test_compare_with_saved_flow(tmp_path, capsys):
     )
     assert rc == 0
     assert "verdict: pass" in capsys.readouterr().out
+
+
+def test_compare_with_a_zero_product_gap_exits_zero(tmp_path, capsys):
+    """The reversal product's lambda_1 is 0.0 in floats: T23 is not applicable."""
+    from mixbounds import build_chain
+
+    chain_path = str(tmp_path / "c.json")
+    save_chain(build_chain(["a", "b", "c"], [[0.0, 1.0, 1e-16], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]), chain_path)
+    assert run_cli(["compare", chain_path, chain_path, "--auto-flow", "--from", "a", "--eps", "0.25"]) == 0
+    captured = capsys.readouterr()
+    assert "T23   not applicable: reversal-product lambda_1 is 0.0 in floats" in captured.out
+    assert "verdict: pass" in captured.out and captured.err == ""
+
+
+def test_entry_point_exit_codes():
+    """``python -m mixbounds.cli`` runs ``main``, which exits with ``run_cli``'s code."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "mixbounds.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    version = run("--version")
+    assert version.returncode == 0 and version.stdout.startswith("mixbounds ")
+    selftest_run = run("selftest", "--quiet")
+    assert selftest_run.returncode == 0 and selftest_run.stderr == ""
+    unknown = run("frobnicate")
+    assert unknown.returncode == 2 and "invalid choice" in unknown.stderr
 
 
 def test_gen_size_numpy_cannot_index_exits_two(tmp_path, capsys):
