@@ -17,13 +17,13 @@ z counts path occurrences the same way:
     B_z = (1 / pi(z)) * sum over occurrences of z on paths of len * mass
 
 Flows are immutable plain data, and all operations are pure.  A flow keeps
-its walk: one numpy pass over its paths laid end to end, in blocks, gives the
-verdict (valid, odd, violations) and the loads (the sums above, in path
-order), which the congestions only divide by pi(z)P(z,w) or pi(z).
-Spreading splits each path over its detours by a quantile coupling of its
-hops' cumulative shares.  It runs as numpy arrays over blocks of paths, from
-the coupling to the sorted and merged detour rows; only the output paths are
-built one by one.
+its paths as arrays: the states laid end to end, the path sizes, the masses.
+The library builds them directly; a caller's ``FlowPath`` objects are parsed
+into them once.  A flow keeps its walk: one numpy pass over the arrays, in
+blocks, gives the verdict (valid, odd, violations) and the loads (the sums
+above, in path order), which the congestions only divide by pi(z)P(z,w) or
+pi(z).  Spreading splits each path over its detours by a quantile coupling of
+its hops' cumulative shares, as numpy arrays over blocks of paths.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import reprlib
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -49,7 +50,7 @@ DEMAND_TOL = 1e-9
 _BLOCK = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowPath:
     """An ordered walk over base edges carrying ``mass`` units of flow."""
 
@@ -65,20 +66,100 @@ class FlowPath:
         return (self.states[0], self.states[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Flow:
-    """Weighted base paths meeting every target-edge demand.  ``paths`` is kept
-    as a tuple, so the walk and the detour table the flow keeps cannot go
-    stale; two threads may both compute them, harmlessly."""
+    """Weighted base paths meeting every target-edge demand.  Its arrays are
+    read-only, so the walk and the detour table the flow keeps cannot go stale;
+    two threads may both compute them, harmlessly.  ``paths`` is a tuple: the
+    caller's paths, or those made from the arrays of a flow the library built.
+    Flows, like chains, are equal only to themselves."""
 
     base: Chain
     target: Chain
-    paths: tuple[FlowPath, ...] = ()
-    _validation: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    _detours: _Detours | None = field(default=None, init=False, compare=False, repr=False)
+    _paths: tuple[FlowPath, ...] | None = field(repr=False)
+    _states: np.ndarray = field(repr=False)  # every path's states, laid end to end
+    _sizes: np.ndarray = field(repr=False)  # the number of states of each path
+    _mass: np.ndarray = field(repr=False)
+    _fault: np.ndarray = field(repr=False)  # per path: 0, or the rule ``_parse`` found broken
+    _validation: tuple | None = field(default=None, repr=False)
+    _detours: _Detours | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
+    def __init__(self, base: Chain, target: Chain, paths=()):
+        """Parses ``paths``, FlowPath objects, into the arrays of ``_of`` once.
+        InvalidFlow names an item that is no FlowPath with a sequence of states."""
+        vars(self).update(vars(Flow._of(base, target, *_parse(paths, base.n))))
+
+    @classmethod
+    def _of(cls, base: Chain, target: Chain, states: np.ndarray, sizes: np.ndarray, mass: np.ndarray,
+            fault: np.ndarray | None = None, paths: tuple[FlowPath, ...] | None = None) -> Flow:
+        """The one array constructor.  Only a caller's paths, kept to name the
+        faults ``_parse`` found, come with a fault array."""
+        fault = np.zeros(len(sizes), np.uint8) if fault is None else fault
+        for a in (states, sizes, mass, fault):
+            a.flags.writeable = False
+        flow = object.__new__(cls)
+        vars(flow).update(base=base, target=target, _states=states, _sizes=sizes, _mass=mass,
+                          _fault=fault, _paths=paths)
+        return flow
+
+    @property
+    def paths(self) -> tuple[FlowPath, ...]:
+        if self._paths is None:
+            flat, ends = self._states.tolist(), np.cumsum(self._sizes).tolist()
+            object.__setattr__(self, "_paths", tuple(
+                FlowPath(tuple(flat[a:b]), m) for a, b, m in zip([0, *ends], ends, self._mass.tolist())))
+        return self._paths
+
+
+def _laid(paths: list) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences of states laid end to end, and the size of each."""
+    sizes = np.fromiter(map(len, paths), np.intp, len(paths))
+    return np.fromiter(itertools.chain.from_iterable(paths), np.intp, int(sizes.sum())), sizes
+
+
+def _scrub(values: np.ndarray, kind: type) -> np.ndarray:
+    """Zeroes and flags the values that are no ``kind``, or bools; tests each type once."""
+    bad = {t for t in set(map(type, values)) if not issubclass(t, kind) or t is bool}
+    flags = (np.fromiter(map(bad.__contains__, map(type, values)), bool, len(values)) if bad
+             else np.zeros(len(values), bool))
+    values[flags] = 0
+    return flags
+
+
+def _parse(paths, n: int) -> tuple:
+    """A caller's paths as a flow's arrays, each path's fault (1 empty, 2 a state
+    that is no integer, 3 a state outside 0..n-1, 4 a mass that is no number)
+    and a tuple.  A faulty path's states and mass read 0 in the arrays; a mass
+    beyond float range reads nan."""
+    try:
+        paths = tuple(paths)
+    except TypeError:
+        raise InvalidFlow(f"flow paths must be an iterable of FlowPath, got {reprlib.repr(paths)}") from None
+    sizes = np.fromiter(map(_size, paths), np.intp, len(paths))
+    states = np.fromiter(itertools.chain.from_iterable(map(attrgetter("states"), paths)),
+                         object, int(sizes.sum()))
+    owner = np.repeat(np.arange(len(paths)), sizes)
+    bad_state = np.bincount(owner[_scrub(states, numbers.Integral)], minlength=len(paths)) > 0
+    outside = (states < 0) | (states >= n)
+    off_space = np.bincount(owner[outside], minlength=len(paths)) > 0
+    masses = np.fromiter(map(attrgetter("mass"), paths), object, len(paths))
+    bad_mass = _scrub(masses, numbers.Real)
+    try:
+        mass = masses.astype(float)
+    except OverflowError:  # a number beyond float range: as nan, it is outside [0, 1]
+        mass = np.array([m if abs(m) < 1e308 else math.nan for m in masses], float)
+    fault = np.select([sizes == 0, bad_state, off_space, bad_mass], [1, 2, 3, 4], 0).astype(np.uint8)
+    return np.where(outside, 0, states).astype(np.intp), sizes, mass, fault, paths
+
+
+def _size(p) -> int:
+    """The number of states of a caller's path; InvalidFlow if it is none."""
+    try:
+        if isinstance(p, FlowPath):
+            return len(p.states)
+    except TypeError:
+        pass
+    raise InvalidFlow(f"flow path {reprlib.repr(p)} is no FlowPath with a sequence of states")
 
 
 def _demands(target: Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,49 +186,28 @@ def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
     return valid, odd, list(violations)
 
 
-def _scrub(values: np.ndarray, kind: type) -> np.ndarray:
-    """Zeroes and flags the values that are no ``kind``, or bools; tests each type once."""
-    bad = {t for t in set(map(type, values)) if not issubclass(t, kind) or t is bool}
-    flags = (np.fromiter(map(bad.__contains__, map(type, values)), bool, len(values)) if bad
-             else np.zeros(len(values), bool))
-    values[flags] = 0
-    return flags
-
-
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan masses are reported, not warned
 def _validate(flow: Flow) -> tuple:
-    """The walk a flow keeps.  Empty paths and paths with a foreign state or
-    mass are skipped; one sort of (path, edge) keys counts r.  Only paths that
-    break a rule are read in Python, to name the fault.  Every sum runs in
-    path order, as a loop over the paths would add it."""
+    """The walk a flow keeps, over its arrays in blocks of _BLOCK paths.  Paths
+    with a fault are skipped; one sort of (path, edge) keys counts r.  Only
+    paths that break a rule are read in Python, to name the fault.  Every sum
+    runs in path order, as a loop over the paths would add it."""
     _check_pair(flow.base, flow.target)
     n, labels = flow.base.n, flow.base.labels
     support = flow.base.support()
     violations: list[str] = []
     routed, edge_load, state_load = np.zeros(n * n), np.zeros(n * n), np.zeros(n)
     odd = True
+    ends = np.r_[0, np.cumsum(flow._sizes)]
 
-    for lo in range(0, len(flow.paths), _BLOCK):
-        block = flow.paths[lo:lo + _BLOCK]
-        sizes = np.fromiter(map(len, map(attrgetter("states"), block)), np.intp, len(block))
-        states = np.fromiter(itertools.chain.from_iterable(map(attrgetter("states"), block)),
-                             object, int(sizes.sum()))
-        owner = np.repeat(np.arange(len(block)), sizes)
-        masses = np.fromiter(map(attrgetter("mass"), block), object, len(block))
+    for lo in range(0, len(flow._sizes), _BLOCK):
+        sizes, mass, fault = (a[lo:lo + _BLOCK] for a in (flow._sizes, flow._mass, flow._fault))
+        states = flow._states[ends[lo]:ends[lo + len(sizes)]]
+        owner = np.repeat(np.arange(len(sizes)), sizes)
 
         def among(ids: np.ndarray) -> np.ndarray:  # flags the paths in ids
-            return np.bincount(ids, minlength=len(block)) > 0
-        bad_state = among(owner[_scrub(states, numbers.Integral)])
-        outside = (states < 0) | (states >= n)
-        states = np.where(outside, 0, states).astype(np.intp)
-        off_space = among(owner[outside])
-        bad_mass = _scrub(masses, numbers.Real)
-        try:
-            mass = masses.astype(float)
-        except OverflowError:  # a number beyond float range: as nan, it is outside [0, 1]
-            mass = np.array([m if abs(m) < 1e308 else math.nan for m in masses], float)
-        kept = (sizes > 0) & ~bad_state & ~off_space & ~bad_mass
-
+            return np.bincount(ids, minlength=len(sizes)) > 0
+        kept = fault == 0
         hop = (owner[1:] == owner[:-1]) & kept[owner[1:]]
         path, u, v = owner[1:][hop], states[:-1][hop], states[1:][hop]
         off_base = among(path[~support[u, v]])
@@ -157,13 +217,12 @@ def _validate(flow: Flow) -> tuple:
         bad_range = ~np.isfinite(mass) | (mass < 0.0) | (mass > 1.0 + 1e-12)
 
         for i in np.flatnonzero(~kept | bad_range | off_base | thrice).tolist():
-            p = block[i]
-            name = "" if bad_state[i] or off_space[i] else "->".join(labels[s] for s in p.states)
-            if not kept[i]:
-                violations.append("empty path" if not sizes[i] else
-                                  f"path {p.states!r}: states must be integers" if bad_state[i] else
-                                  f"path {p.states!r}: state outside 0..{n - 1}" if off_space[i] else
-                                  f"path {name}: mass {p.mass!r} is not a number")
+            p = flow.paths[lo + i]
+            name = "" if fault[i] in (2, 3) else "->".join(labels[s] for s in p.states)
+            if fault[i]:
+                violations.append(("empty path", f"path {p.states!r}: states must be integers",
+                                   f"path {p.states!r}: state outside 0..{n - 1}",
+                                   f"path {name}: mass {p.mass!r} is not a number")[fault[i] - 1])
                 continue
             if bad_range[i]:
                 violations.append(f"path {name}: mass {p.mass!r} outside [0, 1]")
@@ -302,15 +361,24 @@ def _loop_erase(states: tuple[int, ...]) -> tuple[int, ...]:
 
 def _simplify(flow: Flow) -> Flow:
     """Reroute a flow onto simple support by loop erasure; congestion never
-    grows.  A flow that loop erasure leaves as it is comes back itself."""
-    merged: dict[tuple[int, ...], float] = defaultdict(float)
-    for p in flow.paths:
-        if p.mass != 0.0:
-            merged[_loop_erase(p.states)] += p.mass
-    # erased walks are loop-free; equal sizes rule out zero masses and merges
-    if len(merged) == len(flow.paths) and all(p.states in merged for p in flow.paths):
+    grows.  A flow that loop erasure leaves as it is comes back itself: its
+    paths carry mass, are distinct, and repeat no state but a closed walk's
+    last.  One sort of (path, state) keys finds the paths that repeat one, and
+    only those are erased; the rest are merged and sorted as tuples."""
+    n, states, sizes, mass = flow.base.n, flow._states, flow._sizes, flow._mass
+    owner, j = _ragged(sizes)
+    closing = (j > 0) & (j == sizes[owner] - 1) & (states == states[np.arange(len(j)) - j])
+    keys = np.sort((owner * n + states)[~closing])
+    looped = np.zeros(len(sizes), bool)
+    looped[keys[1:][keys[1:] == keys[:-1]] // n] = True
+    if not looped.any() and mass.all() and len(np.unique(_rows(states, sizes), axis=0)) == len(sizes):
         return flow
-    simple = Flow(flow.base, flow.target, [FlowPath(s, m) for s, m in sorted(merged.items())])
+    merged: dict[tuple[int, ...], float] = defaultdict(float)
+    for p, loop in zip(flow.paths, looped.tolist()):
+        if p.mass != 0.0:
+            merged[_loop_erase(tuple(p.states)) if loop else tuple(p.states)] += p.mass
+    paths = sorted(merged)
+    simple = Flow._of(flow.base, flow.target, *_laid(paths), np.array([merged[p] for p in paths]))
     valid, _, violations = validate_flow(simple)
     if not valid:
         raise AssertionError("loop erasure broke the demand equations: " + "; ".join(violations[:3]))
@@ -341,7 +409,7 @@ def spread_flow(flow: Flow) -> Flow:
         raise AssertionError("loop erasure increased congestion (internal bug)")
 
     _, B, kappa = state_congestion(simple)
-    result = Flow(simple.base, simple.target, _spread_paths(simple))
+    result = Flow._of(simple.base, simple.target, *_spread_paths(simple))
     valid, _, violations = validate_flow(result)
     if not valid:
         raise AssertionError("spread flow failed validation: " + "; ".join(violations[:3]))
@@ -353,45 +421,42 @@ def spread_flow(flow: Flow) -> Flow:
     return result
 
 
-def _spread_paths(simple: Flow) -> list[FlowPath]:
-    """The spread paths of a simple flow, in sorted order.  Detours of paths
-    with different first states never interleave in that order, so the paths
-    are sorted and cut into blocks of whole runs of one first state, of about
-    _BLOCK coupling points each, and each block is spread on its own."""
+def _spread_paths(simple: Flow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spread paths of a simple flow, in sorted order, as a flow's arrays.
+    Detours of paths with different first states never interleave in that
+    order, and equal detours come from one path only, so the paths are ordered
+    by first state and cut into blocks of whole runs of one first state, of
+    about _BLOCK coupling points each, and each block is spread on its own."""
     table = simple._detours
-    paths = sorted(simple.paths, key=attrgetter("states"))
-    sizes = np.fromiter(map(len, map(attrgetter("states"), paths)), np.intp, len(paths))
-    states = np.fromiter(itertools.chain.from_iterable(map(attrgetter("states"), paths)),
-                         np.intp, int(sizes.sum()))
-    mass = np.fromiter(map(attrgetter("mass"), paths), float, len(paths))
-    hop = table.row[states[:-1], states[1:]][_ragged(sizes)[1][1:] > 0]
+    start = np.cumsum(simple._sizes) - simple._sizes
+    order = np.argsort(simple._states[start], kind="stable")
+    sizes, mass = simple._sizes[order], simple._mass[order]
+    owner, j = _ragged(sizes)
+    states = simple._states[start[order][owner] + j]
+    hop = table.row[states[:-1], states[1:]][j[1:] > 0]
     state_lo = np.r_[0, np.cumsum(sizes)]
-    hop_lo = state_lo - np.arange(len(paths) + 1)
+    hop_lo = state_lo - np.arange(len(sizes) + 1)
     points = np.r_[0, np.cumsum(table.quantiles[2][hop])][hop_lo[:-1]]  # coupling points before each path
     run = np.flatnonzero(np.r_[True, np.diff(states[state_lo[:-1]]) != 0])
     _, at = np.unique(points[run] // _BLOCK, return_index=True)
-    bounds = [*run[at].tolist(), len(paths)]
-    out: list[FlowPath] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        out += _spread_block(states[state_lo[lo]:state_lo[hi]], sizes[lo:hi], mass[lo:hi],
-                             hop[hop_lo[lo]:hop_lo[hi]], table)
-    return out
+    bounds = [*run[at].tolist(), len(sizes)]
+    blocks = [_spread_block(states[state_lo[lo]:state_lo[hi]], sizes[lo:hi], mass[lo:hi],
+                            hop[hop_lo[lo]:hop_lo[hi]], table) for lo, hi in zip(bounds, bounds[1:])]
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
 def _spread_block(states: np.ndarray, sizes: np.ndarray, mass: np.ndarray, hop: np.ndarray,
-                  table: _Detours) -> list[FlowPath]:
+                  table: _Detours) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The spread paths of a block of simple paths, laid end to end, whose
-    hops have the given table rows.  Each chunk of the coupling is a detour
-    row (s0, x1, s1, ..., xL, sL), padded with -1, which sorts a shorter row
-    below its extensions as tuples sort; equal rows are summed in the order
-    they are made, as a dict of tuples would sum them.  A length-0 path is
-    its own detour."""
+    hops have the given table rows, as a flow's arrays.  Each chunk of the
+    coupling is a detour row (s0, x1, s1, ..., xL, sL) of ``_rows``; equal rows
+    are summed in the order they are made, as a dict of tuples would sum them.
+    A length-0 path is its own detour."""
     owner, frac, xs = _couple(table.quantiles, hop, sizes - 1)
-    rows = np.full((len(owner), 2 * sizes.max() - 1), -1, np.intp)
-    chunk, j = _ragged(sizes[owner])
-    rows[chunk, 2 * j] = states[(np.cumsum(sizes) - sizes)[owner[chunk]] + j]
-    chunk, j = _ragged(sizes[owner] - 1)
-    rows[chunk, 2 * j + 1] = xs
+    chunk, j = _ragged(2 * sizes[owner] - 1)
+    detours = states[(np.cumsum(sizes) - sizes)[owner[chunk]] + j // 2]
+    detours[j % 2 == 1] = xs
+    rows = _rows(detours, 2 * sizes[owner] - 1)
     order = np.lexsort(rows.T[::-1])
     rows = rows[order]
     first = np.ones(len(rows), bool)
@@ -402,14 +467,21 @@ def _spread_block(states: np.ndarray, sizes: np.ndarray, mass: np.ndarray, hop: 
     np.add.at(total, made, frac * mass[owner])
     keep = total > 0.0
     rows = rows[first][keep]
-    return [FlowPath(tuple(r[:s]), m) for r, s, m in
-            zip(rows.tolist(), (rows >= 0).sum(axis=1).tolist(), total[keep].tolist())]
+    return rows[rows >= 0], (rows >= 0).sum(axis=1), total[keep]
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For runs of the given lengths laid end to end: each entry's run, and its index in it."""
     owner = np.repeat(np.arange(len(counts)), counts)
     return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _rows(states: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Paths laid end to end as the rows of a matrix, padded with -1, which
+    sorts a shorter row below its extensions as tuples sort."""
+    rows = np.full((len(sizes), sizes.max(initial=0)), -1, np.intp)
+    rows[_ragged(sizes)] = states
+    return rows
 
 
 def _keys(owner: np.ndarray, value) -> np.ndarray:
@@ -496,24 +568,19 @@ def build_canonical_flow(base: Chain, target: Chain, odd: bool = False) -> Flow:
         S = np.block([[Z, S], [S, Z]])
     D = shortest_path(csr_matrix(S), unweighted=True)
     next_hop: dict[int, np.ndarray] = {}
-    paths = []
-    for x, y, mass in zip(*(a.tolist() for a in _demands(target))):
-        if mass == 0.0:
-            continue
-        if not odd and x == y:
-            paths.append(FlowPath((x,), mass))
-            continue
+    xs, ys, mass = _demands(target)
+    carried = mass != 0.0
+    routes = []
+    for x, y in zip(xs[carried].tolist(), ys[carried].tolist()):
         goal = y + n if odd else y
         if not np.isfinite(D[x, goal]):  # the base is irreducible: only the cover cuts a demand off
             raise NoOddPath(f"no odd-length route for demand ({base.labels[x]},{base.labels[y]})")
-        hops = next_hop.get(goal)
-        if hops is None:
-            d = D[:, goal]
-            hops = next_hop[goal] = np.argmax(S & (d[None, :] == d[:, None] - 1), axis=1)
-        route = [x]
-        a = x
+        route, a = [x], x
         while a != goal:
-            a = int(hops[a])
+            if goal not in next_hop:
+                d = D[:, goal]
+                next_hop[goal] = np.argmax(S & (d[None, :] == d[:, None] - 1), axis=1)
+            a = int(next_hop[goal][a])
             route.append(a % n)
-        paths.append(FlowPath(tuple(route), mass))
-    return Flow(base, target, paths)
+        routes.append(route)
+    return Flow._of(base, target, *_laid(routes), mass[carried])

@@ -3,7 +3,9 @@
 Every numeric parameter is fed the values below, and every matrix or vector
 parameter the malformed arrays as well.  Chains, flows and spectral summaries
 are the library's own objects and are always passed valid; a flow path's
-states are a sequence by type, so they are fed only the malformed arrays.
+states are a sequence by type, so they are fed only the malformed arrays.  A
+flow's paths are fed the numbers and arrays, and lists holding an item that is
+no FlowPath, or a FlowPath whose states are no sequence.
 """
 
 import math
@@ -19,7 +21,10 @@ from mixbounds.serialize import chain_from_dict, flow_from_dict
 NUMBERS = [None, "x", True, math.nan, math.inf, -math.inf, 10**400, -10**400, 2.5, -1]
 ARRAYS = [[], [[0.5, 0.5], [1.0]], [0.5, [0.5]], ["x", 1.0], [[10**400, 0.5], [0.5, 0.5]],
           [[math.nan, 0.5], [0.5, 0.5]]]
-POOLS = {"number": NUMBERS, "array": ARRAYS + NUMBERS, "path": ARRAYS}
+ITEMS = [None, ((0, 1), 0.5), mb.FlowPath(0, 0.25), mb.FlowPath(np.array(0), 0.25),
+         mb.FlowPath(None, 0.25)]
+POOLS = {"number": NUMBERS, "array": ARRAYS + NUMBERS, "path": ARRAYS,
+         "paths": ARRAYS + NUMBERS + [[mb.FlowPath((0, 1), 0.25), item] for item in ITEMS]}
 
 C = mb.two_state(0.25)
 U = mb.uniform_walk(2, labels=["a", "b"])
@@ -41,6 +46,7 @@ CALLS = {
     "chain_from_dict.P": ("array", lambda v: chain_from_dict({"states": ["a", "b"], "P": v})),
     "flow_from_dict.path": ("array", lambda v: flow_from_dict({"paths": [{"path": v, "mass": 0.5}]}, C, U)),
     "flow_from_dict.mass": ("array", lambda v: flow_from_dict({"paths": [{"path": [0, 1], "mass": v}]}, C, U)),
+    "Flow.paths": ("paths", lambda v: mb.edge_congestion(mb.Flow(C, U, v))),
     "FlowPath.states": ("path", lambda v: _flow_path(states=v)),
     "FlowPath.mass": ("array", lambda v: _flow_path(mass=v)),
     "dirichlet_form.phi": ("array", lambda v: mb.dirichlet_form(C, v)),

@@ -3,6 +3,8 @@
 import bisect
 import dataclasses
 import itertools
+import json
+import reprlib
 import tracemalloc
 from collections import Counter, defaultdict
 
@@ -34,8 +36,9 @@ from mixbounds import (
 )
 from mixbounds import flows
 from mixbounds.errors import InvalidFlow, KappaInfinite, NoOddPath, StationaryMismatch
+from mixbounds.serialize import flow_from_dict, flow_to_dict
 
-from _families import doubly_stochastic, nonreversible_pair, reversible_pair
+from _families import doubly_stochastic, nonreversible_pair, reversible_pair, tiny_mass_chain
 
 
 # ---------------------------------------------------------------- validation
@@ -835,3 +838,113 @@ def test_validating_a_large_spread_flow_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 3e6, f"validating {len(flow.paths)} paths peaked at {peak / 1e6:.1f} MB"
+
+
+# ---------------------------------------------------------------- flows as arrays
+
+
+def test_a_route_builds_no_path_object_until_paths_is_read(monkeypatch):
+    """Canonical building, spreading and both congestions run on the flows'
+    arrays: no FlowPath is made and no state or mass has its type tested."""
+    made, scrubbed = [], []
+    init, scrub = flows.FlowPath.__init__, flows._scrub
+    monkeypatch.setattr(flows.FlowPath, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    monkeypatch.setattr(flows, "_scrub", lambda *a: scrubbed.append(a) or scrub(*a))
+    base = random_reversible(32, 1)
+    flow = build_canonical_flow(base, lazy(base))
+    spread = spread_flow(flow)
+    state_congestion(flow)
+    edge_congestion(spread)
+    assert not made and not scrubbed
+    assert len(spread.paths) == 31714 and len(made) == 31714
+    assert spread.paths is spread.paths  # built on first read, then kept
+
+
+def _family_flows():
+    """A canonical flow on each chain family of _families, odd where it has one."""
+    for n, seed in ((6, 1), (11, 4)):
+        base, target = reversible_pair(n, seed)
+        for odd in (False, True):
+            yield f"reversible-{n}-{'odd' if odd else 'even'}", build_canonical_flow(base, target, odd=odd)
+        base, target = nonreversible_pair(n, seed)
+        yield f"nonreversible-{n}", build_canonical_flow(base, target)
+    base = doubly_stochastic(7, 3)
+    yield "doubly-stochastic-odd", build_canonical_flow(base, uniform_walk(7), odd=True)
+    base = tiny_mass_chain()
+    yield "tiny-mass", build_canonical_flow(base, base)
+
+
+def _bits(flow):
+    """Everything a flow's walk gives, with its loads as bytes."""
+    edge_load, state_load = flows._loads(flow)
+    return (validate_flow(flow), edge_load.tobytes(), state_load.tobytes(),
+            edge_congestion(flow), state_congestion(flow))
+
+
+@pytest.mark.parametrize("spread", [False, True], ids=["canonical", "spread"])
+@pytest.mark.parametrize("flow", [pytest.param(flow, id=name) for name, flow in _family_flows()])
+def test_parsed_paths_walk_as_the_arrays_they_came_from(flow, spread):
+    flow = spread_flow(flow) if spread else flow
+    parsed = Flow(flow.base, flow.target, flow.paths)
+    assert _bits(parsed) == _bits(flow)
+    assert parsed.paths == flow.paths
+
+
+def test_a_spread_flow_round_trips_through_json():
+    base = random_reversible(12, 1)
+    spread = spread_flow(build_canonical_flow(base, lazy(base), odd=True))
+    loaded = flow_from_dict(json.loads(json.dumps(flow_to_dict(spread))), spread.base, spread.target)
+    assert loaded.paths == spread.paths
+    for name in ("_states", "_sizes", "_mass"):
+        assert getattr(loaded, name).tobytes() == getattr(spread, name).tobytes()
+
+
+@pytest.mark.parametrize("flow", [two_state_uniform_flow(0.25), _loop_flow()], ids=["simple", "looped"])
+def test_spreading_takes_states_as_a_tuple_a_list_or_an_array(flow):
+    """A list or an array of states passed validation, then spreading ended
+    in an unhashable-type TypeError."""
+    spreads = [spread_flow(Flow(flow.base, flow.target, [FlowPath(kind(p.states), p.mass)
+                                                         for p in flow.paths]))
+               for kind in (tuple, list, np.array)]
+    assert spreads[0].paths == spreads[1].paths == spreads[2].paths == spread_flow(flow).paths
+
+
+@pytest.mark.parametrize("paths, named", [
+    (None, None),
+    ([FlowPath((0, 1), 0.5), ((0, 1), 0.5)], ((0, 1), 0.5)),
+    ([None], None),
+    ([FlowPath(0, 0.25)], FlowPath(0, 0.25)),
+    ([FlowPath(np.array(0), 0.25)], FlowPath(np.array(0), 0.25)),
+])
+def test_malformed_paths_raise_invalid_flow_naming_the_item(paths, named):
+    """Each ended in a bare AttributeError or TypeError on first use."""
+    flow = two_state_uniform_flow(0.25)
+    with pytest.raises(InvalidFlow) as raised:
+        Flow(flow.base, flow.target, paths)
+    assert reprlib.repr(named) in str(raised.value)
+
+
+def _reference_simplify(flow):
+    """The per-path loop erasure the array check replaced: whether the flow
+    comes back itself, and the (states, mass) pairs of its simplification."""
+    merged = defaultdict(float)
+    for p in flow.paths:
+        if p.mass != 0.0:
+            merged[flows._loop_erase(tuple(p.states))] += p.mass
+    same = len(merged) == len(flow.paths) and all(tuple(p.states) in merged for p in flow.paths)
+    return same, sorted(merged.items())
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_small_flows())
+def test_simplify_erases_the_paths_that_repeat_a_state(flow):
+    same, want = _reference_simplify(flow)
+    simple = flows._simplify(flow)
+    assert (simple is flow) == same
+    assert sorted((tuple(p.states), p.mass) for p in simple.paths) == want
+
+
+@pytest.mark.parametrize("flow", [pytest.param(flow, id=name) for name, flow in _spread_cases()])
+def test_simplify_keeps_a_flow_that_loop_erasure_leaves_as_it_is(flow):
+    same, _ = _reference_simplify(flow)
+    assert (flows._simplify(flow) is flow) == same
