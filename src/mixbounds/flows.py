@@ -18,12 +18,12 @@ z counts path occurrences the same way:
 
 Flows are immutable plain data, and all operations are pure.  A flow keeps
 its paths as arrays: the states laid end to end, the path sizes, the masses.
-The library builds them directly; a caller's ``FlowPath`` objects are parsed
-into them once.  A flow keeps its walk: one numpy pass over the arrays, in
-blocks, gives the verdict (valid, odd, violations) and the loads (the sums
-above, in path order), which the congestions only divide by pi(z)P(z,w) or
-pi(z).  Spreading splits each path over its detours by a quantile coupling of
-its hops' cumulative shares, as numpy arrays over blocks of paths.
+The library builds them directly: canonical routing moves every route one hop
+per pass, in lockstep.  A caller's ``FlowPath`` objects are parsed into them
+once.  A flow keeps its walk: one numpy pass over the arrays, in blocks, gives
+the verdict (valid, odd, violations) and the loads (the sums above, in path
+order), which the congestions only divide by pi(z)P(z,w) or pi(z).  Spreading
+splits each path over its detours by a quantile coupling, in blocks of paths.
 """
 
 from __future__ import annotations
@@ -554,33 +554,38 @@ def build_canonical_flow(base: Chain, target: Chain, odd: bool = False) -> Flow:
     is raised.  With ``odd=False`` self-loop demands take length-0 paths.
 
     One all-pairs shortest-path call on the unweighted support (BFS
-    distances) gives every distance to every goal.  On the cover, node
-    v + n*p stands for (v, parity p), and routes run from parity 0 to parity
-    1.  Each goal g gets a next-hop table: from node a, the smallest
-    successor one step closer to g.
+    distances) gives each route's size.  On the cover, node v + n*p stands
+    for (v, parity p), and routes run from parity 0 to parity 1.  All routes
+    walk in lockstep, one hop per pass: a route one step from its goal steps
+    to it, any other to the first closer successor in its sorted CSR row.
     """
     _check_pair(base, target)
     _require(base, "irreducible", "canonical flow (base)")
     n = base.n
     S = base.support()
     if odd:
-        Z = np.zeros_like(S)
-        S = np.block([[Z, S], [S, Z]])
-    D = shortest_path(csr_matrix(S), unweighted=True)
-    next_hop: dict[int, np.ndarray] = {}
+        S = np.block([[np.zeros_like(S), S], [S, np.zeros_like(S)]])
+    G = csr_matrix(S)
+    D = shortest_path(G, unweighted=True)
     xs, ys, mass = _demands(target)
     carried = mass != 0.0
-    routes = []
-    for x, y in zip(xs[carried].tolist(), ys[carried].tolist()):
-        goal = y + n if odd else y
-        if not np.isfinite(D[x, goal]):  # the base is irreducible: only the cover cuts a demand off
-            raise NoOddPath(f"no odd-length route for demand ({base.labels[x]},{base.labels[y]})")
-        route, a = [x], x
-        while a != goal:
-            if goal not in next_hop:
-                d = D[:, goal]
-                next_hop[goal] = np.argmax(S & (d[None, :] == d[:, None] - 1), axis=1)
-            a = int(next_hop[goal][a])
-            route.append(a % n)
-        routes.append(route)
-    return Flow._of(base, target, *_laid(routes), mass[carried])
+    a, goal = xs[carried], ys[carried] + (n if odd else 0)
+    left = D[a, goal]
+    cut = np.flatnonzero(np.isinf(left))
+    if cut.size:  # the base is irreducible: only the cover cuts a demand off
+        x, y = a[cut[0]], goal[cut[0]] - n
+        raise NoOddPath(f"no odd-length route for demand ({base.labels[x]},{base.labels[y]})")
+    sizes = left.astype(np.intp) + 1
+    states = np.empty(int(sizes.sum()), np.intp)
+    states[slot := np.cumsum(sizes) - sizes] = a
+    while (on := left > 0).any():
+        a, goal, slot, left = a[on], goal[on], slot[on] + 1, left[on] - 1
+        far = np.flatnonzero(left > 0)
+        k, a = G.indptr[a[far]], goal.copy()
+        while far.size:  # each far route reads its neighbours in order until one is closer
+            b = G.indices[k]
+            hit = D[b, goal[far]] == left[far]
+            a[far[hit]] = b[hit]
+            far, k = far[~hit], k[~hit] + 1
+        states[slot] = a % n
+    return Flow._of(base, target, states, sizes, mass[carried])

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from mixbounds import (
     Flow,
@@ -35,6 +37,7 @@ from mixbounds import (
     validate_flow,
 )
 from mixbounds import flows
+from mixbounds.chains import _check_pair, _require
 from mixbounds.errors import InvalidFlow, KappaInfinite, NoOddPath, StationaryMismatch
 from mixbounds.serialize import flow_from_dict, flow_to_dict
 
@@ -514,6 +517,96 @@ def test_canonical_flow_matches_per_demand_bfs():
         _reference_canonical(cycle, uniform_walk(4), odd=True)
     with pytest.raises(NoOddPath):
         build_canonical_flow(cycle, uniform_walk(4), odd=True)
+
+
+def _next_hop_canonical(base, target, odd=False):
+    """The per-goal next-hop router that the lockstep walk replaced, kept as
+    the oracle: each goal g gets a table, from node a, of the smallest
+    successor one step closer to g, and each demand's route walks it."""
+    _check_pair(base, target)
+    _require(base, "irreducible", "canonical flow (base)")
+    n = base.n
+    S = base.support()
+    if odd:
+        Z = np.zeros_like(S)
+        S = np.block([[Z, S], [S, Z]])
+    D = shortest_path(csr_matrix(S), unweighted=True)
+    next_hop: dict[int, np.ndarray] = {}
+    xs, ys, mass = flows._demands(target)
+    carried = mass != 0.0
+    routes = []
+    for x, y in zip(xs[carried].tolist(), ys[carried].tolist()):
+        goal = y + n if odd else y
+        if not np.isfinite(D[x, goal]):  # the base is irreducible: only the cover cuts a demand off
+            raise NoOddPath(f"no odd-length route for demand ({base.labels[x]},{base.labels[y]})")
+        route, a = [x], x
+        while a != goal:
+            if goal not in next_hop:
+                d = D[:, goal]
+                next_hop[goal] = np.argmax(S & (d[None, :] == d[:, None] - 1), axis=1)
+            a = int(next_hop[goal][a])
+            route.append(a % n)
+        routes.append(route)
+    return Flow._of(base, target, *flows._laid(routes), mass[carried])
+
+
+def _routed_as_the_oracle(base, target, odd):
+    """The lockstep router's flow, whose arrays equal the oracle's byte for
+    byte; or None, where both raise NoOddPath with the same message."""
+    try:
+        want = _next_hop_canonical(base, target, odd)
+    except NoOddPath as raised:
+        with pytest.raises(NoOddPath) as got:
+            build_canonical_flow(base, target, odd=odd)
+        assert str(got.value) == str(raised)
+        return None
+    flow = build_canonical_flow(base, target, odd=odd)
+    for name in ("_states", "_sizes", "_mass"):
+        assert getattr(flow, name).tobytes() == getattr(want, name).tobytes(), name
+    return flow
+
+
+@st.composite
+def _cycle_and_permutations(draw):
+    """A doubly stochastic chain on a directed support: the directed n-cycle
+    plus k random permutations, averaged.  Without self-loops each
+    permutation is a rotation conjugated by a random permutation, so it fixes
+    no state; with them the identity joins.  Some are periodic or bipartite."""
+    n = draw(st.integers(2, 24))
+    loops = draw(st.booleans())
+    maps = [np.roll(np.arange(n), -1)]
+    for _ in range(draw(st.integers(0, 3))):
+        sigma = np.array(draw(st.permutations(range(n))))
+        if loops:
+            maps.append(sigma)
+        else:
+            maps.append(np.argsort(sigma)[(sigma + draw(st.integers(1, n - 1))) % n])
+    if loops:
+        maps.append(np.arange(n))
+    P = np.zeros((n, n))
+    for m in maps:
+        P[np.arange(n), m] += 1.0
+    return build_chain([f"s{i}" for i in range(n)], P / len(maps))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_cycle_and_permutations(), st.booleans())
+def test_lockstep_routing_equals_the_next_hop_oracle(base, odd):
+    _routed_as_the_oracle(base, uniform_walk(base.n), odd)
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+def test_lockstep_routing_equals_the_oracle_on_long_routes_and_large_bases(odd):
+    """On the 61-cycle's cover, routes run up to 121 hops."""
+    flow = _routed_as_the_oracle(directed_cycle(61), uniform_walk(61), odd)
+    assert flow._sizes.max() == (122 if odd else 61)
+    base = random_reversible(200, 1)
+    assert _routed_as_the_oracle(base, lazy(base), odd) is not None
+
+
+def test_lockstep_routing_raises_the_oracles_no_odd_path():
+    """The even cycle is bipartite, so its cover is cut in two."""
+    assert _routed_as_the_oracle(directed_cycle(60), uniform_walk(60), odd=True) is None
 
 # ---------------------------------------------------------------- comparisons
 
