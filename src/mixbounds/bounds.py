@@ -135,10 +135,10 @@ class _Derived:
     distances and O(n) crossings of eps): one over every row, which answers
     the worst start at any epsilon and every start at eps as far as it has
     stepped, and one from e_x for a from-x time it does not answer.  For the
-    continuized times it holds each chain's ``mixing._Ladder``: the few
-    anchor exponentials E(2^a) (n x n each, at most four per chain), every
-    probe's vector of per-start distances and every answer.  It holds
-    nothing for a flow, which keeps its own walk.
+    continuized times it holds each chain's ``mixing._Ladder``: its one
+    exponential E(1), the seven powers P^2 .. P^8 its series rungs below 1
+    are made from (n x n each), every probe's vector of per-start distances
+    and every answer.  It holds nothing for a flow, which keeps its own walk.
     """
 
     def __init__(self, eps: float | None = None):

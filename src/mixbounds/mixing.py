@@ -10,16 +10,17 @@ every row at every step, so a violation surfaces as a bug rather than a wrong
 answer.
 The continuized chain has rate matrix Q = P - I and distribution
 ``v expm(Q t)``; its mixing time is found by doubling and bisection.  The
-probes share a ladder of power-of-two exponentials E(2^e) = expm(Q 2^e),
-squared up from a few anchors computed directly, so each probe costs one
-matrix product rather than a fresh exponential; every square and product is
-checked to stay stochastic.  A query keeps the squares it makes in one list
-of rungs and pops them on the way down, so it makes each one once.  The
-ladder keeps every answer it gave.
+probes share a ladder of power-of-two exponentials E(2^e) = expm(Q 2^e):
+E(1) computed directly and squared up, and below 1 uniformization series in
+P^2 .. P^8.  So each probe costs one matrix product; every rung and product
+is checked to stay stochastic.  A query pops the squares it makes on the
+way down, so it makes each once; the ladder keeps every answer it gave.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -213,34 +214,52 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
         raise IllConditioned(f"{lost} at t = {t!r}: too long a time for this rate matrix") from None
 
 
-#: the anchors below E(1) are E(2^a) for the negative multiples a of this
-_ANCHOR_STEP = 8
+@functools.cache
+def _series(e: int) -> np.ndarray:
+    """Weights c_k = e^-s s^k / k!, s = 2^e, of E(s) = sum_k c_k P^k (Jensen, 1953),
+    for k <= K, the first K with tail bound c_(K+1) / (1 - s / (K + 2)) < 2^-60."""
+    s, c = 2.0**e, [math.exp(-(2.0**e))]
+    while c[-1] * s / len(c) >= 2.0**-60 * (1.0 - s / (len(c) + 1)):
+        c.append(c[-1] * s / len(c))
+    return np.array(c)
 
 
 class _Ladder:
     """Exponentials E(t) = expm((P - I) t) of one chain, shared by its
     continuized-time queries, and every answer it gave.
 
-    Holds the anchors E(2^a), each from one ``matrix_exponential``, the
-    vector of per-start distances TV(E(t)(j, .), pi) at every probe time t
-    made so far, and each (start, eps) answer.  Rung E(2^e) is squared up
-    from anchor a = 0 for e >= 0 and from a = 8 floor(e / 8) below, so no
-    rung is more than 7 squarings from a direct exponential: each squaring
-    roughly doubles the row-sum error, and a ladder squared up from 2^-20
-    breaks the 1e-9 stochasticity check.  The rungs themselves live only
-    during a query: up to 21 n x n matrices, E(1) .. E(2^20).
+    Holds E(1), from one ``matrix_exponential``, the powers P^2 .. P^8 in
+    one (7, n, n) array once a query goes below 1, the per-start distances
+    TV(E(t)(j, .), pi) at every probe time t, and each (start, eps) answer.
+    Rungs above 1 are squares of E(1), kept only during a query (up to 21);
+    rungs below 1 are ``_series`` (K <= 15) in Horner form in P^8 (Paterson
+    & Stockmeyer, 1973), with no negative term, so nothing cancels and no
+    entry is subnormal.  Only levels -1 .. -4 (K > 8) multiply by P^8.
     """
 
     def __init__(self, chain: Chain):
         self.chain = chain
         self.tvs: dict[float, np.ndarray] = {}
         self.answers: dict[tuple[int | None, float], MixingResult] = {}
-        self._anchors: dict[int, np.ndarray] = {}
+        self._E1: np.ndarray | None = None
+        self._powers: np.ndarray | None = None
 
-    def anchor(self, a: int) -> np.ndarray:
-        if a not in self._anchors:
-            self._anchors[a] = matrix_exponential(self.chain.P - np.eye(self.chain.n), 2.0**a)
-        return self._anchors[a]
+    def rung(self, e: int) -> np.ndarray:
+        """E(2^e) for e < 0, a checked series rung."""
+        P, n, c = self.chain.P, self.chain.n, _series(e)
+        if self._powers is None:
+            self._powers = np.empty((7, n, n))
+            for k in range(7):
+                np.matmul(self._powers[k - 1] if k else P, P, out=self._powers[k])
+        powers = self._powers.reshape(7, n * n)
+        E = (c[2:9] @ powers[: len(c[2:9])]).reshape(n, n)  # c_2 P^2 + ... + c_8 P^8
+        E += c[1] * P
+        E.ravel()[:: n + 1] += c[0]
+        if len(c) > 9:  # + P^8 (c_9 P + ... + c_K P^(K-8))
+            B = (c[10:] @ powers[: len(c[10:])]).reshape(n, n)
+            B += c[9] * P
+            E += self._powers[6] @ B
+        return _checked(E)
 
     def time(self, x: int | None, eps: float) -> MixingResult:
         """The continuized mixing time from state index x (None: the worst
@@ -249,12 +268,11 @@ class _Ladder:
         No probe runs a fresh exponential.  At level e the probe is lo + 2^e.
         Doubling keeps lo = 0 and squares E(1): E(2^(e+1)) = E(2^e)^2, each
         square appended to one list of rungs.  After doubling to 2^e_hi,
-        bisection pops the rungs from e_hi - 1 down, so E(lo + 2^e) =
-        E(lo) E(2^e) is one product, formed only when its distances are new
-        or the probe becomes the new lo.  Below 1, each anchor's segment is
-        squared up once into the list as the walk reaches it.  So no rung or
+        bisection pops the rungs from e_hi - 1 down (below 1, a series rung),
+        so E(lo + 2^e) = E(lo) E(2^e) is one product, formed only when its
+        distances are new or the probe becomes the new lo.  So no rung or
         probe matrix is made twice, at the cost of holding up to e_hi + 1
-        <= 21 rungs.  Every square and product is checked to stay stochastic.
+        <= 21 rungs.  Every rung and product is checked to stay stochastic.
         """
         if (x, eps) in self.answers:
             return self.answers[x, eps]
@@ -270,7 +288,9 @@ class _Ladder:
 
         hi, hi_tv = 0.0, probe(0.0, np.eye(self.chain.n))
         if hi_tv > eps:
-            e, rungs = 0, [self.anchor(0)]  # rungs[e] = E(2^e)
+            if self._E1 is None:
+                self._E1 = matrix_exponential(self.chain.P - np.eye(self.chain.n), 1.0)
+            e, rungs = 0, [self._E1]  # rungs[e] = E(2^e)
             while probe(2.0**e, rungs[e]) > 0.5 * eps and 2.0**e < MAX_CONTINUOUS_TIME:
                 e += 1
                 rungs.append(_checked(rungs[-1] @ rungs[-1]))
@@ -282,12 +302,7 @@ class _Ladder:
             E_lo = None  # E(lo); None while lo = 0, where E(lo + 2^e) is the rung itself
             while hi - lo > BISECTION_REL * max(1.0, hi):
                 e -= 1
-                if not rungs:  # below 1: the segment of anchor a, squared up to level e
-                    a = _ANCHOR_STEP * (e // _ANCHOR_STEP)
-                    rungs = [self.anchor(a)]
-                    for _ in range(e - a):
-                        rungs.append(_checked(rungs[-1] @ rungs[-1]))
-                R = rungs.pop()
+                R = rungs.pop() if rungs else self.rung(e)
                 mid = lo + 2.0**e
                 E_mid = R if E_lo is None else None if mid in self.tvs else _checked(E_lo @ R)
                 if probe(mid, E_mid) <= eps:
@@ -311,9 +326,9 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     times); the returned time is the safe side of the bracket.  Raises
     NoConvergence if the distance still exceeds eps at ``MAX_CONTINUOUS_TIME``.
     The distance is checked to be non-increasing across all probe points.
-    Each probe is one matrix product with a rung of a power-of-two ladder of
-    exponentials, so a call runs at most four exponentials from scratch; it
-    makes each rung once and holds at most 21 of them, n x n each.
+    Each probe is one product with a rung of a power-of-two ladder: E(1),
+    the one exponential from scratch, its squares, and below 1 series in
+    P^2 .. P^8.  It makes each rung once and holds at most 21, n x n each.
     """
     eps = _check_eps(eps)
     _require(chain, "irreducible", "continuization")

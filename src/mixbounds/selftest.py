@@ -72,7 +72,7 @@ def _check_two_state_family():
 
 def _check_continuized_two_state():
     # the continuized distance from a is exp(-2 (1 - delta) t) / 2; the first
-    # two times lie below 1, where the bisection reaches the deepest anchors
+    # two times lie below 1, where every rung is a uniformization series
     for delta, eps in ((0.25, 0.25), (0.1, 0.1), (0.05, 0.01)):
         tau = continuous_mixing_time(two_state(delta), "a", eps).time
         want = math.log(1.0 / (2.0 * eps)) / (2.0 * (1.0 - delta))

@@ -124,7 +124,8 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     assert exponentials and classified and streamed
     assert max(exponentials.values()) == 1, "a (chain, t) was exponentiated twice"
     per_rate_matrix = Counter(Q for Q, _ in exponentials)
-    assert max(per_rate_matrix.values()) <= 4, "a chain needed more than 4 anchor exponentials"
+    assert max(per_rate_matrix.values()) == 1, "a chain needed more than one matrix exponential"
+    assert {t for _, t in exponentials} == {1.0}, "a matrix exponential ran at a time other than 1"
     assert max(streamed.values()) == 1, "a chain object's rows were iterated by two step streams"
     assert max(classified.values()) == 1, "a chain object was classified twice"
     assert max(validated.values(), default=0) <= 1, "a flow was validated twice"
@@ -138,7 +139,7 @@ def _count_checked(monkeypatch):
 
 LADDER_QUERIES = {
     "lazy cycle(100) worst start": (lambda: _lazy_cycle(100), None, 0.25),
-    # a time below 1: the rungs come from the anchors 2^-8, 2^-16, ...
+    # a time below 1: the rungs there are uniformization series
     "rr(12, 2) from 0": (lambda: random_reversible(12, 2), 0, 0.45),
     "dhn(8) worst start": (lambda: dhn(8), None, 0.1),
 }
@@ -147,7 +148,7 @@ LADDER_QUERIES = {
 @pytest.mark.parametrize("case", sorted(LADDER_QUERIES))
 def test_a_continuized_query_makes_each_matrix_once(monkeypatch, case):
     """Each rung E(2^e) and each probe matrix of one query is squared or
-    multiplied once; the anchors' exponentials are checked once each too."""
+    multiplied once; E(1) and each series rung below 1 are checked once too."""
     make, x, eps = LADDER_QUERIES[case]
     chain = make()
     checked = _count_checked(monkeypatch)
@@ -157,8 +158,8 @@ def test_a_continuized_query_makes_each_matrix_once(monkeypatch, case):
 
 def test_the_ladder_squares_only_what_it_probes(monkeypatch):
     """On the lazy 100-cycle the worst start doubles to 2^11 and bisects down
-    to 2^-11: one square per rung, at most one product per probe, three
-    anchors."""
+    to 2^-11: one square per rung above 1, one series per rung below, at
+    most one product per probe."""
     chain = _lazy_cycle(100)
     checked = _count_checked(monkeypatch)
     continuous_mixing_time(chain, None, 0.25)

@@ -343,8 +343,8 @@ def _lazy_cycle(n: int):
 
 
 REFERENCE_CASES = {
-    # continuized times below 1: the bisection reaches level -20, whose rungs
-    # fail the 1e-9 stochasticity check if squared up from 2^-20 in one ladder
+    # continuized times below 1: the bisection reaches level -20, every rung
+    # of it a uniformization series
     "rr(200, 3) from 0": (lambda: random_reversible(200, 3), [(0, 0.45)]),
     "rr(200, 3) from 100": (lambda: random_reversible(200, 3), [(100, 0.45)]),
     "rr(200, 9) from 100": (lambda: random_reversible(200, 9), [(100, 0.45)]),
@@ -353,6 +353,8 @@ REFERENCE_CASES = {
     # worst start doubles to 2^11 before the bisection
     "lazy cycle(100) worst start": (lambda: _lazy_cycle(100), [(None, 0.25)]),
     "dhn(8)": (lambda: dhn(8), [(0, 0.25), (None, 0.1)]),
+    # a sparse chain whose bisection goes below 2^-16, to 2^-17
+    "dhn(16) worst start": (lambda: dhn(16), [(None, 0.25)]),
     "doubly_stochastic(9, 4)": (lambda: doubly_stochastic(9, 4), [(3, 0.25), (None, 0.05)]),
     "directed_cycle(3)": (lambda: directed_cycle(3), [(0, 0.25), (None, 0.01)]),
     # two calls sharing one memo: the second reuses the first's probes
@@ -377,6 +379,28 @@ def test_continuous_time_matches_per_probe_reference(case):
         assert 0.0 < got.time < 1.0
     if case == "lazy cycle(100) worst start":
         assert 2.0**11 in row_tvs and 2.0**10 in row_tvs and 2.0**12 not in row_tvs
+
+
+SERIES_CHAINS = {
+    "lazy cycle(100)": lambda: _lazy_cycle(100),
+    "dhn(64)": lambda: dhn(64),
+    "rr(12, 2)": lambda: random_reversible(12, 2),
+    "two_state(0.25)": lambda: two_state(0.25),
+    "rr(200, 3)": lambda: random_reversible(200, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_CHAINS))
+def test_series_rungs_match_the_taylor_reference(case):
+    """Each rung E(2^e) below 1 is a truncated uniformization series: within
+    1e-14 row l1 of the Taylor exponential, and with every entry 0 or a
+    normal float, so its products never run on subnormals."""
+    chain = SERIES_CHAINS[case]()
+    ladder, Q = _Ladder(chain), chain.P - np.eye(chain.n)
+    for e in range(-1, -25, -1):
+        E = ladder.rung(e)
+        assert np.abs(E - _reference_matrix_exponential(Q, 2.0**e)).sum(axis=1).max() <= 1e-14, e
+        assert ((E == 0.0) | (E >= np.finfo(float).tiny)).all(), e
 
 
 @pytest.mark.parametrize("what", ["continuous_mixing_time", "full_report"])
