@@ -131,14 +131,18 @@ class _Derived:
     bound function (or ``full_report``) and dropped when that call returns.
     It is made where the call's ``eps`` is checked, and keeps it.  It
     answers mixing-time queries in any order.  For the discrete times it
-    holds each chain's ``mixing._Steps`` streams (the current iterate, O(t)
-    distances and O(n) crossings of eps): one over every row, which answers
-    the worst start at any epsilon and every start at eps as far as it has
-    stepped, and one from e_x for a from-x time it does not answer.  For the
-    continuized times it holds each chain's ``mixing._Ladder``: its one
-    exponential E(1), the seven powers P^2 .. P^8 its series rungs below 1
-    are made from (n x n each), every probe's vector of per-start distances
-    and every answer.  It holds nothing for a flow, which keeps its own walk.
+    holds each chain's ``mixing._Steps`` streams (the last block of
+    iterates, O(t) distances and O(n) crossings of eps): one over every row,
+    which answers the worst start at any epsilon and every start at eps as
+    far as it has stepped, and one from e_x for a from-x time it does not
+    answer.  The every-row stream of a sparse P steps with P^T in CSR form;
+    a one-row stream steps in blocks of tens of steps.  For the continuized
+    times it holds each chain's ``mixing._Ladder``: its one exponential
+    E(1), the seven powers P^2 .. P^8 its series rungs below 1 are made from
+    (n x n each), the per-start distances of every probe that made a full
+    E(t), and every answer.  A from-x probe past the bracket's lower end 0
+    is one row by n x n and keeps no vector.  It holds nothing for a flow,
+    which keeps its own walk.
     """
 
     def __init__(self, eps: float | None = None):

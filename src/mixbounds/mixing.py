@@ -1,20 +1,24 @@
 """Total-variation distance, exact mixing times, and continuization.
 
-Discrete mixing times are found by iterating the distributions one step at a
-time (never materialising matrix powers): a stream iterates e_x, or every row
-for the worst start, and keeps the distance at each step, so it answers its
-start at any epsilon.  An every-row stream given an epsilon also records each
-row's first crossing of it, so it answers every start at that epsilon.  Each
-row's distance to stationarity is non-increasing; that is re-checked for
-every row at every step, so a violation surfaces as a bug rather than a wrong
-answer.
+Discrete mixing times are found by iterating the distributions (never
+materialising matrix powers): a stream iterates e_x, or every row for the
+worst start, and keeps the distance at each step, so it answers its start at
+any epsilon.  An every-row stream given an epsilon also records each row's
+first crossing of it, so it answers every start at that epsilon.  A stream
+steps in blocks of up to t steps within a fixed budget of floats, so a
+one-row stream pays its Python overhead once per tens of steps, and an
+every-row stream of a sparse P steps with P^T in CSR form.  Each row's
+distance to stationarity is non-increasing; that is re-checked for every row
+at every step, so a violation surfaces as a bug rather than a wrong answer.
 The continuized chain has rate matrix Q = P - I and distribution
 ``v expm(Q t)``; its mixing time is found by doubling and bisection.  The
 probes share a ladder of power-of-two exponentials E(2^e) = expm(Q 2^e):
 E(1) computed directly and squared up, and below 1 uniformization series in
-P^2 .. P^8.  So each probe costs one matrix product; every rung and product
-is checked to stay stochastic.  A query pops the squares it makes on the
-way down, so it makes each once; the ladder keeps every answer it gave.
+P^2 .. P^8.  So each probe costs one product with a rung: n x n for the
+worst start, and from x, once the bisection has left 0, one row (1 x n) by
+n x n.  Every rung and product is checked to stay stochastic.  A query pops
+the squares it makes on the way down, so it makes each once; the ladder
+keeps every answer it gave.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csr_matrix
 
 from .chains import ROW_SUM_TOL, Chain, _require
 from .errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, NoConvergence, _count, _floats,
@@ -92,8 +97,8 @@ class MixingResult:
 
 
 def _rows_tv(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """TV(rows[j], pi) per row j, with one temporary.  The clamp at 0 is a no-op
-    on step iterates and drops the <=1e-12 negatives of an exponential."""
+    """TV(rows[j], pi) per row j of an exponential, with one temporary.  The
+    clamp at 0 drops its <=1e-12 negatives."""
     D = np.maximum(rows, 0.0)
     D -= pi
     np.abs(D, out=D)
@@ -119,7 +124,7 @@ def d_profile(chain: Chain, t_max: int) -> list[float]:
     _require(chain, "ergodic", "d_profile")
     steps = _Steps(chain, None)
     while steps.t < t_max:
-        steps.step()
+        steps.step(t_max - steps.t)
     return list(steps.history[1:])
 
 
@@ -129,49 +134,107 @@ def _crossing(history: array, eps: float, last: int) -> int | None:
     return int(crossed[0]) + 1 if crossed.size else None
 
 
+#: a step block holds at most this many floats (64 KB), so a one-row stream
+#: steps tens of steps per block and the every-row stream of 100 states one
+_BLOCK_FLOATS = 8192
+
+
+def _csr_transpose(P: np.ndarray) -> csr_matrix | None:
+    """P^T in CSR form if an every-row step is cheaper with it, else None.
+
+    Measured per every-row step, 1 BLAS thread: BLAS ``rows @ P`` costs about
+    0.04 ns x n^3 (36 us on the lazy 100-cycle, 124 us on dhn(64)), the CSR
+    product ``PT @ cols`` about 8 us + 0.4 ns x nnz x n (15 and 29 us); on
+    the lazy 64-cycle 9.4 against 10.4 us, on a dense random_reversible(100)
+    31 against 322 us.  So CSR pays from about n = 80 at 3-6% density.  A
+    one-row step stays dense: ``v @ P`` costs about 2.5 us, the CSR form 6.
+    """
+    n, nnz = len(P), np.count_nonzero(P)
+    return csr_matrix(P.T) if 10 * nnz * n + 200_000 < n**3 else None
+
+
 class _Steps:
     """The row iterates P^t, t = 0, 1, ..., of one chain from one start,
     stepped only as far as the queries on it need.
 
-    Iterates e_x, or every row (from the identity) when x is None.  The
-    history is O(t): the largest distance over the stream's rows at each
-    step, so the stream answers its own start at any epsilon.  Given eps,
-    the stream also keeps ``crossed``, O(n): for each of its rows, the first
-    step t >= 1 at which that row is within eps (0 until it is), so an
-    every-row stream answers every start at eps as far as it has stepped.
-    Each step is checked not to raise any row's distance (beyond
-    MONOTONE_TOL), since TV(mu P, pi) <= TV(mu, pi) for every start mu.
+    Iterates e_x, or every row (from the identity) when x is None.  An
+    every-row stream whose P is sparse (``_csr_transpose``) keeps its iterate
+    transposed, ``cols`` = rows^T, and steps it as ``PT @ cols``; any other
+    stream steps ``rows @ P``.  A call to ``step`` advances a block of k
+    steps, k <= t (so a query overshoots its crossing by fewer steps than it
+    needed) and k x rows x n <= _BLOCK_FLOATS, into one buffer, and then
+    takes every distance of the block in one pass.  The history is O(t): the
+    largest distance over the stream's rows at each step, so the stream
+    answers its own start at any epsilon.  Given eps, the stream also keeps
+    ``crossed``, O(n): for each of its rows, the first step t >= 1 at which
+    that row is within eps (0 until it is), so an every-row stream answers
+    every start at eps as far as it has stepped.  Each step is checked not
+    to raise any row's distance (beyond MONOTONE_TOL), since TV(mu P, pi) <=
+    TV(mu, pi) for every start mu.
     """
 
     def __init__(self, chain: Chain, x: int | None, eps: float | None = None):
         self.P, self.pi, self.t, self.x, self.eps = chain.P, chain.pi, 0, x, eps
-        self.rows = np.eye(chain.n) if x is None else np.eye(chain.n)[x : x + 1]
-        self.tvs = _rows_tv(self.rows, self.pi)
+        self.PT = None if x is not None else _csr_transpose(chain.P)
+        if x is None:
+            self.block = np.eye(chain.n)[None]  # the identity is its own transpose
+        else:
+            self.block = np.zeros((1, 1, chain.n))
+            self.block[0, 0, x] = 1.0
+        self.tvs = np.empty((1, self.block.shape[1]))  # each row's distance at step t
+        self._distances(self.block, self.tvs)
         self.history = array("d", [float(self.tvs.max())])
-        self.crossed = np.zeros(len(self.rows), dtype=np.int64)
+        self.crossed = np.zeros(self.tvs.shape[1], dtype=np.int64)
 
-    def step(self):
-        self.rows = self.rows @ self.P
-        self.t += 1
-        tvs = _rows_tv(self.rows, self.pi)
-        risen = tvs > self.tvs + MONOTONE_TOL
+    def _distances(self, block: np.ndarray, out: np.ndarray, spare: np.ndarray | None = None):
+        """TV(row, pi) of each row of each iterate in a block, into out (k, rows),
+        with |rows - pi| written into spare if it is given.  Step iterates are
+        sums of nonnegative products, so nothing is clamped."""
+        transposed = self.PT is not None
+        D = np.subtract(block, self.pi[:, None] if transposed else self.pi, out=spare)
+        np.abs(D, out=D)
+        D.sum(axis=1 if transposed else 2, out=out)
+        out *= 0.5
+
+    def step(self, most: int):
+        """Advance one block of at most ``most`` (>= 1) steps.  The previous
+        block is spent once the new one is made, and takes its |rows - pi|;
+        so a step that raises leaves the stream spent too."""
+        last = self.block[-1]
+        k = max(1, min(self.t, _BLOCK_FLOATS // last.size, most))
+        if self.PT is None:
+            block = np.empty((k, *last.shape))
+            for i in range(k):
+                np.matmul(block[i - 1] if i else last, self.P, out=block[i])
+        else:
+            cols = [last]
+            for _ in range(k):
+                cols.append(self.PT @ cols[-1])
+            block = cols[1][None] if k == 1 else np.stack(cols[1:])  # one step: no copy
+        tvs = np.empty((k + 1, self.tvs.shape[1]))  # steps t .. t + k
+        tvs[0] = self.tvs[0]
+        self._distances(block, tvs[1:], self.block if self.block.shape == block.shape else None)
+        risen = tvs[1:] > tvs[:-1] + MONOTONE_TOL
         if risen.any():
-            prev, cur = (float(v[risen.argmax()]) for v in (self.tvs, tvs))
-            raise AssertionError(f"TV to stationarity increased at step {self.t}: {prev!r} -> {cur!r}")
-        self.tvs = tvs
-        self.history.append(float(tvs.max()))
+            i, j = np.unravel_index(risen.argmax(), risen.shape)
+            raise AssertionError(f"TV to stationarity increased at step {self.t + i + 1}: "
+                                 f"{float(tvs[i, j])!r} -> {float(tvs[i + 1, j])!r}")
         # a row can cross eps only while some row was above it and the nearest is within it now
-        if self.eps is not None and self.history[-2] > self.eps >= float(tvs.min()):
-            self.crossed[(self.crossed == 0) & (tvs <= self.eps)] = self.t
+        if self.eps is not None and self.history[-1] > self.eps >= float(tvs.min()):
+            below = tvs[1:] <= self.eps
+            new = (self.crossed == 0) & below.any(axis=0)
+            self.crossed[new] = self.t + 1 + below.argmax(axis=0)[new]
+        self.history.frombytes(tvs[1:].max(axis=1).tobytes())
+        self.block, self.tvs, self.t = block, tvs[-1:], self.t + k
 
     def time(self, eps: float, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
         """Smallest t in 1 .. max_steps with TV <= eps from the stream's start,
         read from the history and stepping on as needed."""
         t = _crossing(self.history, eps, max_steps)
         while t is None and self.t < max_steps:
-            self.step()
-            if self.history[-1] <= eps:
-                t = self.t
+            stepped = self.t
+            self.step(max_steps - stepped)
+            t = next((s for s in range(stepped + 1, self.t + 1) if self.history[s] <= eps), None)
         if t is None:
             raise NoConvergence(f"no mixing within {max_steps} steps (TV still {self.history[max_steps]:.3e})")
         return MixingResult(from_state=self.x, epsilon=eps, time=t, achieved_tv=self.history[t])
@@ -230,7 +293,8 @@ class _Ladder:
 
     Holds E(1), from one ``matrix_exponential``, the powers P^2 .. P^8 in
     one (7, n, n) array once a query goes below 1, the per-start distances
-    TV(E(t)(j, .), pi) at every probe time t, and each (start, eps) answer.
+    TV(E(t)(j, .), pi) at every probe time t whose full E(t) a query made,
+    and each (start, eps) answer.
     Rungs above 1 are squares of E(1), kept only during a query (up to 21);
     rungs below 1 are ``_series`` (K <= 15) in Horner form in P^8 (Paterson
     & Stockmeyer, 1973), with no negative term, so nothing cancels and no
@@ -270,19 +334,28 @@ class _Ladder:
         square appended to one list of rungs.  After doubling to 2^e_hi,
         bisection pops the rungs from e_hi - 1 down (below 1, a series rung),
         so E(lo + 2^e) = E(lo) E(2^e) is one product, formed only when its
-        distances are new or the probe becomes the new lo.  So no rung or
-        probe matrix is made twice, at the cost of holding up to e_hi + 1
-        <= 21 rungs.  Every rung and product is checked to stay stochastic.
+        distances are new or the probe becomes the new lo.  From x, E(lo)
+        is only its row x once lo > 0, so each such probe is a 1 x n by
+        n x n product, whose distance is not kept in ``tvs``; probes at
+        lo = 0 read the full rung and keep every start's distance.  So no
+        rung or probe matrix is made twice, at the cost of holding up to
+        e_hi + 1 <= 21 rungs.  Every rung and product is checked to stay
+        stochastic.
         """
         if (x, eps) in self.answers:
             return self.answers[x, eps]
-        probes: list[tuple[float, float]] = []
+        n, probes = self.chain.n, []
 
         def probe(t: float, E: np.ndarray | None) -> float:
-            """Distance at t from x; E = E(t) is needed only if t is new."""
-            if t not in self.tvs:
-                self.tvs[t] = _rows_tv(E, self.chain.pi)
-            tvs = self.tvs[t]
+            """Distance at t from x; E = E(t), or its row x, is needed only if t
+            is new.  Only a full E's per-start distances are kept."""
+            tvs = self.tvs.get(t)
+            if tvs is None:
+                tvs = _rows_tv(E, self.chain.pi)
+                if len(E) < n:
+                    probes.append((t, float(tvs[0])))
+                    return probes[-1][1]
+                self.tvs[t] = tvs
             probes.append((t, float(tvs.max() if x is None else tvs[x])))
             return probes[-1][1]
 
@@ -299,7 +372,7 @@ class _Ladder:
             if hi_tv > eps:
                 raise NoConvergence(f"no mixing within the cap of {MAX_CONTINUOUS_TIME:.0f} time units "
                                     f"(TV still {hi_tv:.3e})")
-            E_lo = None  # E(lo); None while lo = 0, where E(lo + 2^e) is the rung itself
+            E_lo = None  # E(lo), or its row x from x; None while lo = 0, where E(lo + 2^e) is the rung itself
             while hi - lo > BISECTION_REL * max(1.0, hi):
                 e -= 1
                 R = rungs.pop() if rungs else self.rung(e)
@@ -308,7 +381,8 @@ class _Ladder:
                 if probe(mid, E_mid) <= eps:
                     hi, hi_tv = mid, probes[-1][1]
                 else:
-                    lo, E_lo = mid, _checked(E_lo @ R) if E_mid is None else E_mid
+                    E_mid = _checked(E_lo @ R) if E_mid is None else E_mid
+                    lo, E_lo = mid, E_mid[[x]] if E_lo is None and x is not None else E_mid
         probes.sort()
         for (t1, v1), (t2, v2) in zip(probes, probes[1:]):
             if t2 > t1 and v2 > v1 + MONOTONE_TOL_CONTINUOUS:
@@ -329,6 +403,8 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     Each probe is one product with a rung of a power-of-two ladder: E(1),
     the one exponential from scratch, its squares, and below 1 series in
     P^2 .. P^8.  It makes each rung once and holds at most 21, n x n each.
+    From a state x the product is n x n only while the bracket's lower end
+    is 0; after that it is row x alone times the rung.
     """
     eps = _check_eps(eps)
     _require(chain, "irreducible", "continuization")

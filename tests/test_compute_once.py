@@ -172,20 +172,21 @@ def test_the_ladder_squares_only_what_it_probes(monkeypatch):
 def test_a_report_steps_one_stream_past_every_discrete_crossing(monkeypatch):
     """Worst-start times first: on the lazy 100-cycle, the every-row stream
     that reaches the worst start's crossing of 1/(2e) (1,259 steps) has
-    passed the report's other discrete crossings too."""
-    stepped = Counter()
-    step = mixing._Steps.step
+    passed the report's other discrete crossings too.  Steps are counted by
+    each stream's t, whatever blocks it stepped them in."""
+    streams = []
+    init = mixing._Steps.__init__
 
-    def counting_step(self):
-        stepped[id(self)] += 1
-        step(self)
+    def recording_init(self, *args):
+        init(self, *args)
+        streams.append(self)
 
-    monkeypatch.setattr(mixing._Steps, "step", counting_step)
+    monkeypatch.setattr(mixing._Steps, "__init__", recording_init)
     chain = _lazy_cycle(100)
     streamed = _count(monkeypatch, mixing._Steps, lambda chain, *rest: id(chain))
     full_report(chain, x=3, eps=0.25)
     assert streamed == {id(chain): 1}
-    assert sum(stepped.values()) <= 1259
+    assert sum(stream.t for stream in streams) <= 1259
 
 
 @pytest.mark.parametrize("report", ["comparison_reversible", "full_report"])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from mixbounds import (
     uniform_walk,
 )
 from mixbounds.chains import Chain
-from mixbounds.mixing import BISECTION_REL, _Ladder
+from mixbounds.mixing import BISECTION_REL, MONOTONE_TOL, _Ladder, _Steps, _csr_transpose
 from mixbounds.errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, NoConvergence, NotErgodic,
                               NotIrreducible)
 
@@ -132,6 +133,112 @@ def test_d_profile_submultiplicative():
         for s in range(1, 51):
             for t in range(1, 51):
                 assert prof[s + t] <= 2 * prof[s] * prof[t] + 1e-12
+
+
+# The step stream before blocked and sparse steps, kept as the reference: one
+# dense ``rows @ P`` per step, every row's distance and monotonicity each step.
+class _ReferenceSteps:
+    def __init__(self, chain, x):
+        self.P, self.pi, self.t = chain.P, chain.pi, 0
+        self.rows = np.eye(chain.n) if x is None else np.eye(chain.n)[x : x + 1]
+        self.tvs = self._rows_tv(self.rows)
+        self.history = array("d", [float(self.tvs.max())])
+
+    def _rows_tv(self, rows):
+        D = np.maximum(rows, 0.0)
+        D -= self.pi
+        np.abs(D, out=D)
+        return 0.5 * D.sum(axis=1)
+
+    def step(self):
+        self.rows = self.rows @ self.P
+        self.t += 1
+        tvs = self._rows_tv(self.rows)
+        risen = tvs > self.tvs + MONOTONE_TOL
+        if risen.any():
+            prev, cur = (float(v[risen.argmax()]) for v in (self.tvs, tvs))
+            raise AssertionError(f"TV to stationarity increased at step {self.t}: {prev!r} -> {cur!r}")
+        self.tvs = tvs
+        self.history.append(float(tvs.max()))
+
+    def time(self, eps, max_steps):
+        while self.history[-1] > eps and self.t < max_steps:
+            self.step()
+        t = next((t for t in range(1, self.t + 1) if self.history[t] <= eps), None)
+        return (t, self.history[t]) if t is not None else (None, self.history[max_steps])
+
+
+# both sides of the sparsity rule: the lazy 64-cycle and random_reversible(40)
+# step dense, the others with P^T in CSR form
+STREAM_CHAINS = {
+    "lazy cycle(64)": (lambda: _lazy_cycle(64), False),
+    "lazy cycle(100)": (lambda: _lazy_cycle(100), True),
+    "dhn(64)": (lambda: dhn(64), True),
+    "doubly_stochastic(100, 3)": (lambda: doubly_stochastic(100, 3), True),
+    "rr(40, 5)": (lambda: random_reversible(40, 5), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CHAINS))
+def test_streams_match_the_one_step_reference(case):
+    """Blocked and sparse steps give the reference's times, its distances
+    within 1e-14 relative, and every start's crossing of the stream's eps."""
+    make, sparse = STREAM_CHAINS[case]
+    chain = make()
+    assert (_csr_transpose(chain.P) is not None) == sparse
+    every_row = _Steps(chain, None, 0.05)
+    for x in (None, 0, chain.n // 3, chain.n - 1):
+        stream = every_row if x is None else _Steps(chain, x)
+        reference = _ReferenceSteps(chain, x)
+        for eps in (0.25, 0.05):
+            got = stream.time(eps)
+            want_time, want_tv = reference.time(eps, 10**5)
+            assert got.time == want_time, (x, eps)
+            assert got.achieved_tv == pytest.approx(want_tv, rel=1e-14, abs=0.0), (x, eps)
+            if x is not None and eps == every_row.eps:
+                assert every_row.crossed[x] == want_time, x
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CHAINS))
+def test_d_profile_matches_the_one_step_reference(case):
+    """Same length and values as the reference's worst-start history.  Below
+    about 1e-14 a distance is rounding noise (a CSR step's entries differ
+    from BLAS's by ~1e-17, and a CSR stream sums each distance in another
+    order), so distances are also compared absolutely, at 1e-14."""
+    chain = STREAM_CHAINS[case][0]()
+    reference = _ReferenceSteps(chain, None)
+    for t_max in (1, 37, 300):
+        while reference.t < t_max:
+            reference.step()
+        got = d_profile(chain, t_max)
+        assert len(got) == t_max
+        np.testing.assert_allclose(got, reference.history[1 : t_max + 1], rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("x", [None, 0])
+@pytest.mark.parametrize("max_steps", [1, 6, 37, 1000])
+def test_max_steps_is_honoured_exactly(x, max_steps):
+    """A stream stops at max_steps, however its blocks fall, and the message
+    reads the distance at max_steps."""
+    chain = _lazy_cycle(30)  # about 2,500 steps to 1e-12
+    stream, reference = _Steps(chain, x), _ReferenceSteps(chain, x)
+    _, tv = reference.time(1e-12, max_steps)
+    with pytest.raises(NoConvergence, match=rf"within {max_steps} steps \(TV still {tv:.3e}\)"):
+        stream.time(1e-12, max_steps)
+    assert stream.t == max_steps and len(stream.history) == max_steps + 1
+
+
+def test_a_rise_inside_a_block_names_its_step():
+    # pi is not stationary here: from a, P^t(a, a) = 1/2 + 2^-(t+1) passes
+    # pi(a) = 0.52 after step 5, so the distance rises 0.0044 -> 0.0122 at
+    # step 6, inside the one-row block of steps 5 .. 8
+    chain = Chain(["a", "b"], [[0.75, 0.25], [0.25, 0.75]], [0.52, 0.48])
+    stream = _Steps(chain, 0)
+    with pytest.raises(AssertionError, match="increased at step 6: 0.00437"):
+        stream.time(0.001)
+    assert stream.t == 4  # the stream stopped before the block that rose
+    with pytest.raises(AssertionError, match="increased at step 6"):
+        discrete_mixing_time(chain, "a", 0.001)
 
 
 def test_matrix_exponential_identity_and_closed_form():
@@ -359,6 +466,9 @@ REFERENCE_CASES = {
     "directed_cycle(3)": (lambda: directed_cycle(3), [(0, 0.25), (None, 0.01)]),
     # two calls sharing one memo: the second reuses the first's probes
     "shared memo, x then worst": (lambda: random_reversible(40, 7), [(5, 0.25), (None, 0.25)]),
+    # from x (one-row probes once lo > 0), then the worst start, then from
+    # another x at another eps, on one ladder of a sparse chain
+    "dhn(16) x, worst, x": (lambda: dhn(16), [(3, 0.25), (None, 0.25), (5, 0.1)]),
 }
 
 
