@@ -126,31 +126,32 @@ def _log_term_sq(eps: float, pi_x: float) -> float:
 class _Derived:
     """What one public call derives from each chain it touches, computed once.
 
-    Entries are keyed by object identity and hold their object, so an id
-    cannot be reused while the memo lives.  A memo is created by a public
-    bound function (or ``full_report``) and dropped when that call returns.
-    It is made where the call's ``eps`` is checked, and keeps it.  It
-    answers mixing-time queries in any order.  For the discrete times it
-    holds each chain's ``mixing._Steps`` streams (the last block of
-    iterates, O(t) distances and O(n) crossings of eps): one over every row,
-    which answers the worst start at any epsilon and every start at eps as
-    far as it has stepped, and one from e_x for a from-x time it does not
-    answer.  The every-row stream of a sparse P steps with P^T in CSR form;
-    a one-row stream steps in blocks of tens of steps.  For the continuized
-    times it holds each chain's ``mixing._Ladder``: its one exponential
-    E(1), the seven powers P^2 .. P^8 its series rungs below 1 are made from
-    (n x n each), the per-start distances of every probe that made a full
-    E(t), and every answer.  A from-x probe past the bracket's lower end 0
-    is one row by n x n and keeps no vector.  It holds nothing for a flow,
+    Entries are keyed by the chain object (a Chain is equal only to itself).
+    A memo is created by a public bound function (or ``full_report``) and
+    dropped when that call returns.  It is made where the call's ``eps`` is
+    checked, and keeps it.  It answers mixing-time queries in any order.
+    For the discrete times it holds each chain's ``mixing._Steps`` streams
+    (the last block of iterates, O(t) distances and O(n) crossings of eps):
+    one over every row, which answers the worst start at any epsilon and
+    every start at eps as far as it has stepped, and one from e_x for a
+    from-x time it does not answer.  The every-row stream of a sparse P
+    steps with P^T in CSR form; a one-row stream steps in blocks of tens of
+    steps.  For the continuized times it holds each chain's
+    ``mixing._Ladder``: the seven powers P^2 .. P^8 that its series rungs
+    E(2^e), e <= 0, are made from, its rung E(1) = ``rung(0)`` (n x n
+    each), the per-start distances of every probe that made a full E(t),
+    and every answer.  Every rung is a sum of nonnegative products, so no
+    distance is clamped.  A from-x probe past the bracket's lower end 0 is
+    one row by n x n and keeps no vector.  It holds nothing for a flow,
     which keeps its own walk.
     """
 
     def __init__(self, eps: float | None = None):
         self.eps = eps
-        self._objects: dict[int, tuple[object, dict]] = {}
+        self._objects: dict[Chain, dict] = {}
 
-    def _get(self, obj, key, compute):
-        memo = self._objects.setdefault(id(obj), (obj, {}))[1]
+    def _get(self, chain: Chain, key, compute):
+        memo = self._objects.setdefault(chain, {})
         if key not in memo:
             memo[key] = compute()
         return memo[key]
@@ -173,7 +174,7 @@ class _Derived:
         of row x; one it has not reached, or at another eps, steps e_x."""
         if x is None:
             return self._get(chain, "steps", lambda: _Steps(chain, None, self.eps)).time(eps).time
-        every_row = self._objects.get(id(chain), (chain, {}))[1].get("steps")
+        every_row = self._objects.get(chain, {}).get("steps")
         if eps == self.eps and every_row is not None and every_row.crossed[x]:
             return int(every_row.crossed[x])
         return self._get(chain, ("steps", x), lambda: _Steps(chain, x)).time(eps).time
