@@ -2,9 +2,10 @@
 
 Every bound in the catalogue is evaluated next to the exactly computed
 quantity it constrains, and the report records whether it holds.  The exact
-side always comes from the mixing module (step iteration, bisection on the
-continuized chain), never from spectral formulas, so the two sides of each
-inequality stay independent.
+side always comes from the mixing module (step iteration from x, bisection
+over matrix powers for the worst start and on the continuized chain), never
+from spectral formulas, so the two sides of each inequality stay
+independent.
 
 The catalogue is one table, ``CATALOG``, in report order: each entry
 identifier (a stable token of the JSON report; suffixes c/d mark the
@@ -28,7 +29,7 @@ import numpy as np
 from .chains import Chain, _check_pair, _require, classify, lazy, multiply, reversibilize, time_reversal
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
 from .flows import Flow, _worst_edge, validate_flow
-from .mixing import _Ladder, _Steps, _check_eps
+from .mixing import _Ladder, _Powers, _Steps, _check_eps
 from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _gaps, conductance, eigendecompose
 
 #: bound-vs-exact comparisons allow this much slack
@@ -130,13 +131,13 @@ class _Derived:
     A memo is created by a public bound function (or ``full_report``) and
     dropped when that call returns.  It is made where the call's ``eps`` is
     checked, and keeps it.  It answers mixing-time queries in any order.
-    For the discrete times it holds each chain's ``mixing._Steps`` streams
-    (the last block of iterates, O(t) distances and O(n) crossings of eps):
-    one over every row, which answers the worst start at any epsilon and
-    every start at eps as far as it has stepped, and one from e_x for a
-    from-x time it does not answer.  The every-row stream of a sparse P
-    steps with P^T in CSR form; a one-row stream steps in blocks of tens of
-    steps.  For the continuized times it holds each chain's
+    For the worst-start discrete times it holds each chain's
+    ``mixing._Powers`` walk: every start's distance at each power P^t it
+    probed (O(n) each, no matrix) and every answer, so the report's several
+    eps and the delta sweep share its probes.  For a from-x discrete time it
+    holds a ``mixing._Steps`` stream from e_x (the last block of iterates and
+    O(t) distances), which steps in blocks of tens of steps and answers its
+    start at any eps.  For the continuized times it holds each chain's
     ``mixing._Ladder``: the seven powers P^2 .. P^8 that its series rungs
     E(2^e), e <= 0, are made from, its rung E(1) = ``rung(0)`` (n x n
     each), the per-start distances of every probe that made a full E(t),
@@ -169,14 +170,10 @@ class _Derived:
 
     def discrete(self, chain: Chain, x, eps: float) -> int:
         """The discrete mixing time at eps from state index x, or from the
-        worst start if x is None.  Worst-start times step the every-row
-        stream.  A from-x time at the call's eps reads that stream's crossing
-        of row x; one it has not reached, or at another eps, steps e_x."""
+        worst start if x is None: the former from the chain's stream from
+        e_x, the latter from its walk over the powers P^(2^e)."""
         if x is None:
-            return self._get(chain, "steps", lambda: _Steps(chain, None, self.eps)).time(eps).time
-        every_row = self._objects.get(chain, {}).get("steps")
-        if eps == self.eps and every_row is not None and every_row.crossed[x]:
-            return int(every_row.crossed[x])
+            return self._get(chain, "powers", lambda: _Powers(chain)).time(eps).time
         return self._get(chain, ("steps", x), lambda: _Steps(chain, x)).time(eps).time
 
     def continuous(self, chain: Chain, x, eps: float) -> float:
@@ -498,9 +495,9 @@ def full_report(
     product bound instead of the direct family.
 
     Everything derived from a chain (eigenstructure, the reversal product,
-    the exponentials with every probe's distances, and the step streams that
-    give the discrete mixing times) is computed once per report and shared
-    by the bound families.
+    the exponentials and the powers with every probe's distances, and the
+    step streams that give the from-x discrete mixing times) is computed
+    once per report and shared by the bound families.
     """
     eps = _check_eps(eps)
     delta = _check_delta(delta)
@@ -510,8 +507,6 @@ def full_report(
     cls = _require(base, "irreducible", "full report")
     x_idx = base.index(x)
 
-    # worst-start times first, the cheap order: the every-row stream answers
-    # each from-x time at eps it has passed, and any other steps e_x
     tau_worst_disc = d.discrete(base, None, DELTA_DEFAULT) if cls.ergodic else None
     exact_cont = d.continuous(base, x_idx, eps)
     tau_worst_cont = d.continuous(base, None, DELTA_DEFAULT)
@@ -543,7 +538,7 @@ def full_report(
 
     order = {tid: i for i, tid in enumerate(CATALOG)}
     entries.sort(key=lambda e: order[e.theorem])
-    exact_disc = d.discrete(base, x_idx, eps) if cls.ergodic else None  # after T5, like T7
+    exact_disc = d.discrete(base, x_idx, eps) if cls.ergodic else None
     return BoundReport(
         base_name=base.name,
         target_name=None if target is None else target.name,

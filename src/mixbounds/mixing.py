@@ -1,25 +1,27 @@
 """Total-variation distance, exact mixing times, and continuization.
 
-Discrete mixing times are found by iterating the distributions (never
-materialising matrix powers): a stream iterates e_x, or every row for the
-worst start, and keeps the distance at each step, so it answers its start at
-any epsilon.  An every-row stream given an epsilon also records each row's
-first crossing of it, so it answers every start at that epsilon.  A stream
-steps in blocks of up to t steps within a fixed budget of floats, so a
-one-row stream pays its Python overhead once per tens of steps, and an
-every-row stream of a sparse P steps with P^T in CSR form.  Each row's
-distance to stationarity is non-increasing; that is re-checked for every row
-at every step, so a violation surfaces as a bug rather than a wrong answer.
+A worst-start discrete mixing time is found by doubling and bisection over
+the powers P^(2^e) (``_Powers``): d(t) never rises, so squaring P brackets
+the first crossing and each bisection probe is one n x n product, with
+every start's distance kept at each probe and checked not to rise across
+probes.  A discrete time from x iterates e_x (``_Steps``) and keeps the
+distance at each step, so it answers its start at any epsilon; it steps in
+blocks of up to t steps within a fixed budget of floats, so it pays its
+Python overhead once per tens of steps.  An every-row stream gives
+``d_profile``; of a sparse P it steps with P^T in CSR form.  A stream's
+distance is re-checked not to rise at every step, so a violation surfaces
+as a bug rather than a wrong answer.
 The continuized chain has rate matrix Q = P - I and distribution
 ``v expm(Q t)``; its mixing time is found by doubling and bisection.  The
 probes share a ladder of power-of-two exponentials E(2^e) = expm(Q 2^e):
 each rung up to E(1) = ``_Ladder.rung(0)`` is a uniformization series in
 P^2 .. P^8, and E(1) is squared up.  So each probe costs one product with a
 rung: n x n for the worst start, and from x, once the bisection has left 0,
-one row (1 x n) by n x n.  Every iterate, rung and probe matrix is a sum
-of nonnegative products, so no distance is clamped; every rung and product
-is checked to stay stochastic.  A query pops the squares it makes on the way
-down, so it makes each once; the ladder keeps every answer it gave.
+one row (1 x n) by n x n.  Every iterate, power, rung and probe matrix is a
+sum of nonnegative products, so no distance is clamped; every rung and
+continuized product is checked to stay stochastic.  A query pops the squares
+it makes on the way down, so it makes each once; the walk and the ladder
+keep every answer they gave.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ def _distances(block: np.ndarray, pi: np.ndarray, transposed: bool = False,
                out: np.ndarray | None = None, spare: np.ndarray | None = None) -> np.ndarray:
     """TV(row, pi) of each row of an iterate, or of each iterate in a block
     (each column if transposed), into out if it is given, with |rows - pi|
-    written into spare if it is given.  Step iterates and ladder matrices are
-    sums of nonnegative products, so nothing is clamped."""
+    written into spare if it is given.  Step iterates, powers and ladder
+    matrices are sums of nonnegative products, so nothing is clamped."""
     D = np.subtract(block, pi[:, None] if transposed else pi, out=spare)
     np.abs(D, out=D)
     out = D.sum(axis=-2 if transposed else -1, out=out)
@@ -112,16 +114,20 @@ def _distances(block: np.ndarray, pi: np.ndarray, transposed: bool = False,
 
 
 def discrete_mixing_time(chain: Chain, x, eps, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
-    """Smallest t > 0 with TV(P^t(x, .), pi) <= eps, by row iteration.
+    """Smallest t > 0 with TV(P^t(x, .), pi) <= eps.
 
-    ``x`` may be a state index/label or None for the worst case over all
-    starting states.  Raises NoConvergence after ``max_steps`` steps, which
-    signals near-periodicity or an epsilon below reach.
+    ``x`` may be a state index/label, whose row is iterated from e_x, or None
+    for the worst case over all starting states, found by doubling and
+    bisection over the powers P^(2^e).  Raises NoConvergence if the time
+    exceeds ``max_steps``, which signals near-periodicity or an epsilon below
+    reach; the message reads the distance at ``max_steps``.
     """
     eps = _check_eps(eps)
     max_steps = _count(max_steps, "max_steps", BadParams)
     _require(chain, "ergodic", "discrete mixing time")
-    return _Steps(chain, None if x is None else chain.index(x)).time(eps, max_steps)
+    if x is None:
+        return _Powers(chain).time(eps, max_steps)
+    return _Steps(chain, chain.index(x)).time(eps, max_steps)
 
 
 def d_profile(chain: Chain, t_max: int) -> list[float]:
@@ -163,24 +169,21 @@ class _Steps:
     """The row iterates P^t, t = 0, 1, ..., of one chain from one start,
     stepped only as far as the queries on it need.
 
-    Iterates e_x, or every row (from the identity) when x is None.  An
-    every-row stream whose P is sparse (``_csr_transpose``) keeps its iterate
-    transposed, ``cols`` = rows^T, and steps it as ``PT @ cols``; any other
-    stream steps ``rows @ P``.  A call to ``step`` advances a block of k
-    steps, k <= t (so a query overshoots its crossing by fewer steps than it
-    needed) and k x rows x n <= _BLOCK_FLOATS, into one buffer, and then
-    takes every distance of the block in one pass.  The history is O(t): the
-    largest distance over the stream's rows at each step, so the stream
-    answers its own start at any epsilon.  Given eps, the stream also keeps
-    ``crossed``, O(n): for each of its rows, the first step t >= 1 at which
-    that row is within eps (0 until it is), so an every-row stream answers
-    every start at eps as far as it has stepped.  Each step is checked not
-    to raise any row's distance (beyond MONOTONE_TOL), since TV(mu P, pi) <=
-    TV(mu, pi) for every start mu.
+    Iterates e_x for a from-x time, or every row (from the identity) when x
+    is None, for ``d_profile``.  An every-row stream whose P is sparse
+    (``_csr_transpose``) keeps its iterate transposed, ``cols`` = rows^T,
+    and steps it as ``PT @ cols``; any other stream steps ``rows @ P``.  A
+    call to ``step`` advances a block of k steps, k <= t (so a query
+    overshoots its crossing by fewer steps than it needed) and k x rows x n
+    <= _BLOCK_FLOATS, into one buffer, and then takes every distance of the
+    block in one pass.  The history is O(t): the largest distance over the
+    stream's rows at each step, so the stream answers its own start at any
+    epsilon.  Each step is checked not to raise any row's distance (beyond
+    MONOTONE_TOL), since TV(mu P, pi) <= TV(mu, pi) for every start mu.
     """
 
-    def __init__(self, chain: Chain, x: int | None, eps: float | None = None):
-        self.P, self.pi, self.t, self.x, self.eps = chain.P, chain.pi, 0, x, eps
+    def __init__(self, chain: Chain, x: int | None):
+        self.P, self.pi, self.t, self.x = chain.P, chain.pi, 0, x
         self.PT = None if x is not None else _csr_transpose(chain.P)
         if x is None:
             self.block = np.eye(chain.n)[None]  # the identity is its own transpose
@@ -189,7 +192,6 @@ class _Steps:
             self.block[0, 0, x] = 1.0
         self.tvs = _distances(self.block, self.pi)  # each row's distance at step t, (1, rows)
         self.history = array("d", [float(self.tvs.max())])
-        self.crossed = np.zeros(self.tvs.shape[1], dtype=np.int64)
 
     def step(self, most: int):
         """Advance one block of at most ``most`` (>= 1) steps.  The previous
@@ -215,11 +217,6 @@ class _Steps:
             i, j = np.unravel_index(risen.argmax(), risen.shape)
             raise AssertionError(f"TV to stationarity increased at step {self.t + i + 1}: "
                                  f"{float(tvs[i, j])!r} -> {float(tvs[i + 1, j])!r}")
-        # a row can cross eps only while some row was above it and the nearest is within it now
-        if self.eps is not None and self.history[-1] > self.eps >= float(tvs.min()):
-            below = tvs[1:] <= self.eps
-            new = (self.crossed == 0) & below.any(axis=0)
-            self.crossed[new] = self.t + 1 + below.argmax(axis=0)[new]
         self.history.frombytes(tvs[1:].max(axis=1).tobytes())
         self.block, self.tvs, self.t = block, tvs[-1:], self.t + k
 
@@ -234,6 +231,67 @@ class _Steps:
         if t is None:
             raise NoConvergence(f"no mixing within {max_steps} steps (TV still {self.history[max_steps]:.3e})")
         return MixingResult(from_state=self.x, epsilon=eps, time=t, achieved_tv=self.history[t])
+
+
+class _Powers:
+    """Worst-start discrete times of one chain, by doubling and bisection over
+    the powers P^(2^e), and every start's distance at each probe.
+
+    d(t) = max_j TV(P^t(j, .), pi) never rises (Levin, Peres & Wilmer, 2017,
+    section 4.4), so a query squares P until d(2^e) <= eps or 2^e >= its
+    max_steps, then bisects lo + 2^e down to width 1, popping the squares on
+    the way down.  Each probe P^(lo + 2^e) = P^lo P^(2^e) is one n x n
+    product, formed only when its distances are new or it becomes the new
+    lo; the powers live only during a query.  Kept for the walk's life:
+    ``tvs``, every start's distance at each probe t (t = 0 is the identity),
+    and every answer.  Each new probe is checked against the kept probes on
+    either side of it: no start's distance may rise (beyond MONOTONE_TOL).
+    """
+
+    def __init__(self, chain: Chain):
+        self.chain = chain
+        self.tvs: dict[int, np.ndarray] = {0: 1.0 - chain.pi}
+        self.answers: dict[tuple[float, int], MixingResult] = {}
+
+    def _probe(self, t: int, Pt: np.ndarray | None) -> float:
+        """d(t); Pt = P^t is needed only if t is new."""
+        if t not in self.tvs:
+            self.tvs[t] = _distances(Pt, self.chain.pi)
+            kept = sorted(self.tvs)
+            i = kept.index(t)  # >= 1, as t > 0
+            for s, u in zip(kept[i - 1 : i + 1], kept[i : i + 2]):  # t and the kept probes on either side
+                risen = self.tvs[u] > self.tvs[s] + MONOTONE_TOL
+                if risen.any():
+                    j = int(risen.argmax())
+                    raise AssertionError(f"TV to stationarity increased at step {u} (from step {s}): "
+                                         f"{float(self.tvs[s][j])!r} -> {float(self.tvs[u][j])!r}")
+        return float(self.tvs[t].max())
+
+    def time(self, eps: float, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
+        """Smallest t in 1 .. max_steps with d(t) <= eps; see ``discrete_mixing_time``."""
+        if (eps, max_steps) in self.answers:
+            return self.answers[eps, max_steps]
+        e, powers = 0, [self.chain.P]  # powers[e] = P^(2^e)
+        while self._probe(2**e, powers[e]) > eps and 2**e < max_steps:
+            powers.append(powers[-1] @ powers[-1])
+            e += 1
+        powers.pop()  # the bisection walks down from level e - 1
+        # the answer lies in (lo, hi], where t > max_steps counts as within eps
+        lo, hi, P_lo = 0, 2**e, None  # P_lo = P^lo; None while lo = 0, where P^(lo + 2^e) is the power itself
+        while powers:
+            R = powers.pop()
+            mid = lo + 2 ** len(powers)
+            P_mid = R if P_lo is None else None if mid in self.tvs or mid > max_steps else P_lo @ R
+            if mid > max_steps or self._probe(mid, P_mid) <= eps:
+                hi = mid
+            else:
+                lo, P_lo = mid, P_lo @ R if P_mid is None else P_mid
+        t = min(hi, max_steps)  # past the cap, lo = max_steps was probed
+        tv = self._probe(t, None)
+        if hi > max_steps or tv > eps:
+            raise NoConvergence(f"no mixing within {max_steps} steps (TV still {tv:.3e})")
+        self.answers[eps, max_steps] = MixingResult(from_state=None, epsilon=eps, time=t, achieved_tv=tv)
+        return self.answers[eps, max_steps]
 
 
 def _checked(E: np.ndarray) -> np.ndarray:

@@ -31,10 +31,12 @@ from mixbounds import (
     spread_flow,
     state_congestion,
     time_reversal,
+    two_state,
     uniform_walk,
     validate_flow,
 )
 from mixbounds import chains, flows, mixing, spectral
+from mixbounds.errors import NoConvergence
 from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _Derived, _same_chain, _skip, _skip_families
 from mixbounds.cli import run_cli
 
@@ -182,11 +184,25 @@ def test_the_ladder_squares_only_what_it_probes(monkeypatch):
     assert sum(checked.values()) <= 93
 
 
-def test_a_report_steps_one_stream_past_every_discrete_crossing(monkeypatch):
-    """Worst-start times first: on the lazy 100-cycle, the every-row stream
-    that reaches the worst start's crossing of 1/(2e) (1,259 steps) has
-    passed the report's other discrete crossings too.  Steps are counted by
-    each stream's t, whatever blocks it stepped them in."""
+def _count_products(chain):
+    """Count the ``@`` products that start from the chain's P, or from such a
+    product, with squares (a @ a) apart.  P becomes a view of an ndarray
+    subclass whose ``@`` counts, and each such product is of that subclass
+    too.  So the count is of the worst-start walk's products: the streams and
+    the ladder multiply P by ``np.matmul`` into plain arrays."""
+    counts = Counter()
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            counts["squares" if other is self else "products"] += 1
+            return super().__matmul__(other)
+
+    chain.P = chain.P.view(Counted)
+    return counts
+
+
+def _record_streams(monkeypatch):
+    """Every ``_Steps`` stream made from here on, to read its t afterwards."""
     streams = []
     init = mixing._Steps.__init__
 
@@ -195,17 +211,43 @@ def test_a_report_steps_one_stream_past_every_discrete_crossing(monkeypatch):
         streams.append(self)
 
     monkeypatch.setattr(mixing._Steps, "__init__", recording_init)
+    return streams
+
+
+def test_a_report_walks_the_powers_for_its_worst_start_times(monkeypatch):
+    """On the lazy 100-cycle the report builds no every-row stream: its
+    worst-start times at 1/(2e) (1,259) and at eps square P up to 2^11 and
+    bisect down, at most 11 squares and 11 products each.  Its one from-x
+    stream steps no further than the worst start's crossing of 1/(2e).
+    Steps are counted by each stream's t, whatever blocks it stepped them in."""
     chain = _lazy_cycle(100)
-    streamed = _count(monkeypatch, mixing._Steps, lambda chain, *rest: id(chain))
+    streams = _record_streams(monkeypatch)
+    streamed = _count(monkeypatch, mixing._Steps, lambda chain, x: (id(chain), x))
+    products = _count_products(chain)
     full_report(chain, x=3, eps=0.25)
-    assert streamed == {id(chain): 1}
+    assert streamed == {(id(chain), 3): 1}
     assert sum(stream.t for stream in streams) <= 1259
+    assert products["squares"] <= 2 * 11 and products["products"] <= 2 * 11
+
+
+def test_a_gap_of_zero_ends_the_walk_at_the_cap(monkeypatch):
+    """two_state(1e-17) never mixes within the cap of 10^6 steps: the report's
+    worst-start time squares P 20 times, to 2^20, bisects to the cap in 20
+    products and raises, naming the cap and the distance there; no stream
+    steps every row, and none steps at all."""
+    chain = two_state(1e-17)
+    streams = _record_streams(monkeypatch)
+    products = _count_products(chain)
+    with pytest.raises(NoConvergence, match=r"within 1000000 steps \(TV still 5\.000e-01\)"):
+        full_report(chain, x=0, eps=0.25)
+    assert not streams
+    assert products["squares"] <= 21 and products["products"] <= 20
 
 
 @pytest.mark.parametrize("report", ["comparison_reversible", "full_report"])
 def test_a_target_that_is_the_base_shares_its_stream(monkeypatch, report):
-    """The target's worst-start times step the every-row stream, which then
-    answers the base's from-x time: the same chain object gets one stream."""
+    """The target's worst-start times walk its powers and step no stream;
+    the base's from-x time steps one: the same chain object gets one stream."""
     kwargs = _self_pair()
     chain = kwargs["base"]
     streamed = _count(monkeypatch, mixing._Steps, lambda chain, *rest: id(chain))
@@ -220,15 +262,14 @@ def test_a_target_that_is_the_base_shares_its_stream(monkeypatch, report):
 @pytest.mark.parametrize("base", [_lazy_cycle(30), dhn(8), doubly_stochastic(9, 4)], ids=lambda c: c.name)
 def test_from_x_times_after_a_worst_start_query(monkeypatch, base, eps):
     """After the worst start's crossing of 1/(2e), each from-x time at the
-    call's eps equals the e_x iteration's; at eps = 0.25 every row has crossed,
-    so the every-row stream answers them all."""
+    call's eps equals the e_x iteration's.  No stream steps every row: the
+    memo and the reference each step one one-row stream per start."""
     d = _Derived(eps)
     d.discrete(base, None, DELTA_DEFAULT)
-    streamed = _count(monkeypatch, mixing._Steps, lambda chain, *rest: id(chain))
+    streamed = _count(monkeypatch, mixing._Steps, lambda chain, x: (id(chain), x))
     for x in range(base.n):
         assert d.discrete(base, x, eps) == discrete_mixing_time(base, x, eps).time, x
-    if eps > DELTA_DEFAULT:
-        assert streamed[id(base)] == base.n  # only the reference streams
+    assert streamed == {(id(base), x): 2 for x in range(base.n)}
 
 
 @pytest.mark.parametrize("case", sorted(set(COMPARED) - {"periodic"}))  # the other bases are ergodic

@@ -24,11 +24,11 @@ from mixbounds import (
     uniform_walk,
 )
 from mixbounds.chains import Chain
-from mixbounds.mixing import BISECTION_REL, MONOTONE_TOL, _Ladder, _Steps, _csr_transpose
+from mixbounds.mixing import BISECTION_REL, MONOTONE_TOL, _Ladder, _Powers, _Steps, _csr_transpose
 from mixbounds.errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, NoConvergence, NotErgodic,
                               NotIrreducible)
 
-from _families import doubly_stochastic
+from _families import doubly_stochastic, tiny_mass_chain
 
 
 def test_tv_distance_examples():
@@ -181,22 +181,21 @@ STREAM_CHAINS = {
 
 @pytest.mark.parametrize("case", sorted(STREAM_CHAINS))
 def test_streams_match_the_one_step_reference(case):
-    """Blocked and sparse steps give the reference's times, its distances
-    within 1e-14 relative, and every start's crossing of the stream's eps."""
+    """Blocked and sparse steps give the reference's times and its distances
+    within 1e-14 relative; the worst-start walk over the powers P^(2^e)
+    gives its worst-start times and distances within 1e-12 relative."""
     make, sparse = STREAM_CHAINS[case]
     chain = make()
     assert (_csr_transpose(chain.P) is not None) == sparse
-    every_row = _Steps(chain, None, 0.05)
+    walk = _Powers(chain)
     for x in (None, 0, chain.n // 3, chain.n - 1):
-        stream = every_row if x is None else _Steps(chain, x)
+        stream = _Steps(chain, x)
         reference = _ReferenceSteps(chain, x)
         for eps in (0.25, 0.05):
-            got = stream.time(eps)
             want_time, want_tv = reference.time(eps, 10**5)
-            assert got.time == want_time, (x, eps)
-            assert got.achieved_tv == pytest.approx(want_tv, rel=1e-14, abs=0.0), (x, eps)
-            if x is not None and eps == every_row.eps:
-                assert every_row.crossed[x] == want_time, x
+            for got, rel in [(stream.time(eps), 1e-14)] + ([(walk.time(eps), 1e-12)] if x is None else []):
+                assert got.time == want_time, (x, eps)
+                assert got.achieved_tv == pytest.approx(want_tv, rel=rel, abs=0.0), (x, eps)
 
 
 @pytest.mark.parametrize("case", sorted(STREAM_CHAINS))
@@ -219,13 +218,53 @@ def test_d_profile_matches_the_one_step_reference(case):
 @pytest.mark.parametrize("max_steps", [1, 6, 37, 1000])
 def test_max_steps_is_honoured_exactly(x, max_steps):
     """A stream stops at max_steps, however its blocks fall, and the message
-    reads the distance at max_steps."""
+    reads the distance at max_steps.  So does the public call, which walks
+    the powers P^(2^e) for the worst start; and between the distances at
+    max_steps - 1 and max_steps, it returns max_steps, and raises with one
+    step less."""
     chain = _lazy_cycle(30)  # about 2,500 steps to 1e-12
     stream, reference = _Steps(chain, x), _ReferenceSteps(chain, x)
     _, tv = reference.time(1e-12, max_steps)
     with pytest.raises(NoConvergence, match=rf"within {max_steps} steps \(TV still {tv:.3e}\)"):
         stream.time(1e-12, max_steps)
     assert stream.t == max_steps and len(stream.history) == max_steps + 1
+    with pytest.raises(NoConvergence, match=rf"within {max_steps} steps \(TV still {tv:.3e}\)"):
+        discrete_mixing_time(chain, x, 1e-12, max_steps)
+    below, above = reference.history[max_steps], reference.history[max_steps - 1]
+    eps = 0.5 * (below + above)
+    got = discrete_mixing_time(chain, x, eps, max_steps)
+    assert got.time == max_steps
+    assert got.achieved_tv == pytest.approx(below, rel=1e-12, abs=1e-15)  # d(1000) is 1.1e-5
+    with pytest.raises(NoConvergence, match=rf"within {max_steps - 1} steps \(TV still {above:.3e}\)"):
+        discrete_mixing_time(chain, x, eps, max_steps - 1)
+
+
+# exact ties (criterion 01: d(1) = 1/4 = eps on two_state(0.25)), a chain at
+# stationarity after one step, a tie at 1/(2e), a stationary mass of 1e-13,
+# nonreversible chains, and lazy cycles from 30 to 100 states
+TIE_CHAINS = {
+    "two_state(0.25)": lambda: two_state(0.25),
+    "uniform_walk(5)": lambda: uniform_walk(5),
+    "two_state(0.5)": lambda: two_state(0.5),
+    "tiny_mass_chain": tiny_mass_chain,
+    "dhn(8)": lambda: dhn(8),
+    "doubly_stochastic(9, 4)": lambda: doubly_stochastic(9, 4),
+    **{f"lazy cycle({n})": (lambda n=n: _lazy_cycle(n)) for n in (30, 47, 64, 100)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIE_CHAINS))
+def test_the_worst_start_walk_matches_the_one_step_reference(case):
+    """The public worst-start time equals the reference's at every eps, and
+    its distance lies within 1e-12 relative or 1e-15: a product's rounding
+    is absolute, about 1e-16, and some distances here are zero but for it."""
+    chain = TIE_CHAINS[case]()
+    reference = _ReferenceSteps(chain, None)
+    for eps in (0.01, 0.05, 0.1, 0.2, 0.5 / math.e, 0.25, 0.45):
+        got = discrete_mixing_time(chain, None, eps)
+        want_time, want_tv = reference.time(eps, 10**5)
+        assert got.time == want_time, eps
+        assert got.achieved_tv == pytest.approx(want_tv, rel=1e-12, abs=1e-15), eps
 
 
 def test_a_rise_inside_a_block_names_its_step():
