@@ -2,10 +2,9 @@
 
 Every bound in the catalogue is evaluated next to the exactly computed
 quantity it constrains, and the report records whether it holds.  The exact
-side always comes from the mixing module (step iteration from x, bisection
-over matrix powers for the worst start and on the continuized chain), never
-from spectral formulas, so the two sides of each inequality stay
-independent.
+side always comes from the mixing module (bisection over the matrix powers
+for every discrete time and on the continuized chain), never from spectral
+formulas, so the two sides of each inequality stay independent.
 
 The catalogue is one table, ``CATALOG``, in report order: each entry
 identifier (a stable token of the JSON report; suffixes c/d mark the
@@ -29,7 +28,7 @@ import numpy as np
 from .chains import Chain, _check_pair, _require, classify, lazy, multiply, reversibilize, time_reversal
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
 from .flows import Flow, _worst_edge, validate_flow
-from .mixing import _Ladder, _Powers, _Steps, _check_eps
+from .mixing import _Ladder, _Powers, _check_eps
 from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _gaps, conductance, eigendecompose
 
 #: bound-vs-exact comparisons allow this much slack
@@ -131,13 +130,11 @@ class _Derived:
     A memo is created by a public bound function (or ``full_report``) and
     dropped when that call returns.  It is made where the call's ``eps`` is
     checked, and keeps it.  It answers mixing-time queries in any order.
-    For the worst-start discrete times it holds each chain's
-    ``mixing._Powers`` walk: every start's distance at each power P^t it
-    probed (O(n) each, no matrix) and every answer, so the report's several
-    eps and the delta sweep share its probes.  For a from-x discrete time it
-    holds a ``mixing._Steps`` stream from e_x (the last block of iterates and
-    O(t) distances), which steps in blocks of tens of steps and answers its
-    start at any eps.  For the continuized times it holds each chain's
+    For every discrete time, from x or the worst start, it holds each
+    chain's one ``mixing._Powers`` walk: every start's distance at each full
+    power P^t it probed (O(n) each, no matrix) and every answer, so the
+    report's from-x time, its several eps and the delta sweep share its
+    probes.  For the continuized times it holds each chain's
     ``mixing._Ladder``: the seven powers P^2 .. P^8 that its series rungs
     E(2^e), e <= 0, are made from, its rung E(1) = ``rung(0)`` (n x n
     each), the per-start distances of every probe that made a full E(t),
@@ -170,11 +167,8 @@ class _Derived:
 
     def discrete(self, chain: Chain, x, eps: float) -> int:
         """The discrete mixing time at eps from state index x, or from the
-        worst start if x is None: the former from the chain's stream from
-        e_x, the latter from its walk over the powers P^(2^e)."""
-        if x is None:
-            return self._get(chain, "powers", lambda: _Powers(chain)).time(eps).time
-        return self._get(chain, ("steps", x), lambda: _Steps(chain, x)).time(eps).time
+        worst start if x is None, from the chain's one walk over the powers."""
+        return self._get(chain, "powers", lambda: _Powers(chain)).time(x, eps).time
 
     def continuous(self, chain: Chain, x, eps: float) -> float:
         return self._get(chain, "ladder", lambda: _Ladder(chain)).time(x, eps).time
@@ -495,9 +489,9 @@ def full_report(
     product bound instead of the direct family.
 
     Everything derived from a chain (eigenstructure, the reversal product,
-    the exponentials and the powers with every probe's distances, and the
-    step streams that give the from-x discrete mixing times) is computed
-    once per report and shared by the bound families.
+    and the exponentials and the powers with every probe's distances, which
+    give every mixing time) is computed once per report and shared by the
+    bound families.
     """
     eps = _check_eps(eps)
     delta = _check_delta(delta)

@@ -1,16 +1,14 @@
 """Total-variation distance, exact mixing times, and continuization.
 
-A worst-start discrete mixing time is found by doubling and bisection over
-the powers P^(2^e) (``_Powers``): d(t) never rises, so squaring P brackets
-the first crossing and each bisection probe is one n x n product, with
-every start's distance kept at each probe and checked not to rise across
-probes.  A discrete time from x iterates e_x (``_Steps``) and keeps the
-distance at each step, so it answers its start at any epsilon; it steps in
-blocks of up to t steps within a fixed budget of floats, so it pays its
-Python overhead once per tens of steps.  An every-row stream gives
-``d_profile``; of a sparse P it steps with P^T in CSR form.  A stream's
-distance is re-checked not to rise at every step, so a violation surfaces
-as a bug rather than a wrong answer.
+Every discrete mixing time, from a start x or the worst one, is found by
+doubling and bisection over the powers P^(2^e) (``_Powers``): the distance
+from any start never rises, so squaring P brackets the first crossing, and
+each bisection probe is one product, n x n for the worst start and, from x
+once the bisection has left 0, row x of P^lo (1 x n) by n x n.  Every
+start's distance is kept at each full probe, and each probe is checked not
+to rise across the kept probes on either side of it.  ``d_profile`` steps
+every row, ``rows @ P``, and checks each step.  So a violation surfaces as
+a bug rather than a wrong answer.
 The continuized chain has rate matrix Q = P - I and distribution
 ``v expm(Q t)``; its mixing time is found by doubling and bisection.  The
 probes share a ladder of power-of-two exponentials E(2^e) = expm(Q 2^e):
@@ -28,12 +26,10 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csr_matrix
 
 from .chains import ROW_SUM_TOL, Chain, _require
 from .errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, NoConvergence, _count, _floats,
@@ -100,198 +96,124 @@ class MixingResult:
     achieved_tv: float
 
 
-def _distances(block: np.ndarray, pi: np.ndarray, transposed: bool = False,
-               out: np.ndarray | None = None, spare: np.ndarray | None = None) -> np.ndarray:
-    """TV(row, pi) of each row of an iterate, or of each iterate in a block
-    (each column if transposed), into out if it is given, with |rows - pi|
-    written into spare if it is given.  Step iterates, powers and ladder
-    matrices are sums of nonnegative products, so nothing is clamped."""
-    D = np.subtract(block, pi[:, None] if transposed else pi, out=spare)
+def _distances(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """TV(row, pi) of each row.  Iterates, powers and ladder matrices are sums
+    of nonnegative products, so nothing is clamped."""
+    D = rows - pi
     np.abs(D, out=D)
-    out = D.sum(axis=-2 if transposed else -1, out=out)
-    out *= 0.5
-    return out
+    return 0.5 * D.sum(axis=-1)
+
+
+def _check_rise(kept: dict[int, np.ndarray], t: int) -> None:
+    """Check the distances at the new probe t against the kept probes on
+    either side of it: no start's distance may rise (beyond MONOTONE_TOL)."""
+    times = sorted(kept)
+    i = times.index(t)  # >= 1, as t > 0 and step 0 is kept
+    for s, u in zip(times[i - 1 : i + 1], times[i : i + 2]):
+        risen = kept[u] > kept[s] + MONOTONE_TOL
+        if risen.any():
+            j = int(risen.argmax())
+            raise AssertionError(f"TV to stationarity increased at step {u} (from step {s}): "
+                                 f"{float(kept[s][j])!r} -> {float(kept[u][j])!r}")
 
 
 def discrete_mixing_time(chain: Chain, x, eps, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
     """Smallest t > 0 with TV(P^t(x, .), pi) <= eps.
 
-    ``x`` may be a state index/label, whose row is iterated from e_x, or None
-    for the worst case over all starting states, found by doubling and
-    bisection over the powers P^(2^e).  Raises NoConvergence if the time
-    exceeds ``max_steps``, which signals near-periodicity or an epsilon below
-    reach; the message reads the distance at ``max_steps``.
+    ``x`` may be a state index/label, or None for the worst case over all
+    starting states.  Either is found by doubling and bisection over the
+    powers P^(2^e) (``_Powers``), in about 2 log2(t) products.  Raises
+    NoConvergence if the time exceeds ``max_steps``, which signals
+    near-periodicity or an epsilon below reach; the message reads the
+    distance at ``max_steps``.
     """
     eps = _check_eps(eps)
     max_steps = _count(max_steps, "max_steps", BadParams)
     _require(chain, "ergodic", "discrete mixing time")
-    if x is None:
-        return _Powers(chain).time(eps, max_steps)
-    return _Steps(chain, chain.index(x)).time(eps, max_steps)
+    return _Powers(chain).time(None if x is None else chain.index(x), eps, max_steps)
 
 
 def d_profile(chain: Chain, t_max: int) -> list[float]:
-    """Worst-start TV profile d(t) = max_j TV(P^t(j, .), pi) for t = 1 .. t_max."""
+    """Worst-start TV profile d(t) = max_j TV(P^t(j, .), pi) for t = 1 .. t_max,
+    stepping every row, with no row's distance rising at any step."""
     t_max = _count(t_max, "t_max", BadParams, most=MAX_PROFILE_STEPS)
     _require(chain, "ergodic", "d_profile")
-    steps = _Steps(chain, None)
-    while steps.t < t_max:
-        steps.step(t_max - steps.t)
-    return list(steps.history[1:])
-
-
-def _crossing(history: array, eps: float, last: int) -> int | None:
-    """Smallest t in 1 .. last with history[t] <= eps, if any is recorded."""
-    crossed = np.flatnonzero(np.array(history[1 : last + 1]) <= eps)
-    return int(crossed[0]) + 1 if crossed.size else None
-
-
-#: a step block holds at most this many floats (64 KB), so a one-row stream
-#: steps tens of steps per block and the every-row stream of 100 states one
-_BLOCK_FLOATS = 8192
-
-
-def _csr_transpose(P: np.ndarray) -> csr_matrix | None:
-    """P^T in CSR form if an every-row step is cheaper with it, else None.
-
-    Measured per every-row step, 1 BLAS thread: BLAS ``rows @ P`` costs about
-    0.04 ns x n^3 (36 us on the lazy 100-cycle, 124 us on dhn(64)), the CSR
-    product ``PT @ cols`` about 8 us + 0.4 ns x nnz x n (15 and 29 us); on
-    the lazy 64-cycle 9.4 against 10.4 us, on a dense random_reversible(100)
-    31 against 322 us.  So CSR pays from about n = 80 at 3-6% density.  A
-    one-row step stays dense: ``v @ P`` costs about 2.5 us, the CSR form 6.
-    """
-    n, nnz = len(P), np.count_nonzero(P)
-    return csr_matrix(P.T) if 10 * nnz * n + 200_000 < n**3 else None
-
-
-class _Steps:
-    """The row iterates P^t, t = 0, 1, ..., of one chain from one start,
-    stepped only as far as the queries on it need.
-
-    Iterates e_x for a from-x time, or every row (from the identity) when x
-    is None, for ``d_profile``.  An every-row stream whose P is sparse
-    (``_csr_transpose``) keeps its iterate transposed, ``cols`` = rows^T,
-    and steps it as ``PT @ cols``; any other stream steps ``rows @ P``.  A
-    call to ``step`` advances a block of k steps, k <= t (so a query
-    overshoots its crossing by fewer steps than it needed) and k x rows x n
-    <= _BLOCK_FLOATS, into one buffer, and then takes every distance of the
-    block in one pass.  The history is O(t): the largest distance over the
-    stream's rows at each step, so the stream answers its own start at any
-    epsilon.  Each step is checked not to raise any row's distance (beyond
-    MONOTONE_TOL), since TV(mu P, pi) <= TV(mu, pi) for every start mu.
-    """
-
-    def __init__(self, chain: Chain, x: int | None):
-        self.P, self.pi, self.t, self.x = chain.P, chain.pi, 0, x
-        self.PT = None if x is not None else _csr_transpose(chain.P)
-        if x is None:
-            self.block = np.eye(chain.n)[None]  # the identity is its own transpose
-        else:
-            self.block = np.zeros((1, 1, chain.n))
-            self.block[0, 0, x] = 1.0
-        self.tvs = _distances(self.block, self.pi)  # each row's distance at step t, (1, rows)
-        self.history = array("d", [float(self.tvs.max())])
-
-    def step(self, most: int):
-        """Advance one block of at most ``most`` (>= 1) steps.  The previous
-        block is spent once the new one is made, and takes its |rows - pi|;
-        so a step that raises leaves the stream spent too."""
-        last = self.block[-1]
-        k = max(1, min(self.t, _BLOCK_FLOATS // last.size, most))
-        if self.PT is None:
-            block = np.empty((k, *last.shape))
-            for i in range(k):
-                np.matmul(block[i - 1] if i else last, self.P, out=block[i])
-        else:
-            cols = [last]
-            for _ in range(k):
-                cols.append(self.PT @ cols[-1])
-            block = cols[1][None] if k == 1 else np.stack(cols[1:])  # one step: no copy
-        tvs = np.empty((k + 1, self.tvs.shape[1]))  # steps t .. t + k
-        tvs[0] = self.tvs[0]
-        spare = self.block if self.block.shape == block.shape else None
-        _distances(block, self.pi, self.PT is not None, tvs[1:], spare)
-        risen = tvs[1:] > tvs[:-1] + MONOTONE_TOL
-        if risen.any():
-            i, j = np.unravel_index(risen.argmax(), risen.shape)
-            raise AssertionError(f"TV to stationarity increased at step {self.t + i + 1}: "
-                                 f"{float(tvs[i, j])!r} -> {float(tvs[i + 1, j])!r}")
-        self.history.frombytes(tvs[1:].max(axis=1).tobytes())
-        self.block, self.tvs, self.t = block, tvs[-1:], self.t + k
-
-    def time(self, eps: float, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
-        """Smallest t in 1 .. max_steps with TV <= eps from the stream's start,
-        read from the history and stepping on as needed."""
-        t = _crossing(self.history, eps, max_steps)
-        while t is None and self.t < max_steps:
-            stepped = self.t
-            self.step(max_steps - stepped)
-            t = next((s for s in range(stepped + 1, self.t + 1) if self.history[s] <= eps), None)
-        if t is None:
-            raise NoConvergence(f"no mixing within {max_steps} steps (TV still {self.history[max_steps]:.3e})")
-        return MixingResult(from_state=self.x, epsilon=eps, time=t, achieved_tv=self.history[t])
+    rows, tvs, profile = np.eye(chain.n), 1.0 - chain.pi, []
+    for t in range(1, t_max + 1):
+        rows = rows @ chain.P
+        last, tvs = tvs, _distances(rows, chain.pi)
+        _check_rise({t - 1: last, t: tvs}, t)
+        profile.append(float(tvs.max()))
+    return profile
 
 
 class _Powers:
-    """Worst-start discrete times of one chain, by doubling and bisection over
-    the powers P^(2^e), and every start's distance at each probe.
+    """Discrete times of one chain, from a start or the worst one, by doubling
+    and bisection over the powers P^(2^e), and every start's distance at each
+    full probe.
 
-    d(t) = max_j TV(P^t(j, .), pi) never rises (Levin, Peres & Wilmer, 2017,
-    section 4.4), so a query squares P until d(2^e) <= eps or 2^e >= its
+    d_x(t) = TV(P^t(x, .), pi) never rises for any start x, and so neither
+    does the worst start's (Levin, Peres & Wilmer, 2017, section 4.4).  So a
+    query squares P until its distance at 2^e is <= eps or 2^e >= its
     max_steps, then bisects lo + 2^e down to width 1, popping the squares on
-    the way down.  Each probe P^(lo + 2^e) = P^lo P^(2^e) is one n x n
-    product, formed only when its distances are new or it becomes the new
-    lo; the powers live only during a query.  Kept for the walk's life:
-    ``tvs``, every start's distance at each probe t (t = 0 is the identity),
-    and every answer.  Each new probe is checked against the kept probes on
-    either side of it: no start's distance may rise (beyond MONOTONE_TOL).
+    the way down.  Each probe P^(lo + 2^e) = P^lo P^(2^e) is one product, formed only
+    when its distance is new or it becomes the new lo: n x n for the worst
+    start, and from x, once lo > 0, only row x of P^lo times the square
+    (1 x n by n x n).  The powers live only during a query.  Kept for the
+    walk's life: ``tvs``, every start's distance at each full probe t (t = 0
+    is the identity), and every answer.  Each new probe is checked against
+    the kept probes on either side of it (a row probe also against its
+    query's rows): no start's distance, or x's for a row, may rise (beyond
+    MONOTONE_TOL).
     """
 
     def __init__(self, chain: Chain):
         self.chain = chain
         self.tvs: dict[int, np.ndarray] = {0: 1.0 - chain.pi}
-        self.answers: dict[tuple[float, int], MixingResult] = {}
+        self.answers: dict[tuple[int | None, float, int], MixingResult] = {}
 
-    def _probe(self, t: int, Pt: np.ndarray | None) -> float:
-        """d(t); Pt = P^t is needed only if t is new."""
-        if t not in self.tvs:
-            self.tvs[t] = _distances(Pt, self.chain.pi)
-            kept = sorted(self.tvs)
-            i = kept.index(t)  # >= 1, as t > 0
-            for s, u in zip(kept[i - 1 : i + 1], kept[i : i + 2]):  # t and the kept probes on either side
-                risen = self.tvs[u] > self.tvs[s] + MONOTONE_TOL
-                if risen.any():
-                    j = int(risen.argmax())
-                    raise AssertionError(f"TV to stationarity increased at step {u} (from step {s}): "
-                                         f"{float(self.tvs[s][j])!r} -> {float(self.tvs[u][j])!r}")
-        return float(self.tvs[t].max())
+    def time(self, x: int | None, eps: float, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
+        """Smallest t in 1 .. max_steps with TV <= eps from state index x (None:
+        the worst start); see ``discrete_mixing_time``."""
+        if (x, eps, max_steps) in self.answers:
+            return self.answers[x, eps, max_steps]
+        rows: dict[int, np.ndarray] = {}  # x's distance at each one-row probe of this query
 
-    def time(self, eps: float, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
-        """Smallest t in 1 .. max_steps with d(t) <= eps; see ``discrete_mixing_time``."""
-        if (eps, max_steps) in self.answers:
-            return self.answers[eps, max_steps]
+        def probe(t: int, Pt: np.ndarray | None) -> float:
+            """The distance at t; Pt = P^t, or its row x, is needed only if t is new."""
+            if t not in self.tvs and t not in rows:
+                if len(Pt) == self.chain.n:
+                    self.tvs[t] = _distances(Pt, self.chain.pi)
+                    _check_rise(self.tvs, t)
+                else:
+                    rows[t] = _distances(Pt, self.chain.pi)
+                    _check_rise({s: tvs[x : x + 1] for s, tvs in self.tvs.items()} | rows, t)
+            if t in rows:
+                return float(rows[t][0])
+            return float(self.tvs[t].max() if x is None else self.tvs[t][x])
+
         e, powers = 0, [self.chain.P]  # powers[e] = P^(2^e)
-        while self._probe(2**e, powers[e]) > eps and 2**e < max_steps:
+        while probe(2**e, powers[e]) > eps and 2**e < max_steps:
             powers.append(powers[-1] @ powers[-1])
             e += 1
         powers.pop()  # the bisection walks down from level e - 1
         # the answer lies in (lo, hi], where t > max_steps counts as within eps
-        lo, hi, P_lo = 0, 2**e, None  # P_lo = P^lo; None while lo = 0, where P^(lo + 2^e) is the power itself
+        lo, hi, P_lo = 0, 2**e, None  # P_lo = P^lo, or from x its row x; None while lo = 0
         while powers:
             R = powers.pop()
             mid = lo + 2 ** len(powers)
             P_mid = R if P_lo is None else None if mid in self.tvs or mid > max_steps else P_lo @ R
-            if mid > max_steps or self._probe(mid, P_mid) <= eps:
+            if mid > max_steps or probe(mid, P_mid) <= eps:
                 hi = mid
             else:
-                lo, P_lo = mid, P_lo @ R if P_mid is None else P_mid
+                P_mid = P_lo @ R if P_mid is None else P_mid
+                lo, P_lo = mid, P_mid[[x]] if P_lo is None and x is not None else P_mid
         t = min(hi, max_steps)  # past the cap, lo = max_steps was probed
-        tv = self._probe(t, None)
+        tv = probe(t, None)
         if hi > max_steps or tv > eps:
             raise NoConvergence(f"no mixing within {max_steps} steps (TV still {tv:.3e})")
-        self.answers[eps, max_steps] = MixingResult(from_state=None, epsilon=eps, time=t, achieved_tv=tv)
-        return self.answers[eps, max_steps]
+        self.answers[x, eps, max_steps] = MixingResult(from_state=x, epsilon=eps, time=t, achieved_tv=tv)
+        return self.answers[x, eps, max_steps]
 
 
 def _checked(E: np.ndarray) -> np.ndarray:

@@ -72,7 +72,7 @@ COUNTED = {
     "reversible pair": _reversible_pair,
     "dhn(8)": lambda: {"base": dhn(8)},
     "doubly_stochastic(9, 4)": lambda: {"base": doubly_stochastic(9, 4)},
-    # the target is the base object itself: one chain, one every-row stream
+    # the target is the base object itself: one chain, one walk over its powers
     "target is base": _self_pair,
 }
 
@@ -133,15 +133,15 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     exponentials = _count(monkeypatch, mixing.matrix_exponential,
                           lambda Q, t: (Q.tobytes(), float(t)))
     classified = _count(monkeypatch, chains._classify, lambda chain: id(chain))
-    streamed = _count(monkeypatch, mixing._Steps, lambda chain, *rest: id(chain))
+    walks = _count_powers(monkeypatch)
     validated = _count(monkeypatch, flows._validate, lambda flow: id(flow))
     walked = _count_walks(monkeypatch)
     units = _count_unit_rungs(monkeypatch)
     full_report(**kwargs)
-    assert classified and streamed
+    assert classified and walks
     assert not exponentials, "the ladder ran a matrix exponential; its rungs up to 1 are series"
     assert units and max(units.values()) == 1, "a chain object's E(1) was made twice"
-    assert max(streamed.values()) == 1, "a chain object's rows were iterated by two step streams"
+    assert max(walks.values()) == 1, "a chain object's powers were walked twice"
     assert max(classified.values()) == 1, "a chain object was classified twice"
     assert max(validated.values(), default=0) <= 1, "a flow was validated twice"
     assert max(walked.values(), default=0) <= 1, "a flow's paths were walked twice"
@@ -184,12 +184,17 @@ def test_the_ladder_squares_only_what_it_probes(monkeypatch):
     assert sum(checked.values()) <= 93
 
 
+def _count_powers(monkeypatch):
+    """Count, per chain object, the walks over its powers (``_Powers``)."""
+    return _count(monkeypatch, mixing._Powers, lambda chain: id(chain))
+
+
 def _count_products(chain):
     """Count the ``@`` products that start from the chain's P, or from such a
-    product, with squares (a @ a) apart.  P becomes a view of an ndarray
-    subclass whose ``@`` counts, and each such product is of that subclass
-    too.  So the count is of the worst-start walk's products: the streams and
-    the ladder multiply P by ``np.matmul`` into plain arrays."""
+    product or a row of one, with squares (a @ a) apart.  P becomes a view of
+    an ndarray subclass whose ``@`` counts, and each such product or row is
+    of that subclass too.  So the count is of the walk's products: the
+    ladder multiplies P by ``np.matmul`` into plain arrays."""
     counts = Counter()
 
     class Counted(np.ndarray):
@@ -201,75 +206,60 @@ def _count_products(chain):
     return counts
 
 
-def _record_streams(monkeypatch):
-    """Every ``_Steps`` stream made from here on, to read its t afterwards."""
-    streams = []
-    init = mixing._Steps.__init__
-
-    def recording_init(self, *args):
-        init(self, *args)
-        streams.append(self)
-
-    monkeypatch.setattr(mixing._Steps, "__init__", recording_init)
-    return streams
-
-
 def test_a_report_walks_the_powers_for_its_worst_start_times(monkeypatch):
-    """On the lazy 100-cycle the report builds no every-row stream: its
-    worst-start times at 1/(2e) (1,259) and at eps square P up to 2^11 and
-    bisect down, at most 11 squares and 11 products each.  Its one from-x
-    stream steps no further than the worst start's crossing of 1/(2e).
-    Steps are counted by each stream's t, whatever blocks it stepped them in."""
+    """On the lazy 100-cycle the report walks the powers once for its three
+    discrete times: the worst start's at 1/(2e) (1,259) and at eps, and the
+    time from 3 at eps (949).  Each squares P up to 2^11 and bisects down,
+    at most 11 squares and 11 products each; from 3, once the bisection has
+    left 0, each product is one row by n x n."""
     chain = _lazy_cycle(100)
-    streams = _record_streams(monkeypatch)
-    streamed = _count(monkeypatch, mixing._Steps, lambda chain, x: (id(chain), x))
+    walks = _count_powers(monkeypatch)
     products = _count_products(chain)
     full_report(chain, x=3, eps=0.25)
-    assert streamed == {(id(chain), 3): 1}
-    assert sum(stream.t for stream in streams) <= 1259
-    assert products["squares"] <= 2 * 11 and products["products"] <= 2 * 11
+    assert walks == {id(chain): 1}
+    assert products["squares"] <= 3 * 11 and products["products"] <= 3 * 11
 
 
 def test_a_gap_of_zero_ends_the_walk_at_the_cap(monkeypatch):
     """two_state(1e-17) never mixes within the cap of 10^6 steps: the report's
-    worst-start time squares P 20 times, to 2^20, bisects to the cap in 20
-    products and raises, naming the cap and the distance there; no stream
-    steps every row, and none steps at all."""
+    worst-start time, and the public time from 0, square P 20 times, to
+    2^20, bisect to the cap in at most 20 products and raise, naming the cap
+    and the distance there."""
     chain = two_state(1e-17)
-    streams = _record_streams(monkeypatch)
     products = _count_products(chain)
-    with pytest.raises(NoConvergence, match=r"within 1000000 steps \(TV still 5\.000e-01\)"):
-        full_report(chain, x=0, eps=0.25)
-    assert not streams
-    assert products["squares"] <= 21 and products["products"] <= 20
+    for call in (lambda: full_report(chain, x=0, eps=0.25), lambda: discrete_mixing_time(chain, 0, 0.25)):
+        products.clear()
+        with pytest.raises(NoConvergence, match=r"within 1000000 steps \(TV still 5\.000e-01\)"):
+            call()
+        assert products["squares"] <= 21 and products["products"] <= 20
 
 
 @pytest.mark.parametrize("report", ["comparison_reversible", "full_report"])
 def test_a_target_that_is_the_base_shares_its_stream(monkeypatch, report):
-    """The target's worst-start times walk its powers and step no stream;
-    the base's from-x time steps one: the same chain object gets one stream."""
+    """The target's worst-start times and the base's from-x time walk the
+    powers of the same chain object: it gets one walk."""
     kwargs = _self_pair()
     chain = kwargs["base"]
-    streamed = _count(monkeypatch, mixing._Steps, lambda chain, *rest: id(chain))
+    walks = _count_powers(monkeypatch)
     if report == "full_report":
         full_report(**kwargs, sweep=True)
     else:
         comparison_reversible(chain, chain, kwargs["flow"], 0, 0.25)
-    assert streamed[id(chain)] == 1
+    assert walks[id(chain)] == 1
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.05])
 @pytest.mark.parametrize("base", [_lazy_cycle(30), dhn(8), doubly_stochastic(9, 4)], ids=lambda c: c.name)
 def test_from_x_times_after_a_worst_start_query(monkeypatch, base, eps):
     """After the worst start's crossing of 1/(2e), each from-x time at the
-    call's eps equals the e_x iteration's.  No stream steps every row: the
-    memo and the reference each step one one-row stream per start."""
+    call's eps equals the public call's.  The memo's from-x times share the
+    walk of its worst-start query; each public call makes its own."""
     d = _Derived(eps)
     d.discrete(base, None, DELTA_DEFAULT)
-    streamed = _count(monkeypatch, mixing._Steps, lambda chain, x: (id(chain), x))
+    walks = _count_powers(monkeypatch)
     for x in range(base.n):
         assert d.discrete(base, x, eps) == discrete_mixing_time(base, x, eps).time, x
-    assert streamed == {(id(base), x): 2 for x in range(base.n)}
+    assert walks == {id(base): base.n}
 
 
 @pytest.mark.parametrize("case", sorted(set(COMPARED) - {"periodic"}))  # the other bases are ergodic

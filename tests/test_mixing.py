@@ -24,7 +24,7 @@ from mixbounds import (
     uniform_walk,
 )
 from mixbounds.chains import Chain
-from mixbounds.mixing import BISECTION_REL, MONOTONE_TOL, _Ladder, _Powers, _Steps, _csr_transpose
+from mixbounds.mixing import BISECTION_REL, MAX_DISCRETE_STEPS, MONOTONE_TOL, _Ladder, _Powers
 from mixbounds.errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, NoConvergence, NotErgodic,
                               NotIrreducible)
 
@@ -135,8 +135,9 @@ def test_d_profile_submultiplicative():
                 assert prof[s + t] <= 2 * prof[s] * prof[t] + 1e-12
 
 
-# The step stream before blocked and sparse steps, kept as the reference: one
-# dense ``rows @ P`` per step, every row's distance and monotonicity each step.
+# The step stream that gave every discrete time before the walk over the
+# powers, kept as the reference: one dense ``rows @ P`` per step, every row's
+# distance and monotonicity each step.
 class _ReferenceSteps:
     def __init__(self, chain, x):
         self.P, self.pi, self.t = chain.P, chain.pi, 0
@@ -168,43 +169,38 @@ class _ReferenceSteps:
         return (t, self.history[t]) if t is not None else (None, self.history[max_steps])
 
 
-# both sides of the sparsity rule: the lazy 64-cycle and random_reversible(40)
-# step dense, the others with P^T in CSR form
+# sparse and dense chains of 40 to 128 states, reversible and not
 STREAM_CHAINS = {
-    "lazy cycle(64)": (lambda: _lazy_cycle(64), False),
-    "lazy cycle(100)": (lambda: _lazy_cycle(100), True),
-    "dhn(64)": (lambda: dhn(64), True),
-    "doubly_stochastic(100, 3)": (lambda: doubly_stochastic(100, 3), True),
-    "rr(40, 5)": (lambda: random_reversible(40, 5), False),
+    "lazy cycle(64)": lambda: _lazy_cycle(64),
+    "lazy cycle(100)": lambda: _lazy_cycle(100),
+    "dhn(64)": lambda: dhn(64),
+    "doubly_stochastic(100, 3)": lambda: doubly_stochastic(100, 3),
+    "rr(40, 5)": lambda: random_reversible(40, 5),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STREAM_CHAINS))
 def test_streams_match_the_one_step_reference(case):
-    """Blocked and sparse steps give the reference's times and its distances
-    within 1e-14 relative; the worst-start walk over the powers P^(2^e)
-    gives its worst-start times and distances within 1e-12 relative."""
-    make, sparse = STREAM_CHAINS[case]
-    chain = make()
-    assert (_csr_transpose(chain.P) is not None) == sparse
+    """One walk over the powers P^(2^e), shared by the worst start and three
+    starts, and the public call give the reference's times and its distances
+    within 1e-12 relative."""
+    chain = STREAM_CHAINS[case]()
     walk = _Powers(chain)
     for x in (None, 0, chain.n // 3, chain.n - 1):
-        stream = _Steps(chain, x)
         reference = _ReferenceSteps(chain, x)
         for eps in (0.25, 0.05):
             want_time, want_tv = reference.time(eps, 10**5)
-            for got, rel in [(stream.time(eps), 1e-14)] + ([(walk.time(eps), 1e-12)] if x is None else []):
+            for got in (walk.time(x, eps), discrete_mixing_time(chain, x, eps)):
                 assert got.time == want_time, (x, eps)
-                assert got.achieved_tv == pytest.approx(want_tv, rel=rel, abs=0.0), (x, eps)
+                assert got.achieved_tv == pytest.approx(want_tv, rel=1e-12, abs=0.0), (x, eps)
 
 
 @pytest.mark.parametrize("case", sorted(STREAM_CHAINS))
 def test_d_profile_matches_the_one_step_reference(case):
     """Same length and values as the reference's worst-start history.  Below
-    about 1e-14 a distance is rounding noise (a CSR step's entries differ
-    from BLAS's by ~1e-17, and a CSR stream sums each distance in another
-    order), so distances are also compared absolutely, at 1e-14."""
-    chain = STREAM_CHAINS[case][0]()
+    about 1e-14 a distance is rounding noise, so distances are also compared
+    absolutely, at 1e-14."""
+    chain = STREAM_CHAINS[case]()
     reference = _ReferenceSteps(chain, None)
     for t_max in (1, 37, 300):
         while reference.t < t_max:
@@ -217,17 +213,16 @@ def test_d_profile_matches_the_one_step_reference(case):
 @pytest.mark.parametrize("x", [None, 0])
 @pytest.mark.parametrize("max_steps", [1, 6, 37, 1000])
 def test_max_steps_is_honoured_exactly(x, max_steps):
-    """A stream stops at max_steps, however its blocks fall, and the message
-    reads the distance at max_steps.  So does the public call, which walks
-    the powers P^(2^e) for the worst start; and between the distances at
-    max_steps - 1 and max_steps, it returns max_steps, and raises with one
-    step less."""
+    """The walk over the powers P^(2^e) stops at max_steps, however its
+    probes fall, and the message reads the distance at max_steps.  So does
+    the public call;
+    and between the distances at max_steps - 1 and max_steps, it returns
+    max_steps, and raises with one step less."""
     chain = _lazy_cycle(30)  # about 2,500 steps to 1e-12
-    stream, reference = _Steps(chain, x), _ReferenceSteps(chain, x)
+    walk, reference = _Powers(chain), _ReferenceSteps(chain, x)
     _, tv = reference.time(1e-12, max_steps)
     with pytest.raises(NoConvergence, match=rf"within {max_steps} steps \(TV still {tv:.3e}\)"):
-        stream.time(1e-12, max_steps)
-    assert stream.t == max_steps and len(stream.history) == max_steps + 1
+        walk.time(x, 1e-12, max_steps)
     with pytest.raises(NoConvergence, match=rf"within {max_steps} steps \(TV still {tv:.3e}\)"):
         discrete_mixing_time(chain, x, 1e-12, max_steps)
     below, above = reference.history[max_steps], reference.history[max_steps - 1]
@@ -267,16 +262,52 @@ def test_the_worst_start_walk_matches_the_one_step_reference(case):
         assert got.achieved_tv == pytest.approx(want_tv, rel=1e-12, abs=1e-15), eps
 
 
-def test_a_rise_inside_a_block_names_its_step():
+SWEEP_EPS = (0.01, 0.05, 0.1, 0.2, 0.5 / math.e, 0.25, 0.45)
+# every start of a small chain, and 16 spread over each larger one: 1,043
+# (chain, x, eps) cases, and one more 195,600 steps long
+SWEEP = {
+    **{case: (make, None, SWEEP_EPS) for case, make in {**TIE_CHAINS, **STREAM_CHAINS}.items()},
+    "two_state(1e-5) from 0": (lambda: two_state(1e-5), [0], [0.01]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP))
+def test_from_x_times_match_the_one_step_reference(case):
+    """Each from-x time t equals the reference's, on one walk per chain and
+    by the public call, with its distance within 1e-12 + t 2^-52 relative or
+    1e-15;
+    with max_steps = t - 1, each raises NoConvergence naming the reference's
+    distance at t - 1."""
+    make, starts, epsilons = SWEEP[case]
+    chain = make()
+    walk = _Powers(chain)
+    if starts is None:
+        starts = map(int, np.unique(np.linspace(0, chain.n - 1, min(chain.n, 16)).round()))
+    for x in starts:
+        reference = _ReferenceSteps(chain, x)
+        for eps in epsilons:
+            want_time, want_tv = reference.time(eps, MAX_DISCRETE_STEPS)
+            for got in (walk.time(x, eps), discrete_mixing_time(chain, x, eps)):
+                assert got.time == want_time, (x, eps)
+                rel = 1e-12 + want_time * 2.0**-52  # both sides' errors grow like t times the float precision
+                assert got.achieved_tv == pytest.approx(want_tv, rel=rel, abs=1e-15), (x, eps)
+            if want_time > 1:
+                cap = want_time - 1
+                with pytest.raises(NoConvergence, match=rf"within {cap} steps \(TV still {reference.history[cap]:.3e}\)"):
+                    walk.time(x, eps, cap)
+
+
+def test_a_rise_between_probes_names_both_probes():
     # pi is not stationary here: from a, P^t(a, a) = 1/2 + 2^-(t+1) passes
-    # pi(a) = 0.52 after step 5, so the distance rises 0.0044 -> 0.0122 at
-    # step 6, inside the one-row block of steps 5 .. 8
+    # pi(a) = 0.52 after step 5, so the distance falls to 0.01125 at t = 4
+    # and rises to 0.01805 at t = 8; the walk sees the rise between its
+    # doubling probes at 4 and 8, and never forms step 6
     chain = Chain(["a", "b"], [[0.75, 0.25], [0.25, 0.75]], [0.52, 0.48])
-    stream = _Steps(chain, 0)
-    with pytest.raises(AssertionError, match="increased at step 6: 0.00437"):
-        stream.time(0.001)
-    assert stream.t == 4  # the stream stopped before the block that rose
-    with pytest.raises(AssertionError, match="increased at step 6"):
+    walk = _Powers(chain)
+    with pytest.raises(AssertionError, match=r"increased at step 8 \(from step 4\): 0\.011\d* -> 0\.018\d*$"):
+        walk.time(0, 0.001)
+    assert sorted(walk.tvs) == [0, 1, 2, 4, 8]
+    with pytest.raises(AssertionError, match=r"increased at step 8 \(from step 4\)"):
         discrete_mixing_time(chain, "a", 0.001)
 
 
