@@ -130,18 +130,17 @@ class _Derived:
     A memo is created by a public bound function (or ``full_report``) and
     dropped when that call returns.  It is made where the call's ``eps`` is
     checked, and keeps it.  It answers mixing-time queries in any order.
-    For every discrete time, from x or the worst start, it holds each
-    chain's one ``mixing._Powers`` walk: every start's distance at each full
-    power P^t it probed (O(n) each, no matrix) and every answer, so the
-    report's from-x time, its several eps and the delta sweep share its
-    probes.  For the continuized times it holds each chain's
-    ``mixing._Ladder``: the seven powers P^2 .. P^8 that its series rungs
-    E(2^e), e <= 0, are made from, its rung E(1) = ``rung(0)`` (n x n
-    each), the per-start distances of every probe that made a full E(t),
-    and every answer.  Every rung is a sum of nonnegative products, so no
-    distance is clamped.  A from-x probe past the bracket's lower end 0 is
-    one row by n x n and keeps no vector.  It holds nothing for a flow,
-    which keeps its own walk.
+    For the mixing times, from x or the worst start, it holds each chain's
+    two ``mixing`` walks, one per clock: ``_Powers`` over the powers
+    P^(2^e) for the discrete times and ``_Ladder`` over the exponentials
+    E(2^e) for the continuized ones.  Each keeps every start's distance at
+    each full probe (O(n) each, no matrix) and every answer, so the
+    report's from-x times, its several eps and the delta sweep share their
+    probes; the ladder also keeps E(1) and the seven powers P^2 .. P^8 its
+    series rungs below 1 are made from.  The reversal product R(P) P is
+    built only for a nonreversible chain and for a flow not routed over the
+    base: a reversible chain's is P^2, read from its own eigenvalues.  It
+    holds nothing for a flow, which keeps its own walk.
     """
 
     def __init__(self, eps: float | None = None):
@@ -352,23 +351,30 @@ def nonreversible_bounds(chain: Chain, x, eps: float) -> list[BoundEntry]:
 
 def _nonreversible_bounds(d: _Derived, chain: Chain, x) -> list[BoundEntry]:
     eps = d.eps
-    _require(chain, "irreducible", "nonreversible bounds")
+    cls = _require(chain, "irreducible", "nonreversible bounds")
     x = chain.index(x)
     lam1, _ = d.lambdas(chain)
     log2 = _log_term_sq(eps, chain.pi[x])
     entries = [_entry("T22", log2 / (2.0 * lam1), d.continuous(chain, x, eps))]
-    product = d.product(chain)
     # R(P) P never links two cyclic classes, so a periodic chain's product is
     # reducible: T23 is skipped here, and T25 never sees a periodic base, as
-    # no valid flow routes over a reducible product (its congestion raises)
-    if not classify(product).irreducible:
-        entries.append(_skip("T23", "reversal-product chain is reducible (gap 0)"))
+    # no valid flow routes over a reducible product (its congestion raises).
+    # A reversible P has R(P) P = P^2, of period 1 or 2 as every edge has its
+    # reverse, so irreducible exactly when P is aperiodic, with lambda_1 =
+    # 1 - beta_max^2
+    if cls.reversible:
+        beta_max = d.summary(chain).beta_max
+        irreducible, lam_prod = cls.aperiodic, (1.0 - beta_max) * (1.0 + beta_max)
     else:
-        lam_prod, _ = d.lambdas(product)
-        if lam_prod == 0.0:
-            entries.append(_skip("T23", "reversal-product lambda_1 is 0.0 in floats (the bound divides by it)"))
-        else:
-            entries.append(_entry("T23", log2 / lam_prod, d.discrete(chain, x, eps)))
+        product = d.product(chain)
+        irreducible = classify(product).irreducible
+        lam_prod = d.lambdas(product)[0] if irreducible else None
+    if not irreducible:
+        entries.append(_skip("T23", "reversal-product chain is reducible (gap 0)"))
+    elif lam_prod == 0.0:
+        entries.append(_skip("T23", "reversal-product lambda_1 is 0.0 in floats (the bound divides by it)"))
+    else:
+        entries.append(_entry("T23", log2 / lam_prod, d.discrete(chain, x, eps)))
     return entries
 
 

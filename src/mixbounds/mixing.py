@@ -1,25 +1,17 @@
 """Total-variation distance, exact mixing times, and continuization.
 
-Every discrete mixing time, from a start x or the worst one, is found by
-doubling and bisection over the powers P^(2^e) (``_Powers``): the distance
-from any start never rises, so squaring P brackets the first crossing, and
-each bisection probe is one product, n x n for the worst start and, from x
-once the bisection has left 0, row x of P^lo (1 x n) by n x n.  Every
-start's distance is kept at each full probe, and each probe is checked not
-to rise across the kept probes on either side of it.  ``d_profile`` steps
-every row, ``rows @ P``, and checks each step.  So a violation surfaces as
-a bug rather than a wrong answer.
-The continuized chain has rate matrix Q = P - I and distribution
-``v expm(Q t)``; its mixing time is found by doubling and bisection.  The
-probes share a ladder of power-of-two exponentials E(2^e) = expm(Q 2^e):
-each rung up to E(1) = ``_Ladder.rung(0)`` is a uniformization series in
-P^2 .. P^8, and E(1) is squared up.  So each probe costs one product with a
-rung: n x n for the worst start, and from x, once the bisection has left 0,
-one row (1 x n) by n x n.  Every iterate, power, rung and probe matrix is a
-sum of nonnegative products, so no distance is clamped; every rung and
-continuized product is checked to stay stochastic.  A query pops the squares
-it makes on the way down, so it makes each once; the walk and the ladder
-keep every answer they gave.
+Every mixing time, discrete or continuized, from a start x or the worst one,
+is found by one walk of doubling and bisection (``_Walk``) over the
+power-of-two rungs of a clock, from one of two rung sources: the powers
+P^(2^e) (``_Powers``), or the exponentials E(2^e) = expm((P - I) 2^e) of
+the continuized chain (``_Ladder``), each rung up to E(1) a uniformization
+series in P^2 .. P^8 and E(1) squared up, with no ``expm``.  Every start's
+distance is kept at each full probe and checked not to rise across the kept
+probes on either side of it; ``d_profile`` steps every row, ``rows @ P``,
+and checks each step.  So a violation surfaces as a bug rather than a wrong
+answer.  Every power, rung and probe matrix is a sum of nonnegative
+products, so no distance is clamped; every continuized rung and product is
+checked to stay stochastic.
 """
 
 from __future__ import annotations
@@ -38,13 +30,14 @@ from .errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, N
 MAX_DISCRETE_STEPS = 1_000_000
 MAX_PROFILE_STEPS = 10_000
 MONOTONE_TOL = 1e-12
-#: continuous-time probes may disagree by at most this (matrix exponential noise)
-MONOTONE_TOL_CONTINUOUS = 1e-10
+#: a continuized distance may rise by at most this between probes: a start mixed to
+#: noise reads about half its row's drift from 1, which ``_checked`` keeps <= 1e-9
+MONOTONE_TOL_CONTINUOUS = 1e-9
 BISECTION_REL = 1e-6
 #: continuized doubling stops here (about MAX_DISCRETE_STEPS): squaring the
 #: series E(1) loses stochasticity first at 2^23 on random_reversible(200, 1)
 #: (2^23 .. 2^28 on 14 chains of 2 .. 200 states; row error <= 1.3e-10 at 2^20)
-MAX_CONTINUOUS_TIME = 2.0**20
+MAX_CONTINUOUS_TIME = 2**20
 
 
 def _check_eps(eps: float) -> float:
@@ -104,16 +97,16 @@ def _distances(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return 0.5 * D.sum(axis=-1)
 
 
-def _check_rise(kept: dict[int, np.ndarray], t: int) -> None:
+def _check_rise(kept: dict[float, np.ndarray], t: float, tol: float = MONOTONE_TOL, unit: str = "step") -> None:
     """Check the distances at the new probe t against the kept probes on
-    either side of it: no start's distance may rise (beyond MONOTONE_TOL)."""
+    either side of it: no start's distance may rise (beyond tol)."""
     times = sorted(kept)
-    i = times.index(t)  # >= 1, as t > 0 and step 0 is kept
+    i = times.index(t)  # >= 1, as t > 0 and time 0 is kept
     for s, u in zip(times[i - 1 : i + 1], times[i : i + 2]):
-        risen = kept[u] > kept[s] + MONOTONE_TOL
+        risen = kept[u] > kept[s] + tol
         if risen.any():
             j = int(risen.argmax())
-            raise AssertionError(f"TV to stationarity increased at step {u} (from step {s}): "
+            raise AssertionError(f"TV to stationarity increased at {unit} {u} (from {unit} {s}): "
                                  f"{float(kept[s][j])!r} -> {float(kept[u][j])!r}")
 
 
@@ -147,73 +140,102 @@ def d_profile(chain: Chain, t_max: int) -> list[float]:
     return profile
 
 
-class _Powers:
-    """Discrete times of one chain, from a start or the worst one, by doubling
-    and bisection over the powers P^(2^e), and every start's distance at each
-    full probe.
+class _Walk:
+    """Mixing times of one chain on one clock, from a start or the worst one,
+    by doubling and bisection over the rungs M(2^e), and every start's
+    distance at each full probe.  A subclass gives what differs between the
+    clocks: the unit rung M(1), the rungs below 1 (``rung``), the
+    bisection's width, the check on each product, the rise tolerance, and
+    the type and unit of its times.
 
-    d_x(t) = TV(P^t(x, .), pi) never rises for any start x, and so neither
+    d_x(t) = TV(M(t)(x, .), pi) never rises for any start x, and so neither
     does the worst start's (Levin, Peres & Wilmer, 2017, section 4.4).  So a
-    query squares P until its distance at 2^e is <= eps or 2^e >= its
-    max_steps, then bisects lo + 2^e down to width 1, popping the squares on
-    the way down.  Each probe P^(lo + 2^e) = P^lo P^(2^e) is one product, formed only
-    when its distance is new or it becomes the new lo: n x n for the worst
-    start, and from x, once lo > 0, only row x of P^lo times the square
-    (1 x n by n x n).  The powers live only during a query.  Kept for the
-    walk's life: ``tvs``, every start's distance at each full probe t (t = 0
-    is the identity), and every answer.  Each new probe is checked against
-    the kept probes on either side of it (a row probe also against its
-    query's rows): no start's distance, or x's for a row, may rise (beyond
-    MONOTONE_TOL).
+    query squares the unit rung until its distance at 2^e is <= eps or 2^e
+    >= the cap, then bisects lo + 2^e while the bracket (lo, hi] is wider
+    than ``width(hi)``, popping the squares on the way down.  Each probe
+    M(lo + 2^e) = M(lo) M(2^e) is one product, formed only when its distance
+    is new or it becomes the new lo: n x n for the worst start, and from x,
+    once lo > 0, only row x of M(lo) times the rung (1 x n by n x n).  The
+    rungs live only during a query.  Kept for the walk's life: ``tvs``,
+    every start's distance at each full probe t (t = 0 is the identity),
+    and every answer.  Each new probe is checked against the kept probes on
+    either side of it (a row probe against x's distance at every full probe
+    and at its query's rows, as a query makes no full probe after its first
+    row): no start's distance, or x's for a row, may rise (beyond ``tol``).
     """
 
     def __init__(self, chain: Chain):
         self.chain = chain
-        self.tvs: dict[int, np.ndarray] = {0: 1.0 - chain.pi}
-        self.answers: dict[tuple[int | None, float, int], MixingResult] = {}
+        self.tvs: dict[float, np.ndarray] = {0: _distances(np.eye(chain.n), chain.pi)}
+        self.answers: dict[tuple[int | None, float, float], MixingResult] = {}
 
-    def time(self, x: int | None, eps: float, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
-        """Smallest t in 1 .. max_steps with TV <= eps from state index x (None:
-        the worst start); see ``discrete_mixing_time``."""
-        if (x, eps, max_steps) in self.answers:
-            return self.answers[x, eps, max_steps]
-        rows: dict[int, np.ndarray] = {}  # x's distance at each one-row probe of this query
+    def time(self, x: int | None, eps: float, cap: float = MAX_DISCRETE_STEPS) -> MixingResult:
+        """Smallest t in (0, cap] on the clock's grid with TV <= eps from state
+        index x (None: the worst start); past the cap, NoConvergence names the
+        cap and the distance there."""
+        if (x, eps, cap) in self.answers:
+            return self.answers[x, eps, cap]
+        n, pi, two = self.chain.n, self.chain.pi, self.two
+        rows: dict[float, np.ndarray] = {}  # x's distances, from the query's first row probe on
 
-        def probe(t: int, Pt: np.ndarray | None) -> float:
-            """The distance at t; Pt = P^t, or its row x, is needed only if t is new."""
+        def probe(t: float, M: np.ndarray | None) -> float:
+            """The distance at t; M = M(t), or its row x, is needed only if t is new."""
             if t not in self.tvs and t not in rows:
-                if len(Pt) == self.chain.n:
-                    self.tvs[t] = _distances(Pt, self.chain.pi)
-                    _check_rise(self.tvs, t)
+                if len(M) == n:
+                    self.tvs[t] = _distances(M, pi)
+                    _check_rise(self.tvs, t, self.tol, self.unit)
                 else:
-                    rows[t] = _distances(Pt, self.chain.pi)
-                    _check_rise({s: tvs[x : x + 1] for s, tvs in self.tvs.items()} | rows, t)
+                    if not rows:
+                        rows.update((s, tvs[x : x + 1]) for s, tvs in self.tvs.items())
+                    rows[t] = _distances(M, pi)
+                    _check_rise(rows, t, self.tol, self.unit)
             if t in rows:
                 return float(rows[t][0])
             return float(self.tvs[t].max() if x is None else self.tvs[t][x])
 
-        e, powers = 0, [self.chain.P]  # powers[e] = P^(2^e)
-        while probe(2**e, powers[e]) > eps and 2**e < max_steps:
-            powers.append(powers[-1] @ powers[-1])
+        e, rungs = 0, [self.unit_rung]  # rungs[e] = M(2^e)
+        while probe(two**e, rungs[e]) > eps and two**e < cap:
+            rungs.append(self.checked(rungs[-1] @ rungs[-1]))
             e += 1
-        powers.pop()  # the bisection walks down from level e - 1
-        # the answer lies in (lo, hi], where t > max_steps counts as within eps
-        lo, hi, P_lo = 0, 2**e, None  # P_lo = P^lo, or from x its row x; None while lo = 0
-        while powers:
-            R = powers.pop()
-            mid = lo + 2 ** len(powers)
-            P_mid = R if P_lo is None else None if mid in self.tvs or mid > max_steps else P_lo @ R
-            if mid > max_steps or probe(mid, P_mid) <= eps:
+        rungs.pop()  # the bisection walks down from level e - 1
+        # the answer lies in (lo, hi], where t > cap counts as within eps; a
+        # doubling that ends at the cap above eps leaves nothing to bisect
+        hi, M_lo = two**e, None  # M_lo = M(lo), or from x its row x; None while lo = 0
+        lo = hi if hi == cap and probe(hi, None) > eps else 0
+        while hi - lo > self.width(hi):
+            e -= 1
+            R = rungs.pop() if rungs else self.rung(e)
+            mid = lo + two**e
+            M_mid = R if M_lo is None else None if mid in self.tvs or mid > cap else self.checked(M_lo @ R)
+            if mid > cap or probe(mid, M_mid) <= eps:
                 hi = mid
             else:
-                P_mid = P_lo @ R if P_mid is None else P_mid
-                lo, P_lo = mid, P_mid[[x]] if P_lo is None and x is not None else P_mid
-        t = min(hi, max_steps)  # past the cap, lo = max_steps was probed
+                M_mid = self.checked(M_lo @ R) if M_mid is None else M_mid
+                lo, M_lo = mid, M_mid[[x]] if M_lo is None and x is not None else M_mid
+        t = min(hi, cap)  # past the cap, lo = cap was probed
         tv = probe(t, None)
-        if hi > max_steps or tv > eps:
-            raise NoConvergence(f"no mixing within {max_steps} steps (TV still {tv:.3e})")
-        self.answers[x, eps, max_steps] = MixingResult(from_state=x, epsilon=eps, time=t, achieved_tv=tv)
-        return self.answers[x, eps, max_steps]
+        if hi > cap or tv > eps:
+            raise NoConvergence(f"no mixing within {cap} {self.unit}s (TV still {tv:.3e})")
+        self.answers[x, eps, cap] = MixingResult(from_state=x, epsilon=eps, time=t, achieved_tv=tv)
+        return self.answers[x, eps, cap]
+
+
+class _Powers(_Walk):
+    """Discrete times: the rungs are the powers P^(2^e), from P itself, and
+    the bisection ends at width 1, so integer times.  The products are not
+    checked: the distances are."""
+
+    two, unit, tol = 2, "step", MONOTONE_TOL
+
+    @property
+    def unit_rung(self) -> np.ndarray:
+        return self.chain.P
+
+    def width(self, hi: int) -> int:
+        return 1
+
+    def checked(self, M: np.ndarray) -> np.ndarray:
+        return M
 
 
 def _checked(E: np.ndarray) -> np.ndarray:
@@ -263,128 +285,76 @@ def _series(e: int) -> np.ndarray:
     return np.array(c)
 
 
-class _Ladder:
-    """Exponentials E(t) = expm((P - I) t) of one chain, shared by its
-    continuized-time queries, and every answer it gave.
+class _Ladder(_Walk):
+    """Continuized times: the rungs are the exponentials E(2^e) = expm((P - I)
+    2^e), and the bisection ends at width ``BISECTION_REL`` max(1, hi), so
+    float times, and time 0 when the distance there is within eps.
 
-    Holds the powers P^2 .. P^8 in one (7, n, n) array, E(1) = ``rung(0)``,
-    the per-start distances TV(E(t)(j, .), pi) at every probe time t whose
-    full E(t) a query made, and each (start, eps) answer.
-    Every rung E(2^e) with e <= 0 is ``_series(e)`` (K <= 19) in Horner form
-    in P^8 (Paterson & Stockmeyer, 1973), with no negative term, so nothing
+    Holds the powers P^2 .. P^8 in one (7, n, n) array, from which every
+    rung E(2^e) with e <= 0 is ``_series(e)`` (K <= 19) in Horner form in
+    P^8 (Paterson & Stockmeyer, 1973), with no negative term, so nothing
     cancels, no entry is subnormal and no distance needs a clamp.  Only
-    levels 0 .. -4 (K > 8) multiply by P^8, level 0 twice.  Rungs above 1
-    are squares of E(1), kept only during a query (up to 21).
+    levels 0 .. -4 (K > 8) multiply by P^8, level 0 twice.  The unit rung
+    E(1) = ``rung(0)`` is made once; rungs above 1 are its squares.  Every
+    rung and product is checked to stay stochastic.
     """
 
-    def __init__(self, chain: Chain):
-        self.chain = chain
-        self.tvs: dict[float, np.ndarray] = {}
-        self.answers: dict[tuple[int | None, float], MixingResult] = {}
-        self._E1: np.ndarray | None = None
-        self._powers: np.ndarray | None = None
+    two, unit, tol = 2.0, "time unit", MONOTONE_TOL_CONTINUOUS
+
+    @functools.cached_property
+    def unit_rung(self) -> np.ndarray:
+        return self.rung(0)
+
+    @functools.cached_property
+    def powers(self) -> np.ndarray:
+        """P^2 .. P^8, in one (7, n, n) array."""
+        P, n = self.chain.P, self.chain.n
+        powers = np.empty((7, n, n))
+        for k in range(7):
+            np.matmul(powers[k - 1] if k else P, P, out=powers[k])
+        return powers
+
+    def width(self, hi: float) -> float:
+        return BISECTION_REL * max(1.0, hi)
+
+    def checked(self, M: np.ndarray) -> np.ndarray:
+        return _checked(M)
 
     def rung(self, e: int) -> np.ndarray:
         """E(2^e) for e <= 0, a checked series rung."""
         P, n, c = self.chain.P, self.chain.n, _series(e)
-        if self._powers is None:
-            self._powers = np.empty((7, n, n))
-            for k in range(7):
-                np.matmul(self._powers[k - 1] if k else P, P, out=self._powers[k])
-        powers, E = self._powers.reshape(7, n * n), None
+        powers, E = self.powers.reshape(7, n * n), None
         for j in reversed(range(1, len(c), 8)):  # E = B_1 + P^8 (B_9 + P^8 (B_17 + ...)) + c_0 I
             w = c[j : j + 8]  # B_j = c_j P + ... + c_(j+7) P^8
             B = (w[1:] @ powers[: len(w) - 1]).reshape(n, n)
             B += w[0] * P
             if E is not None:
-                B += self._powers[6] @ E
+                B += self.powers[6] @ E
             E = B
         E.ravel()[:: n + 1] += c[0]
         return _checked(E)
 
     def time(self, x: int | None, eps: float) -> MixingResult:
         """The continuized mixing time from state index x (None: the worst
-        start) at eps; see ``continuous_mixing_time``.
-
-        No probe runs a matrix exponential.  At level e the probe is
-        lo + 2^e.  Doubling keeps lo = 0 and squares E(1) = ``rung(0)``:
-        E(2^(e+1)) = E(2^e)^2, each square appended to one list of rungs.
-        After doubling to 2^e_hi, bisection pops the rungs from e_hi - 1 down
-        (below 1, a series rung), so E(lo + 2^e) = E(lo) E(2^e) is one
-        product, formed only when its distances are new or the probe becomes
-        the new lo.  From x, E(lo) is only its row x once lo > 0, so each
-        such probe is a 1 x n by n x n product, whose distance is not kept in
-        ``tvs``; probes at lo = 0 read the full rung and keep every start's
-        distance.  So no rung or probe matrix is made twice, at the cost of
-        holding up to e_hi + 1 <= 21 rungs.  Every rung and product is a sum
-        of nonnegative products, so no distance is clamped, and each is
-        checked to stay stochastic.
-        """
-        if (x, eps) in self.answers:
-            return self.answers[x, eps]
-        n, probes = self.chain.n, []
-
-        def probe(t: float, E: np.ndarray | None) -> float:
-            """Distance at t from x; E = E(t), or its row x, is needed only if t
-            is new.  Only a full E's per-start distances are kept."""
-            tvs = self.tvs.get(t)
-            if tvs is None:
-                tvs = _distances(E, self.chain.pi)
-                if len(E) < n:
-                    probes.append((t, float(tvs[0])))
-                    return probes[-1][1]
-                self.tvs[t] = tvs
-            probes.append((t, float(tvs.max() if x is None else tvs[x])))
-            return probes[-1][1]
-
-        hi, hi_tv = 0.0, probe(0.0, np.eye(self.chain.n))
-        if hi_tv > eps:
-            if self._E1 is None:
-                self._E1 = self.rung(0)
-            e, rungs = 0, [self._E1]  # rungs[e] = E(2^e)
-            while probe(2.0**e, rungs[e]) > 0.5 * eps and 2.0**e < MAX_CONTINUOUS_TIME:
-                e += 1
-                rungs.append(_checked(rungs[-1] @ rungs[-1]))
-            rungs.pop()  # the bisection walks down from level e - 1
-            lo, hi, hi_tv = 0.0, 2.0**e, probes[-1][1]
-            if hi_tv > eps:
-                raise NoConvergence(f"no mixing within the cap of {MAX_CONTINUOUS_TIME:.0f} time units "
-                                    f"(TV still {hi_tv:.3e})")
-            E_lo = None  # E(lo), or its row x from x; None while lo = 0, where E(lo + 2^e) is the rung itself
-            while hi - lo > BISECTION_REL * max(1.0, hi):
-                e -= 1
-                R = rungs.pop() if rungs else self.rung(e)
-                mid = lo + 2.0**e
-                E_mid = R if E_lo is None else None if mid in self.tvs else _checked(E_lo @ R)
-                if probe(mid, E_mid) <= eps:
-                    hi, hi_tv = mid, probes[-1][1]
-                else:
-                    E_mid = _checked(E_lo @ R) if E_mid is None else E_mid
-                    lo, E_lo = mid, E_mid[[x]] if E_lo is None and x is not None else E_mid
-        probes.sort()
-        for (t1, v1), (t2, v2) in zip(probes, probes[1:]):
-            if t2 > t1 and v2 > v1 + MONOTONE_TOL_CONTINUOUS:
-                raise AssertionError(f"continuous TV increased between t={t1} and t={t2} ({v1!r} -> {v2!r})")
-        self.answers[x, eps] = MixingResult(from_state=x, epsilon=eps, time=hi, achieved_tv=hi_tv)
-        return self.answers[x, eps]
+        start) at eps; see ``continuous_mixing_time``."""
+        tv = float(self.tvs[0].max() if x is None else self.tvs[0][x])
+        if tv > eps:
+            return super().time(x, eps, MAX_CONTINUOUS_TIME)
+        return MixingResult(from_state=x, epsilon=eps, time=0.0, achieved_tv=tv)
 
 
 def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     """Mixing time of the continuized chain (rate matrix P - I).
 
-    Only irreducibility is required: continuization removes periodicity.  The
-    crossing time is bracketed by doubling until the distance falls below
-    eps/2 and then bisected to absolute precision 1e-6 (relative for large
-    times); the returned time is the safe side of the bracket.  Raises
-    NoConvergence if the distance still exceeds eps at ``MAX_CONTINUOUS_TIME``.
-    The distance is checked to be non-increasing across all probe points.
-    Each probe is one product with a rung of a power-of-two ladder: up to
-    E(1) = ``_Ladder.rung(0)``, uniformization series in P^2 .. P^8, and
-    above it the squares of E(1); all are sums of nonnegative products, so
-    no distance is clamped.  It makes each rung once and holds at most 21,
-    n x n each.
-    From a state x the product is n x n only while the bracket's lower end
-    is 0; after that it is row x alone times the rung.
+    Only irreducibility is required: continuization removes periodicity.
+    ``x`` is as for ``discrete_mixing_time``, and the time is found by the
+    same walk over the rungs E(2^e) (``_Ladder``): doubling until the
+    distance is within eps, then bisection to absolute precision 1e-6
+    (relative for large times).  The returned time is the safe side of the
+    bracket, and 0.0 when the start is already within eps.  Raises
+    NoConvergence, naming the distance there, if it still exceeds eps at
+    ``MAX_CONTINUOUS_TIME``.  A query makes each rung once and holds at most
+    21, n x n each.
     """
     eps = _check_eps(eps)
     _require(chain, "irreducible", "continuization")

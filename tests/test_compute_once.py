@@ -138,13 +138,41 @@ def test_full_report_computes_each_quantity_once(monkeypatch, case):
     walked = _count_walks(monkeypatch)
     units = _count_unit_rungs(monkeypatch)
     full_report(**kwargs)
-    assert classified and walks
+    # a reversible report with no target has nothing left to classify
+    assert walks and (classified or case == "target is base")
     assert not exponentials, "the ladder ran a matrix exponential; its rungs up to 1 are series"
     assert units and max(units.values()) == 1, "a chain object's E(1) was made twice"
     assert max(walks.values()) == 1, "a chain object's powers were walked twice"
-    assert max(classified.values()) == 1, "a chain object was classified twice"
+    assert max(classified.values(), default=1) == 1, "a chain object was classified twice"
     assert max(validated.values(), default=0) <= 1, "a flow was validated twice"
     assert max(walked.values(), default=0) <= 1, "a flow's paths were walked twice"
+
+
+def _even_cycle(n):
+    """Step to either neighbour on the n-cycle with 1/2: reversible, period 2."""
+    P = 0.5 * (np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1))
+    return build_chain(list(range(n)), P, name=f"cycle({n})")
+
+
+REVERSIBLE_REPORTS = {
+    **{case: COMPARED[case] for case in ("reversible pair", "target is base", "reversible at eps 0.6",
+                                         "lazy cycle(30) at eps 0.05")},
+    "periodic": lambda: {"base": _even_cycle(6), "x": 2},
+}
+
+
+@pytest.mark.parametrize("case", sorted(REVERSIBLE_REPORTS))
+def test_a_reversible_report_builds_no_reversal_product(monkeypatch, case):
+    """A reversible chain's reversal product is P^2: its report reads T23's
+    gate and lambda_1 from the chain itself, so it multiplies no chains and
+    eigensolves only its own chains, each once."""
+    kwargs = REVERSIBLE_REPORTS[case]()
+    multiplied = _count(monkeypatch, chains.multiply, lambda a, b: (id(a), id(b)))
+    solved = _count(monkeypatch, spectral.eigendecompose, lambda chain: id(chain))
+    full_report(**kwargs)
+    assert not multiplied
+    assert solved and set(solved) <= {id(kwargs["base"]), id(kwargs.get("target"))}
+    assert max(solved.values()) == 1
 
 
 def _count_checked(monkeypatch):
@@ -172,7 +200,7 @@ def test_a_continuized_query_makes_each_matrix_once(monkeypatch, case):
 
 
 def test_the_ladder_squares_only_what_it_probes(monkeypatch):
-    """On the lazy 100-cycle the worst start doubles to 2^11 and bisects down
+    """On the lazy 100-cycle the worst start doubles to 2^10 and bisects down
     to 2^-11: one square per rung above 1, one series per rung below, at
     most one product per probe."""
     chain = _lazy_cycle(100)

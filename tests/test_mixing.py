@@ -23,6 +23,7 @@ from mixbounds import (
     two_state,
     uniform_walk,
 )
+from mixbounds import mixing
 from mixbounds.chains import Chain
 from mixbounds.mixing import BISECTION_REL, MAX_DISCRETE_STEPS, MONOTONE_TOL, _Ladder, _Powers
 from mixbounds.errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, NoConvergence, NotErgodic,
@@ -106,10 +107,13 @@ def test_discrete_mixing_worst_start():
 
 def test_each_row_is_checked_not_to_rise():
     # pi is not stationary here: row 0's distance rises 0.1 -> 0.4 at step 1
-    # while the worst start's falls 0.9 -> 0.4, under eps
+    # while the worst start's falls 0.9 -> 0.4, under eps; on the continuized
+    # clock it rises 0.1 -> 0.216 by time 1, while the worst falls to 0.584
     chain = Chain(["a", "b"], [[0.5, 0.5], [0.5, 0.5]], [0.9, 0.1])
     with pytest.raises(AssertionError, match="increased at step 1"):
         discrete_mixing_time(chain, None, 0.45)
+    with pytest.raises(AssertionError, match=r"increased at time unit 1\.0 \(from time unit 0\): 0\.\d+ -> 0\.216\d*$"):
+        continuous_mixing_time(chain, None, 0.45)
 
 
 def test_d_profile_two_state():
@@ -398,6 +402,14 @@ def test_continuous_mixing_two_state_closed_form():
 def test_continuous_mixing_boundary_zero():
     res = continuous_mixing_time(uniform_walk(2), 0, 0.5)
     assert res.time == 0.0 and res.achieved_tv <= 0.5
+    # each clock's times keep its type at integer values (the goldens and
+    # the JSON compare types): the continuized distance is e^-t / 2, so
+    # exactly 1/(2e) at t = 1, and the chain mixes in one step
+    assert type(res.time) is float
+    for x in (None, 0):
+        res = continuous_mixing_time(two_state(0.5), x, 0.5 / math.e)
+        assert res.time == 1.0 and type(res.time) is float
+        assert type(discrete_mixing_time(two_state(0.5), x, 0.5 / math.e).time) is int
 
 
 def test_continuous_mixing_periodic_chain_is_fine():
@@ -435,11 +447,43 @@ def test_continuous_mixing_gates():
         continuous_mixing_time(two_state(0.25), 0, 1.5)
 
 
-def test_continuous_mixing_stops_at_the_cap():
-    # gap 2e-8: mixing takes about 1.7e7 time units, far past MAX_CONTINUOUS_TIME
+def test_continuous_mixing_stops_at_the_cap(monkeypatch):
+    # gap 2e-8: mixing takes about 1.7e7 time units, far past MAX_CONTINUOUS_TIME;
+    # the doubling ends at the cap, so the walk raises with no bisection: E(1),
+    # its 20 squares, and no more checked matrices
     slow = build_chain(["a", "b"], [[1 - 1e-8, 1e-8], [1e-8, 1 - 1e-8]])
-    with pytest.raises(NoConvergence, match="1048576"):
+    checked, check = [], mixing._checked
+    monkeypatch.setattr(mixing, "_checked", lambda E: check(checked.append(E) or E))
+    with pytest.raises(NoConvergence, match=r"within 1048576 time units \(TV still 4\.896e-01\)"):
         continuous_mixing_time(slow, "a", 0.25)
+    assert len(checked) <= 21
+
+
+def _two_blocks(m, w):
+    """Blocks A and B of m states swap with w and step to a hub h with w; h
+    steps to pi on A and B, so h mixes in a step, while a start in A mixes
+    at rate 3 w (the antisymmetric mode's eigenvalue is 1 - 3 w)."""
+    rng = np.random.default_rng(m)
+    D = sum(np.eye(m)[rng.permutation(m)] for _ in range(4)) / 4
+    P = np.zeros((2 * m + 1, 2 * m + 1))
+    P[:m, :m] = P[m:-1, m:-1] = (1 - 2 * w) * D
+    P[:m, m:-1] = P[m:-1, :m] = w / m
+    P[:-1, -1], P[-1, :-1] = w, 1 / (2 * m)
+    return build_chain(list(range(2 * m + 1)), P)
+
+
+def test_a_start_mixed_to_noise_does_not_rise_near_the_cap():
+    # the worst start crosses 0.1 near 2^19.2, where the squares' row sums
+    # drift by up to 8.5e-10; the hub's distance, mixed to noise by t = 32,
+    # is about half its row's drift, so it grows with each square (1.5e-10
+    # at 2^19 to 3.0e-10 at 2^20), within MONOTONE_TOL_CONTINUOUS
+    chain = _two_blocks(100, math.log(5) / (3 * 2**19.2))
+    walk, hub = _Ladder(chain), chain.n - 1
+    res = walk.time(None, 0.1)
+    assert 2**19 < res.time < 2**20 and res.achieved_tv <= 0.1
+    assert continuous_mixing_time(chain, 0, 0.1).time == res.time
+    assert max(tvs[hub] for t, tvs in walk.tvs.items() if t >= 32) < 1e-9
+    assert walk.time(hub, 0.1).time < 32
 
 
 # The per-probe continuized time before the squaring ladder, kept verbatim as
