@@ -3,8 +3,9 @@
 Every bound in the catalogue is evaluated next to the exactly computed
 quantity it constrains, and the report records whether it holds.  The exact
 side always comes from the mixing module (bisection over the matrix powers
-for every discrete time and on the continuized chain), never from spectral
-formulas, so the two sides of each inequality stay independent.
+for every discrete time, and on the continuized chain bisection and then
+regula falsi steps), never from spectral formulas, so the two sides of each
+inequality stay independent.
 
 The catalogue is one table, ``CATALOG``, in report order: each entry
 identifier (a stable token of the JSON report; suffixes c/d mark the
@@ -133,11 +134,14 @@ class _Derived:
     For the mixing times, from x or the worst start, it holds each chain's
     two ``mixing`` walks, one per clock: ``_Powers`` over the powers
     P^(2^e) for the discrete times and ``_Ladder`` over the exponentials
-    E(2^e) for the continuized ones.  Each keeps every start's distance at
-    each full probe (O(n) each, no matrix) and every answer, so the
-    report's from-x times, its several eps and the delta sweep share their
-    probes; the ladder also keeps E(1) and the seven powers P^2 .. P^8 its
-    series rungs below 1 are made from.  The reversal product R(P) P is
+    E(s) for the continuized ones, which it narrows below width 1 by
+    regula falsi steps, from x with one-row probes.  Each keeps every
+    start's distance and rows' drift at each full probe (O(n) each, no
+    matrix) and every answer, with its bracket, so the report's from-x
+    times, its several eps and the delta sweep share their probes; the
+    ladder also keeps E(1) and the seven powers P^2 .. P^8 its worst-start
+    series rungs below 1 are made from.  A report reads only each answer's
+    time.  The reversal product R(P) P is
     built only for a nonreversible chain and for a flow not routed over the
     base: a reversible chain's is P^2, read from its own eigenvalues.  It
     holds nothing for a flow, which keeps its own walk.

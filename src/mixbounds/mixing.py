@@ -1,17 +1,23 @@
 """Total-variation distance, exact mixing times, and continuization.
 
 Every mixing time, discrete or continuized, from a start x or the worst one,
-is found by one walk of doubling and bisection (``_Walk``) over the
-power-of-two rungs of a clock, from one of two rung sources: the powers
-P^(2^e) (``_Powers``), or the exponentials E(2^e) = expm((P - I) 2^e) of
-the continuized chain (``_Ladder``), each rung up to E(1) a uniformization
-series in P^2 .. P^8 and E(1) squared up, with no ``expm``.  Every start's
-distance is kept at each full probe and checked not to rise across the kept
-probes on either side of it; ``d_profile`` steps every row, ``rows @ P``,
-and checks each step.  So a violation surfaces as a bug rather than a wrong
-answer.  Every power, rung and probe matrix is a sum of nonnegative
-products, so no distance is clamped; every continuized rung and product is
-checked to stay stochastic.
+is found by one walk (``_Walk``) over the rungs of a clock, from one of two
+rung sources: the powers P^(2^e) (``_Powers``), or the exponentials E(s) =
+expm((P - I) s) of the continuized chain (``_Ladder``), each rung E(s) with
+s <= 1 a uniformization series in P^2 .. P^8 and each above 1 a square of
+E(1), with no ``expm``.  The walk doubles until the distance is within eps,
+then bisects the bracket (lo, hi] over the power-of-two rungs while it is
+wider than 1.  A continuized bracket is then narrowed to its width by a
+regula falsi kept within bisection's probe count (the ITP method), each
+probe at lo + s one product M(lo) E(s), or from x one row r E(s) summed
+from the rows r P^k.  Every result carries its bracket: above eps at lo,
+within it at hi.  Every start's distance is kept at each full probe and
+checked not to rise across the kept probes on either side of it, beyond
+half the two probes' row drifts from 1; ``d_profile`` steps every row,
+``rows @ P``, and checks each step.  So a violation surfaces as a bug
+rather than a wrong answer.  Every power, rung and probe matrix is a sum of
+nonnegative products, so no distance is clamped; every continuized rung,
+product and row is checked to stay stochastic.
 """
 
 from __future__ import annotations
@@ -29,15 +35,24 @@ from .errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, N
 
 MAX_DISCRETE_STEPS = 1_000_000
 MAX_PROFILE_STEPS = 10_000
+#: a distance may rise between probes by this plus half the two probes' row
+#: drifts from 1: a start mixed to noise reads about half its row's drift,
+#: which doubles with each square
 MONOTONE_TOL = 1e-12
-#: a continuized distance may rise by at most this between probes: a start mixed to
-#: noise reads about half its row's drift from 1, which ``_checked`` keeps <= 1e-9
-MONOTONE_TOL_CONTINUOUS = 1e-9
 BISECTION_REL = 1e-6
-#: continuized doubling stops here (about MAX_DISCRETE_STEPS): squaring the
-#: series E(1) loses stochasticity first at 2^23 on random_reversible(200, 1)
-#: (2^23 .. 2^28 on 14 chains of 2 .. 200 states; row error <= 1.3e-10 at 2^20)
+#: continuized doubling stops here (about MAX_DISCRETE_STEPS).  Squaring the
+#: series E(1) first loses stochasticity at 2^23 on random_reversible(200, 1)
+#: (2^23 .. 2^28 on 14 chains of 2 .. 200 states), but on chains of two
+#: blocks of 70 and 100 states that swap rarely, E(2^20) drifts 1.1e-9 to
+#: 1.6e-9 from stochastic, past the 1e-9 ``_checked`` admits, and raises
 MAX_CONTINUOUS_TIME = 2**20
+#: continuized probes inside a bracket of width 1 lie on multiples of 2^-33,
+#: so below ``MAX_CONTINUOUS_TIME`` (2^53 of them) lo + s and hi - lo are exact
+GRID_EXP = -33
+#: each such probe moves from the regula falsi point toward the midpoint by
+#: this times the squared bracket, in time units, at most to the midpoint
+#: (Oliveira & Takahashi's kappa_1, with kappa_2 = 2)
+TRUNCATION = 0.1
 
 
 def _check_eps(eps: float) -> float:
@@ -80,30 +95,38 @@ class MixingResult:
     ``from_state`` is a state index, or None for the worst case over all
     starts.  ``time`` is an integer step count for discrete chains and a real
     for continuized ones; ``achieved_tv`` is the distance actually attained
-    at that time (always <= epsilon).
+    at that time (always <= epsilon).  ``bracket`` is (lo, hi) with hi ==
+    ``time``: the distance exceeds epsilon at lo, unless lo is 0.  It is
+    (t - 1, t) for a discrete time, at most ``BISECTION_REL`` max(1, hi)
+    wide for a continuized one, and (0.0, 0.0) for a start already within
+    epsilon.
     """
 
     from_state: int | None
     epsilon: float
     time: int | float
     achieved_tv: float
+    bracket: tuple[int | float, int | float]
 
 
-def _distances(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """TV(row, pi) of each row.  Iterates, powers and ladder matrices are sums
-    of nonnegative products, so nothing is clamped."""
+def _distances(rows: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """TV(row, pi) of each row, and its row sum's drift from 1, which a
+    distance mixed to noise reads about half of.  Iterates, powers and ladder
+    matrices are sums of nonnegative products, so nothing is clamped."""
+    drifts = np.abs(rows.sum(axis=-1) - 1.0)
     D = rows - pi
     np.abs(D, out=D)
-    return 0.5 * D.sum(axis=-1)
+    return 0.5 * D.sum(axis=-1), drifts
 
 
-def _check_rise(kept: dict[float, np.ndarray], t: float, tol: float = MONOTONE_TOL, unit: str = "step") -> None:
+def _check_rise(kept: dict[float, np.ndarray], drifts: dict[float, np.ndarray], t: float, unit: str = "step") -> None:
     """Check the distances at the new probe t against the kept probes on
-    either side of it: no start's distance may rise (beyond tol)."""
+    either side of it: no start's distance may rise by more than
+    ``MONOTONE_TOL`` plus half its rows' drifts from 1 at the two probes."""
     times = sorted(kept)
     i = times.index(t)  # >= 1, as t > 0 and time 0 is kept
     for s, u in zip(times[i - 1 : i + 1], times[i : i + 2]):
-        risen = kept[u] > kept[s] + tol
+        risen = kept[u] > kept[s] + (MONOTONE_TOL + 0.5 * (drifts[s] + drifts[u]))
         if risen.any():
             j = int(risen.argmax())
             raise AssertionError(f"TV to stationarity increased at {unit} {u} (from {unit} {s}): "
@@ -131,64 +154,90 @@ def d_profile(chain: Chain, t_max: int) -> list[float]:
     stepping every row, with no row's distance rising at any step."""
     t_max = _count(t_max, "t_max", BadParams, most=MAX_PROFILE_STEPS)
     _require(chain, "ergodic", "d_profile")
-    rows, tvs, profile = np.eye(chain.n), 1.0 - chain.pi, []
+    rows, tvs, drifts, profile = np.eye(chain.n), {}, {}, []
+    tvs[0], drifts[0] = _distances(rows, chain.pi)
     for t in range(1, t_max + 1):
         rows = rows @ chain.P
-        last, tvs = tvs, _distances(rows, chain.pi)
-        _check_rise({t - 1: last, t: tvs}, t)
-        profile.append(float(tvs.max()))
+        tvs[t], drifts[t] = _distances(rows, chain.pi)
+        _check_rise(tvs, drifts, t)
+        del tvs[t - 1], drifts[t - 1]
+        profile.append(float(tvs[t].max()))
     return profile
+
+
+def _on_grid(s: float) -> float:
+    """s rounded down to a multiple of 2^GRID_EXP."""
+    return math.ldexp(math.floor(math.ldexp(s, -GRID_EXP)), GRID_EXP)
 
 
 class _Walk:
     """Mixing times of one chain on one clock, from a start or the worst one,
-    by doubling and bisection over the rungs M(2^e), and every start's
-    distance at each full probe.  A subclass gives what differs between the
-    clocks: the unit rung M(1), the rungs below 1 (``rung``), the
-    bisection's width, the check on each product, the rise tolerance, and
-    the type and unit of its times.
+    and every start's distance at each full probe.  A subclass gives what
+    differs between the clocks: the unit rung M(1), the bracket's width, the
+    check on each product, the type and unit of its times, and on the
+    continuized clock the probes inside a bracket of width 1 (``from_lo``).
 
     d_x(t) = TV(M(t)(x, .), pi) never rises for any start x, and so neither
     does the worst start's (Levin, Peres & Wilmer, 2017, section 4.4).  So a
     query squares the unit rung until its distance at 2^e is <= eps or 2^e
     >= the cap, then bisects lo + 2^e while the bracket (lo, hi] is wider
-    than ``width(hi)``, popping the squares on the way down.  Each probe
-    M(lo + 2^e) = M(lo) M(2^e) is one product, formed only when its distance
-    is new or it becomes the new lo: n x n for the worst start, and from x,
-    once lo > 0, only row x of M(lo) times the rung (1 x n by n x n).  The
-    rungs live only during a query.  Kept for the walk's life: ``tvs``,
-    every start's distance at each full probe t (t = 0 is the identity),
-    and every answer.  Each new probe is checked against the kept probes on
-    either side of it (a row probe against x's distance at every full probe
-    and at its query's rows, as a query makes no full probe after its first
-    row): no start's distance, or x's for a row, may rise (beyond ``tol``).
+    than 1 and than ``width(hi)``, popping the squares on the way down.
+    Each probe M(lo + 2^e) = M(lo) M(2^e) is one product, formed only when
+    its distance is new or it becomes the new lo: n x n for the worst start,
+    and from x, once lo > 0, only row x of M(lo) times the rung (1 x n by
+    n x n).  A bracket still wider than ``width(hi)``, only ever on the
+    continuized clock, is narrowed by the ITP method (Oliveira & Takahashi,
+    ACM TOMS 47, 2020): each probe is the regula falsi point on d - eps,
+    moved toward the midpoint by ``TRUNCATION`` times the squared bracket
+    and projected into the widest window from which the probes that
+    bisection would still make can bisect what is left (``bisections``), and
+    at least half the width inside the bracket.  So no query makes more
+    probes than bisection would, and where the window is one point it is
+    bisection.  From x these probes are rows, with no n x n matrix
+    (``from_lo``).  The rungs live only during a query.  Kept for the
+    walk's life: ``tvs``, every start's distance at each full probe t (t =
+    0 is the identity), with ``drifts``, its rows' drifts from 1, and every
+    answer.  Each new probe is checked against the kept probes on either
+    side of it (a row probe against x's distance at every full probe and at
+    its query's rows, as a query makes no full probe after its first row):
+    no start's distance, or x's for a row, may rise (see ``_check_rise``).
     """
 
     def __init__(self, chain: Chain):
         self.chain = chain
-        self.tvs: dict[float, np.ndarray] = {0: _distances(np.eye(chain.n), chain.pi)}
+        self.tvs: dict[float, np.ndarray] = {}
+        self.drifts: dict[float, np.ndarray] = {}
+        self.tvs[0], self.drifts[0] = _distances(np.eye(chain.n), chain.pi)
         self.answers: dict[tuple[int | None, float, float], MixingResult] = {}
+
+    def bisections(self, span: float, hi: float) -> int:
+        """The fewest probes that bisecting a bracket of this span, around a
+        crossing at or below hi, makes before the bracket is no wider than
+        width(its hi), which ends less than the bracket above hi."""
+        k = 0
+        while span > self.width(hi + span):
+            span, k = span / 2, k + 1
+        return k
 
     def time(self, x: int | None, eps: float, cap: float = MAX_DISCRETE_STEPS) -> MixingResult:
         """Smallest t in (0, cap] on the clock's grid with TV <= eps from state
-        index x (None: the worst start); past the cap, NoConvergence names the
-        cap and the distance there."""
+        index x (None: the worst start), with its bracket; past the cap,
+        NoConvergence names the cap and the distance there."""
         if (x, eps, cap) in self.answers:
             return self.answers[x, eps, cap]
         n, pi, two = self.chain.n, self.chain.pi, self.two
         rows: dict[float, np.ndarray] = {}  # x's distances, from the query's first row probe on
+        row_drifts: dict[float, np.ndarray] = {}
 
         def probe(t: float, M: np.ndarray | None) -> float:
             """The distance at t; M = M(t), or its row x, is needed only if t is new."""
             if t not in self.tvs and t not in rows:
-                if len(M) == n:
-                    self.tvs[t] = _distances(M, pi)
-                    _check_rise(self.tvs, t, self.tol, self.unit)
-                else:
-                    if not rows:
-                        rows.update((s, tvs[x : x + 1]) for s, tvs in self.tvs.items())
-                    rows[t] = _distances(M, pi)
-                    _check_rise(rows, t, self.tol, self.unit)
+                kept, drifts = (self.tvs, self.drifts) if len(M) == n else (rows, row_drifts)
+                if kept is rows and not rows:
+                    rows.update((s, tvs[x : x + 1]) for s, tvs in self.tvs.items())
+                    row_drifts.update((s, d[x : x + 1]) for s, d in self.drifts.items())
+                kept[t], drifts[t] = _distances(M, pi)
+                _check_rise(kept, drifts, t, self.unit)
             if t in rows:
                 return float(rows[t][0])
             return float(self.tvs[t].max() if x is None else self.tvs[t][x])
@@ -202,9 +251,9 @@ class _Walk:
         # doubling that ends at the cap above eps leaves nothing to bisect
         hi, M_lo = two**e, None  # M_lo = M(lo), or from x its row x; None while lo = 0
         lo = hi if hi == cap and probe(hi, None) > eps else 0
-        while hi - lo > self.width(hi):
+        while hi - lo > max(1, self.width(hi)):
             e -= 1
-            R = rungs.pop() if rungs else self.rung(e)
+            R = rungs.pop()
             mid = lo + two**e
             M_mid = R if M_lo is None else None if mid in self.tvs or mid > cap else self.checked(M_lo @ R)
             if mid > cap or probe(mid, M_mid) <= eps:
@@ -212,11 +261,31 @@ class _Walk:
             else:
                 M_mid = self.checked(M_lo @ R) if M_mid is None else M_mid
                 lo, M_lo = mid, M_mid[[x]] if M_lo is None and x is not None else M_mid
+        if hi - lo > self.width(hi):  # only on the continuized clock, from a bracket of width 1
+            span0, made, at = hi - lo, 0, self.from_lo(M_lo, x)
+            d_lo, d_hi = probe(lo, None), probe(hi, None)
+            while hi - lo > self.width(hi):
+                span, w = hi - lo, _on_grid(self.width(lo))  # the final hi's width is at least this
+                most = math.ldexp(w, self.bisections(span0, hi) - made - 1)  # what the other probes can bisect
+                s = span / 2
+                if span <= 2 * most:  # regula falsi, truncated toward the midpoint and projected
+                    s_f = span * (d_lo - eps) / (d_lo - d_hi)
+                    s_t = s_f + math.copysign(min(TRUNCATION * span * span, abs(s - s_f)), s - s_f)
+                    half = _on_grid(w / 2)
+                    s = min(max(_on_grid(s_t), span - most, half), most, span - half)
+                M, made = at(s), made + 1
+                d = probe(lo + s, M)
+                if d <= eps:
+                    hi, d_hi = lo + s, d
+                else:
+                    lo, d_lo, at = lo + s, d, self.from_lo(M, x)
+                del M  # kept only as the new lo's, by ``at``
         t = min(hi, cap)  # past the cap, lo = cap was probed
         tv = probe(t, None)
         if hi > cap or tv > eps:
             raise NoConvergence(f"no mixing within {cap} {self.unit}s (TV still {tv:.3e})")
-        self.answers[x, eps, cap] = MixingResult(from_state=x, epsilon=eps, time=t, achieved_tv=tv)
+        self.answers[x, eps, cap] = MixingResult(from_state=x, epsilon=eps, time=t, achieved_tv=tv,
+                                                 bracket=(type(t)(lo), t))
         return self.answers[x, eps, cap]
 
 
@@ -225,7 +294,7 @@ class _Powers(_Walk):
     the bisection ends at width 1, so integer times.  The products are not
     checked: the distances are."""
 
-    two, unit, tol = 2, "step", MONOTONE_TOL
+    two, unit = 2, "step"
 
     @property
     def unit_rung(self) -> np.ndarray:
@@ -275,35 +344,39 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
         raise IllConditioned(f"{lost} at t = {t!r}: too long a time for this rate matrix") from None
 
 
-@functools.cache
-def _series(e: int) -> np.ndarray:
-    """Weights c_k = e^-s s^k / k!, s = 2^e, of E(s) = sum_k c_k P^k (Jensen, 1953),
-    for k <= K, the first K with tail bound c_(K+1) / (1 - s / (K + 2)) < 2^-60."""
-    s, c = 2.0**e, [math.exp(-(2.0**e))]
+def _series(s: float) -> np.ndarray:
+    """Weights c_k = e^-s s^k / k! of E(s) = sum_k c_k P^k (Jensen, 1953), 0 < s <= 1,
+    for k <= K, the first K with tail bound c_(K+1) / (1 - s / (K + 2)) < 2^-60
+    (K <= 19)."""
+    c = [math.exp(-s)]
     while c[-1] * s / len(c) >= 2.0**-60 * (1.0 - s / (len(c) + 1)):
         c.append(c[-1] * s / len(c))
     return np.array(c)
 
 
 class _Ladder(_Walk):
-    """Continuized times: the rungs are the exponentials E(2^e) = expm((P - I)
-    2^e), and the bisection ends at width ``BISECTION_REL`` max(1, hi), so
-    float times, and time 0 when the distance there is within eps.
+    """Continuized times: the rungs are the exponentials E(s) = expm((P - I)
+    s), and the bracket ends at width ``BISECTION_REL`` max(1, hi), so float
+    times, and time 0 when the distance there is within eps.
 
     Holds the powers P^2 .. P^8 in one (7, n, n) array, from which every
-    rung E(2^e) with e <= 0 is ``_series(e)`` (K <= 19) in Horner form in
+    rung E(s) with s <= 1 is ``_series(s)`` (K <= 19) in Horner form in
     P^8 (Paterson & Stockmeyer, 1973), with no negative term, so nothing
-    cancels, no entry is subnormal and no distance needs a clamp.  Only
-    levels 0 .. -4 (K > 8) multiply by P^8, level 0 twice.  The unit rung
-    E(1) = ``rung(0)`` is made once; rungs above 1 are its squares.  Every
-    rung and product is checked to stay stochastic.
+    cancels, no entry is subnormal and no distance needs a clamp.  Only s
+    above about 2^-5 (K > 8) multiplies by P^8, s near 1 twice.  The unit
+    rung E(1) = ``rung(1.0)`` is made once; rungs above 1 are its squares.
+    Inside a bracket of width 1 the probes are not dyadic: a worst-start
+    probe at lo + s is M(lo) E(s), a series rung for that s, and a probe
+    from x is the row r E(s) = sum_k c_k(s) r P^k, r row x of M(lo) (see
+    ``from_lo``), with no n x n matrix.  Every rung, product and row is
+    checked to stay stochastic.
     """
 
-    two, unit, tol = 2.0, "time unit", MONOTONE_TOL_CONTINUOUS
+    two, unit = 2.0, "time unit"
 
     @functools.cached_property
     def unit_rung(self) -> np.ndarray:
-        return self.rung(0)
+        return self.rung(1.0)
 
     @functools.cached_property
     def powers(self) -> np.ndarray:
@@ -320,9 +393,9 @@ class _Ladder(_Walk):
     def checked(self, M: np.ndarray) -> np.ndarray:
         return _checked(M)
 
-    def rung(self, e: int) -> np.ndarray:
-        """E(2^e) for e <= 0, a checked series rung."""
-        P, n, c = self.chain.P, self.chain.n, _series(e)
+    def rung(self, s: float) -> np.ndarray:
+        """E(s) for 0 < s <= 1, a checked series rung."""
+        P, n, c = self.chain.P, self.chain.n, _series(s)
         powers, E = self.powers.reshape(7, n * n), None
         for j in reversed(range(1, len(c), 8)):  # E = B_1 + P^8 (B_9 + P^8 (B_17 + ...)) + c_0 I
             w = c[j : j + 8]  # B_j = c_j P + ... + c_(j+7) P^8
@@ -334,13 +407,33 @@ class _Ladder(_Walk):
         E.ravel()[:: n + 1] += c[0]
         return _checked(E)
 
+    def from_lo(self, M_lo: np.ndarray | None, x: int | None):
+        """s -> M(lo + s) for 0 < s <= 1, from M_lo = M(lo) (None: lo = 0).
+        From x, M_lo is row x of M(lo) (None: e_x), r, and each probe is the
+        row r E(s) = sum_k c_k(s) r P^k, from the rows r P^k, each one 1 x n
+        by n x n step, made when a probe first needs it."""
+        if x is None:
+            return lambda s: self.rung(s) if M_lo is None else _checked(M_lo @ self.rung(s))
+        P, terms, built = self.chain.P, np.zeros((20, self.chain.n)), 1  # r P^k for k < built
+        terms[0] = M_lo[0] if M_lo is not None else np.eye(1, self.chain.n, x)[0]
+
+        def at(s: float) -> np.ndarray:
+            nonlocal built
+            c = _series(s)
+            for k in range(built, len(c)):
+                np.matmul(terms[k - 1], P, out=terms[k])
+            built = max(built, len(c))
+            return _checked((c @ terms[: len(c)])[None])
+
+        return at
+
     def time(self, x: int | None, eps: float) -> MixingResult:
         """The continuized mixing time from state index x (None: the worst
         start) at eps; see ``continuous_mixing_time``."""
         tv = float(self.tvs[0].max() if x is None else self.tvs[0][x])
         if tv > eps:
             return super().time(x, eps, MAX_CONTINUOUS_TIME)
-        return MixingResult(from_state=x, epsilon=eps, time=0.0, achieved_tv=tv)
+        return MixingResult(from_state=x, epsilon=eps, time=0.0, achieved_tv=tv, bracket=(0.0, 0.0))
 
 
 def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
@@ -348,13 +441,17 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
 
     Only irreducibility is required: continuization removes periodicity.
     ``x`` is as for ``discrete_mixing_time``, and the time is found by the
-    same walk over the rungs E(2^e) (``_Ladder``): doubling until the
-    distance is within eps, then bisection to absolute precision 1e-6
-    (relative for large times).  The returned time is the safe side of the
-    bracket, and 0.0 when the start is already within eps.  Raises
+    same walk over the rungs E(s) (``_Ladder``): doubling until the
+    distance is within eps, bisection down to a bracket of width 1, and
+    then regula falsi steps kept within bisection's probe count (the ITP
+    method) until the bracket is at most 1e-6 wide (relative for large
+    times).  The returned time is the safe side of the bracket, which the
+    result carries, and 0.0 when the start is already within eps.  Raises
     NoConvergence, naming the distance there, if it still exceeds eps at
-    ``MAX_CONTINUOUS_TIME``.  A query makes each rung once and holds at most
-    21, n x n each.
+    ``MAX_CONTINUOUS_TIME``.  A query makes each rung once and holds at
+    most 21 rungs, n x n each; inside the bracket of width 1 it holds one
+    probe matrix and one series rung from the worst start, and from x no
+    n x n matrix but at most 20 rows.
     """
     eps = _check_eps(eps)
     _require(chain, "irreducible", "continuization")

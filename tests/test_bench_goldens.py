@@ -1,0 +1,45 @@
+"""The benchmark's goldens hold on the pool items 0 and 3 of every workload.
+
+``bench/workloads.py`` builds each request's chains and runs it, and
+``bench/goldens.py`` compares its summary with the golden recorded for it;
+both are read here as they are.  So a drifted continuized time, a flipped
+verdict or a changed discrete time fails here, before a benchmark run.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import mixbounds
+import mixbounds.cli  # noqa: F401  (the requests reach run_cli as mixbounds.cli.run_cli)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name: str):
+    """The bench module ``name``, under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads, goldens = _load("workloads"), _load("goldens")
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_pool_items_match_their_goldens(workload, tmp_path):
+    slots = workloads.WORKLOADS[workload].slots
+    requests = [workloads.Request(slot, j) for j in (0, 3) for slot in slots]
+    inputs = workloads.Inputs(requests, tmp_path, mixbounds)
+    want = goldens.load(workload)
+    for request in requests:
+        try:
+            got = workloads.summarise(request, workloads.execute(request, inputs, mixbounds))
+        except mixbounds.errors.MixboundsError as exc:
+            got = {"error": type(exc).__name__}
+        assert goldens.differences(want[request.key], json.loads(json.dumps(got))) == [], request.key

@@ -1,6 +1,7 @@
 """full_report derives each chain quantity once and agrees with the public bound functions."""
 
 import itertools
+import math
 import sys
 from collections import Counter
 
@@ -114,14 +115,14 @@ def _count_walks(monkeypatch):
 
 
 def _count_unit_rungs(monkeypatch):
-    """Count, per chain object, the ladder rungs E(1) = ``_Ladder.rung(0)``."""
+    """Count, per chain object, the ladder rungs E(1) = ``_Ladder.rung(1.0)``."""
     calls = Counter()
     rung = mixing._Ladder.rung
 
-    def counting(ladder, e):
-        if e == 0:
+    def counting(ladder, s):
+        if s == 1:
             calls[ladder.chain] += 1  # a Chain hashes by identity; the key holds it
-        return rung(ladder, e)
+        return rung(ladder, s)
 
     monkeypatch.setattr(mixing._Ladder, "rung", counting)
     return calls
@@ -200,16 +201,130 @@ def test_a_continuized_query_makes_each_matrix_once(monkeypatch, case):
 
 
 def test_the_ladder_squares_only_what_it_probes(monkeypatch):
-    """On the lazy 100-cycle the worst start doubles to 2^10 and bisects down
-    to 2^-11: one square per rung above 1, one series per rung below, at
-    most one product per probe."""
+    """On the lazy 100-cycle the worst start doubles to 2^10, bisects down
+    to width 1 and narrows the bracket to 1e-3 in its remaining probes: one
+    square per rung above 1, at most one product per probe, and one series
+    rung per probe inside the bracket of width 1."""
     chain = _lazy_cycle(100)
     checked = _count_checked(monkeypatch)
     continuous_mixing_time(chain, None, 0.25)
-    assert sum(checked.values()) <= 48
+    assert sum(checked.values()) <= 30
     checked.clear()
     full_report(chain, x=3, eps=0.25)
-    assert sum(checked.values()) <= 93
+    assert sum(checked.values()) <= 56
+
+
+def _count_distance_passes(monkeypatch):
+    """Count the distance passes, one per probe at a new time."""
+    return _count(monkeypatch, mixing._distances, lambda rows, pi: "passes")
+
+
+#: distance passes of a worst-start query at 1/(2e) and at 0.25 on a fresh
+#: walk (its doubling included), by the bisection that narrowed every
+#: continuized bracket before the ITP steps
+BISECTION_PASSES = {
+    "rr(200, 3)": (lambda: random_reversible(200, 3), (23, 23)),
+    "doubly_stochastic(100, 3)": (lambda: doubly_stochastic(100, 3), (25, 25)),
+    "rr(40, 1)": (lambda: random_reversible(40, 1), (23, 23)),
+    "rr(14, 2)": (lambda: random_reversible(14, 2), (23, 22)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BISECTION_PASSES))
+def test_worst_start_queries_make_at_most_60_percent_of_the_bisection_probes(monkeypatch, case):
+    make, bisection = BISECTION_PASSES[case]
+    chain = make()
+    passes = _count_distance_passes(monkeypatch)
+    for eps, most in zip((DELTA_DEFAULT, 0.25), bisection):
+        walk = mixing._Ladder(chain)
+        passes.clear()
+        walk.time(None, eps)
+        assert passes["passes"] <= 0.6 * most, eps
+
+
+SWEEP_EPS = (0.01, 0.05, 0.1, 0.2, DELTA_DEFAULT, 0.25, 0.45)
+#: distance passes by the bisection, as above, of each query at SWEEP_EPS:
+#: one row for the worst start and one for each start of ``_sweep_starts``
+BISECTION_SWEEP = {
+    "rr(14, 2)": (lambda: random_reversible(14, 2), [
+        (24, 24, 23, 23, 23, 22, 21), (24, 23, 23, 22, 22, 22, 21), (24, 24, 23, 23, 23, 22, 21),
+        (24, 23, 23, 22, 21, 22, 21), (24, 23, 23, 22, 22, 22, 21), (24, 23, 23, 22, 22, 22, 21),
+        (24, 23, 23, 21, 23, 22, 21), (24, 23, 23, 22, 22, 22, 21), (24, 23, 23, 21, 23, 22, 21)]),
+    "rr(40, 1)": (lambda: random_reversible(40, 1), [
+        (24, 24, 23, 23, 23, 23, 22), (24, 23, 23, 22, 21, 22, 21), (24, 24, 23, 23, 23, 22, 22),
+        (24, 23, 23, 22, 21, 22, 21), (24, 23, 23, 22, 22, 22, 21), (24, 23, 23, 22, 22, 22, 21),
+        (24, 23, 23, 22, 22, 22, 21), (24, 22, 23, 23, 23, 22, 22), (24, 23, 23, 22, 22, 22, 21)]),
+    "rr(12, 2)": (lambda: random_reversible(12, 2), [
+        (24, 24, 23, 23, 23, 22, 21), (24, 23, 23, 22, 22, 22, 21), (24, 24, 23, 23, 23, 22, 21),
+        (24, 23, 23, 22, 22, 22, 21), (24, 22, 23, 23, 23, 22, 21), (24, 23, 23, 22, 22, 22, 21),
+        (24, 23, 23, 22, 22, 22, 21), (24, 23, 23, 21, 23, 22, 21), (24, 23, 23, 22, 22, 22, 21)]),
+    "dhn(16)": (lambda: dhn(16), [
+        (27, 27, 26, 26, 26, 25, 25), (27, 26, 26, 25, 25, 25, 24), (27, 26, 26, 24, 26, 25, 24),
+        (27, 27, 26, 26, 26, 25, 25), (27, 27, 26, 25, 24, 25, 25), (27, 26, 26, 25, 25, 25, 24),
+        (27, 27, 26, 26, 26, 25, 24), (27, 27, 26, 24, 26, 25, 25), (27, 25, 26, 25, 25, 25, 24)]),
+    "lazy cycle(30)": (lambda: _lazy_cycle(30), [(30, 29, 29, 28, 28, 28, 27)] * 9),
+    "doubly_stochastic(9, 4)": (lambda: doubly_stochastic(9, 4), [
+        (25, 25, 25, 24, 24, 24, 23), (25, 24, 24, 22, 24, 23, 22), (25, 24, 24, 23, 22, 23, 22),
+        (25, 25, 24, 24, 24, 24, 22), (25, 24, 24, 23, 23, 23, 22), (25, 25, 24, 24, 24, 23, 21),
+        (25, 25, 25, 24, 24, 24, 23), (25, 24, 24, 23, 23, 23, 22), (25, 25, 24, 24, 24, 24, 22)]),
+    "doubly_stochastic(20, 1)": (lambda: doubly_stochastic(20, 1), [
+        (26, 26, 25, 25, 25, 25, 24), (26, 25, 25, 24, 24, 24, 23), (26, 25, 25, 24, 24, 24, 23),
+        (26, 25, 25, 24, 23, 24, 23), (26, 25, 23, 24, 24, 24, 23), (26, 25, 25, 24, 24, 24, 23),
+        (26, 25, 25, 24, 24, 24, 23), (26, 25, 25, 24, 24, 24, 23), (26, 26, 25, 25, 25, 25, 24)]),
+    "directed_cycle(5)": (lambda: directed_cycle(5), [(24, 23, 23, 22, 22, 22, 21)] * 6),
+    "two_state(0.1)": (lambda: two_state(0.1), [(23, 22, 21, 21, 21, 21, 21)] * 3),
+}
+
+
+def _sweep_starts(chain):
+    """The worst start, then up to 8 starts spread over the chain."""
+    return [None] + sorted({int(x) for x in np.linspace(0, chain.n - 1, min(chain.n, 8)).round()})
+
+
+@pytest.mark.parametrize("case", sorted(BISECTION_SWEEP))
+def test_no_continuized_query_makes_more_probes_than_bisection(monkeypatch, case):
+    """504 (chain, x, eps) queries in all, each on a fresh walk."""
+    make, bisection = BISECTION_SWEEP[case]
+    chain = make()
+    passes = _count_distance_passes(monkeypatch)
+    for x, row in zip(_sweep_starts(chain), bisection, strict=True):
+        for eps, most in zip(SWEEP_EPS, row, strict=True):
+            walk = mixing._Ladder(chain)
+            passes.clear()
+            walk.time(x, eps)
+            assert passes["passes"] <= most, (x, eps)
+
+
+FROM_X_QUERIES = {
+    # a time below 1: E(1) is the doubling's only rung
+    "rr(12, 2) from 0": (lambda: random_reversible(12, 2), 0, 0.45),
+    "rr(200, 3) from 100": (lambda: random_reversible(200, 3), 100, 0.25),
+    "dhn(64) from 3": (lambda: dhn(64), 3, 0.25),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROM_X_QUERIES))
+def test_a_from_x_query_builds_no_square_matrix_after_its_doubling(monkeypatch, case):
+    """Its only n x n matrices are E(1) and its squares up to the first
+    power of two past the time; every later probe, in the bisection and
+    inside the bracket of width 1, is a checked 1 x n row, and no series
+    rung E(s) but E(1) is built."""
+    make, x, eps = FROM_X_QUERIES[case]
+    chain = make()
+    shapes, check, rung = [], mixing._checked, mixing._Ladder.rung
+    monkeypatch.setattr(mixing, "_checked", lambda E: check(shapes.append(E.shape) or E))
+    rungs = Counter()
+
+    def counting(ladder, s):
+        rungs[s] += 1
+        return rung(ladder, s)
+
+    monkeypatch.setattr(mixing._Ladder, "rung", counting)
+    t = continuous_mixing_time(chain, x, eps).time
+    n, doubling = chain.n, 1 + max(0, math.ceil(math.log2(t)))
+    assert shapes[:doubling] == [(n, n)] * doubling
+    assert len(shapes) > doubling and set(shapes[doubling:]) == {(1, n)}
+    assert rungs == {1.0: 1}
 
 
 def _count_powers(monkeypatch):

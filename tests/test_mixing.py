@@ -476,7 +476,7 @@ def test_a_start_mixed_to_noise_does_not_rise_near_the_cap():
     # the worst start crosses 0.1 near 2^19.2, where the squares' row sums
     # drift by up to 8.5e-10; the hub's distance, mixed to noise by t = 32,
     # is about half its row's drift, so it grows with each square (1.5e-10
-    # at 2^19 to 3.0e-10 at 2^20), within MONOTONE_TOL_CONTINUOUS
+    # at 2^19 to 3.0e-10 at 2^20), within half the two probes' row drifts
     chain = _two_blocks(100, math.log(5) / (3 * 2**19.2))
     walk, hub = _Ladder(chain), chain.n - 1
     res = walk.time(None, 0.1)
@@ -484,6 +484,19 @@ def test_a_start_mixed_to_noise_does_not_rise_near_the_cap():
     assert continuous_mixing_time(chain, 0, 0.1).time == res.time
     assert max(tvs[hub] for t, tvs in walk.tvs.items() if t >= 32) < 1e-9
     assert walk.time(hub, 0.1).time < 32
+
+
+def test_a_start_mixed_to_noise_does_not_rise_on_the_discrete_walk():
+    # the same two-block chain crossing 0.1 at 2^17 steps: the hub's distance,
+    # mixed to noise, reads about half its row's drift, which doubles with
+    # each square of P (2.68e-12 -> 5.36e-12 from step 4096 to 8192), past
+    # MONOTONE_TOL alone; a rise may reach MONOTONE_TOL plus half the drifts
+    chain = _two_blocks(100, math.log(5) / (3 * 2**17))
+    res = discrete_mixing_time(chain, None, 0.1)
+    assert res.time == 2**17 and res.bracket == (2**17 - 1, 2**17)
+    for t, above in ((2**17 - 1, True), (2**17, False)):
+        d = 0.5 * np.abs(np.linalg.matrix_power(chain.P, t) - chain.pi).sum(axis=1).max()
+        assert (d > 0.1) == above, t
 
 
 # The per-probe continuized time before the squaring ladder, kept verbatim as
@@ -522,38 +535,6 @@ def _reference_row_tvs(chain, t: float) -> np.ndarray:
     return 0.5 * np.abs(E - chain.pi[None, :]).sum(axis=1)
 
 
-def _reference_continuous_time(chain, x, eps, row_tvs: dict) -> tuple[float, float]:
-    x_idx = None if x is None else chain.index(x)
-
-    probes: list[tuple[float, float]] = []
-
-    def probe(t: float) -> float:
-        if t not in row_tvs:
-            row_tvs[t] = _reference_row_tvs(chain, t)
-        tvs = row_tvs[t]
-        val = float(tvs.max() if x_idx is None else tvs[x_idx])
-        probes.append((t, val))
-        return val
-
-    if probe(0.0) <= eps:
-        return 0.0, probes[0][1]
-    hi = 1.0
-    while probe(hi) > 0.5 * eps:
-        hi *= 2.0
-        if hi > 2.0**60:
-            raise NoConvergence("continuized chain failed to mix (internal bug)")
-    lo = 0.0
-    hi_tv = probes[-1][1]
-    while hi - lo > BISECTION_REL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        val = probe(mid)
-        if val <= eps:
-            hi, hi_tv = mid, val
-        else:
-            lo = mid
-    return float(hi), hi_tv
-
-
 def _lazy_cycle(n: int):
     P = np.zeros((n, n))
     for i in range(n):
@@ -564,45 +545,56 @@ def _lazy_cycle(n: int):
 
 
 REFERENCE_CASES = {
-    # continuized times below 1: the bisection reaches level -20, every rung
-    # of it a uniformization series
+    # continuized times below 1: every probe inside (0, 1] is a series rung
+    # from the worst start, or from x a row series
     "rr(200, 3) from 0": (lambda: random_reversible(200, 3), [(0, 0.45)]),
     "rr(200, 3) from 100": (lambda: random_reversible(200, 3), [(100, 0.45)]),
     "rr(200, 9) from 100": (lambda: random_reversible(200, 9), [(100, 0.45)]),
     "t = 0 exit": (lambda: uniform_walk(2), [(0, 0.5)]),
     "time below 1": (lambda: random_reversible(12, 2), [(0, 0.45)]),
-    # worst start doubles to 2^11 before the bisection
+    # worst start doubles to 2^10 before the bisection
     "lazy cycle(100) worst start": (lambda: _lazy_cycle(100), [(None, 0.25)]),
     "dhn(8)": (lambda: dhn(8), [(0, 0.25), (None, 0.1)]),
-    # a sparse chain whose bisection goes below 2^-16, to 2^-17
+    # a sparse chain whose bracket narrows to 1.45e-5, 1e-6 of its time 14.5
     "dhn(16) worst start": (lambda: dhn(16), [(None, 0.25)]),
     "doubly_stochastic(9, 4)": (lambda: doubly_stochastic(9, 4), [(3, 0.25), (None, 0.05)]),
     "directed_cycle(3)": (lambda: directed_cycle(3), [(0, 0.25), (None, 0.01)]),
     # two calls sharing one memo: the second reuses the first's probes
     "shared memo, x then worst": (lambda: random_reversible(40, 7), [(5, 0.25), (None, 0.25)]),
-    # from x (one-row probes once lo > 0), then the worst start, then from
-    # another x at another eps, on one ladder of a sparse chain
+    # from x (one-row probes once lo > 0, and inside the bracket of width 1),
+    # then the worst start, then from another x at another eps, on one ladder
+    # of a sparse chain
     "dhn(16) x, worst, x": (lambda: dhn(16), [(3, 0.25), (None, 0.25), (5, 0.1)]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_continuous_time_matches_per_probe_reference(case):
+    """Each query's bracket (lo, hi], hi its time, is confirmed by the
+    reference distance at both ends: above eps at lo (unless lo is 0) and
+    within it at hi, where the distance is the reference's within 1e-10;
+    and it is at most BISECTION_REL max(1, hi) wide."""
     make, calls = REFERENCE_CASES[case]
     chain = make()
-    ladder, row_tvs = _Ladder(chain), {}
+    ladder = _Ladder(chain)
     for x, eps in calls:
-        got = ladder.time(None if x is None else chain.index(x), eps)
-        want_time, want_tv = _reference_continuous_time(chain, x, eps, row_tvs)
-        assert got.time == want_time, (x, eps)
-        assert abs(got.achieved_tv - want_tv) <= 1e-10, (x, eps)
+        x_idx = None if x is None else chain.index(x)
+        got = ladder.time(x_idx, eps)
+        lo, hi = got.bracket
+        ref = {t: _reference_row_tvs(chain, t) for t in (lo, hi)}
+        ref = {t: float(tvs.max() if x_idx is None else tvs[x_idx]) for t, tvs in ref.items()}
+        assert hi == got.time, (x, eps)
+        assert lo == 0.0 or ref[lo] > eps, (x, eps)
+        assert ref[hi] <= eps, (x, eps)
+        assert hi - lo <= BISECTION_REL * max(1.0, hi), (x, eps)
+        assert abs(got.achieved_tv - ref[hi]) <= 1e-10, (x, eps)
         assert got.achieved_tv <= eps
     if case == "t = 0 exit":
-        assert got.time == 0.0
+        assert got.time == 0.0 and got.bracket == (0.0, 0.0)
     if case == "time below 1":
         assert 0.0 < got.time < 1.0
     if case == "lazy cycle(100) worst start":
-        assert 2.0**11 in row_tvs and 2.0**10 in row_tvs and 2.0**12 not in row_tvs
+        assert 2.0**10 in ladder.tvs and 2.0**11 not in ladder.tvs  # t = 948.8 lies below the top rung
 
 
 SERIES_CHAINS = {
@@ -616,16 +608,24 @@ SERIES_CHAINS = {
 
 @pytest.mark.parametrize("case", sorted(SERIES_CHAINS))
 def test_series_rungs_match_the_taylor_reference(case):
-    """Each rung E(2^e) up to 1 is a truncated uniformization series: within
-    1e-14 row l1 of the Taylor exponential, and with every entry 0 or a
-    normal float, so it has no negative entry and its products never run on
-    subnormals."""
+    """Each rung E(s) up to 1, s = 2^e or not a power of two, is a truncated
+    uniformization series: within 1e-14 row l1 of the Taylor exponential,
+    and with every entry 0 or a normal float, so it has no negative entry
+    and its products never run on subnormals.  A probe from x, the row
+    series r E(s) = sum_k c_k(s) r P^k of r = row x of M(lo), is row x of
+    M(lo) E(s) within 1e-15 row l1."""
     chain = SERIES_CHAINS[case]()
     ladder, Q = _Ladder(chain), chain.P - np.eye(chain.n)
-    for e in range(0, -25, -1):
-        E = ladder.rung(e)
-        assert np.abs(E - _reference_matrix_exponential(Q, 2.0**e)).sum(axis=1).max() <= 1e-14, e
-        assert ((E == 0.0) | (E >= np.finfo(float).tiny)).all(), e
+    for s in [2.0**e for e in range(0, -25, -1)] + [0.3, 0.7, 1 - 2.0**-20]:
+        E = ladder.rung(s)
+        assert np.abs(E - _reference_matrix_exponential(Q, s)).sum(axis=1).max() <= 1e-14, s
+        assert ((E == 0.0) | (E >= np.finfo(float).tiny)).all(), s
+    M_lo = ladder.rung(0.3) @ ladder.unit_rung  # M(1.3)
+    for x in {0, chain.n // 2, chain.n - 1}:
+        for s in (0.3, 0.7, 1 - 2.0**-20, 2.0**-20):
+            assert np.abs(ladder.from_lo(None, x)(s)[0] - ladder.rung(s)[x]).sum() <= 1e-15, (x, s)
+            got = ladder.from_lo(M_lo[[x]], x)(s)[0]
+            assert np.abs(got - (M_lo @ ladder.rung(s))[x]).sum() <= 1e-15, (x, s)
 
 
 @pytest.mark.parametrize("what", ["continuous_mixing_time", "full_report"])
