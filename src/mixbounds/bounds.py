@@ -22,7 +22,7 @@ cheap read and needs no memo.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class BoundEntry:
     reason: str | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}  # every field is a scalar
 
 
 def _entry(tid: str, bound: float, exact: float) -> BoundEntry:

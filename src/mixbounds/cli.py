@@ -16,6 +16,7 @@ selftest failure, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,6 +32,7 @@ from .serialize import chain_to_dict, load_chain, load_flow, save_chain
 from .spectral import MAX_CONDUCTANCE_STATES, _gaps, conductance, eigendecompose, lambda_constants
 
 
+@functools.cache  # built on the first call, then reused: parsing leaves a parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mixbounds", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"mixbounds {__version__}")

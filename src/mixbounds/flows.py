@@ -208,8 +208,8 @@ def _validate(flow: Flow) -> tuple:
         def among(ids: np.ndarray) -> np.ndarray:  # flags the paths in ids
             return np.bincount(ids, minlength=len(sizes)) > 0
         kept = fault == 0
-        hop = (owner[1:] == owner[:-1]) & kept[owner[1:]]
-        path, u, v = owner[1:][hop], states[:-1][hop], states[1:][hop]
+        hop = np.flatnonzero((owner[1:] == owner[:-1]) & kept[owner[1:]])
+        path, u, v = owner[hop + 1], states[hop], states[hop + 1]
         off_base = among(path[~support[u, v]])
         keys, r = np.unique((path * n + u) * n + v, return_counts=True)
         path = keys // (n * n)  # now one entry per distinct (path, edge)
@@ -400,8 +400,8 @@ def spread_flow(flow: Flow) -> Flow:
 
     The hops of one path are split together by a quantile coupling
     (``_couple``), computed as arrays for blocks of paths; the detours are
-    sorted and summed as arrays too, exactly as a dict of tuples would sum
-    them in the order they are made.
+    made and sorted as arrays too; no two are equal, so each carries its
+    chunk's mass, as a dict of tuples would sum it.
     """
     a_before = _worst_edge(flow)
     simple = _simplify(flow)
@@ -449,25 +449,28 @@ def _spread_block(states: np.ndarray, sizes: np.ndarray, mass: np.ndarray, hop: 
                   table: _Detours) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The spread paths of a block of simple paths, laid end to end, whose
     hops have the given table rows, as a flow's arrays.  Each chunk of the
-    coupling is a detour row (s0, x1, s1, ..., xL, sL) of ``_rows``; equal rows
-    are summed in the order they are made, as a dict of tuples would sum them.
-    A length-0 path is its own detour."""
+    coupling is a detour row (s0, x1, s1, ..., xL, sL), padded with -1: its
+    path's ``_rows`` row in the even columns, its picks in the odd ones.  The
+    paths are distinct and each chunk of a path moves some pick, so no two rows
+    are equal: each carries its chunk's mass.  A length-0 path is its own detour."""
     owner, frac, xs = _couple(table.quantiles, hop, sizes - 1)
-    chunk, j = _ragged(2 * sizes[owner] - 1)
-    detours = states[(np.cumsum(sizes) - sizes)[owner[chunk]] + j // 2]
-    detours[j % 2 == 1] = xs
-    rows = _rows(detours, 2 * sizes[owner] - 1)
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    first = np.ones(len(rows), bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    made = np.empty(len(rows), np.intp)  # each row's place among the distinct ones
-    made[order] = np.cumsum(first) - 1
-    total = np.zeros(int(first.sum()))
-    np.add.at(total, made, frac * mass[owner])
-    keep = total > 0.0
-    rows = rows[first][keep]
-    return rows[rows >= 0], (rows >= 0).sum(axis=1), total[keep]
+    rows = np.empty((len(owner), 2 * xs.shape[1] + 1), np.intp)
+    rows[:, ::2] = np.take(_rows(states, sizes), owner, axis=0)
+    rows[:, 1::2] = xs
+    # sorted as tuples: digits state + 1 (0 for padding) packed into 63-bit
+    # words, one argsort by the last word, then a stable one by each before it
+    bits = len(table.row).bit_length()
+    per = 63 // bits
+    words = np.zeros((-(-rows.shape[1] // per), len(rows)), np.int64)
+    for c, digit in enumerate(rows.T + 1):
+        words[c // per] = words[c // per] << bits | digit
+    order = np.argsort(words[-1])
+    for word in words[-2::-1]:
+        order = order[np.argsort(word[order], kind="stable")]
+    total = (frac * mass[owner])[order]
+    order, total = order[total > 0.0], total[total > 0.0]
+    rows = np.take(rows, order, axis=0)
+    return rows[rows >= 0], (2 * sizes - 1)[owner[order]], total
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -488,7 +491,7 @@ def _keys(owner: np.ndarray, value) -> np.ndarray:
     """(owner, value) pairs as complex numbers.  Numpy orders complex numbers by
     real part, then by imaginary part, so a sort or a search over these keys
     orders the values within each owner, exactly, in one call."""
-    keys = np.empty(len(owner), complex)
+    keys = np.empty(np.broadcast(owner, value).shape, complex)
     keys.real, keys.imag = owner, value
     return keys
 
@@ -501,7 +504,8 @@ def _couple(quantiles: tuple[np.ndarray, np.ndarray, np.ndarray], hop: np.ndarra
     cumulative shares and their count (see ``_quantiles``).  Path p has the
     next ``per_path[p]`` entries of ``hop``, each a table row.  Returns the
     chunks in order, each with its path and its fraction, and per chunk the
-    intermediate of each hop of its path.
+    intermediate of each hop of its path, a row padded with -1 to the
+    longest path.
 
     Chunks run between consecutive chunk ends, a quantile coupling: from
     start t, the end is the first of the path's cumulative points past
@@ -523,26 +527,29 @@ def _couple(quantiles: tuple[np.ndarray, np.ndarray, np.ndarray], hop: np.ndarra
     cap = np.ones(n)
     np.minimum.at(cap, path, cum[hop, size - 1])
     below = value <= cap[point_path]
-    nodes = np.unique(np.concatenate([_keys(point_path[below], value[below]),
-                                      _keys(np.arange(n), cap), _keys(np.arange(n), 0.0)]))
+    # a stable sort of nearly sorted keys, not np.unique: numpy 2.4 hashes, then sorts (14x slower)
+    nodes = np.sort(np.concatenate([_keys(np.arange(n), 0.0), _keys(point_path[below], value[below]),
+                                    _keys(np.arange(n), cap)]), kind="stable")
+    nodes = nodes[np.r_[True, nodes[1:] != nodes[:-1]]]
     node_path, t = nodes.real.astype(np.intp), nodes.imag
-    last = np.searchsorted(node_path, node_path, side="right") - 1
-    nxt = np.minimum(np.searchsorted(nodes, _keys(node_path, t + 1e-14), side="right"), last)
+    end = np.cumsum(np.bincount(node_path, minlength=n))  # one past each path's last node, its cap
+    nxt = np.minimum(np.searchsorted(nodes, _keys(node_path, t + 1e-14), side="right"), end[node_path] - 1)
     nxt[(nxt == np.arange(len(nodes))) | ~(1.0 - t > 1e-14)] = -1
     # follow every path's chain at once, from its node 0
     start = np.zeros(len(nodes), bool)
-    at = np.searchsorted(node_path, np.arange(n))
+    at = np.r_[0, end[:-1]]
     while (at := at[nxt[at] >= 0]).size:
         start[at] = True
         at = nxt[at]
     at = np.flatnonzero(start)
     owner = node_path[at]
     # each hop's pick: how many of its points t + 1e-14 reaches, clamped to its last
-    chunk, j = _ragged(per_path[owner])
-    pair = (np.cumsum(per_path) - per_path)[owner[chunk]] + j
-    reach = np.searchsorted(_keys(point_hop, value), _keys(pair, t[at][chunk] + 1e-14), side="right")
+    j = np.arange(per_path.max(initial=0))
+    real = j < per_path[owner, None]
+    pair = np.where(real, (np.cumsum(per_path) - per_path)[owner, None] + j, 0)
+    reach = np.searchsorted(_keys(point_hop, value), _keys(pair, t[at, None] + 1e-14), side="right")
     pick = np.minimum(reach - (np.cumsum(size) - size)[pair], size[pair] - 1)
-    return owner, t[nxt[at]] - t[at], xs[hop[pair], pick]
+    return owner, t[nxt[at]] - t[at], np.where(real, xs[hop[pair], pick], -1)
 
 
 def build_canonical_flow(base: Chain, target: Chain, odd: bool = False) -> Flow:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixbounds import load_chain, save_chain, selftest
+from mixbounds import cli, load_chain, save_chain, selftest
 from mixbounds.cli import run_cli
 
 from _families import tiny_mass_chain
@@ -97,6 +97,31 @@ def test_compare_flow_file_and_auto(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     t8 = next(e for e in report["entries"] if e["theorem"] == "T8")
     assert not t8["applicable"] and "odd" in t8["reason"]
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """run_cli builds its parser once per process.  Each call still exits and
+    prints as a fresh parser would, whatever flags the calls before it set,
+    and --version still exits 0 on a second call."""
+    base, target = str(tmp_path / "b.json"), str(tmp_path / "t.json")
+    run_cli(["gen", "random_reversible", "--N", "6", "--seed", "3", "-o", base])
+    run_cli(["gen", "lazy_of", "--of", "random_reversible", "--N", "6", "--seed", "3", "-o", target])
+    capsys.readouterr()
+    outputs = []
+    for argv in (["compare", base, target, "--auto-flow", "--odd", "--from", "s1", "--eps", "0.25", "--json"],
+                 ["compare", base, target, "--auto-flow", "--from", "s1", "--eps", "0.25", "--json"],
+                 ["analyze", base, "--json"],
+                 ["mix", base, "--from", "s1", "--eps", "0.25"]):
+        code = run_cli(argv)
+        outputs.append((code, capsys.readouterr()))
+        args = cli._build_parser.__wrapped__().parse_args(argv)
+        assert (args.handler(args), capsys.readouterr()) == outputs[-1]
+    assert outputs[0] != outputs[1]  # --odd gates T8 on, and does not outlive its call
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            run_cli(["--version"])
+        assert stop.value.code == 0 and capsys.readouterr().out.startswith("mixbounds ")
 
 
 def test_compare_product_flow(tmp_path, capsys):

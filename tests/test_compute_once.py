@@ -1,6 +1,8 @@
 """full_report derives each chain quantity once and agrees with the public bound functions."""
 
+import dataclasses
 import itertools
+import json
 import math
 import sys
 from collections import Counter
@@ -403,6 +405,15 @@ def test_from_x_times_after_a_worst_start_query(monkeypatch, base, eps):
     for x in range(base.n):
         assert d.discrete(base, x, eps) == discrete_mixing_time(base, x, eps).time, x
     assert walks == {id(base): base.n}
+
+
+@pytest.mark.parametrize("case", sorted(COMPARED))
+def test_report_json_equals_the_deep_copied_entries(case):
+    """An entry's to_dict copies its scalar fields in field order, so a
+    report's JSON is byte for byte that of dataclasses.asdict."""
+    report = full_report(**COMPARED[case]())
+    deep = {**report.to_dict(), "entries": [dataclasses.asdict(e) for e in report.entries]}
+    assert json.dumps(report.to_dict()) == json.dumps(deep)
 
 
 @pytest.mark.parametrize("case", sorted(set(COMPARED) - {"periodic"}))  # the other bases are ergodic

@@ -867,6 +867,10 @@ def _spread_cases():
         base, target = nonreversible_pair(n, seed=n)
         yield f"ds-{n}", build_canonical_flow(base, target)
     yield "loop-erasure", _loop_flow()
+    # the route bench's shape: 992 one-hop paths over about 32 intermediates
+    # each, 8 blocks and 31,714 spread paths
+    base = random_reversible(32, 1)
+    yield "rr-32-lazy", build_canonical_flow(base, lazy(base))
 
 
 @pytest.mark.parametrize("flow", [pytest.param(flow, id=name) for name, flow in _spread_cases()])
