@@ -27,7 +27,7 @@ from .errors import MixboundsError
 from .flows import build_canonical_flow
 from .generators import KINDS, generate
 from .mixing import continuous_mixing_time, discrete_mixing_time
-from .selftest import collect_results, run_selftest
+from .selftest import collect_results
 from .serialize import chain_to_dict, load_chain, load_flow, save_chain
 from .spectral import MAX_CONDUCTANCE_STATES, _gaps, conductance, eigendecompose, lambda_constants
 
@@ -205,12 +205,15 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    results = collect_results()
+    failed = sum(not r["passed"] for r in results)
     if args.json:
-        results = collect_results()
-        failed = sum(1 for r in results if not r["passed"])
         print(json.dumps({"checks": results, "failed": failed}, indent=2))
-        return 0 if failed == 0 else 1
-    return run_selftest(verbose=not args.quiet)
+    elif not args.quiet:
+        for r in results:
+            print(f"[{'PASS' if r['passed'] else 'FAIL'}] {r['name']}" + (f"  ({r['detail']})" if r["detail"] else ""))
+        print(f"selftest: {'all checks passed' if failed == 0 else f'{failed} check(s) failed'}")
+    return 0 if failed == 0 else 1
 
 
 def run_cli(argv=None) -> int:

@@ -6,18 +6,18 @@ rung sources: the powers P^(2^e) (``_Powers``), or the exponentials E(s) =
 expm((P - I) s) of the continuized chain (``_Ladder``), each rung E(s) with
 s <= 1 a uniformization series in P^2 .. P^8 and each above 1 a square of
 E(1), with no ``expm``.  The walk doubles until the distance is within eps,
-then bisects the bracket (lo, hi] over the power-of-two rungs while it is
-wider than 1.  A continuized bracket is then narrowed to its width by a
-regula falsi kept within bisection's probe count (the ITP method), each
-probe at lo + s one product M(lo) E(s), or from x one row r E(s) summed
-from the rows r P^k.  Every result carries its bracket: above eps at lo,
-within it at hi.  Every start's distance is kept at each full probe and
-checked not to rise across the kept probes on either side of it, beyond
-half the two probes' row drifts from 1; ``d_profile`` steps every row,
-``rows @ P``, and checks each step.  So a violation surfaces as a bug
-rather than a wrong answer.  Every power, rung and probe matrix is a sum of
-nonnegative products, so no distance is clamped; every continuized rung,
-product and row is checked to stay stochastic.
+then narrows the bracket (lo, hi] in one loop, by the next square down while
+it is wider than 1 and then, on the continuized clock, by a regula falsi
+kept within bisection's probe count (the ITP method).  Every result carries
+its bracket: above eps at lo, within it at hi.  Every start's distance is
+kept at each full probe and checked not to rise across the kept probes on
+either side of it, beyond half the two probes' row drifts from 1;
+``d_profile`` steps every row, ``rows @ P``, and checks each step.  So a
+violation surfaces as a bug rather than a wrong answer.  Every power, rung
+and probe matrix is a sum of nonnegative products, so no distance is
+clamped; every continuized rung, product and row is checked to stay
+stochastic, and a square of E(1) that drifts past the check raises
+IllConditioned.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ BISECTION_REL = 1e-6
 #: series E(1) first loses stochasticity at 2^23 on random_reversible(200, 1)
 #: (2^23 .. 2^28 on 14 chains of 2 .. 200 states), but on chains of two
 #: blocks of 70 and 100 states that swap rarely, E(2^20) drifts 1.1e-9 to
-#: 1.6e-9 from stochastic, past the 1e-9 ``_checked`` admits, and raises
+#: 1.6e-9 from stochastic, past the 1e-9 ``_checked`` admits: IllConditioned
 MAX_CONTINUOUS_TIME = 2**20
 #: continuized probes inside a bracket of width 1 lie on multiples of 2^-33,
 #: so below ``MAX_CONTINUOUS_TIME`` (2^53 of them) lo + s and hi - lo are exact
@@ -180,26 +180,26 @@ class _Walk:
     d_x(t) = TV(M(t)(x, .), pi) never rises for any start x, and so neither
     does the worst start's (Levin, Peres & Wilmer, 2017, section 4.4).  So a
     query squares the unit rung until its distance at 2^e is <= eps or 2^e
-    >= the cap, then bisects lo + 2^e while the bracket (lo, hi] is wider
-    than 1 and than ``width(hi)``, popping the squares on the way down.
-    Each probe M(lo + 2^e) = M(lo) M(2^e) is one product, formed only when
-    its distance is new or it becomes the new lo: n x n for the worst start,
-    and from x, once lo > 0, only row x of M(lo) times the rung (1 x n by
-    n x n).  A bracket still wider than ``width(hi)``, only ever on the
-    continuized clock, is narrowed by the ITP method (Oliveira & Takahashi,
-    ACM TOMS 47, 2020): each probe is the regula falsi point on d - eps,
-    moved toward the midpoint by ``TRUNCATION`` times the squared bracket
-    and projected into the widest window from which the probes that
-    bisection would still make can bisect what is left (``bisections``), and
-    at least half the width inside the bracket.  So no query makes more
-    probes than bisection would, and where the window is one point it is
-    bisection.  From x these probes are rows, with no n x n matrix
-    (``from_lo``).  The rungs live only during a query.  Kept for the
-    walk's life: ``tvs``, every start's distance at each full probe t (t =
-    0 is the identity), with ``drifts``, its rows' drifts from 1, and every
-    answer.  Each new probe is checked against the kept probes on either
-    side of it (a row probe against x's distance at every full probe and at
-    its query's rows, as a query makes no full probe after its first row):
+    >= the cap, then narrows the bracket (lo, hi] in one loop while it is
+    wider than ``width(hi)``, each pass a probe at lo + s: s = 2^e, the next
+    square down, while the bracket is wider than 1, and in a bracket of width
+    1, only ever on the continuized clock, the ITP step (Oliveira &
+    Takahashi, ACM TOMS 47, 2020): the regula falsi point on d - eps, moved
+    toward the midpoint by ``TRUNCATION`` times the squared bracket and
+    projected into the widest window from which the probes that bisection
+    would still make can bisect what is left (``bisections``), and at least
+    half the width inside the bracket.  So no query makes more probes than
+    bisection would.  Each probe M(lo + s) = M(lo) R, R the popped square or
+    the series rung E(s), is one product, formed only when its distance is
+    new or it becomes the new lo: R itself while lo = 0, n x n for the worst
+    start, and from x, once lo > 0, row x of M(lo) times R (1 x n by n x n);
+    from x in a bracket of width 1 it is a row of the series at lo
+    (``from_lo``).  The rungs live only during a query.  Kept for the walk's
+    life: ``tvs``, every start's distance at each full probe t (t = 0 is the
+    identity), with ``drifts``, its rows' drifts from 1, and every answer.
+    Each new probe is checked against the kept probes on either side of it
+    (a row probe against x's distance at every full probe and at its query's
+    rows, as a query makes no full probe after its first row):
     no start's distance, or x's for a row, may rise (see ``_check_rise``).
     """
 
@@ -210,11 +210,11 @@ class _Walk:
         self.tvs[0], self.drifts[0] = _distances(np.eye(chain.n), chain.pi)
         self.answers: dict[tuple[int | None, float, float], MixingResult] = {}
 
-    def bisections(self, span: float, hi: float) -> int:
-        """The fewest probes that bisecting a bracket of this span, around a
+    def bisections(self, hi: float) -> int:
+        """The fewest probes that bisecting a bracket of width 1, around a
         crossing at or below hi, makes before the bracket is no wider than
-        width(its hi), which ends less than the bracket above hi."""
-        k = 0
+        width(its hi), which ends less than 1 above hi."""
+        span, k = 1.0, 0
         while span > self.width(hi + span):
             span, k = span / 2, k + 1
         return k
@@ -246,40 +246,35 @@ class _Walk:
         while probe(two**e, rungs[e]) > eps and two**e < cap:
             rungs.append(self.checked(rungs[-1] @ rungs[-1]))
             e += 1
-        rungs.pop()  # the bisection walks down from level e - 1
+        rungs.pop()  # the narrowing walks down from level e - 1
         # the answer lies in (lo, hi], where t > cap counts as within eps; a
-        # doubling that ends at the cap above eps leaves nothing to bisect
-        hi, M_lo = two**e, None  # M_lo = M(lo), or from x its row x; None while lo = 0
+        # doubling that ends at the cap above eps leaves nothing to narrow
+        hi, M_lo, at, made = two**e, None, None, 0  # M_lo = M(lo), or from x its row x; None while lo = 0
         lo = hi if hi == cap and probe(hi, None) > eps else 0
-        while hi - lo > max(1, self.width(hi)):
-            e -= 1
-            R = rungs.pop()
-            mid = lo + two**e
-            M_mid = R if M_lo is None else None if mid in self.tvs or mid > cap else self.checked(M_lo @ R)
-            if mid > cap or probe(mid, M_mid) <= eps:
-                hi = mid
-            else:
-                M_mid = self.checked(M_lo @ R) if M_mid is None else M_mid
-                lo, M_lo = mid, M_mid[[x]] if M_lo is None and x is not None else M_mid
-        if hi - lo > self.width(hi):  # only on the continuized clock, from a bracket of width 1
-            span0, made, at = hi - lo, 0, self.from_lo(M_lo, x)
-            d_lo, d_hi = probe(lo, None), probe(hi, None)
-            while hi - lo > self.width(hi):
-                span, w = hi - lo, _on_grid(self.width(lo))  # the final hi's width is at least this
-                most = math.ldexp(w, self.bisections(span0, hi) - made - 1)  # what the other probes can bisect
-                s = span / 2
+        while hi - lo > self.width(hi):
+            span = hi - lo
+            if span > 1:  # bisect: the next square down
+                e -= 1
+                s, R = two**e, rungs.pop()
+            else:  # only on the continuized clock: an ITP step
+                w = _on_grid(self.width(lo))  # the final hi's width is at least this
+                most = math.ldexp(w, self.bisections(hi) - made - 1)  # what the other probes can bisect
+                s, made = span / 2, made + 1
                 if span <= 2 * most:  # regula falsi, truncated toward the midpoint and projected
+                    d_lo, d_hi = probe(lo, None), probe(hi, None)
                     s_f = span * (d_lo - eps) / (d_lo - d_hi)
                     s_t = s_f + math.copysign(min(TRUNCATION * span * span, abs(s - s_f)), s - s_f)
                     half = _on_grid(w / 2)
                     s = min(max(_on_grid(s_t), span - most, half), most, span - half)
-                M, made = at(s), made + 1
-                d = probe(lo + s, M)
-                if d <= eps:
-                    hi, d_hi = lo + s, d
-                else:
-                    lo, d_lo, at = lo + s, d, self.from_lo(M, x)
-                del M  # kept only as the new lo's, by ``at``
+                R, at = (self.rung(s), None) if x is None else (None, at or self.from_lo(M_lo, x))
+            t = lo + s  # M(t) is made only if its distance is new or lo moves to t
+            M = None if t > cap or t in self.tvs and probe(t, None) <= eps else (
+                at(s) if R is None else R if M_lo is None else self.checked(M_lo @ R))
+            if M is None or probe(t, M) <= eps:
+                hi = t
+            else:
+                lo, M_lo, at = t, M[[x]] if x is not None and len(M) == n else M, None
+            del M, R  # kept only as the new lo's M_lo
         t = min(hi, cap)  # past the cap, lo = cap was probed
         tv = probe(t, None)
         if hi > cap or tv > eps:
@@ -364,12 +359,12 @@ class _Ladder(_Walk):
     P^8 (Paterson & Stockmeyer, 1973), with no negative term, so nothing
     cancels, no entry is subnormal and no distance needs a clamp.  Only s
     above about 2^-5 (K > 8) multiplies by P^8, s near 1 twice.  The unit
-    rung E(1) = ``rung(1.0)`` is made once; rungs above 1 are its squares.
-    Inside a bracket of width 1 the probes are not dyadic: a worst-start
-    probe at lo + s is M(lo) E(s), a series rung for that s, and a probe
-    from x is the row r E(s) = sum_k c_k(s) r P^k, r row x of M(lo) (see
-    ``from_lo``), with no n x n matrix.  Every rung, product and row is
-    checked to stay stochastic.
+    rung E(1) = ``rung(1.0)`` is made once; rungs above 1 are its squares,
+    and inside a bracket of width 1 a worst-start probe multiplies by the
+    series rung E(s), and a probe from x sums rows (``from_lo``).  Every
+    rung, product and row is checked to stay stochastic; a square of E(1),
+    or a product or row that carries one, that lost it raises
+    IllConditioned (``checked``).
     """
 
     two, unit = 2.0, "time unit"
@@ -391,7 +386,11 @@ class _Ladder(_Walk):
         return BISECTION_REL * max(1.0, hi)
 
     def checked(self, M: np.ndarray) -> np.ndarray:
-        return _checked(M)
+        try:
+            return _checked(M)
+        except AssertionError as lost:  # each square roughly doubles the row-sum error
+            raise IllConditioned(f"{lost} by {MAX_CONTINUOUS_TIME} time units: too long a time "
+                                 "for this chain") from None
 
     def rung(self, s: float) -> np.ndarray:
         """E(s) for 0 < s <= 1, a checked series rung."""
@@ -407,15 +406,14 @@ class _Ladder(_Walk):
         E.ravel()[:: n + 1] += c[0]
         return _checked(E)
 
-    def from_lo(self, M_lo: np.ndarray | None, x: int | None):
-        """s -> M(lo + s) for 0 < s <= 1, from M_lo = M(lo) (None: lo = 0).
-        From x, M_lo is row x of M(lo) (None: e_x), r, and each probe is the
-        row r E(s) = sum_k c_k(s) r P^k, from the rows r P^k, each one 1 x n
-        by n x n step, made when a probe first needs it."""
-        if x is None:
-            return lambda s: self.rung(s) if M_lo is None else _checked(M_lo @ self.rung(s))
+    def from_lo(self, r: np.ndarray | None, x: int):
+        """s -> row x of M(lo + s) for 0 < s <= 1, from r = row x of M(lo)
+        (None: lo = 0): the row r E(s) = sum_k c_k(s) r P^k, from the rows
+        r P^k, each one 1 x n by n x n step, made when a probe first needs
+        it.  A row from lo > 0 carries a square of E(1), so it is ``checked``."""
         P, terms, built = self.chain.P, np.zeros((20, self.chain.n)), 1  # r P^k for k < built
-        terms[0] = M_lo[0] if M_lo is not None else np.eye(1, self.chain.n, x)[0]
+        terms[0] = r[0] if r is not None else np.eye(1, self.chain.n, x)[0]
+        check = _checked if r is None else self.checked
 
         def at(s: float) -> np.ndarray:
             nonlocal built
@@ -423,7 +421,7 @@ class _Ladder(_Walk):
             for k in range(built, len(c)):
                 np.matmul(terms[k - 1], P, out=terms[k])
             built = max(built, len(c))
-            return _checked((c @ terms[: len(c)])[None])
+            return check((c @ terms[: len(c)])[None])
 
         return at
 

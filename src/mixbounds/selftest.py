@@ -180,17 +180,3 @@ def collect_results() -> list[dict]:
         {"name": name, "passed": bool(ok), "detail": detail if not ok else ""}
         for name, ok, detail in _checks()
     ]
-
-
-def run_selftest(verbose: bool = True) -> int:
-    """Run all built-in checks; returns 0 when everything passes."""
-    results = collect_results()
-    failures = sum(1 for r in results if not r["passed"])
-    if verbose:
-        for r in results:
-            line = f"[{'PASS' if r['passed'] else 'FAIL'}] {r['name']}"
-            if r["detail"]:
-                line += f"  ({r['detail']})"
-            print(line)
-        print(f"selftest: {'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
-    return 0 if failures == 0 else 1

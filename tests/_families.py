@@ -124,3 +124,16 @@ def rayleigh_minimum(A: np.ndarray, B: np.ndarray, n_starts: int = 50, seed: int
                 break
         best = min(best, value)
     return float(best)
+
+
+def two_blocks(m, w):
+    """Blocks A and B of m states swap with w and step to a hub h with w; h
+    steps to pi on A and B, so h mixes in a step, while a start in A mixes
+    at rate 3 w (the antisymmetric mode's eigenvalue is 1 - 3 w)."""
+    rng = np.random.default_rng(m)
+    D = sum(np.eye(m)[rng.permutation(m)] for _ in range(4)) / 4
+    P = np.zeros((2 * m + 1, 2 * m + 1))
+    P[:m, :m] = P[m:-1, m:-1] = (1 - 2 * w) * D
+    P[:m, m:-1] = P[m:-1, :m] = w / m
+    P[:-1, -1], P[-1, :-1] = w, 1 / (2 * m)
+    return build_chain(list(range(2 * m + 1)), P)

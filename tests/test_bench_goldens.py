@@ -1,4 +1,4 @@
-"""The benchmark's goldens hold on the pool items 0 and 3 of every workload.
+"""The benchmark's goldens hold on every pool item of every workload.
 
 ``bench/workloads.py`` builds each request's chains and runs it, and
 ``bench/goldens.py`` compares its summary with the golden recorded for it;
@@ -33,8 +33,7 @@ workloads, goldens = _load("workloads"), _load("goldens")
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_pool_items_match_their_goldens(workload, tmp_path):
-    slots = workloads.WORKLOADS[workload].slots
-    requests = [workloads.Request(slot, j) for j in (0, 3) for slot in slots]
+    requests = workloads.WORKLOADS[workload].pool()
     inputs = workloads.Inputs(requests, tmp_path, mixbounds)
     want = goldens.load(workload)
     for request in requests:

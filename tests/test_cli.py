@@ -1,6 +1,7 @@
 """Command-line behaviour: subcommands, exit codes, JSON output."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from mixbounds import cli, load_chain, save_chain, selftest
 from mixbounds.cli import run_cli
 
-from _families import tiny_mass_chain
+from _families import tiny_mass_chain, two_blocks
 
 
 def test_gen_and_mix(tmp_path, capsys):
@@ -325,6 +326,15 @@ def test_mix_continuous_past_the_cap_exits_two(tmp_path, capsys):
     chain_path.write_text(json.dumps({"states": ["a", "b"], "P": [[1 - 1e-8, 1e-8], [1e-8, 1 - 1e-8]]}))
     assert run_cli(["mix", str(chain_path), "--from", "a", "--eps", "0.25", "--continuous"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_mix_continuous_on_a_chain_too_ill_conditioned_for_the_ladder_exits_two(tmp_path, capsys):
+    # E(2^20) of this chain drifts past the row-sum check below the cap
+    chain_path = tmp_path / "blocks.json"
+    save_chain(two_blocks(70, math.log(5) / (3 * 2**19.2)), chain_path)
+    assert run_cli(["mix", str(chain_path), "--from", "0", "--eps", "0.1", "--continuous"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lost stochasticity" in err
 
 
 def test_selftest_json_reports_no_failures(capsys):

@@ -29,7 +29,7 @@ from mixbounds.mixing import BISECTION_REL, MAX_DISCRETE_STEPS, MONOTONE_TOL, _L
 from mixbounds.errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, NoConvergence, NotErgodic,
                               NotIrreducible)
 
-from _families import doubly_stochastic, tiny_mass_chain
+from _families import doubly_stochastic, tiny_mass_chain, two_blocks
 
 
 def test_tv_distance_examples():
@@ -459,25 +459,12 @@ def test_continuous_mixing_stops_at_the_cap(monkeypatch):
     assert len(checked) <= 21
 
 
-def _two_blocks(m, w):
-    """Blocks A and B of m states swap with w and step to a hub h with w; h
-    steps to pi on A and B, so h mixes in a step, while a start in A mixes
-    at rate 3 w (the antisymmetric mode's eigenvalue is 1 - 3 w)."""
-    rng = np.random.default_rng(m)
-    D = sum(np.eye(m)[rng.permutation(m)] for _ in range(4)) / 4
-    P = np.zeros((2 * m + 1, 2 * m + 1))
-    P[:m, :m] = P[m:-1, m:-1] = (1 - 2 * w) * D
-    P[:m, m:-1] = P[m:-1, :m] = w / m
-    P[:-1, -1], P[-1, :-1] = w, 1 / (2 * m)
-    return build_chain(list(range(2 * m + 1)), P)
-
-
 def test_a_start_mixed_to_noise_does_not_rise_near_the_cap():
     # the worst start crosses 0.1 near 2^19.2, where the squares' row sums
     # drift by up to 8.5e-10; the hub's distance, mixed to noise by t = 32,
     # is about half its row's drift, so it grows with each square (1.5e-10
     # at 2^19 to 3.0e-10 at 2^20), within half the two probes' row drifts
-    chain = _two_blocks(100, math.log(5) / (3 * 2**19.2))
+    chain = two_blocks(100, math.log(5) / (3 * 2**19.2))
     walk, hub = _Ladder(chain), chain.n - 1
     res = walk.time(None, 0.1)
     assert 2**19 < res.time < 2**20 and res.achieved_tv <= 0.1
@@ -491,12 +478,22 @@ def test_a_start_mixed_to_noise_does_not_rise_on_the_discrete_walk():
     # mixed to noise, reads about half its row's drift, which doubles with
     # each square of P (2.68e-12 -> 5.36e-12 from step 4096 to 8192), past
     # MONOTONE_TOL alone; a rise may reach MONOTONE_TOL plus half the drifts
-    chain = _two_blocks(100, math.log(5) / (3 * 2**17))
+    chain = two_blocks(100, math.log(5) / (3 * 2**17))
     res = discrete_mixing_time(chain, None, 0.1)
     assert res.time == 2**17 and res.bracket == (2**17 - 1, 2**17)
     for t, above in ((2**17 - 1, True), (2**17, False)):
         d = 0.5 * np.abs(np.linalg.matrix_power(chain.P, t) - chain.pi).sum(axis=1).max()
         assert (d > 0.1) == above, t
+
+
+@pytest.mark.parametrize("x", [None, 0])
+def test_a_square_of_e1_that_drifts_past_the_check_is_ill_conditioned(x):
+    # blocks of 70 states crossing 0.1 near 2^19.2: the doubling's square
+    # E(2^20) drifts 1.345e-9 from stochastic, past the 1e-9 ``_checked``
+    # admits, so the chain is too ill-conditioned for the ladder below its cap
+    chain = two_blocks(70, math.log(5) / (3 * 2**19.2))
+    with pytest.raises(IllConditioned, match=r"\(row err 1\.345e-09\) by 1048576 time units"):
+        continuous_mixing_time(chain, x, 0.1)
 
 
 # The per-probe continuized time before the squaring ladder, kept verbatim as
