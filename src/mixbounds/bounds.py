@@ -29,8 +29,8 @@ import numpy as np
 from .chains import Chain, _check_pair, _require, classify, lazy, multiply, reversibilize, time_reversal
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
 from .flows import Flow, _worst_edge, validate_flow
-from .mixing import _Ladder, _Powers, _check_eps
-from .spectral import MAX_CONDUCTANCE_STATES, SpectralSummary, _gaps, conductance, eigendecompose
+from .mixing import _Ladder, _Powers, _Walk, _check_eps
+from .spectral import MAX_CONDUCTANCE_STATES, _eigenvalues, _gaps, conductance
 
 #: bound-vs-exact comparisons allow this much slack
 HOLD_TOL = 1e-9
@@ -131,6 +131,9 @@ class _Derived:
     A memo is created by a public bound function (or ``full_report``) and
     dropped when that call returns.  It is made where the call's ``eps`` is
     checked, and keeps it.  It answers mixing-time queries in any order.
+    The spectral rows read eigenvalues only, so it solves each chain once
+    for its eigenvalues and beta_max (``spectrum``, by ``eigvalsh``), and
+    never for eigenvectors.
     For the mixing times, from x or the worst start, it holds each chain's
     two ``mixing`` walks, one per clock: ``_Powers`` over the powers
     P^(2^e) for the discrete times and ``_Ladder`` over the exponentials
@@ -140,16 +143,20 @@ class _Derived:
     matrix) and every answer, with its bracket, so the report's from-x
     times, its several eps and the delta sweep share their probes; the
     ladder also keeps E(1) and the seven powers P^2 .. P^8 its worst-start
-    series rungs below 1 are made from.  A report reads only each answer's
-    time.  The reversal product R(P) P is
-    built only for a nonreversible chain and for a flow not routed over the
-    base: a reversible chain's is P^2, read from its own eigenvalues.  It
-    holds nothing for a flow, which keeps its own walk.
+    series rungs below 1 are made from.  The walk queried last also keeps
+    its squares M(2^e) for its next query; a query on any other walk (the
+    other clock, or another chain) clears them, so at most one walk's
+    squares are held, not a second ladder.  A report reads only each
+    answer's time.  The reversal product R(P) P is built only for a
+    nonreversible chain and for a flow not routed over the base: a
+    reversible chain's is P^2, read from its own eigenvalues.  It holds
+    nothing for a flow, which keeps its own walk.
     """
 
     def __init__(self, eps: float | None = None):
         self.eps = eps
         self._objects: dict[Chain, dict] = {}
+        self._held: _Walk | None = None  # the one walk that keeps its rungs
 
     def _get(self, chain: Chain, key, compute):
         memo = self._objects.setdefault(chain, {})
@@ -157,24 +164,35 @@ class _Derived:
             memo[key] = compute()
         return memo[key]
 
-    def summary(self, chain: Chain) -> SpectralSummary:
-        return self._get(chain, "summary", lambda: eigendecompose(chain))
+    def spectrum(self, chain: Chain) -> tuple[np.ndarray, float]:
+        """The eigenvalues, descending, and beta_max, with no eigenvectors."""
+        return self._get(chain, "spectrum", lambda: _eigenvalues(chain))
 
     def lambdas(self, chain: Chain) -> tuple[float, float]:
         return self._get(chain, "lambdas", lambda: _gaps(
-            self.summary(chain if classify(chain).reversible else reversibilize(chain))))
+            self.spectrum(chain if classify(chain).reversible else reversibilize(chain))[0]))
 
     def product(self, chain: Chain) -> Chain:
         """The reversal product R(P) P."""
         return self._get(chain, "product", lambda: multiply(time_reversal(chain), chain))
 
+    def _walk(self, chain: Chain, clock: str, make) -> _Walk:
+        """The chain's walk on a clock; a query on it clears the rungs of the
+        walk queried last, if that is another one."""
+        walk = self._get(chain, clock, lambda: make(chain))
+        if walk is not self._held:
+            if self._held is not None:
+                self._held.rungs.clear()
+            self._held = walk
+        return walk
+
     def discrete(self, chain: Chain, x, eps: float) -> int:
         """The discrete mixing time at eps from state index x, or from the
         worst start if x is None, from the chain's one walk over the powers."""
-        return self._get(chain, "powers", lambda: _Powers(chain)).time(x, eps).time
+        return self._walk(chain, "powers", _Powers).time(x, eps).time
 
     def continuous(self, chain: Chain, x, eps: float) -> float:
-        return self._get(chain, "ladder", lambda: _Ladder(chain)).time(x, eps).time
+        return self._walk(chain, "ladder", _Ladder).time(x, eps).time
 
 
 def _same_chain(a: Chain, b: Chain) -> bool:
@@ -202,7 +220,7 @@ def _spectral_bounds_reversible(d: _Derived, chain: Chain, x) -> list[BoundEntry
     _require(chain, "reversible", "spectral mixing bounds")
     _require(chain, "ergodic", "spectral mixing bounds")
     x = chain.index(x)
-    bm = d.summary(chain).beta_max
+    _, bm = d.spectrum(chain)
     if bm == 1.0:
         return _skip_families("1 - beta_max is 0.0 in floats (the bounds divide by it)", "spectral")
     entries = []
@@ -264,8 +282,8 @@ def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, 
         entries.append(_skip("T8", "flow is not odd"))
         entries.append(_skip("I5", "flow is not odd"))
 
-    summary = d.summary(base)
-    if summary.betas[1] >= abs(summary.betas[-1]) - 1e-12:
+    betas, _ = d.spectrum(base)
+    if betas[1] >= abs(betas[-1]) - 1e-12:
         entries.append(_entry("T10", A * best_factor * log_term, exact_x))
     else:
         entries.append(_skip("T10", "largest eigenvalue modulus is the negative end"))
@@ -367,7 +385,7 @@ def _nonreversible_bounds(d: _Derived, chain: Chain, x) -> list[BoundEntry]:
     # reverse, so irreducible exactly when P is aperiodic, with lambda_1 =
     # 1 - beta_max^2
     if cls.reversible:
-        beta_max = d.summary(chain).beta_max
+        _, beta_max = d.spectrum(chain)
         irreducible, lam_prod = cls.aperiodic, (1.0 - beta_max) * (1.0 + beta_max)
     else:
         product = d.product(chain)
@@ -498,7 +516,7 @@ def full_report(
     a flow routed over the base's reversal product activates the discrete
     product bound instead of the direct family.
 
-    Everything derived from a chain (eigenstructure, the reversal product,
+    Everything derived from a chain (eigenvalues, the reversal product,
     and the exponentials and the powers with every probe's distances, which
     give every mixing time) is computed once per report and shared by the
     bound families.
@@ -511,16 +529,19 @@ def full_report(
     cls = _require(base, "irreducible", "full report")
     x_idx = base.index(x)
 
+    # every discrete time of the base before its first continuized one, each
+    # clock's queries in the order the rows ask them: a walk keeps its rungs
+    # only until the other is queried (``_Derived``)
     tau_worst_disc = d.discrete(base, None, DELTA_DEFAULT) if cls.ergodic else None
-    exact_cont = d.continuous(base, x_idx, eps)
-    tau_worst_cont = d.continuous(base, None, DELTA_DEFAULT)
-
     entries: list[BoundEntry] = []
     if cls.reversible and cls.ergodic:
         entries += _spectral_bounds_reversible(d, base, x_idx)
     else:
         reason = "chain is periodic" if cls.reversible else "chain is not reversible"
         entries += _skip_families(reason, "spectral")
+    exact_disc = d.discrete(base, x_idx, eps) if cls.ergodic else None
+    exact_cont = d.continuous(base, x_idx, eps)
+    tau_worst_cont = d.continuous(base, None, DELTA_DEFAULT)
 
     entries += _conductance_bounds(d, base, tau_worst_disc, tau_worst_cont)
     entries += _nonreversible_bounds(d, base, x_idx)
@@ -542,7 +563,6 @@ def full_report(
 
     order = {tid: i for i, tid in enumerate(CATALOG)}
     entries.sort(key=lambda e: order[e.theorem])
-    exact_disc = d.discrete(base, x_idx, eps) if cls.ergodic else None
     return BoundReport(
         base_name=base.name,
         target_name=None if target is None else target.name,

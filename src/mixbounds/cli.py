@@ -10,7 +10,8 @@ Subcommands:
     selftest                              run the built-in example checks
 
 Exit codes: 0 success (and report verdict pass), 1 report verdict fail or
-selftest failure, 2 usage or input errors.
+selftest failure, 2 usage or input errors, 3 an internal self-check failed
+(a bug or a rounding beyond the check's slack, never a verdict).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .generators import KINDS, generate
 from .mixing import continuous_mixing_time, discrete_mixing_time
 from .selftest import collect_results
 from .serialize import chain_to_dict, load_chain, load_flow, save_chain
-from .spectral import MAX_CONDUCTANCE_STATES, _gaps, conductance, eigendecompose, lambda_constants
+from .spectral import MAX_CONDUCTANCE_STATES, _eigenvalues, _gaps, conductance, lambda_constants
 
 
 @functools.cache  # built on the first call, then reused: parsing leaves a parser as it was
@@ -114,11 +115,11 @@ def _cmd_analyze(args) -> int:
         "min_self_loop": cls.min_self_loop,
     }
     if cls.irreducible:
-        if cls.reversible:  # one eigensolve gives the gaps and the spectrum
-            summary = eigendecompose(chain)
-            out["lambda_1"], out["lambda_bottom"] = _gaps(summary)
-            out["betas"] = [float(b) for b in summary.betas]
-            out["beta_max"] = summary.beta_max
+        if cls.reversible:  # one eigensolve, values only, gives the gaps and the spectrum
+            betas, beta_max = _eigenvalues(chain)
+            out["lambda_1"], out["lambda_bottom"] = _gaps(betas)
+            out["betas"] = [float(b) for b in betas]
+            out["beta_max"] = beta_max
         else:
             out["lambda_1"], out["lambda_bottom"] = lambda_constants(chain)
         if chain.n <= MAX_CONDUCTANCE_STATES:
@@ -223,6 +224,9 @@ def run_cli(argv=None) -> int:
     except (MixboundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

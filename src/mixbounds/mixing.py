@@ -8,10 +8,12 @@ s <= 1 a uniformization series in P^2 .. P^8 and each above 1 a square of
 E(1), with no ``expm``.  The walk doubles until the distance is within eps,
 then narrows the bracket (lo, hi] in one loop, by the next square down while
 it is wider than 1 and then, on the continuized clock, by a regula falsi
-kept within bisection's probe count (the ITP method).  Every result carries
-its bracket: above eps at lo, within it at hi.  Every start's distance is
-kept at each full probe and checked not to rise across the kept probes on
-either side of it, beyond half the two probes' row drifts from 1;
+kept within bisection's probe count (the ITP method).  A walk keeps its
+squares M(2^e) across its queries until they are cleared, so each is made
+once (``bounds._Derived`` keeps those of one walk at a time).  Every result
+carries its bracket: above eps at lo, within it at hi.  Every start's
+distance is kept at each full probe and checked not to rise across the kept
+probes on either side of it, beyond half the two probes' row drifts from 1;
 ``d_profile`` steps every row, ``rows @ P``, and checks each step.  So a
 violation surfaces as a bug rather than a wrong answer.  Every power, rung
 and probe matrix is a sum of nonnegative products, so no distance is
@@ -189,13 +191,15 @@ class _Walk:
     projected into the widest window from which the probes that bisection
     would still make can bisect what is left (``bisections``), and at least
     half the width inside the bracket.  So no query makes more probes than
-    bisection would.  Each probe M(lo + s) = M(lo) R, R the popped square or
+    bisection would.  Each probe M(lo + s) = M(lo) R, R the square M(s) or
     the series rung E(s), is one product, formed only when its distance is
     new or it becomes the new lo: R itself while lo = 0, n x n for the worst
     start, and from x, once lo > 0, row x of M(lo) times R (1 x n by n x n);
     from x in a bracket of width 1 it is a row of the series at lo
-    (``from_lo``).  The rungs live only during a query.  Kept for the walk's
-    life: ``tvs``, every start's distance at each full probe t (t = 0 is the
+    (``from_lo``).  ``rungs[e]`` = M(2^e) is kept across queries until a
+    caller clears the list: a query squares only past the highest kept rung,
+    and its narrowing reads the rungs below.  Kept for the walk's life:
+    ``tvs``, every start's distance at each full probe t (t = 0 is the
     identity), with ``drifts``, its rows' drifts from 1, and every answer.
     Each new probe is checked against the kept probes on either side of it
     (a row probe against x's distance at every full probe and at its query's
@@ -208,6 +212,7 @@ class _Walk:
         self.tvs: dict[float, np.ndarray] = {}
         self.drifts: dict[float, np.ndarray] = {}
         self.tvs[0], self.drifts[0] = _distances(np.eye(chain.n), chain.pi)
+        self.rungs: list[np.ndarray] = []  # rungs[e] = M(2^e), made once, kept until cleared
         self.answers: dict[tuple[int | None, float, float], MixingResult] = {}
 
     def bisections(self, hi: float) -> int:
@@ -242,11 +247,13 @@ class _Walk:
                 return float(rows[t][0])
             return float(self.tvs[t].max() if x is None else self.tvs[t][x])
 
-        e, rungs = 0, [self.unit_rung]  # rungs[e] = M(2^e)
+        e, rungs = 0, self.rungs
+        if not rungs:
+            rungs.append(self.unit_rung)
         while probe(two**e, rungs[e]) > eps and two**e < cap:
-            rungs.append(self.checked(rungs[-1] @ rungs[-1]))
+            if len(rungs) == e + 1:  # squares only past the highest kept rung
+                rungs.append(self.checked(rungs[e] @ rungs[e]))
             e += 1
-        rungs.pop()  # the narrowing walks down from level e - 1
         # the answer lies in (lo, hi], where t > cap counts as within eps; a
         # doubling that ends at the cap above eps leaves nothing to narrow
         hi, M_lo, at, made = two**e, None, None, 0  # M_lo = M(lo), or from x its row x; None while lo = 0
@@ -255,7 +262,7 @@ class _Walk:
             span = hi - lo
             if span > 1:  # bisect: the next square down
                 e -= 1
-                s, R = two**e, rungs.pop()
+                s, R = two**e, rungs[e]
             else:  # only on the continuized clock: an ITP step
                 w = _on_grid(self.width(lo))  # the final hi's width is at least this
                 most = math.ldexp(w, self.bisections(hi) - made - 1)  # what the other probes can bisect
@@ -447,9 +454,10 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     result carries, and 0.0 when the start is already within eps.  Raises
     NoConvergence, naming the distance there, if it still exceeds eps at
     ``MAX_CONTINUOUS_TIME``.  A query makes each rung once and holds at
-    most 21 rungs, n x n each; inside the bracket of width 1 it holds one
-    probe matrix and one series rung from the worst start, and from x no
-    n x n matrix but at most 20 rows.
+    most 21 rungs, n x n each, until it returns; inside the bracket of width
+    1 it holds besides them one probe matrix, the one at lo, and one series
+    rung from the worst start, and from x no n x n matrix but at most 20
+    rows.
     """
     eps = _check_eps(eps)
     _require(chain, "irreducible", "continuization")

@@ -1,0 +1,59 @@
+"""A 40-digit reference for the exact quantities of small chains.
+
+Every value starts from the chain's float P, which mpmath holds exactly, and
+is computed at ``DIGITS`` significant digits, so it is the true value of the
+float chain to far more digits than a float result carries.  A float result
+is checked against it within a stated error bound.  Keep the chains small
+(at most a dozen states): mpmath's dense solvers run in pure Python.
+"""
+
+from __future__ import annotations
+
+import mpmath
+
+DIGITS = 40
+
+
+def _context():
+    ctx = mpmath.mp.clone()
+    ctx.dps = DIGITS
+    return ctx
+
+
+def _P(ctx, chain):
+    return ctx.matrix([[ctx.mpf(float(p)) for p in row] for row in chain.P])
+
+
+def stationary(chain, ctx=None) -> list:
+    """pi with pi P = pi and sum(pi) = 1, by an LU solve at 40 digits: the
+    system (P^T - I) pi = 0 with its last equation replaced by sum(pi) = 1,
+    as ``chains._solve_stationary`` sets it up in floats."""
+    ctx = ctx or _context()
+    n, P = chain.n, _P(ctx, chain)
+    M = P.T - ctx.eye(n)
+    for j in range(n):
+        M[n - 1, j] = 1
+    b = ctx.matrix(n, 1)
+    b[n - 1] = 1
+    pi = ctx.lu_solve(M, b)
+    return [pi[i] for i in range(n)]
+
+
+def spectrum(chain) -> tuple:
+    """(beta_1, beta_min, beta_max) of the symmetrised matrix D R D^-1, D =
+    diag(sqrt(pi)), at 40 digits: the second-largest and the smallest
+    eigenvalue, and the larger of beta_1 and |beta_min|.
+
+    R is the additive reversibilization (P + P*)/2, P*(x, y) = pi(y) P(y, x) /
+    pi(x).  D R D^-1 is (A + A^T)/2 for A = D P D^-1, so for a reversible
+    chain this is the matrix ``eigendecompose`` solves, and for any other
+    chain the one ``lambda_constants`` solves."""
+    ctx = _context()
+    n, P = chain.n, _P(ctx, chain)
+    root = [ctx.sqrt(p) for p in stationary(chain, ctx)]
+    A = ctx.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            A[i, j] = (root[i] / root[j] * P[i, j] + root[j] / root[i] * P[j, i]) / 2
+    betas = sorted(ctx.eigsy(A, eigvals_only=True), reverse=True)
+    return betas[1], betas[-1], max(betas[1], abs(betas[-1]))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixbounds import cli, load_chain, save_chain, selftest
+from mixbounds import cli, load_chain, mixing, save_chain, selftest
 from mixbounds.cli import run_cli
 
 from _families import tiny_mass_chain, two_blocks
@@ -335,6 +335,24 @@ def test_mix_continuous_on_a_chain_too_ill_conditioned_for_the_ladder_exits_two(
     assert run_cli(["mix", str(chain_path), "--from", "0", "--eps", "0.1", "--continuous"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "lost stochasticity" in err
+
+
+def test_a_failed_self_check_exits_three_not_one(tmp_path, capsys, monkeypatch):
+    """A self-check that fires is no verdict: one stderr line, no traceback,
+    and exit code 3."""
+    chain_path = tmp_path / "chain.json"
+    save_chain(two_blocks(5, 0.01), chain_path)
+
+    def rise(*args, **kwargs):
+        raise AssertionError("TV to stationarity increased at step 2 (from step 1): 0.1 -> 0.2")
+
+    monkeypatch.setattr(mixing, "_check_rise", rise)
+    for args in (["mix", str(chain_path), "--from", "0", "--eps", "0.25"],
+                 ["compare", str(chain_path), str(chain_path), "--auto-flow", "--from", "0", "--eps", "0.25"]):
+        assert run_cli(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal check failed: TV to stationarity increased at step 2 (from step 1): 0.1 -> 0.2\n"
 
 
 def test_selftest_json_reports_no_failures(capsys):

@@ -171,7 +171,7 @@ def test_a_reversible_report_builds_no_reversal_product(monkeypatch, case):
     eigensolves only its own chains, each once."""
     kwargs = REVERSIBLE_REPORTS[case]()
     multiplied = _count(monkeypatch, chains.multiply, lambda a, b: (id(a), id(b)))
-    solved = _count(monkeypatch, spectral.eigendecompose, lambda chain: id(chain))
+    solved = _count(monkeypatch, spectral._eigenvalues, lambda chain: id(chain))
     full_report(**kwargs)
     assert not multiplied
     assert solved and set(solved) <= {id(kwargs["base"]), id(kwargs.get("target"))}
@@ -213,7 +213,65 @@ def test_the_ladder_squares_only_what_it_probes(monkeypatch):
     assert sum(checked.values()) <= 30
     checked.clear()
     full_report(chain, x=3, eps=0.25)
-    assert sum(checked.values()) <= 56
+    assert sum(checked.values()) <= 46
+
+
+@pytest.mark.parametrize("base", [random_reversible(16, 2), dhn(8)], ids=lambda c: c.name)
+def test_a_report_solves_no_eigenvectors(monkeypatch, base):
+    """Every spectral row reads eigenvalues only: a report calls ``eigvalsh``,
+    never ``eigh``, on a reversible base and on a nonreversible one."""
+    solved = Counter()
+
+    def counting(name):
+        solve = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            solved[name] += 1
+            return solve(*args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    full_report(base, x=1)
+    assert solved["eigvalsh"] >= 1 and solved["eigh"] == 0
+
+
+def _bytes_of_products(monkeypatch, chain):
+    """The bytes of every product and square the walk over the chain's powers
+    makes (see ``_count_products``), with their counts."""
+    made = Counter()
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            product = super().__matmul__(other)
+            made[np.asarray(product).tobytes()] += 1
+            return product
+
+    chain.P = chain.P.view(Counted)
+    return made
+
+
+#: (checked matrices, walk products and squares) made by one report
+REPORT_MATRICES = {
+    "lazy cycle(100) from 3": (lambda: _lazy_cycle(100), 3, 46, 35),
+    "rr(40, 1) from 0": (lambda: random_reversible(40, 1), 0, 23, 1),
+    "dhn(16) from 0": (lambda: dhn(16), 0, 32, 12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_MATRICES))
+def test_a_report_makes_each_walk_matrix_once(monkeypatch, case):
+    """Each walk keeps its squares M(2^e) across its queries, and the report
+    asks all of its base's discrete times before its continuized ones: no
+    checked ladder matrix, and no product or square of the powers, is made
+    twice in one report."""
+    make, x, n_checked, n_products = REPORT_MATRICES[case]
+    chain = make()
+    checked = _count_checked(monkeypatch)
+    products = _bytes_of_products(monkeypatch, chain)
+    full_report(chain, x=x, eps=0.25)
+    assert sum(checked.values()) == len(checked) == n_checked
+    assert sum(products.values()) == len(products) == n_products
 
 
 def _count_distance_passes(monkeypatch):
@@ -471,7 +529,7 @@ def test_the_route_sequence_walks_each_flow_once(monkeypatch):
 def test_analyze_eigensolves_a_reversible_chain_once(monkeypatch, tmp_path, capsys):
     path = tmp_path / "chain.json"
     save_chain(random_reversible(12, 1), path)
-    solved = _count(monkeypatch, spectral.eigendecompose, lambda chain: id(chain))
+    solved = _count(monkeypatch, spectral._eigenvalues, lambda chain: id(chain))
     assert run_cli(["analyze", str(path), "--json"]) == 0
     assert sum(solved.values()) == 1
     assert "lambda_1" in capsys.readouterr().out

@@ -1,0 +1,68 @@
+"""Float spectra against the 40-digit reference of ``_reference``."""
+
+import math
+
+import mpmath
+import pytest
+
+from mixbounds import (classify, dhn, directed_cycle, eigendecompose, lambda_constants, lazy, random_reversible,
+                       reversibilize, two_state, uniform_walk)
+from mixbounds.spectral import _eigenvalues
+
+from _families import tiny_mass_chain, two_blocks
+from _reference import spectrum
+
+#: The symmetrised matrix has 2-norm 1, so a backward-stable symmetric
+#: eigensolver returns each eigenvalue within a small multiple of n u of the
+#: true one (u = 2^-53), and forming the matrix adds a few u per entry.  The
+#: largest error on the chains below was 0.77 n u, by either solver.
+SPECTRUM_TOL = 16 * 2.0**-53
+
+CHAINS = {
+    # criterion 01's tie, at delta = 1/4
+    "two_state(1/4)": lambda: two_state(0.25),
+    # O16 at equality
+    "uniform_walk(5)": lambda: uniform_walk(5),
+    # every nontrivial eigenvalue is 0, so beta_max is rounding noise
+    "uniform_walk(6)": lambda: uniform_walk(6),
+    "random_reversible(10, 3)": lambda: random_reversible(10, 3),
+    "random_reversible(6, 1)": lambda: random_reversible(6, 1),
+    # a chain and its own lazy chain
+    "random_reversible(8, 2)": lambda: random_reversible(8, 2),
+    "lazy(random_reversible(8, 2))": lambda: lazy(random_reversible(8, 2)),
+    # a stationary mass of order 1e-13
+    "tiny_mass_chain": tiny_mass_chain,
+    # nonreversible, and nonreversible and periodic
+    "dhn(3)": lambda: dhn(3),
+    "lazy(dhn(3))": lambda: lazy(dhn(3)),
+    "directed_cycle(5)": lambda: directed_cycle(5),
+    # two blocks that swap rarely: a gap of about 6e-6
+    "two_blocks(5, ln 5 / (3 2^18))": lambda: two_blocks(5, math.log(5) / (3 * 2**18)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAINS))
+def test_both_eigensolvers_lie_within_the_bound_of_a_40_digit_reference(case):
+    """beta_1, beta_min and beta_max from ``eigendecompose`` and from the
+    values-only solver the reports use, on the chain or, when it is not
+    reversible, on its reversibilization, and the two gaps of
+    ``lambda_constants``, each within ``SPECTRUM_TOL`` n of the reference."""
+    chain = CHAINS[case]()
+    beta_1, beta_min, beta_max = spectrum(chain)
+    tol = SPECTRUM_TOL * chain.n
+    solved = chain if classify(chain).reversible else reversibilize(chain)
+    summary = eigendecompose(solved)
+    betas, values_max = _eigenvalues(solved)
+    lam_1, lam_bottom = lambda_constants(chain)
+    for name, got, want in [
+        ("eigh beta_1", summary.betas[1], beta_1),
+        ("eigh beta_min", summary.betas[-1], beta_min),
+        ("eigh beta_max", summary.beta_max, beta_max),
+        ("eigvalsh beta_1", betas[1], beta_1),
+        ("eigvalsh beta_min", betas[-1], beta_min),
+        ("eigvalsh beta_max", values_max, beta_max),
+        ("lambda_1", lam_1, 1 - beta_1),
+        ("lambda_bottom", lam_bottom, 1 + beta_min),
+    ]:
+        err = abs(mpmath.mpf(float(got)) - want)
+        assert err <= tol, (name, float(got), mpmath.nstr(want, 20), float(err))
