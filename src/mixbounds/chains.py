@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -189,12 +189,13 @@ def classify(chain: Chain) -> ChainClass:
     Irreducibility is strong connectivity of the directed graph of positive
     entries.  The period is computed only for irreducible chains, as the gcd
     of ``d(u) + 1 - d(v)`` over the edges u -> v, where d is the BFS depth
-    from state 0 (the standard algorithm); the depths come from one scipy
-    unweighted shortest-path call.  Detailed balance is tested edge by edge
-    relative to the edge flow (``BALANCE_RTOL``).  Never raises: a
-    classification is returned even for degenerate chains.  The result is
-    kept on the chain, whose P and pi are read-only, so later calls return it
-    at once; two threads may both compute it, harmlessly.
+    from state 0 (the standard algorithm); the depths come from the tree of
+    one scipy breadth-first search over the chain's nonzeros.  Detailed
+    balance is tested edge by edge relative to the edge flow
+    (``BALANCE_RTOL``).  Never raises: a classification is returned even for
+    degenerate chains.  The result is kept on the chain, whose P and pi are
+    read-only, so later calls return it at once; two threads may both
+    compute it, harmlessly.
     """
     if chain._class is None:
         chain._class = _classify(chain)
@@ -202,21 +203,26 @@ def classify(chain: Chain) -> ChainClass:
 
 
 def _classify(chain: Chain) -> ChainClass:
-    graph = csr_matrix(chain.support())
+    n = chain.n
+    u, v = (np.ascontiguousarray(a) for a in np.nonzero(chain.support()))  # csgraph needs C-contiguous
+    graph = csr_array((np.ones(len(u)), v, np.r_[0, np.cumsum(np.bincount(u, minlength=n))]), shape=(n, n))
     irreducible = connected_components(graph, directed=True, connection="strong")[0] == 1
-    period = _period(graph) if irreducible else 0
+    period = 0
+    if irreducible:
+        # BFS depths from state 0 by pointer jumping up the BFS tree: each
+        # state's depth to its ancestor ``up``, until every ancestor is 0
+        depth, up = np.ones(n, np.int64), breadth_first_order(graph, 0, return_predecessors=True)[1]
+        depth[0], up[0] = 0, 0
+        while (up != 0).any():
+            depth += depth[up]
+            up = up[up]
+        period = int(np.gcd.reduce(depth[u] + 1 - depth[v]))
     aperiodic = period == 1
 
     F = chain.pi[:, None] * chain.P
     reversible = bool(np.all(np.abs(F - F.T) <= BALANCE_RTOL * np.maximum(F, F.T)))
     min_self_loop = float(chain.P.diagonal().min())
     return ChainClass(irreducible, period, aperiodic, reversible, min_self_loop)
-
-
-def _period(graph: csr_matrix) -> int:
-    depth = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
-    u, v = graph.nonzero()
-    return int(np.gcd.reduce(depth[u] + 1 - depth[v]))
 
 
 #: the error each gated property raises when a chain lacks it

@@ -211,7 +211,12 @@ def _validate(flow: Flow) -> tuple:
         hop = np.flatnonzero((owner[1:] == owner[:-1]) & kept[owner[1:]])
         path, u, v = owner[hop + 1], states[hop], states[hop + 1]
         off_base = among(path[~support[u, v]])
-        keys, r = np.unique((path * n + u) * n + v, return_counts=True)
+        # a stable sort of nearly sorted keys and their run lengths, not np.unique's hash
+        keys = np.sort((path * n + u) * n + v, kind="stable")
+        first = np.ones(len(keys), bool)  # the first key of each run; a block may keep no hop
+        first[1:] = keys[1:] != keys[:-1]
+        runs = np.flatnonzero(first)
+        keys, r = keys[runs], np.diff(runs, append=len(keys))
         path = keys // (n * n)  # now one entry per distinct (path, edge)
         thrice = among(path[r > 2])
         bad_range = ~np.isfinite(mass) | (mass < 0.0) | (mass > 1.0 + 1e-12)

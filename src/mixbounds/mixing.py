@@ -8,7 +8,9 @@ s <= 1 a uniformization series in P^2 .. P^8 and each above 1 a square of
 E(1), with no ``expm``.  The walk doubles until the distance is within eps,
 then narrows the bracket (lo, hi] in one loop, by the next square down while
 it is wider than 1 and then, on the continuized clock, by a regula falsi
-kept within bisection's probe count (the ITP method).  A walk keeps its
+kept within bisection's probe count (the ITP method), each probe there from
+x one row's series, and from the worst start, once the starts still above
+eps at lo are few, the series of their rows alone.  A walk keeps its
 squares M(2^e) across its queries until they are cleared, so each is made
 once (``bounds._Derived`` keeps those of one walk at a time).  Every result
 carries its bracket: above eps at lo, within it at hi.  Every start's
@@ -196,15 +198,23 @@ class _Walk:
     new or it becomes the new lo: R itself while lo = 0, n x n for the worst
     start, and from x, once lo > 0, row x of M(lo) times R (1 x n by n x n);
     from x in a bracket of width 1 it is a row of the series at lo
-    (``from_lo``).  ``rungs[e]`` = M(2^e) is kept across queries until a
+    (``from_lo``).  From the worst start there, only the live starts A =
+    {x : d_x(lo) > eps} can cross eps in (lo, hi], as no d_x rises; so once
+    their rows cost fewer flops than full probes (``live``), A is fixed for
+    the query, each probe is the series of the rows M(lo)[A], and its
+    distance the largest over A.  The answer's achieved_tv is that largest
+    distance at hi if it is at least m, the largest distance outside A at
+    the lo where A was taken, as no start outside A then exceeds it; else it
+    is read from one full probe at hi, made from that lo's M(lo).
+    ``rungs[e]`` = M(2^e) is kept across queries until a
     caller clears the list: a query squares only past the highest kept rung,
     and its narrowing reads the rungs below.  Kept for the walk's life:
     ``tvs``, every start's distance at each full probe t (t = 0 is the
     identity), with ``drifts``, its rows' drifts from 1, and every answer.
     Each new probe is checked against the kept probes on either side of it
-    (a row probe against x's distance at every full probe and at its query's
-    rows, as a query makes no full probe after its first row):
-    no start's distance, or x's for a row, may rise (see ``_check_rise``).
+    (a row probe against its starts' distances at every full probe and at
+    its query's rows, as a query makes no full probe after its first row
+    but the one at hi): no start's distance may rise (see ``_check_rise``).
     """
 
     def __init__(self, chain: Chain):
@@ -224,6 +234,14 @@ class _Walk:
             span, k = span / 2, k + 1
         return k
 
+    def live(self, d: np.ndarray, eps: float) -> np.ndarray | None:
+        """The starts A still above eps at lo, from every start's distance d
+        there, if the rows of their series (at most 20 terms of |A| x n by n
+        x n) cost fewer flops than the full probes they replace (about 3 n^3
+        each: a series rung and a product); else None."""
+        A = np.flatnonzero(d > eps)
+        return A if 20 * len(A) <= 3 * len(d) else None
+
     def time(self, x: int | None, eps: float, cap: float = MAX_DISCRETE_STEPS) -> MixingResult:
         """Smallest t in (0, cap] on the clock's grid with TV <= eps from state
         index x (None: the worst start), with its bracket; past the cap,
@@ -231,21 +249,23 @@ class _Walk:
         if (x, eps, cap) in self.answers:
             return self.answers[x, eps, cap]
         n, pi, two = self.chain.n, self.chain.pi, self.two
-        rows: dict[float, np.ndarray] = {}  # x's distances, from the query's first row probe on
+        live, entry = x, None  # a row probe's starts: x, or the worst start's A once taken at (lo, M(lo), m)
+        rows: dict[float, np.ndarray] = {}  # their distances, from the query's first row probe on
         row_drifts: dict[float, np.ndarray] = {}
 
         def probe(t: float, M: np.ndarray | None) -> float:
-            """The distance at t; M = M(t), or its row x, is needed only if t is new."""
-            if t not in self.tvs and t not in rows:
+            """The distance at t; M = M(t), or its rows of the live starts, is needed only if t is new."""
+            if M is not None and t not in self.tvs:
                 kept, drifts = (self.tvs, self.drifts) if len(M) == n else (rows, row_drifts)
                 if kept is rows and not rows:
-                    rows.update((s, tvs[x : x + 1]) for s, tvs in self.tvs.items())
-                    row_drifts.update((s, d[x : x + 1]) for s, d in self.drifts.items())
+                    starts = live if x is None else slice(x, x + 1)
+                    rows.update((s, tvs[starts]) for s, tvs in self.tvs.items())
+                    row_drifts.update((s, d[starts]) for s, d in self.drifts.items())
                 kept[t], drifts[t] = _distances(M, pi)
                 _check_rise(kept, drifts, t, self.unit)
-            if t in rows:
-                return float(rows[t][0])
-            return float(self.tvs[t].max() if x is None else self.tvs[t][x])
+            if t in self.tvs:
+                return float(self.tvs[t].max() if x is None else self.tvs[t][x])
+            return float(rows[t].max() if x is None else rows[t][0])
 
         e, rungs = 0, self.rungs
         if not rungs:
@@ -256,7 +276,7 @@ class _Walk:
             e += 1
         # the answer lies in (lo, hi], where t > cap counts as within eps; a
         # doubling that ends at the cap above eps leaves nothing to narrow
-        hi, M_lo, at, made = two**e, None, None, 0  # M_lo = M(lo), or from x its row x; None while lo = 0
+        hi, M_lo, at, made = two**e, None, None, 0  # M_lo = M(lo), or its live rows; None while lo = 0
         lo = hi if hi == cap and probe(hi, None) > eps else 0
         while hi - lo > self.width(hi):
             span = hi - lo
@@ -273,7 +293,11 @@ class _Walk:
                     s_t = s_f + math.copysign(min(TRUNCATION * span * span, abs(s - s_f)), s - s_f)
                     half = _on_grid(w / 2)
                     s = min(max(_on_grid(s_t), span - most, half), most, span - half)
-                R, at = (self.rung(s), None) if x is None else (None, at or self.from_lo(M_lo, x))
+                if live is None and (live := self.live(self.tvs[lo], eps)) is not None:
+                    d = self.tvs[lo]  # no start outside A rises above its distance at lo
+                    entry = (lo, M_lo, float(np.where(d > eps, 0.0, d).max()))
+                    M_lo = None if M_lo is None else M_lo[live]
+                R, at = (self.rung(s), None) if live is None else (None, at or self.from_lo(M_lo, live))
             t = lo + s  # M(t) is made only if its distance is new or lo moves to t
             M = None if t > cap or t in self.tvs and probe(t, None) <= eps else (
                 at(s) if R is None else R if M_lo is None else self.checked(M_lo @ R))
@@ -284,6 +308,11 @@ class _Walk:
             del M, R  # kept only as the new lo's M_lo
         t = min(hi, cap)  # past the cap, lo = cap was probed
         tv = probe(t, None)
+        if entry is not None and t not in self.tvs and tv < entry[2]:
+            # a start outside A may be further from pi here than every live one: a full probe
+            lo_a, M_a, _ = entry
+            R = self.rung(t - lo_a)
+            tv = probe(t, R if M_a is None else self.checked(M_a @ R))
         if hi > cap or tv > eps:
             raise NoConvergence(f"no mixing within {cap} {self.unit}s (TV still {tv:.3e})")
         self.answers[x, eps, cap] = MixingResult(from_state=x, epsilon=eps, time=t, achieved_tv=tv,
@@ -368,7 +397,8 @@ class _Ladder(_Walk):
     above about 2^-5 (K > 8) multiplies by P^8, s near 1 twice.  The unit
     rung E(1) = ``rung(1.0)`` is made once; rungs above 1 are its squares,
     and inside a bracket of width 1 a worst-start probe multiplies by the
-    series rung E(s), and a probe from x sums rows (``from_lo``).  Every
+    series rung E(s) until its live starts are few, and then, as a probe
+    from x does, sums rows (``from_lo``).  Every
     rung, product and row is checked to stay stochastic; a square of E(1),
     or a product or row that carries one, that lost it raises
     IllConditioned (``checked``).
@@ -413,13 +443,17 @@ class _Ladder(_Walk):
         E.ravel()[:: n + 1] += c[0]
         return _checked(E)
 
-    def from_lo(self, r: np.ndarray | None, x: int):
-        """s -> row x of M(lo + s) for 0 < s <= 1, from r = row x of M(lo)
-        (None: lo = 0): the row r E(s) = sum_k c_k(s) r P^k, from the rows
-        r P^k, each one 1 x n by n x n step, made when a probe first needs
-        it.  A row from lo > 0 carries a square of E(1), so it is ``checked``."""
-        P, terms, built = self.chain.P, np.zeros((20, self.chain.n)), 1  # r P^k for k < built
-        terms[0] = r[0] if r is not None else np.eye(1, self.chain.n, x)[0]
+    def from_lo(self, r: np.ndarray | None, x):
+        """s -> rows x of M(lo + s) for 0 < s <= 1, x a start or an array of
+        starts, from r = those rows of M(lo) (None: lo = 0): the rows r E(s)
+        = sum_k c_k(s) r P^k, from the rows r P^k, each one |x| x n by n x n
+        step, made when a probe first needs it.  One start keeps one row, a
+        vector-matrix step and one weighted sum of the rows.  Rows from lo > 0
+        carry a square of E(1), so they are ``checked``."""
+        P, n = self.chain.P, self.chain.n
+        shape = np.shape(x) + (n,)  # r P^k is one row for one start
+        terms, built = np.zeros((20, *shape)), 1  # r P^k for k < built
+        terms[0] = np.eye(n)[x] if r is None else r.reshape(shape)
         check = _checked if r is None else self.checked
 
         def at(s: float) -> np.ndarray:
@@ -428,7 +462,7 @@ class _Ladder(_Walk):
             for k in range(built, len(c)):
                 np.matmul(terms[k - 1], P, out=terms[k])
             built = max(built, len(c))
-            return check((c @ terms[: len(c)])[None])
+            return check((c @ terms[: len(c)].reshape(len(c), -1)).reshape(-1, n))
 
         return at
 
@@ -455,9 +489,12 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     NoConvergence, naming the distance there, if it still exceeds eps at
     ``MAX_CONTINUOUS_TIME``.  A query makes each rung once and holds at
     most 21 rungs, n x n each, until it returns; inside the bracket of width
-    1 it holds besides them one probe matrix, the one at lo, and one series
-    rung from the worst start, and from x no n x n matrix but at most 20
-    rows.
+    1 it holds besides them, from the worst start, one probe matrix, the one
+    at lo, and one series rung, until it takes the live rows A of the starts
+    still above eps at lo, and then that M(lo) and at most 20 |A| rows, 20
+    |A| <= 3 n; and from x no n x n matrix but at most 20 rows.  A
+    worst-start achieved_tv read from the live rows may differ from a full
+    probe's by rounding.
     """
     eps = _check_eps(eps)
     _require(chain, "irreducible", "continuization")

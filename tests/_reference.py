@@ -57,3 +57,31 @@ def spectrum(chain) -> tuple:
             A[i, j] = (root[i] / root[j] * P[i, j] + root[j] / root[i] * P[j, i]) / 2
     betas = sorted(ctx.eigsy(A, eigvals_only=True), reverse=True)
     return betas[1], betas[-1], max(betas[1], abs(betas[-1]))
+
+
+def continuized_distances(chain, times) -> dict:
+    """{t: [TV(e_x E(t), pi) for every start x]} for each float time t, at
+    40 digits: E(t) = e^-t sum_k t^k / k! P^k, the uniformization series of
+    the continuized chain, summed from the rows e_x P^k until the Poisson
+    tail beyond the last term, at most c_k / (1 - t / (k + 1)), is below
+    10^-(DIGITS + 5) for every t, so below any float's resolution."""
+    ctx = _context()
+    n, times = chain.n, [float(t) for t in times]
+    columns = list(zip(*_P(ctx, chain).tolist()))
+    pi = stationary(chain, ctx)
+    rows = [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]  # e_x P^k
+    weights = {t: ctx.exp(-ctx.mpf(t)) for t in times}  # c_k(t)
+    sums = {t: [[ctx.zero] * n for _ in range(n)] for t in times}
+    tail, k = ctx.mpf(10) ** -(DIGITS + 5), 0
+    while True:
+        for t, c in weights.items():
+            for row, total in zip(rows, sums[t]):
+                for j in range(n):
+                    total[j] += c * row[j]
+        k += 1
+        for t in times:
+            weights[t] *= ctx.mpf(t) / k
+        if all(k + 1 > t and weights[t] / (1 - ctx.mpf(t) / (k + 1)) < tail for t in times):
+            break
+        rows = [[ctx.fdot(row, column) for column in columns] for row in rows]
+    return {t: [sum(abs(a - b) for a, b in zip(total, pi)) / 2 for total in sums[t]] for t in times}

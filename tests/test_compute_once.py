@@ -254,8 +254,8 @@ def _bytes_of_products(monkeypatch, chain):
 #: (checked matrices, walk products and squares) made by one report
 REPORT_MATRICES = {
     "lazy cycle(100) from 3": (lambda: _lazy_cycle(100), 3, 46, 35),
-    "rr(40, 1) from 0": (lambda: random_reversible(40, 1), 0, 23, 1),
-    "dhn(16) from 0": (lambda: dhn(16), 0, 32, 12),
+    "rr(40, 1) from 0": (lambda: random_reversible(40, 1), 0, 18, 1),
+    "dhn(16) from 0": (lambda: dhn(16), 0, 29, 12),
 }
 
 

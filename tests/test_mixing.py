@@ -26,6 +26,8 @@ from mixbounds import (
 from mixbounds import mixing
 from mixbounds.chains import Chain
 from mixbounds.mixing import BISECTION_REL, MAX_DISCRETE_STEPS, MONOTONE_TOL, _Ladder, _Powers
+
+DELTA = 1 / (2 * math.e)
 from mixbounds.errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, NoConvergence, NotErgodic,
                               NotIrreducible)
 
@@ -623,6 +625,92 @@ def test_series_rungs_match_the_taylor_reference(case):
             assert np.abs(ladder.from_lo(None, x)(s)[0] - ladder.rung(s)[x]).sum() <= 1e-15, (x, s)
             got = ladder.from_lo(M_lo[[x]], x)(s)[0]
             assert np.abs(got - (M_lo @ ladder.rung(s))[x]).sum() <= 1e-15, (x, s)
+
+
+class _FullProbes(_Ladder):
+    """The ladder with every worst-start probe n x n: no live rows."""
+
+    def live(self, d, eps):
+        return None
+
+
+def _row_probes(monkeypatch):
+    """Record, in order, each series rung E(s) ("rung", s), each checked
+    matrix or row block ("checked", shape) and each live-row series
+    ("rows", |A|)."""
+    events, check, rung, from_lo = [], mixing._checked, _Ladder.rung, _Ladder.from_lo
+    monkeypatch.setattr(mixing, "_checked", lambda E: check(events.append(("checked", E.shape)) or E))
+    monkeypatch.setattr(_Ladder, "rung", lambda ladder, s: rung(ladder, events.append(("rung", s)) or s))
+
+    def rows(ladder, r, x):
+        if np.ndim(x):
+            events.append(("rows", len(x)))
+        return from_lo(ladder, r, x)
+
+    monkeypatch.setattr(_Ladder, "from_lo", rows)
+    return events
+
+
+LIVE_ROW_CHAINS = {
+    **{f"rr(200, {j})": (lambda j=j: random_reversible(200, j)) for j in (1, 2)},
+    **{f"doubly_stochastic(100, {j})": (lambda j=j: doubly_stochastic(100, j)) for j in (1, 3)},
+    "dhn(64)": lambda: dhn(64),
+    **{f"rr(40, {j})": (lambda j=j: random_reversible(40, j)) for j in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIVE_ROW_CHAINS))
+def test_live_rows_narrow_the_worst_start_as_full_probes_do(monkeypatch, case):
+    """A worst-start query that narrows over the live starts' rows returns
+    the time and bracket of one whose every probe is n x n, and an
+    achieved_tv within 1e-14 relative of that query's maximum over every
+    start; each chain takes the live rows at some eps."""
+    chain = LIVE_ROW_CHAINS[case]()
+    events = _row_probes(monkeypatch)
+    for eps in (0.05, 0.12, DELTA, 0.25, 0.45):
+        want = _FullProbes(chain).time(None, eps)
+        got = _Ladder(chain).time(None, eps)
+        assert (got.time, got.bracket) == (want.time, want.bracket), eps
+        assert abs(got.achieved_tv - want.achieved_tv) <= 1e-14 * want.achieved_tv, eps
+    assert any(kind == "rows" for kind, _ in events)
+
+
+def test_a_live_row_probe_makes_no_square_product_and_no_series_rung(monkeypatch):
+    """From the live rows on, every probe is an |A| x n row block, and the
+    live maximum at hi is at least every other start's distance at lo, so
+    no full probe is made at hi."""
+    chain = random_reversible(200, 1)
+    events = _row_probes(monkeypatch)
+    walk = _Ladder(chain)
+    got = walk.time(None, 0.12)
+    taken = events.index(next(e for e in events if e[0] == "rows"))
+    live = events[taken][1]
+    assert 0 < 20 * live <= 3 * chain.n
+    after = set(events[taken:])  # a series of the same rows from each new lo, and the probes
+    assert after == {("rows", live), ("checked", (live, chain.n))}
+    assert got.time not in walk.tvs
+
+
+def test_a_start_outside_the_live_rows_gets_one_full_probe_at_hi(monkeypatch):
+    """eps is the second-largest distance at t = 2, so the start that reads
+    it is outside the live rows (only the worst start is above eps at lo =
+    2), and every live row ends below it: hi gets one full probe, M(2) E(hi
+    - 2), kept with the other full probes, and achieved_tv is the maximum
+    over every start, as from full probes."""
+    chain = random_reversible(20, 1)
+    E1 = _Ladder(chain).unit_rung
+    eps = float(np.sort(mixing._distances(E1 @ E1, chain.pi)[0])[-2])
+    want = _FullProbes(chain).time(None, eps)
+    events = _row_probes(monkeypatch)
+    walk = _Ladder(chain)
+    got = walk.time(None, eps)
+    assert 2.0 < got.bracket[0] < got.time < 3.0
+    taken = events.index(("rows", 1))
+    assert [e for e in events[taken:] if e not in {("rows", 1), ("checked", (1, chain.n))}] == [
+        ("rung", got.time - 2.0), ("checked", (chain.n, chain.n)), ("checked", (chain.n, chain.n))]
+    assert got.time in walk.tvs and got.achieved_tv == float(walk.tvs[got.time].max())
+    assert (got.time, got.bracket) == (want.time, want.bracket)
+    assert abs(got.achieved_tv - want.achieved_tv) <= 1e-14 * want.achieved_tv
 
 
 @pytest.mark.parametrize("what", ["continuous_mixing_time", "full_report"])

@@ -1,16 +1,17 @@
-"""Float spectra against the 40-digit reference of ``_reference``."""
+"""Float spectra and continuized brackets against the 40-digit reference of
+``_reference``."""
 
 import math
 
 import mpmath
 import pytest
 
-from mixbounds import (classify, dhn, directed_cycle, eigendecompose, lambda_constants, lazy, random_reversible,
-                       reversibilize, two_state, uniform_walk)
+from mixbounds import (classify, continuous_mixing_time, dhn, directed_cycle, eigendecompose, lambda_constants, lazy,
+                       random_reversible, reversibilize, two_state, uniform_walk)
 from mixbounds.spectral import _eigenvalues
 
 from _families import tiny_mass_chain, two_blocks
-from _reference import spectrum
+from _reference import continuized_distances, spectrum
 
 #: The symmetrised matrix has 2-norm 1, so a backward-stable symmetric
 #: eigensolver returns each eigenvalue within a small multiple of n u of the
@@ -66,3 +67,25 @@ def test_both_eigensolvers_lie_within_the_bound_of_a_40_digit_reference(case):
     ]:
         err = abs(mpmath.mpf(float(got)) - want)
         assert err <= tol, (name, float(got), mpmath.nstr(want, 20), float(err))
+
+
+#: two_blocks mixes at times of 1e5 and more, which need as many series terms;
+#: the others mix at times of 0.46 to 7.5.  Of these, random_reversible(10, 3),
+#: (8, 2) and its lazy chain narrow the worst start over its live rows, the
+#: others by full probes.
+CONTINUIZED = sorted(case for case in CHAINS if not case.startswith("two_blocks"))
+
+
+@pytest.mark.parametrize("case", CONTINUIZED)
+def test_continuized_brackets_hold_against_a_40_digit_reference(case):
+    """From the worst start and from 0, at eps 0.1 and 0.25, the 40-digit
+    distance is above eps at the bracket's lower end (unless it is 0) and
+    within eps at its upper end, the returned time."""
+    chain = CHAINS[case]()
+    results = {(x, eps): continuous_mixing_time(chain, x, eps) for x in (None, 0) for eps in (0.1, 0.25)}
+    distances = continuized_distances(chain, {t for got in results.values() for t in got.bracket})
+    for (x, eps), got in results.items():
+        lo, hi = got.bracket
+        d_lo, d_hi = (max(distances[t]) if x is None else distances[t][0] for t in (lo, hi))
+        assert lo == 0.0 or d_lo > eps, (x, eps, lo, mpmath.nstr(d_lo, 20))
+        assert d_hi <= eps, (x, eps, hi, mpmath.nstr(d_hi, 20))
