@@ -540,12 +540,9 @@ def full_report(
         reason = "chain is periodic" if cls.reversible else "chain is not reversible"
         entries += _skip_families(reason, "spectral")
     exact_disc = d.discrete(base, x_idx, eps) if cls.ergodic else None
-    exact_cont = d.continuous(base, x_idx, eps)
-    tau_worst_cont = d.continuous(base, None, DELTA_DEFAULT)
-
-    entries += _conductance_bounds(d, base, tau_worst_disc, tau_worst_cont)
-    entries += _nonreversible_bounds(d, base, x_idx)
-
+    # the reversible comparison asks discrete times only, so it comes before
+    # the ladder too: a target that is the base object then walks the powers
+    # while they still hold their squares
     if target is None:
         entries += _skip_families("no target chain and flow supplied",
                                   "comparison_reversible", "comparison_general")
@@ -559,6 +556,12 @@ def full_report(
             reason = ("comparison pair is not reversible ergodic" if direct
                       else "flow is routed over the reversal product")
             entries += _skip_families(reason, "comparison_reversible")
+    exact_cont = d.continuous(base, x_idx, eps)
+    tau_worst_cont = d.continuous(base, None, DELTA_DEFAULT)
+
+    entries += _conductance_bounds(d, base, tau_worst_disc, tau_worst_cont)
+    entries += _nonreversible_bounds(d, base, x_idx)
+    if target is not None:
         entries += _comparison_general(d, base, target, flow, x_idx)
 
     order = {tid: i for i, tid in enumerate(CATALOG)}

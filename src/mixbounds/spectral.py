@@ -16,6 +16,7 @@ under swapping x and y.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,12 +158,19 @@ def reconstruct_power(summary: SpectralSummary, pi, n: int) -> np.ndarray:
     return pi[None, :] + (root[None, :] / root[:, None]) * term
 
 
-def _membership(m: int, lead: int) -> np.ndarray:
-    """0/1 matrix of 2^m rows: ``lead`` columns of ones, then the binary digits
-    of the row index, lowest first."""
+@functools.cache
+def _membership(m: int, lead: int) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 matrix M of 2^m rows: ``lead`` columns of ones, then the binary
+    digits of the row index, lowest first; and its complement 1 - M.
+
+    The pair depends on the shape only, so it is made once per process, on
+    first use, and returned read-only.  At m = 12, lead = 1, it holds 0.85 MB.
+    """
     M = np.ones((1 << m, lead + m))
     M[:, lead:] = (np.arange(1 << m, dtype=np.uint16)[:, None] >> np.arange(m, dtype=np.uint16)) & 1
-    return M
+    C = 1.0 - M
+    M.flags.writeable = C.flags.writeable = False
+    return M, C
 
 
 def _cut_flows(members: np.ndarray, outside: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -170,6 +178,16 @@ def _cut_flows(members: np.ndarray, outside: np.ndarray, Q: np.ndarray) -> np.nd
     flows = members @ Q
     flows *= outside
     return flows.sum(axis=1)
+
+
+def _flow_parts(Q: np.ndarray, lo: slice, hi: slice, M: np.ndarray, C: np.ndarray, H: np.ndarray,
+                Hc: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The parts of the flow of Q out of every cut S = S_low + H (see
+    ``conductance``): within the low part, per row r; per block h and low
+    state i, from i into H-bar and from H into i; within the high part, per
+    block h.  The flow into S is the flow of Q^T out of S."""
+    Qll, Qlh, Qhl, Qhh = Q[lo, lo], Q[lo, hi], Q[hi, lo], Q[hi, hi]
+    return _cut_flows(M, C, Qll), Hc @ Qlh.T, H @ Qhl, _cut_flows(H, Hc, Qhh)
 
 
 def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
@@ -190,9 +208,43 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
     pi(S), pi(S-bar) is a sum of nonnegative terms, so no digits are lost when
     a flow or a mass is tiny, and a block needs O(2^L N) memory.
 
-    Under stationarity the flows out of and into S are equal.  They are
-    checked per cut to a relative 1e-9, and a larger imbalance, which only an
-    inaccurate stationary distribution can cause, raises IllConditioned.
+    Under stationarity the flows out of and into S are equal; a computed
+    pair may differ by at most a relative 1e-9 of the flow out, and a larger
+    imbalance, which only an inaccurate stationary distribution can cause,
+    raises IllConditioned.  A block is certified to pass this test from pi's
+    residual; only a block the certificate leaves open computes its flows
+    into the cuts and tests each cut.
+
+    The certificate.  Let Q = pi P be the float matrix formed here, r and s
+    its row and column sums, and rho = r - s, so sum(rho) = 0.  Summing rho
+    over S, the terms of Q with both ends in S cancel, so, exactly,
+
+        cross(S) - back(S) = sum over i in S of rho_i,  |.| <= ||rho||_1 / 2.
+
+    With u = 2^-53 and gamma_j = j u / (1 - j u), a float sum of nonnegative
+    terms in which each term meets at most j additions is within gamma_j of
+    its value, relatively (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 2002, Lemma 3.1 and section 3.5; the 0/1 factors
+    multiply exactly).  The computed rho-hat, from N-term sums and one subtraction,
+    is within gamma_N (r_i + s_i) of rho_i, so ||rho||_1 <= ||rho-hat||_1 +
+    2 gamma_N sum(Q).  A computed cut flow adds each term of Q at most 2L
+    times within the low part, N - 2 times across the parts or 2(N - 2 - L)
+    times within the high part, and 3 times to join the four parts: at most
+    k = 2N + 1 additions, so c-hat and b-hat lie within gamma_k of cross(S)
+    and back(S).  Hence
+
+        |b-hat - c-hat| <= (1 + gamma_k) ||rho||_1 / 2 + 2 gamma_k cross(S).
+
+    Let beta = ||rho-hat||_1 / 2 + gamma_(N+1) sum(Q), as computed: up to
+    the relative rounding of its own sums, it bounds ||rho||_1 / 2.  If beta
+    <= (1e-9 - 3 gamma_k) m, with m the block's smallest computed cut flow,
+    then every cut of the block passes |b-hat - c-hat| <= 1e-9 c-hat as
+    computed: 2 gamma_k covers the two flows' errors, and the third gamma_k
+    the rest, the second-order terms (gamma_k^2 c-hat) and the roundings of
+    beta, of the threshold and of the test itself (each a relative O(N u) of
+    a quantity at most 1e-9 c-hat).  A certified block skips its flows into
+    the cuts.  So the minima, the argmin and the error raised, if any,
+    with its worst ratio, are those of the per-cut test in every block.
     """
     n = chain.n
     if n > MAX_CONDUCTANCE_STATES:
@@ -206,38 +258,47 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
     lo, hi = slice(0, low_bits + 1), slice(low_bits + 1, n)
     # row r: state 0, plus state j (1 <= j <= L) when bit j-1 of r is set, so
     # row r of block h is the bitmask h * 2^L + r over states 1 .. N-1
-    M = _membership(low_bits, lead=1)
-    C = 1.0 - M
-    H = _membership(n - 1 - low_bits, lead=0)
-    Hc = 1.0 - H
-    Qll, Qlh, Qhl, Qhh = Q[lo, lo], Q[lo, hi], Q[hi, lo], Q[hi, hi]
-    # flows within the low part, per row r; within the high part, per block h
-    out_low, in_low = _cut_flows(M, C, Qll), _cut_flows(M, C, Qll.T)
-    out_high, in_high = _cut_flows(H, Hc, Qhh), _cut_flows(H, Hc, Qhh.T)
-    # per block h and low state i: flow from i into H-bar, and from H into i;
-    # and the reverse directions
-    low_to_hc, h_to_low = Hc @ Qlh.T, H @ Qhl
-    hc_to_low, low_to_h = Hc @ Qhl, H @ Qlh.T
+    M, C = _membership(low_bits, lead=1)
+    H, Hc = _membership(n - 1 - low_bits, lead=0)
+    out = _flow_parts(Q, lo, hi, M, C, H, Hc)
+    into = None  # the flows into the cuts, made for the first open block
     pi_low_s, pi_low_c = M @ pi[lo], C @ pi[lo]
     pi_h, pi_hc = H @ pi[hi], Hc @ pi[hi]
     last = H.shape[0] - 1
+    # the balance certificate of the docstring
+    u = 0.5 * np.finfo(float).eps
+
+    def gamma(j: int) -> float:
+        return j * u / (1.0 - j * u)
+
+    rows = Q.sum(axis=1)
+    beta = 0.5 * np.abs(rows - Q.sum(axis=0)).sum() + gamma(n + 1) * rows.sum()
+    slack = _BALANCE_TOL - 3.0 * gamma(2 * n + 1)
+
+    def flows(parts: tuple[np.ndarray, ...], h: int) -> np.ndarray:
+        low, low_to_hc, h_to_low, high = parts
+        return low + M @ low_to_hc[h] + C @ h_to_low[h] + high[h]
 
     def block(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cut values, pi(S) and pi(S-bar) of block h, the full set left out."""
-        cross = out_low + M @ low_to_hc[h] + C @ h_to_low[h] + out_high[h]
-        back = in_low + M @ hc_to_low[h] + C @ low_to_h[h] + in_high[h]
+        nonlocal into
+        cross = flows(out, h)
         pi_s = pi_low_s + pi_h[h]
         pi_c = pi_low_c + pi_hc[h]
         if h == last:
-            cross, back, pi_s, pi_c = cross[:-1], back[:-1], pi_s[:-1], pi_c[:-1]
-        imbalance = np.abs(cross - back)
-        if np.any(imbalance > _BALANCE_TOL * cross):
-            worst = float(np.max(imbalance / cross))
-            raise IllConditioned(
-                f"stationary cut flows out of and into a cut differ by {worst:.3e} of the "
-                f"flow (tolerance {_BALANCE_TOL:g}): the stationary distribution is too "
-                "inaccurate for an exact conductance"
-            )
+            cross, pi_s, pi_c = cross[:-1], pi_s[:-1], pi_c[:-1]
+        if not beta <= slack * cross.min():
+            if into is None:
+                into = _flow_parts(Q.T, lo, hi, M, C, H, Hc)
+            back = flows(into, h)[:len(cross)]
+            imbalance = np.abs(cross - back)
+            if np.any(imbalance > _BALANCE_TOL * cross):
+                worst = float(np.max(imbalance / cross))
+                raise IllConditioned(
+                    f"stationary cut flows out of and into a cut differ by {worst:.3e} of the "
+                    f"flow (tolerance {_BALANCE_TOL:g}): the stationary distribution is too "
+                    "inaccurate for an exact conductance"
+                )
         # the symmetric value (cross + back) / 2 needs no check against cross:
         # once |cross - back| <= 1e-9 cross, they differ by at most 0.5e-9 cross
         single = cross / (pi_s * pi_c)

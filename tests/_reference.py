@@ -85,3 +85,34 @@ def continuized_distances(chain, times) -> dict:
             break
         rows = [[ctx.fdot(row, column) for column in columns] for row in rows]
     return {t: [sum(abs(a - b) for a, b in zip(total, pi)) / 2 for total in sums[t]] for t in times}
+
+
+def conductance(chain) -> tuple:
+    """(Phi, asymmetric Phi, cuts) at 40 digits, by enumerating every cut S
+    that holds state 0, with Q = pi P from the float P and ``stationary``.
+
+    Phi is the least cross(S) / (pi(S) pi(S-bar)), cross(S) the flow of Q
+    out of S; the asymmetric Phi is the least cross(S) / pi(S) over the cuts
+    with pi(S) <= 1/2 and cross(S) / pi(S-bar) over those with pi(S-bar) <=
+    1/2, as ``spectral.conductance`` defines them.  Every sum is of
+    nonnegative terms.  ``cuts`` maps each cut, a tuple of states, to its
+    cross(S) / (pi(S) pi(S-bar)), so a float argmin is checked by its value:
+    where cuts tie in exact arithmetic, rounding picks among them."""
+    ctx = _context()
+    n, P = chain.n, _P(ctx, chain)
+    pi = stationary(chain, ctx)
+    Q = [[pi[i] * P[i, j] for j in range(n)] for i in range(n)]
+    half = ctx.mpf(1) / 2
+    cuts, best_asym = {}, ctx.inf
+    for mask in range((1 << (n - 1)) - 1):
+        inside = (0,) + tuple(j + 1 for j in range(n - 1) if (mask >> j) & 1)
+        outside = [j for j in range(n) if j not in inside]
+        cross = ctx.fsum(Q[i][j] for i in inside for j in outside)
+        pi_s, pi_c = ctx.fsum(pi[i] for i in inside), ctx.fsum(pi[j] for j in outside)
+        cuts[inside] = cross / (pi_s * pi_c)
+        if pi_s <= half:
+            best_asym = min(best_asym, cross / pi_s)
+        if pi_c <= half:
+            best_asym = min(best_asym, cross / pi_c)
+    return min(cuts.values()), best_asym, cuts
+

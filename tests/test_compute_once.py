@@ -251,25 +251,29 @@ def _bytes_of_products(monkeypatch, chain):
     return made
 
 
-#: (checked matrices, walk products and squares) made by one report
+#: (checked matrices, walk products and squares) made by one report; with
+#: ``same``, the report's target is the base object itself, compared over a
+#: canonical flow with the delta sweep
 REPORT_MATRICES = {
-    "lazy cycle(100) from 3": (lambda: _lazy_cycle(100), 3, 46, 35),
-    "rr(40, 1) from 0": (lambda: random_reversible(40, 1), 0, 18, 1),
-    "dhn(16) from 0": (lambda: dhn(16), 0, 29, 12),
+    "lazy cycle(100) from 3": (lambda: _lazy_cycle(100), 3, False, 46, 35),
+    "rr(40, 1) from 0": (lambda: random_reversible(40, 1), 0, False, 18, 1),
+    "dhn(16) from 0": (lambda: dhn(16), 0, False, 29, 12),
+    "lazy cycle(30) from 3, target is base": (lambda: _lazy_cycle(30), 3, True, 35, 44),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REPORT_MATRICES))
 def test_a_report_makes_each_walk_matrix_once(monkeypatch, case):
     """Each walk keeps its squares M(2^e) across its queries, and the report
-    asks all of its base's discrete times before its continuized ones: no
-    checked ladder matrix, and no product or square of the powers, is made
-    twice in one report."""
-    make, x, n_checked, n_products = REPORT_MATRICES[case]
+    asks all of its base's discrete times, and a target's, before its
+    continuized ones: no checked ladder matrix, and no product or square of
+    the powers, is made twice in one report."""
+    make, x, same, n_checked, n_products = REPORT_MATRICES[case]
     chain = make()
+    compared = {"target": chain, "flow": build_canonical_flow(chain, chain), "sweep": True} if same else {}
     checked = _count_checked(monkeypatch)
     products = _bytes_of_products(monkeypatch, chain)
-    full_report(chain, x=x, eps=0.25)
+    full_report(chain, x=x, eps=0.25, **compared)
     assert sum(checked.values()) == len(checked) == n_checked
     assert sum(products.values()) == len(products) == n_products
 

@@ -6,11 +6,13 @@ import math
 import mpmath
 import pytest
 
-from mixbounds import (classify, continuous_mixing_time, dhn, directed_cycle, eigendecompose, lambda_constants, lazy,
-                       random_reversible, reversibilize, two_state, uniform_walk)
+from mixbounds import (classify, conductance, continuous_mixing_time, dhn, directed_cycle, eigendecompose,
+                       lambda_constants, lazy, random_reversible, reversibilize, two_state, uniform_walk)
+from mixbounds.errors import IllConditioned
 from mixbounds.spectral import _eigenvalues
 
 from _families import tiny_mass_chain, two_blocks
+from _reference import conductance as reference_conductance
 from _reference import continuized_distances, spectrum
 
 #: The symmetrised matrix has 2-norm 1, so a backward-stable symmetric
@@ -89,3 +91,37 @@ def test_continuized_brackets_hold_against_a_40_digit_reference(case):
         d_lo, d_hi = (max(distances[t]) if x is None else distances[t][0] for t in (lo, hi))
         assert lo == 0.0 or d_lo > eps, (x, eps, lo, mpmath.nstr(d_lo, 20))
         assert d_hi <= eps, (x, eps, hi, mpmath.nstr(d_hi, 20))
+
+
+#: A relative bound on the float conductance, recorded from the chains above
+#: until the enumeration states its own error: the largest errors read 5.6e-16
+#: for Phi (random_reversible(10, 3)) and 9.1e-16 for the asymmetric Phi
+#: (lazy(random_reversible(8, 2))), so 16 n u holds them with room.  On
+#: two_blocks the LU stationary distribution is off by about 1e-17 per state,
+#: which is 4.0e-12 of its cut flow of 2e-6 (a float pi error, not the
+#: enumeration's), so that chain gets its own recorded bound.
+CONDUCTANCE_TOL = {"two_blocks(5, ln 5 / (3 2^18))": 1e-11}
+
+#: the float cut flows of tiny_mass_chain do not balance within 1e-9
+ILL_CONDITIONED = {"tiny_mass_chain"}
+
+
+@pytest.mark.parametrize("case", sorted(CHAINS))
+def test_conductance_lies_within_a_recorded_bound_of_a_40_digit_reference(case):
+    """Phi and the asymmetric Phi within the bound of the reference, and the
+    returned cut's reference value too: on the uniform walks every cut ties
+    in exact arithmetic, and the float P's rounding splits them by under
+    3e-16, so the returned cut need not be the reference's least."""
+    chain = CHAINS[case]()
+    if case in ILL_CONDITIONED:
+        with pytest.raises(IllConditioned):
+            conductance(chain)
+        return
+    phi, phi_asym, argmin = conductance(chain)
+    want, want_asym, cuts = reference_conductance(chain)
+    tol = CONDUCTANCE_TOL.get(case, SPECTRUM_TOL * chain.n)
+    errors = {"Phi": abs(mpmath.mpf(phi) - want) / want,
+              "asymmetric Phi": abs(mpmath.mpf(phi_asym) - want_asym) / want_asym,
+              "the returned cut's value": (cuts[argmin] - want) / want}
+    for name, err in errors.items():
+        assert err <= tol, (name, argmin, mpmath.nstr(err, 3))

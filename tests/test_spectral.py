@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixbounds import (
     Chain,
+    build_chain,
     classify,
     conductance,
     dhn,
@@ -24,7 +27,10 @@ from mixbounds import (
     uniform_walk,
     variance,
 )
-from mixbounds.errors import DimensionMismatch, IllConditioned, NotErgodic, NotReversible, TooLarge
+from mixbounds import spectral
+from mixbounds.chains import _require
+from mixbounds.errors import (DimensionMismatch, IllConditioned, MixboundsError, NotErgodic, NotReversible,
+                              TooLarge)
 
 from _families import doubly_stochastic, quadratic_forms, rayleigh_minimum, tiny_mass_chain
 
@@ -313,3 +319,182 @@ def test_conductance_keeps_tiny_complement_mass():
     assert argmin == (0, 1)
     assert abs(phi - 1e-3 / (1.0 - chain.pi[2])) <= 1e-12 * phi
     assert abs(phi_asym - 1e-3) <= 1e-12 * phi_asym
+
+
+# ------------------------------------------------- the balance certificate
+
+
+def _membership_matrix(m, lead):
+    M = np.ones((1 << m, lead + m))
+    M[:, lead:] = (np.arange(1 << m, dtype=np.uint16)[:, None] >> np.arange(m, dtype=np.uint16)) & 1
+    return M
+
+
+def _conductance_checking_every_cut(chain):
+    """Oracle: ``conductance`` as it was before the balance certificate.
+    Every block computes its flows into the cuts and tests each cut."""
+    n = chain.n
+    if n > spectral.MAX_CONDUCTANCE_STATES:
+        raise TooLarge(f"exact conductance enumerates every cut and is limited to "
+                       f"{spectral.MAX_CONDUCTANCE_STATES} states")
+    _require(chain, "irreducible", "conductance")
+    Q = chain.pi[:, None] * chain.P
+    pi = chain.pi
+    low_bits = min(n - 1, spectral._LOW_BITS)
+    lo, hi = slice(0, low_bits + 1), slice(low_bits + 1, n)
+    M = _membership_matrix(low_bits, lead=1)
+    C = 1.0 - M
+    H = _membership_matrix(n - 1 - low_bits, lead=0)
+    Hc = 1.0 - H
+    Qll, Qlh, Qhl, Qhh = Q[lo, lo], Q[lo, hi], Q[hi, lo], Q[hi, hi]
+    cut_flows = spectral._cut_flows
+    out_low, in_low = cut_flows(M, C, Qll), cut_flows(M, C, Qll.T)
+    out_high, in_high = cut_flows(H, Hc, Qhh), cut_flows(H, Hc, Qhh.T)
+    low_to_hc, h_to_low = Hc @ Qlh.T, H @ Qhl
+    hc_to_low, low_to_h = Hc @ Qhl, H @ Qlh.T
+    pi_low_s, pi_low_c = M @ pi[lo], C @ pi[lo]
+    pi_h, pi_hc = H @ pi[hi], Hc @ pi[hi]
+    last = H.shape[0] - 1
+    tol = spectral._BALANCE_TOL
+
+    def block(h):
+        cross = out_low + M @ low_to_hc[h] + C @ h_to_low[h] + out_high[h]
+        back = in_low + M @ hc_to_low[h] + C @ low_to_h[h] + in_high[h]
+        pi_s = pi_low_s + pi_h[h]
+        pi_c = pi_low_c + pi_hc[h]
+        if h == last:
+            cross, back, pi_s, pi_c = cross[:-1], back[:-1], pi_s[:-1], pi_c[:-1]
+        imbalance = np.abs(cross - back)
+        if np.any(imbalance > tol * cross):
+            worst = float(np.max(imbalance / cross))
+            raise IllConditioned(
+                f"stationary cut flows out of and into a cut differ by {worst:.3e} of the "
+                f"flow (tolerance {tol:g}): the stationary distribution is too "
+                "inaccurate for an exact conductance"
+            )
+        return cross / (pi_s * pi_c), pi_s, pi_c
+
+    block_min = np.empty(last + 1)
+    best_asym = np.inf
+    for h in range(last + 1):
+        single, pi_s, pi_c = block(h)
+        block_min[h] = single.min()
+        best_asym = min(best_asym, np.where(pi_s <= 0.5 + 1e-12, single * pi_c, np.inf).min(),
+                        np.where(pi_c <= 0.5 + 1e-12, single * pi_s, np.inf).min())
+    best = float(block_min.min())
+    cutoff = best * (1.0 + spectral._TIE_TOL)
+    h = int(np.argmax(block_min <= cutoff))
+    r = int(np.argmax(block(h)[0] <= cutoff))
+    mask = (h << low_bits) | r
+    return best, float(best_asym), (0,) + tuple(j + 1 for j in range(n - 1) if (mask >> j) & 1)
+
+
+def _outcome(fn, chain):
+    """(Phi, asymmetric Phi) as hex and the argmin, or the error's class and message."""
+    try:
+        phi, phi_asym, argmin = fn(chain)
+    except MixboundsError as error:
+        return type(error), str(error)
+    return phi.hex(), phi_asym.hex(), argmin
+
+
+def _sparse_chain(n, seed):
+    """A random sparse nonreversible chain: a directed n-cycle plus about 40%
+    of the other edges, with random weights."""
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.4)
+    W += np.roll(np.eye(n), 1, axis=1) * rng.uniform(0.1, 1.0, size=(n, 1))
+    return build_chain(list(range(n)), W / W.sum(axis=1, keepdims=True), name=f"sparse({n}, {seed})")
+
+
+def _sweep_chains():
+    """181 chains of 2 to 18 states; 22 of them raise IllConditioned."""
+    chains = [random_reversible(n, j) for n in range(2, 19) for j in range(4)]
+    chains += [uniform_walk(n) for n in range(2, 17)]
+    chains += [dhn(k) for k in range(2, 10)]
+    chains += [directed_cycle(n) for n in range(3, 11)]
+    chains += [two_state(d) for d in (1e-6, 0.1, 0.25, 0.5, 0.9)]
+    chains += [lazy(random_reversible(n, 1)) for n in (4, 7, 10, 13, 16)]
+    chains += [lazy(dhn(k)) for k in (3, 6)]
+    chains += [tiny_mass_chain(10.0 ** -e) for e in range(3, 15)]
+    for k in (5, 7, 9):
+        for e in range(2, 15, 2):
+            exact = _two_blocks(10.0 ** -e, k)
+            chains += [exact, build_chain(list(exact.labels), exact.P, name=f"lu {exact.name}")]
+    chains += [_sparse_chain(n, seed) for n in (4, 6, 8, 10, 12, 14, 16, 18) for seed in range(2)]
+    return chains
+
+
+def test_conductance_equals_the_every_cut_check_bit_for_bit():
+    """Phi, the asymmetric Phi and the argmin hex-equal to the oracle's, or
+    the same error with the same message."""
+    chains = _sweep_chains()
+    outcomes = [(_outcome(conductance, c), _outcome(_conductance_checking_every_cut, c)) for c in chains]
+    for (got, want), chain in zip(outcomes, chains):
+        assert got == want, chain.name
+    assert sum(isinstance(got[0], type) for got, _ in outcomes) == 22
+
+
+@st.composite
+def _wide_mass_chains(draw):
+    """Metropolis chains on a ring plus random chords whose stationary
+    masses span 1e-14 to 1; with a flag, each off-diagonal entry is scaled
+    by a random factor in [1/4, 1], which breaks reversibility."""
+    n = draw(st.integers(3, 10))
+    logs = np.array(draw(st.lists(st.floats(-14.0, 0.0), min_size=n, max_size=n)))
+    logs[draw(st.integers(0, n - 1))] = 0.0
+    mass = 10.0 ** logs
+    K = np.roll(np.eye(n), 1, axis=1)
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    for i, j in chords:
+        K[i, j] = 1.0
+    K = np.maximum(K, K.T) / n
+    np.fill_diagonal(K, 0.0)
+    P = K * np.minimum(1.0, mass[None, :] / mass[:, None])
+    if draw(st.booleans()):
+        P *= np.array(draw(st.lists(st.floats(0.25, 1.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+    return build_chain(list(range(n)), P)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_wide_mass_chains())
+def test_conductance_equals_the_every_cut_check_on_wide_masses(chain):
+    assert _outcome(conductance, chain) == _outcome(_conductance_checking_every_cut, chain)
+
+
+def _count_flow_parts(monkeypatch):
+    """Count the calls of ``_flow_parts``: one makes the flows out of the cuts,
+    a second the flows into them."""
+    calls = []
+    parts = spectral._flow_parts
+
+    def counting(*args):
+        calls.append(args)
+        return parts(*args)
+
+    monkeypatch.setattr(spectral, "_flow_parts", counting)
+    return calls
+
+
+def test_certified_blocks_make_no_flows_into_the_cuts(monkeypatch):
+    calls = _count_flow_parts(monkeypatch)
+    for chain in [random_reversible(n, j) for n in range(12, 19) for j in range(4)] + [uniform_walk(14), dhn(4)]:
+        calls.clear()
+        conductance(chain)
+        assert len(calls) == 1, chain.name
+
+
+def test_open_blocks_check_every_cut(monkeypatch):
+    """A block the certificate leaves open makes the flows into its cuts, once
+    per call, and tests each cut."""
+    calls = _count_flow_parts(monkeypatch)
+    with pytest.raises(IllConditioned):
+        conductance(tiny_mass_chain())
+    assert len(calls) == 2
+    for coupling in (1e-10, 1e-12):
+        chain = _two_blocks(coupling)
+        calls.clear()
+        got = conductance(chain)
+        assert len(calls) == 2
+        assert got == _conductance_checking_every_cut(chain)
