@@ -431,6 +431,13 @@ def _general(base, target, product=False):
     return comparison_general(base, target, build_canonical_flow(flow_base, target), 0, 0.25)
 
 
+def _two_state_pair():
+    """two_state(0.25), whose eigenvalues are 1 and -1/2, compared with the
+    uniform walk on its two states over the odd canonical flow."""
+    base, target = two_state(0.25), uniform_walk(2, labels=["a", "b"])
+    return comparison_reversible(base, target, build_canonical_flow(base, target, odd=True), "a", 0.25)
+
+
 @pytest.mark.parametrize("call, want, fragment", [
     (lambda: spectral_bounds_reversible(two_state(0.25), "a", 0.5), "T5", "eps >= 1/2"),
     (lambda: conductance_bounds(two_state(0.25), 2, None), "T18", "no continuous mixing time"),
@@ -452,11 +459,26 @@ def _general(base, target, product=False):
     (lambda: comparison_general(uniform_walk(3), _reducible(), Flow(uniform_walk(3), _reducible()), 0, 0.25),
      NotIrreducible, "(target)"),
     (lambda: full_report(_reducible()), NotIrreducible, "full report"),
+    (_two_state_pair, "T10", "largest eigenvalue modulus is the negative end"),
+    (lambda: full_report(directed_cycle(3)).entries, "T17", "chain is periodic: no discrete mixing time"),
+    (lambda: conductance_bounds(two_state(0.25), None, 2), "C20d", "chain is periodic: no discrete mixing time"),
+    (lambda: conductance_bounds(dhn(16), 2, 2), "O16", "more than 24 states: exact conductance skipped"),
+    (lambda: nonreversible_bounds(directed_cycle(3), 0, 0.25), "T23", "reversal-product chain is reducible (gap 0)"),
+    (lambda: _general(uniform_walk(4), _cycle4()), "T25",
+     "flow is routed over the base chain, not its reversal product"),
+    (lambda: comparison_reversible(uniform_walk(4), uniform_walk(4), Flow(lazy(uniform_walk(4)), uniform_walk(4)),
+                                   0, 0.25), WrongFlowBase, "flow does not connect the given base and target chains"),
+    (lambda: comparison_general(uniform_walk(4), uniform_walk(4), Flow(_cycle4(), uniform_walk(4)), 0, 0.25),
+     WrongFlowBase, "flow is routed over neither the base chain nor its reversal product"),
+    (lambda: full_report(two_state(0.25), target=uniform_walk(2, labels=["a", "b"])), MixboundsError,
+     "supply target and flow together, or neither"),
 ], ids=["T5-eps-half", "T18-no-tau", "C20c-no-tau", "T24d-periodic-target", "T26-periodic-target",
         "T25-periodic-target", "T26-nonreversible-target", "spectral-nonreversible", "spectral-periodic",
         "comparison-reversible-base", "comparison-reversible-target", "conductance-reducible",
         "nonreversible-reducible", "comparison-general-base", "comparison-general-target",
-        "full-report-reducible"])
+        "full-report-reducible", "T10-negative-end", "T17-periodic", "C20d-no-tau", "cut-rows-too-large",
+        "T23-reducible-product", "T25-direct-flow", "comparison-reversible-wrong-flow",
+        "comparison-general-wrong-flow-base", "full-report-target-without-flow"])
 def test_each_skip_reason_and_family_gate_is_reached(call, want, fragment):
     """Skip reasons no other test reaches, and the error of each family's gate:
     the exact class (NotIrreducible is also a NotErgodic), naming the failing chain."""
