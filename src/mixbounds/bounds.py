@@ -2,20 +2,21 @@
 
 Every bound in the catalogue is evaluated next to the exactly computed
 quantity it constrains, and the report records whether it holds.  The exact
-side always comes from the mixing module (bisection over the matrix powers
-for every discrete time, and on the continuized chain bisection and then
-regula falsi steps), never from spectral formulas, so the two sides of each
-inequality stay independent.
+side always comes from the mixing module's walks, never from spectral
+formulas, so the two sides of each inequality stay independent.
 
-The catalogue is one table, ``CATALOG``, in report order: each entry
-identifier (a stable token of the JSON report; suffixes c/d mark the
-continuous- and discrete-time variants of one bound) maps to its family,
-direction and quantity.  A family is the set of rows one gate turns on or
-off together.  Non-applicability is data, not an error: a report on a
-periodic chain, or with a flow of the wrong kind, carries the gating reason
-for the affected entries.  Each public call derives every chain quantity but
-the classification, which the chain keeps, once in one memo (``_Derived``).
-A flow keeps its one walk (its validation and loads), so its congestion is a
+The catalogue is one table, ``CATALOG``, in report order: each row holds
+its family, direction and quantity, the scalar its bound is checked
+against, its bound as a function of named scalars (``_SCALARS``) and its
+own gate.  Identifiers are stable tokens of the JSON report; suffixes c/d
+mark the continuous- and discrete-time variants of one bound.  A family is
+the set of rows one gate turns on or off together: a call decides its
+families' gates once, then walks the table once (``_entries``).
+Non-applicability is data, not an error: a report on a periodic chain, or
+with a flow of the wrong kind, carries the gating reason for the affected
+entries.  Each public call derives every chain quantity but the
+classification, which the chain keeps, once in one memo (``_Derived``).  A
+flow keeps its one walk (its validation and loads), so its congestion is a
 cheap read and needs no memo.
 """
 
@@ -23,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .chains import Chain, _check_pair, _require, classify, lazy, multiply, reversibilize, time_reversal
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
 from .flows import Flow, _worst_edge, validate_flow
-from .mixing import _Ladder, _Powers, _Walk, _check_eps
+from .mixing import _Ladder, _Powers, _check_eps
 from .spectral import MAX_CONDUCTANCE_STATES, _eigenvalues, _gaps, conductance
 
 #: bound-vs-exact comparisons allow this much slack
@@ -41,30 +43,117 @@ DELTA_DEFAULT = 0.5 / math.e
 #: deltas evaluated when a sweep is requested
 DELTA_SWEEP = (DELTA_DEFAULT, 0.1, 0.05, 0.01)
 
-#: The catalogue in report order: theorem id -> (family, direction, quantity).
-#: A family is the set of rows that one gate turns on or off together; the
-#: quantity names the exact side each bound is checked against.
+
+class Row(NamedTuple):
+    """One row of the catalogue: its family, direction and quantity, the
+    scalar it is checked against (``exact``), its bound, a function of the
+    scalars its parameters name, and its gate: the reason it does not apply
+    to a call, or None."""
+
+    family: str
+    direction: str
+    quantity: str
+    exact: str
+    bound: Callable[..., float]
+    gate: Callable[[_Call], str | None] = lambda s: None
+
+    @property
+    def scalars(self) -> tuple[str, ...]:
+        code = self.bound.__code__
+        return code.co_varnames[: code.co_argcount]
+
+
+def _beta_max_is_one(s: _Call) -> str | None:
+    return "1 - beta_max is 0.0 in floats (the bounds divide by it)" if s["beta_max"] == 1.0 else None
+
+
+def _not_odd(s: _Call) -> str | None:
+    return None if s["odd"] else "flow is not odd"
+
+
+def _too_large(s: _Call) -> str | None:
+    n = MAX_CONDUCTANCE_STATES
+    return f"more than {n} states: exact conductance skipped" if s.base.n > n else None
+
+
+def _lacks(s: _Call, tau: str) -> str | None:
+    """A row that reads the worst-start time ``tau`` (tau_d or tau_c) does
+    not apply to a call that has none."""
+    if tau in s.values and s.values[tau] is None:
+        return "chain is periodic: no discrete mixing time" if tau == "tau_d" else "no continuous mixing time supplied"
+    return None
+
+
+def _reducible_product(s: _Call) -> str | None:
+    gap = s["lambda_prod"]
+    if gap is None:
+        return "reversal-product chain is reducible (gap 0)"
+    return "reversal-product lambda_1 is 0.0 in floats (the bound divides by it)" if gap == 0.0 else None
+
+
+def _on_product(s: _Call) -> str | None:
+    return None if s.direct else "flow is routed over the reversal product"
+
+
+def _periodic_target(s: _Call) -> str | None:
+    return None if classify(s.target).ergodic else "target is periodic: no discrete mixing time"
+
+
+#: The catalogue in report order: theorem id -> Row.  The bounds read named
+#: scalars (``_SCALARS``): A the flow's worst edge congestion, factor the
+#: best slowdown factor tau'(delta) / ln(1/(2 delta)) + 1 over the deltas,
+#: tau_prime and tau_prime_c the target's worst-start times at 1/(2e) on
+#: either clock, tau_d and tau_c the base's, log_x = ln(1/(eps pi(x))),
+#: log_x2 = ln(1/(eps^2 pi(x))) and c the smallest self-loop.
 CATALOG = {
-    "T5": ("spectral", "lower", "worst-start discrete mixing time"),
-    "C6": ("spectral", "lower", "worst-start discrete mixing time at 1/(2e)"),
-    "T7": ("spectral", "upper", "discrete mixing time from x"),
-    "T8": ("comparison_reversible", "upper", "discrete mixing time from x"),
-    "I5": ("comparison_reversible", "upper", "discrete mixing time from x"),
-    "T10": ("comparison_reversible", "upper", "discrete mixing time from x"),
-    "O13": ("comparison_reversible", "upper", "discrete mixing time from x"),
-    "O14": ("comparison_reversible", "upper", "discrete mixing time from x of the lazy chain"),
-    "O16": ("cut", "upper", "spectral gap"),
-    "T17": ("cut", "lower", "conductance"),
-    "T18": ("cut", "lower", "conductance"),
-    "T19": ("cut", "lower", "spectral gap"),
-    "C20d": ("gap", "lower", "spectral gap"),
-    "C20c": ("gap", "lower", "spectral gap"),
-    "T22": ("nonreversible", "upper", "continuous mixing time from x"),
-    "T23": ("nonreversible", "upper", "discrete mixing time from x"),
-    "T24c": ("comparison_general", "upper", "continuous mixing time from x"),
-    "T24d": ("comparison_general", "upper", "continuous mixing time from x"),
-    "T25": ("comparison_general", "upper", "discrete mixing time from x"),
-    "T26": ("comparison_general", "upper", "continuous mixing time from x"),
+    "T5": Row("spectral", "lower", "worst-start discrete mixing time", "worst_d",
+              lambda beta_max, eps: beta_max / (1.0 - beta_max) * math.log(1.0 / (2.0 * eps)),
+              lambda s: _beta_max_is_one(s)
+              or ("eps >= 1/2 makes the lower bound vacuous" if s.d.eps >= 0.5 else None)),
+    "C6": Row("spectral", "lower", "worst-start discrete mixing time at 1/(2e)", "tau_d",
+              lambda beta_max: beta_max / (1.0 - beta_max), _beta_max_is_one),
+    "T7": Row("spectral", "upper", "discrete mixing time from x", "x_d",
+              lambda beta_max, log_x: log_x / (1.0 - beta_max), _beta_max_is_one),
+    "T8": Row("comparison_reversible", "upper", "discrete mixing time from x", "x_d",
+              lambda A, factor, log_x: A * factor * log_x, _not_odd),
+    "I5": Row("comparison_reversible", "upper", "discrete mixing time from x", "x_d",
+              lambda A, tau_prime, log_x: A * (tau_prime + 1.0) * log_x, _not_odd),
+    "T10": Row("comparison_reversible", "upper", "discrete mixing time from x", "x_d",
+               lambda A, factor, log_x: A * factor * log_x,
+               lambda s: None if s["betas"][1] >= abs(s["betas"][-1]) - 1e-12
+               else "largest eigenvalue modulus is the negative end"),
+    "O13": Row("comparison_reversible", "upper", "discrete mixing time from x", "x_d",
+               lambda A, factor, c, log_x: max(A * factor, 1.0 / (2.0 * c)) * log_x,
+               lambda s: None if s["c"] > 0.0 else "some state has no self-loop"),
+    "O14": Row("comparison_reversible", "upper", "discrete mixing time from x of the lazy chain", "lazy_x_d",
+               lambda A, tau_prime, log_x: 2.0 * A * (tau_prime + 1.0) * log_x),
+    "O16": Row("cut", "upper", "spectral gap", "lambda_1", lambda phi: phi, _too_large),
+    "T17": Row("cut", "lower", "conductance", "phi", lambda tau_d: GAP_CONST / tau_d,
+               lambda s: _too_large(s) or _lacks(s, "tau_d")),
+    "T18": Row("cut", "lower", "conductance", "phi", lambda tau_c: GAP_CONST / tau_c,
+               lambda s: _too_large(s) or _lacks(s, "tau_c")),
+    "T19": Row("cut", "lower", "spectral gap", "lambda_1", lambda phi: phi * phi / 8.0, _too_large),
+    "C20d": Row("gap", "lower", "spectral gap", "lambda_1", lambda tau_d: GAP_CONST**2 / (8.0 * tau_d**2),
+                lambda s: _lacks(s, "tau_d")),
+    "C20c": Row("gap", "lower", "spectral gap", "lambda_1", lambda tau_c: GAP_CONST**2 / (8.0 * tau_c**2),
+                lambda s: _lacks(s, "tau_c")),
+    "T22": Row("nonreversible", "upper", "continuous mixing time from x", "x_c",
+               lambda lambda_1, log_x2: log_x2 / (2.0 * lambda_1)),
+    "T23": Row("nonreversible", "upper", "discrete mixing time from x", "x_d",
+               lambda lambda_prod, log_x2: log_x2 / lambda_prod, _reducible_product),
+    "T24c": Row("comparison_general", "upper", "continuous mixing time from x", "x_c",
+                lambda A, tau_prime_c, log_x2: 4.0 * A * tau_prime_c**2 / GAP_CONST**2 * log_x2, _on_product),
+    "T24d": Row("comparison_general", "upper", "continuous mixing time from x", "x_c",
+                lambda A, tau_prime, log_x2: 4.0 * A * tau_prime**2 / GAP_CONST**2 * log_x2,
+                lambda s: _on_product(s) or _periodic_target(s)),
+    "T25": Row("comparison_general", "upper", "discrete mixing time from x", "x_d",
+               lambda A, tau_prime, log_x2: 8.0 * A * tau_prime**2 / GAP_CONST**2 * log_x2,
+               lambda s: ("flow is routed over the base chain, not its reversal product" if s.direct else None)
+               or _periodic_target(s)),
+    "T26": Row("comparison_general", "upper", "continuous mixing time from x", "x_c",
+               lambda A, tau_prime, log_x2: 0.5 * A * (tau_prime + 1.0) * log_x2,
+               lambda s: _on_product(s) or (None if classify(s.target).reversible else "target chain is not reversible")
+               or _periodic_target(s)),
 }
 
 
@@ -83,25 +172,18 @@ class BoundEntry:
         return {f.name: getattr(self, f.name) for f in fields(self)}  # every field is a scalar
 
 
-def _entry(tid: str, bound: float, exact: float) -> BoundEntry:
+def _entry(tid: str, s: _Call) -> BoundEntry:
+    row = CATALOG[tid]
+    bound, exact = row.bound(*(s[name] for name in row.scalars)), s[row.exact]
     if not (math.isfinite(bound) and math.isfinite(exact)):
         raise AssertionError(f"entry {tid}: non-finite bound or exact value")
-    _, direction, quantity = CATALOG[tid]
-    if direction == "lower":
-        holds = bound <= exact + HOLD_TOL
-    else:
-        holds = bound >= exact - HOLD_TOL
-    return BoundEntry(tid, direction, quantity, float(bound), float(exact), holds, True, None)
+    holds = bound <= exact + HOLD_TOL if row.direction == "lower" else bound >= exact - HOLD_TOL
+    return BoundEntry(tid, row.direction, row.quantity, float(bound), float(exact), holds, True, None)
 
 
 def _skip(tid: str, reason: str) -> BoundEntry:
-    _, direction, quantity = CATALOG[tid]
-    return BoundEntry(tid, direction, quantity, None, None, None, False, reason)
-
-
-def _skip_families(reason: str, *families: str) -> list[BoundEntry]:
-    """Every row of the named families, skipped for ``reason``, in table order."""
-    return [_skip(tid, reason) for tid, (family, _, _) in CATALOG.items() if family in families]
+    row = CATALOG[tid]
+    return BoundEntry(tid, row.direction, row.quantity, None, None, None, False, reason)
 
 
 def _check_delta(delta: float) -> float:
@@ -116,47 +198,31 @@ def _mix_factor(tau_prime: float, delta: float) -> float:
     return tau_prime / math.log(1.0 / (2.0 * delta)) + 1.0
 
 
-def _log_term(eps: float, pi_x: float) -> float:
-    return math.log(1.0 / (eps * pi_x))
-
-
-def _log_term_sq(eps: float, pi_x: float) -> float:
-    return math.log(1.0 / (eps * eps * pi_x))
-
-
 class _Derived:
     """What one public call derives from each chain it touches, computed once.
 
     Entries are keyed by the chain object (a Chain is equal only to itself).
-    A memo is created by a public bound function (or ``full_report``) and
-    dropped when that call returns.  It is made where the call's ``eps`` is
-    checked, and keeps it.  It answers mixing-time queries in any order.
-    The spectral rows read eigenvalues only, so it solves each chain once
-    for its eigenvalues and beta_max (``spectrum``, by ``eigvalsh``), and
-    never for eigenvectors.
-    For the mixing times, from x or the worst start, it holds each chain's
-    two ``mixing`` walks, one per clock: ``_Powers`` over the powers
-    P^(2^e) for the discrete times and ``_Ladder`` over the exponentials
-    E(s) for the continuized ones, which it narrows below width 1 by
-    regula falsi steps, from x with one-row probes.  Each keeps every
-    start's distance and rows' drift at each full probe (O(n) each, no
-    matrix) and every answer, with its bracket, so the report's from-x
-    times, its several eps and the delta sweep share their probes; the
-    ladder also keeps E(1) and the seven powers P^2 .. P^8 its worst-start
-    series rungs below 1 are made from.  The walk queried last also keeps
-    its squares M(2^e) for its next query; a query on any other walk (the
-    other clock, or another chain) clears them, so at most one walk's
-    squares are held, not a second ladder.  A report reads only each
-    answer's time.  The reversal product R(P) P is built only for a
-    nonreversible chain and for a flow not routed over the base: a
-    reversible chain's is P^2, read from its own eigenvalues.  It holds
-    nothing for a flow, which keeps its own walk.
+    A memo is made where a public call (or ``full_report``) checks its
+    ``eps``, keeps it, and is dropped when that call returns.  It solves
+    each chain once for its eigenvalues and beta_max (``spectrum``, by
+    ``eigvalsh``), never for eigenvectors.  It answers every mixing time, in
+    any order, from each chain's two ``mixing`` walks, one per clock
+    (``_Powers`` and ``_Ladder``), which keep every full probe's distances,
+    so the report's from-x times, its several eps and the delta sweep share
+    their probes; and it keeps every answer.  The walk that computed last
+    keeps its squares M(2^e) for its next query; a query that another walk
+    must compute clears them, so at most one walk's squares are held, and
+    an answer from the memo clears nothing.  The reversal product R(P) P is
+    built only for a nonreversible chain and for a flow not routed over the
+    base (a reversible chain's is P^2, read from its eigenvalues).  lazy(P)
+    is built once, or is the target when that is lazy(P) bit for bit, so
+    the two share one walk.
     """
 
     def __init__(self, eps: float | None = None):
         self.eps = eps
         self._objects: dict[Chain, dict] = {}
-        self._held: _Walk | None = None  # the one walk that keeps its rungs
+        self._held = None  # the one walk that keeps its rungs
 
     def _get(self, chain: Chain, key, compute):
         memo = self._objects.setdefault(chain, {})
@@ -176,31 +242,137 @@ class _Derived:
         """The reversal product R(P) P."""
         return self._get(chain, "product", lambda: multiply(time_reversal(chain), chain))
 
-    def _walk(self, chain: Chain, clock: str, make) -> _Walk:
-        """The chain's walk on a clock; a query on it clears the rungs of the
-        walk queried last, if that is another one."""
-        walk = self._get(chain, clock, lambda: make(chain))
-        if walk is not self._held:
-            if self._held is not None:
-                self._held.rungs.clear()
-            self._held = walk
-        return walk
+    def lazy(self, chain: Chain, target: Chain | None) -> Chain:
+        """lazy(chain), or the target when it has lazy(chain)'s P and pi bit for bit."""
+        def make():
+            made = lazy(chain)
+            same = target is not None and np.array_equal(made.P, target.P) and np.array_equal(made.pi, target.pi)
+            return target if same else made
+        return self._get(chain, "lazy", make)
+
+    def _time(self, chain: Chain, clock: str, make, x, eps: float):
+        """The chain's time on a clock, from the memo, or from its walk,
+        which first clears the rungs of the walk that computed last."""
+        def compute():
+            walk = self._get(chain, clock, lambda: make(chain))
+            if walk is not self._held:
+                if self._held is not None:
+                    self._held.rungs.clear()
+                self._held = walk
+            return walk.time(x, eps).time
+        return self._get(chain, (clock, x, eps), compute)
 
     def discrete(self, chain: Chain, x, eps: float) -> int:
         """The discrete mixing time at eps from state index x, or from the
         worst start if x is None, from the chain's one walk over the powers."""
-        return self._walk(chain, "powers", _Powers).time(x, eps).time
+        return self._time(chain, "powers", _Powers, x, eps)
 
     def continuous(self, chain: Chain, x, eps: float) -> float:
-        return self._walk(chain, "ladder", _Ladder).time(x, eps).time
+        return self._time(chain, "ladder", _Ladder, x, eps)
+
+
+@dataclass
+class _Call:
+    """One call's chains, start and flow, and every scalar its rows read,
+    each resolved once (``_SCALARS``).  ``values`` starts with what the call
+    supplies: A, the flow's checked congestion, the conductance bounds'
+    taus, and None for a time it has none of.  ``direct``: the flow is
+    routed over the base, not its reversal product."""
+
+    d: _Derived
+    base: Chain
+    x: int | None
+    target: Chain | None = None
+    flow: Flow | None = None
+    direct: bool | None = None
+    delta: float = DELTA_DEFAULT
+    sweep: bool = False
+    values: dict = field(default_factory=dict)
+
+    def __getitem__(self, name: str):
+        if name not in self.values:
+            self.values[name] = _SCALARS[name](self)
+        return self.values[name]
+
+
+def _best_factor(s: _Call) -> float:
+    """The smallest slowdown factor over the call's delta, or the sweep's deltas and it."""
+    deltas = sorted(set(DELTA_SWEEP) | {s.delta}) if s.sweep else [s.delta]
+    return min(_mix_factor(s.d.discrete(s.target, None, dl), dl) for dl in deltas)
+
+
+def _product_gap(s: _Call) -> float | None:
+    """lambda_1 of the reversal product R(P) P, or None if it is reducible.
+
+    R(P) P never links two cyclic classes, so a periodic chain's product is
+    reducible: T23 is skipped, and T25 never sees a periodic base, as no
+    valid flow routes over a reducible product (its congestion raises).  A
+    reversible P has R(P) P = P^2, of period 1 or 2 as every edge has its
+    reverse, so irreducible exactly when P is aperiodic, with lambda_1 =
+    1 - beta_max^2."""
+    cls = classify(s.base)
+    if cls.reversible:
+        return (1.0 - s["beta_max"]) * (1.0 + s["beta_max"]) if cls.aperiodic else None
+    product = s.d.product(s.base)
+    return s.d.lambdas(product)[0] if classify(product).irreducible else None
+
+
+#: How a call resolves each scalar a row reads, in the order ``_entries``
+#: resolves them.  The mixing times come first, each one request to
+#: ``_Derived``: the base's discrete times, the target's and lazy(base)'s,
+#: then the continuized ones.  A walk keeps its squares only until another
+#: walk computes, so the base's powers are done before its ladder, and a
+#: target that is the base object walks them while they hold their squares.
+_SCALARS: dict[str, Callable[[_Call], object]] = {
+    "tau_d": lambda s: s.d.discrete(s.base, None, DELTA_DEFAULT),
+    "worst_d": lambda s: s.d.discrete(s.base, None, s.d.eps),
+    "x_d": lambda s: s.d.discrete(s.base, s.x, s.d.eps),
+    "factor": _best_factor,
+    "tau_prime": lambda s: s.d.discrete(s.target, None, DELTA_DEFAULT),
+    "lazy_x_d": lambda s: s.d.discrete(s.d.lazy(s.base, s.target), s.x, s.d.eps),
+    "x_c": lambda s: s.d.continuous(s.base, s.x, s.d.eps),
+    "tau_c": lambda s: s.d.continuous(s.base, None, DELTA_DEFAULT),
+    "tau_prime_c": lambda s: s.d.continuous(s.target, None, DELTA_DEFAULT),
+    "eps": lambda s: s.d.eps,
+    "log_x": lambda s: math.log(1.0 / (s.d.eps * s.base.pi[s.x])),
+    "log_x2": lambda s: math.log(1.0 / (s.d.eps * s.d.eps * s.base.pi[s.x])),
+    "odd": lambda s: validate_flow(s.flow)[1],
+    "betas": lambda s: s.d.spectrum(s.base)[0],
+    "beta_max": lambda s: s.d.spectrum(s.base)[1],
+    "c": lambda s: classify(s.base).min_self_loop,
+    "lambda_1": lambda s: s.d.lambdas(s.base)[0],
+    "lambda_prod": _product_gap,
+    "phi": lambda s: conductance(s.base)[0],
+}
+
+
+def _entries(s: _Call, off: dict[str, str | None], report: tuple[str, ...] = ()) -> list[BoundEntry]:
+    """The rows of the families in ``off``, in table order, each skipped for
+    its family's reason in ``off`` or its own gate's, or evaluated.  The
+    scalars the evaluated rows and ``report`` read are resolved first, in
+    ``_SCALARS`` order, so each walk is queried in that order."""
+    reasons = {tid: off[row.family] or row.gate(s) for tid, row in CATALOG.items() if row.family in off}
+    reads = set(report).union(*((CATALOG[tid].exact, *CATALOG[tid].scalars)
+                                for tid, reason in reasons.items() if reason is None))
+    for name in _SCALARS:
+        if name in reads:
+            s[name]  # resolved now, in table order
+    return [_skip(tid, reason) if reason else _entry(tid, s) for tid, reason in reasons.items()]
+
+
+def _routed(d: _Derived, base: Chain, target: Chain, flow: Flow, direct: bool) -> float:
+    """The flow's worst edge congestion A, once it is checked to be routed
+    over the base (``direct``) or its reversal product, and to end at the
+    target."""
+    if not direct and not _same_chain(flow.base, d.product(base)):
+        raise WrongFlowBase("flow is routed over neither the base chain nor its reversal product")
+    if not _same_chain(flow.target, target):
+        raise WrongFlowBase("flow target does not match the given target chain")
+    return _worst_edge(flow)
 
 
 def _same_chain(a: Chain, b: Chain) -> bool:
-    return (
-        a.n == b.n
-        and float(np.abs(a.P - b.P).max()) <= 1e-12
-        and float(np.abs(a.pi - b.pi).max()) <= 1e-12
-    )
+    return a.n == b.n and float(np.abs(a.P - b.P).max()) <= 1e-12 and float(np.abs(a.pi - b.pi).max()) <= 1e-12
 
 
 def spectral_bounds_reversible(chain: Chain, x, eps: float) -> list[BoundEntry]:
@@ -212,27 +384,10 @@ def spectral_bounds_reversible(chain: Chain, x, eps: float) -> list[BoundEntry]:
     the largest nontrivial eigenvalue modulus.  When bm is 1.0 in floats,
     1 - bm is 0.0 and all three rows are not applicable.
     """
-    return _spectral_bounds_reversible(_Derived(_check_eps(eps)), chain, x)
-
-
-def _spectral_bounds_reversible(d: _Derived, chain: Chain, x) -> list[BoundEntry]:
-    eps = d.eps
+    d = _Derived(_check_eps(eps))
     _require(chain, "reversible", "spectral mixing bounds")
     _require(chain, "ergodic", "spectral mixing bounds")
-    x = chain.index(x)
-    _, bm = d.spectrum(chain)
-    if bm == 1.0:
-        return _skip_families("1 - beta_max is 0.0 in floats (the bounds divide by it)", "spectral")
-    entries = []
-    if eps < 0.5:
-        exact_worst = d.discrete(chain, None, eps)
-        entries.append(_entry("T5", bm / (1.0 - bm) * math.log(1.0 / (2.0 * eps)), exact_worst))
-    else:
-        entries.append(_skip("T5", "eps >= 1/2 makes the lower bound vacuous"))
-    entries.append(_entry("C6", bm / (1.0 - bm), d.discrete(chain, None, DELTA_DEFAULT)))
-    exact_x = d.discrete(chain, x, eps)
-    entries.append(_entry("T7", _log_term(eps, chain.pi[x]) / (1.0 - bm), exact_x))
-    return entries
+    return _entries(_Call(d, chain, chain.index(x)), {"spectral": None})
 
 
 def comparison_reversible(
@@ -254,12 +409,7 @@ def comparison_reversible(
     lazy chain instead.  With ``sweep`` the delta-dependent bounds report
     their minimum over ``DELTA_SWEEP``.
     """
-    return _comparison_reversible(_Derived(_check_eps(eps)), base, target, flow, x, delta, sweep)
-
-
-def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, x, delta: float,
-                           sweep: bool) -> list[BoundEntry]:
-    eps = d.eps
+    d = _Derived(_check_eps(eps))
     delta = _check_delta(delta)
     for c, who in ((base, "base"), (target, "target")):
         _require(c, "reversible", f"reversible comparison bounds ({who})")
@@ -267,37 +417,8 @@ def _comparison_reversible(d: _Derived, base: Chain, target: Chain, flow: Flow, 
     if not _same_chain(flow.base, base) or not _same_chain(flow.target, target):
         raise WrongFlowBase("flow does not connect the given base and target chains")
     A = _worst_edge(flow)
-    x = base.index(x)
-    log_term = _log_term(eps, base.pi[x])
-    deltas = sorted(set(DELTA_SWEEP) | {delta}) if sweep else [delta]
-    best_factor = min(_mix_factor(d.discrete(target, None, dl), dl) for dl in deltas)
-    tau_prime_e = d.discrete(target, None, DELTA_DEFAULT)
-    exact_x = d.discrete(base, x, eps)
-
-    entries = []
-    if validate_flow(flow)[1]:
-        entries.append(_entry("T8", A * best_factor * log_term, exact_x))
-        entries.append(_entry("I5", A * (tau_prime_e + 1.0) * log_term, exact_x))
-    else:
-        entries.append(_skip("T8", "flow is not odd"))
-        entries.append(_skip("I5", "flow is not odd"))
-
-    betas, _ = d.spectrum(base)
-    if betas[1] >= abs(betas[-1]) - 1e-12:
-        entries.append(_entry("T10", A * best_factor * log_term, exact_x))
-    else:
-        entries.append(_skip("T10", "largest eigenvalue modulus is the negative end"))
-
-    c = classify(base).min_self_loop
-    if c > 0.0:
-        bound = max(A * best_factor, 1.0 / (2.0 * c)) * log_term
-        entries.append(_entry("O13", bound, exact_x))
-    else:
-        entries.append(_skip("O13", "some state has no self-loop"))
-
-    lazy_exact = d.discrete(lazy(base), x, eps)
-    entries.append(_entry("O14", 2.0 * A * (tau_prime_e + 1.0) * log_term, lazy_exact))
-    return entries
+    s = _Call(d, base, base.index(x), target, flow, True, delta, sweep, {"A": A})
+    return _entries(s, {"comparison_reversible": None})
 
 
 def conductance_bounds(
@@ -315,8 +436,9 @@ def conductance_bounds(
     lower bounds on the gap that do not need the conductance at all
     (C20d, C20c).  Each tau must be None or a finite number > 0.
     """
-    return _conductance_bounds(_Derived(), chain, _check_tau(discrete_tau, "discrete_tau"),
-                               _check_tau(continuous_tau, "continuous_tau"))
+    taus = {"tau_d": _check_tau(discrete_tau, "discrete_tau"), "tau_c": _check_tau(continuous_tau, "continuous_tau")}
+    _require(chain, "irreducible", "conductance bounds")
+    return _entries(_Call(_Derived(), chain, None, values=taus), {"cut": None, "gap": None})
 
 
 def _check_tau(tau, name: str) -> float | None:
@@ -326,36 +448,6 @@ def _check_tau(tau, name: str) -> float | None:
     if not (math.isfinite(tau) and tau > 0.0):
         raise BadParams(f"{name} must be finite and > 0, got {tau!r}")
     return tau
-
-
-def _conductance_bounds(d: _Derived, chain: Chain, discrete_tau, continuous_tau) -> list[BoundEntry]:
-    _require(chain, "irreducible", "conductance bounds")
-    lam1, _ = d.lambdas(chain)
-    entries = []
-    if chain.n <= MAX_CONDUCTANCE_STATES:
-        phi, _, _ = conductance(chain)
-        entries.append(_entry("O16", phi, lam1))
-        if discrete_tau is not None:
-            entries.append(_entry("T17", GAP_CONST / discrete_tau, phi))
-        else:
-            entries.append(_skip("T17", "chain is periodic: no discrete mixing time"))
-        if continuous_tau is not None:
-            entries.append(_entry("T18", GAP_CONST / continuous_tau, phi))
-        else:
-            entries.append(_skip("T18", "no continuous mixing time supplied"))
-        entries.append(_entry("T19", phi * phi / 8.0, lam1))
-    else:
-        reason = f"more than {MAX_CONDUCTANCE_STATES} states: exact conductance skipped"
-        entries += _skip_families(reason, "cut")
-    if discrete_tau is not None:
-        entries.append(_entry("C20d", GAP_CONST**2 / (8.0 * discrete_tau**2), lam1))
-    else:
-        entries.append(_skip("C20d", "chain is periodic: no discrete mixing time"))
-    if continuous_tau is not None:
-        entries.append(_entry("C20c", GAP_CONST**2 / (8.0 * continuous_tau**2), lam1))
-    else:
-        entries.append(_skip("C20c", "no continuous mixing time supplied"))
-    return entries
 
 
 def nonreversible_bounds(chain: Chain, x, eps: float) -> list[BoundEntry]:
@@ -368,36 +460,9 @@ def nonreversible_bounds(chain: Chain, x, eps: float) -> list[BoundEntry]:
     this kind exists, which the entry reports instead of failing; so it does
     when the product's lambda_1 is 0.0 in floats.
     """
-    return _nonreversible_bounds(_Derived(_check_eps(eps)), chain, x)
-
-
-def _nonreversible_bounds(d: _Derived, chain: Chain, x) -> list[BoundEntry]:
-    eps = d.eps
-    cls = _require(chain, "irreducible", "nonreversible bounds")
-    x = chain.index(x)
-    lam1, _ = d.lambdas(chain)
-    log2 = _log_term_sq(eps, chain.pi[x])
-    entries = [_entry("T22", log2 / (2.0 * lam1), d.continuous(chain, x, eps))]
-    # R(P) P never links two cyclic classes, so a periodic chain's product is
-    # reducible: T23 is skipped here, and T25 never sees a periodic base, as
-    # no valid flow routes over a reducible product (its congestion raises).
-    # A reversible P has R(P) P = P^2, of period 1 or 2 as every edge has its
-    # reverse, so irreducible exactly when P is aperiodic, with lambda_1 =
-    # 1 - beta_max^2
-    if cls.reversible:
-        _, beta_max = d.spectrum(chain)
-        irreducible, lam_prod = cls.aperiodic, (1.0 - beta_max) * (1.0 + beta_max)
-    else:
-        product = d.product(chain)
-        irreducible = classify(product).irreducible
-        lam_prod = d.lambdas(product)[0] if irreducible else None
-    if not irreducible:
-        entries.append(_skip("T23", "reversal-product chain is reducible (gap 0)"))
-    elif lam_prod == 0.0:
-        entries.append(_skip("T23", "reversal-product lambda_1 is 0.0 in floats (the bound divides by it)"))
-    else:
-        entries.append(_entry("T23", log2 / lam_prod, d.discrete(chain, x, eps)))
-    return entries
+    d = _Derived(_check_eps(eps))
+    _require(chain, "irreducible", "nonreversible bounds")
+    return _entries(_Call(d, chain, chain.index(x)), {"nonreversible": None})
 
 
 def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) -> list[BoundEntry]:
@@ -409,57 +474,14 @@ def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) ->
     routed over the base's reversal product instead bounds the discrete
     mixing time (T25).  The flow's base decides which family applies.
     """
-    return _comparison_general(_Derived(_check_eps(eps)), base, target, flow, x)
-
-
-def _comparison_general(d: _Derived, base: Chain, target: Chain, flow: Flow, x) -> list[BoundEntry]:
-    eps = d.eps
+    d = _Derived(_check_eps(eps))
     for c, who in ((base, "base"), (target, "target")):
         _require(c, "irreducible", f"general comparison bounds ({who})")
     _check_pair(base, target)
     x = base.index(x)
-
-    if _same_chain(flow.base, base):
-        kind = "direct"
-    elif _same_chain(flow.base, d.product(base)):
-        kind = "product"
-    else:
-        raise WrongFlowBase("flow is routed over neither the base chain nor its reversal product")
-    if not _same_chain(flow.target, target):
-        raise WrongFlowBase("flow target does not match the given target chain")
-    A = _worst_edge(flow)
-
-    cls_t = classify(target)
-    log2 = _log_term_sq(eps, base.pi[x])
-    tau_t_cont = d.continuous(target, None, DELTA_DEFAULT)
-    tau_t_disc = d.discrete(target, None, DELTA_DEFAULT) if cls_t.ergodic else None
-
-    entries = []
-    if kind == "direct":
-        exact_cont = d.continuous(base, x, eps)
-        entries.append(_entry("T24c", 4.0 * A * tau_t_cont**2 / GAP_CONST**2 * log2, exact_cont))
-        if tau_t_disc is not None:
-            entries.append(_entry("T24d", 4.0 * A * tau_t_disc**2 / GAP_CONST**2 * log2, exact_cont))
-        else:
-            entries.append(_skip("T24d", "target is periodic: no discrete mixing time"))
-        entries.append(_skip("T25", "flow is routed over the base chain, not its reversal product"))
-        if not cls_t.reversible:
-            entries.append(_skip("T26", "target chain is not reversible"))
-        elif tau_t_disc is None:
-            entries.append(_skip("T26", "target is periodic: no discrete mixing time"))
-        else:
-            entries.append(_entry("T26", 0.5 * A * (tau_t_disc + 1.0) * log2, exact_cont))
-    else:
-        reason = "flow is routed over the reversal product"
-        entries.append(_skip("T24c", reason))
-        entries.append(_skip("T24d", reason))
-        if tau_t_disc is None:
-            entries.append(_skip("T25", "target is periodic: no discrete mixing time"))
-        else:
-            exact_disc = d.discrete(base, x, eps)
-            entries.append(_entry("T25", 8.0 * A * tau_t_disc**2 / GAP_CONST**2 * log2, exact_disc))
-        entries.append(_skip("T26", reason))
-    return entries
+    direct = _same_chain(flow.base, base)
+    A = _routed(d, base, target, flow, direct)
+    return _entries(_Call(d, base, x, target, flow, direct, values={"A": A}), {"comparison_general": None})
 
 
 @dataclass
@@ -519,7 +541,8 @@ def full_report(
     Everything derived from a chain (eigenvalues, the reversal product,
     and the exponentials and the powers with every probe's distances, which
     give every mixing time) is computed once per report and shared by the
-    bound families.
+    rows.  The families' gates are decided first, the flow's kind and
+    congestion among them, then the table is walked once.
     """
     eps = _check_eps(eps)
     delta = _check_delta(delta)
@@ -528,52 +551,26 @@ def full_report(
     d = _Derived(eps)
     cls = _require(base, "irreducible", "full report")
     x_idx = base.index(x)
-
-    # every discrete time of the base before its first continuized one, each
-    # clock's queries in the order the rows ask them: a walk keeps its rungs
-    # only until the other is queried (``_Derived``)
-    tau_worst_disc = d.discrete(base, None, DELTA_DEFAULT) if cls.ergodic else None
-    entries: list[BoundEntry] = []
-    if cls.reversible and cls.ergodic:
-        entries += _spectral_bounds_reversible(d, base, x_idx)
-    else:
-        reason = "chain is periodic" if cls.reversible else "chain is not reversible"
-        entries += _skip_families(reason, "spectral")
-    exact_disc = d.discrete(base, x_idx, eps) if cls.ergodic else None
-    # the reversible comparison asks discrete times only, so it comes before
-    # the ladder too: a target that is the base object then walks the powers
-    # while they still hold their squares
+    reversible = cls.reversible and cls.ergodic
+    off = {"spectral": None if reversible else "chain is periodic" if cls.reversible else "chain is not reversible",
+           "cut": None, "gap": None, "nonreversible": None, "comparison_general": None}
+    values = {} if cls.ergodic else {"tau_d": None, "x_d": None}  # a periodic chain has no discrete times
+    direct = target is not None and _same_chain(flow.base, base)
     if target is None:
-        entries += _skip_families("no target chain and flow supplied",
-                                  "comparison_reversible", "comparison_general")
+        off["comparison_reversible"] = off["comparison_general"] = "no target chain and flow supplied"
     else:
         cls_t = classify(target)
-        both_rev_erg = cls.reversible and cls.ergodic and cls_t.reversible and cls_t.ergodic
-        direct = _same_chain(flow.base, base)
-        if direct and both_rev_erg:
-            entries += _comparison_reversible(d, base, target, flow, x_idx, delta, sweep)
+        if direct and reversible and cls_t.reversible and cls_t.ergodic:
+            if not _same_chain(flow.target, target):
+                raise WrongFlowBase("flow does not connect the given base and target chains")
+            off["comparison_reversible"] = None
         else:
-            reason = ("comparison pair is not reversible ergodic" if direct
-                      else "flow is routed over the reversal product")
-            entries += _skip_families(reason, "comparison_reversible")
-    exact_cont = d.continuous(base, x_idx, eps)
-    tau_worst_cont = d.continuous(base, None, DELTA_DEFAULT)
-
-    entries += _conductance_bounds(d, base, tau_worst_disc, tau_worst_cont)
-    entries += _nonreversible_bounds(d, base, x_idx)
-    if target is not None:
-        entries += _comparison_general(d, base, target, flow, x_idx)
-
-    order = {tid: i for i, tid in enumerate(CATALOG)}
-    entries.sort(key=lambda e: order[e.theorem])
-    return BoundReport(
-        base_name=base.name,
-        target_name=None if target is None else target.name,
-        from_label=base.labels[x_idx],
-        from_index=x_idx,
-        epsilon=eps,
-        delta=delta,
-        exact_discrete=None if exact_disc is None else int(exact_disc),
-        exact_continuous=float(exact_cont),
-        entries=entries,
-    )
+            off["comparison_reversible"] = ("comparison pair is not reversible ergodic" if direct
+                                            else "flow is routed over the reversal product")
+        _require(target, "irreducible", "general comparison bounds (target)")
+        _check_pair(base, target)
+        values["A"] = _routed(d, base, target, flow, direct)
+    s = _Call(d, base, x_idx, target, flow, direct, delta, sweep, values)
+    entries = _entries(s, off, ("x_d", "x_c"))
+    return BoundReport(base.name, None if target is None else target.name, base.labels[x_idx], x_idx, eps, delta,
+                       None if s["x_d"] is None else int(s["x_d"]), float(s["x_c"]), entries)

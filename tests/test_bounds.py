@@ -387,7 +387,7 @@ def test_full_report_regression_sample():
 
 
 def _family_ids(*families):
-    return [tid for tid, (family, _, _) in CATALOG.items() if family in families]
+    return [tid for tid, row in CATALOG.items() if row.family in families]
 
 
 def test_family_functions_return_their_rows_in_table_order():

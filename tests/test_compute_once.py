@@ -40,7 +40,7 @@ from mixbounds import (
 )
 from mixbounds import chains, flows, mixing, spectral
 from mixbounds.errors import NoConvergence
-from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _Derived, _same_chain, _skip, _skip_families
+from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _Derived, _same_chain, _skip
 from mixbounds.cli import run_cli
 
 from _families import doubly_stochastic
@@ -441,6 +441,19 @@ def test_a_gap_of_zero_ends_the_walk_at_the_cap(monkeypatch):
         assert products["squares"] <= 21 and products["products"] <= 20
 
 
+def test_a_target_that_is_lazy_base_walks_the_lazy_chain_once(monkeypatch):
+    """O14 reads lazy(base)'s time from x on the report's target when that
+    target is lazy(base) bit for bit: one walk over the powers per distinct
+    matrix (the base's and the lazy chain's), and O14's exact side is the
+    time a fresh walk gives."""
+    kwargs = _reversible_pair()
+    want = discrete_mixing_time(lazy(kwargs["base"]), 0, 0.25).time
+    walks = _count(monkeypatch, mixing._Powers, lambda chain: chain.P.tobytes())
+    o14 = next(e for e in full_report(**kwargs).entries if e.theorem == "O14")
+    assert len(walks) == 2 and max(walks.values()) == 1
+    assert o14.applicable and o14.exact == want
+
+
 @pytest.mark.parametrize("report", ["comparison_reversible", "full_report"])
 def test_a_target_that_is_the_base_shares_its_stream(monkeypatch, report):
     """The target's worst-start times and the base's from-x time walk the
@@ -558,8 +571,8 @@ def _reference_report(base, target=None, flow=None, *, x=0, eps=0.25, delta=DELT
     entries += conductance_bounds(base, tau_worst_disc, tau_worst_cont)
     entries += nonreversible_bounds(base, x, eps)
     if target is None:
-        entries += _skip_families("no target chain and flow supplied",
-                                  "comparison_reversible", "comparison_general")
+        entries += [_skip(t, "no target chain and flow supplied")
+                    for t in ("T8", "I5", "T10", "O13", "O14", "T24c", "T24d", "T25", "T26")]
     else:
         cls_t = classify(target)
         both = cls.reversible and cls.ergodic and cls_t.reversible and cls_t.ergodic
