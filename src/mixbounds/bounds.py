@@ -31,7 +31,7 @@ import numpy as np
 from .chains import Chain, _check_pair, _require, classify, lazy, multiply, reversibilize, time_reversal
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
 from .flows import Flow, _worst_edge, validate_flow
-from .mixing import _Ladder, _Powers, _check_eps
+from .mixing import _Ladder, _Powers, _Walk, _check_eps
 from .spectral import MAX_CONDUCTANCE_STATES, _eigenvalues, _gaps, conductance
 
 #: bound-vs-exact comparisons allow this much slack
@@ -222,7 +222,7 @@ class _Derived:
     def __init__(self, eps: float | None = None):
         self.eps = eps
         self._objects: dict[Chain, dict] = {}
-        self._held = None  # the one walk that keeps its rungs
+        self._held: _Walk | None = None  # the one walk that keeps its rungs
 
     def _get(self, chain: Chain, key, compute):
         memo = self._objects.setdefault(chain, {})
