@@ -130,8 +130,9 @@ def build_chain(labels, P, name=None) -> Chain:
             labels not a list or tuple, label count mismatch or repeated labels.
         NonStochastic: non-numeric, non-finite or negative entries, or row
             sums off by more than 1e-9.
-        SingularStationary: stationary space not one-dimensional, or the
-            solution is not strictly positive (e.g. transient states).
+        SingularStationary: stationary space not one-dimensional, the
+            solution not strictly positive (e.g. transient states), or the
+            chain reducible (its classification, kept on the chain).
     """
     P = _square(P, "transition matrix", NonStochastic)
     n = P.shape[0]
@@ -154,8 +155,10 @@ def build_chain(labels, P, name=None) -> Chain:
     if np.max(np.abs(row_sums - 1.0)) > RENORM_TOL:
         P = P / row_sums[:, None]
 
-    pi = _solve_stationary(P)
-    return Chain(labels, P, pi, name=name)
+    chain = Chain(labels, P, _solve_stationary(P), name=name)
+    if not classify(chain).irreducible:
+        raise SingularStationary("chain is reducible: its stationary law is not unique")
+    return chain
 
 
 def _solve_stationary(P: np.ndarray) -> np.ndarray:

@@ -114,28 +114,24 @@ def _cmd_analyze(args) -> int:
         "reversible": cls.reversible,
         "min_self_loop": cls.min_self_loop,
     }
-    if cls.irreducible:
-        if cls.reversible:  # one eigensolve, values only, gives the gaps and the spectrum
-            betas, beta_max = _eigenvalues(chain)
-            out["lambda_1"], out["lambda_bottom"] = _gaps(betas)
-            out["betas"] = [float(b) for b in betas]
-            out["beta_max"] = beta_max
-        else:
-            out["lambda_1"], out["lambda_bottom"] = lambda_constants(chain)
-        if chain.n <= MAX_CONDUCTANCE_STATES:
-            phi, phi_asym, argmin = conductance(chain)
-            out["conductance"] = phi
-            out["conductance_asym"] = phi_asym
-            out["argmin_cut"] = [chain.labels[i] for i in argmin]
+    if cls.reversible:  # one eigensolve, values only, gives the gaps and the spectrum
+        betas, beta_max = _eigenvalues(chain)
+        out["lambda_1"], out["lambda_bottom"] = _gaps(betas)
+        out["betas"] = [float(b) for b in betas]
+        out["beta_max"] = beta_max
+    else:
+        out["lambda_1"], out["lambda_bottom"] = lambda_constants(chain)
+    if chain.n <= MAX_CONDUCTANCE_STATES:
+        phi, phi_asym, argmin = conductance(chain)
+        out["conductance"] = phi
+        out["conductance_asym"] = phi_asym
+        out["argmin_cut"] = [chain.labels[i] for i in argmin]
     if args.json:
         print(json.dumps(out, indent=2))
         return 0
     print(f"chain {chain.name}: {chain.n} states")
     print(f"  irreducible: {cls.irreducible}   period: {cls.period}   aperiodic: {cls.aperiodic}")
     print(f"  reversible: {cls.reversible}   min self-loop: {cls.min_self_loop:g}")
-    if not cls.irreducible:
-        print("  reducible chain: no spectral constants or conductance")
-        return 0
     if not cls.aperiodic:
         print("  periodic chain: no discrete mixing time; continuized quantities only")
     print(f"  lambda_1: {out['lambda_1']:.6g}   lambda_bottom: {out['lambda_bottom']:.6g}")

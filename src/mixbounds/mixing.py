@@ -15,12 +15,12 @@ squares M(2^e) across its queries until they are cleared, so each is made
 once (``bounds._Derived`` keeps those of one walk at a time).  Every result
 carries its bracket: above eps at lo, within it at hi.  Every start's
 distance is kept at each full probe and checked not to rise across the kept
-probes on either side of it, beyond half the two probes' row drifts from 1;
-``d_profile`` steps every row, ``rows @ P``, and checks each step.  So a
-violation surfaces as a bug rather than a wrong answer.  Every power, rung
-and probe matrix is a sum of nonnegative products, so no distance is
-clamped; every continuized rung, product and row is checked to stay
-stochastic, and a square of E(1) that drifts past the check raises
+probes on either side of it, beyond half the two probes' rounding bounds
+(``_Walk.error``); ``d_profile`` steps every row, ``rows @ P``, and checks
+each step.  So a violation surfaces as a bug rather than a wrong answer.
+Every power, rung and probe matrix is a sum of nonnegative products, so no
+distance is clamped; every continuized rung, product and row is checked to
+stay stochastic, and a square of E(1) that drifts past the check raises
 IllConditioned.
 """
 
@@ -39,9 +39,9 @@ from .errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, N
 
 MAX_DISCRETE_STEPS = 1_000_000
 MAX_PROFILE_STEPS = 10_000
-#: a distance may rise between probes by this plus half the two probes' row
-#: drifts from 1: a start mixed to noise reads about half its row's drift,
-#: which doubles with each square
+#: a distance may rise between probes by this plus half the two probes'
+#: rounding bounds (``_Walk.error``): the floor for pi's own non-stationarity
+#: and for the rounding of the distance sums
 MONOTONE_TOL = 1e-12
 BISECTION_REL = 1e-6
 #: continuized doubling stops here (about MAX_DISCRETE_STEPS).  Squaring the
@@ -113,24 +113,22 @@ class MixingResult:
     bracket: tuple[int | float, int | float]
 
 
-def _distances(rows: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """TV(row, pi) of each row, and its row sum's drift from 1, which a
-    distance mixed to noise reads about half of.  Iterates, powers and ladder
-    matrices are sums of nonnegative products, so nothing is clamped."""
-    drifts = np.abs(rows.sum(axis=-1) - 1.0)
+def _distances(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """TV(row, pi) of each row.  Iterates, powers and ladder matrices are
+    sums of nonnegative products, so nothing is clamped."""
     D = rows - pi
     np.abs(D, out=D)
-    return 0.5 * D.sum(axis=-1), drifts
+    return 0.5 * D.sum(axis=-1)
 
 
-def _check_rise(kept: dict[float, np.ndarray], drifts: dict[float, np.ndarray], t: float, unit: str = "step") -> None:
+def _check_rise(kept: dict[float, np.ndarray], t: float, error, unit: str = "step") -> None:
     """Check the distances at the new probe t against the kept probes on
     either side of it: no start's distance may rise by more than
-    ``MONOTONE_TOL`` plus half its rows' drifts from 1 at the two probes."""
+    ``MONOTONE_TOL`` plus half the two probes' rounding bounds ``error``."""
     times = sorted(kept)
     i = times.index(t)  # >= 1, as t > 0 and time 0 is kept
     for s, u in zip(times[i - 1 : i + 1], times[i : i + 2]):
-        risen = kept[u] > kept[s] + (MONOTONE_TOL + 0.5 * (drifts[s] + drifts[u]))
+        risen = kept[u] > kept[s] + (MONOTONE_TOL + 0.5 * (error(s) + error(u)))
         if risen.any():
             j = int(risen.argmax())
             raise AssertionError(f"TV to stationarity increased at {unit} {u} (from {unit} {s}): "
@@ -155,18 +153,26 @@ def discrete_mixing_time(chain: Chain, x, eps, max_steps: int = MAX_DISCRETE_STE
 
 def d_profile(chain: Chain, t_max: int) -> list[float]:
     """Worst-start TV profile d(t) = max_j TV(P^t(j, .), pi) for t = 1 .. t_max,
-    stepping every row, with no row's distance rising at any step."""
+    stepping every row, with no row's distance rising at any step beyond
+    half the two steps' rounding bounds on the discrete clock (``_Walk.error``)."""
     t_max = _count(t_max, "t_max", BadParams, most=MAX_PROFILE_STEPS)
     _require(chain, "ergodic", "d_profile")
-    rows, tvs, drifts, profile = np.eye(chain.n), {}, {}, []
-    tvs[0], drifts[0] = _distances(rows, chain.pi)
+    walk, rows, profile = _Powers(chain), np.eye(chain.n), []
+    tvs = walk.tvs  # the identity's distances at t = 0, then the last step's
     for t in range(1, t_max + 1):
         rows = rows @ chain.P
-        tvs[t], drifts[t] = _distances(rows, chain.pi)
-        _check_rise(tvs, drifts, t)
-        del tvs[t - 1], drifts[t - 1]
+        tvs[t] = _distances(rows, chain.pi)
+        _check_rise(tvs, t, walk.error)
+        del tvs[t - 1]
         profile.append(float(tvs[t].max()))
     return profile
+
+
+def _gamma(k: float) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53, the relative error of
+    k compounded roundings; inf once k u >= 1."""
+    ku = math.ldexp(k, -53)
+    return ku / (1.0 - ku) if ku < 1.0 else math.inf
 
 
 def _on_grid(s: float) -> float:
@@ -210,20 +216,47 @@ class _Walk:
     caller clears the list: a query squares only past the highest kept rung,
     and its narrowing reads the rungs below.  Kept for the walk's life:
     ``tvs``, every start's distance at each full probe t (t = 0 is the
-    identity), with ``drifts``, its rows' drifts from 1, and every answer.
-    Each new probe is checked against the kept probes on either side of it
-    (a row probe against its starts' distances at every full probe and at
-    its query's rows, as a query makes no full probe after its first row
-    but the one at hi): no start's distance may rise (see ``_check_rise``).
+    identity).  Each new probe is checked against the kept probes on either
+    side of it (a row probe against its starts' distances at every full
+    probe and at its query's rows, as a query makes no full probe after its
+    first row but the one at hi): no start's distance may rise beyond half
+    the two probes' ``error`` (see ``_check_rise``).
     """
 
     def __init__(self, chain: Chain):
         self.chain = chain
-        self.tvs: dict[float, np.ndarray] = {}
-        self.drifts: dict[float, np.ndarray] = {}
-        self.tvs[0], self.drifts[0] = _distances(np.eye(chain.n), chain.pi)
+        self.tvs: dict[float, np.ndarray] = {0: _distances(np.eye(chain.n), chain.pi)}
         self.rungs: list[np.ndarray] = []  # rungs[e] = M(2^e), made once, kept until cleared
-        self.answers: dict[tuple[int | None, float, float], MixingResult] = {}
+        drift = float(np.abs(chain.P.sum(axis=1) - 1.0).max())  # a computed sum is within gamma_n of the exact one
+        self.excess = drift + _gamma(chain.n) * (1.0 + drift)
+
+    def error(self, t: float) -> float:
+        """A bound on the l1 distance of any row of any probe the walk makes
+        at t from that row of S(t), the clock's M(t) for the stochastic S =
+        D^-1 P, D = diag(P 1) the float P's exact row sums.  A start's
+        computed distance is so within error(t) / 2 of its distance under
+        S, which never rises but by pi's own non-stationarity.
+
+        P's row sums lie within delta = ``excess`` of 1, so (1 - delta)^k
+        S^k <= P^k <= (1 + delta)^k S^k, and a row of M(t) lies within m =
+        expm1(t delta) of S(t)'s, with mass at most 1 + m, on either clock.
+        A computed product of nonnegative A and B is within gamma_n A B of
+        A B, and f compounded roundings within gamma_f (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2002, section 3.5 and Lemma
+        3.3).  A probe is a product of at most t + c factors, each at most
+        k n + 1 roundings deep with the product that joins it and short of
+        its exact value by at most ``tail`` of its mass: ``rounding`` = (c,
+        k, tail).  Discrete: t factors P, so (0, 1, 0).  Continuized: at
+        most t factors E(1) and one series rung per probe inside width 1,
+        at most 20 (``bisections``); a rung sums c_j P^j, j <= 19, through
+        at most 19 products of length n and 70 further roundings (three
+        weighted sums of at most 8 terms, their additions and the weights'
+        own 2 j + 1), and 20 n + 70 <= 64 n + 1 for n >= 2; its tail is
+        below 2^-60 (``_series``): (23, 64, 2^-60).
+        """
+        c, k, tail = self.rounding
+        m = math.expm1(t * self.excess)
+        return _gamma((t + c) * (k * self.chain.n + 1)) * (1.0 + m) + m + (t + c) * tail
 
     def bisections(self, hi: float) -> int:
         """The fewest probes that bisecting a bracket of width 1, around a
@@ -246,23 +279,19 @@ class _Walk:
         """Smallest t in (0, cap] on the clock's grid with TV <= eps from state
         index x (None: the worst start), with its bracket; past the cap,
         NoConvergence names the cap and the distance there."""
-        if (x, eps, cap) in self.answers:
-            return self.answers[x, eps, cap]
         n, pi, two = self.chain.n, self.chain.pi, self.two
         live, entry = x, None  # a row probe's starts: x, or the worst start's A once taken at (lo, M(lo), m)
         rows: dict[float, np.ndarray] = {}  # their distances, from the query's first row probe on
-        row_drifts: dict[float, np.ndarray] = {}
 
         def probe(t: float, M: np.ndarray | None) -> float:
             """The distance at t; M = M(t), or its rows of the live starts, is needed only if t is new."""
             if M is not None and t not in self.tvs:
-                kept, drifts = (self.tvs, self.drifts) if len(M) == n else (rows, row_drifts)
+                kept = self.tvs if len(M) == n else rows
                 if kept is rows and not rows:
                     starts = live if x is None else slice(x, x + 1)
                     rows.update((s, tvs[starts]) for s, tvs in self.tvs.items())
-                    row_drifts.update((s, d[starts]) for s, d in self.drifts.items())
-                kept[t], drifts[t] = _distances(M, pi)
-                _check_rise(kept, drifts, t, self.unit)
+                kept[t] = _distances(M, pi)
+                _check_rise(kept, t, self.error, self.unit)
             if t in self.tvs:
                 return float(self.tvs[t].max() if x is None else self.tvs[t][x])
             return float(rows[t].max() if x is None else rows[t][0])
@@ -315,9 +344,7 @@ class _Walk:
             tv = probe(t, R if M_a is None else self.checked(M_a @ R))
         if hi > cap or tv > eps:
             raise NoConvergence(f"no mixing within {cap} {self.unit}s (TV still {tv:.3e})")
-        self.answers[x, eps, cap] = MixingResult(from_state=x, epsilon=eps, time=t, achieved_tv=tv,
-                                                 bracket=(type(t)(lo), t))
-        return self.answers[x, eps, cap]
+        return MixingResult(from_state=x, epsilon=eps, time=t, achieved_tv=tv, bracket=(type(t)(lo), t))
 
 
 class _Powers(_Walk):
@@ -325,7 +352,7 @@ class _Powers(_Walk):
     the bisection ends at width 1, so integer times.  The products are not
     checked: the distances are."""
 
-    two, unit = 2, "step"
+    two, unit, rounding = 2, "step", (0, 1, 0.0)
 
     @property
     def unit_rung(self) -> np.ndarray:
@@ -404,7 +431,7 @@ class _Ladder(_Walk):
     IllConditioned (``checked``).
     """
 
-    two, unit = 2.0, "time unit"
+    two, unit, rounding = 2.0, "time unit", (23, 64, 2.0**-60)
 
     @functools.cached_property
     def unit_rung(self) -> np.ndarray:

@@ -472,13 +472,15 @@ def _two_state_pair():
      WrongFlowBase, "flow is routed over neither the base chain nor its reversal product"),
     (lambda: full_report(two_state(0.25), target=uniform_walk(2, labels=["a", "b"])), MixboundsError,
      "supply target and flow together, or neither"),
+    (lambda: full_report(uniform_walk(4), uniform_walk(4), Flow(uniform_walk(4), lazy(uniform_walk(4)))),
+     WrongFlowBase, "flow does not connect the given base and target chains"),
 ], ids=["T5-eps-half", "T18-no-tau", "C20c-no-tau", "T24d-periodic-target", "T26-periodic-target",
         "T25-periodic-target", "T26-nonreversible-target", "spectral-nonreversible", "spectral-periodic",
         "comparison-reversible-base", "comparison-reversible-target", "conductance-reducible",
         "nonreversible-reducible", "comparison-general-base", "comparison-general-target",
         "full-report-reducible", "T10-negative-end", "T17-periodic", "C20d-no-tau", "cut-rows-too-large",
         "T23-reducible-product", "T25-direct-flow", "comparison-reversible-wrong-flow",
-        "comparison-general-wrong-flow-base", "full-report-target-without-flow"])
+        "comparison-general-wrong-flow-base", "full-report-target-without-flow", "full-report-wrong-flow"])
 def test_each_skip_reason_and_family_gate_is_reached(call, want, fragment):
     """Skip reasons no other test reaches, and the error of each family's gate:
     the exact class (NotIrreducible is also a NotErgodic), naming the failing chain."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mixbounds import (
+    Chain,
     build_chain,
     classify,
     dhn,
@@ -52,12 +53,22 @@ def test_transient_state_rejected():
         build_chain(["a", "b"], [[1.0, 0.0], [0.5, 0.5]])
 
 
-def test_two_closed_classes_rejected():
+def _two_swaps():
     P = np.zeros((4, 4))
     P[0, 1] = P[1, 0] = 1.0
     P[2, 3] = P[3, 2] = 1.0
+    return P
+
+
+@pytest.mark.parametrize("P", [
+    _two_swaps(),
+    # LU solves this one without a zero pivot, to pi = [6.2e-18, 5.2e-17,
+    # 5.2e-17, 1/3, 1/3, 1/3] with residual 1.1e-16
+    np.kron(np.eye(2), np.full((3, 3), 1 / 3)),
+], ids=["two swaps", "two uniform blocks of 3"])
+def test_two_closed_classes_rejected(P):
     with pytest.raises(SingularStationary):
-        build_chain(list("abcd"), P)
+        build_chain([str(i) for i in range(len(P))], P)
 
 
 def test_nonstochastic_inputs():
@@ -278,6 +289,16 @@ def test_index_lookup():
         chain.index("z")
     with pytest.raises(DimensionMismatch):
         chain.index(5)
+
+
+def test_the_constructor_checks_its_shapes_and_a_chain_reprs_its_name():
+    with pytest.raises(DimensionMismatch, match="must be square"):
+        Chain(["a"], [[1.0, 0.0]], [1.0])
+    with pytest.raises(DimensionMismatch, match="sizes disagree"):
+        Chain(["a"], [[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5])
+    with pytest.raises(DimensionMismatch, match="sizes disagree"):
+        Chain(["a", "b"], [[0.5, 0.5], [0.5, 0.5]], [1.0])
+    assert repr(two_state(0.25)) == "Chain('two_state(delta=0.25)', n=2)"
 
 
 def test_index_rejects_bools():

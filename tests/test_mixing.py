@@ -28,8 +28,8 @@ from mixbounds.chains import Chain
 from mixbounds.mixing import BISECTION_REL, MAX_DISCRETE_STEPS, MONOTONE_TOL, _Ladder, _Powers
 
 DELTA = 1 / (2 * math.e)
-from mixbounds.errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, NoConvergence, NotErgodic,
-                              NotIrreducible)
+from mixbounds.errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, MixboundsError, NoConvergence,
+                              NotErgodic, NotIrreducible)
 
 from _families import doubly_stochastic, tiny_mass_chain, two_blocks
 
@@ -465,7 +465,8 @@ def test_a_start_mixed_to_noise_does_not_rise_near_the_cap():
     # the worst start crosses 0.1 near 2^19.2, where the squares' row sums
     # drift by up to 8.5e-10; the hub's distance, mixed to noise by t = 32,
     # is about half its row's drift, so it grows with each square (1.5e-10
-    # at 2^19 to 3.0e-10 at 2^20), within half the two probes' row drifts
+    # at 2^19 to 3.0e-10 at 2^20), within half the two probes' rounding
+    # bounds (``_Walk.error``)
     chain = two_blocks(100, math.log(5) / (3 * 2**19.2))
     walk, hub = _Ladder(chain), chain.n - 1
     res = walk.time(None, 0.1)
@@ -479,13 +480,67 @@ def test_a_start_mixed_to_noise_does_not_rise_on_the_discrete_walk():
     # the same two-block chain crossing 0.1 at 2^17 steps: the hub's distance,
     # mixed to noise, reads about half its row's drift, which doubles with
     # each square of P (2.68e-12 -> 5.36e-12 from step 4096 to 8192), past
-    # MONOTONE_TOL alone; a rise may reach MONOTONE_TOL plus half the drifts
+    # MONOTONE_TOL alone; a rise may reach MONOTONE_TOL plus half the two
+    # probes' rounding bounds
     chain = two_blocks(100, math.log(5) / (3 * 2**17))
     res = discrete_mixing_time(chain, None, 0.1)
     assert res.time == 2**17 and res.bracket == (2**17 - 1, 2**17)
     for t, above in ((2**17 - 1, True), (2**17, False)):
         d = 0.5 * np.abs(np.linalg.matrix_power(chain.P, t) - chain.pi).sum(axis=1).max()
         assert (d > 0.1) == above, t
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 21, 34])
+def test_the_two_block_sweep_ends_in_a_time_or_a_mixbounds_error(m):
+    """Blocks of m states whose worst start crosses eps near 2^k, on both
+    clocks, from the worst start, 0 and the hub, and a report from 0: each
+    call returns or raises a MixboundsError (NoConvergence past the cap),
+    never a rise check's AssertionError on a start mixed to noise."""
+    for k in (10, 14, 17, 18, 18.5, 19, 19.5, 20, 21):
+        chain = two_blocks(m, math.log(5) / (3 * 2**k))
+        for eps in (0.1, 0.25):
+            calls = [lambda: full_report(chain, x=0, eps=eps)]
+            for x in (None, 0, chain.n - 1):
+                calls += [lambda x=x: discrete_mixing_time(chain, x, eps),
+                          lambda x=x: continuous_mixing_time(chain, x, eps)]
+            for call in calls:
+                try:
+                    call()
+                except MixboundsError:
+                    pass
+
+
+def test_the_rounding_bound_covers_every_probes_row_drift(monkeypatch):
+    """At every rise check, the walk's (or d_profile's) error bound at the
+    new probe is at least the largest drift from 1 of that probe's row
+    sums, the slack each start was once allowed: so the bound never lets
+    less through than the drift did."""
+    drift, checks = [], []
+    distances, check_rise = mixing._distances, mixing._check_rise
+
+    def read(rows, pi):
+        drift.append(float(np.abs(rows.sum(axis=-1) - 1.0).max()))
+        return distances(rows, pi)
+
+    def check(kept, t, error, unit="step"):
+        assert error(t) >= drift[-1], (t, error(t), drift[-1])
+        checks.append(t)
+        check_rise(kept, t, error, unit)
+
+    monkeypatch.setattr(mixing, "_distances", read)
+    monkeypatch.setattr(mixing, "_check_rise", check)
+    chains = [random_reversible(12, 1), random_reversible(18, 2), lazy(directed_cycle(30)), dhn(16),
+              doubly_stochastic(40, 3), tiny_mass_chain()]
+    chains += [two_blocks(5, math.log(5) / (3 * 2**k)) for k in (19, 21)]
+    for chain in chains:
+        for x in (None, 0, chain.n - 1):
+            for time in (discrete_mixing_time, continuous_mixing_time):
+                try:
+                    time(chain, x, 0.1)
+                except MixboundsError:
+                    pass
+        d_profile(chain, 300)
+    assert len(checks) > 1000
 
 
 @pytest.mark.parametrize("x", [None, 0])
@@ -699,7 +754,7 @@ def test_a_start_outside_the_live_rows_gets_one_full_probe_at_hi(monkeypatch):
     over every start, as from full probes."""
     chain = random_reversible(20, 1)
     E1 = _Ladder(chain).unit_rung
-    eps = float(np.sort(mixing._distances(E1 @ E1, chain.pi)[0])[-2])
+    eps = float(np.sort(mixing._distances(E1 @ E1, chain.pi))[-2])
     want = _FullProbes(chain).time(None, eps)
     events = _row_probes(monkeypatch)
     walk = _Ladder(chain)
