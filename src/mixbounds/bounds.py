@@ -14,10 +14,12 @@ the set of rows one gate turns on or off together: a call decides its
 families' gates once, then walks the table once (``_entries``).
 Non-applicability is data, not an error: a report on a periodic chain, or
 with a flow of the wrong kind, carries the gating reason for the affected
-entries.  Each public call derives every chain quantity but the
-classification, which the chain keeps, once in one memo (``_Derived``).  A
-flow keeps its one walk (its validation and loads), so its congestion is a
-cheap read and needs no memo.
+entries.  Each public call builds one object (``_Derived``) that holds its
+chains, start, flow, eps, delta and sweep, every scalar its rows read, and
+a memo in which every chain quantity but the classification, which the
+chain keeps, is derived once.  ``mixbounds analyze`` reads its gaps and
+spectrum through the same memo.  A flow keeps its one walk (its validation
+and loads), so its congestion is a cheap read and needs no memo.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class Row(NamedTuple):
     quantity: str
     exact: str
     bound: Callable[..., float]
-    gate: Callable[[_Call], str | None] = lambda s: None
+    gate: Callable[[_Derived], str | None] = lambda s: None
 
     @property
     def scalars(self) -> tuple[str, ...]:
@@ -63,20 +65,20 @@ class Row(NamedTuple):
         return code.co_varnames[: code.co_argcount]
 
 
-def _beta_max_is_one(s: _Call) -> str | None:
+def _beta_max_is_one(s: _Derived) -> str | None:
     return "1 - beta_max is 0.0 in floats (the bounds divide by it)" if s["beta_max"] == 1.0 else None
 
 
-def _not_odd(s: _Call) -> str | None:
+def _not_odd(s: _Derived) -> str | None:
     return None if s["odd"] else "flow is not odd"
 
 
-def _too_large(s: _Call) -> str | None:
+def _too_large(s: _Derived) -> str | None:
     n = MAX_CONDUCTANCE_STATES
     return f"more than {n} states: exact conductance skipped" if s.base.n > n else None
 
 
-def _lacks(s: _Call, tau: str) -> str | None:
+def _lacks(s: _Derived, tau: str) -> str | None:
     """A row that reads the worst-start time ``tau`` (tau_d or tau_c) does
     not apply to a call that has none."""
     if tau in s.values and s.values[tau] is None:
@@ -84,18 +86,18 @@ def _lacks(s: _Call, tau: str) -> str | None:
     return None
 
 
-def _reducible_product(s: _Call) -> str | None:
+def _reducible_product(s: _Derived) -> str | None:
     gap = s["lambda_prod"]
     if gap is None:
         return "reversal-product chain is reducible (gap 0)"
     return "reversal-product lambda_1 is 0.0 in floats (the bound divides by it)" if gap == 0.0 else None
 
 
-def _on_product(s: _Call) -> str | None:
+def _on_product(s: _Derived) -> str | None:
     return None if s.direct else "flow is routed over the reversal product"
 
 
-def _periodic_target(s: _Call) -> str | None:
+def _periodic_target(s: _Derived) -> str | None:
     return None if classify(s.target).ergodic else "target is periodic: no discrete mixing time"
 
 
@@ -109,7 +111,7 @@ CATALOG = {
     "T5": Row("spectral", "lower", "worst-start discrete mixing time", "worst_d",
               lambda beta_max, eps: beta_max / (1.0 - beta_max) * math.log(1.0 / (2.0 * eps)),
               lambda s: _beta_max_is_one(s)
-              or ("eps >= 1/2 makes the lower bound vacuous" if s.d.eps >= 0.5 else None)),
+              or ("eps >= 1/2 makes the lower bound vacuous" if s.eps >= 0.5 else None)),
     "C6": Row("spectral", "lower", "worst-start discrete mixing time at 1/(2e)", "tau_d",
               lambda beta_max: beta_max / (1.0 - beta_max), _beta_max_is_one),
     "T7": Row("spectral", "upper", "discrete mixing time from x", "x_d",
@@ -172,7 +174,7 @@ class BoundEntry:
         return {f.name: getattr(self, f.name) for f in fields(self)}  # every field is a scalar
 
 
-def _entry(tid: str, s: _Call) -> BoundEntry:
+def _entry(tid: str, s: _Derived) -> BoundEntry:
     row = CATALOG[tid]
     bound, exact = row.bound(*(s[name] for name in row.scalars)), s[row.exact]
     if not (math.isfinite(bound) and math.isfinite(exact)):
@@ -198,15 +200,24 @@ def _mix_factor(tau_prime: float, delta: float) -> float:
     return tau_prime / math.log(1.0 / (2.0 * delta)) + 1.0
 
 
+@dataclass(eq=False)  # a call's object is equal only to itself
 class _Derived:
-    """What one public call derives from each chain it touches, computed once.
+    """One public call: its chains, start, flow, eps, delta and sweep, every
+    scalar its rows read, and what it derives from each chain it touches,
+    each computed once.  ``mixbounds analyze`` makes one with no call
+    fields set and reads only its memo.
 
-    Entries are keyed by the chain object (a Chain is equal only to itself).
-    A memo is made where a public call (or ``full_report``) checks its
-    ``eps``, keeps it, and is dropped when that call returns.  It solves
-    each chain once for its eigenvalues and beta_max (``spectrum``, by
-    ``eigvalsh``), never for eigenvectors.  It answers every mixing time, in
-    any order, from each chain's two ``mixing`` walks, one per clock
+    ``values`` starts with what the call supplies: A, the flow's checked
+    congestion, the conductance bounds' taus, and None for a time it has
+    none of; indexing resolves every other scalar once (``_SCALARS``).
+    ``direct``: the flow is routed over the base, not its reversal product.
+
+    The per-chain memo is keyed by the chain object (a Chain is equal only
+    to itself).  A public call makes the object once it has checked its
+    ``eps`` and its chains, and drops it when it returns.  The memo
+    solves each chain once for its eigenvalues and beta_max (``spectrum``,
+    by ``eigvalsh``), never for eigenvectors.  It answers every mixing time,
+    in any order, from each chain's two ``mixing`` walks, one per clock
     (``_Powers`` and ``_Ladder``), which keep every full probe's distances,
     so the report's from-x times, its several eps and the delta sweep share
     their probes; and it keeps every answer.  The walk that computed last
@@ -219,10 +230,22 @@ class _Derived:
     the two share one walk.
     """
 
-    def __init__(self, eps: float | None = None):
-        self.eps = eps
-        self._objects: dict[Chain, dict] = {}
-        self._held: _Walk | None = None  # the one walk that keeps its rungs
+    eps: float | None = None
+    base: Chain | None = None
+    x: int | None = None
+    target: Chain | None = None
+    flow: Flow | None = None
+    direct: bool | None = None
+    delta: float = DELTA_DEFAULT
+    sweep: bool = False
+    values: dict = field(default_factory=dict)
+    _objects: dict[Chain, dict] = field(default_factory=dict, init=False, repr=False)
+    _held: _Walk | None = field(default=None, init=False, repr=False)  # the one walk that keeps its rungs
+
+    def __getitem__(self, name: str):
+        if name not in self.values:
+            self.values[name] = _SCALARS[name](self)
+        return self.values[name]
 
     def _get(self, chain: Chain, key, compute):
         memo = self._objects.setdefault(chain, {})
@@ -235,6 +258,8 @@ class _Derived:
         return self._get(chain, "spectrum", lambda: _eigenvalues(chain))
 
     def lambdas(self, chain: Chain) -> tuple[float, float]:
+        """The gaps (lambda_1, lambda_bottom): a reversible chain's from its
+        own spectrum, any other's from its reversibilization's."""
         return self._get(chain, "lambdas", lambda: _gaps(
             self.spectrum(chain if classify(chain).reversible else reversibilize(chain))[0]))
 
@@ -242,10 +267,10 @@ class _Derived:
         """The reversal product R(P) P."""
         return self._get(chain, "product", lambda: multiply(time_reversal(chain), chain))
 
-    def lazy(self, chain: Chain, target: Chain | None) -> Chain:
+    def lazy(self, chain: Chain) -> Chain:
         """lazy(chain), or the target when it has lazy(chain)'s P and pi bit for bit."""
         def make():
-            made = lazy(chain)
+            made, target = lazy(chain), self.target
             same = target is not None and np.array_equal(made.P, target.P) and np.array_equal(made.pi, target.pi)
             return target if same else made
         return self._get(chain, "lazy", make)
@@ -271,37 +296,13 @@ class _Derived:
         return self._time(chain, "ladder", _Ladder, x, eps)
 
 
-@dataclass
-class _Call:
-    """One call's chains, start and flow, and every scalar its rows read,
-    each resolved once (``_SCALARS``).  ``values`` starts with what the call
-    supplies: A, the flow's checked congestion, the conductance bounds'
-    taus, and None for a time it has none of.  ``direct``: the flow is
-    routed over the base, not its reversal product."""
-
-    d: _Derived
-    base: Chain
-    x: int | None
-    target: Chain | None = None
-    flow: Flow | None = None
-    direct: bool | None = None
-    delta: float = DELTA_DEFAULT
-    sweep: bool = False
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, name: str):
-        if name not in self.values:
-            self.values[name] = _SCALARS[name](self)
-        return self.values[name]
-
-
-def _best_factor(s: _Call) -> float:
+def _best_factor(s: _Derived) -> float:
     """The smallest slowdown factor over the call's delta, or the sweep's deltas and it."""
     deltas = sorted(set(DELTA_SWEEP) | {s.delta}) if s.sweep else [s.delta]
-    return min(_mix_factor(s.d.discrete(s.target, None, dl), dl) for dl in deltas)
+    return min(_mix_factor(s.discrete(s.target, None, dl), dl) for dl in deltas)
 
 
-def _product_gap(s: _Call) -> float | None:
+def _product_gap(s: _Derived) -> float | None:
     """lambda_1 of the reversal product R(P) P, or None if it is reducible.
 
     R(P) P never links two cyclic classes, so a periodic chain's product is
@@ -313,8 +314,8 @@ def _product_gap(s: _Call) -> float | None:
     cls = classify(s.base)
     if cls.reversible:
         return (1.0 - s["beta_max"]) * (1.0 + s["beta_max"]) if cls.aperiodic else None
-    product = s.d.product(s.base)
-    return s.d.lambdas(product)[0] if classify(product).irreducible else None
+    product = s.product(s.base)
+    return s.lambdas(product)[0] if classify(product).irreducible else None
 
 
 #: How a call resolves each scalar a row reads, in the order ``_entries``
@@ -323,30 +324,30 @@ def _product_gap(s: _Call) -> float | None:
 #: then the continuized ones.  A walk keeps its squares only until another
 #: walk computes, so the base's powers are done before its ladder, and a
 #: target that is the base object walks them while they hold their squares.
-_SCALARS: dict[str, Callable[[_Call], object]] = {
-    "tau_d": lambda s: s.d.discrete(s.base, None, DELTA_DEFAULT),
-    "worst_d": lambda s: s.d.discrete(s.base, None, s.d.eps),
-    "x_d": lambda s: s.d.discrete(s.base, s.x, s.d.eps),
+_SCALARS: dict[str, Callable[[_Derived], object]] = {
+    "tau_d": lambda s: s.discrete(s.base, None, DELTA_DEFAULT),
+    "worst_d": lambda s: s.discrete(s.base, None, s.eps),
+    "x_d": lambda s: s.discrete(s.base, s.x, s.eps),
     "factor": _best_factor,
-    "tau_prime": lambda s: s.d.discrete(s.target, None, DELTA_DEFAULT),
-    "lazy_x_d": lambda s: s.d.discrete(s.d.lazy(s.base, s.target), s.x, s.d.eps),
-    "x_c": lambda s: s.d.continuous(s.base, s.x, s.d.eps),
-    "tau_c": lambda s: s.d.continuous(s.base, None, DELTA_DEFAULT),
-    "tau_prime_c": lambda s: s.d.continuous(s.target, None, DELTA_DEFAULT),
-    "eps": lambda s: s.d.eps,
-    "log_x": lambda s: math.log(1.0 / (s.d.eps * s.base.pi[s.x])),
-    "log_x2": lambda s: math.log(1.0 / (s.d.eps * s.d.eps * s.base.pi[s.x])),
+    "tau_prime": lambda s: s.discrete(s.target, None, DELTA_DEFAULT),
+    "lazy_x_d": lambda s: s.discrete(s.lazy(s.base), s.x, s.eps),
+    "x_c": lambda s: s.continuous(s.base, s.x, s.eps),
+    "tau_c": lambda s: s.continuous(s.base, None, DELTA_DEFAULT),
+    "tau_prime_c": lambda s: s.continuous(s.target, None, DELTA_DEFAULT),
+    "eps": lambda s: s.eps,
+    "log_x": lambda s: math.log(1.0 / (s.eps * s.base.pi[s.x])),
+    "log_x2": lambda s: math.log(1.0 / (s.eps * s.eps * s.base.pi[s.x])),
     "odd": lambda s: validate_flow(s.flow)[1],
-    "betas": lambda s: s.d.spectrum(s.base)[0],
-    "beta_max": lambda s: s.d.spectrum(s.base)[1],
+    "betas": lambda s: s.spectrum(s.base)[0],
+    "beta_max": lambda s: s.spectrum(s.base)[1],
     "c": lambda s: classify(s.base).min_self_loop,
-    "lambda_1": lambda s: s.d.lambdas(s.base)[0],
+    "lambda_1": lambda s: s.lambdas(s.base)[0],
     "lambda_prod": _product_gap,
     "phi": lambda s: conductance(s.base)[0],
 }
 
 
-def _entries(s: _Call, off: dict[str, str | None], report: tuple[str, ...] = ()) -> list[BoundEntry]:
+def _entries(s: _Derived, off: dict[str, str | None], report: tuple[str, ...] = ()) -> list[BoundEntry]:
     """The rows of the families in ``off``, in table order, each skipped for
     its family's reason in ``off`` or its own gate's, or evaluated.  The
     scalars the evaluated rows and ``report`` read are resolved first, in
@@ -360,15 +361,15 @@ def _entries(s: _Call, off: dict[str, str | None], report: tuple[str, ...] = ())
     return [_skip(tid, reason) if reason else _entry(tid, s) for tid, reason in reasons.items()]
 
 
-def _routed(d: _Derived, base: Chain, target: Chain, flow: Flow, direct: bool) -> float:
-    """The flow's worst edge congestion A, once it is checked to be routed
-    over the base (``direct``) or its reversal product, and to end at the
-    target."""
-    if not direct and not _same_chain(flow.base, d.product(base)):
+def _routed(s: _Derived) -> float:
+    """The call's flow's worst edge congestion A, once it is checked to be
+    routed over the base (``direct``) or its reversal product, and to end
+    at the target."""
+    if not s.direct and not _same_chain(s.flow.base, s.product(s.base)):
         raise WrongFlowBase("flow is routed over neither the base chain nor its reversal product")
-    if not _same_chain(flow.target, target):
+    if not _same_chain(s.flow.target, s.target):
         raise WrongFlowBase("flow target does not match the given target chain")
-    return _worst_edge(flow)
+    return _worst_edge(s.flow)
 
 
 def _same_chain(a: Chain, b: Chain) -> bool:
@@ -384,10 +385,10 @@ def spectral_bounds_reversible(chain: Chain, x, eps: float) -> list[BoundEntry]:
     the largest nontrivial eigenvalue modulus.  When bm is 1.0 in floats,
     1 - bm is 0.0 and all three rows are not applicable.
     """
-    d = _Derived(_check_eps(eps))
+    eps = _check_eps(eps)
     _require(chain, "reversible", "spectral mixing bounds")
     _require(chain, "ergodic", "spectral mixing bounds")
-    return _entries(_Call(d, chain, chain.index(x)), {"spectral": None})
+    return _entries(_Derived(eps, chain, chain.index(x)), {"spectral": None})
 
 
 def comparison_reversible(
@@ -409,7 +410,7 @@ def comparison_reversible(
     lazy chain instead.  With ``sweep`` the delta-dependent bounds report
     their minimum over ``DELTA_SWEEP``.
     """
-    d = _Derived(_check_eps(eps))
+    eps = _check_eps(eps)
     delta = _check_delta(delta)
     for c, who in ((base, "base"), (target, "target")):
         _require(c, "reversible", f"reversible comparison bounds ({who})")
@@ -417,7 +418,7 @@ def comparison_reversible(
     if not _same_chain(flow.base, base) or not _same_chain(flow.target, target):
         raise WrongFlowBase("flow does not connect the given base and target chains")
     A = _worst_edge(flow)
-    s = _Call(d, base, base.index(x), target, flow, True, delta, sweep, {"A": A})
+    s = _Derived(eps, base, base.index(x), target, flow, True, delta, sweep, {"A": A})
     return _entries(s, {"comparison_reversible": None})
 
 
@@ -438,7 +439,7 @@ def conductance_bounds(
     """
     taus = {"tau_d": _check_tau(discrete_tau, "discrete_tau"), "tau_c": _check_tau(continuous_tau, "continuous_tau")}
     _require(chain, "irreducible", "conductance bounds")
-    return _entries(_Call(_Derived(), chain, None, values=taus), {"cut": None, "gap": None})
+    return _entries(_Derived(base=chain, values=taus), {"cut": None, "gap": None})
 
 
 def _check_tau(tau, name: str) -> float | None:
@@ -460,9 +461,9 @@ def nonreversible_bounds(chain: Chain, x, eps: float) -> list[BoundEntry]:
     this kind exists, which the entry reports instead of failing; so it does
     when the product's lambda_1 is 0.0 in floats.
     """
-    d = _Derived(_check_eps(eps))
+    eps = _check_eps(eps)
     _require(chain, "irreducible", "nonreversible bounds")
-    return _entries(_Call(d, chain, chain.index(x)), {"nonreversible": None})
+    return _entries(_Derived(eps, chain, chain.index(x)), {"nonreversible": None})
 
 
 def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) -> list[BoundEntry]:
@@ -474,14 +475,13 @@ def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) ->
     routed over the base's reversal product instead bounds the discrete
     mixing time (T25).  The flow's base decides which family applies.
     """
-    d = _Derived(_check_eps(eps))
+    eps = _check_eps(eps)
     for c, who in ((base, "base"), (target, "target")):
         _require(c, "irreducible", f"general comparison bounds ({who})")
     _check_pair(base, target)
-    x = base.index(x)
-    direct = _same_chain(flow.base, base)
-    A = _routed(d, base, target, flow, direct)
-    return _entries(_Call(d, base, x, target, flow, direct, values={"A": A}), {"comparison_general": None})
+    s = _Derived(eps, base, base.index(x), target, flow, _same_chain(flow.base, base))
+    s.values["A"] = _routed(s)
+    return _entries(s, {"comparison_general": None})
 
 
 @dataclass
@@ -548,14 +548,14 @@ def full_report(
     delta = _check_delta(delta)
     if (target is None) != (flow is None):
         raise MixboundsError("supply target and flow together, or neither")
-    d = _Derived(eps)
     cls = _require(base, "irreducible", "full report")
     x_idx = base.index(x)
     reversible = cls.reversible and cls.ergodic
     off = {"spectral": None if reversible else "chain is periodic" if cls.reversible else "chain is not reversible",
            "cut": None, "gap": None, "nonreversible": None, "comparison_general": None}
-    values = {} if cls.ergodic else {"tau_d": None, "x_d": None}  # a periodic chain has no discrete times
     direct = target is not None and _same_chain(flow.base, base)
+    s = _Derived(eps, base, x_idx, target, flow, direct, delta, sweep,
+                 {} if cls.ergodic else {"tau_d": None, "x_d": None})  # a periodic chain has no discrete times
     if target is None:
         off["comparison_reversible"] = off["comparison_general"] = "no target chain and flow supplied"
     else:
@@ -569,8 +569,7 @@ def full_report(
                                             else "flow is routed over the reversal product")
         _require(target, "irreducible", "general comparison bounds (target)")
         _check_pair(base, target)
-        values["A"] = _routed(d, base, target, flow, direct)
-    s = _Call(d, base, x_idx, target, flow, direct, delta, sweep, values)
+        s.values["A"] = _routed(s)
     entries = _entries(s, off, ("x_d", "x_c"))
     return BoundReport(base.name, None if target is None else target.name, base.labels[x_idx], x_idx, eps, delta,
                        None if s["x_d"] is None else int(s["x_d"]), float(s["x_c"]), entries)

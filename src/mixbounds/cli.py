@@ -22,7 +22,7 @@ import json
 import sys
 
 from . import __version__
-from .bounds import DELTA_DEFAULT, full_report
+from .bounds import DELTA_DEFAULT, _Derived, full_report
 from .chains import classify, multiply, time_reversal
 from .errors import MixboundsError
 from .flows import build_canonical_flow
@@ -30,7 +30,7 @@ from .generators import KINDS, generate
 from .mixing import continuous_mixing_time, discrete_mixing_time
 from .selftest import collect_results
 from .serialize import chain_to_dict, load_chain, load_flow, save_chain
-from .spectral import MAX_CONDUCTANCE_STATES, _eigenvalues, _gaps, conductance, lambda_constants
+from .spectral import MAX_CONDUCTANCE_STATES, conductance
 
 
 @functools.cache  # built on the first call, then reused: parsing leaves a parser as it was
@@ -114,13 +114,11 @@ def _cmd_analyze(args) -> int:
         "reversible": cls.reversible,
         "min_self_loop": cls.min_self_loop,
     }
-    if cls.reversible:  # one eigensolve, values only, gives the gaps and the spectrum
-        betas, beta_max = _eigenvalues(chain)
-        out["lambda_1"], out["lambda_bottom"] = _gaps(betas)
-        out["betas"] = [float(b) for b in betas]
-        out["beta_max"] = beta_max
-    else:
-        out["lambda_1"], out["lambda_bottom"] = lambda_constants(chain)
+    derived = _Derived()
+    out["lambda_1"], out["lambda_bottom"] = derived.lambdas(chain)
+    if cls.reversible:  # the spectrum the gaps came from: one eigensolve, values only
+        betas, beta_max = derived.spectrum(chain)
+        out["betas"], out["beta_max"] = [float(b) for b in betas], beta_max
     if chain.n <= MAX_CONDUCTANCE_STATES:
         phi, phi_asym, argmin = conductance(chain)
         out["conductance"] = phi

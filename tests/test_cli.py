@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixbounds import cli, load_chain, mixing, save_chain, selftest
+from mixbounds import (classify, cli, conductance, dhn, directed_cycle, lambda_constants, load_chain, mixing,
+                       random_reversible, save_chain, selftest, spectral)
 from mixbounds.cli import run_cli
 
 from _families import tiny_mass_chain, two_blocks
@@ -62,6 +63,38 @@ def test_analyze_text_and_json(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["analyze", chain_path]) == 0
     assert "eigenvalues: 1, -0.8   beta_max: 0.8" in capsys.readouterr().out
+
+
+def _hexed(value):
+    """``value`` with every float as its hex string, so equal means bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("make", [lambda: random_reversible(8, 1), lambda: dhn(4), lambda: directed_cycle(5)],
+                         ids=["reversible", "nonreversible", "periodic"])
+def test_analyze_json_is_the_librarys_own_values(tmp_path, capsys, make):
+    """Every key of ``analyze --json`` is the library's value for the chain
+    it loads: its classification, lambda_constants, the eigenvalues of a
+    reversible chain and the conductance, floats equal bit for bit."""
+    path = tmp_path / "chain.json"
+    save_chain(make(), path)
+    chain = load_chain(path)
+    cls = classify(chain)
+    want = {"chain": chain.name, "states": chain.n, "irreducible": cls.irreducible, "period": cls.period,
+            "aperiodic": cls.aperiodic, "reversible": cls.reversible, "min_self_loop": cls.min_self_loop}
+    want["lambda_1"], want["lambda_bottom"] = lambda_constants(chain)
+    if cls.reversible:
+        betas, want["beta_max"] = spectral._eigenvalues(chain)
+        want["betas"] = [float(b) for b in betas]
+    want["conductance"], want["conductance_asym"], argmin = conductance(chain)
+    want["argmin_cut"] = [chain.labels[i] for i in argmin]
+    assert run_cli(["analyze", str(path), "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert {k: _hexed(v) for k, v in got.items()} == {k: _hexed(v) for k, v in want.items()}
 
 
 def test_gen_json_and_lazy_of(tmp_path, capsys):
