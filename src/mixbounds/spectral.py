@@ -23,6 +23,7 @@ import numpy as np
 
 from .chains import Chain, _require, reversibilize
 from .errors import DimensionMismatch, IllConditioned, TooLarge, _count, _floats
+from .mixing import _gamma
 
 #: exact conductance limit (the enumeration visits 2^(N-1) - 1 cuts)
 MAX_CONDUCTANCE_STATES = 24
@@ -266,14 +267,9 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
     pi_h, pi_hc = H @ pi[hi], Hc @ pi[hi]
     last = H.shape[0] - 1
     # the balance certificate of the docstring
-    u = 0.5 * np.finfo(float).eps
-
-    def gamma(j: int) -> float:
-        return j * u / (1.0 - j * u)
-
     rows = Q.sum(axis=1)
-    beta = 0.5 * np.abs(rows - Q.sum(axis=0)).sum() + gamma(n + 1) * rows.sum()
-    slack = _BALANCE_TOL - 3.0 * gamma(2 * n + 1)
+    beta = 0.5 * np.abs(rows - Q.sum(axis=0)).sum() + _gamma(n + 1) * rows.sum()
+    slack = _BALANCE_TOL - 3.0 * _gamma(2 * n + 1)
 
     def flows(parts: tuple[np.ndarray, ...], h: int) -> np.ndarray:
         low, low_to_hc, h_to_low, high = parts
