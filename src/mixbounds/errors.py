@@ -89,16 +89,20 @@ class WrongFlowBase(MixboundsError):
 
 
 def _real(value, what: str, error: type) -> float:
-    """``float(value)``; whatever float() rejects or overflows on raises ``error``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise error(f"{what} must be a number, got {reprlib.repr(value)}") from None
+    """``float(value)``; a bool, or whatever float() rejects or overflows on,
+    raises ``error``."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise error(f"{what} must be a number, got {reprlib.repr(value)}")
 
 
 def _count(value, what: str, error: type, least: int = 0, most: int = sys.maxsize) -> int:
-    """An integer in [least, most], else ``error``; sys.maxsize is the largest numpy size."""
-    if not isinstance(value, (int, np.integer)) or not least <= value <= most:
+    """An integer in [least, most], not a bool, else ``error``; sys.maxsize is
+    the largest numpy size."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not least <= value <= most:
         raise error(f"{what} must be an integer in [{least}, {most}], got {reprlib.repr(value)}")
     return int(value)
 

@@ -11,6 +11,7 @@ no FlowPath, or a FlowPath whose states are no sequence.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,3 +103,11 @@ def test_bad_input_returns_or_raises_a_mixbounds_error(case):
         CALLS[name][1](value)
     except MixboundsError:
         pass
+
+
+@pytest.mark.parametrize("name", [name for name, (pool, _) in CALLS.items() if pool == "number"])
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=repr)
+def test_a_bool_is_not_a_number(name, value):
+    """A bool, Python's or numpy's, is rejected wherever a number is read."""
+    with pytest.raises(MixboundsError):
+        CALLS[name][1](value)
