@@ -17,9 +17,10 @@ with a flow of the wrong kind, carries the gating reason for the affected
 entries.  Each public call builds one object (``_Derived``) that holds its
 chains, start, flow, eps, delta and sweep, every scalar its rows read, and
 a memo in which every chain quantity but the classification, which the
-chain keeps, is derived once.  ``mixbounds analyze`` reads its gaps and
-spectrum through the same memo.  A flow keeps its one walk (its validation
-and loads), so its congestion is a cheap read and needs no memo.
+chain keeps, is derived once.  Every spectral scalar comes from one
+eigensolve per chain, of ``spectral._symmetrised``.  A flow keeps its one
+walk (its validation and loads), so its congestion is a cheap read and needs
+no memo.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chains import Chain, _check_pair, _require, classify, lazy, multiply, reversibilize, time_reversal
+from .chains import Chain, _check_pair, _require, classify, lazy, multiply, time_reversal
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
 from .flows import Flow, _worst_edge, validate_flow
 from .mixing import _Ladder, _Powers, _Walk, _check_eps
@@ -204,8 +205,7 @@ def _mix_factor(tau_prime: float, delta: float) -> float:
 class _Derived:
     """One public call: its chains, start, flow, eps, delta and sweep, every
     scalar its rows read, and what it derives from each chain it touches,
-    each computed once.  ``mixbounds analyze`` makes one with no call
-    fields set and reads only its memo.
+    each computed once.
 
     ``values`` starts with what the call supplies: A, the flow's checked
     congestion, the conductance bounds' taus, and None for a time it has
@@ -216,11 +216,12 @@ class _Derived:
     to itself).  A public call makes the object once it has checked its
     ``eps`` and its chains, and drops it when it returns.  The memo
     solves each chain once for its eigenvalues and beta_max (``spectrum``,
-    by ``eigvalsh``), never for eigenvectors.  It answers every mixing time,
-    in any order, from each chain's two ``mixing`` walks, one per clock
-    (``_Powers`` and ``_Ladder``), which keep every full probe's distances,
-    so the report's from-x times, its several eps and the delta sweep share
-    their probes; and it keeps every answer.  The walk that computed last
+    by ``eigvalsh``), never for eigenvectors; lambda_1 and the product's gap
+    are read from them.  It answers every mixing time, in any order, from
+    each chain's two ``mixing`` walks, one per clock (``_Powers`` and
+    ``_Ladder``), which keep every full probe's distances, so the report's
+    from-x times, its several eps and the delta sweep share their probes;
+    and it keeps every answer.  The walk that computed last
     keeps its squares M(2^e) for its next query; a query that another walk
     must compute clears them, so at most one walk's squares are held, and
     an answer from the memo clears nothing.  The reversal product R(P) P is
@@ -254,14 +255,10 @@ class _Derived:
         return memo[key]
 
     def spectrum(self, chain: Chain) -> tuple[np.ndarray, float]:
-        """The eigenvalues, descending, and beta_max, with no eigenvectors."""
+        """The eigenvalues, descending, and beta_max, with no eigenvectors:
+        a reversible chain's own, any other's those of its additive
+        reversibilization (``spectral._symmetrised``)."""
         return self._get(chain, "spectrum", lambda: _eigenvalues(chain))
-
-    def lambdas(self, chain: Chain) -> tuple[float, float]:
-        """The gaps (lambda_1, lambda_bottom): a reversible chain's from its
-        own spectrum, any other's from its reversibilization's."""
-        return self._get(chain, "lambdas", lambda: _gaps(
-            self.spectrum(chain if classify(chain).reversible else reversibilize(chain))[0]))
 
     def product(self, chain: Chain) -> Chain:
         """The reversal product R(P) P."""
@@ -315,7 +312,7 @@ def _product_gap(s: _Derived) -> float | None:
     if cls.reversible:
         return (1.0 - s["beta_max"]) * (1.0 + s["beta_max"]) if cls.aperiodic else None
     product = s.product(s.base)
-    return s.lambdas(product)[0] if classify(product).irreducible else None
+    return _gaps(s.spectrum(product)[0])[0] if classify(product).irreducible else None
 
 
 #: How a call resolves each scalar a row reads, in the order ``_entries``
@@ -338,10 +335,11 @@ _SCALARS: dict[str, Callable[[_Derived], object]] = {
     "log_x": lambda s: math.log(1.0 / (s.eps * s.base.pi[s.x])),
     "log_x2": lambda s: math.log(1.0 / (s.eps * s.eps * s.base.pi[s.x])),
     "odd": lambda s: validate_flow(s.flow)[1],
+    # betas and beta_max are read only on reversible chains, where they are the chain's own eigenvalues
     "betas": lambda s: s.spectrum(s.base)[0],
     "beta_max": lambda s: s.spectrum(s.base)[1],
     "c": lambda s: classify(s.base).min_self_loop,
-    "lambda_1": lambda s: s.lambdas(s.base)[0],
+    "lambda_1": lambda s: _gaps(s.spectrum(s.base)[0])[0],
     "lambda_prod": _product_gap,
     "phi": lambda s: conductance(s.base)[0],
 }

@@ -22,7 +22,7 @@ import json
 import sys
 
 from . import __version__
-from .bounds import DELTA_DEFAULT, _Derived, full_report
+from .bounds import DELTA_DEFAULT, full_report
 from .chains import classify, multiply, time_reversal
 from .errors import MixboundsError
 from .flows import build_canonical_flow
@@ -30,7 +30,7 @@ from .generators import KINDS, generate
 from .mixing import continuous_mixing_time, discrete_mixing_time
 from .selftest import collect_results
 from .serialize import chain_to_dict, load_chain, load_flow, save_chain
-from .spectral import MAX_CONDUCTANCE_STATES, conductance
+from .spectral import MAX_CONDUCTANCE_STATES, _eigenvalues, _gaps, conductance
 
 
 @functools.cache  # built on the first call, then reused: parsing leaves a parser as it was
@@ -114,10 +114,9 @@ def _cmd_analyze(args) -> int:
         "reversible": cls.reversible,
         "min_self_loop": cls.min_self_loop,
     }
-    derived = _Derived()
-    out["lambda_1"], out["lambda_bottom"] = derived.lambdas(chain)
-    if cls.reversible:  # the spectrum the gaps came from: one eigensolve, values only
-        betas, beta_max = derived.spectrum(chain)
+    betas, beta_max = _eigenvalues(chain)  # one eigensolve, values only; a loaded chain is irreducible
+    out["lambda_1"], out["lambda_bottom"] = _gaps(betas)
+    if cls.reversible:  # the chain's own spectrum, not its reversibilization's
         out["betas"], out["beta_max"] = [float(b) for b in betas], beta_max
     if chain.n <= MAX_CONDUCTANCE_STATES:
         phi, phi_asym, argmin = conductance(chain)

@@ -7,11 +7,13 @@ quadratic forms measured against the stationary edge weights pi(x)P(x,y) are
     f_form:          (1/2) sum_xy pi(x)P(x,y) (phi(x) + phi(y))^2
 
 and their infima over non-constant phi, normalised by the variance, are the
-spectral constants returned by :func:`lambda_constants`.  For a reversible
-chain these equal the gaps of the second-highest and lowest eigenvalues; for
-any other chain they are computed on the additive reversibilization, whose
-forms coincide with the original ones because both integrands are symmetric
-under swapping x and y.
+spectral constants returned by :func:`lambda_constants`.  Both integrands are
+symmetric under swapping x and y, so the forms of P equal those of its
+additive reversibilization (P + P*)/2, and the constants are the gaps of the
+second-highest and lowest eigenvalues of (P + P*)/2.  Every spectrum here is
+that of one symmetric matrix, (A + A^T)/2 with A = D P D^{-1} and D =
+diag(sqrt(pi)) (``_symmetrised``): the chain's own spectrum when it is
+reversible, its reversibilization's otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, _require, reversibilize
+from .chains import Chain, _require
 from .errors import DimensionMismatch, IllConditioned, TooLarge, _count, _floats
 from .mixing import _gamma
 
@@ -86,12 +88,16 @@ class SpectralSummary:
 
 
 def _symmetrised(chain: Chain) -> np.ndarray:
-    """A = D P D^{-1}, D = diag(sqrt(pi)), of an irreducible, reversible chain."""
-    _require(chain, "irreducible", "eigendecompose")
-    _require(chain, "reversible", "eigendecompose")
+    """(A + A^T)/2, A = D P D^{-1}, D = diag(sqrt(pi)), of an irreducible chain.
+
+    The time reversal P* = D^{-2} P^T D^2 has D P* D^{-1} = A^T, so this is
+    D (P + P*)/2 D^{-1}: similar to the additive reversibilization, with its
+    eigenvalues.  A reversible chain has P* = P and A symmetric up to the
+    <= 1e-12 asymmetry that detailed balance leaves, which the mean kills.
+    """
     d = np.sqrt(chain.pi)
     A = (d[:, None] / d[None, :]) * chain.P
-    return 0.5 * (A + A.T)  # kill the <=1e-12 asymmetry left by detailed balance
+    return 0.5 * (A + A.T)
 
 
 def _beta_max(betas: np.ndarray) -> float:
@@ -103,9 +109,13 @@ def eigendecompose(chain: Chain) -> SpectralSummary:
 
     Requires an irreducible, reversible chain: detailed balance as tested by
     ``classify``, on every edge within a relative ``BALANCE_RTOL`` = 1e-9 of
-    the edge flow.  Eigenvalues come back sorted descending with orthonormal
+    the edge flow.  These gates are this function's, not ``_symmetrised``'s,
+    which serves every irreducible chain: only a reversible chain's vectors
+    are those of A.  Eigenvalues come back sorted descending with orthonormal
     vectors; the leading vector's sign is fixed so it matches sqrt(pi).
     """
+    _require(chain, "irreducible", "eigendecompose")
+    _require(chain, "reversible", "eigendecompose")
     w, V = np.linalg.eigh(_symmetrised(chain))
     order = np.argsort(w)[::-1]
     betas = w[order]
@@ -116,11 +126,12 @@ def eigendecompose(chain: Chain) -> SpectralSummary:
 
 
 def _eigenvalues(chain: Chain) -> tuple[np.ndarray, float]:
-    """The eigenvalues of ``eigendecompose``'s A, sorted descending, and
-    beta_max, under the same gates: symmetric QR without the vectors
+    """The eigenvalues of an irreducible chain's ``_symmetrised`` matrix,
+    sorted descending, and beta_max: symmetric QR without the vectors
     (``eigvalsh``), about 4n^3/3 flops against 9n^3 with them (Golub & Van
-    Loan, *Matrix Computations*, section 8.3).  Every report row reads only
-    these."""
+    Loan, *Matrix Computations*, section 8.3).  On a reversible chain they
+    are ``eigendecompose``'s betas.  Every report row and ``mixbounds
+    analyze`` read only these; the caller checks irreducibility."""
     betas = np.linalg.eigvalsh(_symmetrised(chain))[::-1]
     return betas, _beta_max(betas)
 
@@ -128,17 +139,17 @@ def _eigenvalues(chain: Chain) -> tuple[np.ndarray, float]:
 def lambda_constants(chain: Chain) -> tuple[float, float]:
     """The two variational spectral constants (gap from 1, gap from -1).
 
-    Reversible chain: ``1 - betas[1]`` and ``1 + betas[-1]``.  Otherwise both
-    are computed on the additive reversibilization, which has the same
-    quadratic forms (asserted by the test suite, not assumed silently).
+    ``1 - betas[1]`` and ``1 + betas[-1]`` of the ``_symmetrised`` spectrum:
+    a reversible chain's own, any other's that of its additive
+    reversibilization, which has the same quadratic forms (asserted by the
+    test suite, not assumed silently).
     """
-    cls = _require(chain, "irreducible", "lambda_constants")
-    return _gaps(_eigenvalues(chain if cls.reversible else reversibilize(chain))[0])
+    _require(chain, "irreducible", "lambda_constants")
+    return _gaps(_eigenvalues(chain)[0])
 
 
 def _gaps(betas: np.ndarray) -> tuple[float, float]:
-    """The gaps (1 - betas[1], 1 + betas[-1]) of a reversible chain's spectrum,
-    sorted descending."""
+    """The gaps (1 - betas[1], 1 + betas[-1]) of a spectrum sorted descending."""
     return float(1.0 - betas[1]), float(1.0 + betas[-1])
 
 

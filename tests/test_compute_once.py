@@ -39,11 +39,11 @@ from mixbounds import (
     validate_flow,
 )
 from mixbounds import chains, flows, mixing, spectral
-from mixbounds.errors import NoConvergence
+from mixbounds.errors import IllConditioned, NoConvergence
 from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _Derived, _same_chain, _skip
 from mixbounds.cli import run_cli
 
-from _families import doubly_stochastic
+from _families import doubly_stochastic, tiny_mass_chain
 
 
 def _reversible_pair():
@@ -550,6 +550,37 @@ def test_analyze_eigensolves_a_reversible_chain_once(monkeypatch, tmp_path, caps
     assert run_cli(["analyze", str(path), "--json"]) == 0
     assert sum(solved.values()) == 1
     assert "lambda_1" in capsys.readouterr().out
+
+
+#: chain -> analyze's exit code: tiny_mass_chain's cut flows do not balance, so
+#: its report and analyze end in IllConditioned at the conductance, after the gaps
+NONREVERSIBLE = {"dhn(4)": (lambda: dhn(4), 0), "doubly_stochastic(8, 1)": (lambda: doubly_stochastic(8, 1), 0),
+                 "tiny_mass_chain": (tiny_mass_chain, 2)}
+
+
+@pytest.mark.parametrize("case", sorted(NONREVERSIBLE))
+def test_a_nonreversible_spectrum_builds_no_reversibilization(monkeypatch, tmp_path, case):
+    """A nonreversible chain's gaps come from its own symmetrised matrix,
+    similar to its additive reversibilization, so no call builds that chain;
+    and ``analyze`` makes one ``eigvalsh``."""
+    make, code = NONREVERSIBLE[case]
+    chain = make()
+    assert not classify(chain).reversible
+    path = tmp_path / "chain.json"
+    save_chain(chain, path)
+    built = _count(monkeypatch, chains.reversibilize, lambda chain: id(chain))
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: solves.append(A) or eigvalsh(A))
+    spectral.lambda_constants(chain)
+    try:
+        full_report(chain, x=0)
+    except IllConditioned:
+        assert code == 2
+    solves.clear()
+    assert run_cli(["analyze", str(path), "--json"]) == code
+    assert not built
+    assert len(solves) == 1
 
 
 def _reference_report(base, target=None, flow=None, *, x=0, eps=0.25, delta=DELTA_DEFAULT,

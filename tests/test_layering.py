@@ -1,0 +1,30 @@
+"""The package's import layering, read from the source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mixbounds"
+#: the modules below ``bounds`` and ``cli``, which import neither
+LOWER = {"chains", "errors", "mixing", "spectral", "flows"}
+
+
+def _imported(path: Path):
+    """(module, name) for each name a module imports from its own package;
+    ``from . import m`` gives (m, None)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("mixbounds")):
+            source = (node.module or "").removeprefix("mixbounds").lstrip(".")
+            for alias in node.names:
+                yield (source, alias.name) if source else (alias.name, None)
+
+
+def test_the_import_layering():
+    """No module but ``bounds`` reads a private name of ``bounds``, and the
+    lower modules import nothing from ``bounds`` or ``cli``."""
+    modules = {path.stem: list(_imported(path)) for path in SRC.glob("*.py")}
+    assert LOWER <= set(modules)
+    private = [(m, name) for m, pairs in modules.items() if m != "bounds"
+               for source, name in pairs if source == "bounds" and name and name.startswith("_")]
+    upward = [(m, source) for m in LOWER for source, _ in modules[m] if source in ("bounds", "cli")]
+    assert not private, f"private names of bounds imported elsewhere: {private}"
+    assert not upward, f"lower modules importing bounds or cli: {upward}"
