@@ -28,6 +28,7 @@ splits each path over its detours by a quantile coupling, in blocks of paths.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -76,13 +77,10 @@ class Flow:
 
     base: Chain
     target: Chain
-    _paths: tuple[FlowPath, ...] | None = field(repr=False)
     _states: np.ndarray = field(repr=False)  # every path's states, laid end to end
     _sizes: np.ndarray = field(repr=False)  # the number of states of each path
     _mass: np.ndarray = field(repr=False)
     _fault: np.ndarray = field(repr=False)  # per path: 0, or the rule ``_parse`` found broken
-    _validation: tuple | None = field(default=None, repr=False)
-    _detours: _Detours | None = field(default=None, repr=False)
 
     def __init__(self, base: Chain, target: Chain, paths=()):
         """Parses ``paths``, FlowPath objects, into the arrays of ``_of`` once.
@@ -98,17 +96,23 @@ class Flow:
         for a in (states, sizes, mass, fault):
             a.flags.writeable = False
         flow = object.__new__(cls)
-        vars(flow).update(base=base, target=target, _states=states, _sizes=sizes, _mass=mass,
-                          _fault=fault, _paths=paths)
+        vars(flow).update(base=base, target=target, _states=states, _sizes=sizes, _mass=mass, _fault=fault)
+        if paths is not None:
+            vars(flow)["paths"] = paths
         return flow
 
-    @property
+    @functools.cached_property
     def paths(self) -> tuple[FlowPath, ...]:
-        if self._paths is None:
-            flat, ends = self._states.tolist(), np.cumsum(self._sizes).tolist()
-            object.__setattr__(self, "_paths", tuple(
-                FlowPath(tuple(flat[a:b]), m) for a, b, m in zip([0, *ends], ends, self._mass.tolist())))
-        return self._paths
+        flat, ends = self._states.tolist(), np.cumsum(self._sizes).tolist()
+        return tuple(FlowPath(tuple(flat[a:b]), m) for a, b, m in zip([0, *ends], ends, self._mass.tolist()))
+
+    @functools.cached_property
+    def _validation(self) -> tuple:
+        return _validate(self)
+
+    @functools.cached_property
+    def _detours(self) -> _Detours:
+        return _detours(self.base, _loads(self)[0])
 
 
 def _laid(paths: list) -> tuple[np.ndarray, np.ndarray]:
@@ -180,8 +184,6 @@ def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:
     offending demand edge or path.  The flow keeps the result with its
     loads; each call returns a fresh violations list.
     """
-    if flow._validation is None:
-        object.__setattr__(flow, "_validation", _validate(flow))
     valid, odd, violations, _, _ = flow._validation
     return valid, odd, list(violations)
 
@@ -338,11 +340,8 @@ def state_congestion(flow: Flow) -> tuple[dict[int, float], float, float]:
     base edges carrying positive congestion); if one of those has zero
     overlap the constant is infinite and KappaInfinite is raised.
     """
-    edge_load, state_load = _loads(flow)
-    base = flow.base
-    if flow._detours is None:
-        object.__setattr__(flow, "_detours", _detours(base, edge_load))
-    per_state = dict(enumerate((state_load / base.pi).tolist()))
+    _, state_load = _loads(flow)
+    per_state = dict(enumerate((state_load / flow.base.pi).tolist()))
     kappa = float((1.0 / flow._detours.delta).max(initial=0.0))
     return per_state, max(per_state.values()), kappa
 
