@@ -6,6 +6,7 @@ counts and arrays are parsed here, by ``_real``, ``_count``, ``_floats`` and
 ``_square``; each caller names the error class and keeps its own range test.
 """
 
+import itertools
 import reprlib
 import sys
 
@@ -109,7 +110,7 @@ def _count(value, what: str, error: type, least: int = 0, most: int = sys.maxsiz
 
 def _floats(values, what: str, error: type) -> np.ndarray:
     """``values`` as a float array.  Ragged rows raise DimensionMismatch; a
-    non-numeric, overflowing or non-finite entry raises ``error``."""
+    non-numeric, bool, overflowing or non-finite entry raises ``error``."""
     try:
         out = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -117,6 +118,11 @@ def _floats(values, what: str, error: type) -> np.ndarray:
         if len({len(r) if isinstance(r, (list, tuple)) else -1 for r in rows}) > 1:
             raise DimensionMismatch(f"{what} rows differ in length") from None
         raise error(f"{what} has a non-numeric entry, or one too large for a float") from None
+    leaves = [values]  # flattened to the entries, unless an array's dtype gives their type
+    for _ in range(0 if isinstance(values, np.ndarray) and values.dtype != object else out.ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    if getattr(values, "dtype", None) == bool or not {bool, np.bool_}.isdisjoint(map(type, leaves)):
+        raise error(f"{what} has a bool entry, not a number")
     if not np.all(np.isfinite(out)):
         raise error(f"{what} has non-finite entries")
     return out

@@ -111,3 +111,23 @@ def test_a_bool_is_not_a_number(name, value):
     """A bool, Python's or numpy's, is rejected wherever a number is read."""
     with pytest.raises(MixboundsError):
         CALLS[name][1](value)
+
+
+#: the array parameters that ``errors._floats`` parses; P and Q are matrices
+PARSED_ARRAYS = ["build_chain.P", "chain_from_dict.P", "dirichlet_form.phi", "f_form.phi", "variance.pi",
+                 "variance.phi", "reconstruct_power.pi", "tv_distance.theta1", "tv_distance.theta2",
+                 "matrix_exponential.Q"]
+#: all bools, a numpy bool array, and floats holding one bool: each would be valid if a bool were a number
+BOOL_ENTRIES = {"vector": ([True, False], np.array([True, False]), [0.0, True]),
+                "matrix": ([[False, True], [True, False]], np.array([[False, True], [True, False]]),
+                           [[0.5, 0.5], [True, 0.0]])}
+
+
+@pytest.mark.parametrize("kind", range(3), ids=["bools", "numpy-bools", "one-bool"])
+@pytest.mark.parametrize("name", PARSED_ARRAYS)
+def test_a_bool_entry_is_not_a_number(name, kind):
+    """A bool inside an array, Python's or numpy's, is rejected as a bool
+    scalar is, before any test of the array's values."""
+    value = BOOL_ENTRIES["matrix" if name.endswith((".P", ".Q")) else "vector"][kind]
+    with pytest.raises(MixboundsError, match="bool entry"):
+        CALLS[name][1](value)
