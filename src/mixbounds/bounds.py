@@ -34,7 +34,7 @@ import numpy as np
 from .chains import Chain, _check_pair, _require, classify, lazy, multiply, time_reversal
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
 from .flows import Flow, _worst_edge, validate_flow
-from .mixing import _Ladder, _Powers, _Walk, _check_eps
+from .mixing import _Ladder, _Powers, _check_eps
 from .spectral import MAX_CONDUCTANCE_STATES, _eigenvalues, _gaps, conductance
 
 #: bound-vs-exact comparisons allow this much slack
@@ -217,18 +217,17 @@ class _Derived:
     ``eps`` and its chains, and drops it when it returns.  The memo
     solves each chain once for its eigenvalues and beta_max (``spectrum``,
     by ``eigvalsh``), never for eigenvectors; lambda_1 and the product's gap
-    are read from them.  It answers every mixing time, in any order, from
-    each chain's two ``mixing`` walks, one per clock (``_Powers`` and
-    ``_Ladder``), which keep every full probe's distances, so the report's
-    from-x times, its several eps and the delta sweep share their probes;
-    and it keeps every answer.  The walk that computed last
-    keeps its squares M(2^e) for its next query; a query that another walk
-    must compute clears them, so at most one walk's squares are held, and
-    an answer from the memo clears nothing.  The reversal product R(P) P is
-    built only for a nonreversible chain and for a flow not routed over the
-    base (a reversible chain's is P^2, read from its eigenvalues).  lazy(P)
-    is built once, or is the target when that is lazy(P) bit for bit, so
-    the two share one walk.
+    are read from them.  It keeps every mixing time it answers, and answers
+    a new one, in any order, from the one ``mixing`` walk the call holds,
+    over a chain's powers or its ladder (``_Powers`` or ``_Ladder``), which
+    keeps its squares M(2^e) and every full probe's distances, so the
+    report's from-x times, its several eps and the delta sweep share their
+    probes.  A query on another chain or clock replaces that walk, which
+    frees all it held; an answer from the memo replaces nothing.  The
+    reversal product R(P) P is built only for a nonreversible chain and for
+    a flow not routed over the base (a reversible chain's is P^2, read from
+    its eigenvalues).  lazy(P) is built once, or is the target when that is
+    lazy(P) bit for bit, so the two share one walk.
     """
 
     eps: float | None = None
@@ -241,7 +240,7 @@ class _Derived:
     sweep: bool = False
     values: dict = field(default_factory=dict)
     _objects: dict[Chain, dict] = field(default_factory=dict, init=False, repr=False)
-    _held: _Walk | None = field(default=None, init=False, repr=False)  # the one walk that keeps its rungs
+    _walk: tuple = field(default=(None, None, None), init=False, repr=False)  # (chain, clock, walk): the one held
 
     def __getitem__(self, name: str):
         if name not in self.values:
@@ -273,15 +272,12 @@ class _Derived:
         return self._get(chain, "lazy", make)
 
     def _time(self, chain: Chain, clock: str, make, x, eps: float):
-        """The chain's time on a clock, from the memo, or from its walk,
-        which first clears the rungs of the walk that computed last."""
+        """The chain's time on a clock, from the memo, or from the call's one
+        walk, which a query on another chain or clock first replaces."""
         def compute():
-            walk = self._get(chain, clock, lambda: make(chain))
-            if walk is not self._held:
-                if self._held is not None:
-                    self._held.rungs.clear()
-                self._held = walk
-            return walk.time(x, eps).time
+            if self._walk[:2] != (chain, clock):
+                self._walk = (chain, clock, make(chain))
+            return self._walk[2].time(x, eps).time
         return self._get(chain, (clock, x, eps), compute)
 
     def discrete(self, chain: Chain, x, eps: float) -> int:
@@ -318,9 +314,10 @@ def _product_gap(s: _Derived) -> float | None:
 #: How a call resolves each scalar a row reads, in the order ``_entries``
 #: resolves them.  The mixing times come first, each one request to
 #: ``_Derived``: the base's discrete times, the target's and lazy(base)'s,
-#: then the continuized ones.  A walk keeps its squares only until another
-#: walk computes, so the base's powers are done before its ladder, and a
-#: target that is the base object walks them while they hold their squares.
+#: then the continuized ones.  A call holds one walk at a time, so each
+#: walk's times are listed together: the base's powers before its ladder,
+#: and the target's powers between the base's and lazy(base)'s, so a target
+#: that is either chain shares its walk.
 _SCALARS: dict[str, Callable[[_Derived], object]] = {
     "tau_d": lambda s: s.discrete(s.base, None, DELTA_DEFAULT),
     "worst_d": lambda s: s.discrete(s.base, None, s.eps),
@@ -349,7 +346,9 @@ def _entries(s: _Derived, off: dict[str, str | None], report: tuple[str, ...] = 
     """The rows of the families in ``off``, in table order, each skipped for
     its family's reason in ``off`` or its own gate's, or evaluated.  The
     scalars the evaluated rows and ``report`` read are resolved first, in
-    ``_SCALARS`` order, so each walk is queried in that order."""
+    ``_SCALARS`` order, which keeps each walk's queries together: the call
+    holds one walk at a time, so rows read in table order would replace a
+    walk and build it again."""
     reasons = {tid: off[row.family] or row.gate(s) for tid, row in CATALOG.items() if row.family in off}
     reads = set(report).union(*((CATALOG[tid].exact, *CATALOG[tid].scalars)
                                 for tid, reason in reasons.items() if reason is None))

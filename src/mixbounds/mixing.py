@@ -11,8 +11,8 @@ it is wider than 1 and then, on the continuized clock, by a regula falsi
 kept within bisection's probe count (the ITP method), each probe there from
 x one row's series, and from the worst start, once the starts still above
 eps at lo are few, the series of their rows alone.  A walk keeps its
-squares M(2^e) across its queries until they are cleared, so each is made
-once (``bounds._Derived`` keeps those of one walk at a time).  Every result
+squares M(2^e) across its queries for its life, so each is made once
+(``bounds._Derived`` holds one walk at a time).  Every result
 carries its bracket: above eps at lo, within it at hi.  Every start's
 distance is kept at each full probe and checked not to rise across the kept
 probes on either side of it, beyond half the two probes' rounding bounds
@@ -211,11 +211,10 @@ class _Walk:
     distance the largest over A.  The answer's achieved_tv is that largest
     distance at hi if it is at least m, the largest distance outside A at
     the lo where A was taken, as no start outside A then exceeds it; else it
-    is read from one full probe at hi, made from that lo's M(lo).
-    ``rungs[e]`` = M(2^e) is kept across queries until a
-    caller clears the list: a query squares only past the highest kept rung,
-    and its narrowing reads the rungs below.  Kept for the walk's life:
-    ``tvs``, every start's distance at each full probe t (t = 0 is the
+    is read from one full probe at hi, made from that lo's M(lo).  Kept for
+    the walk's life: ``rungs[e]`` = M(2^e), written only by ``time``, which
+    squares only past the highest kept rung and narrows by the rungs below;
+    and ``tvs``, every start's distance at each full probe t (t = 0 is the
     identity).  Each new probe is checked against the kept probes on either
     side of it (a row probe against its starts' distances at every full
     probe and at its query's rows, as a query makes no full probe after its
@@ -226,7 +225,7 @@ class _Walk:
     def __init__(self, chain: Chain):
         self.chain = chain
         self.tvs: dict[float, np.ndarray] = {0: _distances(np.eye(chain.n), chain.pi)}
-        self.rungs: list[np.ndarray] = []  # rungs[e] = M(2^e), made once, kept until cleared
+        self.rungs: list[np.ndarray] = []  # rungs[e] = M(2^e), made once, kept for the walk's life
         drift = float(np.abs(chain.P.sum(axis=1) - 1.0).max())  # a computed sum is within gamma_n of the exact one
         self.excess = drift + _gamma(chain.n) * (1.0 + drift)
 

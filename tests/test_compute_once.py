@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -38,7 +39,7 @@ from mixbounds import (
     uniform_walk,
     validate_flow,
 )
-from mixbounds import chains, flows, mixing, spectral
+from mixbounds import bounds, chains, flows, mixing, spectral
 from mixbounds.errors import IllConditioned, NoConvergence
 from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _Derived, _same_chain, _skip
 from mixbounds.cli import run_cli
@@ -452,6 +453,61 @@ def test_a_target_that_is_lazy_base_walks_the_lazy_chain_once(monkeypatch):
     o14 = next(e for e in full_report(**kwargs).entries if e.theorem == "O14")
     assert len(walks) == 2 and max(walks.values()) == 1
     assert o14.applicable and o14.exact == want
+
+
+def _count_alive_walks(monkeypatch):
+    """Wrap ``bounds._Powers`` and ``bounds._Ladder`` so that each walk a
+    call makes is counted until it is freed: returns the walks made, and the
+    number alive at each query of one."""
+    walks, alive = Counter(), []
+
+    def counted(clock):
+        class Counted(clock):
+            def __init__(self, chain):
+                super().__init__(chain)
+                walks["made"] += 1
+                walks["alive"] += 1
+                weakref.finalize(self, walks.subtract, ["alive"])
+
+            def time(self, *args):
+                alive.append(walks["alive"])
+                return super().time(*args)
+        return Counted
+
+    for name in ("_Powers", "_Ladder"):
+        monkeypatch.setattr(bounds, name, counted(getattr(bounds, name)))
+    return walks, alive
+
+
+def _lazy_cycle_is_its_target():
+    chain = _lazy_cycle(30)
+    return {"base": chain, "target": chain, "flow": build_canonical_flow(chain, chain), "x": 3, "sweep": True}
+
+
+def _lazy_pair():
+    base = random_reversible(12, 1)
+    target = lazy(base)
+    return {"base": base, "target": target, "flow": build_canonical_flow(base, target)}
+
+
+#: reports that walk two to five (chain, clock) pairs
+MANY_WALKS = {
+    "lazy cycle(30), target is base": _lazy_cycle_is_its_target,
+    "rr(12, 1) against its lazy chain": _lazy_pair,
+    "dhn(8)": lambda: {"base": dhn(8)},
+    "product flow": _product_pair,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANY_WALKS))
+def test_a_report_holds_one_walk_at_a_time(monkeypatch, case):
+    """A query on another chain or clock replaces the call's walk, which
+    frees all it held: at every query of a report one walk is alive."""
+    kwargs = MANY_WALKS[case]()
+    walks, alive = _count_alive_walks(monkeypatch)
+    full_report(**kwargs)
+    assert walks["made"] >= 2 and len(alive) >= walks["made"]
+    assert max(alive) == 1, f"walks alive at each query: {alive}"
 
 
 @pytest.mark.parametrize("report", ["comparison_reversible", "full_report"])

@@ -28,3 +28,18 @@ def test_the_import_layering():
     upward = [(m, source) for m in LOWER for source, _ in modules[m] if source in ("bounds", "cli")]
     assert not private, f"private names of bounds imported elsewhere: {private}"
     assert not upward, f"lower modules importing bounds or cli: {upward}"
+
+
+def test_only_mixing_names_a_walk_or_its_rungs():
+    """A walk's rungs are ``mixing``'s own: no other module imports or names
+    ``_Walk``, or reads an attribute named ``rungs``."""
+    named = []
+    for path in SRC.glob("*.py"):
+        if path.stem == "mixing":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.name if isinstance(node, ast.alias) else node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name == "_Walk" or name == "rungs" and isinstance(node, ast.Attribute):
+                named.append((path.stem, name))
+    assert not named, f"a walk's internals named outside mixing: {named}"
