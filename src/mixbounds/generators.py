@@ -97,6 +97,8 @@ KINDS = (*_BUILDERS, "lazy_of")
 
 def generate(kind: str, **params) -> Chain:
     """Dispatch on a generator kind; unknown kinds or parameters raise BadParams."""
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise BadParams(f"unknown generator kind {kind!r} (known: {', '.join(KINDS)})")
     if kind == "lazy_of":
         inner = params.pop("of", None)
         if inner is None:
@@ -104,8 +106,6 @@ def generate(kind: str, **params) -> Chain:
         wrapped = generate(inner, **params)
         out = lazy(wrapped)
         return Chain(out.labels, out.P, out.pi, name=f"lazy_of({wrapped.name})")
-    if kind not in _BUILDERS:
-        raise BadParams(f"unknown generator kind {kind!r} (known: {', '.join(KINDS)})")
     fn, allowed = _BUILDERS[kind]
     cleaned = {k: v for k, v in params.items() if v is not None}
     extra = set(cleaned) - set(allowed)

@@ -74,12 +74,14 @@ def tv_distance(theta1, theta2) -> float:
     Cross-checked against the worst-event form (the sum of positive parts of
     the difference); for genuine distributions the two are equal up to half
     the difference of the totals, plus 1e-12 times the larger of the distance
-    and 1 for rounding.  A difference too large for a float raises BadParams.
+    and 1 for rounding.  A difference too large for a float raises BadParams;
+    anything but two non-empty vectors of one length, DimensionMismatch.
+    Neither sum need be 1.
     """
     t1 = _floats(theta1, "distribution", BadParams)
     t2 = _floats(theta2, "distribution", BadParams)
-    if t1.shape != t2.shape:
-        raise DimensionMismatch("distributions have different lengths")
+    if t1.ndim != 1 or not t1.size or t1.shape != t2.shape:
+        raise DimensionMismatch("distributions must be non-empty vectors of one length")
     with np.errstate(over="ignore"):
         d = t1 - t2
         half_l1 = 0.5 * float(np.abs(d).sum())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Chain, _require
-from .errors import DimensionMismatch, IllConditioned, TooLarge, _count, _floats
+from .errors import BadParams, DimensionMismatch, IllConditioned, TooLarge, _count, _floats
 from .mixing import _gamma
 
 #: exact conductance limit (the enumeration visits 2^(N-1) - 1 cuts)
@@ -61,11 +61,15 @@ def f_form(chain: Chain, phi) -> float:
 
 
 def variance(pi, phi) -> float:
-    """Variance of phi under the distribution pi."""
+    """Variance of phi under the distribution pi: two non-empty vectors of
+    one length (else DimensionMismatch), pi with no negative weight (else
+    BadParams) but with any sum."""
     pi = _floats(pi, "pi", DimensionMismatch)
     phi = _floats(phi, "phi", DimensionMismatch)
-    if pi.ndim != 1 or pi.shape != phi.shape:
-        raise DimensionMismatch("pi and phi must be vectors of one length")
+    if pi.ndim != 1 or not pi.size or pi.shape != phi.shape:
+        raise DimensionMismatch("pi and phi must be non-empty vectors of one length")
+    if (pi < 0.0).any():
+        raise BadParams("pi has a negative weight: it must be a distribution")
     mu = float(pi @ phi)
     d = phi - mu
     return float(pi @ (d * d))

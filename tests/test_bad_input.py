@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixbounds as mb
-from mixbounds.errors import MixboundsError
+from mixbounds.errors import BadParams, DimensionMismatch, MixboundsError
 from mixbounds.serialize import chain_from_dict, flow_from_dict
 
 NUMBERS = [None, "x", True, math.nan, math.inf, -math.inf, 10**400, -10**400, 2.5, -1]
@@ -90,6 +90,8 @@ CALLS = {
     "random_reversible.seed": ("number", lambda v: mb.random_reversible(3, v)),
     "generate.delta": ("number", lambda v: mb.generate("two_state", delta=v)),
     "generate.seed": ("number", lambda v: mb.generate("random_reversible", N=3, seed=v)),
+    "generate.kind": ("array", lambda v: mb.generate(v)),
+    "generate.of": ("array", lambda v: mb.generate("lazy_of", of=v, n=3)),
 }
 
 CASES = [(name, value) for name, (pool, _) in CALLS.items() for value in POOLS[pool]]
@@ -131,3 +133,23 @@ def test_a_bool_entry_is_not_a_number(name, kind):
     value = BOOL_ENTRIES["matrix" if name.endswith((".P", ".Q")) else "vector"][kind]
     with pytest.raises(MixboundsError, match="bool entry"):
         CALLS[name][1](value)
+
+
+#: shapes that are not distributions, and a negative weight: (error, call)
+NOT_DISTRIBUTIONS = {
+    "tv_distance of scalars": (DimensionMismatch, lambda: mb.tv_distance(0.3, 0.1)),
+    "tv_distance of matrices": (DimensionMismatch,
+                                lambda: mb.tv_distance([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [0.0, 1.0]])),
+    "tv_distance of empty vectors": (DimensionMismatch, lambda: mb.tv_distance([], [])),
+    "variance of empty vectors": (DimensionMismatch, lambda: mb.variance([], [])),
+    "variance under a negative weight": (BadParams, lambda: mb.variance([-1.0, 2.0], [0.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_DISTRIBUTIONS))
+def test_a_distribution_is_a_nonempty_vector_of_weights(case):
+    """``tv_distance`` and ``variance`` read only non-empty vectors, and
+    ``variance`` only nonnegative weights; neither asks for a sum of 1."""
+    error, call = NOT_DISTRIBUTIONS[case]
+    with pytest.raises(error):
+        call()
