@@ -207,14 +207,16 @@ class _Derived:
     scalar its rows read, and what it derives from each chain it touches,
     each computed once.
 
-    ``values`` starts with what the call supplies: A, the flow's checked
-    congestion, the conductance bounds' taus, and None for a time it has
-    none of; indexing resolves every other scalar once (``_SCALARS``).
-    ``direct``: the flow is routed over the base, not its reversal product.
+    ``values`` is the call's one memo.  It starts with what the call
+    supplies: A, the flow's checked congestion, the conductance bounds'
+    taus, and None for a time it has none of; indexing resolves every other
+    scalar once (``_SCALARS``), keyed by its name.  What is derived from a
+    chain is keyed by (chain, key), the chain object itself (a Chain is
+    equal only to itself).  ``direct``: the flow is routed over the base,
+    not its reversal product.
 
-    The per-chain memo is keyed by the chain object (a Chain is equal only
-    to itself).  A public call makes the object once it has checked its
-    ``eps`` and its chains, and drops it when it returns.  The memo
+    A public call makes the object once it has checked its ``eps`` and its
+    chains, and drops it when it returns.  The memo
     solves each chain once for its eigenvalues and beta_max (``spectrum``,
     by ``eigvalsh``), never for eigenvectors; lambda_1 and the product's gap
     are read from them.  It keeps every mixing time it answers, and answers
@@ -239,29 +241,25 @@ class _Derived:
     delta: float = DELTA_DEFAULT
     sweep: bool = False
     values: dict = field(default_factory=dict)
-    _objects: dict[Chain, dict] = field(default_factory=dict, init=False, repr=False)
     _walk: tuple = field(default=(None, None, None), init=False, repr=False)  # (chain, clock, walk): the one held
 
     def __getitem__(self, name: str):
-        if name not in self.values:
-            self.values[name] = _SCALARS[name](self)
-        return self.values[name]
+        return self._get(name, lambda: _SCALARS[name](self))
 
-    def _get(self, chain: Chain, key, compute):
-        memo = self._objects.setdefault(chain, {})
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
+    def _get(self, key, compute):
+        if key not in self.values:
+            self.values[key] = compute()
+        return self.values[key]
 
     def spectrum(self, chain: Chain) -> tuple[np.ndarray, float]:
         """The eigenvalues, descending, and beta_max, with no eigenvectors:
         a reversible chain's own, any other's those of its additive
         reversibilization (``spectral._symmetrised``)."""
-        return self._get(chain, "spectrum", lambda: _eigenvalues(chain))
+        return self._get((chain, "spectrum"), lambda: _eigenvalues(chain))
 
     def product(self, chain: Chain) -> Chain:
         """The reversal product R(P) P."""
-        return self._get(chain, "product", lambda: multiply(time_reversal(chain), chain))
+        return self._get((chain, "product"), lambda: multiply(time_reversal(chain), chain))
 
     def lazy(self, chain: Chain) -> Chain:
         """lazy(chain), or the target when it has lazy(chain)'s P and pi bit for bit."""
@@ -269,7 +267,7 @@ class _Derived:
             made, target = lazy(chain), self.target
             same = target is not None and np.array_equal(made.P, target.P) and np.array_equal(made.pi, target.pi)
             return target if same else made
-        return self._get(chain, "lazy", make)
+        return self._get((chain, "lazy"), make)
 
     def _time(self, chain: Chain, clock: str, make, x, eps: float):
         """The chain's time on a clock, from the memo, or from the call's one
@@ -278,7 +276,7 @@ class _Derived:
             if self._walk[:2] != (chain, clock):
                 self._walk = (chain, clock, make(chain))
             return self._walk[2].time(x, eps).time
-        return self._get(chain, (clock, x, eps), compute)
+        return self._get((chain, clock, x, eps), compute)
 
     def discrete(self, chain: Chain, x, eps: float) -> int:
         """The discrete mixing time at eps from state index x, or from the

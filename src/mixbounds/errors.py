@@ -2,8 +2,10 @@
 
 Public functions raise a MixboundsError (a ValueError) subclass on bad
 input, and the CLI exits 2 on one.  NotIrreducible is a NotErgodic.  Numbers,
-counts and arrays are parsed here, by ``_real``, ``_count``, ``_floats`` and
-``_square``; each caller names the error class and keeps its own range test.
+counts and arrays are parsed here, by ``_real``, ``_count``, ``_floats``,
+``_square`` and ``_vector``; each caller names the error class, or takes
+``_vector``'s BadParams, and keeps its own range test.  ``_finite`` turns a
+sum over parsed input that overflowed into BadParams.
 """
 
 import itertools
@@ -134,3 +136,20 @@ def _square(M, what: str, error: type) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got {M.shape}")
     return M
+
+
+def _vector(values, what: str, size: int | None = None) -> np.ndarray:
+    """``values`` parsed by ``_floats`` (its entry faults raise BadParams), and
+    DimensionMismatch unless it is a non-empty vector, of ``size`` entries if given."""
+    v = _floats(values, what, BadParams)
+    if v.ndim != 1 or not v.size or size not in (None, v.size):
+        raise DimensionMismatch(f"{what} must be a non-empty vector{'' if size is None else f' of {size} entries'}, "
+                                f"got shape {v.shape}")
+    return v
+
+
+def _finite(value: float, what: str) -> float:
+    """``value``, unless a sum over finite input overflowed to inf or nan: BadParams."""
+    if not np.isfinite(value):
+        raise BadParams(f"{what} overflows a float")
+    return value

@@ -461,16 +461,7 @@ def _spread_block(states: np.ndarray, sizes: np.ndarray, mass: np.ndarray, hop: 
     rows = np.empty((len(owner), 2 * xs.shape[1] + 1), np.intp)
     rows[:, ::2] = np.take(_rows(states, sizes), owner, axis=0)
     rows[:, 1::2] = xs
-    # sorted as tuples: digits state + 1 (0 for padding) packed into 63-bit
-    # words, one argsort by the last word, then a stable one by each before it
-    bits = len(table.row).bit_length()
-    per = 63 // bits
-    words = np.zeros((-(-rows.shape[1] // per), len(rows)), np.int64)
-    for c, digit in enumerate(rows.T + 1):
-        words[c // per] = words[c // per] << bits | digit
-    order = np.argsort(words[-1])
-    for word in words[-2::-1]:
-        order = order[np.argsort(word[order], kind="stable")]
+    order = np.lexsort(rows.T[::-1])  # as tuples, the first column the primary key
     total = (frac * mass[owner])[order]
     order, total = order[total > 0.0], total[total > 0.0]
     rows = np.take(rows, order, axis=0)

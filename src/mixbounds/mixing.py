@@ -34,8 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from .chains import ROW_SUM_TOL, Chain, _require
-from .errors import (BadEpsilon, BadParams, DimensionMismatch, IllConditioned, NoConvergence, _count, _floats,
-                     _real, _square)
+from .errors import BadEpsilon, BadParams, IllConditioned, NoConvergence, _count, _finite, _real, _square, _vector
 
 MAX_DISCRETE_STEPS = 1_000_000
 MAX_PROFILE_STEPS = 10_000
@@ -74,19 +73,16 @@ def tv_distance(theta1, theta2) -> float:
     Cross-checked against the worst-event form (the sum of positive parts of
     the difference); for genuine distributions the two are equal up to half
     the difference of the totals, plus 1e-12 times the larger of the distance
-    and 1 for rounding.  A difference too large for a float raises BadParams;
-    anything but two non-empty vectors of one length, DimensionMismatch.
+    and 1 for rounding.  An entry that is no number, or a difference too
+    large for a float, raises BadParams; anything but two non-empty vectors
+    of one length, DimensionMismatch.
     Neither sum need be 1.
     """
-    t1 = _floats(theta1, "distribution", BadParams)
-    t2 = _floats(theta2, "distribution", BadParams)
-    if t1.ndim != 1 or not t1.size or t1.shape != t2.shape:
-        raise DimensionMismatch("distributions must be non-empty vectors of one length")
+    t1 = _vector(theta1, "distribution")
+    t2 = _vector(theta2, "distribution", t1.size)
     with np.errstate(over="ignore"):
         d = t1 - t2
-        half_l1 = 0.5 * float(np.abs(d).sum())
-    if half_l1 == np.inf:
-        raise BadParams("the distributions' difference overflows a float")
+        half_l1 = _finite(0.5 * float(np.abs(d).sum()), "the distributions' difference")
     positive_part = float(d[d > 0].sum())
     slack = 1e-12 * max(1.0, half_l1) + 0.5 * abs(float(d.sum()))
     if abs(half_l1 - positive_part) > slack:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Chain, _require
-from .errors import BadParams, DimensionMismatch, IllConditioned, TooLarge, _count, _floats
+from .errors import BadParams, IllConditioned, TooLarge, _count, _finite, _vector
 from .mixing import _gamma
 
 #: exact conductance limit (the enumeration visits 2^(N-1) - 1 cuts)
@@ -37,42 +37,43 @@ _BALANCE_TOL = 1e-9
 _TIE_TOL = 1e-12
 
 
-def _check_phi(chain: Chain, phi) -> np.ndarray:
-    phi = _floats(phi, "state function", DimensionMismatch)
-    if phi.shape != (chain.n,):
-        raise DimensionMismatch(f"state function has shape {phi.shape}, chain has {chain.n} states")
-    return phi
+def _form(chain: Chain, phi, sign: float) -> float:
+    """(1/2) sum over state pairs of pi(x)P(x,y)(phi(x) + sign phi(y))^2.
+
+    ``sign`` is -1.0 or +1.0, and ``sign * phi`` is exact, so at -1.0 each
+    term is phi(x) - phi(y) bit for bit.  An entry of phi that is no number,
+    or a sum that overflows, raises BadParams; a phi of another length than
+    the chain's, DimensionMismatch."""
+    phi = _vector(phi, "state function", chain.n)
+    q = chain.pi[:, None] * chain.P
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = phi[:, None] + sign * phi[None, :]
+        return _finite(0.5 * float(np.sum(q * d * d)), "the quadratic form")
 
 
 def dirichlet_form(chain: Chain, phi) -> float:
     """(1/2) sum over state pairs of pi(x)P(x,y)(phi(x) - phi(y))^2; >= 0."""
-    phi = _check_phi(chain, phi)
-    q = chain.pi[:, None] * chain.P
-    d = phi[:, None] - phi[None, :]
-    return 0.5 * float(np.sum(q * d * d))
+    return _form(chain, phi, -1.0)
 
 
 def f_form(chain: Chain, phi) -> float:
     """(1/2) sum over state pairs of pi(x)P(x,y)(phi(x) + phi(y))^2; >= 0."""
-    phi = _check_phi(chain, phi)
-    q = chain.pi[:, None] * chain.P
-    s = phi[:, None] + phi[None, :]
-    return 0.5 * float(np.sum(q * s * s))
+    return _form(chain, phi, 1.0)
 
 
 def variance(pi, phi) -> float:
     """Variance of phi under the distribution pi: two non-empty vectors of
     one length (else DimensionMismatch), pi with no negative weight (else
-    BadParams) but with any sum."""
-    pi = _floats(pi, "pi", DimensionMismatch)
-    phi = _floats(phi, "phi", DimensionMismatch)
-    if pi.ndim != 1 or not pi.size or pi.shape != phi.shape:
-        raise DimensionMismatch("pi and phi must be non-empty vectors of one length")
+    BadParams) but with any sum.  An entry that is no number, or a sum that
+    overflows, raises BadParams."""
+    pi = _vector(pi, "pi")
+    phi = _vector(phi, "phi", pi.size)
     if (pi < 0.0).any():
         raise BadParams("pi has a negative weight: it must be a distribution")
-    mu = float(pi @ phi)
-    d = phi - mu
-    return float(pi @ (d * d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(pi @ phi)
+        d = phi - mu
+        return _finite(float(pi @ (d * d)), "the variance")
 
 
 @dataclass(frozen=True)
@@ -161,12 +162,15 @@ def reconstruct_power(summary: SpectralSummary, pi, n: int) -> np.ndarray:
     """n-step transition matrix rebuilt from the spectral data.
 
     Entry (j, k) is  pi(k) + sqrt(pi_k / pi_j) * sum_{i>=1} betas_i^n e_j^(i) e_k^(i).
-    Matches the direct matrix power within 1e-9 for moderate n.
+    Matches the direct matrix power within 1e-9 for moderate n.  ``pi`` is
+    the chain's stationary law, a vector of one positive entry per state
+    (else BadParams; a vector of another length, DimensionMismatch), and
+    ``n`` a step count >= 0 (else BadParams).
     """
-    n = _count(n, "n", DimensionMismatch)
-    pi = _floats(pi, "pi", DimensionMismatch)
-    if pi.shape != summary.betas.shape:
-        raise DimensionMismatch(f"pi has shape {pi.shape}, the spectrum {summary.betas.shape}")
+    n = _count(n, "n", BadParams)
+    pi = _vector(pi, "pi", summary.betas.size)
+    if not (pi > 0.0).all():
+        raise BadParams("pi has a non-positive entry: it must be the stationary distribution")
     B = summary.vectors[1:]
     coef = summary.betas[1:] ** n
     term = (B * coef[:, None]).T @ B

@@ -153,3 +153,33 @@ def test_a_distribution_is_a_nonempty_vector_of_weights(case):
     error, call = NOT_DISTRIBUTIONS[case]
     with pytest.raises(error):
         call()
+
+
+#: the seven vector parameters, each parsed by ``errors._vector``
+VECTORS = ["dirichlet_form.phi", "f_form.phi", "variance.pi", "variance.phi", "reconstruct_power.pi",
+           "tv_distance.theta1", "tv_distance.theta2"]
+SUMMARY_03 = mb.eigendecompose(mb.two_state(0.3))
+#: vector faults: call -> the class it raises.  An entry that is no number,
+#: a sum that overflows a float and a pi that is no stationary law are
+#: BadParams; a vector of the wrong length stays a DimensionMismatch.
+VECTOR_FAULTS = {
+    **{f"{name} holds a string": (BadParams, lambda name=name: CALLS[name][1](["x", 1.0])) for name in VECTORS},
+    "variance([1e308, 1e308], [1.0, 3.0])": (BadParams, lambda: mb.variance([1e308, 1e308], [1.0, 3.0])),
+    "variance([0.5, 0.5], [1e308, -1e308])": (BadParams, lambda: mb.variance([0.5, 0.5], [1e308, -1e308])),
+    "dirichlet_form(C, [1e308, -1e308])": (BadParams, lambda: mb.dirichlet_form(C, [1e308, -1e308])),
+    "f_form(C, [1e308, 1e308])": (BadParams, lambda: mb.f_form(C, [1e308, 1e308])),
+    "reconstruct_power with a negative pi": (BadParams, lambda: mb.reconstruct_power(SUMMARY_03, [-0.5, 1.5], 2)),
+    "reconstruct_power with a zero in pi": (BadParams, lambda: mb.reconstruct_power(SUMMARY_03, [0.0, 1.0], 2)),
+    "reconstruct_power with n = -1": (BadParams, lambda: mb.reconstruct_power(SUMMARY_03, [0.7, 0.3], -1)),
+    "reconstruct_power with three entries": (DimensionMismatch,
+                                             lambda: mb.reconstruct_power(SUMMARY_03, [0.5, 0.25, 0.25], 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(VECTOR_FAULTS))
+def test_a_vector_fault_raises_its_class(case):
+    """Each vector fault ends in its class, with no numpy warning on the way
+    (every warning is an error in this suite)."""
+    error, call = VECTOR_FAULTS[case]
+    with pytest.raises(error):
+        call()

@@ -43,3 +43,34 @@ def test_only_mixing_names_a_walk_or_its_rungs():
             if name == "_Walk" or name == "rungs" and isinstance(node, ast.Attribute):
                 named.append((path.stem, name))
     assert not named, f"a walk's internals named outside mixing: {named}"
+
+
+def test_only_errors_parses_floats():
+    """Outside arrays are parsed in ``errors``: no other module calls
+    ``_floats``; a vector goes through ``_vector``, a matrix ``_square``."""
+    calls = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if isinstance(node, ast.Call) and name == "_floats" and path.stem != "errors":
+                calls.add(path.stem)
+    assert not calls, f"_floats called outside errors: {sorted(calls)}"
+
+
+def test_every_imported_name_is_read():
+    """No module imports a name it never reads; ``__init__`` reads what its
+    ``__all__`` lists, and a ``__future__`` import binds nothing."""
+    unread = []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                imported |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        unread += [(path.stem, name) for name in sorted(imported - read)]
+    assert not unread, f"imported but never read: {unread}"

@@ -23,6 +23,7 @@ from mixbounds import (
     reconstruct_power,
     reversibilize,
     time_reversal,
+    tv_distance,
     two_state,
     uniform_walk,
     variance,
@@ -93,6 +94,35 @@ def test_forms_match_reversibilization():
             phi = rng.standard_normal(chain.n)
             assert abs(dirichlet_form(chain, phi) - dirichlet_form(rev, phi)) <= 1e-10
             assert abs(f_form(chain, phi) - f_form(rev, phi)) <= 1e-10
+
+
+
+def _random_nonreversible(n: int, seed: int) -> Chain:
+    """Positive random rows: nonreversible, with a nonuniform pi."""
+    P = np.random.default_rng(seed).random((n, n)) + 0.05
+    return build_chain(list(range(n)), P / P.sum(axis=1, keepdims=True))
+
+
+def test_forms_variance_and_tv_keep_their_bits():
+    """The forms, the variance and the TV distance equal the formulas written
+    out below, bit for bit, over phi at scales 1e-5 to 1e5 on reversible and
+    nonreversible chains."""
+    rng = np.random.default_rng(39)
+    chains = ([random_reversible(n, seed=s) for n, s in ((2, 0), (5, 1), (9, 2), (16, 3))]
+              + [_random_nonreversible(n, n) for n in (3, 7, 12)]
+              + [dhn(4), directed_cycle(5), doubly_stochastic(8, seed=1)])
+    for chain in chains:
+        q = chain.pi[:, None] * chain.P
+        for scale in 10.0 ** np.arange(-5, 6):
+            phi, psi = scale * rng.standard_normal((2, chain.n))
+            d, s = phi[:, None] - phi[None, :], phi[:, None] + phi[None, :]
+            mu = float(chain.pi @ phi)
+            got = (dirichlet_form(chain, phi), f_form(chain, phi), variance(chain.pi, phi),
+                   tv_distance(phi, psi), tv_distance(chain.pi, chain.P[0]))
+            want = (0.5 * float(np.sum(q * d * d)), 0.5 * float(np.sum(q * s * s)),
+                    float(chain.pi @ ((phi - mu) * (phi - mu))), 0.5 * float(np.abs(phi - psi).sum()),
+                    0.5 * float(np.abs(chain.pi - chain.P[0]).sum()))
+            assert [g.hex() for g in got] == [w.hex() for w in want], (chain.name, scale)
 
 
 # ---------------------------------------------------------------- spectrum
