@@ -88,12 +88,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    params = {"delta": args.delta, "n": args.n, "N": args.N, "k": args.k, "seed": args.seed}
+    params = {"delta": args.delta, "n": args.n, "N": args.N, "k": args.k, "seed": args.seed, "of": args.of}
     params = {k: v for k, v in params.items() if v is not None}
-    if args.of is not None:
-        params["of"] = args.of
     chain = generate(args.kind, **params)
-    meta = {"generator": args.kind, **{k: v for k, v in params.items()}}
+    meta = {"generator": args.kind, **params}
     save_chain(chain, args.out, meta=meta)
     if args.json:
         print(json.dumps(chain_to_dict(chain, meta), indent=2))

@@ -8,6 +8,12 @@ Probabilities are written with Python's shortest round-trip float
 representation (17 significant digits when needed), so a save/load cycle
 reproduces the matrix bit for bit.  An optional "meta" object (for instance
 the seed of a random generator) is preserved on read but ignored otherwise.
+
+This module reads only a document's structure.  Its contents are parsed by
+the library's own constructors, ``build_chain`` and ``Flow``, and a flow is
+validated on load and on save as ``validate_flow`` does, so a bad matrix or
+path raises the same error however it arrived.  Both formats are written by
+``_write_json``, which encodes before it opens the file.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from __future__ import annotations
 import json
 
 from .chains import Chain, build_chain
-from .errors import DimensionMismatch, MixboundsError, _real
-from .flows import Flow, FlowPath
+from .errors import BadParams, MixboundsError
+from .flows import Flow, FlowPath, _loads
 
 
 def chain_to_dict(chain: Chain, meta: dict | None = None) -> dict:
@@ -40,9 +46,19 @@ def chain_from_dict(data: dict) -> Chain:
 
 
 def save_chain(chain: Chain, path, meta: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(chain_to_dict(chain, meta), fh, indent=2)
-        fh.write("\n")
+    _write_json(chain_to_dict(chain, meta), path)
+
+
+def _write_json(data: dict, path) -> None:
+    """Writes ``data`` as JSON indented by 2, and a newline.  The text is
+    encoded before the file is opened, so a value JSON cannot encode raises
+    BadParams and leaves the file on disk as it was."""
+    try:
+        text = json.dumps(data, indent=2)
+    except (TypeError, ValueError) as exc:  # a value of no JSON type, or a circular reference
+        raise BadParams(f"{path}: not writable as JSON ({exc})") from None
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def _read_json(path):
@@ -58,6 +74,10 @@ def load_chain(path) -> Chain:
 
 
 def flow_to_dict(flow: Flow) -> dict:
+    """The document of a valid flow.  An invalid one raises InvalidFlow, as it
+    would at load, so no file holds a flow that would not load; a flow the
+    library built already holds its validation."""
+    _loads(flow)
     return {
         "base": flow.base.name,
         "target": flow.target.name,
@@ -66,7 +86,11 @@ def flow_to_dict(flow: Flow) -> dict:
 
 
 def flow_from_dict(data: dict, base: Chain, target: Chain) -> Flow:
-    """Attach a stored path list to its chains; names must match when present."""
+    """Attach a stored path list to its chains; names must match when present.
+    Only the document's structure is checked here, and a fault in it names
+    the item.  ``Flow`` parses each path's states and mass, and the flow is
+    validated at once: a path or demand that breaks a rule raises InvalidFlow
+    with ``validate_flow``'s first five violations, which the flow keeps."""
     if not isinstance(data, dict) or not isinstance(data.get("paths", []), list):
         raise MixboundsError("flow JSON must be an object with a 'paths' list")
     for key, chain in (("base", base), ("target", target)):
@@ -76,23 +100,16 @@ def flow_from_dict(data: dict, base: Chain, target: Chain) -> Flow:
     paths = []
     for item in data.get("paths", []):
         try:
-            states, mass = tuple(item["path"]), item["mass"]
-            if any(type(s) is not int for s in states) or type(mass) not in (int, float):
-                raise TypeError  # JSON integers and numbers only: no bools or strings
+            paths.append(FlowPath(tuple(item["path"]), item["mass"]))
         except (KeyError, TypeError):
-            raise MixboundsError(
-                f"flow path {item!r} needs a 'path' of state indices and a numeric 'mass'"
-            ) from None
-        if any(not 0 <= s < base.n for s in states):
-            raise DimensionMismatch(f"path {states} leaves the state space")
-        paths.append(FlowPath(states, _real(mass, f"mass of flow path {list(states)}", MixboundsError)))
-    return Flow(base, target, paths)
+            raise MixboundsError(f"flow path {item!r} needs a 'path' sequence and a 'mass'") from None
+    flow = Flow(base, target, paths)
+    _loads(flow)
+    return flow
 
 
 def save_flow(flow: Flow, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(flow_to_dict(flow), fh, indent=2)
-        fh.write("\n")
+    _write_json(flow_to_dict(flow), path)
 
 
 def load_flow(path, base: Chain, target: Chain) -> Flow:

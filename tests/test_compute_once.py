@@ -27,10 +27,12 @@ from mixbounds import (
     eigendecompose,
     full_report,
     lazy,
+    load_flow,
     multiply,
     nonreversible_bounds,
     random_reversible,
     save_chain,
+    save_flow,
     spectral_bounds_reversible,
     spread_flow,
     state_congestion,
@@ -583,6 +585,21 @@ def test_a_flow_is_validated_once_across_public_calls(monkeypatch):
     assert validated[id(flow)] == 1 and validated[id(spread)] == 1
     # the input, which loop erasure leaves as it is, and the spread flow
     assert len(validated) == 2 and max(validated.values()) == 1
+
+
+def test_a_loaded_flow_is_validated_once_across_public_calls(monkeypatch, tmp_path):
+    """A flow file is validated at load, and the flow keeps that validation
+    for the report and the congestions."""
+    base = random_reversible(12, 1)
+    target = lazy(base)
+    path = tmp_path / "flow.json"
+    save_flow(build_canonical_flow(base, target), path)
+    validated = _count(monkeypatch, flows._validate, lambda flow: id(flow))
+    loaded = load_flow(path, base, target)
+    assert validated[id(loaded)] == 1
+    full_report(base, target, loaded, x=0)
+    edge_congestion(loaded)
+    assert validated[id(loaded)] == 1
 
 
 def test_the_route_sequence_walks_each_flow_once(monkeypatch):

@@ -10,6 +10,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -41,7 +42,7 @@ from mixbounds.chains import _check_pair, _require
 from mixbounds.errors import InvalidFlow, KappaInfinite, NoOddPath, StationaryMismatch
 from mixbounds.serialize import flow_from_dict, flow_to_dict
 
-from _families import doubly_stochastic, nonreversible_pair, reversible_pair, tiny_mass_chain
+from _families import doubly_stochastic, nonreversible_pair, quadratic_forms, reversible_pair, tiny_mass_chain
 
 
 # ---------------------------------------------------------------- validation
@@ -1045,3 +1046,46 @@ def test_simplify_erases_the_paths_that_repeat_a_state(flow):
 def test_simplify_keeps_a_flow_that_loop_erasure_leaves_as_it_is(flow):
     same, _ = _reference_simplify(flow)
     assert (flows._simplify(flow) is flow) == same
+
+
+# ---------------------------------------------------------------- the comparison floor
+
+
+def _comparison_floor(flow, sum_form=False):
+    """A*, the least constant with E'(f) <= A* E(f): the largest eigenvalue of
+    the pencil (L', L) of the target's and the base's difference forms on the
+    complement of the constants, where both vanish; or, for an odd flow, of
+    their sum forms over every f."""
+    (base_diff, base_sum, _), (target_diff, target_sum, _) = map(quadratic_forms, (flow.base, flow.target))
+    if sum_form:
+        return scipy.linalg.eigh(target_sum, base_sum, eigvals_only=True)[-1]
+    V = scipy.linalg.null_space(np.ones((1, flow.base.n)))
+    return scipy.linalg.eigh(V.T @ target_diff @ V, V.T @ base_diff @ V, eigvals_only=True)[-1]
+
+
+def _assert_above_the_floor(flow):
+    """Every valid flow's congestion A is at least A* (the comparison method's
+    Cauchy-Schwarz step), an odd flow's also against the sum forms.  A chain
+    against itself or its lazy chain ties, so 1e-12 relative is allowed."""
+    valid, odd, _ = validate_flow(flow)
+    assert valid
+    A = edge_congestion(flow)[1]
+    assert A >= _comparison_floor(flow) * (1 - 1e-12)
+    if odd:
+        assert A >= _comparison_floor(flow, sum_form=True) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("spread", [False, True], ids=["canonical", "spread"])
+@pytest.mark.parametrize("flow", [pytest.param(flow, id=name) for name, flow in _family_flows()])
+def test_a_family_flow_congests_at_least_the_comparison_floor(flow, spread):
+    _assert_above_the_floor(spread_flow(flow) if spread else flow)
+
+
+def test_the_explicit_two_state_flow_congests_at_least_the_comparison_floor():
+    _assert_above_the_floor(two_state_uniform_flow(0.25))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_small_flows())
+def test_a_small_flow_congests_at_least_the_comparison_floor(flow):
+    _assert_above_the_floor(flow)

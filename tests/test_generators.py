@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mixbounds import (
+    Flow,
+    FlowPath,
     build_canonical_flow,
     build_chain,
     classify,
@@ -24,7 +26,8 @@ from mixbounds import (
     uniform_walk,
     validate_flow,
 )
-from mixbounds.errors import BadParams, MixboundsError
+from mixbounds.errors import BadParams, InvalidFlow, MixboundsError
+from mixbounds.serialize import flow_to_dict
 
 
 def test_two_state_matrix():
@@ -219,3 +222,80 @@ def test_flow_file_bad_indices(tmp_path):
     path.write_text(json.dumps({"paths": [{"path": [0, 7], "mass": 0.25}]}))
     with pytest.raises(MixboundsError):
         load_flow(path, base, target)
+
+
+#: the content faults of a flow file's one path: (states, mass)
+CONTENT_FAULTS = {
+    "string-state": (["0", 1], 0.25),
+    "bool-state": ([True, 1], 0.25),
+    "float-state": ([0, 1.7], 0.25),
+    "state-out-of-range": ([0, 7], 0.25),
+    "empty-path": ([], 0.25),
+    "string-mass": ([0, 1], "0.25"),
+    "bool-mass": ([0, 1], True),
+    "mass-past-float-range": ([0, 1], 10**400),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CONTENT_FAULTS))
+def test_a_content_fault_in_a_flow_file_raises_at_load(tmp_path, fault):
+    """A path's states and mass are parsed by ``Flow``, so a bad one raises
+    InvalidFlow with ``validate_flow``'s message for the same FlowPath."""
+    states, mass = CONTENT_FAULTS[fault]
+    base, target = two_state(0.25), uniform_walk(2, labels=["a", "b"])
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"paths": [{"path": states, "mass": mass}]}))
+    valid, _, violations = validate_flow(Flow(base, target, [FlowPath(tuple(states), mass)]))
+    assert not valid
+    with pytest.raises(InvalidFlow) as exc:
+        load_flow(path, base, target)
+    assert str(exc.value) == "; ".join(violations[:5])
+
+
+def test_a_flow_file_with_an_unmet_demand_raises_at_load(tmp_path):
+    base, target = two_state(0.25), uniform_walk(2, labels=["a", "b"])
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"paths": [{"path": [0, 1], "mass": 0.25}, {"path": [1, 0], "mass": 0.25}]}))
+    with pytest.raises(InvalidFlow, match=r"edge \(a,a\): routed 0.0, demand 0.25"):
+        load_flow(path, base, target)
+
+
+def test_a_json_integer_mass_is_kept_as_it_was_read(tmp_path):
+    base = target = uniform_walk(2, labels=["a", "b"])
+    path = tmp_path / "flow.json"
+    paths = [([0, 1], 0.25), ([1, 0], 0.25), ([0], 0.25), ([1], 0.25), ([0, 1], 0)]
+    path.write_text(json.dumps({"paths": [{"path": states, "mass": mass} for states, mass in paths]}))
+    assert [p.mass for p in load_flow(path, base, target).paths] == [mass for _, mass in paths]
+    assert type(load_flow(path, base, target).paths[-1].mass) is int
+
+
+def test_an_invalid_flow_is_not_written(tmp_path):
+    """Saving refuses what loading would refuse: no file holds a flow that
+    would not load, and none is opened for one."""
+    bad = Flow(two_state(0.25), uniform_walk(2, labels=["a", "b"]),
+               [FlowPath((0, 1), "0.25"), FlowPath((1, 0), True), FlowPath((0, 1, 0), 0.25),
+                FlowPath((1, 0, 1), 0.25)])
+    _, _, violations = validate_flow(bad)
+    assert len(violations) == 4
+    with pytest.raises(InvalidFlow) as exc:
+        flow_to_dict(bad)
+    assert str(exc.value) == "; ".join(violations)
+    with pytest.raises(InvalidFlow):
+        save_flow(bad, tmp_path / "flow.json")
+    assert not (tmp_path / "flow.json").exists()
+
+
+def test_a_value_json_cannot_encode_leaves_the_file_untouched(tmp_path):
+    path = tmp_path / "m.json"
+    with pytest.raises(BadParams, match="int64"):
+        save_chain(two_state(0.25), path, meta={"seed": np.int64(1)})
+    assert not path.exists()
+    save_chain(two_state(0.25), path, meta={"seed": 1})
+    kept = path.read_bytes()
+    circular = {}
+    circular["self"] = circular
+    for meta in ({"seed": np.int64(1)}, circular):
+        with pytest.raises(BadParams):
+            save_chain(two_state(0.25), path, meta=meta)
+        assert path.read_bytes() == kept
+    assert load_chain(path).P.tolist() == two_state(0.25).P.tolist()

@@ -58,6 +58,20 @@ def test_only_errors_parses_floats():
     assert not calls, f"_floats called outside errors: {sorted(calls)}"
 
 
+def test_serialize_leaves_parsing_to_the_library_constructors():
+    """A file's contents are parsed by the constructor of what it holds,
+    ``build_chain`` or ``Flow``, so ``serialize`` calls none of ``errors``'
+    parsers."""
+    parsers = {"_real", "_count", "_floats", "_square", "_vector"}
+    called = set()
+    for node in ast.walk(ast.parse((SRC / "serialize.py").read_text(encoding="utf-8"))):
+        func = getattr(node, "func", None)
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        if isinstance(node, ast.Call) and name in parsers:
+            called.add(name)
+    assert not called, f"serialize calls parsers of errors: {sorted(called)}"
+
+
 def test_every_imported_name_is_read():
     """No module imports a name it never reads; ``__init__`` reads what its
     ``__all__`` lists, and a ``__future__`` import binds nothing."""
