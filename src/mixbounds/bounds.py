@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chains import Chain, _check_pair, _require, classify, lazy, multiply, time_reversal
+from .chains import Chain, _require, classify, lazy, multiply, time_reversal
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
 from .flows import Flow, _worst_edge, validate_flow
 from .mixing import _Ladder, _Powers, _check_eps
@@ -229,7 +229,7 @@ class _Derived:
     reversal product R(P) P is built only for a nonreversible chain and for
     a flow not routed over the base (a reversible chain's is P^2, read from
     its eigenvalues).  lazy(P) is built once, or is the target when that is
-    lazy(P) bit for bit, so the two share one walk.
+    the same chain (``_same_chain``), so the two share one walk.
     """
 
     eps: float | None = None
@@ -262,11 +262,10 @@ class _Derived:
         return self._get((chain, "product"), lambda: multiply(time_reversal(chain), chain))
 
     def lazy(self, chain: Chain) -> Chain:
-        """lazy(chain), or the target when it has lazy(chain)'s P and pi bit for bit."""
+        """lazy(chain), or the target when it is the same chain as lazy(chain)."""
         def make():
-            made, target = lazy(chain), self.target
-            same = target is not None and np.array_equal(made.P, target.P) and np.array_equal(made.pi, target.pi)
-            return target if same else made
+            made = lazy(chain)
+            return self.target if self.target is not None and _same_chain(made, self.target) else made
         return self._get((chain, "lazy"), make)
 
     def _time(self, chain: Chain, clock: str, make, x, eps: float):
@@ -359,7 +358,9 @@ def _entries(s: _Derived, off: dict[str, str | None], report: tuple[str, ...] = 
 def _routed(s: _Derived) -> float:
     """The call's flow's worst edge congestion A, once it is checked to be
     routed over the base (``direct``) or its reversal product, and to end
-    at the target."""
+    at the target.  This is the one check of a flow against a call's
+    chains; the flow's walk then checks that its two chains share a state
+    space and pi, which are the base's and the target's."""
     if not s.direct and not _same_chain(s.flow.base, s.product(s.base)):
         raise WrongFlowBase("flow is routed over neither the base chain nor its reversal product")
     if not _same_chain(s.flow.target, s.target):
@@ -368,7 +369,10 @@ def _routed(s: _Derived) -> float:
 
 
 def _same_chain(a: Chain, b: Chain) -> bool:
-    return a.n == b.n and float(np.abs(a.P - b.P).max()) <= 1e-12 and float(np.abs(a.pi - b.pi).max()) <= 1e-12
+    """One chain object, or two whose P and pi are equal bit for bit.  A flow
+    the library builds or loads is on its chains, or on a reversal product
+    rebuilt from them, so only a flow on some other chain differs."""
+    return a is b or (np.array_equal(a.P, b.P) and np.array_equal(a.pi, b.pi))
 
 
 def spectral_bounds_reversible(chain: Chain, x, eps: float) -> list[BoundEntry]:
@@ -410,10 +414,10 @@ def comparison_reversible(
     for c, who in ((base, "base"), (target, "target")):
         _require(c, "reversible", f"reversible comparison bounds ({who})")
         _require(c, "ergodic", f"reversible comparison bounds ({who})")
-    if not _same_chain(flow.base, base) or not _same_chain(flow.target, target):
+    if not _same_chain(flow.base, base):  # the family takes no flow routed over the reversal product
         raise WrongFlowBase("flow does not connect the given base and target chains")
-    A = _worst_edge(flow)
-    s = _Derived(eps, base, base.index(x), target, flow, True, delta, sweep, {"A": A})
+    s = _Derived(eps, base, base.index(x), target, flow, True, delta, sweep)
+    s.values["A"] = _routed(s)
     return _entries(s, {"comparison_reversible": None})
 
 
@@ -473,7 +477,6 @@ def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) ->
     eps = _check_eps(eps)
     for c, who in ((base, "base"), (target, "target")):
         _require(c, "irreducible", f"general comparison bounds ({who})")
-    _check_pair(base, target)
     s = _Derived(eps, base, base.index(x), target, flow, _same_chain(flow.base, base))
     s.values["A"] = _routed(s)
     return _entries(s, {"comparison_general": None})
@@ -556,14 +559,11 @@ def full_report(
     else:
         cls_t = classify(target)
         if direct and reversible and cls_t.reversible and cls_t.ergodic:
-            if not _same_chain(flow.target, target):
-                raise WrongFlowBase("flow does not connect the given base and target chains")
             off["comparison_reversible"] = None
         else:
             off["comparison_reversible"] = ("comparison pair is not reversible ergodic" if direct
                                             else "flow is routed over the reversal product")
         _require(target, "irreducible", "general comparison bounds (target)")
-        _check_pair(base, target)
         s.values["A"] = _routed(s)
     entries = _entries(s, off, ("x_d", "x_c"))
     return BoundReport(base.name, None if target is None else target.name, base.labels[x_idx], x_idx, eps, delta,

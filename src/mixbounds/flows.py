@@ -166,9 +166,10 @@ def _size(p) -> int:
     raise InvalidFlow(f"flow path {reprlib.repr(p)} is no FlowPath with a sequence of states")
 
 
-def _demands(target: Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The target edges (x, y) in row-major order and pi'(x) P'(x, y) for each."""
-    P, pi = target.P, target.pi
+def _demands(chain: Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain's edges (x, y) in row-major order and pi(x) P(x, y) for each:
+    a target's demands, or a base's edge flows."""
+    P, pi = chain.P, chain.pi
     xs, ys = np.nonzero(P > 0.0)
     return xs, ys, pi[xs] * P[xs, ys]
 
@@ -225,14 +226,14 @@ def _validate(flow: Flow) -> tuple:
 
         for i in np.flatnonzero(~kept | bad_range | off_base | thrice).tolist():
             p = flow.paths[lo + i]
-            name = "" if fault[i] in (2, 3) else "->".join(labels[s] for s in p.states)
-            if fault[i]:
-                violations.append(("empty path", f"path {p.states!r}: states must be integers",
-                                   f"path {p.states!r}: state outside 0..{n - 1}",
-                                   f"path {name}: mass {p.mass!r} is not a number")[fault[i] - 1])
+            name = "" if fault[i] in (2, 3) else _named(p.states, labels)
+            if fault[i]:  # every caller value is named by reprlib, which bounds its length
+                violations.append(("empty path", f"path {reprlib.repr(p.states)}: states must be integers",
+                                   f"path {reprlib.repr(p.states)}: state outside 0..{n - 1}",
+                                   f"path {name}: mass {reprlib.repr(p.mass)} is not a number")[fault[i] - 1])
                 continue
             if bad_range[i]:
-                violations.append(f"path {name}: mass {p.mass!r} outside [0, 1]")
+                violations.append(f"path {name}: mass {reprlib.repr(p.mass)} outside [0, 1]")
             edges = Counter(zip(p.states, p.states[1:]))  # in first-occurrence order
             if off_base[i]:
                 a, b = next(e for e in edges if not support[e])
@@ -262,6 +263,11 @@ def _validate(flow: Flow) -> tuple:
     return (not violations, odd, tuple(violations), edge_load.reshape(n, n), state_load)
 
 
+def _named(states: tuple[int, ...], labels) -> str:
+    """A path by its states' labels, its first 6 and then "..." if it has more."""
+    return "->".join([labels[s] for s in states[:6]] + ["..."] * (len(states) > 6))
+
+
 def _loads(flow: Flow) -> tuple[np.ndarray, np.ndarray]:
     """The n x n edge loads and the state loads of a valid flow; InvalidFlow if not."""
     valid, _, violations = validate_flow(flow)
@@ -273,9 +279,8 @@ def _loads(flow: Flow) -> tuple[np.ndarray, np.ndarray]:
 def _edge_congestions(flow: Flow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every base edge (xs, ys), in row-major order, and its congestion."""
     load, _ = _loads(flow)
-    base = flow.base
-    xs, ys = np.nonzero(base.support())
-    return xs, ys, load[xs, ys] / (base.pi[xs] * base.P[xs, ys])
+    xs, ys, weight = _demands(flow.base)
+    return xs, ys, load[xs, ys] / weight
 
 
 def edge_congestion(flow: Flow) -> tuple[dict[tuple[int, int], float], float]:

@@ -51,21 +51,24 @@ def save_chain(chain: Chain, path, meta: dict | None = None) -> None:
 
 def _write_json(data: dict, path) -> None:
     """Writes ``data`` as JSON indented by 2, and a newline.  The text is
-    encoded before the file is opened, so a value JSON cannot encode raises
-    BadParams and leaves the file on disk as it was."""
+    encoded before the file is opened, so a value JSON cannot encode, or one
+    nested too deep for the encoder, raises BadParams and leaves the file on
+    disk as it was."""
     try:
         text = json.dumps(data, indent=2)
-    except (TypeError, ValueError) as exc:  # a value of no JSON type, or a circular reference
+    except (TypeError, ValueError, RecursionError) as exc:  # no JSON type, a circular reference, too deep
         raise BadParams(f"{path}: not writable as JSON ({exc})") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
 def _read_json(path):
+    """The document in the file; MixboundsError if it is no JSON, or nested
+    too deep for the decoder."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # bad syntax, bytes that are not UTF-8, an over-long integer
+        except (ValueError, RecursionError) as exc:  # bad syntax, bytes not UTF-8, an over-long integer, too deep
             raise MixboundsError(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -74,14 +77,15 @@ def load_chain(path) -> Chain:
 
 
 def flow_to_dict(flow: Flow) -> dict:
-    """The document of a valid flow.  An invalid one raises InvalidFlow, as it
-    would at load, so no file holds a flow that would not load; a flow the
-    library built already holds its validation."""
+    """The document of a valid flow, its states as JSON integers (a caller's
+    may be numpy integers).  An invalid one raises InvalidFlow, as it would
+    at load, so no file holds a flow that would not load; a flow the library
+    built already holds its validation."""
     _loads(flow)
     return {
         "base": flow.base.name,
         "target": flow.target.name,
-        "paths": [{"path": list(p.states), "mass": float(p.mass)} for p in flow.paths],
+        "paths": [{"path": [int(s) for s in p.states], "mass": float(p.mass)} for p in flow.paths],
     }
 
 

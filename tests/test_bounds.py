@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mixbounds import (
@@ -20,16 +21,22 @@ from mixbounds import (
     edge_congestion,
     full_report,
     lazy,
+    load_chain,
+    load_flow,
     multiply,
     nonreversible_bounds,
     random_reversible,
+    save_chain,
+    save_flow,
     spectral_bounds_reversible,
     time_reversal,
     two_state,
     two_state_uniform_flow,
     uniform_walk,
+    validate_flow,
 )
 from mixbounds.bounds import CATALOG, DELTA_DEFAULT, _mix_factor
+from mixbounds.chains import Chain
 from mixbounds.errors import (
     BadDelta,
     BadParams,
@@ -38,6 +45,7 @@ from mixbounds.errors import (
     NotErgodic,
     NotIrreducible,
     NotReversible,
+    StationaryMismatch,
     WrongFlowBase,
 )
 
@@ -277,6 +285,71 @@ def test_comparison_general_size_mismatch():
         comparison_general(base, target, Flow(base, target, []), 0, 0.25)
 
 
+# ---------------------------------------------------------------- a flow's chains, by exact identity
+
+
+def _one_ulp_off(chain, field):
+    """A copy of the chain with P[0, 1] or pi[0] one ulp up."""
+    arrays = {"P": chain.P.copy(), "pi": chain.pi.copy()}
+    entry = (0, 1) if field == "P" else 0
+    arrays[field][entry] = np.nextafter(arrays[field][entry], 1.0)
+    return Chain(chain.labels, arrays["P"], arrays["pi"], name=chain.name)
+
+
+@pytest.mark.parametrize("field", ["P", "pi"])
+@pytest.mark.parametrize("side", ["base", "target"])
+def test_a_flow_on_a_chain_one_ulp_off_is_refused(side, field):
+    """A flow's congestion is measured against the edge flows of the chain it
+    was routed on, so its chains must be the call's bit for bit: a flow over,
+    or to, a copy one ulp away raises WrongFlowBase from every call that
+    reads its congestion."""
+    base = random_reversible(5, seed=2)
+    target = lazy(base)
+    pair = (_one_ulp_off(base, field), target) if side == "base" else (base, _one_ulp_off(target, field))
+    flow = build_canonical_flow(*pair)
+    assert validate_flow(flow)[0]
+    for call in (lambda: full_report(base, target, flow),
+                 lambda: comparison_general(base, target, flow, 0, 0.25),
+                 lambda: comparison_reversible(base, target, flow, 0, 0.25)):
+        with pytest.raises(WrongFlowBase):
+            call()
+
+
+@pytest.mark.parametrize("product", [False, True], ids=["direct", "reversal-product"])
+def test_chains_loaded_again_accept_the_first_loads_flow(tmp_path, product):
+    """Loading a chain file gives the same bits each time, and so does a
+    reversal product rebuilt from it: a flow loaded with the first load's
+    chains serves the second load's, with the same report."""
+    base, target = (lazy(dhn(3)), uniform_walk(6)) if product else (random_reversible(6, seed=1),
+                                                                     lazy(random_reversible(6, seed=1)))
+    save_chain(base, tmp_path / "base.json")
+    save_chain(target, tmp_path / "target.json")
+    first = [load_chain(tmp_path / name) for name in ("base.json", "target.json")]
+    second = [load_chain(tmp_path / name) for name in ("base.json", "target.json")]
+    routed = (lambda b: multiply(time_reversal(b), b)) if product else (lambda b: b)
+    built = build_canonical_flow(routed(first[0]), first[1])
+    save_flow(built, tmp_path / "flow.json")
+    flow = load_flow(tmp_path / "flow.json", routed(first[0]), first[1])
+    assert second[0] is not first[0]
+    want = full_report(*first, built).to_dict()
+    assert full_report(*first, flow).to_dict() == full_report(*second, flow).to_dict() == want
+    assert comparison_general(*second, flow, 0, 0.25) == comparison_general(*first, flow, 0, 0.25)
+    if not product:
+        assert comparison_reversible(*second, flow, 0, 0.25) == comparison_reversible(*first, flow, 0, 0.25)
+
+
+def test_a_flow_connecting_chains_of_another_pi_raises_the_pair_check():
+    """The flow's own walk checks that its chains share pi; a report reaches
+    that check once the flow is matched to its chains."""
+    skew = build_chain(["a", "b"], [[0.5, 0.5], [0.25, 0.75]])
+    target = uniform_walk(2, labels=["a", "b"])
+    for call in (lambda: full_report(skew, target, Flow(skew, target, [])),
+                 lambda: comparison_general(skew, target, Flow(skew, target, []), 0, 0.25)):
+        with pytest.raises(StationaryMismatch) as info:
+            call()
+        assert str(info.value) == "chains do not share a stationary distribution"
+
+
 # ---------------------------------------------------------------- gaps that are 0.0 in floats
 
 #: valid, mixes in 4 steps; its reversal product is irreducible, but the
@@ -473,7 +546,7 @@ def _two_state_pair():
     (lambda: full_report(two_state(0.25), target=uniform_walk(2, labels=["a", "b"])), MixboundsError,
      "supply target and flow together, or neither"),
     (lambda: full_report(uniform_walk(4), uniform_walk(4), Flow(uniform_walk(4), lazy(uniform_walk(4)))),
-     WrongFlowBase, "flow does not connect the given base and target chains"),
+     WrongFlowBase, "flow target does not match the given target chain"),
 ], ids=["T5-eps-half", "T18-no-tau", "C20c-no-tau", "T24d-periodic-target", "T26-periodic-target",
         "T25-periodic-target", "T26-nonreversible-target", "spectral-nonreversible", "spectral-periodic",
         "comparison-reversible-base", "comparison-reversible-target", "conductance-reducible",

@@ -288,6 +288,27 @@ def test_analyze_truncated_json_exits_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_analyze_json_nested_too_deep_exits_two(tmp_path, capsys):
+    chain_path = tmp_path / "deep.json"
+    chain_path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run_cli(["analyze", str(chain_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not valid JSON" in err and err.count("\n") == 1
+
+
+def test_compare_names_a_huge_mass_in_a_short_line(tmp_path, capsys):
+    from mixbounds import two_state, uniform_walk
+
+    base_path, target_path, flow_path = (tmp_path / "m.json", tmp_path / "u.json", tmp_path / "f.json")
+    save_chain(two_state(0.25), base_path)
+    save_chain(uniform_walk(2, labels=["a", "b"]), target_path)
+    flow_path.write_text(json.dumps({"paths": [{"path": [0, 1], "mass": 10**400}]}))
+    assert run_cli(["compare", str(base_path), str(target_path), "--flow", str(flow_path),
+                    "--from", "a", "--eps", "0.25"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: path a->b: mass 1000") and len(err) < 200
+
+
 def test_compare_malformed_flow_exits_two(tmp_path, capsys):
     from mixbounds import two_state, uniform_walk
 

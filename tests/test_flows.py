@@ -149,7 +149,7 @@ def test_path_states_outside_the_state_space_are_reported():
     (FlowPath((True, 2), 0.1), "path (True, 2): states must be integers"),
     (FlowPath((0, 1), "0.1"), "path s0->s1: mass '0.1' is not a number"),
     (FlowPath((0, 1), None), "path s0->s1: mass None is not a number"),
-    pytest.param(FlowPath((0, 1), 10**400), f"path s0->s1: mass {10**400!r} outside [0, 1]",
+    pytest.param(FlowPath((0, 1), 10**400), f"path s0->s1: mass {reprlib.repr(10**400)} outside [0, 1]",
                  id="mass-too-large-for-a-float"),
 ])
 def test_non_integer_states_and_non_numeric_masses_are_reported(bad, want):
@@ -161,6 +161,20 @@ def test_non_integer_states_and_non_numeric_masses_are_reported(bad, want):
     assert violations == [want]  # kept out of the demand sums
     with pytest.raises(InvalidFlow):
         edge_congestion(flow)
+
+
+def test_a_long_path_is_named_in_a_short_violation():
+    """A caller's states are named through ``reprlib``, and a path by its
+    labels up to its sixth state, so no violation grows with the path."""
+    chain = random_reversible(5, seed=3)  # state s0 has no self-loop
+    canonical = list(build_canonical_flow(chain, chain).paths)
+    for bad, want in [
+        (FlowPath((*range(5),) * 1200 + (9,), 0.0), "path (0, 1, 2, 3, 4, 0, ...): state outside 0..4"),
+        (FlowPath((1, 2, 3, 4) * 1500 + (0, 0), 0.0),
+         "path s1->s2->s3->s4->s1->s2->...: edge (s0,s0) not in the base chain"),
+    ]:
+        violations = validate_flow(Flow(chain, chain, [*canonical, bad]))[2]
+        assert violations[0] == want and len(want) < 200
 
 
 def test_every_violation_kind_is_named_in_path_order():

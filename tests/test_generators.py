@@ -299,3 +299,42 @@ def test_a_value_json_cannot_encode_leaves_the_file_untouched(tmp_path):
             save_chain(two_state(0.25), path, meta=meta)
         assert path.read_bytes() == kept
     assert load_chain(path).P.tolist() == two_state(0.25).P.tolist()
+
+
+def test_a_flow_with_numpy_integer_states_round_trips(tmp_path):
+    """``Flow`` accepts numpy integer states, and the file holds them as JSON integers."""
+    chain = random_reversible(4, 1)
+    target = lazy(chain)
+    canonical = build_canonical_flow(chain, target)
+    flow = Flow(chain, target, [FlowPath(tuple(np.int64(s) for s in p.states), np.float64(p.mass))
+                                for p in canonical.paths])
+    path = tmp_path / "flow.json"
+    save_flow(flow, path)
+    assert load_flow(path, chain, target).paths == flow.paths == canonical.paths
+
+
+def _deep(tmp_path):
+    """A file of 100,000 nested lists, too deep for the JSON decoder."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+def test_a_file_nested_too_deep_raises_mixbounds_error(tmp_path):
+    path = _deep(tmp_path)
+    with pytest.raises(MixboundsError, match="not valid JSON"):
+        load_chain(path)
+    with pytest.raises(MixboundsError, match="not valid JSON"):
+        load_flow(path, two_state(0.25), uniform_walk(2, labels=["a", "b"]))
+
+
+def test_a_meta_nested_too_deep_leaves_the_file_untouched(tmp_path):
+    path = tmp_path / "m.json"
+    save_chain(two_state(0.25), path, meta={"seed": 1})
+    kept = path.read_bytes()
+    meta = inner = {}
+    for _ in range(100_000):
+        inner["a"] = inner = {}
+    with pytest.raises(BadParams, match="not writable as JSON"):
+        save_chain(two_state(0.25), path, meta=meta)
+    assert path.read_bytes() == kept

@@ -88,3 +88,21 @@ def test_every_imported_name_is_read():
                 read |= set(ast.literal_eval(node.value))
         unread += [(path.stem, name) for name in sorted(imported - read)]
     assert not unread, f"imported but never read: {unread}"
+
+
+def test_only_routed_checks_a_flow_against_a_calls_chains():
+    """``bounds._routed`` is the one check of a flow against a call's chains:
+    only it and ``comparison_reversible``'s base check raise WrongFlowBase,
+    and ``bounds`` leaves the chain-pair check to the flow's own walk."""
+    raisers = set()
+    for path in SRC.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if getattr(exc, "id", None) == "WrongFlowBase":
+                        raisers.add((path.stem, func.name))
+    assert raisers == {("bounds", "_routed"), ("bounds", "comparison_reversible")}, sorted(raisers)
+    assert ("chains", "_check_pair") not in set(_imported(SRC / "bounds.py"))

@@ -4,10 +4,12 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from mixbounds import (classify, conductance, continuous_mixing_time, dhn, directed_cycle, eigendecompose,
-                       lambda_constants, lazy, random_reversible, reversibilize, two_state, uniform_walk)
+from mixbounds import (classify, conductance, conductance_bounds, continuous_mixing_time, dhn, directed_cycle,
+                       eigendecompose, lambda_constants, lazy, random_reversible, reversibilize, two_state,
+                       uniform_walk)
 from mixbounds.errors import IllConditioned
 from mixbounds.spectral import _eigenvalues
 
@@ -125,3 +127,51 @@ def test_conductance_lies_within_a_recorded_bound_of_a_40_digit_reference(case):
               "the returned cut's value": (cuts[argmin] - want) / want}
     for name, err in errors.items():
         assert err <= tol, (name, argmin, mpmath.nstr(err, 3))
+
+
+# ---------------------------------------------------------------- O16's identity on random_reversible
+
+
+def _closed_form(chain):
+    """1/((N - 1) pi_max) of a ``random_reversible`` chain, and its heaviest state h.
+
+    The generator's chain has Q(x, y) = min(pi_x, pi_y) / (N - 1) for x != y.
+    As min(pi_x, pi_y) >= pi_x pi_y / pi_h, its Dirichlet form is at least
+    Var(f) / ((N - 1) pi_h) for every f, and the indicator of h attains that,
+    so lambda_1 = 1/((N - 1) pi_h).  A conductance is the Dirichlet form of a
+    cut's indicator over its variance, so Phi >= lambda_1, and the cut {h}
+    attains it: Phi = lambda_1 too."""
+    h = int(np.argmax(chain.pi))
+    return 1.0 / ((chain.n - 1) * chain.pi[h]), h
+
+
+@pytest.mark.parametrize("N", range(3, 25))
+def test_lambda_1_and_phi_of_random_reversible_have_a_closed_form(N):
+    """lambda_1 and Phi each within SPECTRUM_TOL n of the closed form, at the
+    cut {h} or its complement (a returned cut holds state 0), so O16 (Phi >=
+    lambda_1) is a tie within that bound."""
+    tol = SPECTRUM_TOL * N
+    for seed in range(4):
+        chain = random_reversible(N, seed)
+        want, h = _closed_form(chain)
+        lam_1 = lambda_constants(chain)[0]
+        phi, _, argmin = conductance(chain)
+        assert abs(lam_1 - want) <= tol and abs(phi - want) <= tol, (seed, lam_1, phi, want)
+        assert set(argmin) in ({h}, set(range(N)) - {h}), (seed, argmin, h)
+        o16 = next(e for e in conductance_bounds(chain, None, None) if e.theorem == "O16")
+        assert abs(o16.bound - o16.exact) <= tol, (seed, o16)
+
+
+@pytest.mark.parametrize("N", [40, 100, 200])
+def test_lambda_1_of_random_reversible_has_a_closed_form_past_the_cut_limit(N):
+    for seed in range(4):
+        chain = random_reversible(N, seed)
+        assert abs(lambda_constants(chain)[0] - _closed_form(chain)[0]) <= SPECTRUM_TOL * N, seed
+
+
+@pytest.mark.parametrize("make", [lambda: dhn(5), lambda: lazy(directed_cycle(9))], ids=["dhn(5)", "lazy-cycle-9"])
+def test_o16_is_strict_off_the_closed_form(make):
+    """Off the Metropolis chain O16 need not tie: here Phi clears lambda_1 by
+    more than 0.4 relative."""
+    o16 = next(e for e in conductance_bounds(make(), None, None) if e.theorem == "O16")
+    assert o16.holds and (o16.bound - o16.exact) / o16.bound > 0.4, o16
