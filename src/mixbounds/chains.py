@@ -26,6 +26,7 @@ from .errors import (
     NotReversible,
     SingularStationary,
     StationaryMismatch,
+    _count,
     _square,
 )
 
@@ -73,14 +74,10 @@ class Chain:
         return self.P.shape[0]
 
     def index(self, label) -> int:
-        """Index of a state given by label (or pass an index through)."""
-        if isinstance(label, (bool, np.bool_)):
-            raise DimensionMismatch(f"a bool is not a state: {label!r}")
-        if isinstance(label, (int, np.integer)):
-            i = int(label)
-            if not 0 <= i < self.n:
-                raise DimensionMismatch(f"state index {i} out of range")
-            return i
+        """Index of a state given by label, or an index in [0, n - 1] passed
+        through; a bool, or an integer out of range, raises DimensionMismatch."""
+        if isinstance(label, (int, np.integer, np.bool_)):
+            return _count(label, "state index", DimensionMismatch, most=self.n - 1)
         try:
             return self.labels.index(str(label))
         except ValueError:

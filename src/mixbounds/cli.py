@@ -17,6 +17,7 @@ selftest failure, 2 usage or input errors, 3 an internal self-check failed
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -103,23 +104,13 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     chain = load_chain(args.chain)
     cls = classify(chain)
-    out = {
-        "chain": chain.name,
-        "states": chain.n,
-        "irreducible": cls.irreducible,
-        "period": cls.period,
-        "aperiodic": cls.aperiodic,
-        "reversible": cls.reversible,
-        "min_self_loop": cls.min_self_loop,
-    }
+    out = {"chain": chain.name, "states": chain.n, **dataclasses.asdict(cls)}
     betas, beta_max = _eigenvalues(chain)  # one eigensolve, values only; a loaded chain is irreducible
     out["lambda_1"], out["lambda_bottom"] = _gaps(betas)
     if cls.reversible:  # the chain's own spectrum, not its reversibilization's
-        out["betas"], out["beta_max"] = [float(b) for b in betas], beta_max
+        out["betas"], out["beta_max"] = betas.tolist(), beta_max
     if chain.n <= MAX_CONDUCTANCE_STATES:
-        phi, phi_asym, argmin = conductance(chain)
-        out["conductance"] = phi
-        out["conductance_asym"] = phi_asym
+        out["conductance"], out["conductance_asym"], argmin = conductance(chain)
         out["argmin_cut"] = [chain.labels[i] for i in argmin]
     if args.json:
         print(json.dumps(out, indent=2))

@@ -169,9 +169,8 @@ def _size(p) -> int:
 def _demands(chain: Chain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The chain's edges (x, y) in row-major order and pi(x) P(x, y) for each:
     a target's demands, or a base's edge flows."""
-    P, pi = chain.P, chain.pi
-    xs, ys = np.nonzero(P > 0.0)
-    return xs, ys, pi[xs] * P[xs, ys]
+    xs, ys = np.nonzero(chain.support())
+    return xs, ys, chain.pi[xs] * chain.P[xs, ys]
 
 
 def validate_flow(flow: Flow) -> tuple[bool, bool, list[str]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
 
 import numpy as np
@@ -11,8 +12,11 @@ from .chains import Chain, build_chain, lazy
 from .errors import BadParams, _count, _real
 from .flows import Flow, FlowPath
 
-#: the largest n whose dense n x n float matrix numpy can index (8 n^2 <= sys.maxsize bytes)
-_MOST_STATES = math.isqrt(sys.maxsize // 8)
+#: the largest n with 64 n^2 <= the machine's physical memory in bytes: building
+#: a chain peaks at about 8 dense n x n float arrays.  Where the platform does not
+#: report its memory, the largest n numpy can index (8 n^2 <= sys.maxsize bytes)
+_MOST_STATES = math.isqrt(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 64
+                          if "SC_PHYS_PAGES" in getattr(os, "sysconf_names", ()) else sys.maxsize // 8)
 
 
 def two_state(delta: float) -> Chain:

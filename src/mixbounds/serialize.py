@@ -6,8 +6,12 @@ Flow file:    {"base": str, "target": str,
 
 Probabilities are written with Python's shortest round-trip float
 representation (17 significant digits when needed), so a save/load cycle
-reproduces the matrix bit for bit.  An optional "meta" object (for instance
-the seed of a random generator) is preserved on read but ignored otherwise.
+reproduces P bit for bit.  pi is not stored but solved again from P, so a
+chain that ``lazy``, ``multiply``, ``time_reversal`` or ``lazy_of`` built in
+memory (each keeps its input's pi) can differ from its reload in pi's last
+bits, and a flow built on one is refused against the other.  An optional
+"meta" object (for instance the seed of a random generator) is preserved on
+read but ignored otherwise.
 
 This module reads only a document's structure.  Its contents are parsed by
 the library's own constructors, ``build_chain`` and ``Flow``, and a flow is

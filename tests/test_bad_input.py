@@ -183,3 +183,33 @@ def test_a_vector_fault_raises_its_class(case):
     error, call = VECTOR_FAULTS[case]
     with pytest.raises(error):
         call()
+
+
+FIVE = mb.random_reversible(5, seed=1)
+FIVE_PAIR = (FIVE, mb.lazy(FIVE), mb.build_canonical_flow(FIVE, mb.lazy(FIVE)))
+#: every public call that takes a start state x, on a chain of states s0 .. s4
+STARTS = {
+    "full_report": lambda x: mb.full_report(*FIVE_PAIR, x=x).to_dict(),
+    "discrete_mixing_time": lambda x: mb.discrete_mixing_time(FIVE, x, 0.25),
+    "continuous_mixing_time": lambda x: mb.continuous_mixing_time(FIVE, x, 0.25),
+    "spectral_bounds_reversible": lambda x: mb.spectral_bounds_reversible(FIVE, x, 0.25),
+    "nonreversible_bounds": lambda x: mb.nonreversible_bounds(FIVE, x, 0.25),
+    "comparison_reversible": lambda x: mb.comparison_reversible(*FIVE_PAIR, x, 0.25),
+    "comparison_general": lambda x: mb.comparison_general(*FIVE_PAIR, x, 0.25),
+}
+
+
+@pytest.mark.parametrize("start", [True, np.True_, -1, 5, np.int64(5)], ids=repr)
+@pytest.mark.parametrize("name", list(STARTS))
+def test_a_bad_start_index_raises_dimension_mismatch_naming_the_range(name, start):
+    """A start given as an index is parsed by ``errors._count``: a bool, a
+    negative index or one past n - 1 names the valid range."""
+    with pytest.raises(DimensionMismatch, match=r"state index must be an integer in \[0, 4\]"):
+        STARTS[name](start)
+
+
+@pytest.mark.parametrize("name", list(STARTS))
+def test_a_numpy_integer_or_a_label_start_resolves_to_its_index(name):
+    want = STARTS[name](4)
+    assert STARTS[name](np.int64(4)) == want
+    assert STARTS[name]("s4") == want

@@ -338,6 +338,23 @@ def test_chains_loaded_again_accept_the_first_loads_flow(tmp_path, product):
         assert comparison_reversible(*second, flow, 0, 0.25) == comparison_reversible(*first, flow, 0, 0.25)
 
 
+def test_a_reloaded_chain_keeps_p_bit_for_bit_and_solves_pi_again(tmp_path):
+    """A chain file holds P, not pi.  ``lazy`` keeps its input's pi, and the
+    reload solves pi again from P, so it differs in the last bits: a flow
+    built on the chain in memory is refused against the reload, and a flow
+    built on the reloaded chains is accepted."""
+    base, target = lazy(dhn(3)), uniform_walk(6)
+    save_chain(base, tmp_path / "base.json")
+    save_chain(target, tmp_path / "target.json")
+    loaded = [load_chain(tmp_path / name) for name in ("base.json", "target.json")]
+    assert np.array_equal(loaded[0].P, base.P)
+    assert not np.array_equal(loaded[0].pi, base.pi)
+    assert np.abs(loaded[0].pi - base.pi).max() <= 4 * 2.0**-53
+    with pytest.raises(WrongFlowBase, match="neither the base chain nor its reversal product"):
+        full_report(loaded[0], loaded[1], build_canonical_flow(base, loaded[1]))
+    assert full_report(*loaded, build_canonical_flow(*loaded)).verdict == "pass"
+
+
 def test_a_flow_connecting_chains_of_another_pi_raises_the_pair_check():
     """The flow's own walk checks that its chains share pi; a report reaches
     that check once the flow is matched to its chains."""

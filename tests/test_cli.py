@@ -13,6 +13,7 @@ import pytest
 from mixbounds import (classify, cli, conductance, dhn, directed_cycle, lambda_constants, load_chain, mixing,
                        random_reversible, save_chain, selftest, spectral)
 from mixbounds.cli import run_cli
+from mixbounds.generators import _MOST_STATES
 
 from _families import tiny_mass_chain, two_blocks
 
@@ -255,6 +256,34 @@ def test_gen_size_numpy_cannot_index_exits_two(tmp_path, capsys):
     out = tmp_path / "u.json"
     assert run_cli(["gen", "uniform_walk", "--N", "10000000000", "-o", str(out)]) == 2
     assert "uniform_walk's N" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["uniform_walk", "--N", "51"], "uniform_walk's N must be an integer in [2, 50]"),
+    (["dhn", "--n", "26"], "dhn's n must be an integer in [2, 25]"),
+], ids=["uniform_walk", "dhn"])
+def test_gen_size_memory_cannot_hold_exits_two(monkeypatch, tmp_path, capsys, argv, message):
+    """A size past the physical-memory bound (here lowered to 50 states) is
+    refused before anything is allocated: exit 2, one stderr line naming the
+    range, and no file.  The bound itself is a valid size."""
+    monkeypatch.setattr("mixbounds.generators._MOST_STATES", 50)
+    out = tmp_path / "c.json"
+    assert run_cli(["gen", *argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err and not out.exists()
+    assert run_cli(["gen", argv[0], argv[1], str(int(argv[2]) - 1), "-o", str(out)]) == 0 and out.exists()
+
+
+def test_the_generator_size_bound_fits_64_n_squared_bytes_in_physical_memory():
+    """Building a chain peaks at about 8 dense n x n float arrays, so a
+    generator takes at most the largest n with 64 n^2 bytes within physical
+    memory; where the platform does not report its memory, the largest n
+    numpy can index."""
+    if "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", ()):
+        assert _MOST_STATES == math.isqrt(sys.maxsize // 8)
+        return
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert 64 * _MOST_STATES**2 <= physical < 64 * (_MOST_STATES + 1) ** 2
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -2,6 +2,7 @@
 ``_reference``."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -167,6 +168,35 @@ def test_lambda_1_of_random_reversible_has_a_closed_form_past_the_cut_limit(N):
     for seed in range(4):
         chain = random_reversible(N, seed)
         assert abs(lambda_constants(chain)[0] - _closed_form(chain)[0]) <= SPECTRUM_TOL * N, seed
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("N", [3, 6, 8])
+def test_o16_ties_exactly_on_the_chain_random_reversible_means(N, seed):
+    """The chain ``random_reversible(N, seed)`` means, rebuilt in exact
+    rationals from its own draw w: P(x, y) = min(1, w_y / w_x) / (N - 1).
+    pi = w / sum(w) is stationary; f = 1_h - pi_h (pi-mean 0) has P f =
+    (1 - a) f with a = 1/((N - 1) pi_h), so lambda_1 <= a; and the least
+    conductance over every cut is a.  With lambda_1 >= a (``_closed_form``),
+    O16 (Phi >= lambda_1) is an exact tie here."""
+    w = [Fraction(v) for v in np.random.default_rng(seed).uniform(0.5, 2.0, N)]
+    P = [[min(Fraction(1), w[y] / w[x]) / (N - 1) if y != x else Fraction(0) for y in range(N)] for x in range(N)]
+    for x in range(N):
+        P[x][x] = 1 - sum(P[x])
+    assert np.all(np.abs(np.array(P, dtype=float) - random_reversible(N, seed).P) <= N * 2.0**-53)
+    pi = [v / sum(w) for v in w]
+    assert [sum(pi[x] * P[x][y] for x in range(N)) for y in range(N)] == pi
+    h = max(range(N), key=pi.__getitem__)
+    a = 1 / ((N - 1) * pi[h])
+    f = [(x == h) - pi[h] for x in range(N)]
+    assert [sum(P[x][y] * f[y] for y in range(N)) for x in range(N)] == [(1 - a) * v for v in f]
+    cuts = [[0] + [x for x in range(1, N) if mask >> (x - 1) & 1] for mask in range(2 ** (N - 1) - 1)]
+    phis = []
+    for S in cuts:
+        out = [x for x in range(N) if x not in S]
+        flow = sum(pi[x] * P[x][y] for x in S for y in out)
+        phis.append(flow / (sum(pi[x] for x in S) * sum(pi[x] for x in out)))
+    assert len(phis) == 2 ** (N - 1) - 1 and min(phis) == a
 
 
 @pytest.mark.parametrize("make", [lambda: dhn(5), lambda: lazy(directed_cycle(9))], ids=["dhn(5)", "lazy-cycle-9"])
