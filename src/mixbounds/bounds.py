@@ -81,9 +81,12 @@ def _too_large(s: _Derived) -> str | None:
 
 def _lacks(s: _Derived, tau: str) -> str | None:
     """A row that reads the worst-start time ``tau`` (tau_d or tau_c) does
-    not apply to a call that has none."""
+    not apply to a call that has none: a periodic base has no discrete one,
+    and otherwise the caller supplied none."""
     if tau in s.values and s.values[tau] is None:
-        return "chain is periodic: no discrete mixing time" if tau == "tau_d" else "no continuous mixing time supplied"
+        if tau == "tau_d" and not classify(s.base).aperiodic:
+            return "chain is periodic: no discrete mixing time"
+        return f"no {'discrete' if tau == 'tau_d' else 'continuous'} mixing time supplied"
     return None
 
 
@@ -189,13 +192,6 @@ def _skip(tid: str, reason: str) -> BoundEntry:
     return BoundEntry(tid, row.direction, row.quantity, None, None, None, False, reason)
 
 
-def _check_delta(delta: float) -> float:
-    delta = _real(delta, "delta", BadDelta)
-    if not 0.0 < delta < 0.5:
-        raise BadDelta(f"delta must lie in (0, 1/2), got {delta}")
-    return delta
-
-
 def _mix_factor(tau_prime: float, delta: float) -> float:
     """tau'(delta) / ln(1/(2 delta)) + 1, the slowdown factor of the comparison."""
     return tau_prime / math.log(1.0 / (2.0 * delta)) + 1.0
@@ -213,7 +209,8 @@ class _Derived:
     scalar once (``_SCALARS``), keyed by its name.  What is derived from a
     chain is keyed by (chain, key), the chain object itself (a Chain is
     equal only to itself).  ``direct``: the flow is routed over the base,
-    not its reversal product.
+    not its reversal product; ``_routed`` sets it when it checks the flow,
+    and no call passes it.
 
     A public call makes the object once it has checked its ``eps`` and its
     chains, and drops it when it returns.  The memo
@@ -237,10 +234,10 @@ class _Derived:
     x: int | None = None
     target: Chain | None = None
     flow: Flow | None = None
-    direct: bool | None = None
     delta: float = DELTA_DEFAULT
     sweep: bool = False
     values: dict = field(default_factory=dict)
+    direct: bool | None = field(default=None, init=False)  # set by ``_routed``
     _walk: tuple = field(default=(None, None, None), init=False, repr=False)  # (chain, clock, walk): the one held
 
     def __getitem__(self, name: str):
@@ -355,14 +352,18 @@ def _entries(s: _Derived, off: dict[str, str | None], report: tuple[str, ...] = 
     return [_skip(tid, reason) if reason else _entry(tid, s) for tid, reason in reasons.items()]
 
 
-def _routed(s: _Derived) -> float:
+def _routed(s: _Derived, product: bool = True) -> float:
     """The call's flow's worst edge congestion A, once it is checked to be
-    routed over the base (``direct``) or its reversal product, and to end
-    at the target.  This is the one check of a flow against a call's
-    chains; the flow's walk then checks that its two chains share a state
-    space and pi, which are the base's and the target's."""
-    if not s.direct and not _same_chain(s.flow.base, s.product(s.base)):
-        raise WrongFlowBase("flow is routed over neither the base chain nor its reversal product")
+    routed over the base, or over its reversal product if the call takes
+    one (``product``), and to end at the target.  It sets ``s.direct``:
+    the flow is routed over the base.  This is the one check of a flow
+    against a call's chains, and no other code in this module reads a
+    flow's chains; the flow's walk then checks that its two chains share
+    a state space and pi, which are the base's and the target's."""
+    s.direct = _same_chain(s.flow.base, s.base)
+    if not s.direct and not (product and _same_chain(s.flow.base, s.product(s.base))):
+        raise WrongFlowBase("flow is routed over neither the base chain nor its reversal product" if product
+                            else "flow does not connect the given base and target chains")
     if not _same_chain(s.flow.target, s.target):
         raise WrongFlowBase("flow target does not match the given target chain")
     return _worst_edge(s.flow)
@@ -410,14 +411,12 @@ def comparison_reversible(
     their minimum over ``DELTA_SWEEP``.
     """
     eps = _check_eps(eps)
-    delta = _check_delta(delta)
+    delta = _real(delta, "delta", BadDelta, 0.0, 0.5)
     for c, who in ((base, "base"), (target, "target")):
         _require(c, "reversible", f"reversible comparison bounds ({who})")
         _require(c, "ergodic", f"reversible comparison bounds ({who})")
-    if not _same_chain(flow.base, base):  # the family takes no flow routed over the reversal product
-        raise WrongFlowBase("flow does not connect the given base and target chains")
-    s = _Derived(eps, base, base.index(x), target, flow, True, delta, sweep)
-    s.values["A"] = _routed(s)
+    s = _Derived(eps, base, base.index(x), target, flow, delta, sweep)
+    s.values["A"] = _routed(s, product=False)  # the family takes no flow routed over the reversal product
     return _entries(s, {"comparison_reversible": None})
 
 
@@ -442,12 +441,7 @@ def conductance_bounds(
 
 
 def _check_tau(tau, name: str) -> float | None:
-    if tau is None:
-        return None
-    tau = _real(tau, f"{name} (or None)", BadParams)
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise BadParams(f"{name} must be finite and > 0, got {tau!r}")
-    return tau
+    return None if tau is None else _real(tau, f"{name} (or None)", BadParams, 0.0)
 
 
 def nonreversible_bounds(chain: Chain, x, eps: float) -> list[BoundEntry]:
@@ -477,7 +471,7 @@ def comparison_general(base: Chain, target: Chain, flow: Flow, x, eps: float) ->
     eps = _check_eps(eps)
     for c, who in ((base, "base"), (target, "target")):
         _require(c, "irreducible", f"general comparison bounds ({who})")
-    s = _Derived(eps, base, base.index(x), target, flow, _same_chain(flow.base, base))
+    s = _Derived(eps, base, base.index(x), target, flow)
     s.values["A"] = _routed(s)
     return _entries(s, {"comparison_general": None})
 
@@ -543,7 +537,7 @@ def full_report(
     congestion among them, then the table is walked once.
     """
     eps = _check_eps(eps)
-    delta = _check_delta(delta)
+    delta = _real(delta, "delta", BadDelta, 0.0, 0.5)
     if (target is None) != (flow is None):
         raise MixboundsError("supply target and flow together, or neither")
     cls = _require(base, "irreducible", "full report")
@@ -551,20 +545,18 @@ def full_report(
     reversible = cls.reversible and cls.ergodic
     off = {"spectral": None if reversible else "chain is periodic" if cls.reversible else "chain is not reversible",
            "cut": None, "gap": None, "nonreversible": None, "comparison_general": None}
-    direct = target is not None and _same_chain(flow.base, base)
-    s = _Derived(eps, base, x_idx, target, flow, direct, delta, sweep,
+    s = _Derived(eps, base, x_idx, target, flow, delta, sweep,
                  {} if cls.ergodic else {"tau_d": None, "x_d": None})  # a periodic chain has no discrete times
     if target is None:
         off["comparison_reversible"] = off["comparison_general"] = "no target chain and flow supplied"
     else:
-        cls_t = classify(target)
-        if direct and reversible and cls_t.reversible and cls_t.ergodic:
+        cls_t = _require(target, "irreducible", "general comparison bounds (target)")
+        s.values["A"] = _routed(s)
+        if s.direct and reversible and cls_t.reversible and cls_t.ergodic:
             off["comparison_reversible"] = None
         else:
-            off["comparison_reversible"] = ("comparison pair is not reversible ergodic" if direct
+            off["comparison_reversible"] = ("comparison pair is not reversible ergodic" if s.direct
                                             else "flow is routed over the reversal product")
-        _require(target, "irreducible", "general comparison bounds (target)")
-        s.values["A"] = _routed(s)
     entries = _entries(s, off, ("x_d", "x_c"))
     return BoundReport(base.name, None if target is None else target.name, base.labels[x_idx], x_idx, eps, delta,
                        None if s["x_d"] is None else int(s["x_d"]), float(s["x_c"]), entries)

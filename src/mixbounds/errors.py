@@ -4,8 +4,9 @@ Public functions raise a MixboundsError (a ValueError) subclass on bad
 input, and the CLI exits 2 on one.  NotIrreducible is a NotErgodic.  Numbers,
 counts and arrays are parsed here, by ``_real``, ``_count``, ``_floats``,
 ``_square`` and ``_vector``; each caller names the error class, or takes
-``_vector``'s BadParams, and keeps its own range test.  ``_finite`` turns a
-sum over parsed input that overflowed into BadParams.
+``_vector``'s BadParams.  A real's range and a count's belong to ``_real``
+and ``_count``, not to their callers.  ``_finite`` turns a sum over parsed
+input that overflowed into BadParams.
 """
 
 import itertools
@@ -91,15 +92,17 @@ class WrongFlowBase(MixboundsError):
     """The flow is not built over the chain the requested bound needs."""
 
 
-def _real(value, what: str, error: type) -> float:
-    """``float(value)``; a bool, or whatever float() rejects or overflows on,
-    raises ``error``."""
+def _real(value, what: str, error: type, above: float = -np.inf, below: float = np.inf) -> float:
+    """``float(value)`` in the open interval (above, below), so never inf or
+    nan; a bool, whatever float() rejects or overflows on, or a number
+    outside the interval raises ``error``."""
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return float(value)
+            if above < (real := float(value)) < below:
+                return real
         except (TypeError, ValueError, OverflowError):
             pass
-    raise error(f"{what} must be a number, got {reprlib.repr(value)}")
+    raise error(f"{what} must be a number in ({above:g}, {below:g}), got {reprlib.repr(value)}")
 
 
 def _count(value, what: str, error: type, least: int = 0, most: int = sys.maxsize) -> int:

@@ -26,9 +26,7 @@ def two_state(delta: float) -> Chain:
     though its stationary distribution (uniform) is reached instantly by the
     uniform walk on the same two states.
     """
-    delta = _real(delta, "two_state's delta", BadParams)
-    if not 0.0 < delta < 1.0:
-        raise BadParams(f"two_state needs 0 < delta < 1, got {delta}")
+    delta = _real(delta, "two_state's delta", BadParams, 0.0, 1.0)
     P = [[delta, 1.0 - delta], [1.0 - delta, delta]]
     return build_chain(["a", "b"], P, name=f"two_state(delta={delta:g})")
 

@@ -59,9 +59,7 @@ TRUNCATION = 0.1
 
 
 def _check_eps(eps: float) -> float:
-    eps = _real(eps, "epsilon", BadEpsilon)
-    if not (0.0 < eps < 1.0):
-        raise BadEpsilon(f"epsilon must lie in (0, 1), got {eps}")
+    eps = _real(eps, "epsilon", BadEpsilon, 0.0, 1.0)
     if eps < 1e-12:
         raise BadEpsilon("epsilon below 1e-12 is numerically meaningless")
     return eps
@@ -383,8 +381,8 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
     """
     Q = _square(Q, "rate matrix", BadParams)
     t = _real(t, "time", BadParams)
-    if not 0.0 <= t < np.inf:
-        raise BadParams(f"time must be finite and nonnegative, got {t!r}")
+    if t < 0.0:  # t = 0 is valid, so the open interval cannot say it
+        raise BadParams(f"time must be a number in [0, inf), got {t!r}")
     n = Q.shape[0]
     size = np.maximum(np.abs(Q).sum(axis=1), 1.0)
     if (Q[~np.eye(n, dtype=bool)] < 0.0).any() or (np.abs(Q.sum(axis=1)) > ROW_SUM_TOL * size).any():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixbounds as mb
-from mixbounds.errors import BadParams, DimensionMismatch, MixboundsError
+from mixbounds.errors import BadDelta, BadEpsilon, BadParams, DimensionMismatch, MixboundsError
 from mixbounds.serialize import chain_from_dict, flow_from_dict
 
 NUMBERS = [None, "x", True, math.nan, math.inf, -math.inf, 10**400, -10**400, 2.5, -1]
@@ -213,3 +213,55 @@ def test_a_numpy_integer_or_a_label_start_resolves_to_its_index(name):
     want = STARTS[name](4)
     assert STARTS[name](np.int64(4)) == want
     assert STARTS[name]("s4") == want
+
+
+TINY = float(np.nextafter(0.0, 1.0))
+#: each real ``errors._real`` parses, by its public call: the class it
+#: raises, its open interval, and values just inside that interval that are
+#: accepted.  eps's lowest is its 1e-12 floor; a time's interval is
+#: (-inf, inf), and ``matrix_exponential`` refuses a negative one itself,
+#: as t = 0 is valid (``test_mixing`` checks that it gives I).
+REALS = {
+    "discrete_mixing_time.eps": (BadEpsilon, (0.0, 1.0), [1e-12, np.nextafter(1.0, 0.0)]),
+    "full_report.eps": (BadEpsilon, (0.0, 1.0), [1e-12, np.nextafter(1.0, 0.0)]),
+    "full_report.delta": (BadDelta, (0.0, 0.5), [TINY, np.nextafter(0.5, 0.0)]),
+    "comparison_reversible.delta": (BadDelta, (0.0, 0.5), [TINY, np.nextafter(0.5, 0.0)]),
+    "conductance_bounds.discrete_tau": (BadParams, (0.0, math.inf), [TINY, np.nextafter(math.inf, 0.0)]),
+    "conductance_bounds.continuous_tau": (BadParams, (0.0, math.inf), [TINY, np.nextafter(math.inf, 0.0)]),
+    "two_state.delta": (BadParams, (0.0, 1.0), [TINY, np.nextafter(1.0, 0.0)]),
+    "matrix_exponential.t": (BadParams, (-math.inf, math.inf), [0.0, TINY]),
+}
+#: a bound of conductance_bounds overflows a float at a tau just inside
+#: either end: GAP_CONST / tau at the least, tau^2 at the largest
+TAU_OVERFLOWS = pytest.mark.xfail(raises=(AssertionError, OverflowError), strict=True,
+                                  reason="a tau just inside (0, inf) overflows a bound of conductance_bounds")
+
+
+def _real_cases():
+    """(site, value, the message's fragment or None if it is accepted)."""
+    for site, (_, (above, below), inside) in REALS.items():
+        interval = f"({above:g}, {below:g})"
+        ends = [v for v in (above, above - 1.0, below, below + 1.0) if math.isfinite(v)]
+        for value in [*ends, math.inf, -math.inf, math.nan, True, np.True_]:
+            yield pytest.param(site, value, interval, id=f"{site}-{value!r}")
+        for value in inside:
+            marks = TAU_OVERFLOWS if site.startswith("conductance_bounds") else ()
+            yield pytest.param(site, value, None, id=f"{site}-inside-{float(value)!r}", marks=marks)
+    yield pytest.param("discrete_mixing_time.eps", 1e-13, "below 1e-12", id="eps-below-the-floor")
+    for value in (-1.0, -TINY):
+        yield pytest.param("matrix_exponential.t", value, "time must be a number in [0, inf)", id=f"t-{value!r}")
+
+
+@pytest.mark.parametrize("site, value, fragment", list(_real_cases()))
+def test_a_real_outside_its_interval_raises_its_class_naming_the_interval(site, value, fragment):
+    """A real is parsed with its range by ``errors._real``: each end of its
+    open interval, a value outside it, +-inf, nan and a bool raise the
+    call's class, and the message names the interval; a value just inside
+    either end is accepted."""
+    error, call = REALS[site][0], CALLS[site][1]
+    if fragment is None:
+        call(value)
+        return
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error and fragment in str(info.value)

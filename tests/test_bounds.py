@@ -551,7 +551,8 @@ def _two_state_pair():
     (lambda: full_report(_reducible()), NotIrreducible, "full report"),
     (_two_state_pair, "T10", "largest eigenvalue modulus is the negative end"),
     (lambda: full_report(directed_cycle(3)).entries, "T17", "chain is periodic: no discrete mixing time"),
-    (lambda: conductance_bounds(two_state(0.25), None, 2), "C20d", "chain is periodic: no discrete mixing time"),
+    (lambda: conductance_bounds(two_state(0.25), None, 2), "C20d", "no discrete mixing time supplied"),
+    (lambda: conductance_bounds(directed_cycle(3), None, 2), "C20d", "chain is periodic: no discrete mixing time"),
     (lambda: conductance_bounds(dhn(16), 2, 2), "O16", "more than 24 states: exact conductance skipped"),
     (lambda: nonreversible_bounds(directed_cycle(3), 0, 0.25), "T23", "reversal-product chain is reducible (gap 0)"),
     (lambda: _general(uniform_walk(4), _cycle4()), "T25",
@@ -568,8 +569,8 @@ def _two_state_pair():
         "T25-periodic-target", "T26-nonreversible-target", "spectral-nonreversible", "spectral-periodic",
         "comparison-reversible-base", "comparison-reversible-target", "conductance-reducible",
         "nonreversible-reducible", "comparison-general-base", "comparison-general-target",
-        "full-report-reducible", "T10-negative-end", "T17-periodic", "C20d-no-tau", "cut-rows-too-large",
-        "T23-reducible-product", "T25-direct-flow", "comparison-reversible-wrong-flow",
+        "full-report-reducible", "T10-negative-end", "T17-periodic", "C20d-no-tau", "C20d-periodic-no-tau",
+        "cut-rows-too-large", "T23-reducible-product", "T25-direct-flow", "comparison-reversible-wrong-flow",
         "comparison-general-wrong-flow-base", "full-report-target-without-flow", "full-report-wrong-flow"])
 def test_each_skip_reason_and_family_gate_is_reached(call, want, fragment):
     """Skip reasons no other test reaches, and the error of each family's gate:

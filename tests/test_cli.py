@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mixbounds import (classify, cli, conductance, dhn, directed_cycle, lambda_constants, load_chain, mixing,
-                       random_reversible, save_chain, selftest, spectral)
+                       random_reversible, save_chain, selftest, spectral, two_state)
 from mixbounds.cli import run_cli
 from mixbounds.generators import _MOST_STATES
 
@@ -284,6 +284,22 @@ def test_the_generator_size_bound_fits_64_n_squared_bytes_in_physical_memory():
         return
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     assert 64 * _MOST_STATES**2 <= physical < 64 * (_MOST_STATES + 1) ** 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mix", "{chain}", "--from", "a", "--eps", "1"], "epsilon must be a number in (0, 1), got 1.0"),
+    (["compare", "{chain}", "{chain}", "--auto-flow", "--from", "a", "--eps", "0.25", "--delta", "0.5"],
+     "delta must be a number in (0, 0.5), got 0.5"),
+    (["gen", "two_state", "--delta", "1", "-o", "{out}"], "two_state's delta must be a number in (0, 1), got 1.0"),
+], ids=["mix-eps", "compare-delta", "gen-two_state-delta"])
+def test_a_real_outside_its_interval_exits_two_naming_it(tmp_path, capsys, argv, message):
+    """One stderr line, naming the open interval, and exit 2."""
+    chain = tmp_path / "c.json"
+    save_chain(two_state(0.25), chain)
+    out = tmp_path / "o.json"
+    assert run_cli([arg.format(chain=chain, out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err and not out.exists()
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -92,8 +92,8 @@ def test_every_imported_name_is_read():
 
 def test_only_routed_checks_a_flow_against_a_calls_chains():
     """``bounds._routed`` is the one check of a flow against a call's chains:
-    only it and ``comparison_reversible``'s base check raise WrongFlowBase,
-    and ``bounds`` leaves the chain-pair check to the flow's own walk."""
+    only it raises WrongFlowBase, and ``bounds`` leaves the chain-pair check
+    to the flow's own walk."""
     raisers = set()
     for path in SRC.glob("*.py"):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -104,5 +104,20 @@ def test_only_routed_checks_a_flow_against_a_calls_chains():
                     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                     if getattr(exc, "id", None) == "WrongFlowBase":
                         raisers.add((path.stem, func.name))
-    assert raisers == {("bounds", "_routed"), ("bounds", "comparison_reversible")}, sorted(raisers)
+    assert raisers == {("bounds", "_routed")}, sorted(raisers)
     assert ("chains", "_check_pair") not in set(_imported(SRC / "bounds.py"))
+
+
+def test_only_routed_reads_a_flows_chains():
+    """In ``bounds`` only ``_routed`` reads a flow's ``.base`` or ``.target``,
+    so it alone decides whether a flow is routed over the base (``direct``)."""
+    readers = set()
+    for func in ast.walk(ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and node.attr in ("base", "target"):
+                owner = node.value.attr if isinstance(node.value, ast.Attribute) else getattr(node.value, "id", None)
+                if owner == "flow":
+                    readers.add(func.name)
+    assert readers == {"_routed"}, sorted(readers)

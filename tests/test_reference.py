@@ -14,6 +14,7 @@ from mixbounds import (classify, conductance, conductance_bounds, continuous_mix
 from mixbounds.errors import IllConditioned
 from mixbounds.spectral import _eigenvalues
 
+from _exact import cut_conductances
 from _families import tiny_mass_chain, two_blocks
 from _reference import conductance as reference_conductance
 from _reference import continuized_distances, spectrum
@@ -190,12 +191,7 @@ def test_o16_ties_exactly_on_the_chain_random_reversible_means(N, seed):
     a = 1 / ((N - 1) * pi[h])
     f = [(x == h) - pi[h] for x in range(N)]
     assert [sum(P[x][y] * f[y] for y in range(N)) for x in range(N)] == [(1 - a) * v for v in f]
-    cuts = [[0] + [x for x in range(1, N) if mask >> (x - 1) & 1] for mask in range(2 ** (N - 1) - 1)]
-    phis = []
-    for S in cuts:
-        out = [x for x in range(N) if x not in S]
-        flow = sum(pi[x] * P[x][y] for x in S for y in out)
-        phis.append(flow / (sum(pi[x] for x in S) * sum(pi[x] for x in out)))
+    phis = cut_conductances(P, pi)
     assert len(phis) == 2 ** (N - 1) - 1 and min(phis) == a
 
 
