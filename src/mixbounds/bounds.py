@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chains import Chain, _require, classify, lazy, multiply, time_reversal
+from .chains import Chain, _require, _reversal_product, classify, lazy
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
 from .flows import Flow, _worst_edge, validate_flow
 from .mixing import _Ladder, _Powers, _check_eps
@@ -45,6 +45,13 @@ GAP_CONST = 0.5 - 0.5 / math.e
 DELTA_DEFAULT = 0.5 / math.e
 #: deltas evaluated when a sweep is requested
 DELTA_SWEEP = (DELTA_DEFAULT, 0.1, 0.05, 0.01)
+#: no chain has a worst-start mixing time at 1/(2e) this small, so
+#: ``conductance_bounds`` refuses a supplied tau at or below it.  A discrete
+#: time is at least one step.  On the continuized clock E(t)(x, x) >= e^-t,
+#: so from a start x with pi(x) <= 1/2 (a chain has at least two states)
+#: the distance is at least E(t)(x, x) - pi(x) >= e^-t - 1/2, which stays
+#: above 1/(2e) until t = ln(2e / (e + 1)), about 0.379885
+TAU_LEAST = math.log(2.0 * math.e / (math.e + 1.0))
 
 
 class Row(NamedTuple):
@@ -139,9 +146,9 @@ CATALOG = {
     "T18": Row("cut", "lower", "conductance", "phi", lambda tau_c: GAP_CONST / tau_c,
                lambda s: _too_large(s) or _lacks(s, "tau_c")),
     "T19": Row("cut", "lower", "spectral gap", "lambda_1", lambda phi: phi * phi / 8.0, _too_large),
-    "C20d": Row("gap", "lower", "spectral gap", "lambda_1", lambda tau_d: GAP_CONST**2 / (8.0 * tau_d**2),
+    "C20d": Row("gap", "lower", "spectral gap", "lambda_1", lambda tau_d: GAP_CONST**2 / (8.0 * tau_d * tau_d),
                 lambda s: _lacks(s, "tau_d")),
-    "C20c": Row("gap", "lower", "spectral gap", "lambda_1", lambda tau_c: GAP_CONST**2 / (8.0 * tau_c**2),
+    "C20c": Row("gap", "lower", "spectral gap", "lambda_1", lambda tau_c: GAP_CONST**2 / (8.0 * tau_c * tau_c),
                 lambda s: _lacks(s, "tau_c")),
     "T22": Row("nonreversible", "upper", "continuous mixing time from x", "x_c",
                lambda lambda_1, log_x2: log_x2 / (2.0 * lambda_1)),
@@ -256,7 +263,7 @@ class _Derived:
 
     def product(self, chain: Chain) -> Chain:
         """The reversal product R(P) P."""
-        return self._get((chain, "product"), lambda: multiply(time_reversal(chain), chain))
+        return self._get((chain, "product"), lambda: _reversal_product(chain))
 
     def lazy(self, chain: Chain) -> Chain:
         """lazy(chain), or the target when it is the same chain as lazy(chain)."""
@@ -433,7 +440,9 @@ def conductance_bounds(
     (T17 discrete, T18 continuous), the quadratic lower bound on the spectral
     gap (T19) with its trivial upper companion (O16), and the two mixing-time
     lower bounds on the gap that do not need the conductance at all
-    (C20d, C20c).  Each tau must be None or a finite number > 0.
+    (C20d, C20c).  Each tau must be None or a finite number above
+    ``TAU_LEAST`` (about 0.379885), below which no chain's time lies; every
+    such tau is evaluated, and a huge one gives C20d and C20c the bound 0.0.
     """
     taus = {"tau_d": _check_tau(discrete_tau, "discrete_tau"), "tau_c": _check_tau(continuous_tau, "continuous_tau")}
     _require(chain, "irreducible", "conductance bounds")
@@ -441,7 +450,7 @@ def conductance_bounds(
 
 
 def _check_tau(tau, name: str) -> float | None:
-    return None if tau is None else _real(tau, f"{name} (or None)", BadParams, 0.0)
+    return None if tau is None else _real(tau, f"{name} (or None)", BadParams, TAU_LEAST)
 
 
 def nonreversible_bounds(chain: Chain, x, eps: float) -> list[BoundEntry]:

@@ -270,6 +270,12 @@ def multiply(a: Chain, b: Chain) -> Chain:
     return Chain(a.labels, a.P @ b.P, a.pi, name=f"{a.name}*{b.name}")
 
 
+def _reversal_product(chain: Chain) -> Chain:
+    """The reversal product R(P) P, the one construction of it: the chain a
+    product-routed flow is routed over, and the chain T23's gap is read from."""
+    return multiply(time_reversal(chain), chain)
+
+
 def lazy(chain: Chain) -> Chain:
     """The lazy chain (I + P) / 2; same stationary law, self-loops >= 1/2."""
     L = 0.5 * (np.eye(chain.n) + chain.P)

@@ -24,7 +24,7 @@ import sys
 
 from . import __version__
 from .bounds import DELTA_DEFAULT, full_report
-from .chains import classify, multiply, time_reversal
+from .chains import _reversal_product, classify
 from .errors import MixboundsError
 from .flows import build_canonical_flow
 from .generators import KINDS, generate
@@ -163,7 +163,7 @@ def _cmd_compare(args) -> int:
     if args.flow:
         flow = load_flow(args.flow, base, target)
     elif args.auto_flow:
-        flow_base = multiply(time_reversal(base), base) if args.product else base
+        flow_base = _reversal_product(base) if args.product else base
         flow = build_canonical_flow(flow_base, target, odd=args.odd)
     else:
         raise MixboundsError("compare needs --flow FILE or --auto-flow")

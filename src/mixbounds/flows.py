@@ -115,12 +115,6 @@ class Flow:
         return _detours(self.base, _loads(self)[0])
 
 
-def _laid(paths: list) -> tuple[np.ndarray, np.ndarray]:
-    """Sequences of states laid end to end, and the size of each."""
-    sizes = np.fromiter(map(len, paths), np.intp, len(paths))
-    return np.fromiter(itertools.chain.from_iterable(paths), np.intp, int(sizes.sum())), sizes
-
-
 def _scrub(values: np.ndarray, kind: type) -> np.ndarray:
     """Zeroes and flags the values that are no ``kind``, or bools; tests each type once."""
     bad = {t for t in set(map(type, values)) if not issubclass(t, kind) or t is bool}
@@ -372,7 +366,8 @@ def _simplify(flow: Flow) -> Flow:
     grows.  A flow that loop erasure leaves as it is comes back itself: its
     paths carry mass, are distinct, and repeat no state but a closed walk's
     last.  One sort of (path, state) keys finds the paths that repeat one, and
-    only those are erased; the rest are merged and sorted as tuples."""
+    only those are erased; the rest are merged and sorted as tuples, and the
+    simple flow is laid out by ``Flow``, as a caller's paths are."""
     n, states, sizes, mass = flow.base.n, flow._states, flow._sizes, flow._mass
     owner, j = _ragged(sizes)
     closing = (j > 0) & (j == sizes[owner] - 1) & (states == states[np.arange(len(j)) - j])
@@ -385,8 +380,7 @@ def _simplify(flow: Flow) -> Flow:
     for p, loop in zip(flow.paths, looped.tolist()):
         if p.mass != 0.0:
             merged[_loop_erase(tuple(p.states)) if loop else tuple(p.states)] += p.mass
-    paths = sorted(merged)
-    simple = Flow._of(flow.base, flow.target, *_laid(paths), np.array([merged[p] for p in paths]))
+    simple = Flow(flow.base, flow.target, [FlowPath(p, merged[p]) for p in sorted(merged)])
     valid, _, violations = validate_flow(simple)
     if not valid:
         raise AssertionError("loop erasure broke the demand equations: " + "; ".join(violations[:3]))

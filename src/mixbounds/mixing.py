@@ -180,8 +180,9 @@ class _Walk:
     """Mixing times of one chain on one clock, from a start or the worst one,
     and every start's distance at each full probe.  A subclass gives what
     differs between the clocks: the unit rung M(1), the bracket's width, the
-    check on each product, the type and unit of its times, and on the
-    continuized clock the probes inside a bracket of width 1 (``from_lo``).
+    check on each product, the type and unit of its times, its cap and
+    whether time 0 counts (``cap``, ``zero``), and on the continuized clock
+    the probes inside a bracket of width 1 (``from_lo``).
 
     d_x(t) = TV(M(t)(x, .), pi) never rises for any start x, and so neither
     does the worst start's (Levin, Peres & Wilmer, 2017, section 4.4).  So a
@@ -270,11 +271,16 @@ class _Walk:
         A = np.flatnonzero(d > eps)
         return A if 20 * len(A) <= 3 * len(d) else None
 
-    def time(self, x: int | None, eps: float, cap: float = MAX_DISCRETE_STEPS) -> MixingResult:
+    def time(self, x: int | None, eps: float, cap: float | None = None) -> MixingResult:
         """Smallest t in (0, cap] on the clock's grid with TV <= eps from state
         index x (None: the worst start), with its bracket; past the cap,
-        NoConvergence names the cap and the distance there."""
-        n, pi, two = self.chain.n, self.chain.pi, self.two
+        NoConvergence names the cap and the distance there.  The cap is the
+        clock's own (``cap``) unless one is given.  On a clock that counts
+        time 0 (``zero``), a start already within eps answers 0.0 with
+        bracket (0.0, 0.0)."""
+        n, pi, two, cap = self.chain.n, self.chain.pi, self.two, self.cap if cap is None else cap
+        if self.zero and (tv := float(self.tvs[0].max() if x is None else self.tvs[0][x])) <= eps:
+            return MixingResult(from_state=x, epsilon=eps, time=0.0, achieved_tv=tv, bracket=(0.0, 0.0))
         live, entry = x, None  # a row probe's starts: x, or the worst start's A once taken at (lo, M(lo), m)
         rows: dict[float, np.ndarray] = {}  # their distances, from the query's first row probe on
 
@@ -344,10 +350,11 @@ class _Walk:
 
 class _Powers(_Walk):
     """Discrete times: the rungs are the powers P^(2^e), from P itself, and
-    the bisection ends at width 1, so integer times.  The products are not
-    checked: the distances are."""
+    the bisection ends at width 1, so integer times from 1 (time 0 does not
+    count) up to ``MAX_DISCRETE_STEPS``.  The products are not checked: the
+    distances are."""
 
-    two, unit, rounding = 2, "step", (0, 1, 0.0)
+    two, unit, rounding, cap, zero = 2, "step", (0, 1, 0.0), MAX_DISCRETE_STEPS, False
 
     @property
     def unit_rung(self) -> np.ndarray:
@@ -410,7 +417,8 @@ def _series(s: float) -> np.ndarray:
 class _Ladder(_Walk):
     """Continuized times: the rungs are the exponentials E(s) = expm((P - I)
     s), and the bracket ends at width ``BISECTION_REL`` max(1, hi), so float
-    times, and time 0 when the distance there is within eps.
+    times up to ``MAX_CONTINUOUS_TIME``, and time 0 counts: a start already
+    within eps answers 0.0 (``_Walk.time``).
 
     Holds the powers P^2 .. P^8 in one (7, n, n) array, from which every
     rung E(s) with s <= 1 is ``_series(s)`` (K <= 19) in Horner form in
@@ -426,7 +434,7 @@ class _Ladder(_Walk):
     IllConditioned (``checked``).
     """
 
-    two, unit, rounding = 2.0, "time unit", (23, 64, 2.0**-60)
+    two, unit, rounding, cap, zero = 2.0, "time unit", (23, 64, 2.0**-60), MAX_CONTINUOUS_TIME, True
 
     @functools.cached_property
     def unit_rung(self) -> np.ndarray:
@@ -487,14 +495,6 @@ class _Ladder(_Walk):
             return check((c @ terms[: len(c)].reshape(len(c), -1)).reshape(-1, n))
 
         return at
-
-    def time(self, x: int | None, eps: float) -> MixingResult:
-        """The continuized mixing time from state index x (None: the worst
-        start) at eps; see ``continuous_mixing_time``."""
-        tv = float(self.tvs[0].max() if x is None else self.tvs[0][x])
-        if tv > eps:
-            return super().time(x, eps, MAX_CONTINUOUS_TIME)
-        return MixingResult(from_state=x, epsilon=eps, time=0.0, achieved_tv=tv, bracket=(0.0, 0.0))
 
 
 def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:

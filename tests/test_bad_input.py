@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixbounds as mb
+from mixbounds.bounds import GAP_CONST, TAU_LEAST
 from mixbounds.errors import BadDelta, BadEpsilon, BadParams, DimensionMismatch, MixboundsError
 from mixbounds.serialize import chain_from_dict, flow_from_dict
 
@@ -218,7 +219,8 @@ def test_a_numpy_integer_or_a_label_start_resolves_to_its_index(name):
 TINY = float(np.nextafter(0.0, 1.0))
 #: each real ``errors._real`` parses, by its public call: the class it
 #: raises, its open interval, and values just inside that interval that are
-#: accepted.  eps's lowest is its 1e-12 floor; a time's interval is
+#: accepted.  eps's lowest is its 1e-12 floor; a tau's interval starts at
+#: ``TAU_LEAST``, below every chain's time; a time's interval is
 #: (-inf, inf), and ``matrix_exponential`` refuses a negative one itself,
 #: as t = 0 is valid (``test_mixing`` checks that it gives I).
 REALS = {
@@ -226,15 +228,13 @@ REALS = {
     "full_report.eps": (BadEpsilon, (0.0, 1.0), [1e-12, np.nextafter(1.0, 0.0)]),
     "full_report.delta": (BadDelta, (0.0, 0.5), [TINY, np.nextafter(0.5, 0.0)]),
     "comparison_reversible.delta": (BadDelta, (0.0, 0.5), [TINY, np.nextafter(0.5, 0.0)]),
-    "conductance_bounds.discrete_tau": (BadParams, (0.0, math.inf), [TINY, np.nextafter(math.inf, 0.0)]),
-    "conductance_bounds.continuous_tau": (BadParams, (0.0, math.inf), [TINY, np.nextafter(math.inf, 0.0)]),
+    "conductance_bounds.discrete_tau": (BadParams, (TAU_LEAST, math.inf),
+                                        [np.nextafter(TAU_LEAST, 1.0), np.nextafter(math.inf, 0.0)]),
+    "conductance_bounds.continuous_tau": (BadParams, (TAU_LEAST, math.inf),
+                                          [np.nextafter(TAU_LEAST, 1.0), np.nextafter(math.inf, 0.0)]),
     "two_state.delta": (BadParams, (0.0, 1.0), [TINY, np.nextafter(1.0, 0.0)]),
     "matrix_exponential.t": (BadParams, (-math.inf, math.inf), [0.0, TINY]),
 }
-#: a bound of conductance_bounds overflows a float at a tau just inside
-#: either end: GAP_CONST / tau at the least, tau^2 at the largest
-TAU_OVERFLOWS = pytest.mark.xfail(raises=(AssertionError, OverflowError), strict=True,
-                                  reason="a tau just inside (0, inf) overflows a bound of conductance_bounds")
 
 
 def _real_cases():
@@ -245,9 +245,11 @@ def _real_cases():
         for value in [*ends, math.inf, -math.inf, math.nan, True, np.True_]:
             yield pytest.param(site, value, interval, id=f"{site}-{value!r}")
         for value in inside:
-            marks = TAU_OVERFLOWS if site.startswith("conductance_bounds") else ()
-            yield pytest.param(site, value, None, id=f"{site}-inside-{float(value)!r}", marks=marks)
+            yield pytest.param(site, value, None, id=f"{site}-inside-{float(value)!r}")
     yield pytest.param("discrete_mixing_time.eps", 1e-13, "below 1e-12", id="eps-below-the-floor")
+    for site in ("conductance_bounds.discrete_tau", "conductance_bounds.continuous_tau"):
+        for value in (1e-200, 1e-150, 0.3):  # below every chain's time
+            yield pytest.param(site, value, "(0.379885, inf)", id=f"{site}-below-any-chain-{value!r}")
     for value in (-1.0, -TINY):
         yield pytest.param("matrix_exponential.t", value, "time must be a number in [0, inf)", id=f"t-{value!r}")
 
@@ -265,3 +267,13 @@ def test_a_real_outside_its_interval_raises_its_class_naming_the_interval(site, 
     with pytest.raises(error) as info:
         call(value)
     assert type(info.value) is error and fragment in str(info.value)
+
+
+def test_a_huge_tau_gives_finite_entries_where_c20d_holds():
+    """tau * tau overflows to inf at 1e200, so C20d's and C20c's bounds are
+    0.0, which hold, and no bound overflows."""
+    entries = {e.theorem: e for e in mb.conductance_bounds(C, 1e200, 1e200)}
+    assert all(math.isfinite(e.bound) and math.isfinite(e.exact) for e in entries.values())
+    for tid in ("C20d", "C20c"):
+        assert entries[tid].bound == 0.0 and entries[tid].holds
+    assert entries["T17"].bound == GAP_CONST / 1e200

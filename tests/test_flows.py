@@ -562,7 +562,7 @@ def _next_hop_canonical(base, target, odd=False):
             a = int(next_hop[goal][a])
             route.append(a % n)
         routes.append(route)
-    return Flow._of(base, target, *flows._laid(routes), mass[carried])
+    return Flow(base, target, [FlowPath(tuple(r), m) for r, m in zip(routes, mass[carried].tolist())])
 
 
 def _routed_as_the_oracle(base, target, odd):

@@ -121,3 +121,49 @@ def test_only_routed_reads_a_flows_chains():
                 if owner == "flow":
                     readers.add(func.name)
     assert readers == {"_routed"}, sorted(readers)
+
+
+def _callers(name: str) -> set[tuple[str, str]]:
+    """(module, innermost enclosing function, or "<module>") of each call in
+    ``src/`` to ``name``, by plain name or as an attribute (``Flow._of``)."""
+    found = set()
+
+    def visit(node, module: str, where: str):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    return found
+
+
+def test_only_chains_builds_a_product():
+    """``chains`` alone calls ``multiply``: the reversal product a flow is
+    routed over and the one a report compares it with come from one
+    function, ``chains._reversal_product``."""
+    assert {module for module, _ in _callers("multiply")} == {"chains"}
+    assert {module for module, _ in _callers("_reversal_product")} == {"bounds", "cli"}
+
+
+def test_a_walk_is_entered_only_by_walk_time():
+    """Each clock gives its cap and whether time 0 counts as data; no clock
+    defines a ``time`` of its own beside ``_Walk.time``."""
+    tree = ast.parse((SRC / "mixing.py").read_text(encoding="utf-8"))
+    clocks = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in ("_Powers", "_Ladder"):
+        defined = {node.name for node in clocks[name].body if isinstance(node, ast.FunctionDef)}
+        assert "time" not in defined, name
+    assert any(node.name == "time" for node in clocks["_Walk"].body if isinstance(node, ast.FunctionDef))
+
+
+def test_only_the_flow_makers_call_the_array_constructor():
+    """``Flow._of`` takes laid-out arrays from the code that builds them as
+    arrays, ``Flow.__init__`` (a caller's paths, parsed), the canonical
+    router and the spreader; every other flow is laid out by ``Flow``."""
+    assert _callers("_of") == {("flows", "__init__"), ("flows", "build_canonical_flow"), ("flows", "spread_flow")}
