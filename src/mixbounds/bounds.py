@@ -16,11 +16,13 @@ Non-applicability is data, not an error: a report on a periodic chain, or
 with a flow of the wrong kind, carries the gating reason for the affected
 entries.  Each public call builds one object (``_Derived``) that holds its
 chains, start, flow, eps, delta and sweep, every scalar its rows read, and
-a memo in which every chain quantity but the classification, which the
-chain keeps, is derived once.  Every spectral scalar comes from one
-eigensolve per chain, of ``spectral._symmetrised``.  A flow keeps its one
-walk (its validation and loads), so its congestion is a cheap read and needs
-no memo.
+a memo of what it derives for that call alone.  A chain's constants (its
+classification, spectrum, conductance, reversal-product gap and worst-start
+times at the eps of ``DELTA_SWEEP``) are kept on the chain
+(``chains._kept``), so each is derived once per chain object, not once per
+call.  Every spectral scalar comes from one eigensolve per chain, of
+``spectral._symmetrised``.  A flow keeps its one walk (its validation and
+loads), so its congestion is a cheap read and needs no memo.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chains import Chain, _require, _reversal_product, classify, lazy
+from .chains import Chain, _kept, _require, _reversal_product, classify, lazy
 from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
 from .flows import Flow, _worst_edge, validate_flow
 from .mixing import _Ladder, _Powers, _check_eps
-from .spectral import MAX_CONDUCTANCE_STATES, _eigenvalues, _gaps, conductance
+from .spectral import MAX_CONDUCTANCE_STATES, _gaps, _spectrum, conductance
 
 #: bound-vs-exact comparisons allow this much slack
 HOLD_TOL = 1e-9
@@ -207,31 +209,34 @@ def _mix_factor(tau_prime: float, delta: float) -> float:
 @dataclass(eq=False)  # a call's object is equal only to itself
 class _Derived:
     """One public call: its chains, start, flow, eps, delta and sweep, every
-    scalar its rows read, and what it derives from each chain it touches,
-    each computed once.
+    scalar its rows read, and what it derives for this call alone.
 
     ``values`` is the call's one memo.  It starts with what the call
     supplies: A, the flow's checked congestion, the conductance bounds'
     taus, and None for a time it has none of; indexing resolves every other
     scalar once (``_SCALARS``), keyed by its name.  What is derived from a
-    chain is keyed by (chain, key), the chain object itself (a Chain is
-    equal only to itself).  ``direct``: the flow is routed over the base,
-    not its reversal product; ``_routed`` sets it when it checks the flow,
-    and no call passes it.
+    chain for this call is keyed by (chain, key), the chain object itself
+    (a Chain is equal only to itself): every from-x time, the worst-start
+    time at the call's own eps or delta, lazy(base) and the reversal
+    product.  ``direct``: the flow is routed over the base, not its
+    reversal product; ``_routed`` sets it when it checks the flow, and no
+    call passes it.
 
     A public call makes the object once it has checked its ``eps`` and its
-    chains, and drops it when it returns.  The memo
-    solves each chain once for its eigenvalues and beta_max (``spectrum``,
-    by ``eigvalsh``), never for eigenvectors; lambda_1 and the product's gap
-    are read from them.  It keeps every mixing time it answers, and answers
-    a new one, in any order, from the one ``mixing`` walk the call holds,
-    over a chain's powers or its ladder (``_Powers`` or ``_Ladder``), which
-    keeps its squares M(2^e) and every full probe's distances, so the
-    report's from-x times, its several eps and the delta sweep share their
-    probes.  A query on another chain or clock replaces that walk, which
-    frees all it held; an answer from the memo replaces nothing.  The
-    reversal product R(P) P is built only for a nonreversible chain and for
-    a flow not routed over the base (a reversible chain's is P^2, read from
+    chains, and drops it when it returns.  What the chain keeps
+    (``chains._kept``) outlives it: the eigenvalues and beta_max
+    (``spectral._spectrum``, never eigenvectors), from which lambda_1 is
+    read, the reversal product's lambda_1, the conductance, and the
+    worst-start time at each eps of ``DELTA_SWEEP`` on either clock.  A
+    mixing time in neither store is answered, in any order, from the one
+    ``mixing`` walk the call holds, over a chain's powers or its ladder
+    (``_Powers`` or ``_Ladder``), which keeps its squares M(2^e) and every
+    full probe's distances, so the report's from-x times, its several eps
+    and the delta sweep share their probes.  A query on another chain or
+    clock replaces that walk, which frees all it held; an answer from
+    either store replaces nothing.  The reversal product R(P) P is built
+    only for a nonreversible chain that keeps no product gap yet and for a
+    flow not routed over the base (a reversible chain's is P^2, read from
     its eigenvalues).  lazy(P) is built once, or is the target when that is
     the same chain (``_same_chain``), so the two share one walk.
     """
@@ -255,12 +260,6 @@ class _Derived:
             self.values[key] = compute()
         return self.values[key]
 
-    def spectrum(self, chain: Chain) -> tuple[np.ndarray, float]:
-        """The eigenvalues, descending, and beta_max, with no eigenvectors:
-        a reversible chain's own, any other's those of its additive
-        reversibilization (``spectral._symmetrised``)."""
-        return self._get((chain, "spectrum"), lambda: _eigenvalues(chain))
-
     def product(self, chain: Chain) -> Chain:
         """The reversal product R(P) P."""
         return self._get((chain, "product"), lambda: _reversal_product(chain))
@@ -273,12 +272,16 @@ class _Derived:
         return self._get((chain, "lazy"), make)
 
     def _time(self, chain: Chain, clock: str, make, x, eps: float):
-        """The chain's time on a clock, from the memo, or from the call's one
-        walk, which a query on another chain or clock first replaces."""
+        """The chain's time on a clock: kept on the chain for the worst start
+        at an eps of ``DELTA_SWEEP``, in the memo for any other query, or
+        else from the call's one walk, which a query on another chain or
+        clock first replaces."""
         def compute():
             if self._walk[:2] != (chain, clock):
                 self._walk = (chain, clock, make(chain))
             return self._walk[2].time(x, eps).time
+        if x is None and eps in DELTA_SWEEP:
+            return _kept(chain, (clock, eps), compute)
         return self._get((chain, clock, x, eps), compute)
 
     def discrete(self, chain: Chain, x, eps: float) -> int:
@@ -304,12 +307,13 @@ def _product_gap(s: _Derived) -> float | None:
     valid flow routes over a reducible product (its congestion raises).  A
     reversible P has R(P) P = P^2, of period 1 or 2 as every edge has its
     reverse, so irreducible exactly when P is aperiodic, with lambda_1 =
-    1 - beta_max^2."""
+    1 - beta_max^2.  The base keeps the gap (``chains._kept``), not the
+    product."""
     cls = classify(s.base)
     if cls.reversible:
         return (1.0 - s["beta_max"]) * (1.0 + s["beta_max"]) if cls.aperiodic else None
     product = s.product(s.base)
-    return _gaps(s.spectrum(product)[0])[0] if classify(product).irreducible else None
+    return _gaps(_spectrum(product)[0])[0] if classify(product).irreducible else None
 
 
 #: How a call resolves each scalar a row reads, in the order ``_entries``
@@ -334,11 +338,11 @@ _SCALARS: dict[str, Callable[[_Derived], object]] = {
     "log_x2": lambda s: math.log(1.0 / (s.eps * s.eps * s.base.pi[s.x])),
     "odd": lambda s: validate_flow(s.flow)[1],
     # betas and beta_max are read only on reversible chains, where they are the chain's own eigenvalues
-    "betas": lambda s: s.spectrum(s.base)[0],
-    "beta_max": lambda s: s.spectrum(s.base)[1],
+    "betas": lambda s: _spectrum(s.base)[0],
+    "beta_max": lambda s: _spectrum(s.base)[1],
     "c": lambda s: classify(s.base).min_self_loop,
-    "lambda_1": lambda s: _gaps(s.spectrum(s.base)[0])[0],
-    "lambda_prod": _product_gap,
+    "lambda_1": lambda s: _gaps(_spectrum(s.base)[0])[0],
+    "lambda_prod": lambda s: _kept(s.base, "product_gap", lambda: _product_gap(s)),
     "phi": lambda s: conductance(s.base)[0],
 }
 
@@ -539,11 +543,15 @@ def full_report(
     a flow routed over the base's reversal product activates the discrete
     product bound instead of the direct family.
 
-    Everything derived from a chain (eigenvalues, the reversal product,
-    and the exponentials and the powers with every probe's distances, which
-    give every mixing time) is computed once per report and shared by the
-    rows.  The families' gates are decided first, the flow's kind and
-    congestion among them, then the table is walked once.
+    A chain's constants (its classification, eigenvalues, conductance,
+    reversal-product gap and worst-start times at the eps of
+    ``DELTA_SWEEP``) are kept on the chain, so a report on a chain object
+    that an earlier call has seen reads them back.  The rest (each from-x
+    time, the worst-start time at this eps, lazy(base), the reversal product
+    and the walks over the powers and the exponentials, with every probe's
+    distances) is computed once per report and shared by the rows.  The
+    families' gates are decided first, the flow's kind and congestion among
+    them, then the table is walked once.
     """
     eps = _check_eps(eps)
     delta = _real(delta, "delta", BadDelta, 0.0, 0.5)

@@ -4,8 +4,11 @@ A :class:`Chain` bundles a row-stochastic transition matrix with state labels
 and the stationary distribution, which is computed once at construction by a
 dense linear solve.  Chains are immutable after construction and every
 operation here is a pure function returning a new chain, so concurrent reads
-are safe.  :func:`classify` keeps its result on the chain (two threads may
-both compute it, harmlessly).
+are safe.  A chain keeps its constants (``_kept``): its classification,
+spectrum, conductance, reversal-product gap and worst-start times at the
+catalogue's eps, each computed the first time any call asks for it.  Each is
+a scalar or holds O(n) numbers, so the store adds O(n) to a chain, and two
+threads may both compute one, harmlessly.
 
 Internally states are indexed ``0 .. N-1``; labels are cosmetic.
 """
@@ -51,7 +54,7 @@ class Chain:
     stationary distribution of their result (products, laziness, reversal).
     """
 
-    __slots__ = ("labels", "P", "pi", "name", "_class")
+    __slots__ = ("labels", "P", "pi", "name", "_constants")
 
     def __init__(self, labels, P, pi, name=None):
         P = np.ascontiguousarray(P, dtype=float)
@@ -67,7 +70,7 @@ class Chain:
         self.P = P
         self.pi = pi
         self.name = name if name is not None else f"chain[{len(labels)}]"
-        self._class = None
+        self._constants = {}  # written and read only by ``_kept``
 
     @property
     def n(self) -> int:
@@ -193,13 +196,22 @@ def classify(chain: Chain) -> ChainClass:
     one scipy breadth-first search over the chain's nonzeros.  Detailed
     balance is tested edge by edge relative to the edge flow
     (``BALANCE_RTOL``).  Never raises: a classification is returned even for
-    degenerate chains.  The result is kept on the chain, whose P and pi are
-    read-only, so later calls return it at once; two threads may both
-    compute it, harmlessly.
+    degenerate chains.  The result is kept on the chain (``_kept``), whose P
+    and pi are read-only, so later calls return it at once.
     """
-    if chain._class is None:
-        chain._class = _classify(chain)
-    return chain._class
+    return _kept(chain, "class", lambda: _classify(chain))
+
+
+def _kept(chain: Chain, key, compute):
+    """The chain's constant ``key``: ``compute()`` the first time any call
+    asks for it, then the kept result.  Only results are kept, each a scalar
+    or O(n) numbers, never a chain, a walk or an n x n array; an error is
+    not, so the next call computes again.  Two threads may both compute a
+    constant, harmlessly, as a chain's P and pi are read-only."""
+    constants = chain._constants
+    if key not in constants:
+        constants[key] = compute()
+    return constants[key]
 
 
 def _classify(chain: Chain) -> ChainClass:

@@ -31,7 +31,7 @@ from .generators import KINDS, generate
 from .mixing import continuous_mixing_time, discrete_mixing_time
 from .selftest import collect_results
 from .serialize import chain_to_dict, load_chain, load_flow, save_chain
-from .spectral import MAX_CONDUCTANCE_STATES, _eigenvalues, _gaps, conductance
+from .spectral import MAX_CONDUCTANCE_STATES, _gaps, _spectrum, conductance
 
 
 @functools.cache  # built on the first call, then reused: parsing leaves a parser as it was
@@ -105,7 +105,7 @@ def _cmd_analyze(args) -> int:
     chain = load_chain(args.chain)
     cls = classify(chain)
     out = {"chain": chain.name, "states": chain.n, **dataclasses.asdict(cls)}
-    betas, beta_max = _eigenvalues(chain)  # one eigensolve, values only; a loaded chain is irreducible
+    betas, beta_max = _spectrum(chain)  # one eigensolve, values only; a loaded chain is irreducible
     out["lambda_1"], out["lambda_bottom"] = _gaps(betas)
     if cls.reversible:  # the chain's own spectrum, not its reversibilization's
         out["betas"], out["beta_max"] = betas.tolist(), beta_max

@@ -139,10 +139,11 @@ def discrete_mixing_time(chain: Chain, x, eps, max_steps: int = MAX_DISCRETE_STE
     powers P^(2^e) (``_Powers``), in about 2 log2(t) products.  Raises
     NoConvergence if the time exceeds ``max_steps``, which signals
     near-periodicity or an epsilon below reach; the message reads the
-    distance at ``max_steps``.
+    distance at ``max_steps``.  ``max_steps`` is a count of at least 1, as
+    time 0 does not count (else BadParams).
     """
     eps = _check_eps(eps)
-    max_steps = _count(max_steps, "max_steps", BadParams)
+    max_steps = _count(max_steps, "max_steps", BadParams, least=1)
     _require(chain, "ergodic", "discrete mixing time")
     return _Powers(chain).time(None if x is None else chain.index(x), eps, max_steps)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import Chain, _require
+from .chains import Chain, _kept, _require
 from .errors import BadParams, IllConditioned, TooLarge, _count, _finite, _vector
 from .mixing import _gamma
 
@@ -132,13 +132,20 @@ def eigendecompose(chain: Chain) -> SpectralSummary:
 
 def _eigenvalues(chain: Chain) -> tuple[np.ndarray, float]:
     """The eigenvalues of an irreducible chain's ``_symmetrised`` matrix,
-    sorted descending, and beta_max: symmetric QR without the vectors
-    (``eigvalsh``), about 4n^3/3 flops against 9n^3 with them (Golub & Van
-    Loan, *Matrix Computations*, section 8.3).  On a reversible chain they
-    are ``eigendecompose``'s betas.  Every report row and ``mixbounds
-    analyze`` read only these; the caller checks irreducibility."""
+    sorted descending (read-only), and beta_max: symmetric QR without the
+    vectors (``eigvalsh``), about 4n^3/3 flops against 9n^3 with them (Golub
+    & Van Loan, *Matrix Computations*, section 8.3).  On a reversible chain
+    they are ``eigendecompose``'s betas.  The caller checks irreducibility."""
     betas = np.linalg.eigvalsh(_symmetrised(chain))[::-1]
+    betas.flags.writeable = False
     return betas, _beta_max(betas)
+
+
+def _spectrum(chain: Chain) -> tuple[np.ndarray, float]:
+    """``_eigenvalues``, kept on the chain (``_kept``), so each chain object
+    is solved once: every report row, ``lambda_constants`` and ``mixbounds
+    analyze`` read the spectrum here."""
+    return _kept(chain, "spectrum", lambda: _eigenvalues(chain))
 
 
 def lambda_constants(chain: Chain) -> tuple[float, float]:
@@ -147,10 +154,11 @@ def lambda_constants(chain: Chain) -> tuple[float, float]:
     ``1 - betas[1]`` and ``1 + betas[-1]`` of the ``_symmetrised`` spectrum:
     a reversible chain's own, any other's that of its additive
     reversibilization, which has the same quadratic forms (asserted by the
-    test suite, not assumed silently).
+    test suite, not assumed silently).  The spectrum is the one the chain
+    keeps (``_spectrum``).
     """
     _require(chain, "irreducible", "lambda_constants")
-    return _gaps(_eigenvalues(chain)[0])
+    return _gaps(_spectrum(chain)[0])
 
 
 def _gaps(betas: np.ndarray) -> tuple[float, float]:
@@ -235,6 +243,9 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
     residual; only a block the certificate leaves open computes its flows
     into the cuts and tests each cut.
 
+    The chain keeps the result (``_kept``), so each chain object enumerates
+    its cuts once; an error is not kept, and a later call raises it again.
+
     The certificate.  Let Q = pi P be the float matrix formed here, r and s
     its row and column sums, and rho = r - s, so sum(rho) = 0.  Summing rho
     over S, the terms of Q with both ends in S cancel, so, exactly,
@@ -266,12 +277,16 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
     the cuts.  So the minima, the argmin and the error raised, if any,
     with its worst ratio, are those of the per-cut test in every block.
     """
-    n = chain.n
-    if n > MAX_CONDUCTANCE_STATES:
+    if chain.n > MAX_CONDUCTANCE_STATES:
         raise TooLarge(f"exact conductance enumerates every cut and is limited to "
                        f"{MAX_CONDUCTANCE_STATES} states")
     _require(chain, "irreducible", "conductance")
+    return _kept(chain, "conductance", lambda: _enumerated(chain))
 
+
+def _enumerated(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
+    """Every cut's conductance, enumerated as ``conductance`` says."""
+    n = chain.n
     Q = chain.pi[:, None] * chain.P
     pi = chain.pi
     low_bits = min(n - 1, _LOW_BITS)

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import sys
+import threading
 import weakref
 from collections import Counter
 
@@ -41,7 +42,7 @@ from mixbounds import (
     uniform_walk,
     validate_flow,
 )
-from mixbounds import bounds, chains, flows, mixing, spectral
+from mixbounds import bounds, chains, cli, flows, mixing, spectral
 from mixbounds.errors import IllConditioned, NoConvergence
 from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _Derived, _same_chain, _skip
 from mixbounds.cli import run_cli
@@ -527,11 +528,14 @@ def test_a_target_that_is_the_base_shares_its_stream(monkeypatch, report):
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.05])
-@pytest.mark.parametrize("base", [_lazy_cycle(30), dhn(8), doubly_stochastic(9, 4)], ids=lambda c: c.name)
-def test_from_x_times_after_a_worst_start_query(monkeypatch, base, eps):
+@pytest.mark.parametrize("make", [lambda: _lazy_cycle(30), lambda: dhn(8), lambda: doubly_stochastic(9, 4)],
+                         ids=lambda make: make().name)
+def test_from_x_times_after_a_worst_start_query(monkeypatch, make, eps):
     """After the worst start's crossing of 1/(2e), each from-x time at the
     call's eps equals the public call's.  The memo's from-x times share the
-    walk of its worst-start query; each public call makes its own."""
+    walk of its worst-start query; each public call makes its own.  Each
+    case builds its own chain, as a chain keeps its worst-start times."""
+    base = make()
     d = _Derived(eps)
     d.discrete(base, None, DELTA_DEFAULT)
     walks = _count_powers(monkeypatch)
@@ -717,3 +721,204 @@ def test_full_report_matches_public_functions(case):
                     assert g[side] == pytest.approx(w[side], rel=2e-6), (g["theorem"], side)
                     g[side] = w[side]
         assert g == w
+
+
+def _count_solves(monkeypatch):
+    """Count the ``eigvalsh`` calls, by the size of the matrix solved."""
+    solves = Counter()
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: solves.update([len(A)]) or eigvalsh(A))
+    return solves
+
+
+def _count_worst_starts(monkeypatch):
+    """Count the worst-start queries of every walk, by clock and eps."""
+    queries = Counter()
+    time = mixing._Walk.time
+
+    def counting(walk, x, eps, *args):
+        if x is None:
+            queries[type(walk).__name__, eps] += 1
+        return time(walk, x, eps, *args)
+
+    monkeypatch.setattr(mixing._Walk, "time", counting)
+    return queries
+
+
+#: chain -> the eigensolves of its first report: a nonreversible chain's
+#: reversal product is solved too, unless it is reducible (dhn and the
+#: directed cycle), which its classification says
+KEPT = {
+    "rr(16, 2)": (lambda: random_reversible(16, 2), 1),
+    "dhn(8)": (lambda: dhn(8), 1),
+    "doubly_stochastic(9, 4)": (lambda: doubly_stochastic(9, 4), 2),
+    "directed_cycle(5)": (lambda: directed_cycle(5), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEPT))
+def test_a_chain_keeps_its_constants_across_reports(monkeypatch, case):
+    """Two reports on one chain object at different x derive its constants
+    once: one eigensolve of the chain (and of its reversal product, built
+    once, when it is nonreversible), one enumeration of its cuts, and one
+    worst-start query at 1/(2e) on each clock.  ``lambda_constants`` and
+    ``conductance`` then read what the chain keeps."""
+    make, first = KEPT[case]
+    chain = make()
+    solves = _count_solves(monkeypatch)
+    enumerated = _count(monkeypatch, spectral._flow_parts, lambda *args: "blocks")
+    products = _count(monkeypatch, chains._reversal_product, lambda chain: id(chain))
+    queries = _count_worst_starts(monkeypatch)
+    full_report(chain, x=0)
+    assert sum(solves.values()) == first and enumerated
+    once = (dict(solves), dict(enumerated), dict(products))
+    full_report(chain, x=chain.n - 1)
+    spectral.lambda_constants(chain)
+    conductance(chain)
+    assert (dict(solves), dict(enumerated), dict(products)) == once
+    assert sum(products.values()) == (not classify(chain).reversible)
+    clocks = {"_Ladder"} | ({"_Powers"} if classify(chain).ergodic else set())
+    assert {(clock, eps): k for (clock, eps), k in queries.items() if eps == DELTA_DEFAULT} == {
+        (clock, DELTA_DEFAULT): 1 for clock in clocks}
+
+
+def _stored(value, n: int) -> list:
+    """What a kept constant holds that a chain must not keep: a chain, a
+    walk, or an array of more than n entries."""
+    if isinstance(value, (tuple, list)):
+        return [bad for item in value for bad in _stored(item, n)]
+    if isinstance(value, (chains.Chain, mixing._Walk)) or isinstance(value, np.ndarray) and value.size > n:
+        return [value]
+    return []
+
+
+#: every key a chain may keep: its classification, spectrum, conductance,
+#: product gap and worst-start time at each eps of the sweep on each clock
+KEYS = {"class", "spectrum", "conductance", "product_gap",
+        *((clock, eps) for clock in ("powers", "ladder") for eps in bounds.DELTA_SWEEP)}
+
+
+def _check_store(*chains_seen):
+    for chain in chains_seen:
+        constants = chain._constants
+        assert constants and set(constants) <= KEYS, (chain, set(constants) - KEYS)
+        assert not [bad for value in constants.values() for bad in _stored(value, chain.n)], chain
+
+
+STORED = {
+    "reversible pair with sweep": _reversible_pair,
+    "product flow": _product_pair,
+    "target is base with sweep": lambda: {**_self_pair(), "sweep": True},
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORED))
+def test_a_chain_keeps_no_chain_walk_or_square_matrix(case):
+    """After a report with a sweep or a product flow, every chain it read
+    keeps only its known constants, none of them a chain, a walk or an
+    array of more than n entries."""
+    kwargs = STORED[case]()
+    base, target = kwargs["base"], kwargs["target"]
+    full_report(**kwargs, x=1)
+    _check_store(base, target, kwargs["flow"].base)
+    assert {"product_gap", ("ladder", DELTA_DEFAULT)} <= base._constants.keys()
+    if kwargs.get("sweep"):  # the sweep's factor reads the target's times at every delta
+        assert {("powers", delta) for delta in bounds.DELTA_SWEEP} <= target._constants.keys()
+
+
+def test_analyze_keeps_only_the_chains_constants(monkeypatch, tmp_path):
+    path = tmp_path / "chain.json"
+    save_chain(doubly_stochastic(9, 4), path)
+    loaded = []
+    load = cli.load_chain
+    monkeypatch.setattr(cli, "load_chain", lambda p: loaded.append(load(p)) or loaded[-1])
+    assert run_cli(["analyze", str(path), "--json"]) == 0
+    _check_store(*loaded)
+    assert set(loaded[0]._constants) == {"class", "spectrum", "conductance"}
+
+
+def _copy(chain):
+    return chains.Chain(chain.labels, chain.P, chain.pi, chain.name)
+
+
+#: report arguments -> the (x, eps) of the reports asked in turn on one object
+REPEATED = {
+    "rr(12, 1)": (lambda: {"base": random_reversible(12, 1)}, [(0, 0.25), (11, 0.1), (5, DELTA_DEFAULT)]),
+    "rr(40, 1)": (lambda: {"base": random_reversible(40, 1)}, [(3, 0.25), (0, 0.05), (39, 0.3)]),
+    "dhn(8)": (lambda: {"base": dhn(8)}, [(0, 0.25), (15, 0.01), (3, 0.25)]),
+    "doubly_stochastic(20, 1)": (lambda: {"base": doubly_stochastic(20, 1)}, [(0, 0.1), (19, 0.25)]),
+    "directed_cycle(5)": (lambda: {"base": directed_cycle(5)}, [(0, 0.25), (2, 0.05), (4, 0.25)]),
+    "cycle(6)": (lambda: {"base": _even_cycle(6)}, [(0, 0.25), (3, 0.1)]),
+    "lazy cycle(30)": (lambda: {"base": _lazy_cycle(30)}, [(7, 0.05), (0, 0.25), (29, DELTA_DEFAULT)]),
+    "reversible pair": (_reversible_pair, [(0, 0.25), (15, 0.1), (4, 0.05)]),
+    "reversible pair, no sweep": (lambda: {**_reversible_pair(), "sweep": False}, [(2, 0.25), (9, 0.01)]),
+    "lazy pair": (_lazy_pair, [(0, 0.25), (11, DELTA_DEFAULT)]),
+    "target is base": (lambda: {**_self_pair(), "sweep": True}, [(0, 0.25), (6, 0.1), (11, 0.45)]),
+    "lazy cycle(30) is its target": (_lazy_cycle_is_its_target, [(3, 0.25), (20, 0.1)]),
+    "product flow": (_product_pair, [(0, 0.25), (8, 0.05), (4, 0.25)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED))
+def test_a_repeated_report_equals_one_on_fresh_chains(case):
+    """Reports asked in turn on one chain object equal, byte for byte in
+    ``to_dict()``, the same reports on fresh ``Chain(labels, P, pi)``
+    copies, which keep nothing yet: what a chain keeps is what a fresh
+    report derives."""
+    make, asked = REPEATED[case]
+    kwargs = {name: value for name, value in make().items() if name != "x"}
+    for x, eps in asked:
+        fresh = {**kwargs, "base": _copy(kwargs["base"])}
+        if "target" in kwargs:
+            fresh["target"] = fresh["base"] if kwargs["target"] is kwargs["base"] else _copy(kwargs["target"])
+        got, want = (full_report(**k, x=x, eps=eps).to_dict() for k in (kwargs, fresh))
+        assert json.dumps(got) == json.dumps(want), (x, eps)
+    assert kwargs["base"]._constants
+
+
+def test_reports_in_threads_share_one_chains_store():
+    """Reports asked at once, in more threads than cores and with a short
+    switch interval, on one chain object each equal the report on a fresh
+    copy: threads that both compute a constant keep equal values, so a lost
+    update of the store is harmless."""
+    chain = _lazy_cycle(20)
+    asked = [(x, eps) for x in (0, 5, 10, 19) for eps in (0.25, 0.1)]
+    want = {(x, eps): json.dumps(full_report(_copy(chain), x=x, eps=eps).to_dict()) for x, eps in asked}
+    got, errors = {}, []
+
+    def run(x, eps):
+        try:
+            got[x, eps] = json.dumps(full_report(chain, x=x, eps=eps).to_dict())
+        except Exception as exc:  # reported below, with the thread's query
+            errors.append((x, eps, exc))
+
+    threads = [threading.Thread(target=run, args=query) for query in asked]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and got == want
+    _check_store(chain)
+
+
+def test_an_error_is_not_kept():
+    """A constant whose computation raises is not kept, so every call
+    raises again: tiny_mass_chain's cut flows do not balance
+    (IllConditioned), and two_state(1e-17) does not mix within the cap of
+    10^6 steps (NoConvergence)."""
+    chain = tiny_mass_chain()
+    for _ in range(2):
+        with pytest.raises(IllConditioned):
+            conductance(chain)
+    assert "conductance" not in chain._constants
+    chain = two_state(1e-17)
+    for x in (0, 1):
+        with pytest.raises(NoConvergence, match="within 1000000 steps"):
+            full_report(chain, x=x)
+    assert ("powers", DELTA_DEFAULT) not in chain._constants

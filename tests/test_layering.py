@@ -167,3 +167,22 @@ def test_only_the_flow_makers_call_the_array_constructor():
     arrays, ``Flow.__init__`` (a caller's paths, parsed), the canonical
     router and the spreader; every other flow is laid out by ``Flow``."""
     assert _callers("_of") == {("flows", "__init__"), ("flows", "build_canonical_flow"), ("flows", "spread_flow")}
+
+
+def test_only_kept_reads_or_writes_a_chains_store():
+    """A chain keeps its constants in one private store, which
+    ``Chain.__init__`` makes empty and ``chains._kept`` alone reads and
+    writes: no other code names the attribute ``_constants``."""
+    found = set()
+
+    def visit(node, module: str, where: str):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "_constants":
+            found.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    assert found == {("chains", "__init__"), ("chains", "_kept")}, sorted(found)

@@ -223,7 +223,7 @@ def test_max_steps_is_honoured_exactly(x, max_steps):
     probes fall, and the message reads the distance at max_steps.  So does
     the public call;
     and between the distances at max_steps - 1 and max_steps, it returns
-    max_steps, and raises with one step less."""
+    max_steps, and raises with one step less, or refuses a cap of 0 steps."""
     chain = _lazy_cycle(30)  # about 2,500 steps to 1e-12
     walk, reference = _Powers(chain), _ReferenceSteps(chain, x)
     _, tv = reference.time(1e-12, max_steps)
@@ -236,8 +236,24 @@ def test_max_steps_is_honoured_exactly(x, max_steps):
     got = discrete_mixing_time(chain, x, eps, max_steps)
     assert got.time == max_steps
     assert got.achieved_tv == pytest.approx(below, rel=1e-12, abs=1e-15)  # d(1000) is 1.1e-5
-    with pytest.raises(NoConvergence, match=rf"within {max_steps - 1} steps \(TV still {above:.3e}\)"):
+    with pytest.raises(NoConvergence, match=rf"within {max_steps - 1} steps \(TV still {above:.3e}\)") \
+            if max_steps > 1 else pytest.raises(BadParams, match=r"max_steps must be an integer in \[1, "):
         discrete_mixing_time(chain, x, eps, max_steps - 1)
+
+
+@pytest.mark.parametrize("x", [None, 0])
+def test_a_cap_of_zero_steps_is_refused_and_one_step_is_counted(x):
+    """No discrete time lies in (0, 0], so max_steps = 0 raises BadParams
+    naming the range [1, ...], not NoConvergence quoting the distance at
+    time 0.  At max_steps = 1 the one step counts: criterion 01's tie d(1) =
+    1/4 = eps answers 1, and a chain not yet within eps at step 1 raises
+    NoConvergence naming the cap and the distance at step 1."""
+    with pytest.raises(BadParams, match=r"max_steps must be an integer in \[1, .*got 0$"):
+        discrete_mixing_time(two_state(0.25), x, 0.25, max_steps=0)
+    got = discrete_mixing_time(two_state(0.25), x, 0.25, max_steps=1)
+    assert (got.time, got.achieved_tv, got.bracket) == (1, 0.25, (0, 1))
+    with pytest.raises(NoConvergence, match=r"within 1 steps \(TV still 4\.000e-01\)"):
+        discrete_mixing_time(two_state(0.1), x, 0.25, max_steps=1)
 
 
 # exact ties (criterion 01: d(1) = 1/4 = eps on two_state(0.25)), a chain at
