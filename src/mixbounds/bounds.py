@@ -17,10 +17,9 @@ with a flow of the wrong kind, carries the gating reason for the affected
 entries.  Each public call builds one object (``_Derived``) that holds its
 chains, start, flow, eps, delta and sweep, every scalar its rows read, and
 a memo of what it derives for that call alone.  A chain's constants (its
-classification, spectrum, conductance, reversal-product gap and worst-start
-times at the eps of ``DELTA_SWEEP``) are kept on the chain
-(``chains._kept``), so each is derived once per chain object, not once per
-call.  Every spectral scalar comes from one eigensolve per chain, of
+classification, spectrum, reversal-product gap and worst-start times at
+1/(2e)) are kept on the chain (``chains._kept``), so each is derived once
+per chain object, not once per call.  Every spectral scalar comes from one eigensolve per chain, of
 ``spectral._symmetrised``.  A flow keeps its one walk (its validation and
 loads), so its congestion is a cheap read and needs no memo.
 """
@@ -226,8 +225,8 @@ class _Derived:
     chains, and drops it when it returns.  What the chain keeps
     (``chains._kept``) outlives it: the eigenvalues and beta_max
     (``spectral._spectrum``, never eigenvectors), from which lambda_1 is
-    read, the reversal product's lambda_1, the conductance, and the
-    worst-start time at each eps of ``DELTA_SWEEP`` on either clock.  A
+    read, the reversal product's lambda_1, and the worst-start time at
+    1/(2e) on either clock.  A
     mixing time in neither store is answered, in any order, from the one
     ``mixing`` walk the call holds, over a chain's powers or its ladder
     (``_Powers`` or ``_Ladder``), which keeps its squares M(2^e) and every
@@ -273,14 +272,13 @@ class _Derived:
 
     def _time(self, chain: Chain, clock: str, make, x, eps: float):
         """The chain's time on a clock: kept on the chain for the worst start
-        at an eps of ``DELTA_SWEEP``, in the memo for any other query, or
-        else from the call's one walk, which a query on another chain or
-        clock first replaces."""
+        at 1/(2e), in the memo for any other query, or else from the call's
+        one walk, which a query on another chain or clock first replaces."""
         def compute():
             if self._walk[:2] != (chain, clock):
                 self._walk = (chain, clock, make(chain))
             return self._walk[2].time(x, eps).time
-        if x is None and eps in DELTA_SWEEP:
+        if x is None and eps == DELTA_DEFAULT:
             return _kept(chain, (clock, eps), compute)
         return self._get((chain, clock, x, eps), compute)
 
@@ -543,13 +541,13 @@ def full_report(
     a flow routed over the base's reversal product activates the discrete
     product bound instead of the direct family.
 
-    A chain's constants (its classification, eigenvalues, conductance,
-    reversal-product gap and worst-start times at the eps of
-    ``DELTA_SWEEP``) are kept on the chain, so a report on a chain object
-    that an earlier call has seen reads them back.  The rest (each from-x
-    time, the worst-start time at this eps, lazy(base), the reversal product
-    and the walks over the powers and the exponentials, with every probe's
-    distances) is computed once per report and shared by the rows.  The
+    A chain's constants (its classification, eigenvalues, reversal-product
+    gap and worst-start times at 1/(2e)) are kept on the chain, so a report
+    on a chain object that an earlier call has seen reads them back.  The
+    rest (each from-x time, the worst-start time at any other eps or delta,
+    the conductance, lazy(base), the reversal product and the walks over the
+    powers and the exponentials, with every probe's distances) is computed
+    once per report and shared by the rows.  The
     families' gates are decided first, the flow's kind and congestion among
     them, then the table is walked once.
     """

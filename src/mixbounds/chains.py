@@ -4,11 +4,11 @@ A :class:`Chain` bundles a row-stochastic transition matrix with state labels
 and the stationary distribution, which is computed once at construction by a
 dense linear solve.  Chains are immutable after construction and every
 operation here is a pure function returning a new chain, so concurrent reads
-are safe.  A chain keeps its constants (``_kept``): its classification,
-spectrum, conductance, reversal-product gap and worst-start times at the
-catalogue's eps, each computed the first time any call asks for it.  Each is
-a scalar or holds O(n) numbers, so the store adds O(n) to a chain, and two
-threads may both compute one, harmlessly.
+are safe.  A chain keeps its constants (``_kept``): :func:`classify` keeps
+its result on the chain, and the reports keep its spectrum, reversal-product
+gap and worst-start times at 1/(2e), each computed the first time any call
+asks for it.  Each is a scalar or holds O(n) numbers, so the store adds O(n)
+to a chain, and two threads may both compute one, harmlessly.
 
 Internally states are indexed ``0 .. N-1``; labels are cosmetic.
 """

@@ -243,9 +243,6 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
     residual; only a block the certificate leaves open computes its flows
     into the cuts and tests each cut.
 
-    The chain keeps the result (``_kept``), so each chain object enumerates
-    its cuts once; an error is not kept, and a later call raises it again.
-
     The certificate.  Let Q = pi P be the float matrix formed here, r and s
     its row and column sums, and rho = r - s, so sum(rho) = 0.  Summing rho
     over S, the terms of Q with both ends in S cancel, so, exactly,
@@ -277,16 +274,12 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
     the cuts.  So the minima, the argmin and the error raised, if any,
     with its worst ratio, are those of the per-cut test in every block.
     """
-    if chain.n > MAX_CONDUCTANCE_STATES:
+    n = chain.n
+    if n > MAX_CONDUCTANCE_STATES:
         raise TooLarge(f"exact conductance enumerates every cut and is limited to "
                        f"{MAX_CONDUCTANCE_STATES} states")
     _require(chain, "irreducible", "conductance")
-    return _kept(chain, "conductance", lambda: _enumerated(chain))
 
-
-def _enumerated(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
-    """Every cut's conductance, enumerated as ``conductance`` says."""
-    n = chain.n
     Q = chain.pi[:, None] * chain.P
     pi = chain.pi
     low_bits = min(n - 1, _LOW_BITS)

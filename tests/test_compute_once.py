@@ -561,8 +561,8 @@ def test_discrete_times_in_any_order(case):
     queries = [(True, DELTA_DEFAULT), (True, eps), (False, eps), (False, DELTA_DEFAULT)]
     want = {(worst, e): discrete_mixing_time(base, None if worst else x, e).time for worst, e in queries}
     for order in itertools.permutations(queries):
-        d = _Derived(eps)
-        got = {(worst, e): d.discrete(base, None if worst else x, e) for worst, e in order}
+        d, chain = _Derived(eps), _copy(base)  # a fresh chain keeps no worst-start time yet
+        got = {(worst, e): d.discrete(chain, None if worst else x, e) for worst, e in order}
         assert got == want, order
 
 
@@ -760,22 +760,20 @@ KEPT = {
 def test_a_chain_keeps_its_constants_across_reports(monkeypatch, case):
     """Two reports on one chain object at different x derive its constants
     once: one eigensolve of the chain (and of its reversal product, built
-    once, when it is nonreversible), one enumeration of its cuts, and one
-    worst-start query at 1/(2e) on each clock.  ``lambda_constants`` and
-    ``conductance`` then read what the chain keeps."""
+    once, when it is nonreversible) and one worst-start query at 1/(2e) on
+    each clock.  ``lambda_constants`` then reads the spectrum the chain
+    keeps."""
     make, first = KEPT[case]
     chain = make()
     solves = _count_solves(monkeypatch)
-    enumerated = _count(monkeypatch, spectral._flow_parts, lambda *args: "blocks")
     products = _count(monkeypatch, chains._reversal_product, lambda chain: id(chain))
     queries = _count_worst_starts(monkeypatch)
     full_report(chain, x=0)
-    assert sum(solves.values()) == first and enumerated
-    once = (dict(solves), dict(enumerated), dict(products))
+    assert sum(solves.values()) == first
+    once = (dict(solves), dict(products))
     full_report(chain, x=chain.n - 1)
     spectral.lambda_constants(chain)
-    conductance(chain)
-    assert (dict(solves), dict(enumerated), dict(products)) == once
+    assert (dict(solves), dict(products)) == once
     assert sum(products.values()) == (not classify(chain).reversible)
     clocks = {"_Ladder"} | ({"_Powers"} if classify(chain).ergodic else set())
     assert {(clock, eps): k for (clock, eps), k in queries.items() if eps == DELTA_DEFAULT} == {
@@ -792,10 +790,9 @@ def _stored(value, n: int) -> list:
     return []
 
 
-#: every key a chain may keep: its classification, spectrum, conductance,
-#: product gap and worst-start time at each eps of the sweep on each clock
-KEYS = {"class", "spectrum", "conductance", "product_gap",
-        *((clock, eps) for clock in ("powers", "ladder") for eps in bounds.DELTA_SWEEP)}
+#: every key a chain may keep: its classification, spectrum, product gap and
+#: worst-start time at 1/(2e) on each clock
+KEYS = {"class", "spectrum", "product_gap", ("powers", DELTA_DEFAULT), ("ladder", DELTA_DEFAULT)}
 
 
 def _check_store(*chains_seen):
@@ -822,8 +819,8 @@ def test_a_chain_keeps_no_chain_walk_or_square_matrix(case):
     full_report(**kwargs, x=1)
     _check_store(base, target, kwargs["flow"].base)
     assert {"product_gap", ("ladder", DELTA_DEFAULT)} <= base._constants.keys()
-    if kwargs.get("sweep"):  # the sweep's factor reads the target's times at every delta
-        assert {("powers", delta) for delta in bounds.DELTA_SWEEP} <= target._constants.keys()
+    if kwargs.get("sweep"):  # the sweep's factor reads the target's times at every delta, keeps 1/(2e)'s
+        assert ("powers", DELTA_DEFAULT) in target._constants
 
 
 def test_analyze_keeps_only_the_chains_constants(monkeypatch, tmp_path):
@@ -834,7 +831,7 @@ def test_analyze_keeps_only_the_chains_constants(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "load_chain", lambda p: loaded.append(load(p)) or loaded[-1])
     assert run_cli(["analyze", str(path), "--json"]) == 0
     _check_store(*loaded)
-    assert set(loaded[0]._constants) == {"class", "spectrum", "conductance"}
+    assert set(loaded[0]._constants) == {"class", "spectrum"}
 
 
 def _copy(chain):
@@ -909,14 +906,8 @@ def test_reports_in_threads_share_one_chains_store():
 
 def test_an_error_is_not_kept():
     """A constant whose computation raises is not kept, so every call
-    raises again: tiny_mass_chain's cut flows do not balance
-    (IllConditioned), and two_state(1e-17) does not mix within the cap of
-    10^6 steps (NoConvergence)."""
-    chain = tiny_mass_chain()
-    for _ in range(2):
-        with pytest.raises(IllConditioned):
-            conductance(chain)
-    assert "conductance" not in chain._constants
+    raises again: two_state(1e-17) does not mix within the cap of 10^6
+    steps (NoConvergence)."""
     chain = two_state(1e-17)
     for x in (0, 1):
         with pytest.raises(NoConvergence, match="within 1000000 steps"):
