@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -190,14 +188,15 @@ def classify(chain: Chain) -> ChainClass:
     """Classify a chain: irreducibility, period, detailed balance, self-loops.
 
     Irreducibility is strong connectivity of the directed graph of positive
-    entries.  The period is computed only for irreducible chains, as the gcd
-    of ``d(u) + 1 - d(v)`` over the edges u -> v, where d is the BFS depth
-    from state 0 (the standard algorithm); the depths come from the tree of
-    one scipy breadth-first search over the chain's nonzeros.  Detailed
-    balance is tested edge by edge relative to the edge flow
-    (``BALANCE_RTOL``).  Never raises: a classification is returned even for
-    degenerate chains.  The result is kept on the chain (``_kept``), whose P
-    and pi are read-only, so later calls return it at once.
+    entries: two numpy breadth-first searches from state 0, over the edges
+    and over the reversed edges, each reach every state.  The period is
+    computed only for irreducible chains, as the gcd of ``d(u) + 1 - d(v)``
+    over the edges u -> v, where d is the depth of the forward search (the
+    standard algorithm).  Detailed balance is tested edge by edge relative to
+    the edge flow (``BALANCE_RTOL``).  Never raises: a classification is
+    returned even for degenerate chains.  The result is kept on the chain
+    (``_kept``), whose P and pi are read-only, so later calls return it at
+    once.
     """
     return _kept(chain, "class", lambda: _classify(chain))
 
@@ -215,19 +214,12 @@ def _kept(chain: Chain, key, compute):
 
 
 def _classify(chain: Chain) -> ChainClass:
-    n = chain.n
-    u, v = (np.ascontiguousarray(a) for a in np.nonzero(chain.support()))  # csgraph needs C-contiguous
-    graph = csr_array((np.ones(len(u)), v, np.r_[0, np.cumsum(np.bincount(u, minlength=n))]), shape=(n, n))
-    irreducible = connected_components(graph, directed=True, connection="strong")[0] == 1
+    S = chain.support()
+    depth = _depths(S)
+    irreducible = bool((depth >= 0).all() and (_depths(S.T) >= 0).all())
     period = 0
     if irreducible:
-        # BFS depths from state 0 by pointer jumping up the BFS tree: each
-        # state's depth to its ancestor ``up``, until every ancestor is 0
-        depth, up = np.ones(n, np.int64), breadth_first_order(graph, 0, return_predecessors=True)[1]
-        depth[0], up[0] = 0, 0
-        while (up != 0).any():
-            depth += depth[up]
-            up = up[up]
+        u, v = np.nonzero(S)
         period = int(np.gcd.reduce(depth[u] + 1 - depth[v]))
     aperiodic = period == 1
 
@@ -235,6 +227,18 @@ def _classify(chain: Chain) -> ChainClass:
     reversible = bool(np.all(np.abs(F - F.T) <= BALANCE_RTOL * np.maximum(F, F.T)))
     min_self_loop = float(chain.P.diagonal().min())
     return ChainClass(irreducible, period, aperiodic, reversible, min_self_loop)
+
+
+def _depths(S: np.ndarray) -> np.ndarray:
+    """BFS depth of each state from state 0 over the edges of the boolean
+    matrix S, -1 for a state it does not reach: each level is the states
+    some frontier state has an edge to, less those already reached."""
+    depth = np.full(len(S), -1)
+    frontier, level = np.arange(len(S)) == 0, 0
+    while frontier.any():
+        depth[frontier] = level
+        frontier, level = S[frontier].any(axis=0) & (depth < 0), level + 1
+    return depth
 
 
 #: the error each gated property raises when a chain lacks it

@@ -39,8 +39,6 @@ from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .chains import Chain, _check_pair, _require, time_reversal
 from .errors import InvalidFlow, KappaInfinite, NoOddPath
@@ -128,16 +126,23 @@ def _parse(paths, n: int) -> tuple:
     """A caller's paths as a flow's arrays, each path's fault (1 empty, 2 a state
     that is no integer, 3 a state outside 0..n-1, 4 a mass that is no number)
     and a tuple.  A faulty path's states and mass read 0 in the arrays; a mass
-    beyond float range reads nan."""
+    beyond float range reads nan.  States that are all Python ints within
+    intp range are laid out as they are; any others are scrubbed one by one."""
     try:
         paths = tuple(paths)
     except TypeError:
         raise InvalidFlow(f"flow paths must be an iterable of FlowPath, got {reprlib.repr(paths)}") from None
     sizes = np.fromiter(map(_size, paths), np.intp, len(paths))
-    states = np.fromiter(itertools.chain.from_iterable(map(attrgetter("states"), paths)),
-                         object, int(sizes.sum()))
+    flat = list(itertools.chain.from_iterable(map(attrgetter("states"), paths)))
     owner = np.repeat(np.arange(len(paths)), sizes)
-    bad_state = np.bincount(owner[_scrub(states, numbers.Integral)], minlength=len(paths)) > 0
+    try:
+        states = np.array(flat, np.intp) if set(map(type, flat)) <= {int} else None
+    except OverflowError:
+        states = None
+    bad_state = np.zeros(len(paths), bool)
+    if states is None:
+        states = np.fromiter(flat, object, len(flat))
+        bad_state = np.bincount(owner[_scrub(states, numbers.Integral)], minlength=len(paths)) > 0
     outside = (states < 0) | (states >= n)
     off_space = np.bincount(owner[outside], minlength=len(paths)) > 0
     masses = np.fromiter(map(attrgetter("mass"), paths), object, len(paths))
@@ -558,7 +563,11 @@ def build_canonical_flow(base: Chain, target: Chain, odd: bool = False) -> Flow:
     for (v, parity p), and routes run from parity 0 to parity 1.  All routes
     walk in lockstep, one hop per pass: a route one step from its goal steps
     to it, any other to the first closer successor in its sorted CSR row.
+    The search is scipy's, imported by a process's first call.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     _check_pair(base, target)
     _require(base, "irreducible", "canonical flow (base)")
     n = base.n

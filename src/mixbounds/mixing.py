@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .chains import ROW_SUM_TOL, Chain, _require
 from .errors import BadEpsilon, BadParams, IllConditioned, NoConvergence, _count, _finite, _real, _square, _vector
@@ -385,8 +384,11 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
     row's magnitude and 1 (the size of the P and I a P - I is formed from).
     A Q t whose doubled induced 1-norm overflows is BadParams too.  The result
     is then row-stochastic; this is verified before returning, and one that
-    lost it (squaring at very long times) raises IllConditioned.
+    lost it (squaring at very long times) raises IllConditioned.  No walk
+    calls it, so ``scipy.linalg`` is imported by a process's first call.
     """
+    import scipy.linalg
+
     Q = _square(Q, "rate matrix", BadParams)
     t = _real(t, "time", BadParams)
     if t < 0.0:  # t = 0 is valid, so the open interval cannot say it

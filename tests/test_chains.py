@@ -4,6 +4,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from mixbounds import (
     Chain,
@@ -190,6 +192,68 @@ def test_period_matches_bfs_reference():
     assert periods["cycle_walk(6)"] == 2 and periods["cycle_walk(7)"] == 1
     assert periods["cycle_with_chords"] == 2
     assert all(periods[c.name] == 1 for c in chains if c.name.startswith("lazy("))
+
+
+def _scipy_classification(S: np.ndarray) -> tuple[bool, int]:
+    """Reference: strong connectivity by scipy's ``connected_components``, and
+    the period (0 when reducible) as the gcd over the edges u -> v of
+    d(u) + 1 - d(v), d the depths of scipy's ``breadth_first_order`` from 0."""
+    graph = csr_array(S.astype(float))
+    if connected_components(graph, directed=True, connection="strong")[0] != 1:
+        return False, 0
+    order, pred = breadth_first_order(graph, 0, return_predecessors=True)
+    depth = np.zeros(len(S), np.int64)
+    for v in order[1:]:  # a state's BFS parent comes before it in the order
+        depth[v] = depth[pred[v]] + 1
+    u, v = np.nonzero(S)
+    return True, int(np.gcd.reduce(depth[u] + 1 - depth[v]))
+
+
+def _random_support(rng, kind: int) -> np.ndarray:
+    """A random support on 2 .. 40 states, every state with an out-edge, its
+    states shuffled.  ``kind`` 0 is dense, 1 sparse, 2 block-cyclic with
+    period 2 .. 5 (a third of them with one chord), 3 two blocks with edges
+    one way only between them."""
+    n = int(rng.integers(2, 41))
+    if kind == 0:
+        S = rng.random((n, n)) < rng.uniform(0.2, 0.9)
+    elif kind == 1:
+        S = rng.random((n, n)) < rng.uniform(0.5, 2.5) / n
+    elif kind == 2:
+        k = int(rng.integers(2, 6))
+        n = max(n, k)
+        block = np.r_[np.arange(k), rng.integers(0, k, n - k)]
+        S = ((block[None, :] - block[:, None]) % k == 1) & (rng.random((n, n)) < rng.uniform(0.2, 1.0))
+        for i in range(n):  # one edge into the next block
+            S[i, rng.choice(np.flatnonzero(block == (block[i] + 1) % k))] = True
+        if rng.random() < 1 / 3:
+            S[rng.integers(n), rng.integers(n)] = True
+    else:
+        m = int(rng.integers(1, n))  # blocks 0 .. m-1 and m .. n-1
+        S = rng.random((n, n)) < rng.uniform(0.2, 0.9)
+        S[m:, :m] = False
+        S[:m, m:] &= rng.random((m, n - m)) < 0.1
+    empty = np.flatnonzero(~S.any(axis=1))
+    S[empty, rng.integers(0, n, len(empty))] = True
+    perm = rng.permutation(n)
+    return S[np.ix_(perm, perm)]
+
+
+def test_classify_matches_scipy_on_random_supports():
+    """On 2,400 seeded random supports, dense, sparse, block-cyclic and
+    reducible by one-way bridges, classify's irreducible, period and
+    aperiodic equal scipy's strong components and BFS-depth gcd."""
+    rng = np.random.default_rng(46)
+    seen = set()
+    for case in range(2400):
+        S = _random_support(rng, case % 4)
+        n = len(S)
+        P = S * rng.uniform(0.1, 1.0, S.shape)
+        cls = classify(Chain([f"s{i}" for i in range(n)], P / P.sum(axis=1, keepdims=True), np.full(n, 1 / n)))
+        irreducible, period = _scipy_classification(S)
+        assert (cls.irreducible, cls.period, cls.aperiodic) == (irreducible, period, period == 1), (case, S)
+        seen.add(period)
+    assert seen == {0, 1, 2, 3, 4, 5}, seen
 
 
 def test_time_reversal_involution_and_fixed_points():

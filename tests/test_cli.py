@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixbounds import (classify, cli, conductance, dhn, directed_cycle, lambda_constants, load_chain, mixing,
-                       random_reversible, save_chain, selftest, spectral, two_state)
+from mixbounds import (build_canonical_flow, classify, cli, conductance, dhn, directed_cycle, lambda_constants, lazy,
+                       load_chain, matrix_exponential, mixing, random_reversible, save_chain, selftest, spectral,
+                       two_state)
 from mixbounds.cli import run_cli
 from mixbounds.generators import _MOST_STATES
 
@@ -249,6 +250,44 @@ def test_entry_point_exit_codes():
     assert selftest_run.returncode == 0 and selftest_run.stderr == ""
     unknown = run("frobnicate")
     assert unknown.returncode == 2 and "invalid choice" in unknown.stderr
+
+
+#: run in a fresh interpreter: loads a chain, analyzes it and mixes it on the
+#: continuized clock, checks that none of this imported scipy's sparse or
+#: linalg modules, then prints a canonical flow's arrays and an expm as JSON
+_FRESH_CHILD = """
+import json, sys
+import numpy as np
+import mixbounds, mixbounds.cli
+path, start = sys.argv[1:]
+chain = mixbounds.load_chain(path)
+assert mixbounds.cli.run_cli(["analyze", path, "--json"]) == 0
+assert mixbounds.cli.run_cli(["mix", path, "--from", start, "--eps", "0.25", "--continuous"]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg")))
+assert not loaded, loaded
+flow = mixbounds.build_canonical_flow(chain, mixbounds.lazy(chain), odd=True)
+E = mixbounds.matrix_exponential(chain.P - np.eye(chain.n), 0.7)
+print(json.dumps([flow._states.tolist(), flow._sizes.tolist(), flow._mass.tolist(), E.tolist()]))
+"""
+
+
+def test_a_fresh_process_loads_analyzes_and_mixes_without_scipy(tmp_path):
+    """``import mixbounds``, ``load_chain``, ``analyze`` and ``mix
+    --continuous`` need numpy alone; the canonical router and
+    ``matrix_exponential`` import scipy when first called, and their results
+    in that process equal this one's."""
+    chain_path = tmp_path / "r.json"
+    save_chain(random_reversible(7, 2), chain_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    chain = load_chain(chain_path)
+    child = subprocess.run([sys.executable, "-c", _FRESH_CHILD, str(chain_path), chain.labels[0]], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    flow = build_canonical_flow(chain, lazy(chain), odd=True)
+    E = matrix_exponential(chain.P - np.eye(chain.n), 0.7)
+    assert json.loads(child.stdout.splitlines()[-1]) == [flow._states.tolist(), flow._sizes.tolist(),
+                                                         flow._mass.tolist(), E.tolist()]
 
 
 def test_gen_size_numpy_cannot_index_exits_two(tmp_path, capsys):

@@ -123,24 +123,28 @@ def test_only_routed_reads_a_flows_chains():
     assert readers == {"_routed"}, sorted(readers)
 
 
-def _callers(name: str) -> set[tuple[str, str]]:
-    """(module, innermost enclosing function, or "<module>") of each call in
-    ``src/`` to ``name``, by plain name or as an attribute (``Flow._of``)."""
+def _where(matches) -> set[tuple[str, str]]:
+    """(module, innermost enclosing function, or "<module>") of each node in
+    ``src/`` that ``matches``."""
     found = set()
 
     def visit(node, module: str, where: str):
         if isinstance(node, ast.FunctionDef):
             where = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
-                found.add((module, where))
+        if matches(node):
+            found.add((module, where))
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
 
     for path in SRC.glob("*.py"):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
     return found
+
+
+def _callers(name: str) -> set[tuple[str, str]]:
+    """Where ``src/`` calls ``name``, by plain name or as an attribute (``Flow._of``)."""
+    return _where(lambda node: isinstance(node, ast.Call) and name == (
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)))
 
 
 def test_only_chains_builds_a_product():
@@ -173,16 +177,18 @@ def test_only_kept_reads_or_writes_a_chains_store():
     """A chain keeps its constants in one private store, which
     ``Chain.__init__`` makes empty and ``chains._kept`` alone reads and
     writes: no other code names the attribute ``_constants``."""
-    found = set()
-
-    def visit(node, module: str, where: str):
-        if isinstance(node, ast.FunctionDef):
-            where = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "_constants":
-            found.add((module, where))
-        for child in ast.iter_child_nodes(node):
-            visit(child, module, where)
-
-    for path in SRC.glob("*.py"):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    found = _where(lambda node: isinstance(node, ast.Attribute) and node.attr == "_constants")
     assert found == {("chains", "__init__"), ("chains", "_kept")}, sorted(found)
+
+
+def test_only_the_two_calls_that_use_scipy_import_it():
+    """Importing the package and loading a chain need numpy alone: no module
+    imports scipy at module level, and only the canonical router and
+    ``matrix_exponential`` import it, inside themselves."""
+    def imports_scipy(node) -> bool:
+        names = ([node.module or ""] if isinstance(node, ast.ImportFrom) else
+                 [alias.name for alias in node.names] if isinstance(node, ast.Import) else [])
+        return any(name.partition(".")[0] == "scipy" for name in names)
+
+    found = _where(imports_scipy)
+    assert found == {("flows", "build_canonical_flow"), ("mixing", "matrix_exponential")}, sorted(found)
