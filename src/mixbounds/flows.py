@@ -126,23 +126,16 @@ def _parse(paths, n: int) -> tuple:
     """A caller's paths as a flow's arrays, each path's fault (1 empty, 2 a state
     that is no integer, 3 a state outside 0..n-1, 4 a mass that is no number)
     and a tuple.  A faulty path's states and mass read 0 in the arrays; a mass
-    beyond float range reads nan.  States that are all Python ints within
-    intp range are laid out as they are; any others are scrubbed one by one."""
+    beyond float range reads nan."""
     try:
         paths = tuple(paths)
     except TypeError:
         raise InvalidFlow(f"flow paths must be an iterable of FlowPath, got {reprlib.repr(paths)}") from None
     sizes = np.fromiter(map(_size, paths), np.intp, len(paths))
-    flat = list(itertools.chain.from_iterable(map(attrgetter("states"), paths)))
+    states = np.fromiter(itertools.chain.from_iterable(map(attrgetter("states"), paths)),
+                         object, int(sizes.sum()))
     owner = np.repeat(np.arange(len(paths)), sizes)
-    try:
-        states = np.array(flat, np.intp) if set(map(type, flat)) <= {int} else None
-    except OverflowError:
-        states = None
-    bad_state = np.zeros(len(paths), bool)
-    if states is None:
-        states = np.fromiter(flat, object, len(flat))
-        bad_state = np.bincount(owner[_scrub(states, numbers.Integral)], minlength=len(paths)) > 0
+    bad_state = np.bincount(owner[_scrub(states, numbers.Integral)], minlength=len(paths)) > 0
     outside = (states < 0) | (states >= n)
     off_space = np.bincount(owner[outside], minlength=len(paths)) > 0
     masses = np.fromiter(map(attrgetter("mass"), paths), object, len(paths))

@@ -5,7 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 
 from mixbounds import (
     Chain,
@@ -194,21 +194,6 @@ def test_period_matches_bfs_reference():
     assert all(periods[c.name] == 1 for c in chains if c.name.startswith("lazy("))
 
 
-def _scipy_classification(S: np.ndarray) -> tuple[bool, int]:
-    """Reference: strong connectivity by scipy's ``connected_components``, and
-    the period (0 when reducible) as the gcd over the edges u -> v of
-    d(u) + 1 - d(v), d the depths of scipy's ``breadth_first_order`` from 0."""
-    graph = csr_array(S.astype(float))
-    if connected_components(graph, directed=True, connection="strong")[0] != 1:
-        return False, 0
-    order, pred = breadth_first_order(graph, 0, return_predecessors=True)
-    depth = np.zeros(len(S), np.int64)
-    for v in order[1:]:  # a state's BFS parent comes before it in the order
-        depth[v] = depth[pred[v]] + 1
-    u, v = np.nonzero(S)
-    return True, int(np.gcd.reduce(depth[u] + 1 - depth[v]))
-
-
 def _random_support(rng, kind: int) -> np.ndarray:
     """A random support on 2 .. 40 states, every state with an out-edge, its
     states shuffled.  ``kind`` 0 is dense, 1 sparse, 2 block-cyclic with
@@ -242,7 +227,7 @@ def _random_support(rng, kind: int) -> np.ndarray:
 def test_classify_matches_scipy_on_random_supports():
     """On 2,400 seeded random supports, dense, sparse, block-cyclic and
     reducible by one-way bridges, classify's irreducible, period and
-    aperiodic equal scipy's strong components and BFS-depth gcd."""
+    aperiodic equal scipy's strong components and the Python BFS period."""
     rng = np.random.default_rng(46)
     seen = set()
     for case in range(2400):
@@ -250,7 +235,8 @@ def test_classify_matches_scipy_on_random_supports():
         n = len(S)
         P = S * rng.uniform(0.1, 1.0, S.shape)
         cls = classify(Chain([f"s{i}" for i in range(n)], P / P.sum(axis=1, keepdims=True), np.full(n, 1 / n)))
-        irreducible, period = _scipy_classification(S)
+        irreducible = connected_components(csr_array(S), connection="strong")[0] == 1
+        period = _bfs_period(S) if irreducible else 0
         assert (cls.irreducible, cls.period, cls.aperiodic) == (irreducible, period, period == 1), (case, S)
         seen.add(period)
     assert seen == {0, 1, 2, 3, 4, 5}, seen

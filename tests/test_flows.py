@@ -218,26 +218,6 @@ def test_numpy_integer_states_and_float_masses_are_accepted():
     assert state_congestion(flow) == state_congestion(canonical)
 
 
-@pytest.mark.parametrize("bad, fault", [
-    ((0, 1), 0), ((0, 1, 0, 1, 0, 1), 0), ((), 1), ((0, 7), 3), ((-1, 2), 3), ((0, 1.5), 2), ((True, 2), 2),
-    ((False, 1), 2), ((10**400, 1), 3), ((-10**400, 0), 3), ((2**63, 1), 3), ((2**63 - 1, 0), 3),
-    ((-2**63, 1), 3),
-], ids=repr)
-def test_int_states_parse_as_the_scrub_parses_them(bad, fault):
-    """``_parse`` lays out a flow whose states are all Python ints within
-    intp range directly, and scrubs any other flow's states one by one.  A
-    numpy int in the first path sends a flow down the scrub, and its arrays
-    and each path's fault come out the same."""
-    chain = random_reversible(4, 1)
-    paths = [*build_canonical_flow(chain, lazy(chain)).paths, FlowPath(bad, 0.1)]
-    first = paths[0]
-    scrubbed = [FlowPath((np.int64(first.states[0]), *first.states[1:]), first.mass), *paths[1:]]
-    got, want = flows._parse(paths, chain.n)[:4], flows._parse(scrubbed, chain.n)[:4]
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert got[3].tolist() == [0] * (len(paths) - 1) + [fault]
-
-
 def test_stationary_mismatch_raises():
     skew = build_chain(["a", "b"], [[0.5, 0.5], [0.25, 0.75]])
     flow = Flow(skew, uniform_walk(2, labels=["a", "b"]), [])
