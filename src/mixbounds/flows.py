@@ -372,7 +372,7 @@ def _simplify(flow: Flow) -> Flow:
     keys = np.sort((owner * n + states)[~closing])
     looped = np.zeros(len(sizes), bool)
     looped[keys[1:][keys[1:] == keys[:-1]] // n] = True
-    if not looped.any() and mass.all() and len(np.unique(_rows(states, sizes), axis=0)) == len(sizes):
+    if not looped.any() and mass.all() and _distinct(_rows(states, sizes)):
         return flow
     merged: dict[tuple[int, ...], float] = defaultdict(float)
     for p, loop in zip(flow.paths, looped.tolist()):
@@ -464,6 +464,13 @@ def _spread_block(states: np.ndarray, sizes: np.ndarray, mass: np.ndarray, hop: 
     return rows[rows >= 0], (2 * sizes - 1)[owner[order]], total
 
 
+def _distinct(rows: np.ndarray) -> bool:
+    """Whether no two rows are equal: one sort of the rows as tuples, then a
+    look at each row's neighbour."""
+    rows = np.take(rows, np.lexsort(rows.T[::-1]), axis=0)
+    return not (rows[1:] == rows[:-1]).all(axis=1).any()
+
+
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For runs of the given lengths laid end to end: each entry's run, and its index in it."""
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -524,7 +531,11 @@ def _couple(quantiles: tuple[np.ndarray, np.ndarray, np.ndarray], hop: np.ndarra
     nodes = nodes[np.r_[True, nodes[1:] != nodes[:-1]]]
     node_path, t = nodes.real.astype(np.intp), nodes.imag
     end = np.cumsum(np.bincount(node_path, minlength=n))  # one past each path's last node, its cap
-    nxt = np.minimum(np.searchsorted(nodes, _keys(node_path, t + 1e-14), side="right"), end[node_path] - 1)
+    # the next node, then past every node within 1e-14: the first past t + 1e-14, or the cap
+    last = end[node_path] - 1
+    nxt, near = np.minimum(np.arange(len(nodes)) + 1, last), np.arange(len(nodes))
+    while (near := near[(nxt[near] < last[near]) & (t[nxt[near]] <= t[near] + 1e-14)]).size:
+        nxt[near] += 1
     nxt[(nxt == np.arange(len(nodes))) | ~(1.0 - t > 1e-14)] = -1
     # follow every path's chain at once, from its node 0
     start = np.zeros(len(nodes), bool)
@@ -551,43 +562,70 @@ def build_canonical_flow(base: Chain, target: Chain, odd: bool = False) -> Flow:
     is disconnected for some demand the base is bipartite-like and NoOddPath
     is raised.  With ``odd=False`` self-loop demands take length-0 paths.
 
-    One all-pairs shortest-path call on the unweighted support (BFS
-    distances) gives each route's size.  On the cover, node v + n*p stands
-    for (v, parity p), and routes run from parity 0 to parity 1.  All routes
-    walk in lockstep, one hop per pass: a route one step from its goal steps
-    to it, any other to the first closer successor in its sorted CSR row.
-    The search is scipy's, imported by a process's first call.
+    One all-pairs BFS of the support (``_bfs``) gives each route's size.  On
+    the cover, node v + n*p stands for (v, parity p), and routes run from
+    parity 0 to parity 1.  All routes walk in lockstep, one hop per pass: a
+    route one step from its goal steps to it, any other to the first closer
+    successor in its sorted row of ``np.nonzero(S)``.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
     _check_pair(base, target)
     _require(base, "irreducible", "canonical flow (base)")
     n = base.n
     S = base.support()
     if odd:
         S = np.block([[np.zeros_like(S), S], [S, np.zeros_like(S)]])
-    G = csr_matrix(S)
-    D = shortest_path(G, unweighted=True)
+    rows, cols = np.nonzero(S)  # CSR rows: each row's columns in order
+    starts = np.searchsorted(rows, np.arange(len(S) + 1))
+    D = _bfs(S, starts, cols)
     xs, ys, mass = _demands(target)
     carried = mass != 0.0
     a, goal = xs[carried], ys[carried] + (n if odd else 0)
     left = D[a, goal]
-    cut = np.flatnonzero(np.isinf(left))
+    cut = np.flatnonzero(left < 0)
     if cut.size:  # the base is irreducible: only the cover cuts a demand off
         x, y = a[cut[0]], goal[cut[0]] - n
         raise NoOddPath(f"no odd-length route for demand ({base.labels[x]},{base.labels[y]})")
-    sizes = left.astype(np.intp) + 1
+    sizes = left + 1
     states = np.empty(int(sizes.sum()), np.intp)
     states[slot := np.cumsum(sizes) - sizes] = a
     while (on := left > 0).any():
         a, goal, slot, left = a[on], goal[on], slot[on] + 1, left[on] - 1
         far = np.flatnonzero(left > 0)
-        k, a = G.indptr[a[far]], goal.copy()
+        k, a = starts[a[far]], goal.copy()
         while far.size:  # each far route reads its neighbours in order until one is closer
-            b = G.indices[k]
+            b = cols[k]
             hit = D[b, goal[far]] == left[far]
             a[far[hit]] = b[hit]
             far, k = far[~hit], k[~hit] + 1
         states[slot] = a % n
     return Flow._of(base, target, states, sizes, mass[carried])
+
+
+def _bfs(S: np.ndarray, starts: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The hop distance between every pair of nodes of the support S, -1 where
+    no path leads; ``starts`` and ``cols`` are S's rows in CSR form.  All
+    sources search at once, a level at a time, and the frontier holds each
+    (source, node) pair as its flat index into D.  A level expands the pairs
+    along their rows, and stamps each new pair into D with its index, so one
+    copy of each is kept without a sort.  Once the frontier's out-edges pass
+    N²/4 the level is one dense product, frontier @ S, instead
+    (direction-optimizing BFS: Beamer, Asanović and Patterson, SC 2012)."""
+    N = len(S)
+    D = np.full((N, N), -1, np.intp)
+    flat, degree = D.reshape(-1), np.diff(starts)
+    key, level = np.arange(N) * (N + 1), 0
+    while key.size:
+        flat[key] = level
+        level += 1
+        node = key % N
+        if (out := degree[node]).sum() > N * N / 4:
+            frontier = np.zeros(N * N, np.float32)
+            frontier[key] = 1.0
+            key = np.flatnonzero((frontier.reshape(N, N) @ S.astype(np.float32) > 0.0) & (D < 0))
+        else:
+            owner, j = _ragged(out)
+            key = (key - node)[owner] + cols[starts[node[owner]] + j]  # key - node is source * N
+            key = key[flat[key] < 0]
+            flat[key] = stamp = -2 - np.arange(len(key))
+            key = key[flat[key] == stamp]
+    return D

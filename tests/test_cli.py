@@ -252,37 +252,41 @@ def test_entry_point_exit_codes():
     assert unknown.returncode == 2 and "invalid choice" in unknown.stderr
 
 
-#: run in a fresh interpreter: loads a chain, analyzes it and mixes it on the
-#: continuized clock, checks that none of this imported scipy's sparse or
-#: linalg modules, then prints a canonical flow's arrays and an expm as JSON
+#: run in a fresh interpreter: loads a chain, analyzes it, mixes it on the
+#: continuized clock, compares it with its lazy chain over an odd canonical
+#: flow and builds that flow, checks that none of this imported scipy's sparse
+#: or linalg modules, then prints the flow's arrays and an expm as JSON
 _FRESH_CHILD = """
 import json, sys
 import numpy as np
 import mixbounds, mixbounds.cli
-path, start = sys.argv[1:]
+path, lazy_path, start = sys.argv[1:]
 chain = mixbounds.load_chain(path)
 assert mixbounds.cli.run_cli(["analyze", path, "--json"]) == 0
 assert mixbounds.cli.run_cli(["mix", path, "--from", start, "--eps", "0.25", "--continuous"]) == 0
+assert mixbounds.cli.run_cli(["compare", path, lazy_path, "--auto-flow", "--odd", "--from", start,
+                              "--eps", "0.25", "--json"]) in (0, 1)
+flow = mixbounds.build_canonical_flow(chain, mixbounds.lazy(chain), odd=True)
 loaded = sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg")))
 assert not loaded, loaded
-flow = mixbounds.build_canonical_flow(chain, mixbounds.lazy(chain), odd=True)
 E = mixbounds.matrix_exponential(chain.P - np.eye(chain.n), 0.7)
 print(json.dumps([flow._states.tolist(), flow._sizes.tolist(), flow._mass.tolist(), E.tolist()]))
 """
 
 
 def test_a_fresh_process_loads_analyzes_and_mixes_without_scipy(tmp_path):
-    """``import mixbounds``, ``load_chain``, ``analyze`` and ``mix
-    --continuous`` need numpy alone; the canonical router and
-    ``matrix_exponential`` import scipy when first called, and their results
-    in that process equal this one's."""
-    chain_path = tmp_path / "r.json"
+    """``import mixbounds``, ``load_chain``, ``analyze``, ``mix
+    --continuous``, ``compare --auto-flow --odd`` and the canonical router
+    need numpy alone; ``matrix_exponential`` imports scipy when first called,
+    and the flow and the exponential in that process equal this one's."""
+    chain_path, lazy_path = tmp_path / "r.json", tmp_path / "lazy.json"
     save_chain(random_reversible(7, 2), chain_path)
+    chain = load_chain(chain_path)
+    save_chain(lazy(chain), lazy_path)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    chain = load_chain(chain_path)
-    child = subprocess.run([sys.executable, "-c", _FRESH_CHILD, str(chain_path), chain.labels[0]], env=env,
-                           capture_output=True, text=True, timeout=120)
+    child = subprocess.run([sys.executable, "-c", _FRESH_CHILD, str(chain_path), str(lazy_path), chain.labels[0]],
+                           env=env, capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     flow = build_canonical_flow(chain, lazy(chain), odd=True)
     E = matrix_exponential(chain.P - np.eye(chain.n), 0.7)

@@ -38,7 +38,7 @@ from mixbounds import (
     validate_flow,
 )
 from mixbounds import flows
-from mixbounds.chains import _check_pair, _require
+from mixbounds.chains import _check_pair, _require, _reversal_product
 from mixbounds.errors import InvalidFlow, KappaInfinite, NoOddPath, StationaryMismatch
 from mixbounds.serialize import flow_from_dict, flow_to_dict
 
@@ -623,6 +623,53 @@ def test_lockstep_routing_raises_the_oracles_no_odd_path():
     """The even cycle is bipartite, so its cover is cut in two."""
     assert _routed_as_the_oracle(directed_cycle(60), uniform_walk(60), odd=True) is None
 
+
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+def test_product_routing_equals_the_oracle(odd):
+    """``compare --product`` routes over the base's reversal product R(P)P."""
+    for n, seed in ((5, 0), (10, 1), (20, 3), (30, 5)):
+        for self_loop in (0.0, 0.2):
+            base = doubly_stochastic(n, seed=seed, self_loop=self_loop)
+            assert _routed_as_the_oracle(_reversal_product(base), uniform_walk(n), odd) is not None
+
+
+def _seeded_supports():
+    """A single state, with and without its loop, then 1,200 seeded supports
+    of 2-80 nodes: dense, sparse, directed cycles under a random relabelling
+    (with a few chords), and parity covers of bipartite supports, whose two
+    halves cannot reach each other."""
+    yield np.ones((1, 1), bool)
+    yield np.zeros((1, 1), bool)
+    rng = np.random.default_rng(47)
+    for k in range(1200):
+        n = int(rng.integers(2, 81))
+        if k % 4 == 0:
+            yield rng.random((n, n)) < rng.uniform(0.25, 1.0)
+        elif k % 4 == 1:
+            yield rng.random((n, n)) < rng.uniform(0.0, 3.0 / n)
+        elif k % 4 == 2:
+            sigma = rng.permutation(n)
+            S = np.zeros((n, n), bool)
+            S[sigma, np.roll(sigma, -1)] = True
+            yield S | (rng.random((n, n)) < rng.uniform(0.0, 1.0 / n))
+        else:
+            half, m = int(rng.integers(1, n // 2 + 1)), n // 2
+            S = np.zeros((m, m), bool)  # states below half only touch states from half on
+            S[:half, half:] = rng.random((half, m - half)) < rng.uniform(0.1, 1.0)
+            S[half:, :half] = rng.random((m - half, half)) < rng.uniform(0.1, 1.0)
+            yield np.block([[np.zeros_like(S), S], [S, np.zeros_like(S)]])
+
+
+def test_bfs_distances_equal_scipys_shortest_path():
+    count = 0
+    for S in _seeded_supports():
+        rows, cols = np.nonzero(S)
+        D = flows._bfs(S, np.searchsorted(rows, np.arange(len(S) + 1)), cols)
+        want = shortest_path(csr_matrix(S), unweighted=True)
+        assert np.array_equal(np.where(D < 0, np.inf, D), want), S.astype(int)
+        count += 1
+    assert count == 1202
+
 # ---------------------------------------------------------------- comparisons
 
 
@@ -818,6 +865,91 @@ def test_array_coupling_skips_near_ties_and_stops_at_a_short_hop():
     # chunk ends 0.5, 1 - 3e-14 and the first hop's total: 0.5 + 4e-15 is skipped
     assert [detour for detour, _ in pairs] == [(0, 0), (1, 1), (4, 1)]
     assert 1.0 - sum(frac for _, frac in pairs) > 1e-14
+
+
+def _couple_by_keys(quantiles, hop, per_path):
+    """``flows._couple`` as it found each node's next by one search over
+    complex (path, value) keys, kept as the oracle of the walk that steps to
+    the next node and then past every node within 1e-14."""
+    xs, cum, size = quantiles
+    n = len(per_path)
+    path = np.repeat(np.arange(n), per_path)
+    size = size[hop]
+    point_hop, k = flows._ragged(size)
+    point_path, value = path[point_hop], cum[hop[point_hop], k]
+    cap = np.ones(n)
+    np.minimum.at(cap, path, cum[hop, size - 1])
+    below = value <= cap[point_path]
+    nodes = np.sort(np.concatenate([flows._keys(np.arange(n), 0.0), flows._keys(point_path[below], value[below]),
+                                    flows._keys(np.arange(n), cap)]), kind="stable")
+    nodes = nodes[np.r_[True, nodes[1:] != nodes[:-1]]]
+    node_path, t = nodes.real.astype(np.intp), nodes.imag
+    end = np.cumsum(np.bincount(node_path, minlength=n))
+    nxt = np.minimum(np.searchsorted(nodes, flows._keys(node_path, t + 1e-14), side="right"), end[node_path] - 1)
+    nxt[(nxt == np.arange(len(nodes))) | ~(1.0 - t > 1e-14)] = -1
+    start = np.zeros(len(nodes), bool)
+    at = np.r_[0, end[:-1]]
+    while (at := at[nxt[at] >= 0]).size:
+        start[at] = True
+        at = nxt[at]
+    at = np.flatnonzero(start)
+    owner = node_path[at]
+    j = np.arange(per_path.max(initial=0))
+    real = j < per_path[owner, None]
+    pair = np.where(real, (np.cumsum(per_path) - per_path)[owner, None] + j, 0)
+    reach = np.searchsorted(flows._keys(point_hop, value), flows._keys(pair, t[at, None] + 1e-14), side="right")
+    pick = np.minimum(reach - (np.cumsum(size) - size)[pair], size[pair] - 1)
+    return owner, t[nxt[at]] - t[at], np.where(real, xs[hop[pair], pick], -1)
+
+
+def _seeded_quantile_tables():
+    """400 seeded detour tables, each with paths over its rows.  A table's
+    rows draw their cumulative points from a few shared cuts, each nudged by
+    up to 1.5e-14, so that points of one path's hops tie within 1e-14; some
+    rows add dust shares of 1e-14 or less.  Paths have 0-5 hops."""
+    rng = np.random.default_rng(4747)
+    nudges = np.array([0.0, 2.2e-16, -2.2e-16, 4e-15, -4e-15, 1e-14, -1e-14, 1.5e-14])
+    for _ in range(400):
+        width = int(rng.integers(1, 10))
+        cuts = rng.uniform(0.01, 0.99, int(rng.integers(1, 5)))
+        shares = np.zeros((int(rng.integers(1, 7)), width))
+        for row in shares:
+            points = set((rng.choice(cuts, int(rng.integers(0, len(cuts) + 1))) + rng.choice(nudges)).tolist())
+            points |= set((1.0 - rng.uniform(1e-16, 1e-14, int(rng.integers(0, 2)))).tolist())
+            steps = np.diff([0.0, *sorted(points)[:width - 1], 1.0])
+            row[np.sort(rng.choice(width, len(steps), replace=False))] = steps
+        per_path = rng.integers(0, 6, int(rng.integers(1, 6)))
+        yield flows._quantiles(shares), rng.integers(0, len(shares), int(per_path.sum())), per_path
+
+
+def test_couple_steps_to_the_node_the_complex_key_search_finds():
+    for quantiles, hop, per_path in _seeded_quantile_tables():
+        got, want = flows._couple(quantiles, hop, per_path), _couple_by_keys(quantiles, hop, per_path)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _seeded_row_sets():
+    """500 seeded sets of paths as ``_rows`` lays them out, with duplicate
+    paths and paths that are prefixes of others."""
+    rng = np.random.default_rng(4748)
+    for _ in range(500):
+        paths = [list(rng.integers(0, 4, int(rng.integers(1, 6)))) for _ in range(int(rng.integers(1, 12)))]
+        for _ in range(int(rng.integers(0, 3))):
+            path = paths[int(rng.integers(len(paths)))]
+            paths.append(path[:int(rng.integers(1, len(path) + 1))])  # itself, or a prefix
+        order = rng.permutation(len(paths))
+        yield flows._rows(np.array([s for i in order for s in paths[i]], np.intp),
+                          np.array([len(paths[i]) for i in order], np.intp))
+
+
+def test_distinct_agrees_with_unique():
+    seen = set()
+    for rows in _seeded_row_sets():
+        distinct = len(np.unique(rows, axis=0)) == len(rows)
+        assert flows._distinct(rows) == distinct
+        seen.add(distinct)
+    assert seen == {False, True}
 
 
 @settings(derandomize=True, database=None, deadline=None)

@@ -181,14 +181,14 @@ def test_only_kept_reads_or_writes_a_chains_store():
     assert found == {("chains", "__init__"), ("chains", "_kept")}, sorted(found)
 
 
-def test_only_the_two_calls_that_use_scipy_import_it():
-    """Importing the package and loading a chain need numpy alone: no module
-    imports scipy at module level, and only the canonical router and
-    ``matrix_exponential`` import it, inside themselves."""
+def test_only_matrix_exponential_imports_scipy():
+    """Importing the package, loading a chain and routing a canonical flow
+    need numpy alone: no module imports scipy at module level, and only
+    ``matrix_exponential`` imports it, inside itself."""
     def imports_scipy(node) -> bool:
         names = ([node.module or ""] if isinstance(node, ast.ImportFrom) else
                  [alias.name for alias in node.names] if isinstance(node, ast.Import) else [])
         return any(name.partition(".")[0] == "scipy" for name in names)
 
     found = _where(imports_scipy)
-    assert found == {("flows", "build_canonical_flow"), ("mixing", "matrix_exponential")}, sorted(found)
+    assert found == {("mixing", "matrix_exponential")}, sorted(found)
