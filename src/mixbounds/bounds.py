@@ -19,23 +19,28 @@ chains, start, flow, eps, delta and sweep, every scalar its rows read, and
 a memo of what it derives for that call alone.  A chain's constants (its
 classification, spectrum, reversal-product gap and worst-start times at
 1/(2e)) are kept on the chain (``chains._kept``), so each is derived once
-per chain object, not once per call.  Every spectral scalar comes from one eigensolve per chain, of
-``spectral._symmetrised``.  A flow keeps its one walk (its validation and
-loads), so its congestion is a cheap read and needs no memo.
+per chain object, not once per call.  Every spectral scalar comes from one
+eigensolve per chain, of ``spectral._symmetrised``.  A target that is
+lazy(base) shares the base's walks: its discrete times come from its own
+walk over the powers, shared with O14's lazy(base), and its continuized
+times are twice the base's, read off the base's ladder.  A flow keeps its
+one walk (its validation and loads), so its congestion is a cheap read and
+needs no memo.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .chains import Chain, _kept, _require, _reversal_product, classify, lazy
-from .errors import BadDelta, BadParams, MixboundsError, WrongFlowBase, _real
+from .errors import BadDelta, BadParams, MixboundsError, NoConvergence, WrongFlowBase, _real
 from .flows import Flow, _worst_edge, validate_flow
-from .mixing import _Ladder, _Powers, _check_eps
+from .mixing import MAX_CONTINUOUS_TIME, _Ladder, _Powers, _check_eps
 from .spectral import MAX_CONDUCTANCE_STATES, _gaps, _spectrum, conductance
 
 #: bound-vs-exact comparisons allow this much slack
@@ -237,7 +242,9 @@ class _Derived:
     only for a nonreversible chain that keeps no product gap yet and for a
     flow not routed over the base (a reversible chain's is P^2, read from
     its eigenvalues).  lazy(P) is built once, or is the target when that is
-    the same chain (``_same_chain``), so the two share one walk.
+    the same chain (``_same_chain``), so the two share one walk over the
+    powers; and its continuized times are twice the base's, so it makes no
+    ladder but the base's (``continuous``).
     """
 
     eps: float | None = None
@@ -270,14 +277,15 @@ class _Derived:
             return self.target if self.target is not None and _same_chain(made, self.target) else made
         return self._get((chain, "lazy"), make)
 
-    def _time(self, chain: Chain, clock: str, make, x, eps: float):
+    def _time(self, chain: Chain, clock: str, make, x, eps: float, cap: float | None = None):
         """The chain's time on a clock: kept on the chain for the worst start
         at 1/(2e), in the memo for any other query, or else from the call's
-        one walk, which a query on another chain or clock first replaces."""
+        one walk, which a query on another chain or clock first replaces.  A
+        walk past ``cap`` (the clock's own if None) raises NoConvergence."""
         def compute():
             if self._walk[:2] != (chain, clock):
                 self._walk = (chain, clock, make(chain))
-            return self._walk[2].time(x, eps).time
+            return self._walk[2].time(x, eps, cap).time
         if x is None and eps == DELTA_DEFAULT:
             return _kept(chain, (clock, eps), compute)
         return self._get((chain, clock, x, eps), compute)
@@ -288,6 +296,24 @@ class _Derived:
         return self._time(chain, "powers", _Powers, x, eps)
 
     def continuous(self, chain: Chain, x, eps: float) -> float:
+        """The continuized mixing time at eps from state index x, or from the
+        worst start if x is None, from the chain's one walk over its ladder.
+
+        lazy(base) is read off the base's ladder: lazy(P) - I = (P - I) / 2,
+        so lazy(P)'s continuized chain is P's run at half speed, and its time
+        at the same start and eps lies in twice P's bracket (Levin, Peres &
+        Wilmer, 2017, ch. 20).  The stored lazy matrix differs from (I + P) / 2 only on the
+        diagonal, by the rounding of 1 + P(x, x), at most 2^-54 an entry,
+        which moves a distance at time t by about t 2^-54 at most, far inside
+        the walk's rounding bound (``mixing._Walk.error``).  The base's time
+        is asked with half the clock's cap: past it, the lazy chain's own
+        ladder answers, so a time past the cap raises its own NoConvergence.
+        """
+        if chain is not self.base and chain is self.lazy(self.base):
+            cap = MAX_CONTINUOUS_TIME / 2
+            with suppress(NoConvergence):
+                if (half := self._time(self.base, "ladder", _Ladder, x, eps, cap)) <= cap:
+                    return 2.0 * half
         return self._time(chain, "ladder", _Ladder, x, eps)
 
 
@@ -320,7 +346,9 @@ def _product_gap(s: _Derived) -> float | None:
 #: then the continuized ones.  A call holds one walk at a time, so each
 #: walk's times are listed together: the base's powers before its ladder,
 #: and the target's powers between the base's and lazy(base)'s, so a target
-#: that is either chain shares its walk.
+#: that is either chain shares its walk.  The target's continuized time
+#: comes last, just after the base's: a target that is lazy(base) reads
+#: twice the base's time off the base's ladder, which the call still holds.
 _SCALARS: dict[str, Callable[[_Derived], object]] = {
     "tau_d": lambda s: s.discrete(s.base, None, DELTA_DEFAULT),
     "worst_d": lambda s: s.discrete(s.base, None, s.eps),

@@ -458,6 +458,78 @@ def test_a_target_that_is_lazy_base_walks_the_lazy_chain_once(monkeypatch):
     assert o14.applicable and o14.exact == want
 
 
+def _t24c(report, base, flow, tau_prime_c):
+    """T24c's entry in the report, and its bound at the target's worst-start
+    continuized time ``tau_prime_c``."""
+    entry = next(e for e in report.entries if e.theorem == "T24c")
+    log_x2 = math.log(1.0 / (report.epsilon**2 * base.pi[report.from_index]))
+    return entry, CATALOG["T24c"].bound(edge_congestion(flow)[1], tau_prime_c, log_x2)
+
+
+def test_a_target_that_is_lazy_base_is_read_off_the_bases_ladder(monkeypatch):
+    """lazy(P)'s continuized chain is P's at half speed, so a report against
+    its lazy chain makes one ladder, the base's, and T24c reads twice the
+    base's kept worst-start time."""
+    kwargs = _reversible_pair()
+    base = kwargs["base"]
+    ladders = _count(monkeypatch, mixing._Ladder, lambda chain: chain.P.tobytes())
+    report = full_report(**kwargs)
+    assert ladders == {base.P.tobytes(): 1}
+    entry, want = _t24c(report, base, kwargs["flow"], 2.0 * base._constants["ladder", DELTA_DEFAULT])
+    assert entry.applicable and entry.bound == want
+
+
+def _one_ulp_off(chain):
+    P = chain.P.copy()
+    P[0, 1] = np.nextafter(P[0, 1], 1.0)
+    return chains.Chain(chain.labels, P, chain.pi, name="lazy, one ulp off")
+
+
+#: targets that are lazy(base) but for their last bits: pi solved again from
+#: lazy(base)'s P, as ``load_chain`` solves it, or one entry of P one ulp off
+NEAR_LAZY = {
+    "pi solved again": lambda base: build_chain(base.labels, lazy(base).P, name="lazy, pi solved again"),
+    "one ulp off": lambda base: _one_ulp_off(lazy(base)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_LAZY))
+def test_a_target_that_is_not_lazy_base_walks_its_own_ladder(monkeypatch, case):
+    """A target that is not lazy(base) bit for bit is not read off the
+    base's ladder: it walks its own, and T24c reads the time its public call
+    gives."""
+    base = random_reversible(16, 2)
+    target = NEAR_LAZY[case](base)
+    assert not _same_chain(target, lazy(base))
+    want = continuous_mixing_time(target, None, DELTA_DEFAULT).time
+    flow = build_canonical_flow(base, target, odd=True)
+    ladders = _count(monkeypatch, mixing._Ladder, lambda chain: id(chain))
+    report = full_report(base, target, flow, sweep=True)
+    assert ladders == {id(base): 1, id(target): 1}
+    entry, bound = _t24c(report, base, flow, want)
+    assert entry.applicable and entry.bound == bound
+
+
+def test_a_lazy_time_past_the_cap_raises_the_lazy_chains_own_error():
+    """Flipping with p = 1.5 2^-21, the base mixes at 1/(2e) in 1 / (2 p),
+    about 699,051 time units, and its lazy chain in twice that, past the cap
+    of 2^20: the lazy chain's own ladder raises, with the message of its
+    public call, whether the base's time is kept (the doubled time passes the
+    cap) or not (the base's walk passes half the cap)."""
+    p = 1.5 * 2.0**-21
+    base = build_chain(["a", "b"], [[1.0 - p, p], [p, 1.0 - p]])
+    target = lazy(base)
+    with pytest.raises(NoConvergence) as public:
+        continuous_mixing_time(target, None, DELTA_DEFAULT)
+    for kept in (False, True):
+        s = _Derived(0.25, _copy(base), 0, target)
+        if kept:
+            assert s.continuous(s.base, None, DELTA_DEFAULT) > 2.0**19
+        with pytest.raises(NoConvergence) as got:
+            s.continuous(target, None, DELTA_DEFAULT)
+        assert str(got.value) == str(public.value) == "no mixing within 1048576 time units (TV still 2.362e-01)"
+
+
 def _count_alive_walks(monkeypatch):
     """Wrap ``bounds._Powers`` and ``bounds._Ladder`` so that each walk a
     call makes is counted until it is freed: returns the walks made, and the

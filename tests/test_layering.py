@@ -166,6 +166,14 @@ def test_a_walk_is_entered_only_by_walk_time():
     assert any(node.name == "time" for node in clocks["_Walk"].body if isinstance(node, ast.FunctionDef))
 
 
+def test_a_report_makes_its_walks_only_through_its_two_clocks():
+    """In ``bounds`` only ``_Derived.discrete`` and ``_Derived.continuous``
+    name ``_Powers`` or ``_Ladder``, so every walk a report makes goes
+    through ``_Derived._time`` and its one walk at a time."""
+    found = _where(lambda node: isinstance(node, ast.Name) and node.id in ("_Powers", "_Ladder"))
+    assert {where for module, where in found if module == "bounds"} == {"discrete", "continuous"}
+
+
 def test_only_the_flow_makers_call_the_array_constructor():
     """``Flow._of`` takes laid-out arrays from the code that builds them as
     arrays, ``Flow.__init__`` (a caller's paths, parsed), the canonical

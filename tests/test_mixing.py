@@ -436,6 +436,49 @@ def test_continuous_mixing_periodic_chain_is_fine():
     assert res.achieved_tv <= 0.25
 
 
+#: chains whose lazy chain's continuized times are twice theirs: reversible,
+#: nonreversible, periodic, two-state, one-step and lazy already
+LAZY_DOUBLES = {
+    **{f"rr({n}, {seed})": (lambda n=n, seed=seed: random_reversible(n, seed))
+       for n, seed in ((5, 1), (12, 2), (18, 3))},
+    "dhn(5)": lambda: dhn(5),
+    "dhn(12)": lambda: dhn(12),
+    "directed_cycle(9)": lambda: directed_cycle(9),
+    "two_state(0.3)": lambda: two_state(0.3),
+    "uniform_walk(6)": lambda: uniform_walk(6),
+    "lazy cycle(10)": lambda: _lazy_cycle(10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAZY_DOUBLES))
+def test_the_lazy_chain_mixes_in_twice_the_continuized_time(case):
+    """lazy(P) - I = (P - I) / 2, so the lazy chain's continuized chain is
+    P's at half speed: from every start its time is twice P's, so the lazy
+    chain's bracket meets twice P's at the worst start, 0 and n - 1, at
+    eps from 1/4 to 1/100."""
+    chain = LAZY_DOUBLES[case]()
+    for x in (None, 0, chain.n - 1):
+        for eps in (0.25, DELTA, 0.1, 0.01):
+            lo, hi = continuous_mixing_time(chain, x, eps).bracket
+            got = continuous_mixing_time(lazy(chain), x, eps).bracket
+            assert got[0] <= 2 * hi and 2 * lo <= got[1], (x, eps, got, (lo, hi))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 11])
+def test_the_uniform_walk_and_its_lazy_chain_mix_in_closed_form(n):
+    """The uniform walk's continuized distance from every start is e^-t (1 -
+    1/n), so it mixes at ln((1 - 1/n) / eps) and its lazy chain at twice
+    that, each within its bracket's width.  At n = 2 and eps = 1/(2e) the
+    crossing is an exact tie at t = 1."""
+    chain = uniform_walk(n)
+    for eps in (0.25, DELTA, 0.1, 0.01):
+        want = math.log((1.0 - 1.0 / n) / eps)
+        for c, scale in ((chain, 1.0), (lazy(chain), 2.0)):
+            for x in (None, 0):
+                res = continuous_mixing_time(c, x, eps)
+                assert abs(res.time - scale * want) <= res.bracket[1] - res.bracket[0], (c.name, x, eps)
+
+
 def test_continuous_mixing_grid_oracle():
     chain = doubly_stochastic(5, seed=3)
     eps = 0.2
