@@ -20,7 +20,8 @@ Flows are immutable plain data, and all operations are pure.  A flow keeps
 its paths as arrays: the states laid end to end, the path sizes, the masses.
 The library builds them directly: canonical routing moves every route one hop
 per pass, in lockstep.  A caller's ``FlowPath`` objects are parsed into them
-once.  A flow keeps its walk: one numpy pass over the arrays, in blocks, gives
+once; ``FlowPath`` objects are made from them only when ``paths`` is read.
+A flow keeps its walk: one numpy pass over the arrays, in blocks, gives
 the verdict (valid, odd, violations) and the loads (the sums above, in path
 order), which the congestions only divide by pi(z)P(z,w) or pi(z).  Spreading
 splits each path over its detours by a quantile coupling, in blocks of paths.
@@ -33,7 +34,7 @@ import itertools
 import math
 import numbers
 import reprlib
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
@@ -45,7 +46,8 @@ from .errors import InvalidFlow, KappaInfinite, NoOddPath
 
 #: each demand must be routed within this fraction of it, and a zero demand not at all
 DEMAND_TOL = 1e-9
-#: paths per walk block: bounds the walk's arrays, yet keeps numpy's call overhead small
+#: paths per block of the walk and of ``_read``: bounds their arrays and lists, yet keeps
+#: numpy's call overhead small
 _BLOCK = 4096
 
 
@@ -70,7 +72,9 @@ class Flow:
     """Weighted base paths meeting every target-edge demand.  Its arrays are
     read-only, so the walk and the detour table the flow keeps cannot go stale;
     two threads may both compute them, harmlessly.  ``paths`` is a tuple: the
-    caller's paths, or those made from the arrays of a flow the library built.
+    caller's paths, or, for a flow the library built, those made from its
+    arrays a block at a time (``_read``) when first read, and kept.  The
+    library reads ``paths`` only to name the faults of an invalid flow.
     Flows, like chains, are equal only to themselves."""
 
     base: Chain
@@ -101,8 +105,7 @@ class Flow:
 
     @functools.cached_property
     def paths(self) -> tuple[FlowPath, ...]:
-        flat, ends = self._states.tolist(), np.cumsum(self._sizes).tolist()
-        return tuple(FlowPath(tuple(flat[a:b]), m) for a, b, m in zip([0, *ends], ends, self._mass.tolist()))
+        return tuple(itertools.starmap(FlowPath, _read(self._states, self._sizes, self._mass)))
 
     @functools.cached_property
     def _validation(self) -> tuple:
@@ -111,6 +114,17 @@ class Flow:
     @functools.cached_property
     def _detours(self) -> _Detours:
         return _detours(self.base, _loads(self)[0])
+
+
+def _read(states: np.ndarray, sizes: np.ndarray, mass: np.ndarray):
+    """Each path's states, a tuple of ints, and its mass, a float, from a flow's
+    arrays: one ``tolist`` of each block's states, sizes and masses, _BLOCK
+    paths at a time, so no list of the whole flow is made."""
+    cut = np.cumsum(sizes)[_BLOCK - 1::_BLOCK]  # where each block's states end
+    for lo, block in zip(range(0, len(sizes), _BLOCK), np.split(states, cut)):
+        flat, ends = block.tolist(), list(itertools.accumulate(sizes[lo:lo + _BLOCK].tolist()))
+        paths = [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
+        yield from zip(paths, mass[lo:lo + _BLOCK].tolist())
 
 
 def _scrub(values: np.ndarray, kind: type) -> np.ndarray:
@@ -364,21 +378,29 @@ def _simplify(flow: Flow) -> Flow:
     grows.  A flow that loop erasure leaves as it is comes back itself: its
     paths carry mass, are distinct, and repeat no state but a closed walk's
     last.  One sort of (path, state) keys finds the paths that repeat one, and
-    only those are erased; the rest are merged and sorted as tuples, and the
-    simple flow is laid out by ``Flow``, as a caller's paths are."""
+    only those are read from the arrays and erased.  The paths with mass are
+    laid out as ``_rows`` and sorted as tuples; each run of equal rows is one
+    path, its mass the run's masses summed in path order, as a dict of tuples
+    adds them."""
     n, states, sizes, mass = flow.base.n, flow._states, flow._sizes, flow._mass
     owner, j = _ragged(sizes)
     closing = (j > 0) & (j == sizes[owner] - 1) & (states == states[np.arange(len(j)) - j])
     keys = np.sort((owner * n + states)[~closing])
     looped = np.zeros(len(sizes), bool)
     looped[keys[1:][keys[1:] == keys[:-1]] // n] = True
-    if not looped.any() and mass.all() and _distinct(_rows(states, sizes)):
+    rows = _rows(states, sizes)
+    if not looped.any() and mass.all() and _runs(rows)[1].all():
         return flow
-    merged: dict[tuple[int, ...], float] = defaultdict(float)
-    for p, loop in zip(flow.paths, looped.tolist()):
-        if p.mass != 0.0:
-            merged[_loop_erase(tuple(p.states)) if loop else tuple(p.states)] += p.mass
-    simple = Flow(flow.base, flow.target, [FlowPath(p, merged[p]) for p in sorted(merged)])
+    lost = np.flatnonzero(looped)
+    erased = [_loop_erase(p) for p, _ in _read(states[looped[owner]], sizes[lost], mass[lost])]
+    at, k = _ragged(np.fromiter(map(len, erased), np.intp, len(erased)))
+    rows[lost] = -1
+    rows[lost[at], k] = list(itertools.chain.from_iterable(erased))
+    rows, mass = rows[mass != 0.0], mass[mass != 0.0]
+    order, first = _runs(rows)
+    rows = np.take(rows, order[first], axis=0)
+    simple = Flow._of(flow.base, flow.target, rows[rows >= 0], (rows >= 0).sum(axis=1),
+                      np.bincount(np.cumsum(first) - 1, weights=mass[order]))
     valid, _, violations = validate_flow(simple)
     if not valid:
         raise AssertionError("loop erasure broke the demand equations: " + "; ".join(violations[:3]))
@@ -464,11 +486,15 @@ def _spread_block(states: np.ndarray, sizes: np.ndarray, mass: np.ndarray, hop: 
     return rows[rows >= 0], (2 * sizes - 1)[owner[order]], total
 
 
-def _distinct(rows: np.ndarray) -> bool:
-    """Whether no two rows are equal: one sort of the rows as tuples, then a
-    look at each row's neighbour."""
-    rows = np.take(rows, np.lexsort(rows.T[::-1]), axis=0)
-    return not (rows[1:] == rows[:-1]).all(axis=1).any()
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows as tuples, by one ``np.lexsort``, and
+    whether each sorted row starts a run of equal rows, by a look at its
+    neighbour."""
+    order = np.lexsort(rows.T[::-1])
+    rows = np.take(rows, order, axis=0)
+    first = np.ones(len(rows), bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return order, first
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ import json
 
 from .chains import Chain, build_chain
 from .errors import BadParams, MixboundsError
-from .flows import Flow, FlowPath, _loads
+from .flows import Flow, FlowPath, _loads, _read
 
 
 def chain_to_dict(chain: Chain, meta: dict | None = None) -> dict:
@@ -81,15 +81,18 @@ def load_chain(path) -> Chain:
 
 
 def flow_to_dict(flow: Flow) -> dict:
-    """The document of a valid flow, its states as JSON integers (a caller's
-    may be numpy integers).  An invalid one raises InvalidFlow, as it would
-    at load, so no file holds a flow that would not load; a flow the library
-    built already holds its validation."""
+    """The document of a valid flow, read from its arrays a block at a time,
+    so its states are JSON integers and its masses floats (a caller's may be
+    numpy integers, or ints); no ``FlowPath`` is made, and a flow the library
+    built is left without its ``paths``.  An invalid flow raises InvalidFlow,
+    as it would at load, so no file holds a flow that would not load; a flow
+    the library built already holds its validation."""
     _loads(flow)
     return {
         "base": flow.base.name,
         "target": flow.target.name,
-        "paths": [{"path": [int(s) for s in p.states], "mass": float(p.mass)} for p in flow.paths],
+        "paths": [{"path": list(states), "mass": mass}
+                  for states, mass in _read(flow._states, flow._sizes, flow._mass)],
     }
 
 

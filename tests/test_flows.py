@@ -947,7 +947,7 @@ def test_distinct_agrees_with_unique():
     seen = set()
     for rows in _seeded_row_sets():
         distinct = len(np.unique(rows, axis=0)) == len(rows)
-        assert flows._distinct(rows) == distinct
+        assert flows._runs(rows)[1].all() == distinct
         seen.add(distinct)
     assert seen == {False, True}
 
@@ -1042,6 +1042,60 @@ def test_spreading_a_large_flow_stays_small():
     # the per-path loop that the array code replaced peaked at 9.2-9.5 MB here
     # (Python 3.11, numpy 2.4)
     assert peak <= 9.1e6, f"spreading peaked at {peak / 1e6:.1f} MB"
+
+
+def _parents_paths(flow):
+    """``Flow.paths`` as it was made before paths were read a block at a time:
+    the whole flow copied into Python lists at once."""
+    flat, ends = flow._states.tolist(), np.cumsum(flow._sizes).tolist()
+    return tuple(FlowPath(tuple(flat[a:b]), m) for a, b, m in zip([0, *ends], ends, flow._mass.tolist()))
+
+
+def _typed(paths):
+    return [(p.states, p.mass, [type(s) for s in p.states], type(p.mass)) for p in paths]
+
+
+def test_reading_a_large_flows_paths_stays_small():
+    """``paths`` is made a block of paths at a time, so reading it makes no
+    list of the whole flow: the 31,714 paths of the route bench's spread peaked
+    at 7.0-7.2 MB when the four lists were made at once, of which the kept
+    ``FlowPath`` objects are about 4.6 MB (Python 3.11, numpy 2.4)."""
+    base = random_reversible(32, 1)
+    spread = spread_flow(build_canonical_flow(base, lazy(base)))
+    tracemalloc.start()
+    try:
+        paths = spread.paths
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(paths) == 31714 > 4 * flows._BLOCK
+    assert peak <= 5.6e6, f"reading {len(paths)} paths peaked at {peak / 1e6:.2f} MB"
+    assert _typed(paths) == _typed(_parents_paths(spread))
+    assert spread.paths is paths
+
+
+def test_saving_reads_a_flows_arrays():
+    """``flow_to_dict`` writes the document from the arrays, so a flow the
+    library built is saved without making its ``paths``, and the document is
+    the one written from ``paths`` before."""
+    base = random_reversible(32, 1)
+    spread = spread_flow(build_canonical_flow(base, lazy(base)))
+    text = json.dumps(flow_to_dict(spread))
+    assert "paths" not in vars(spread)
+    assert text == json.dumps({"base": spread.base.name, "target": spread.target.name,
+                               "paths": [{"path": list(p.states), "mass": p.mass}
+                                         for p in _parents_paths(spread)]})
+
+
+def test_a_caller_flow_with_numpy_states_and_int_masses_saves_as_before():
+    flow = build_canonical_flow(*reversible_pair(6, 1))
+    paths = [FlowPath(tuple(map(np.int32, p.states)), p.mass) for p in flow.paths]
+    paths[1:1] = [FlowPath((np.int64(0), np.int16(1), np.intp(0)), 0), FlowPath((np.uint8(2),), 0)]
+    caller = Flow(flow.base, flow.target, paths)
+    doc = flow_to_dict(caller)
+    before = {"base": caller.base.name, "target": caller.target.name,
+              "paths": [{"path": [int(s) for s in p.states], "mass": float(p.mass)} for p in caller.paths]}
+    assert doc == before and json.dumps(doc) == json.dumps(before)  # the int masses are written as 0.0
 
 
 def _restart_loop_erase(states):
@@ -1186,12 +1240,55 @@ def test_simplify_erases_the_paths_that_repeat_a_state(flow):
     simple = flows._simplify(flow)
     assert (simple is flow) == same
     assert sorted((tuple(p.states), p.mass) for p in simple.paths) == want
+    _assert_simplified_as_the_dict_merge(flow)
 
 
 @pytest.mark.parametrize("flow", [pytest.param(flow, id=name) for name, flow in _spread_cases()])
 def test_simplify_keeps_a_flow_that_loop_erasure_leaves_as_it_is(flow):
     same, _ = _reference_simplify(flow)
     assert (flows._simplify(flow) is flow) == same
+
+
+def _assert_simplified_as_the_dict_merge(flow):
+    """Compares ``_simplify``'s arrays with the dict merge it replaced, kept
+    as its oracle: the sorted (states, mass) pairs of ``_reference_simplify``
+    laid out by ``Flow``'s parser.  Returns whether the flow came back itself."""
+    same, merged = _reference_simplify(flow)
+    simple = flows._simplify(flow)
+    assert (simple is flow) == same
+    if not same:
+        want = Flow(flow.base, flow.target, list(itertools.starmap(FlowPath, merged)))
+        for name in ("_states", "_sizes", "_mass"):
+            got, wanted = getattr(simple, name), getattr(want, name)
+            assert (got.dtype, got.tobytes()) == (wanted.dtype, wanted.tobytes()), name
+    return same
+
+
+def _odd_simplify_cases():
+    for n in range(4, 25):
+        for seed in range(3):
+            base = random_reversible(n, seed)
+            yield f"rr-{n}-{seed}", build_canonical_flow(base, lazy(base), odd=True)
+    yield "dhn-5", build_canonical_flow(dhn(5), dhn(5), odd=True)
+    for n in (5, 8, 13):
+        yield f"lazy-cycle-{n}", build_canonical_flow(_lazy_cycle(n), uniform_walk(n), odd=True)
+        yield f"lazy-cycle-{n}-self", build_canonical_flow(_lazy_cycle(n), _lazy_cycle(n), odd=True)
+
+
+def test_simplify_lays_out_odd_flows_as_the_dict_merge():
+    kept = [_assert_simplified_as_the_dict_merge(flow) for _, flow in _odd_simplify_cases()]
+    assert kept.count(False) >= 20 and kept.count(True) >= 1
+
+
+def test_simplify_sums_a_run_of_equal_paths_in_path_order():
+    """Nine copies of one path after loop erasure: a pairwise sum would add
+    them in another order, and a dict adds them in path order."""
+    flow = _loop_flow()
+    weights = (0.85, 0.77, 0.45, 0.3, 0.54, 0.43, 0.79, 0.34, 0.5)  # a pairwise sum reads 0.25 - 2**-55
+    masses = [w / sum(weights) * 0.25 for w in weights]
+    paths = [p for p in flow.paths if p.states != (0, 1, 0, 1)]
+    paths += [FlowPath((0, 1, 0, 1) if k % 2 else (0, 1), m) for k, m in enumerate(masses)]
+    _assert_simplified_as_the_dict_merge(Flow(flow.base, flow.target, paths))
 
 
 # ---------------------------------------------------------------- the comparison floor

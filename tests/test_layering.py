@@ -177,8 +177,10 @@ def test_a_report_makes_its_walks_only_through_its_two_clocks():
 def test_only_the_flow_makers_call_the_array_constructor():
     """``Flow._of`` takes laid-out arrays from the code that builds them as
     arrays, ``Flow.__init__`` (a caller's paths, parsed), the canonical
-    router and the spreader; every other flow is laid out by ``Flow``."""
-    assert _callers("_of") == {("flows", "__init__"), ("flows", "build_canonical_flow"), ("flows", "spread_flow")}
+    router, loop erasure and the spreader; every other flow is laid out by
+    ``Flow``."""
+    assert _callers("_of") == {("flows", "__init__"), ("flows", "build_canonical_flow"), ("flows", "_simplify"),
+                              ("flows", "spread_flow")}
 
 
 def test_only_kept_reads_or_writes_a_chains_store():
