@@ -29,8 +29,11 @@ from .mixing import _gamma
 
 #: exact conductance limit (the enumeration visits 2^(N-1) - 1 cuts)
 MAX_CONDUCTANCE_STATES = 24
-#: conductance enumerates the cuts in blocks over states 0 .. _LOW_BITS
-_LOW_BITS = 12
+#: conductance splits the states into a low part 0 .. _LOW_BITS, whose 2^8
+#: membership rows fit in the L1 cache, and a high part, whose subsets it
+#: takes 2^_CHUNK_BITS cuts at a time (fewer when N <= 13)
+_LOW_BITS = 8
+_CHUNK_BITS = 13
 #: relative tolerance of the cut-flow balance check
 _BALANCE_TOL = 1e-9
 #: cut values within this relative distance of the minimum tie
@@ -187,18 +190,24 @@ def reconstruct_power(summary: SpectralSummary, pi, n: int) -> np.ndarray:
 
 
 @functools.cache
-def _membership(m: int, lead: int) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 matrix M of 2^m rows: ``lead`` columns of ones, then the binary
+def _membership(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 matrix M of 2^m rows: a column of ones (state 0), then the binary
     digits of the row index, lowest first; and its complement 1 - M.
 
-    The pair depends on the shape only, so it is made once per process, on
-    first use, and returned read-only.  At m = 12, lead = 1, it holds 0.85 MB.
+    These are the low part's rows of ``conductance``, so m <= _LOW_BITS and
+    the pair holds at most 36 KB.  It depends on the shape only, so it is
+    made once per process, on first use, and returned read-only.
     """
-    M = np.ones((1 << m, lead + m))
-    M[:, lead:] = (np.arange(1 << m, dtype=np.uint16)[:, None] >> np.arange(m, dtype=np.uint16)) & 1
+    M = np.ones((1 << m, 1 + m))
+    M[:, 1:] = _digits(np.arange(1 << m), m)
     C = 1.0 - M
     M.flags.writeable = C.flags.writeable = False
     return M, C
+
+
+def _digits(rows: np.ndarray, m: int) -> np.ndarray:
+    """The m binary digits of each entry of ``rows``, lowest first, as 0/1 floats."""
+    return ((rows[:, None] >> np.arange(m)) & 1).astype(float)
 
 
 def _cut_flows(members: np.ndarray, outside: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -208,18 +217,17 @@ def _cut_flows(members: np.ndarray, outside: np.ndarray, Q: np.ndarray) -> np.nd
     return flows.sum(axis=1)
 
 
-def _flow_parts(Q: np.ndarray, lo: slice, hi: slice, M: np.ndarray, C: np.ndarray, H: np.ndarray,
-                Hc: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The parts of the flow of Q out of every cut S = S_low + H (see
-    ``conductance``): within the low part, per row r; per block h and low
-    state i, from i into H-bar and from H into i; within the high part, per
-    block h.  The flow into S is the flow of Q^T out of S."""
-    Qll, Qlh, Qhl, Qhh = Q[lo, lo], Q[lo, hi], Q[hi, lo], Q[hi, hi]
-    return _cut_flows(M, C, Qll), Hc @ Qlh.T, H @ Qhl, _cut_flows(H, Hc, Qhh)
+def _flow_parts(Q: np.ndarray, lo: slice, hi: slice, M: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What every chunk of ``conductance`` reads to make the flow of Q out of
+    its cuts S = S_low + H: the flow within the low part, per low row r, and
+    the blocks of Q from the low part into the high part (transposed), from
+    the high part into the low part, and within the high part.  The flow
+    into S is the flow of Q^T out of S."""
+    return _cut_flows(M, C, Q[lo, lo]), Q[lo, hi].T, Q[hi, lo], Q[hi, hi]
 
 
 def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
-    """Exact conductance by blocked enumeration of every cut (N <= 24).
+    """Exact conductance by chunked enumeration of every cut (N <= 24).
 
     For a cut S the conductance is the stationary flow from S to its
     complement divided by pi(S) pi(S-bar).  Returns the minimum over cuts, the
@@ -231,17 +239,33 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
 
     Every one of the 2^(N-1) - 1 cuts containing state 0 is visited, in
     ascending bitmask order.  The states split into a low part {0 .. L},
-    L = min(N-1, 12), and a high part; each subset H of the high part is one
-    numpy block of the 2^L cuts S = S_low + H.  Every cut flow and every
-    pi(S), pi(S-bar) is a sum of nonnegative terms, so no digits are lost when
-    a flow or a mass is tiny, and a block needs O(2^L N) memory.
+    L = min(N-1, 8), and a high part of N-1-L states.  The cut S = S_low + H
+    of low row r and high subset H of index h has the bitmask h 2^L + r over
+    states 1 .. N-1.  The low part's 2^L rows are one (L+1)-column 0/1
+    matrix, kept per process (``_membership``); the high subsets go in chunks
+    of G = 2^max(0, 13-L) consecutive indices, whose membership rows are
+    made per chunk.  A chunk is laid out h-major: its G x 2^L cuts, 2^13
+    once N > 13, are in ascending bitmask order.  Its cut flows are two
+    products (G x (L+1)) @ ((L+1) x 2^L), from S_low into H-bar and from H
+    into S_low-bar, plus the flows within the low part and within H.  A
+    chunk's arrays of 64 KB stay in the cache and below the size (128 KB)
+    from which malloc maps fresh pages, which would fault on every chunk.
+    Every cut flow and every pi(S), pi(S-bar) is a sum of nonnegative terms,
+    so no digits are lost when a flow or a mass is tiny.
+
+    Where exactly one side of a cut has mass at most 1/2 + 1e-12, the
+    asymmetric value is the ratio times the other side's mass, the larger:
+    one product per cut.  A chunk with a cut whose two sides both qualify,
+    and a call whose pi sums above 1 + 1e-12, where neither side of a cut
+    may, minimise over each side's qualifying cuts in turn.
 
     Under stationarity the flows out of and into S are equal; a computed
     pair may differ by at most a relative 1e-9 of the flow out, and a larger
     imbalance, which only an inaccurate stationary distribution can cause,
-    raises IllConditioned.  A block is certified to pass this test from pi's
-    residual; only a block the certificate leaves open computes its flows
-    into the cuts and tests each cut.
+    raises IllConditioned, with the worst ratio of its chunk.  A chunk is
+    certified to pass this test from pi's residual; only a chunk the
+    certificate leaves open computes its flows into the cuts and tests each
+    cut.
 
     The certificate.  Let Q = pi P be the float matrix formed here, r and s
     its row and column sums, and rho = r - s, so sum(rho) = 0.  Summing rho
@@ -251,28 +275,30 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
 
     With u = 2^-53 and gamma_j = j u / (1 - j u), a float sum of nonnegative
     terms in which each term meets at most j additions is within gamma_j of
-    its value, relatively (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., 2002, Lemma 3.1 and section 3.5; the 0/1 factors
-    multiply exactly).  The computed rho-hat, from N-term sums and one subtraction,
-    is within gamma_N (r_i + s_i) of rho_i, so ||rho||_1 <= ||rho-hat||_1 +
-    2 gamma_N sum(Q).  A computed cut flow adds each term of Q at most 2L
-    times within the low part, N - 2 times across the parts or 2(N - 2 - L)
-    times within the high part, and 3 times to join the four parts: at most
-    k = 2N + 1 additions, so c-hat and b-hat lie within gamma_k of cross(S)
-    and back(S).  Hence
+    its value, relatively, whatever the order of the sum (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., 2002, Lemma 3.1 and
+    section 3.5; the 0/1 factors multiply exactly).  The computed rho-hat,
+    from N-term sums and one subtraction, is within gamma_N (r_i + s_i) of
+    rho_i, so ||rho||_1 <= ||rho-hat||_1 + 2 gamma_N sum(Q).  A computed cut
+    flow adds each term of Q at most 2L times within the low part (L in a
+    row of M Q, L in the sum over S_low-bar), N - 2 times across the parts
+    (N - 2 - L in the sum over H or H-bar, L in the product with the low
+    rows), or 2(N - 2 - L) times within the high part, and 3 times to join
+    the four parts.  As L <= N - 1, that is at most k = 2N + 1 additions,
+    so c-hat and b-hat lie within gamma_k of cross(S) and back(S).  Hence
 
         |b-hat - c-hat| <= (1 + gamma_k) ||rho||_1 / 2 + 2 gamma_k cross(S).
 
     Let beta = ||rho-hat||_1 / 2 + gamma_(N+1) sum(Q), as computed: up to
     the relative rounding of its own sums, it bounds ||rho||_1 / 2.  If beta
-    <= (1e-9 - 3 gamma_k) m, with m the block's smallest computed cut flow,
-    then every cut of the block passes |b-hat - c-hat| <= 1e-9 c-hat as
+    <= (1e-9 - 3 gamma_k) m, with m the chunk's smallest computed cut flow,
+    then every cut of the chunk passes |b-hat - c-hat| <= 1e-9 c-hat as
     computed: 2 gamma_k covers the two flows' errors, and the third gamma_k
     the rest, the second-order terms (gamma_k^2 c-hat) and the roundings of
     beta, of the threshold and of the test itself (each a relative O(N u) of
-    a quantity at most 1e-9 c-hat).  A certified block skips its flows into
+    a quantity at most 1e-9 c-hat).  A certified chunk skips its flows into
     the cuts.  So the minima, the argmin and the error raised, if any,
-    with its worst ratio, are those of the per-cut test in every block.
+    with its worst ratio, are those of the per-cut test in every chunk.
     """
     n = chain.n
     if n > MAX_CONDUCTANCE_STATES:
@@ -283,37 +309,46 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
     Q = chain.pi[:, None] * chain.P
     pi = chain.pi
     low_bits = min(n - 1, _LOW_BITS)
+    high_bits = n - 1 - low_bits
     lo, hi = slice(0, low_bits + 1), slice(low_bits + 1, n)
-    # row r: state 0, plus state j (1 <= j <= L) when bit j-1 of r is set, so
-    # row r of block h is the bitmask h * 2^L + r over states 1 .. N-1
-    M, C = _membership(low_bits, lead=1)
-    H, Hc = _membership(n - 1 - low_bits, lead=0)
-    out = _flow_parts(Q, lo, hi, M, C, H, Hc)
-    into = None  # the flows into the cuts, made for the first open block
+    # row r: state 0, plus state j (1 <= j <= L) when bit j-1 of r is set
+    M, C = _membership(low_bits)
+    out = _flow_parts(Q, lo, hi, M, C)
+    into = None  # the flows into the cuts, made for the first open chunk
     pi_low_s, pi_low_c = M @ pi[lo], C @ pi[lo]
-    pi_h, pi_hc = H @ pi[hi], Hc @ pi[hi]
-    last = H.shape[0] - 1
+    size = 1 << max(0, _CHUNK_BITS - low_bits)  # high subsets per chunk
+    subsets = 1 << high_bits
     # the balance certificate of the docstring
     rows = Q.sum(axis=1)
     beta = 0.5 * np.abs(rows - Q.sum(axis=0)).sum() + _gamma(n + 1) * rows.sum()
     slack = _BALANCE_TOL - 3.0 * _gamma(2 * n + 1)
+    # both sides of a cut can weigh above 1/2 + 1e-12 only if pi-hat sums
+    # above 1 + 2e-12; testing 1e-12 covers the roundings of the sums
+    neither = float(pi.sum()) > 1.0 + 1e-12
 
-    def flows(parts: tuple[np.ndarray, ...], h: int) -> np.ndarray:
-        low, low_to_hc, h_to_low, high = parts
-        return low + M @ low_to_hc[h] + C @ h_to_low[h] + high[h]
+    def flows(parts: tuple[np.ndarray, ...], H: np.ndarray, Hc: np.ndarray) -> np.ndarray:
+        low, low_to_high, high_to_low, high = parts
+        f = (Hc @ low_to_high) @ M.T
+        f += low
+        f += (H @ high_to_low) @ C.T
+        f += _cut_flows(H, Hc, high)[:, None]
+        return f.ravel()
 
-    def block(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cut values, pi(S) and pi(S-bar) of block h, the full set left out."""
+    def chunk(h0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cut values, pi(S) and pi(S-bar) of the chunk of subsets h0 ..
+        h0 + size - 1, in bitmask order, the full set left out."""
         nonlocal into
-        cross = flows(out, h)
-        pi_s = pi_low_s + pi_h[h]
-        pi_c = pi_low_c + pi_hc[h]
-        if h == last:
+        H = _digits(np.arange(h0, min(h0 + size, subsets)), high_bits)
+        Hc = 1.0 - H
+        cross = flows(out, H, Hc)
+        pi_s = np.add.outer(H @ pi[hi], pi_low_s).ravel()
+        pi_c = np.add.outer(Hc @ pi[hi], pi_low_c).ravel()
+        if h0 + size >= subsets:
             cross, pi_s, pi_c = cross[:-1], pi_s[:-1], pi_c[:-1]
         if not beta <= slack * cross.min():
             if into is None:
-                into = _flow_parts(Q.T, lo, hi, M, C, H, Hc)
-            back = flows(into, h)[:len(cross)]
+                into = _flow_parts(Q.T, lo, hi, M, C)
+            back = flows(into, H, Hc)[:len(cross)]
             imbalance = np.abs(cross - back)
             if np.any(imbalance > _BALANCE_TOL * cross):
                 worst = float(np.max(imbalance / cross))
@@ -327,20 +362,25 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
         single = cross / (pi_s * pi_c)
         return single, pi_s, pi_c
 
-    block_min = np.empty(last + 1)
+    starts = range(0, subsets, size)
+    chunk_min = np.empty(len(starts))
     best_asym = np.inf
-    for h in range(last + 1):
-        single, pi_s, pi_c = block(h)
-        block_min[h] = single.min()
-        best_asym = min(best_asym,  # np.where, not a masked np.min: the same value, at a fraction of the cost
-                        np.where(pi_s <= 0.5 + 1e-12, single * pi_c, np.inf).min(),
-                        np.where(pi_c <= 0.5 + 1e-12, single * pi_s, np.inf).min())
-    # smallest bitmask within the tie tolerance: its block is the first whose
-    # minimum qualifies, and it is the first qualifying row of that block
-    best = float(block_min.min())
+    for c, h0 in enumerate(starts):
+        single, pi_s, pi_c = chunk(h0)
+        chunk_min[c] = single.min()
+        larger = np.maximum(pi_s, pi_c)
+        if neither or larger.min() <= 0.5 + 1e-12:
+            best_asym = min(best_asym,  # np.where, not a masked np.min: the same value, at a fraction of the cost
+                            np.where(pi_s <= 0.5 + 1e-12, single * pi_c, np.inf).min(),
+                            np.where(pi_c <= 0.5 + 1e-12, single * pi_s, np.inf).min())
+        else:
+            larger *= single
+            best_asym = min(best_asym, larger.min())
+    # smallest bitmask within the tie tolerance: its chunk is the first whose
+    # minimum qualifies, and it is the first qualifying cut of that chunk
+    best = float(chunk_min.min())
     cutoff = best * (1.0 + _TIE_TOL)
-    h = int(np.argmax(block_min <= cutoff))
-    r = int(np.argmax(block(h)[0] <= cutoff))
-    mask = (h << low_bits) | r
+    h0 = starts[int(np.argmax(chunk_min <= cutoff))]
+    mask = (h0 << low_bits) + int(np.argmax(chunk(h0)[0] <= cutoff))
     best_set = (0,) + tuple(j + 1 for j in range(n - 1) if (mask >> j) & 1)
     return best, float(best_asym), best_set

@@ -1,5 +1,8 @@
 """Quadratic forms, eigenstructure, variational constants and conductance."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,7 @@ from mixbounds import spectral
 from mixbounds.chains import _require
 from mixbounds.errors import (DimensionMismatch, IllConditioned, MixboundsError, NotErgodic, NotReversible,
                               TooLarge)
+from mixbounds.mixing import _gamma
 
 from _families import doubly_stochastic, quadratic_forms, rayleigh_minimum, tiny_mass_chain
 
@@ -360,9 +364,19 @@ def _membership_matrix(m, lead):
     return M
 
 
+def _illconditioned(worst):
+    return IllConditioned(
+        f"stationary cut flows out of and into a cut differ by {worst:.3e} of the "
+        f"flow (tolerance {spectral._BALANCE_TOL:g}): the stationary distribution is too "
+        "inaccurate for an exact conductance"
+    )
+
+
 def _conductance_checking_every_cut(chain):
-    """Oracle: ``conductance`` as it was before the balance certificate.
-    Every block computes its flows into the cuts and tests each cut."""
+    """Oracle: ``conductance`` in its chunk layout, without the balance
+    certificate or the one-pass asymmetric minimum.  Every chunk computes its
+    flows into the cuts and tests each cut, and the asymmetric minimum takes
+    each side's qualifying cuts in turn."""
     n = chain.n
     if n > spectral.MAX_CONDUCTANCE_STATES:
         raise TooLarge(f"exact conductance enumerates every cut and is limited to "
@@ -371,6 +385,61 @@ def _conductance_checking_every_cut(chain):
     Q = chain.pi[:, None] * chain.P
     pi = chain.pi
     low_bits = min(n - 1, spectral._LOW_BITS)
+    high_bits = n - 1 - low_bits
+    lo, hi = slice(0, low_bits + 1), slice(low_bits + 1, n)
+    M = _membership_matrix(low_bits, lead=1)
+    C = 1.0 - M
+    every_H = _membership_matrix(high_bits, lead=0)
+    size = 1 << max(0, spectral._CHUNK_BITS - low_bits)
+    cut_flows = spectral._cut_flows
+
+    def flows(Q, H, Hc):
+        f = (Hc @ Q[lo, hi].T) @ M.T
+        f += cut_flows(M, C, Q[lo, lo])
+        f += (H @ Q[hi, lo]) @ C.T
+        f += cut_flows(H, Hc, Q[hi, hi])[:, None]
+        return f.ravel()
+
+    def chunk(h0):
+        H = every_H[h0:h0 + size]
+        Hc = 1.0 - H
+        cross, back = flows(Q, H, Hc), flows(Q.T, H, Hc)
+        pi_s = np.add.outer(H @ pi[hi], M @ pi[lo]).ravel()
+        pi_c = np.add.outer(Hc @ pi[hi], C @ pi[lo]).ravel()
+        if h0 + size >= len(every_H):
+            cross, back, pi_s, pi_c = cross[:-1], back[:-1], pi_s[:-1], pi_c[:-1]
+        imbalance = np.abs(cross - back)
+        if np.any(imbalance > spectral._BALANCE_TOL * cross):
+            raise _illconditioned(float(np.max(imbalance / cross)))
+        return cross / (pi_s * pi_c), pi_s, pi_c
+
+    starts = range(0, len(every_H), size)
+    chunk_min = np.empty(len(starts))
+    best_asym = np.inf
+    for c, h0 in enumerate(starts):
+        single, pi_s, pi_c = chunk(h0)
+        chunk_min[c] = single.min()
+        best_asym = min(best_asym, np.where(pi_s <= 0.5 + 1e-12, single * pi_c, np.inf).min(),
+                        np.where(pi_c <= 0.5 + 1e-12, single * pi_s, np.inf).min())
+    best = float(chunk_min.min())
+    cutoff = best * (1.0 + spectral._TIE_TOL)
+    h0 = starts[int(np.argmax(chunk_min <= cutoff))]
+    mask = (h0 << low_bits) + int(np.argmax(chunk(h0)[0] <= cutoff))
+    return best, float(best_asym), (0,) + tuple(j + 1 for j in range(n - 1) if (mask >> j) & 1)
+
+
+def _conductance_in_4096_cut_blocks(chain):
+    """Oracle: ``conductance`` before its chunk layout and its balance
+    certificate.  The low part is {0 .. 12}, each subset of the high part is
+    one numpy block of 4,096 cuts, and every block tests each cut."""
+    n = chain.n
+    if n > spectral.MAX_CONDUCTANCE_STATES:
+        raise TooLarge(f"exact conductance enumerates every cut and is limited to "
+                       f"{spectral.MAX_CONDUCTANCE_STATES} states")
+    _require(chain, "irreducible", "conductance")
+    Q = chain.pi[:, None] * chain.P
+    pi = chain.pi
+    low_bits = min(n - 1, 12)
     lo, hi = slice(0, low_bits + 1), slice(low_bits + 1, n)
     M = _membership_matrix(low_bits, lead=1)
     C = 1.0 - M
@@ -396,12 +465,7 @@ def _conductance_checking_every_cut(chain):
             cross, back, pi_s, pi_c = cross[:-1], back[:-1], pi_s[:-1], pi_c[:-1]
         imbalance = np.abs(cross - back)
         if np.any(imbalance > tol * cross):
-            worst = float(np.max(imbalance / cross))
-            raise IllConditioned(
-                f"stationary cut flows out of and into a cut differ by {worst:.3e} of the "
-                f"flow (tolerance {tol:g}): the stationary distribution is too "
-                "inaccurate for an exact conductance"
-            )
+            raise _illconditioned(float(np.max(imbalance / cross)))
         return cross / (pi_s * pi_c), pi_s, pi_c
 
     block_min = np.empty(last + 1)
@@ -463,6 +527,100 @@ def test_conductance_equals_the_every_cut_check_bit_for_bit():
     for (got, want), chain in zip(outcomes, chains):
         assert got == want, chain.name
     assert sum(isinstance(got[0], type) for got, _ in outcomes) == 22
+
+
+def _result(fn, chain):
+    """``fn(chain)``, or the class of the error it raised."""
+    try:
+        return fn(chain)
+    except MixboundsError as error:
+        return type(error)
+
+
+def test_conductance_agrees_with_the_4096_cut_blocks():
+    """The chunk layout sums the same nonnegative terms of each cut flow and
+    each mass as the old blocks, in another grouping.  By the docstring's
+    bound a cut flow lies within gamma_(2N+1) of its value, and a mass within
+    gamma_(N-2), so a cut's ratio, and its ratio times a mass, lies within
+    gamma_(3N+2) <= 2 gamma_(2N+1) of its value on either layout: the two
+    differ by at most 4 gamma_(2N+1)."""
+    chains = _sweep_chains() + [random_reversible(n, j) for n in range(19, 25) for j in range(2)]
+    for chain in chains:
+        got, want = _result(conductance, chain), _result(_conductance_in_4096_cut_blocks, chain)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got == want, chain.name
+            continue
+        tol = 4.0 * _gamma(2 * chain.n + 1)
+        assert math.isclose(got[0], want[0], rel_tol=tol, abs_tol=0.0), chain.name
+        assert math.isclose(got[1], want[1], rel_tol=tol, abs_tol=0.0), chain.name
+        assert got[2] == want[2], chain.name
+
+
+def test_conductance_at_24_states_keeps_only_the_low_rows():
+    """The high part's membership rows are made per chunk: a call at N = 24
+    holds no 2^15-row matrix and leaves only the low part's rows cached."""
+    chain = random_reversible(24, 1)
+    spectral._membership.cache_clear()
+    tracemalloc.start()
+    try:
+        conductance(chain)
+        cached, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+    assert cached <= 0.1e6
+
+
+@pytest.mark.parametrize("n", [9, 10, 16, 17, 23, 24])
+def test_conductance_ties_across_chunks_go_to_the_smallest_bitmask(n):
+    """Every cut of the uniform walk has conductance 1; these sizes cross the
+    low part's boundary and make several chunks."""
+    phi, _, argmin = conductance(uniform_walk(n))
+    assert abs(phi - 1.0) <= 1e-12
+    assert argmin == (0,)
+
+
+def _cycle_walk(order):
+    """The simple random walk on the cycle visiting the states in ``order``."""
+    n = len(order)
+    P = np.zeros((n, n))
+    for a, b in zip(order, order[1:] + order[:1]):
+        P[a, b] = P[b, a] = 0.5
+    return Chain(list(range(n)), P, np.full(n, 1.0 / n), name=f"cycle{order}")
+
+
+@pytest.mark.parametrize("order", [[0, 9, 1, 2, 3, 4, 5, 6, 7, 8],
+                                   [0, *np.random.default_rng(16).permutation(range(1, 16)).tolist()],
+                                   [0, *np.random.default_rng(24).permutation(range(1, 24)).tolist()]])
+def test_conductance_ties_within_a_chunk_go_to_the_smallest_bitmask(order):
+    """The minimal cuts of a cycle walk are its arcs of N/2 states, which tie;
+    on the first order the arc {0, 9, 1, 2, 3} comes first by its low row and
+    the arc {5, 6, 7, 8, 0} by its bitmask."""
+    n = len(order)
+    arcs = [{order[(start + i) % n] for i in range(n // 2)} for start in range(n)]
+    mask = min(sum(1 << (x - 1) for x in arc if x) for arc in arcs if 0 in arc)
+    phi, _, argmin = conductance(_cycle_walk(order))
+    assert abs(phi - 4.0 / n) <= 1e-12
+    assert argmin == (0,) + tuple(j + 1 for j in range(n - 1) if (mask >> j) & 1)
+
+
+def test_conductance_asymmetric_minimum_where_both_or_neither_side_qualifies():
+    """Both sides of the one cut of ``both`` weigh at most 1/2 + 1e-12, so
+    its asymmetric value takes the smaller; ``neither``'s pi sums to 1 +
+    1e-9, so neither side of its cut {0, 1} qualifies, though it has the
+    smallest ratio."""
+    p0 = 0.5 - 4e-13
+    both = Chain(["a", "b"], [[0.7, 0.3], [0.3 * p0 / (1 - p0), 1 - 0.3 * p0 / (1 - p0)]], [p0, 1 - p0])
+    W = np.array([[0.1, 0.1, 0.0], [0.1, 0.19, 0.01], [0.0, 0.01, 0.49]])
+    degree = W.sum(axis=1)
+    neither = Chain(["a", "b", "c"], W / degree[:, None], degree * (1 + 1e-9))
+    for chain in (both, neither):
+        assert _outcome(conductance, chain) == _outcome(_conductance_checking_every_cut, chain)
+    phi, phi_asym, _ = conductance(both)
+    assert phi_asym == phi * both.pi[0]
+    phi, phi_asym, argmin = conductance(neither)
+    assert argmin == (0, 1)
+    assert phi_asym > 0.3 > phi
 
 
 @st.composite
