@@ -368,14 +368,15 @@ def conductance(chain: Chain) -> tuple[float, float, tuple[int, ...]]:
     for c, h0 in enumerate(starts):
         single, pi_s, pi_c = chunk(h0)
         chunk_min[c] = single.min()
-        larger = np.maximum(pi_s, pi_c)
-        if neither or larger.min() <= 0.5 + 1e-12:
-            best_asym = min(best_asym,  # np.where, not a masked np.min: the same value, at a fraction of the cost
-                            np.where(pi_s <= 0.5 + 1e-12, single * pi_c, np.inf).min(),
-                            np.where(pi_c <= 0.5 + 1e-12, single * pi_s, np.inf).min())
-        else:
-            larger *= single
-            best_asym = min(best_asym, larger.min())
+        if not neither:
+            larger = np.maximum(pi_s, pi_c)
+            if larger.min() > 0.5 + 1e-12:  # exactly one side of every cut qualifies
+                larger *= single
+                best_asym = min(best_asym, larger.min())
+                continue
+        best_asym = min(best_asym,  # np.where, not a masked np.min: the same value, at a fraction of the cost
+                        np.where(pi_s <= 0.5 + 1e-12, single * pi_c, np.inf).min(),
+                        np.where(pi_c <= 0.5 + 1e-12, single * pi_s, np.inf).min())
     # smallest bitmask within the tie tolerance: its chunk is the first whose
     # minimum qualifies, and it is the first qualifying cut of that chunk
     best = float(chunk_min.min())
