@@ -35,7 +35,8 @@ res = continuous_mixing_time(cycle, 0, 0.25)
 print(f"\ncontinuized 3-cycle: tau = {res.time:.4f}")
 
 # The transition kernel over a time interval is the matrix exponential,
-# computed by scaling and squaring; rows stay stochastic.
+# the uniformization series of the continuized chain, scaled and squared;
+# rows stay stochastic.
 Q = cycle.P - np.eye(3)
 for t in (0.5, 2.0):
     E = matrix_exponential(Q, t)

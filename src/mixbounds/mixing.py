@@ -5,19 +5,20 @@ is found by one walk (``_Walk``) over the rungs of a clock, from one of two
 rung sources: the powers P^(2^e) (``_Powers``), or the exponentials E(s) =
 expm((P - I) s) of the continuized chain (``_Ladder``), each rung E(s) with
 s <= 1 a uniformization series in P^2 .. P^8 and each above 1 a square of
-E(1), with no ``expm``.  The walk doubles until the distance is within eps,
-then narrows the bracket (lo, hi] in one loop, by the next square down while
-it is wider than 1 and then, on the continuized clock, by a regula falsi
-kept within bisection's probe count (the ITP method), each probe there from
-x one row's series, and from the worst start, once the starts still above
-eps at lo are few, the series of their rows alone.  A walk keeps its
-squares M(2^e) across its queries for its life, so each is made once
-(``bounds._Derived`` holds one walk at a time).  Every result
-carries its bracket: above eps at lo, within it at hi.  Every start's
-distance is kept at each full probe and checked not to rise across the kept
-probes on either side of it, beyond half the two probes' rounding bounds
-(``_Walk.error``); ``d_profile`` steps every row, ``rows @ P``, and checks
-each step.  So a violation surfaces as a bug rather than a wrong answer.
+E(1), with no ``expm``.  One series serves the ladder and
+``matrix_exponential``, which sums it for the uniformized Q t and squares
+the sum.  The walk doubles until the distance is within eps, then narrows
+the bracket (lo, hi] in one loop, by the next square down while it is wider
+than 1 and then, on the continuized clock, by a regula falsi kept within
+bisection's probe count (the ITP method), each probe there from x one row's
+series, and from the worst start, once the starts still above eps at lo are
+few, the series of their rows alone.  A walk keeps its squares M(2^e)
+across its queries for its life, so each is made once (``bounds._Derived``
+holds one walk at a time).  Every result carries its bracket: above eps at
+lo, within it at hi.  Every start's distance is kept at each full probe and
+checked not to rise across the kept probes on either side of it, beyond half
+the two probes' rounding bounds (``_Walk.error``); ``d_profile`` steps every
+row, ``rows @ P``, and checks each step.  So a violation surfaces as a bug rather than a wrong answer.
 Every power, rung and probe matrix is a sum of nonnegative products, so no
 distance is clamped; every continuized rung, product and row is checked to
 stay stochastic, and a square of E(1) that drifts past the check raises
@@ -376,19 +377,33 @@ def _checked(E: np.ndarray) -> np.ndarray:
 
 
 def matrix_exponential(Q, t: float) -> np.ndarray:
-    """expm(Q t) by ``scipy.linalg.expm``, the scaling and squaring algorithm of
-    Al-Mohy & Higham (SIAM J. Matrix Anal. Appl., 2009).
+    """expm(Q t) by uniformization (Jensen, 1953) with scaling and squaring
+    (Moler & Van Loan, SIAM Review 45, 2003), from the series of the
+    continuized rungs (``_series``, ``_horner``).
 
     Q must be a transition rate matrix, else BadParams: off-diagonal entries
     >= 0, each row summing to zero within ROW_SUM_TOL times the larger of the
     row's magnitude and 1 (the size of the P and I a P - I is formed from).
-    A Q t whose doubled induced 1-norm overflows is BadParams too.  The result
-    is then row-stochastic; this is verified before returning, and one that
-    lost it (squaring at very long times) raises IllConditioned.  No walk
-    calls it, so ``scipy.linalg`` is imported by a process's first call.
-    """
-    import scipy.linalg
+    A Q t whose doubled induced 1-norm overflows is BadParams too.  With q =
+    max |Q t|, U = I + Q t / q is nonnegative and expm(Q t) is U's E(q): the
+    series at r = q / 2^k <= 1, squared k times.  The series and each square
+    are checked to stay row-stochastic; one that lost it (squaring at very
+    long times) raises IllConditioned.
 
+    For n >= 2 and barring underflow, each row of the result lies within
+
+        gamma_(2^k (64 n + 1)) (1 + m) + m + 2^k 2^-60
+        + e^rho (q delta + gamma_2 ||Q t||_inf + u q)
+
+    of expm(Q t)'s in l1, u = 2^-53, rho >= 0 no less than any row sum of Q
+    t, and delta = U's ``_Walk.excess`` and m = expm1(q delta).  The first
+    line is ``_Walk.error`` for a product of 2^k factors, each one rung of
+    the float U: it bounds the distance from expm(q (S - I)), S = D^-1 U the
+    rows-normalised U.  The second bounds the distance from there to expm(Q
+    t), ||q (S - I) - Q t||_inf times the largest row sum of any expm(s Q t),
+    0 <= s <= 1: S is within delta of U, and q (U - I) within gamma_2 ||Q
+    t||_inf + u q of Q t.
+    """
     Q = _square(Q, "rate matrix", BadParams)
     t = _real(t, "time", BadParams)
     if t < 0.0:  # t = 0 is valid, so the open interval cannot say it
@@ -400,21 +415,54 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
     X = Q * t
     if not np.isfinite(2.0 * float(np.linalg.norm(X, 1))):
         raise BadParams(f"Q t overflows at t = {t!r}")
+    q = float(np.abs(X).max())
+    k = max(0, math.frexp(q)[1])
+    U = np.eye(n) + X / (q or 1.0)  # Q t = 0: U = I and r = 0, so exactly I
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan fails the check
-            return _checked(scipy.linalg.expm(X))
-    except AssertionError as lost:  # each squaring roughly doubles the row-sum error
+        E = _checked(_horner(_series(math.ldexp(q, -k)), U, _powers(U)))
+        for _ in range(k):  # each squaring roughly doubles the row-sum error
+            E = _checked(E @ E)
+        return E
+    except AssertionError as lost:
         raise IllConditioned(f"{lost} at t = {t!r}: too long a time for this rate matrix") from None
 
 
 def _series(s: float) -> np.ndarray:
-    """Weights c_k = e^-s s^k / k! of E(s) = sum_k c_k P^k (Jensen, 1953), 0 < s <= 1,
-    for k <= K, the first K with tail bound c_(K+1) / (1 - s / (K + 2)) < 2^-60
-    (K <= 19)."""
+    """Weights c_k = e^-s s^k / k! of E(s) = sum_k c_k P^k (Jensen, 1953), 0 <= s <= 1,
+    for k <= K, the first K >= 1 with tail bound c_(K+1) / (1 - s / (K + 2)) < 2^-60
+    (K <= 19).  K = 1 is forced only for s below about 2^-60, so never on the
+    ladder, whose s are multiples of 2^GRID_EXP."""
     c = [math.exp(-s)]
-    while c[-1] * s / len(c) >= 2.0**-60 * (1.0 - s / (len(c) + 1)):
+    while len(c) == 1 or c[-1] * s / len(c) >= 2.0**-60 * (1.0 - s / (len(c) + 1)):
         c.append(c[-1] * s / len(c))
     return np.array(c)
+
+
+def _powers(P: np.ndarray) -> np.ndarray:
+    """P^2 .. P^8, in one (7, n, n) array."""
+    n = len(P)
+    powers = np.empty((7, n, n))
+    for k in range(7):
+        np.matmul(powers[k - 1] if k else P, P, out=powers[k])
+    return powers
+
+
+def _horner(c: np.ndarray, P: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """sum_k c_k P^k, for the weights c of ``_series`` and P's ``_powers``, in
+    Horner form in P^8 (Paterson & Stockmeyer, 1973).  With P >= 0 no term
+    is negative, so nothing cancels.  Only K > 8 (s above about 2^-5)
+    multiplies by P^8, K > 16 twice."""
+    n, E = len(P), None
+    flat = powers.reshape(7, n * n)
+    for j in reversed(range(1, len(c), 8)):  # E = B_1 + P^8 (B_9 + P^8 (B_17 + ...)) + c_0 I
+        w = c[j : j + 8]  # B_j = c_j P + ... + c_(j+7) P^8
+        B = (w[1:] @ flat[: len(w) - 1]).reshape(n, n)
+        B += w[0] * P
+        if E is not None:
+            B += powers[6] @ E
+        E = B
+    E.ravel()[:: n + 1] += c[0]
+    return E
 
 
 class _Ladder(_Walk):
@@ -423,18 +471,16 @@ class _Ladder(_Walk):
     times up to ``MAX_CONTINUOUS_TIME``, and time 0 counts: a start already
     within eps answers 0.0 (``_Walk.time``).
 
-    Holds the powers P^2 .. P^8 in one (7, n, n) array, from which every
-    rung E(s) with s <= 1 is ``_series(s)`` (K <= 19) in Horner form in
-    P^8 (Paterson & Stockmeyer, 1973), with no negative term, so nothing
-    cancels, no entry is subnormal and no distance needs a clamp.  Only s
-    above about 2^-5 (K > 8) multiplies by P^8, s near 1 twice.  The unit
-    rung E(1) = ``rung(1.0)`` is made once; rungs above 1 are its squares,
-    and inside a bracket of width 1 a worst-start probe multiplies by the
-    series rung E(s) until its live starts are few, and then, as a probe
-    from x does, sums rows (``from_lo``).  Every
-    rung, product and row is checked to stay stochastic; a square of E(1),
-    or a product or row that carries one, that lost it raises
-    IllConditioned (``checked``).
+    Holds P's ``_powers``, from which every rung E(s) with s <= 1 is
+    ``_series(s)`` (K <= 19) summed by ``_horner``, with no negative term,
+    so nothing cancels, no entry is subnormal and no distance needs a
+    clamp.  The unit rung E(1) = ``rung(1.0)`` is made once; rungs above 1
+    are its squares, and inside a bracket of width 1 a worst-start probe
+    multiplies by the series rung E(s) until its live starts are few, and
+    then, as a probe from x does, sums rows (``from_lo``).  Every rung,
+    product and row is checked to stay stochastic; a square of E(1), or a
+    product or row that carries one, that lost it raises IllConditioned
+    (``checked``).
     """
 
     two, unit, rounding, cap, zero = 2.0, "time unit", (23, 64, 2.0**-60), MAX_CONTINUOUS_TIME, True
@@ -445,12 +491,7 @@ class _Ladder(_Walk):
 
     @functools.cached_property
     def powers(self) -> np.ndarray:
-        """P^2 .. P^8, in one (7, n, n) array."""
-        P, n = self.chain.P, self.chain.n
-        powers = np.empty((7, n, n))
-        for k in range(7):
-            np.matmul(powers[k - 1] if k else P, P, out=powers[k])
-        return powers
+        return _powers(self.chain.P)
 
     def width(self, hi: float) -> float:
         return BISECTION_REL * max(1.0, hi)
@@ -464,17 +505,7 @@ class _Ladder(_Walk):
 
     def rung(self, s: float) -> np.ndarray:
         """E(s) for 0 < s <= 1, a checked series rung."""
-        P, n, c = self.chain.P, self.chain.n, _series(s)
-        powers, E = self.powers.reshape(7, n * n), None
-        for j in reversed(range(1, len(c), 8)):  # E = B_1 + P^8 (B_9 + P^8 (B_17 + ...)) + c_0 I
-            w = c[j : j + 8]  # B_j = c_j P + ... + c_(j+7) P^8
-            B = (w[1:] @ powers[: len(w) - 1]).reshape(n, n)
-            B += w[0] * P
-            if E is not None:
-                B += self.powers[6] @ E
-            E = B
-        E.ravel()[:: n + 1] += c[0]
-        return _checked(E)
+        return _checked(_horner(_series(s), self.chain.P, self.powers))
 
     def from_lo(self, r: np.ndarray | None, x):
         """s -> rows x of M(lo + s) for 0 < s <= 1, x a start or an array of

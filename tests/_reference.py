@@ -116,3 +116,10 @@ def conductance(chain) -> tuple:
             best_asym = min(best_asym, cross / pi_c)
     return min(cuts.values()), best_asym, cuts
 
+
+def exponential(Q, t) -> list:
+    """expm(Q t) at 40 digits, as rows of mpf, for a float matrix Q and a
+    float time t, which mpmath holds exactly: mpmath's Taylor scaling and
+    squaring, which widens its working precision with the norm of Q t."""
+    ctx = _context()
+    return ctx.expm(ctx.matrix([[ctx.mpf(float(q)) for q in row] for row in Q]) * ctx.mpf(float(t))).tolist()

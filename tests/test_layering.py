@@ -1,9 +1,14 @@
 """The package's import layering, read from the source with ``ast``."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mixbounds"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mixbounds"
 #: the modules below ``bounds`` and ``cli``, which import neither
 LOWER = {"chains", "errors", "mixing", "spectral", "flows"}
 
@@ -191,14 +196,38 @@ def test_only_kept_reads_or_writes_a_chains_store():
     assert found == {("chains", "__init__"), ("chains", "_kept")}, sorted(found)
 
 
-def test_only_matrix_exponential_imports_scipy():
-    """Importing the package, loading a chain and routing a canonical flow
-    need numpy alone: no module imports scipy at module level, and only
-    ``matrix_exponential`` imports it, inside itself."""
-    def imports_scipy(node) -> bool:
-        names = ([node.module or ""] if isinstance(node, ast.ImportFrom) else
-                 [alias.name for alias in node.names] if isinstance(node, ast.Import) else [])
-        return any(name.partition(".")[0] == "scipy" for name in names)
+def _top_level_imports(node) -> list[str]:
+    """The top-level package of each absolute import a node makes."""
+    names = ([node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else
+             [alias.name for alias in node.names] if isinstance(node, ast.Import) else [])
+    return [name.partition(".")[0] for name in names]
 
-    found = _where(imports_scipy)
-    assert found == {("mixing", "matrix_exponential")}, sorted(found)
+
+def test_no_module_imports_scipy():
+    """The package needs numpy alone: no module imports scipy, at module
+    level or inside a function."""
+    found = _where(lambda node: "scipy" in _top_level_imports(node))
+    assert not found, sorted(found)
+
+
+def _requirements(specs: list[str]) -> set[str]:
+    """The distribution names of requirement specifiers such as ``numpy>=1.24``."""
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in specs}
+
+
+def test_the_manifest_lists_numpy_alone_at_run_time_and_every_test_import():
+    """``pyproject.toml`` names numpy as the one runtime dependency, and every
+    third-party package a test module imports is a runtime dependency or in
+    the ``test`` extra, so the manifest cannot drift from the imports."""
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    runtime = _requirements(project["dependencies"])
+    assert runtime == {"numpy"}
+    listed = runtime | _requirements(project["optional-dependencies"]["test"])
+    tests = list((ROOT / "tests").glob("*.py"))
+    local = {path.stem for path in tests} | {"mixbounds"}
+    imported = {name for path in tests for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                for name in _top_level_imports(node)}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"numpy", "pytest", "hypothesis", "scipy", "mpmath"} <= third_party
+    assert third_party <= listed, sorted(third_party - listed)
