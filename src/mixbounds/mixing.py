@@ -9,12 +9,13 @@ E(1), with no ``expm``.  One series serves the ladder and
 ``matrix_exponential``, which sums it for the uniformized Q t and squares
 the sum.  The walk doubles until the distance is within eps, then narrows
 the bracket (lo, hi] in one loop, by the next square down while it is wider
-than 1 and then, on the continuized clock, by a regula falsi kept within
-bisection's probe count (the ITP method), each probe there from x one row's
-series, and from the worst start, once the starts still above eps at lo are
-few, the series of their rows alone.  A walk keeps its squares M(2^e)
-across its queries for its life, so each is made once (``bounds._Derived``
-holds one walk at a time).  Every result carries its bracket: above eps at
+than 1 and then, on the continuized clock, by a regula falsi on ln(d / eps)
+kept within one probe more than bisection's count (the ITP method, with one
+probe of slack), each probe there from x one row's series, and from the
+worst start, once the starts still above eps at lo are few, the series of
+their rows alone.  A walk keeps its squares M(2^e) across its queries for
+its life, so each is made once (``bounds._Derived`` holds one walk at a
+time).  Every result carries its bracket: above eps at
 lo, within it at hi.  Every start's distance is kept at each full probe and
 checked not to rise across the kept probes on either side of it, beyond half
 the two probes' rounding bounds (``_Walk.error``); ``d_profile`` steps every
@@ -54,8 +55,11 @@ MAX_CONTINUOUS_TIME = 2**20
 GRID_EXP = -33
 #: each such probe moves from the regula falsi point toward the midpoint by
 #: this times the squared bracket, in time units, at most to the midpoint
-#: (Oliveira & Takahashi's kappa_1, with kappa_2 = 2)
-TRUNCATION = 0.1
+#: (Oliveira & Takahashi's kappa_1, with kappa_2 = 2).  As d falls about
+#: exponentially, the regula falsi on ln(d / eps) lands near the crossing,
+#: and a small truncation keeps it there: 0.001 to 0.01 make the same probes
+#: on the bench's chains, and 0.025 and above make more
+TRUNCATION = 0.01
 
 
 def _check_eps(eps: float) -> float:
@@ -120,12 +124,15 @@ def _distances(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
 def _check_rise(kept: dict[float, np.ndarray], t: float, error, unit: str = "step") -> None:
     """Check the distances at the new probe t against the kept probes on
     either side of it: no start's distance may rise by more than
-    ``MONOTONE_TOL`` plus half the two probes' rounding bounds ``error``."""
+    ``MONOTONE_TOL`` plus half the two probes' rounding bounds ``error``.
+    Each start is compared only where the largest rise passes half that
+    tolerance, or is nan: as the tolerance is at least 1e-12, far above the
+    rounding of a distance of about 1, no rise past it is missed."""
     times = sorted(kept)
     i = times.index(t)  # >= 1, as t > 0 and time 0 is kept
     for s, u in zip(times[i - 1 : i + 1], times[i : i + 2]):
-        risen = kept[u] > kept[s] + (MONOTONE_TOL + 0.5 * (error(s) + error(u)))
-        if risen.any():
+        tol = MONOTONE_TOL + 0.5 * (error(s) + error(u))
+        if not (kept[u] - kept[s]).max() <= 0.5 * tol and (risen := kept[u] > kept[s] + tol).any():
             j = int(risen.argmax())
             raise AssertionError(f"TV to stationarity increased at {unit} {u} (from {unit} {s}): "
                                  f"{float(kept[s][j])!r} -> {float(kept[u][j])!r}")
@@ -192,11 +199,14 @@ class _Walk:
     wider than ``width(hi)``, each pass a probe at lo + s: s = 2^e, the next
     square down, while the bracket is wider than 1, and in a bracket of width
     1, only ever on the continuized clock, the ITP step (Oliveira &
-    Takahashi, ACM TOMS 47, 2020): the regula falsi point on d - eps, moved
-    toward the midpoint by ``TRUNCATION`` times the squared bracket and
-    projected into the widest window from which the probes that bisection
-    would still make can bisect what is left (``bisections``), and at least
-    half the width inside the bracket.  So no query makes more probes than
+    Takahashi, ACM TOMS 47, 2020): the regula falsi point on ln(d / eps),
+    which d_x(t), a sum of decaying exponentials, makes nearly linear
+    (Levin, Peres & Wilmer, 2017, ch. 12 and 20), or on d - eps where d is
+    0 at hi; moved toward the midpoint by ``TRUNCATION`` times the squared
+    bracket and projected into the widest window from which the probes that
+    bisection would still make, and one more (the slack n0 = 1), can bisect
+    what is left (``bisections``, once per hi), and at least half the width
+    inside the bracket.  So no query makes more than one probe more than
     bisection would.  Each probe M(lo + s) = M(lo) R, R the square M(s) or
     the series rung E(s), is one product, formed only when its distance is
     new or it becomes the new lo: R itself while lo = 0, n x n for the worst
@@ -226,13 +236,15 @@ class _Walk:
         self.rungs: list[np.ndarray] = []  # rungs[e] = M(2^e), made once, kept for the walk's life
         drift = float(np.abs(chain.P.sum(axis=1) - 1.0).max())  # a computed sum is within gamma_n of the exact one
         self.excess = drift + _gamma(chain.n) * (1.0 + drift)
+        self.errors: dict[float, float] = {}  # error(t), once per probe time
 
     def error(self, t: float) -> float:
         """A bound on the l1 distance of any row of any probe the walk makes
         at t from that row of S(t), the clock's M(t) for the stochastic S =
-        D^-1 P, D = diag(P 1) the float P's exact row sums.  A start's
-        computed distance is so within error(t) / 2 of its distance under
-        S, which never rises but by pi's own non-stationarity.
+        D^-1 P, D = diag(P 1) the float P's exact row sums, made once per t
+        (``errors``).  A start's computed distance is so within error(t) / 2
+        of its distance under S, which never rises but by pi's own
+        non-stationarity.
 
         P's row sums lie within delta = ``excess`` of 1, so (1 - delta)^k
         S^k <= P^k <= (1 + delta)^k S^k, and a row of M(t) lies within m =
@@ -245,15 +257,18 @@ class _Walk:
         its exact value by at most ``tail`` of its mass: ``rounding`` = (c,
         k, tail).  Discrete: t factors P, so (0, 1, 0).  Continuized: at
         most t factors E(1) and one series rung per probe inside width 1,
-        at most 20 (``bisections``); a rung sums c_j P^j, j <= 19, through
-        at most 19 products of length n and 70 further roundings (three
-        weighted sums of at most 8 terms, their additions and the weights'
-        own 2 j + 1), and 20 n + 70 <= 64 n + 1 for n >= 2; its tail is
-        below 2^-60 (``_series``): (23, 64, 2^-60).
+        at most 21 (``bisections``, and one probe of slack), and c = 23
+        covers them and the rung of a full probe at hi; a rung sums c_j
+        P^j, j <= 19, through at most 19 products of length n and 70
+        further roundings (three weighted sums of at most 8 terms, their
+        additions and the weights' own 2 j + 1), and 20 n + 70 <= 64 n + 1
+        for n >= 2; its tail is below 2^-60 (``_series``): (23, 64, 2^-60).
         """
-        c, k, tail = self.rounding
-        m = math.expm1(t * self.excess)
-        return _gamma((t + c) * (k * self.chain.n + 1)) * (1.0 + m) + m + (t + c) * tail
+        if t not in self.errors:
+            c, k, tail = self.rounding
+            m = math.expm1(t * self.excess)
+            self.errors[t] = _gamma((t + c) * (k * self.chain.n + 1)) * (1.0 + m) + m + (t + c) * tail
+        return self.errors[t]
 
     def bisections(self, hi: float) -> int:
         """The fewest probes that bisecting a bracket of width 1, around a
@@ -307,7 +322,7 @@ class _Walk:
             e += 1
         # the answer lies in (lo, hi], where t > cap counts as within eps; a
         # doubling that ends at the cap above eps leaves nothing to narrow
-        hi, M_lo, at, made = two**e, None, None, 0  # M_lo = M(lo), or its live rows; None while lo = 0
+        hi, M_lo, at, made, budget_hi = two**e, None, None, 0, None  # M_lo = M(lo), or its live rows; None while lo = 0
         lo = hi if hi == cap and probe(hi, None) > eps else 0
         while hi - lo > self.width(hi):
             span = hi - lo
@@ -316,11 +331,14 @@ class _Walk:
                 s, R = two**e, rungs[e]
             else:  # only on the continuized clock: an ITP step
                 w = _on_grid(self.width(lo))  # the final hi's width is at least this
-                most = math.ldexp(w, self.bisections(hi) - made - 1)  # what the other probes can bisect
+                if hi != budget_hi:
+                    budget_hi, budget = hi, self.bisections(hi)
+                most = math.ldexp(w, budget - made)  # what the other probes, and one more, can bisect
                 s, made = span / 2, made + 1
-                if span <= 2 * most:  # regula falsi, truncated toward the midpoint and projected
+                if span <= 2 * most:  # regula falsi on ln(d / eps), truncated toward the midpoint and projected
                     d_lo, d_hi = probe(lo, None), probe(hi, None)
-                    s_f = span * (d_lo - eps) / (d_lo - d_hi)
+                    s_f = span * (math.log(d_lo / eps) / math.log(d_lo / d_hi) if d_hi > 0 else
+                                  (d_lo - eps) / (d_lo - d_hi))
                     s_t = s_f + math.copysign(min(TRUNCATION * span * span, abs(s - s_f)), s - s_f)
                     half = _on_grid(w / 2)
                     s = min(max(_on_grid(s_t), span - most, half), most, span - half)
@@ -388,7 +406,12 @@ def matrix_exponential(Q, t: float) -> np.ndarray:
     max |Q t|, U = I + Q t / q is nonnegative and expm(Q t) is U's E(q): the
     series at r = q / 2^k <= 1, squared k times.  The series and each square
     are checked to stay row-stochastic; one that lost it (squaring at very
-    long times) raises IllConditioned.
+    long times) raises IllConditioned.  Each square about doubles the
+    row-sum error, and this squares about two times more than a Pade
+    ``expm`` (Higham, 2005) would, so it raises about one doubling of t
+    sooner: on random_reversible(20, 1).P - I from t = 2^24, where such an
+    ``expm`` (scipy's) keeps its row sums within 1e-9 up to 2^24 and loses
+    them from 2^25.
 
     For n >= 2 and barring underflow, each row of the result lies within
 
@@ -538,9 +561,9 @@ def continuous_mixing_time(chain: Chain, x, eps) -> MixingResult:
     ``x`` is as for ``discrete_mixing_time``, and the time is found by the
     same walk over the rungs E(s) (``_Ladder``): doubling until the
     distance is within eps, bisection down to a bracket of width 1, and
-    then regula falsi steps kept within bisection's probe count (the ITP
-    method) until the bracket is at most 1e-6 wide (relative for large
-    times).  The returned time is the safe side of the bracket, which the
+    then regula falsi steps on ln(d / eps), at most one more than
+    bisection would make (the ITP method with one probe of slack), until
+    the bracket is at most 1e-6 wide (relative for large times).  The returned time is the safe side of the bracket, which the
     result carries, and 0.0 when the start is already within eps.  Raises
     NoConvergence, naming the distance there, if it still exceeds eps at
     ``MAX_CONTINUOUS_TIME``.  A query makes each rung once and holds at

@@ -259,10 +259,10 @@ def _bytes_of_products(monkeypatch, chain):
 #: ``same``, the report's target is the base object itself, compared over a
 #: canonical flow with the delta sweep
 REPORT_MATRICES = {
-    "lazy cycle(100) from 3": (lambda: _lazy_cycle(100), 3, False, 46, 35),
-    "rr(40, 1) from 0": (lambda: random_reversible(40, 1), 0, False, 18, 1),
-    "dhn(16) from 0": (lambda: dhn(16), 0, False, 29, 12),
-    "lazy cycle(30) from 3, target is base": (lambda: _lazy_cycle(30), 3, True, 35, 44),
+    "lazy cycle(100) from 3": (lambda: _lazy_cycle(100), 3, False, 40, 35),
+    "rr(40, 1) from 0": (lambda: random_reversible(40, 1), 0, False, 15, 1),
+    "dhn(16) from 0": (lambda: dhn(16), 0, False, 22, 12),
+    "lazy cycle(30) from 3, target is base": (lambda: _lazy_cycle(30), 3, True, 32, 44),
 }
 
 
@@ -308,6 +308,37 @@ def test_worst_start_queries_make_at_most_60_percent_of_the_bisection_probes(mon
         passes.clear()
         walk.time(None, eps)
         assert passes["passes"] <= 0.6 * most, eps
+
+
+#: distance passes of two queries (x, eps) on a fresh walk of each clock,
+#: its doubling included: (discrete, continuized), one count per query
+PINNED_PASSES = {
+    "rr(12, 1)": (lambda: random_reversible(12, 1), [(None, 0.25), (0, DELTA_DEFAULT)], (1, 1), (7, 7)),
+    "dhn(8)": (lambda: dhn(8), [(None, 0.1), (5, 0.25)], (8, 8), (12, 11)),
+    "lazy cycle(30)": (lambda: _lazy_cycle(30), [(3, 0.05), (None, DELTA_DEFAULT)], (16, 14), (19, 18)),
+    "doubly_stochastic(9, 4)": (lambda: doubly_stochastic(9, 4), [(None, DELTA_DEFAULT), (2, 0.1)], (6, 6), (10, 10)),
+    "rr(100, 2)": (lambda: random_reversible(100, 2), [(None, 0.25), (50, 0.05)], (2, 4), (8, 9)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PASSES))
+def test_each_clock_makes_its_pinned_distance_passes(monkeypatch, case):
+    """The probe counts of a few queries on each clock: a change to the
+    walk's bookkeeping leaves them as they are, and a change to its probes
+    shows here first."""
+    make, queries, *want = PINNED_PASSES[case]
+    chain = make()
+    passes = _count_distance_passes(monkeypatch)
+    got = []
+    for clock in (mixing._Powers, mixing._Ladder):
+        counts = []
+        for x, eps in queries:
+            walk = clock(chain)
+            passes.clear()
+            walk.time(x, eps)
+            counts.append(passes["passes"])
+        got.append(tuple(counts))
+    assert got == want
 
 
 SWEEP_EPS = (0.01, 0.05, 0.1, 0.2, DELTA_DEFAULT, 0.25, 0.45)

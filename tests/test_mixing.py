@@ -334,6 +334,54 @@ def test_a_rise_between_probes_names_both_probes():
         discrete_mixing_time(chain, "a", 0.001)
 
 
+def _rise_per_start(kept, t, error, unit="step"):
+    """The rise check with no prefilter: every start compared on either side."""
+    times = sorted(kept)
+    i = times.index(t)
+    for s, u in zip(times[i - 1 : i + 1], times[i : i + 2]):
+        risen = kept[u] > kept[s] + (MONOTONE_TOL + 0.5 * (error(s) + error(u)))
+        if risen.any():
+            j = int(risen.argmax())
+            raise AssertionError(f"TV to stationarity increased at {unit} {u} (from {unit} {s}): "
+                                 f"{float(kept[s][j])!r} -> {float(kept[u][j])!r}")
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except AssertionError as rise:
+        return str(rise)
+    return None
+
+
+@pytest.mark.parametrize("error", [lambda t: 0.0, lambda t: 3e-11 * t], ids=["no rounding", "rounding"])
+def test_the_rise_prefilter_raises_exactly_where_every_start_is_compared(error):
+    """``_check_rise`` first compares the largest rise with half the
+    tolerance: on distances at and just past the tolerance, with a nan, and
+    with a rise on either side of the new probe, it raises exactly where the
+    per-start comparison does, with the same message."""
+    raised = 0
+    for d in (0.0, 1e-9, 0.3, 0.5, 0.999):
+        for left in (True, False):
+            s, u = (1, 2) if left else (2, 3)  # the new probe is 2; a rise from 1 to 2, or from 2 to 3
+            tol = MONOTONE_TOL + 0.5 * (error(s) + error(u))
+            at = d + tol  # fl(d + tol): the largest distance that does not rise
+            for risen in (at, np.nextafter(at, 1.0), d + 0.4 * tol, d + 0.6 * tol, d + 2 * tol, np.nan):
+                for other in (d, np.nan, np.nextafter(at, 1.0)):
+                    kept = {t: np.full(3, d) for t in (0, 1, 2, 3)}
+                    kept[0][:] = 0.9
+                    kept[u][1], kept[u][2] = risen, other
+                    want = _raised(_rise_per_start, kept, 2, error, "time unit")
+                    assert _raised(mixing._check_rise, kept, 2, error, "time unit") == want
+                    raised += want is not None
+    assert raised > 0
+    # a nan is no rise, but it does not hide one beside it
+    kept = {0: np.ones(2), 1: np.full(2, 0.3), 2: np.full(2, 0.3), 3: np.array([np.nan, 0.300000000002])}
+    with pytest.raises(AssertionError, match=r"^TV to stationarity increased at step 3 \(from step 2\): "
+                                             r"0\.3 -> 0\.300000000002$"):
+        mixing._check_rise(kept, 2, lambda t: 0.0)
+
+
 def test_matrix_exponential_identity_and_closed_form():
     chain = two_state(0.25)
     Q = chain.P - np.eye(2)
@@ -401,8 +449,9 @@ def test_matrix_exponential_at_too_long_a_time_is_ill_conditioned():
 
 
 def test_matrix_exponential_overflow_inside_expm_is_ill_conditioned():
-    # Q t is finite, but expm's squarings overflow to inf and nan, which the
-    # stochasticity check rejects without a warning
+    # Q t is finite, but the series is squared so often that its row sums
+    # drift past 1e-9: the check on the first such square raises, long
+    # before any entry could overflow, and with no warning
     Q = random_reversible(20, 1).P - np.eye(20)
     for t in (1e20, 1e50, 1e100, 1e300):
         with pytest.raises(IllConditioned, match="lost stochasticity"):
@@ -483,6 +532,44 @@ def test_continuous_mixing_two_state_closed_form():
         want = math.log(1.0 / (2 * eps)) / (2 * (1 - delta))
         got = continuous_mixing_time(chain, "a", eps).time
         assert abs(got - want) <= 2e-6
+
+
+@pytest.mark.parametrize("delta, eps", [(0.01, DELTA), (0.1, 0.4), (0.25, 0.25), (0.5, 0.01), (0.75, 0.4)])
+def test_the_itp_steps_on_an_exponential_distance_take_at_most_five_row_probes(monkeypatch, delta, eps):
+    """From a, two_state(delta)'s continuized distance is exactly
+    exp(-2 (1 - delta) t) / 2, so the regula falsi on ln(d / eps) lands on
+    the crossing up to the truncation: the probes inside the bracket of
+    width 1, each a row (at times that are no integer), are at most five,
+    and the closed form lies in the bracket."""
+    inside, check_rise = [], mixing._check_rise
+
+    def check(kept, t, error, unit="step"):
+        if t != math.floor(t):
+            inside.append(len(kept[t]))
+        check_rise(kept, t, error, unit)
+
+    monkeypatch.setattr(mixing, "_check_rise", check)
+    res = continuous_mixing_time(two_state(delta), "a", eps)
+    want = math.log(1.0 / (2 * eps)) / (2 * (1 - delta))
+    assert res.bracket[0] < want <= res.bracket[1]
+    assert inside and len(inside) <= 5 and set(inside) == {1}
+
+
+def test_a_distance_of_zero_at_hi_takes_the_linear_regula_falsi(monkeypatch):
+    """ln(d / eps) has no value where d is 0: there the ITP step
+    interpolates d - eps.  Distances within eps read 0 here, so every hi
+    inside the bracket of width 1 has d = 0, and the crossing stays where
+    it was."""
+    distances = mixing._distances
+
+    def within_eps_is_zero(rows, pi):
+        d = distances(rows, pi)
+        d[d <= 0.1] = 0.0
+        return d
+
+    monkeypatch.setattr(mixing, "_distances", within_eps_is_zero)
+    res = continuous_mixing_time(two_state(0.5), "a", 0.1)
+    assert res.bracket[0] < math.log(5.0) <= res.bracket[1] and res.achieved_tv == 0.0
 
 
 def test_continuous_mixing_boundary_zero():
