@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .chains import Chain, _kept, _require, _reversal_product, classify, lazy
-from .errors import BadDelta, BadParams, MixboundsError, NoConvergence, WrongFlowBase, _real
+from .errors import BadDelta, BadParams, IllConditioned, MixboundsError, NoConvergence, WrongFlowBase, _real
 from .flows import Flow, _worst_edge, validate_flow
 from .mixing import MAX_CONTINUOUS_TIME, _Ladder, _Powers, _check_eps
 from .spectral import MAX_CONDUCTANCE_STATES, _gaps, _spectrum, conductance
@@ -277,15 +277,17 @@ class _Derived:
             return self.target if self.target is not None and _same_chain(made, self.target) else made
         return self._get((chain, "lazy"), make)
 
-    def _time(self, chain: Chain, clock: str, make, x, eps: float, cap: float | None = None):
+    def _time(self, chain: Chain, clock: str, make, x, eps: float):
         """The chain's time on a clock: kept on the chain for the worst start
         at 1/(2e), in the memo for any other query, or else from the call's
-        one walk, which a query on another chain or clock first replaces.  A
-        walk past ``cap`` (the clock's own if None) raises NoConvergence."""
+        one walk, which a query on another chain or clock first replaces.
+        Every walk runs to its clock's cap, so the key (chain, clock, x, eps)
+        describes each kept answer; one past the cap raises NoConvergence,
+        which is not kept."""
         def compute():
             if self._walk[:2] != (chain, clock):
                 self._walk = (chain, clock, make(chain))
-            return self._walk[2].time(x, eps, cap).time
+            return self._walk[2].time(x, eps).time
         if x is None and eps == DELTA_DEFAULT:
             return _kept(chain, (clock, eps), compute)
         return self._get((chain, clock, x, eps), compute)
@@ -306,13 +308,15 @@ class _Derived:
         diagonal, by the rounding of 1 + P(x, x), at most 2^-54 an entry,
         which moves a distance at time t by about t 2^-54 at most, far inside
         the walk's rounding bound (``mixing._Walk.error``).  The base's time
-        is asked with half the clock's cap: past it, the lazy chain's own
-        ladder answers, so a time past the cap raises its own NoConvergence.
+        is doubled only if it is at most half the clock's cap.  Past that,
+        the lazy chain's own ladder answers, and so it does where the base's
+        walk raises: past the cap, or where a square past half the cap
+        drifts from stochastic.  So a lazy time past the cap raises the lazy
+        chain's own error.
         """
         if chain is not self.base and chain is self.lazy(self.base):
-            cap = MAX_CONTINUOUS_TIME / 2
-            with suppress(NoConvergence):
-                if (half := self._time(self.base, "ladder", _Ladder, x, eps, cap)) <= cap:
+            with suppress(NoConvergence, IllConditioned):
+                if (half := self._time(self.base, "ladder", _Ladder, x, eps)) <= MAX_CONTINUOUS_TIME / 2:
                     return 2.0 * half
         return self._time(chain, "ladder", _Ladder, x, eps)
 

@@ -59,7 +59,8 @@ class IllConditioned(MixboundsError):
 
 
 class NoConvergence(MixboundsError):
-    """An iteration hit its step cap (near-periodicity, or a hopeless tolerance)."""
+    """A mixing time passed its clock's cap of 2^20 steps or time units
+    (near-periodicity, or a hopeless tolerance)."""
 
 
 class BadEpsilon(MixboundsError):

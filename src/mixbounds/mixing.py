@@ -37,14 +37,16 @@ import numpy as np
 from .chains import ROW_SUM_TOL, Chain, _require
 from .errors import BadEpsilon, BadParams, IllConditioned, NoConvergence, _count, _finite, _real, _square, _vector
 
-MAX_DISCRETE_STEPS = 1_000_000
+#: discrete doubling stops here, at the same power of two as the continuized
+#: clock's, so the doubling ends exactly at the cap
+MAX_DISCRETE_STEPS = 2**20
 MAX_PROFILE_STEPS = 10_000
 #: a distance may rise between probes by this plus half the two probes'
 #: rounding bounds (``_Walk.error``): the floor for pi's own non-stationarity
 #: and for the rounding of the distance sums
 MONOTONE_TOL = 1e-12
 BISECTION_REL = 1e-6
-#: continuized doubling stops here (about MAX_DISCRETE_STEPS).  Squaring the
+#: continuized doubling stops here (as MAX_DISCRETE_STEPS).  Squaring the
 #: series E(1) first loses stochasticity at 2^23 on random_reversible(200, 1)
 #: (2^23 .. 2^28 on 14 chains of 2 .. 200 states), but on chains of two
 #: blocks of 70 and 100 states that swap rarely, E(2^20) drifts 1.1e-9 to
@@ -103,7 +105,11 @@ class MixingResult:
     ``time``: the distance exceeds epsilon at lo, unless lo is 0.  It is
     (t - 1, t) for a discrete time, at most ``BISECTION_REL`` max(1, hi)
     wide for a continuized one, and (0.0, 0.0) for a start already within
-    epsilon.
+    epsilon.  A discrete achieved_tv read from the squares P^(2^e) carries a
+    relative error that grows like t 2^-53, as each square's rounding is
+    raised to the power t / 2^e: 2.5e-11 at t = 195,600 on
+    two_state(1e-5) against a 50-digit value of the float P's power, where
+    one-step iteration is within 2.9e-14.  ``_Walk.error(t)`` bounds it.
     """
 
     from_state: int | None
@@ -138,21 +144,19 @@ def _check_rise(kept: dict[float, np.ndarray], t: float, error, unit: str = "ste
                                  f"{float(kept[s][j])!r} -> {float(kept[u][j])!r}")
 
 
-def discrete_mixing_time(chain: Chain, x, eps, max_steps: int = MAX_DISCRETE_STEPS) -> MixingResult:
+def discrete_mixing_time(chain: Chain, x, eps) -> MixingResult:
     """Smallest t > 0 with TV(P^t(x, .), pi) <= eps.
 
     ``x`` may be a state index/label, or None for the worst case over all
     starting states.  Either is found by doubling and bisection over the
     powers P^(2^e) (``_Powers``), in about 2 log2(t) products.  Raises
-    NoConvergence if the time exceeds ``max_steps``, which signals
-    near-periodicity or an epsilon below reach; the message reads the
-    distance at ``max_steps``.  ``max_steps`` is a count of at least 1, as
-    time 0 does not count (else BadParams).
+    NoConvergence if the time exceeds ``MAX_DISCRETE_STEPS`` = 2^20, which
+    signals near-periodicity or an epsilon below reach; the message reads
+    the distance there, reached by 20 squares and no other product.
     """
     eps = _check_eps(eps)
-    max_steps = _count(max_steps, "max_steps", BadParams, least=1)
     _require(chain, "ergodic", "discrete mixing time")
-    return _Powers(chain).time(None if x is None else chain.index(x), eps, max_steps)
+    return _Powers(chain).time(None if x is None else chain.index(x), eps)
 
 
 def d_profile(chain: Chain, t_max: int) -> list[float]:
@@ -188,17 +192,18 @@ class _Walk:
     """Mixing times of one chain on one clock, from a start or the worst one,
     and every start's distance at each full probe.  A subclass gives what
     differs between the clocks: the unit rung M(1), the bracket's width, the
-    check on each product, the type and unit of its times, its cap and
-    whether time 0 counts (``cap``, ``zero``), and on the continuized clock
-    the probes inside a bracket of width 1 (``from_lo``).
+    check on each product, the type and unit of its times, its cap (2^20 on
+    either clock) and whether time 0 counts (``cap``, ``zero``), and on the
+    continuized clock the probes inside a bracket of width 1 (``from_lo``).
 
     d_x(t) = TV(M(t)(x, .), pi) never rises for any start x, and so neither
     does the worst start's (Levin, Peres & Wilmer, 2017, section 4.4).  So a
     query squares the unit rung until its distance at 2^e is <= eps or 2^e
-    >= the cap, then narrows the bracket (lo, hi] in one loop while it is
-    wider than ``width(hi)``, each pass a probe at lo + s: s = 2^e, the next
-    square down, while the bracket is wider than 1, and in a bracket of width
-    1, only ever on the continuized clock, the ITP step (Oliveira &
+    is the cap, where a distance above eps raises NoConvergence at once.
+    Else it narrows the bracket (lo, hi] in one loop while it is wider than
+    ``width(hi)``, each pass a probe at lo + s: s = 2^e, the next square
+    down, while the bracket is wider than 1, and in a bracket of width 1,
+    only ever on the continuized clock, the ITP step (Oliveira &
     Takahashi, ACM TOMS 47, 2020): the regula falsi point on ln(d / eps),
     which d_x(t), a sum of decaying exponentials, makes nearly linear
     (Levin, Peres & Wilmer, 2017, ch. 12 and 20), or on d - eps where d is
@@ -210,8 +215,8 @@ class _Walk:
     bisection would.  Each probe M(lo + s) = M(lo) R, R the square M(s) or
     the series rung E(s), is one product, formed only when its distance is
     new or it becomes the new lo: R itself while lo = 0, n x n for the worst
-    start, and from x, once lo > 0, row x of M(lo) times R (1 x n by n x n);
-    from x in a bracket of width 1 it is a row of the series at lo
+    start, and from x, once lo > 0, the rows [x] of M(lo) times R (1 x n by
+    n x n); from x in a bracket of width 1 it is the series of those rows
     (``from_lo``).  From the worst start there, only the live starts A =
     {x : d_x(lo) > eps} can cross eps in (lo, hi], as no d_x rises; so once
     their rows cost fewer flops than full probes (``live``), A is fixed for
@@ -287,17 +292,18 @@ class _Walk:
         A = np.flatnonzero(d > eps)
         return A if 20 * len(A) <= 3 * len(d) else None
 
-    def time(self, x: int | None, eps: float, cap: float | None = None) -> MixingResult:
+    def time(self, x: int | None, eps: float) -> MixingResult:
         """Smallest t in (0, cap] on the clock's grid with TV <= eps from state
-        index x (None: the worst start), with its bracket; past the cap,
-        NoConvergence names the cap and the distance there.  The cap is the
-        clock's own (``cap``) unless one is given.  On a clock that counts
-        time 0 (``zero``), a start already within eps answers 0.0 with
-        bracket (0.0, 0.0)."""
-        n, pi, two, cap = self.chain.n, self.chain.pi, self.two, self.cap if cap is None else cap
-        if self.zero and (tv := float(self.tvs[0].max() if x is None else self.tvs[0][x])) <= eps:
+        index x (None: the worst start), with its bracket; past the clock's
+        ``cap``, a power of two, NoConvergence names the cap and the distance
+        there.  On a clock that counts time 0 (``zero``), a start already
+        within eps answers 0.0 with bracket (0.0, 0.0)."""
+        n, pi, two = self.chain.n, self.chain.pi, self.two
+        starts = slice(None) if x is None else [x]  # the query's starts, in every start's distances
+        if self.zero and (tv := float(self.tvs[0][starts].max())) <= eps:
             return MixingResult(from_state=x, epsilon=eps, time=0.0, achieved_tv=tv, bracket=(0.0, 0.0))
-        live, entry = x, None  # a row probe's starts: x, or the worst start's A once taken at (lo, M(lo), m)
+        # a row probe's starts: [x], or the worst start's A once taken at (lo, M(lo), m)
+        live, entry = None if x is None else starts, None
         rows: dict[float, np.ndarray] = {}  # their distances, from the query's first row probe on
 
         def probe(t: float, M: np.ndarray | None) -> float:
@@ -305,25 +311,22 @@ class _Walk:
             if M is not None and t not in self.tvs:
                 kept = self.tvs if len(M) == n else rows
                 if kept is rows and not rows:
-                    starts = live if x is None else slice(x, x + 1)
-                    rows.update((s, tvs[starts]) for s, tvs in self.tvs.items())
+                    rows.update((s, tvs[live]) for s, tvs in self.tvs.items())
                 kept[t] = _distances(M, pi)
                 _check_rise(kept, t, self.error, self.unit)
-            if t in self.tvs:
-                return float(self.tvs[t].max() if x is None else self.tvs[t][x])
-            return float(rows[t].max() if x is None else rows[t][0])
+            return float((self.tvs[t][starts] if t in self.tvs else rows[t]).max())
 
         e, rungs = 0, self.rungs
         if not rungs:
             rungs.append(self.unit_rung)
-        while probe(two**e, rungs[e]) > eps and two**e < cap:
+        while probe(two**e, rungs[e]) > eps and two**e < self.cap:
             if len(rungs) == e + 1:  # squares only past the highest kept rung
                 rungs.append(self.checked(rungs[e] @ rungs[e]))
             e += 1
-        # the answer lies in (lo, hi], where t > cap counts as within eps; a
-        # doubling that ends at the cap above eps leaves nothing to narrow
+        # the answer lies in (lo, hi]; a doubling that ends at the cap above
+        # eps leaves nothing to narrow
         hi, M_lo, at, made, budget_hi = two**e, None, None, 0, None  # M_lo = M(lo), or its live rows; None while lo = 0
-        lo = hi if hi == cap and probe(hi, None) > eps else 0
+        lo = hi if probe(hi, None) > eps else 0
         while hi - lo > self.width(hi):
             span = hi - lo
             if span > 1:  # bisect: the next square down
@@ -348,23 +351,22 @@ class _Walk:
                     M_lo = None if M_lo is None else M_lo[live]
                 R, at = (self.rung(s), None) if live is None else (None, at or self.from_lo(M_lo, live))
             t = lo + s  # M(t) is made only if its distance is new or lo moves to t
-            M = None if t > cap or t in self.tvs and probe(t, None) <= eps else (
+            M = None if t in self.tvs and probe(t, None) <= eps else (
                 at(s) if R is None else R if M_lo is None else self.checked(M_lo @ R))
             if M is None or probe(t, M) <= eps:
                 hi = t
             else:
-                lo, M_lo, at = t, M[[x]] if x is not None and len(M) == n else M, None
+                lo, M_lo, at = t, M[starts] if len(M) == n else M, None
             del M, R  # kept only as the new lo's M_lo
-        t = min(hi, cap)  # past the cap, lo = cap was probed
-        tv = probe(t, None)
-        if entry is not None and t not in self.tvs and tv < entry[2]:
+        tv = probe(hi, None)
+        if entry is not None and hi not in self.tvs and tv < entry[2]:
             # a start outside A may be further from pi here than every live one: a full probe
             lo_a, M_a, _ = entry
-            R = self.rung(t - lo_a)
-            tv = probe(t, R if M_a is None else self.checked(M_a @ R))
-        if hi > cap or tv > eps:
-            raise NoConvergence(f"no mixing within {cap} {self.unit}s (TV still {tv:.3e})")
-        return MixingResult(from_state=x, epsilon=eps, time=t, achieved_tv=tv, bracket=(type(t)(lo), t))
+            R = self.rung(hi - lo_a)
+            tv = probe(hi, R if M_a is None else self.checked(M_a @ R))
+        if tv > eps:
+            raise NoConvergence(f"no mixing within {self.cap} {self.unit}s (TV still {tv:.3e})")
+        return MixingResult(from_state=x, epsilon=eps, time=hi, achieved_tv=tv, bracket=(type(hi)(lo), hi))
 
 
 class _Powers(_Walk):
@@ -530,17 +532,15 @@ class _Ladder(_Walk):
         """E(s) for 0 < s <= 1, a checked series rung."""
         return _checked(_horner(_series(s), self.chain.P, self.powers))
 
-    def from_lo(self, r: np.ndarray | None, x):
-        """s -> rows x of M(lo + s) for 0 < s <= 1, x a start or an array of
-        starts, from r = those rows of M(lo) (None: lo = 0): the rows r E(s)
-        = sum_k c_k(s) r P^k, from the rows r P^k, each one |x| x n by n x n
-        step, made when a probe first needs it.  One start keeps one row, a
-        vector-matrix step and one weighted sum of the rows.  Rows from lo > 0
-        carry a square of E(1), so they are ``checked``."""
+    def from_lo(self, r: np.ndarray | None, starts):
+        """s -> rows ``starts`` of M(lo + s) for 0 < s <= 1, ``starts`` a list
+        or array of state indices, from r = those rows of M(lo) (None: lo =
+        0): the rows r E(s) = sum_k c_k(s) r P^k, from the rows r P^k, each
+        one |starts| x n by n x n step, made when a probe first needs it.
+        Rows from lo > 0 carry a square of E(1), so they are ``checked``."""
         P, n = self.chain.P, self.chain.n
-        shape = np.shape(x) + (n,)  # r P^k is one row for one start
-        terms, built = np.zeros((20, *shape)), 1  # r P^k for k < built
-        terms[0] = np.eye(n)[x] if r is None else r.reshape(shape)
+        terms, built = np.zeros((20, len(starts), n)), 1  # r P^k for k < built
+        terms[0] = np.eye(n)[starts] if r is None else r
         check = _checked if r is None else self.checked
 
         def at(s: float) -> np.ndarray:

@@ -61,7 +61,6 @@ CALLS = {
     "tv_distance.theta2": ("array", lambda v: mb.tv_distance([0.5, 0.5], v)),
     "discrete_mixing_time.x": ("number", lambda v: mb.discrete_mixing_time(C, v, 0.25)),
     "discrete_mixing_time.eps": ("number", lambda v: mb.discrete_mixing_time(C, 0, v)),
-    "discrete_mixing_time.max_steps": ("number", lambda v: mb.discrete_mixing_time(C, 0, 0.25, v)),
     "d_profile.t_max": ("number", lambda v: mb.d_profile(C, v)),
     "continuous_mixing_time.x": ("number", lambda v: mb.continuous_mixing_time(C, v, 0.25)),
     "continuous_mixing_time.eps": ("number", lambda v: mb.continuous_mixing_time(C, 0, v)),

@@ -47,7 +47,7 @@ from mixbounds.errors import IllConditioned, NoConvergence
 from mixbounds.bounds import CATALOG, DELTA_DEFAULT, BoundReport, _Derived, _same_chain, _skip
 from mixbounds.cli import run_cli
 
-from _families import doubly_stochastic, tiny_mass_chain
+from _families import doubly_stochastic, tiny_mass_chain, two_blocks
 
 
 def _reversible_pair():
@@ -300,6 +300,9 @@ BISECTION_PASSES = {
 
 @pytest.mark.parametrize("case", sorted(BISECTION_PASSES))
 def test_worst_start_queries_make_at_most_60_percent_of_the_bisection_probes(monkeypatch, case):
+    """A regression bar on these sampled queries, not a promise of the walk,
+    which makes at most one probe more than bisection inside the bracket of
+    width 1."""
     make, bisection = BISECTION_PASSES[case]
     chain = make()
     passes = _count_distance_passes(monkeypatch)
@@ -382,7 +385,10 @@ def _sweep_starts(chain):
 
 @pytest.mark.parametrize("case", sorted(BISECTION_SWEEP))
 def test_no_continuized_query_makes_more_probes_than_bisection(monkeypatch, case):
-    """504 (chain, x, eps) queries in all, each on a fresh walk."""
+    """504 (chain, x, eps) queries in all, each on a fresh walk.  The pinned
+    counts are a regression bar on these sampled queries: the walk promises
+    only at most ``bisections(hi) + 1`` probes inside the bracket of width 1
+    (see the next test), one more than bisection's count."""
     make, bisection = BISECTION_SWEEP[case]
     chain = make()
     passes = _count_distance_passes(monkeypatch)
@@ -392,6 +398,23 @@ def test_no_continuized_query_makes_more_probes_than_bisection(monkeypatch, case
             passes.clear()
             walk.time(x, eps)
             assert passes["passes"] <= most, (x, eps)
+
+
+def test_one_sided_regula_falsi_stays_within_one_probe_of_bisection(monkeypatch):
+    """On the lazy directed 100-cycle at eps = 0.25 each regula falsi step
+    lands on the side within eps, so the projection falls back to bisection:
+    from the worst start and from 0, the walk makes 11 probes inside the
+    bracket of width 1 (at times that are not integers), where bisection
+    makes bisections(hi) = 11 and the walk promises at most one more."""
+    chain = lazy(directed_cycle(100))
+    probes = _count(monkeypatch, mixing._check_rise, lambda kept, t, *_: t != math.floor(t))
+    for x in (None, 0):
+        walk = mixing._Ladder(chain)
+        probes.clear()
+        got = walk.time(x, 0.25)
+        budget = walk.bisections(math.ceil(got.time))  # the bracket of width 1 ends at an integer hi
+        assert probes[True] <= budget + 1, x
+        assert (probes[True], budget) == (11, 11), x
 
 
 FROM_X_QUERIES = {
@@ -463,17 +486,17 @@ def test_a_report_walks_the_powers_for_its_worst_start_times(monkeypatch):
 
 
 def test_a_gap_of_zero_ends_the_walk_at_the_cap(monkeypatch):
-    """two_state(1e-17) never mixes within the cap of 10^6 steps: the report's
-    worst-start time, and the public time from 0, square P 20 times, to
-    2^20, bisect to the cap in at most 20 products and raise, naming the cap
-    and the distance there."""
+    """two_state(1e-17) never mixes within the cap of 2^20 steps: the
+    report's worst-start time, and the public time from 0, square P 20
+    times, to the cap, and raise there with no bisection product, naming the
+    cap and the distance there."""
     chain = two_state(1e-17)
     products = _count_products(chain)
     for call in (lambda: full_report(chain, x=0, eps=0.25), lambda: discrete_mixing_time(chain, 0, 0.25)):
         products.clear()
-        with pytest.raises(NoConvergence, match=r"within 1000000 steps \(TV still 5\.000e-01\)"):
+        with pytest.raises(NoConvergence, match=r"within 1048576 steps \(TV still 5\.000e-01\)"):
             call()
-        assert products["squares"] <= 21 and products["products"] <= 20
+        assert products == {"squares": 20}
 
 
 def test_a_target_that_is_lazy_base_walks_the_lazy_chain_once(monkeypatch):
@@ -545,8 +568,8 @@ def test_a_lazy_time_past_the_cap_raises_the_lazy_chains_own_error():
     """Flipping with p = 1.5 2^-21, the base mixes at 1/(2e) in 1 / (2 p),
     about 699,051 time units, and its lazy chain in twice that, past the cap
     of 2^20: the lazy chain's own ladder raises, with the message of its
-    public call, whether the base's time is kept (the doubled time passes the
-    cap) or not (the base's walk passes half the cap)."""
+    public call, whether the base's time is kept or not, as either way the
+    base's walk answers past half the cap, so its time is not doubled."""
     p = 1.5 * 2.0**-21
     base = build_chain(["a", "b"], [[1.0 - p, p], [p, 1.0 - p]])
     target = lazy(base)
@@ -559,6 +582,24 @@ def test_a_lazy_time_past_the_cap_raises_the_lazy_chains_own_error():
         with pytest.raises(NoConvergence) as got:
             s.continuous(target, None, DELTA_DEFAULT)
         assert str(got.value) == str(public.value) == "no mixing within 1048576 time units (TV still 2.362e-01)"
+
+
+def test_a_base_square_that_drifts_past_half_the_cap_leaves_the_lazy_time_to_its_own_ladder():
+    """Blocks of 70 states cross 0.1 near 2^19.2: the base's square E(2^20)
+    drifts past the ladder's row-sum check, so its walk raises
+    IllConditioned past half the cap.  The lazy chain's time there is its
+    own ladder's, which stays stochastic to 2^20 and raises NoConvergence,
+    as its public call does."""
+    base = two_blocks(70, math.log(5) / (3 * 2**19.2))
+    target = lazy(base)
+    with pytest.raises(IllConditioned, match="by 1048576 time units"):
+        continuous_mixing_time(base, None, 0.1)
+    with pytest.raises(NoConvergence) as public:
+        continuous_mixing_time(target, None, 0.1)
+    s = _Derived(0.25, base, 0, target)
+    with pytest.raises(NoConvergence) as got:
+        s.continuous(target, None, 0.1)
+    assert str(got.value) == str(public.value) == "no mixing within 1048576 time units (TV still 1.232e-01)"
 
 
 def _count_alive_walks(monkeypatch):
@@ -1009,10 +1050,10 @@ def test_reports_in_threads_share_one_chains_store():
 
 def test_an_error_is_not_kept():
     """A constant whose computation raises is not kept, so every call
-    raises again: two_state(1e-17) does not mix within the cap of 10^6
+    raises again: two_state(1e-17) does not mix within the cap of 2^20
     steps (NoConvergence)."""
     chain = two_state(1e-17)
     for x in (0, 1):
-        with pytest.raises(NoConvergence, match="within 1000000 steps"):
+        with pytest.raises(NoConvergence, match="within 1048576 steps"):
             full_report(chain, x=x)
     assert ("powers", DELTA_DEFAULT) not in chain._constants

@@ -171,6 +171,21 @@ def test_a_walk_is_entered_only_by_walk_time():
     assert any(node.name == "time" for node in clocks["_Walk"].body if isinstance(node, ast.FunctionDef))
 
 
+def test_a_walk_has_one_cap_its_clocks():
+    """Each clock's cap is 2^20, so the doubling ends at it exactly: no
+    function in ``src/`` takes a ``cap`` or ``max_steps``, and ``bounds``
+    asks a walk's ``time`` with a start and an eps alone."""
+    from mixbounds.mixing import _Ladder, _Powers
+
+    assert _Powers.cap == _Ladder.cap == 2**20
+    params = _where(lambda node: isinstance(node, ast.arg) and node.arg in ("cap", "max_steps"))
+    assert not params, f"a cap taken as a parameter: {params}"
+    tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
+    asks = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "time"]
+    assert asks and all(len(node.args) == 2 and not node.keywords for node in asks)
+
+
 def test_a_report_makes_its_walks_only_through_its_two_clocks():
     """In ``bounds`` only ``_Derived.discrete`` and ``_Derived.continuous``
     name ``_Powers`` or ``_Ladder``, so every walk a report makes goes

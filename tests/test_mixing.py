@@ -96,7 +96,7 @@ def test_discrete_mixing_gates():
         with pytest.raises(BadEpsilon):
             discrete_mixing_time(chain, 0, bad)
     with pytest.raises(NoConvergence):
-        discrete_mixing_time(two_state(1e-3), 0, 0.25, max_steps=10)
+        discrete_mixing_time(two_state(1e-17), 0, 0.25)
 
 
 def test_discrete_mixing_worst_start():
@@ -218,43 +218,28 @@ def test_d_profile_matches_the_one_step_reference(case):
 
 
 @pytest.mark.parametrize("x", [None, 0])
-@pytest.mark.parametrize("max_steps", [1, 6, 37, 1000])
-def test_max_steps_is_honoured_exactly(x, max_steps):
-    """The walk over the powers P^(2^e) stops at max_steps, however its
-    probes fall, and the message reads the distance at max_steps.  So does
-    the public call;
-    and between the distances at max_steps - 1 and max_steps, it returns
-    max_steps, and raises with one step less, or refuses a cap of 0 steps."""
+@pytest.mark.parametrize("t", [1, 6, 37, 1000])
+def test_an_eps_between_adjacent_distances_answers_the_later_step(x, t):
+    """With eps halfway between the reference's distances at t - 1 and t,
+    the walk over the powers P^(2^e) answers t exactly, however its probes
+    fall, on a fresh walk and by the public call, with bracket (t - 1, t)
+    and the distance at t."""
     chain = _lazy_cycle(30)  # about 2,500 steps to 1e-12
-    walk, reference = _Powers(chain), _ReferenceSteps(chain, x)
-    _, tv = reference.time(1e-12, max_steps)
-    with pytest.raises(NoConvergence, match=rf"within {max_steps} steps \(TV still {tv:.3e}\)"):
-        walk.time(x, 1e-12, max_steps)
-    with pytest.raises(NoConvergence, match=rf"within {max_steps} steps \(TV still {tv:.3e}\)"):
-        discrete_mixing_time(chain, x, 1e-12, max_steps)
-    below, above = reference.history[max_steps], reference.history[max_steps - 1]
+    reference = _ReferenceSteps(chain, x)
+    reference.time(1e-12, t)
+    below, above = reference.history[t], reference.history[t - 1]
     eps = 0.5 * (below + above)
-    got = discrete_mixing_time(chain, x, eps, max_steps)
-    assert got.time == max_steps
-    assert got.achieved_tv == pytest.approx(below, rel=1e-12, abs=1e-15)  # d(1000) is 1.1e-5
-    with pytest.raises(NoConvergence, match=rf"within {max_steps - 1} steps \(TV still {above:.3e}\)") \
-            if max_steps > 1 else pytest.raises(BadParams, match=r"max_steps must be an integer in \[1, "):
-        discrete_mixing_time(chain, x, eps, max_steps - 1)
+    for got in (_Powers(chain).time(x, eps), discrete_mixing_time(chain, x, eps)):
+        assert (got.time, got.bracket) == (t, (t - 1, t))
+        assert got.achieved_tv == pytest.approx(below, rel=1e-12, abs=1e-15)  # d(1000) is 1.1e-5
 
 
 @pytest.mark.parametrize("x", [None, 0])
-def test_a_cap_of_zero_steps_is_refused_and_one_step_is_counted(x):
-    """No discrete time lies in (0, 0], so max_steps = 0 raises BadParams
-    naming the range [1, ...], not NoConvergence quoting the distance at
-    time 0.  At max_steps = 1 the one step counts: criterion 01's tie d(1) =
-    1/4 = eps answers 1, and a chain not yet within eps at step 1 raises
-    NoConvergence naming the cap and the distance at step 1."""
-    with pytest.raises(BadParams, match=r"max_steps must be an integer in \[1, .*got 0$"):
-        discrete_mixing_time(two_state(0.25), x, 0.25, max_steps=0)
-    got = discrete_mixing_time(two_state(0.25), x, 0.25, max_steps=1)
+def test_a_tie_at_one_step_answers_one(x):
+    """Criterion 01's tie d(1) = 1/4 = eps on two_state(0.25) answers 1,
+    with bracket (0, 1): the one step counts, and time 0 does not."""
+    got = discrete_mixing_time(two_state(0.25), x, 0.25)
     assert (got.time, got.achieved_tv, got.bracket) == (1, 0.25, (0, 1))
-    with pytest.raises(NoConvergence, match=r"within 1 steps \(TV still 4\.000e-01\)"):
-        discrete_mixing_time(two_state(0.1), x, 0.25, max_steps=1)
 
 
 # exact ties (criterion 01: d(1) = 1/4 = eps on two_state(0.25)), a chain at
@@ -298,9 +283,8 @@ SWEEP = {
 def test_from_x_times_match_the_one_step_reference(case):
     """Each from-x time t equals the reference's, on one walk per chain and
     by the public call, with its distance within 1e-12 + t 2^-52 relative or
-    1e-15;
-    with max_steps = t - 1, each raises NoConvergence naming the reference's
-    distance at t - 1."""
+    1e-15, and its bracket is (t - 1, t), where the reference's distance at
+    t - 1 exceeds eps."""
     make, starts, epsilons = SWEEP[case]
     chain = make()
     walk = _Powers(chain)
@@ -314,10 +298,8 @@ def test_from_x_times_match_the_one_step_reference(case):
                 assert got.time == want_time, (x, eps)
                 rel = 1e-12 + want_time * 2.0**-52  # both sides' errors grow like t times the float precision
                 assert got.achieved_tv == pytest.approx(want_tv, rel=rel, abs=1e-15), (x, eps)
-            if want_time > 1:
-                cap = want_time - 1
-                with pytest.raises(NoConvergence, match=rf"within {cap} steps \(TV still {reference.history[cap]:.3e}\)"):
-                    walk.time(x, eps, cap)
+                assert got.bracket == (want_time - 1, want_time), (x, eps)
+            assert want_time == 1 or reference.history[want_time - 1] > eps, (x, eps)
 
 
 def test_a_rise_between_probes_names_both_probes():
@@ -891,8 +873,8 @@ def test_series_rungs_match_the_taylor_reference(case):
     M_lo = ladder.rung(0.3) @ ladder.unit_rung  # M(1.3)
     for x in {0, chain.n // 2, chain.n - 1}:
         for s in (0.3, 0.7, 1 - 2.0**-20, 2.0**-20):
-            assert np.abs(ladder.from_lo(None, x)(s)[0] - ladder.rung(s)[x]).sum() <= 1e-15, (x, s)
-            got = ladder.from_lo(M_lo[[x]], x)(s)[0]
+            assert np.abs(ladder.from_lo(None, [x])(s)[0] - ladder.rung(s)[x]).sum() <= 1e-15, (x, s)
+            got = ladder.from_lo(M_lo[[x]], [x])(s)[0]
             assert np.abs(got - (M_lo @ ladder.rung(s))[x]).sum() <= 1e-15, (x, s)
 
 
@@ -911,10 +893,9 @@ def _row_probes(monkeypatch):
     monkeypatch.setattr(mixing, "_checked", lambda E: check(events.append(("checked", E.shape)) or E))
     monkeypatch.setattr(_Ladder, "rung", lambda ladder, s: rung(ladder, events.append(("rung", s)) or s))
 
-    def rows(ladder, r, x):
-        if np.ndim(x):
-            events.append(("rows", len(x)))
-        return from_lo(ladder, r, x)
+    def rows(ladder, r, starts):
+        events.append(("rows", len(starts)))
+        return from_lo(ladder, r, starts)
 
     monkeypatch.setattr(_Ladder, "from_lo", rows)
     return events
